@@ -356,6 +356,32 @@ void BM_Ablation_S8Isa(benchmark::State& state) {
 }
 BENCHMARK(BM_Ablation_S8Isa)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
+// The fp32 template pinned to each compiled ISA tier via SetConvNCHWcIsaOverride, on
+// the same resnet 3x3 layer and schedule as BM_S8VsF32_Resnet3x3_F32. Arg indexes
+// kIsaTiers (the fp32 conv has no avx512vnni tier); tiers the binary/CPU lacks are
+// skipped. The baseline row is the portable build; its delta to the widest row is
+// what the runtime dispatch of the §3.1 template buys.
+void BM_Ablation_F32Isa(benchmark::State& state) {
+  const char* tier = kIsaTiers[state.range(0)];
+  if (!SetConvNCHWcIsaOverride(tier)) {
+    state.SkipWithError("isa tier not available on this host");
+    return;
+  }
+  Conv2dParams p{1, 128, 28, 28, 128, 3, 3, 1, 1, 1, 1};
+  BlockedSetup setup = MakeBlocked(p, ConvSchedule{16, 16, 8, true});
+  for (auto _ : state) {
+    ConvNCHWc(setup.p, setup.s, setup.in, setup.w, nullptr, nullptr, {}, &setup.out);
+    benchmark::DoNotOptimize(setup.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(tier);
+  state.counters["GFLOPS"] =
+      benchmark::Counter(2.0 * p.Macs(), benchmark::Counter::kIsIterationInvariantRate,
+                         benchmark::Counter::kIs1000);
+  SetConvNCHWcIsaOverride(nullptr);
+}
+BENCHMARK(BM_Ablation_F32Isa)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
 // Winograd F(2x2,3x3) vs the direct template on the same workload (the paper's named
 // future-work algorithm; arithmetic drops 2.25x, transforms eat part of it back).
 void BM_ConvWinograd(benchmark::State& state) {

@@ -12,31 +12,28 @@ namespace {
 
 CpuInfo Detect() {
   CpuInfo info;
-#if defined(__AVX512F__)
-  info.isa = SimdIsa::kAvx512;
-  info.vector_bits = 512;
-  info.num_vector_registers = 32;
-#elif defined(__AVX2__)
-  info.isa = SimdIsa::kAvx2;
-  info.vector_bits = 256;
-  info.num_vector_registers = 16;
+#if defined(__x86_64__) || defined(__i386__)
+  // Runtime (not compile-time) capability: the binary is built portable and picks its
+  // kernel tiers via cpuid, so the Target profile must reflect the machine it is
+  // running on, not the flags it was compiled with.
+  if (CpuSupportsTier(IsaTier::kAvx512)) {
+    info.isa = SimdIsa::kAvx512;
+    info.vector_bits = 512;
+    info.num_vector_registers = 32;
+  } else if (CpuSupportsTier(IsaTier::kAvx2)) {
+    info.isa = SimdIsa::kAvx2;
+    info.vector_bits = 256;
+    info.num_vector_registers = 16;
+  }
+  info.has_fma = __builtin_cpu_supports("fma") != 0;
+  info.has_vnni = __builtin_cpu_supports("avx512vnni") != 0;
 #elif defined(__ARM_NEON)
   info.isa = SimdIsa::kNeon;
   info.vector_bits = 128;
   info.num_vector_registers = 32;
-#else
-  info.isa = SimdIsa::kScalar;
-  info.vector_bits = 128;
-  info.num_vector_registers = 16;
-#endif
-#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+#if defined(__ARM_FEATURE_FMA)
   info.has_fma = true;
 #endif
-#if defined(__x86_64__) || defined(__i386__)
-  // Runtime (not compile-time) capability: the binary is built portable and picks the
-  // int8 kernel tier via cpuid, so the Target profile must reflect the machine it is
-  // running on, not the flags it was compiled with.
-  info.has_vnni = __builtin_cpu_supports("avx512vnni") != 0;
 #endif
 
   unsigned hw = std::thread::hardware_concurrency();
@@ -94,6 +91,42 @@ const char* SimdIsaName(SimdIsa isa) {
       return "avx512";
   }
   return "unknown";
+}
+
+const char* IsaTierName(IsaTier tier) {
+  switch (tier) {
+    case IsaTier::kBaseline:
+      return "baseline";
+    case IsaTier::kAvx2:
+      return "avx2";
+    case IsaTier::kAvx512:
+      return "avx512";
+    case IsaTier::kAvx512Vnni:
+      return "avx512vnni";
+  }
+  return "unknown";
+}
+
+bool CpuSupportsTier(IsaTier tier) {
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  __builtin_cpu_init();
+  const bool avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+                      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512dq") &&
+                      __builtin_cpu_supports("fma");
+  switch (tier) {
+    case IsaTier::kBaseline:
+      return true;
+    case IsaTier::kAvx2:
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    case IsaTier::kAvx512:
+      return avx512;
+    case IsaTier::kAvx512Vnni:
+      return avx512 && __builtin_cpu_supports("avx512vnni");
+  }
+  return false;
+#else
+  return tier == IsaTier::kBaseline;
+#endif
 }
 
 }  // namespace neocpu

@@ -1,5 +1,8 @@
 // Host CPU introspection: SIMD capability, physical core count, cache sizes.
 // These feed the default Target profile (src/core/target.h) and the analytic cost model.
+// On x86 the SIMD fields come from cpuid at runtime, not from the compile flags: the
+// library is built at the portable baseline ISA and dispatches its hot kernels to
+// per-ISA variants (src/kernels/isa_tiers.h).
 #ifndef NEOCPU_SRC_BASE_CPU_INFO_H_
 #define NEOCPU_SRC_BASE_CPU_INFO_H_
 
@@ -13,6 +16,15 @@ enum class SimdIsa {
   kNeon,     // 128-bit (4 fp32 lanes)
   kAvx2,     // 256-bit (8 fp32 lanes)
   kAvx512,   // 512-bit (16 fp32 lanes)
+};
+
+// Instruction-set tier of a per-ISA kernel variant: the vector flags its translation
+// unit is compiled with.
+enum class IsaTier {
+  kBaseline,    // the library's portable ISA (SSE2 on x86-64, NEON on AArch64)
+  kAvx2,        // -mavx2 -mfma
+  kAvx512,      // -mavx512f -mavx512bw -mavx512vl -mavx512dq
+  kAvx512Vnni,  // kAvx512 + -mavx512vnni
 };
 
 struct CpuInfo {
@@ -37,6 +49,13 @@ struct CpuInfo {
 const CpuInfo& HostCpuInfo();
 
 const char* SimdIsaName(SimdIsa isa);
+
+// "baseline", "avx2", "avx512", "avx512vnni".
+const char* IsaTierName(IsaTier tier);
+
+// Whether the running CPU can execute code compiled for `tier` (cpuid; always true for
+// kBaseline). The kAvx512 tiers require F, BW, VL, DQ and FMA.
+bool CpuSupportsTier(IsaTier tier);
 
 }  // namespace neocpu
 

@@ -2,6 +2,7 @@
 
 #include "src/base/cpu_info.h"
 #include "src/base/logging.h"
+#include "src/kernels/conv_nchwc.h"
 
 namespace neocpu {
 
@@ -9,15 +10,44 @@ Target Target::Host() {
   const CpuInfo& info = HostCpuInfo();
   Target t;
   t.name = "host";
-  t.vector_lanes = info.VectorLanesF32();
-  t.num_vector_registers = info.num_vector_registers;
+  // The vector shape is the one the f32 conv template actually runs at: cpuid
+  // capability clamped to the tiers compiled in. The §3.3 search then admits the
+  // blocks that tier executes and scores them with its real lane count.
+  switch (ConvNCHWcHostTier()) {
+    case IsaTier::kAvx512:
+    case IsaTier::kAvx512Vnni:
+      t.vector_lanes = 16;
+      t.num_vector_registers = 32;
+      t.fma_per_cycle = 2;
+      break;
+    case IsaTier::kAvx2:
+      t.vector_lanes = 8;
+      t.num_vector_registers = 16;
+      t.fma_per_cycle = 2;
+      break;
+    case IsaTier::kBaseline:
+      // The portable build: SSE2 on x86-64 (16 registers, no FMA), NEON on AArch64.
+      t.vector_lanes = 4;
+      t.num_vector_registers = info.isa == SimdIsa::kNeon ? info.num_vector_registers : 16;
+      t.fma_per_cycle = info.isa == SimdIsa::kNeon && info.has_fma ? 2 : 1;
+      break;
+  }
   t.num_cores = info.physical_cores;
   t.l1d_bytes = info.l1d_bytes;
   t.l2_bytes = info.l2_bytes;
   t.l3_bytes = info.l3_bytes;
-  t.fma_per_cycle = info.has_fma ? 2 : 1;
   t.vnni_dot = info.has_vnni;
   return t;
+}
+
+std::string Target::KeyName() const {
+  if (name != "host") {
+    return name;
+  }
+  const IsaTier tier = vector_lanes >= 16  ? IsaTier::kAvx512
+                       : vector_lanes == 8 ? IsaTier::kAvx2
+                                           : IsaTier::kBaseline;
+  return std::string("host@") + IsaTierName(tier);
 }
 
 Target Target::SkylakeAvx512() {

@@ -53,7 +53,13 @@ struct Target {
 
   static constexpr std::int64_t kMaxS8Block = 64;  // == kMaxChannelBlock
 
-  // The host this binary was compiled for.
+  // Spelling of this profile in tuning-cache keys. Named profiles use their name; a
+  // host-derived one ("host") appends its vector tier, e.g. "host@avx512", so schedules
+  // tuned on a narrower machine (or before runtime ISA detection) never hit here.
+  std::string KeyName() const;
+
+  // The machine this process runs on: cores and caches as detected, vector shape of the
+  // f32 conv tier the runtime dispatches to (see ConvNCHWcHostTier).
   static Target Host();
   // The paper's three evaluation platforms (§4).
   static Target SkylakeAvx512();

@@ -1,217 +1,52 @@
+// Baseline instantiation + validation + threading + runtime ISA dispatch of the fp32
+// NCHWc direct convolution. The baseline row driver compiles at the library's portable
+// ISA; wider variants live in conv_nchwc_avx{2,512}.cc behind per-file flags, and this
+// TU (always portable code itself) picks the widest one the running CPU supports.
+#define NEOCPU_CONV_VARIANT_NS conv_f32_baseline
+#define NEOCPU_CONV_ROWS_FN ConvF32RowsBaseline
+#include "src/kernels/conv_nchwc_impl.h"
+
 #include "src/kernels/conv_nchwc.h"
 
 #include <algorithm>
 
 #include "src/base/logging.h"
+#include "src/kernels/isa_tiers.h"
 #include "src/tensor/layout_transform.h"
 
 namespace neocpu {
+namespace detail {
+
+#ifdef NEOCPU_HAVE_AVX2
+void ConvF32RowsAvx2(const F32ConvArgs&, std::int64_t, std::int64_t);
+#endif
+#ifdef NEOCPU_HAVE_AVX512
+void ConvF32RowsAvx512(const F32ConvArgs&, std::int64_t, std::int64_t);
+#endif
+
 namespace {
 
-// Resolved dimensions and element strides shared by the micro-kernels.
-struct ConvDims {
-  std::int64_t n, icb_count, ih, iw, icb;  // input physical dims
-  std::int64_t ocb_count, oh, ow, ocb;     // output physical dims
-  std::int64_t kh, kw, sh, sw, ph, pw;
-  std::int64_t in_sn, in_sc, in_sh;    // input strides (innermost stride is icb)
-  std::int64_t w_so, w_sc;             // weight strides per oc-block / ic-block
-  std::int64_t out_sn, out_sc, out_sh; // output strides (innermost stride is ocb)
-};
-
-// Interior micro-kernel: computes REGN consecutive out_width positions for one
-// (n, oc_block, oh) row with no horizontal bounds checks (caller guarantees validity).
-// acc[REGN][OCB] is the register block of Figure 1; the `j` loops vectorize to one FMA
-// per OCB/vector-lane group, the `r` loop is the reg_n register blocking.
-template <int OCB, int REGN, bool UNROLL>
-void MicroInterior(const ConvDims& d, const float* __restrict in_n, const float* __restrict w_o,
-                   const float* bias_o, const float* res_row, bool relu, std::int64_t oh,
-                   std::int64_t ow0, float* __restrict out_row) {
-  float acc[REGN][OCB];
-  if (bias_o != nullptr) {
-    for (int r = 0; r < REGN; ++r) {
-      for (int j = 0; j < OCB; ++j) {
-        acc[r][j] = bias_o[j];
-      }
-    }
-  } else {
-    for (int r = 0; r < REGN; ++r) {
-      for (int j = 0; j < OCB; ++j) {
-        acc[r][j] = 0.0f;
-      }
-    }
-  }
-
-  const std::int64_t iw0 = ow0 * d.sw - d.pw;
-  const std::int64_t icb = d.icb;
-  const std::int64_t w_kstride = icb * OCB;  // weight stride per (kh, kw) entry
-
-  for (std::int64_t ico = 0; ico < d.icb_count; ++ico) {
-    const float* in_c = in_n + ico * d.in_sc;
-    const float* w_c = w_o + ico * d.w_sc;
-    for (std::int64_t kh = 0; kh < d.kh; ++kh) {
-      const std::int64_t ih = oh * d.sh - d.ph + kh;
-      if (ih < 0 || ih >= d.ih) {
-        continue;
-      }
-      const float* in_h = in_c + ih * d.in_sh + iw0 * icb;
-      const float* w_h = w_c + kh * d.kw * w_kstride;
-      auto kw_body = [&](std::int64_t kw) {
-        const float* __restrict w_k = w_h + kw * w_kstride;
-        const float* __restrict in_w = in_h + kw * icb;
-        for (std::int64_t ici = 0; ici < icb; ++ici) {
-          const float* __restrict wv = w_k + ici * OCB;
-          // The j loop is the SIMD dimension: the `omp simd` annotation pins it for the
-          // vectorizer (GCC would otherwise completely peel trip counts <= 16 early and
-          // scalarize). The r loop is the register blocking of Figure 1: one broadcast
-          // and one vector FMA per iteration after vectorization.
-#pragma GCC unroll 32
-          for (int r = 0; r < REGN; ++r) {
-            const float iv = in_w[static_cast<std::int64_t>(r) * d.sw * icb + ici];
-#pragma omp simd
-            for (int j = 0; j < OCB; ++j) {
-              acc[r][j] += iv * wv[j];
-            }
-          }
-        }
-      };
-      if constexpr (UNROLL) {
-#pragma GCC unroll 8
-        for (std::int64_t kw = 0; kw < d.kw; ++kw) {
-          kw_body(kw);
-        }
-      } else {
-#pragma GCC unroll 1
-        for (std::int64_t kw = 0; kw < d.kw; ++kw) {
-          kw_body(kw);
-        }
-      }
-    }
-  }
-
-  float* __restrict out = out_row + ow0 * OCB;
-  if (res_row != nullptr) {
-    const float* __restrict res = res_row + ow0 * OCB;
-    for (int r = 0; r < REGN; ++r) {
-      for (int j = 0; j < OCB; ++j) {
-        acc[r][j] += res[static_cast<std::int64_t>(r) * OCB + j];
-      }
-    }
-  }
-  if (relu) {
-    for (int r = 0; r < REGN; ++r) {
-      for (int j = 0; j < OCB; ++j) {
-        acc[r][j] = acc[r][j] > 0.0f ? acc[r][j] : 0.0f;
-      }
-    }
-  }
-  for (int r = 0; r < REGN; ++r) {
-    for (int j = 0; j < OCB; ++j) {
-      out[static_cast<std::int64_t>(r) * OCB + j] = acc[r][j];
-    }
-  }
-}
-
-// Generic guarded micro-kernel: runtime block sizes, per-element horizontal bounds
-// checks. Handles image edges (padding), out_width tails, and uncommon oc_bn values.
-void MicroEdge(const ConvDims& d, const float* in_n, const float* w_o, const float* bias_o,
-               const float* res_row, bool relu, std::int64_t oh, std::int64_t ow0,
-               std::int64_t count, float* out_row) {
-  float acc[kMaxRegN][kMaxChannelBlock];
-  const std::int64_t ocb = d.ocb;
-  for (std::int64_t r = 0; r < count; ++r) {
-    for (std::int64_t j = 0; j < ocb; ++j) {
-      acc[r][j] = bias_o != nullptr ? bias_o[j] : 0.0f;
-    }
-  }
-  const std::int64_t icb = d.icb;
-  const std::int64_t w_kstride = icb * ocb;
-  for (std::int64_t ico = 0; ico < d.icb_count; ++ico) {
-    const float* in_c = in_n + ico * d.in_sc;
-    const float* w_c = w_o + ico * d.w_sc;
-    for (std::int64_t kh = 0; kh < d.kh; ++kh) {
-      const std::int64_t ih = oh * d.sh - d.ph + kh;
-      if (ih < 0 || ih >= d.ih) {
-        continue;
-      }
-      const float* in_h = in_c + ih * d.in_sh;
-      const float* w_h = w_c + kh * d.kw * w_kstride;
-      for (std::int64_t kw = 0; kw < d.kw; ++kw) {
-        const float* w_k = w_h + kw * w_kstride;
-        for (std::int64_t r = 0; r < count; ++r) {
-          const std::int64_t iw = (ow0 + r) * d.sw - d.pw + kw;
-          if (iw < 0 || iw >= d.iw) {
-            continue;
-          }
-          const float* in_w = in_h + iw * icb;
-          for (std::int64_t ici = 0; ici < icb; ++ici) {
-            const float iv = in_w[ici];
-            const float* wv = w_k + ici * ocb;
-            for (std::int64_t j = 0; j < ocb; ++j) {
-              acc[r][j] += iv * wv[j];
-            }
-          }
-        }
-      }
-    }
-  }
-  float* out = out_row + ow0 * ocb;
-  const float* res = res_row != nullptr ? res_row + ow0 * ocb : nullptr;
-  for (std::int64_t r = 0; r < count; ++r) {
-    for (std::int64_t j = 0; j < ocb; ++j) {
-      float v = acc[r][j];
-      if (res != nullptr) {
-        v += res[r * ocb + j];
-      }
-      if (relu) {
-        v = v > 0.0f ? v : 0.0f;
-      }
-      out[r * ocb + j] = v;
-    }
-  }
-}
-
-using MicroFn = void (*)(const ConvDims&, const float*, const float*, const float*,
-                         const float*, bool, std::int64_t, std::int64_t, float*);
-
-template <int OCB, bool UNROLL>
-MicroFn SelectByRegN(std::int64_t reg_n) {
-  switch (reg_n) {
-    case 2:
-      return &MicroInterior<OCB, 2, UNROLL>;
-    case 4:
-      return &MicroInterior<OCB, 4, UNROLL>;
-    case 8:
-      return &MicroInterior<OCB, 8, UNROLL>;
-    case 16:
-      return &MicroInterior<OCB, 16, UNROLL>;
-    case 32:
-      return &MicroInterior<OCB, 32, UNROLL>;
-    default:
-      return nullptr;
-  }
-}
-
-template <int OCB>
-MicroFn SelectByUnroll(std::int64_t reg_n, bool unroll) {
-  return unroll ? SelectByRegN<OCB, true>(reg_n) : SelectByRegN<OCB, false>(reg_n);
-}
-
-MicroFn SelectMicro(std::int64_t ocb, std::int64_t reg_n, bool unroll) {
-  switch (ocb) {
-    case 4:
-      return SelectByUnroll<4>(reg_n, unroll);
-    case 8:
-      return SelectByUnroll<8>(reg_n, unroll);
-    case 16:
-      return SelectByUnroll<16>(reg_n, unroll);
-    case 32:
-      return SelectByUnroll<32>(reg_n, unroll);
-    default:
-      return nullptr;  // caller falls back to MicroEdge for uncommon blocks
-  }
+IsaTierTable<F32RowsFn>& Tiers() {
+  static IsaTierTable<F32RowsFn> tiers({
+#ifdef NEOCPU_HAVE_AVX512
+      {IsaTier::kAvx512, &ConvF32RowsAvx512},
+#endif
+#ifdef NEOCPU_HAVE_AVX2
+      {IsaTier::kAvx2, &ConvF32RowsAvx2},
+#endif
+      {IsaTier::kBaseline, &ConvF32RowsBaseline},
+  });
+  return tiers;
 }
 
 }  // namespace
+}  // namespace detail
+
+const char* ConvNCHWcIsaName() { return detail::Tiers().ActiveName(); }
+
+bool SetConvNCHWcIsaOverride(const char* name) { return detail::Tiers().Pin(name); }
+
+IsaTier ConvNCHWcHostTier() { return detail::Tiers().Widest(); }
 
 void ConvNCHWc(const Conv2dParams& p, const ConvSchedule& s, const Tensor& input,
                const Tensor& weight, const Tensor* bias, const Tensor* residual,
@@ -232,7 +67,7 @@ void ConvNCHWc(const Conv2dParams& p, const ConvSchedule& s, const Tensor& input
   NEOCPU_CHECK(!epilogue.bias || bias != nullptr);
   NEOCPU_CHECK(!epilogue.residual_add || residual != nullptr);
 
-  ConvDims d;
+  detail::F32ConvArgs d;
   d.n = p.batch;
   d.icb_count = p.in_c / s.ic_bn;
   d.ih = p.in_h;
@@ -256,67 +91,27 @@ void ConvNCHWc(const Conv2dParams& p, const ConvSchedule& s, const Tensor& input
   d.out_sh = d.ow * d.ocb;
   d.out_sc = d.oh * d.out_sh;
   d.out_sn = d.ocb_count * d.out_sc;
-
-  const MicroFn fast = SelectMicro(d.ocb, s.reg_n, s.unroll_ker);
-  const float* in_base = input.data();
-  const float* w_base = weight.data();
-  const float* bias_base = epilogue.bias ? bias->data() : nullptr;
-  const float* res_base = epilogue.residual_add ? residual->data() : nullptr;
-  float* out_base = output->data();
-  const bool relu = epilogue.relu;
-
+  d.reg_n = s.reg_n;
+  d.unroll_ker = s.unroll_ker;
   // Interior out_width range where no horizontal padding check is needed:
   //   iw0 = ow*sw - pw >= 0          => ow >= ceil(pw / sw)
   //   iw_last = ow*sw - pw + kw - 1 < iw  => ow <= (iw + pw - kw) / sw
-  const std::int64_t ow_lo = d.pw == 0 ? 0 : (d.pw + d.sw - 1) / d.sw;
-  const std::int64_t ow_hi_incl = (d.iw + d.pw - d.kw) / d.sw;
-  const std::int64_t ow_hi = std::min(d.ow, ow_hi_incl + 1);
+  d.ow_lo = d.pw == 0 ? 0 : (d.pw + d.sw - 1) / d.sw;
+  d.ow_hi = std::min(d.ow, (d.iw + d.pw - d.kw) / d.sw + 1);
 
+  d.in = input.data();
+  d.w = weight.data();
+  d.bias = epilogue.bias ? bias->data() : nullptr;
+  d.res = epilogue.residual_add ? residual->data() : nullptr;
+  d.relu = epilogue.relu;
+  d.out = output->data();
+
+  const detail::F32RowsFn rows_fn = detail::Tiers().Active().fn;
   SerialEngine serial;
   ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
-
   // "for each disjoint chunk of OFMAP do  . parallel" — chunks are (n, oc_block, oh) rows.
-  const std::int64_t total_rows = d.n * d.ocb_count * d.oh;
-  ParallelFor(eng, total_rows, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t row = begin; row < end; ++row) {
-      const std::int64_t oh = row % d.oh;
-      const std::int64_t rest = row / d.oh;
-      const std::int64_t oco = rest % d.ocb_count;
-      const std::int64_t n = rest / d.ocb_count;
-
-      const float* in_n = in_base + n * d.in_sn;
-      const float* w_o = w_base + oco * d.w_so;
-      const float* bias_o = bias_base != nullptr ? bias_base + oco * d.ocb : nullptr;
-      float* out_row = out_base + n * d.out_sn + oco * d.out_sc + oh * d.out_sh;
-      const float* res_row =
-          res_base != nullptr ? res_base + n * d.out_sn + oco * d.out_sc + oh * d.out_sh
-                              : nullptr;
-
-      std::int64_t ow = 0;
-      // Left edge (horizontal padding).
-      if (ow < ow_lo) {
-        const std::int64_t count = std::min(ow_lo, d.ow) - ow;
-        for (std::int64_t c = 0; c < count; c += s.reg_n) {
-          MicroEdge(d, in_n, w_o, bias_o, res_row, relu, oh, ow + c,
-                    std::min<std::int64_t>(s.reg_n, count - c), out_row);
-        }
-        ow += count;
-      }
-      // Interior: full reg_n register blocks through the template instantiation.
-      if (fast != nullptr) {
-        while (ow + s.reg_n <= ow_hi) {
-          fast(d, in_n, w_o, bias_o, res_row, relu, oh, ow, out_row);
-          ow += s.reg_n;
-        }
-      }
-      // Interior tail + right edge.
-      while (ow < d.ow) {
-        const std::int64_t count = std::min<std::int64_t>(s.reg_n, d.ow - ow);
-        MicroEdge(d, in_n, w_o, bias_o, res_row, relu, oh, ow, count, out_row);
-        ow += count;
-      }
-    }
-  });
+  ParallelFor(eng, d.n * d.ocb_count * d.oh,
+              [&](std::int64_t begin, std::int64_t end) { rows_fn(d, begin, end); });
 }
 
 Tensor ConvNCHWcWithTransforms(const Conv2dParams& p, const ConvSchedule& s,

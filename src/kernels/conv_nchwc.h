@@ -8,10 +8,14 @@
 //
 // The template is "high level": schedules select among C++ template instantiations whose
 // inner loops GCC auto-vectorizes into broadcast-FMA sequences — no intrinsics, no
-// assembly — which is what makes the same code retargetable across ISAs (§3.1.1).
+// assembly — which is what makes the same code retargetable across ISAs (§3.1.1). The
+// retargeting is done per tier at build time and picked at run time: the body
+// (conv_nchwc_impl.h) is compiled at the portable baseline ISA and again under AVX2+FMA
+// and AVX-512 flags, and ConvNCHWc dispatches to the widest tier the CPU supports.
 #ifndef NEOCPU_SRC_KERNELS_CONV_NCHWC_H_
 #define NEOCPU_SRC_KERNELS_CONV_NCHWC_H_
 
+#include "src/base/cpu_info.h"
 #include "src/kernels/conv_params.h"
 #include "src/kernels/conv_schedule.h"
 #include "src/runtime/thread_engine.h"
@@ -27,6 +31,19 @@ namespace neocpu {
 void ConvNCHWc(const Conv2dParams& params, const ConvSchedule& schedule, const Tensor& input,
                const Tensor& weight, const Tensor* bias, const Tensor* residual,
                const ConvEpilogue& epilogue, Tensor* output, ThreadEngine* engine = nullptr);
+
+// Name of the tier ConvNCHWc runs on: "avx512", "avx2" or "baseline".
+const char* ConvNCHWcIsaName();
+
+// Pins ConvNCHWc to the named tier (parity tests, bench ablations); nullptr or ""
+// restores the automatic pick. Returns false when the tier is not compiled in or the
+// running CPU lacks it. Tiers differ only in FMA contraction, so results agree within
+// fp32 rounding, not bitwise.
+bool SetConvNCHWcIsaOverride(const char* name);
+
+// The tier ConvNCHWc picks when nothing is pinned: the widest one that is both compiled
+// in and supported by the running CPU. Target::Host() describes this tier.
+IsaTier ConvNCHWcHostTier();
 
 // Convenience wrapper used by tests/benches: takes NCHW input and OIHW weight, performs
 // the layout transforms internally, and returns an NCHW output (i.e. what a framework

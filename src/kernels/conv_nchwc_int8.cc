@@ -6,97 +6,47 @@
 #define NEOCPU_S8_ROW_FN ConvS8RowBaseline
 #include "src/kernels/conv_nchwc_int8_impl.h"
 
-#include <string_view>
-
 #include "src/base/logging.h"
 #include "src/kernels/conv_nchwc_int8.h"
+#include "src/kernels/isa_tiers.h"
 
 namespace neocpu {
 namespace detail {
 
-#ifdef NEOCPU_S8_HAVE_AVX2
+#ifdef NEOCPU_HAVE_AVX2
 void ConvS8RowAvx2(const S8ConvArgs&, std::int64_t);
 #endif
-#ifdef NEOCPU_S8_HAVE_AVX512
+#ifdef NEOCPU_HAVE_AVX512
 void ConvS8RowAvx512(const S8ConvArgs&, std::int64_t);
 #endif
-#ifdef NEOCPU_S8_HAVE_AVX512VNNI
+#ifdef NEOCPU_HAVE_AVX512VNNI
 void ConvS8RowAvx512Vnni(const S8ConvArgs&, std::int64_t);
 #endif
 
 namespace {
 
-struct S8Dispatch {
-  S8RowFn fn = &ConvS8RowBaseline;
-  const char* name = "baseline";
-};
-
-// Every tier the running CPU can execute, widest first. The auto pick is the front;
-// the override hook (parity tests, bench ablations) selects any listed tier by name.
-struct S8Tiers {
-  S8Dispatch tiers[4];
-  int count = 0;
-};
-
-S8Tiers EnumerateTiers() {
-  S8Tiers t;
-#if defined(__x86_64__) && defined(__GNUC__)
-  __builtin_cpu_init();
-#ifdef NEOCPU_S8_HAVE_AVX512VNNI
-  if (__builtin_cpu_supports("avx512vnni") && __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512dq")) {
-    t.tiers[t.count++] = {&ConvS8RowAvx512Vnni, "avx512vnni"};
-  }
+IsaTierTable<S8RowFn>& Tiers() {
+  static IsaTierTable<S8RowFn> tiers({
+#ifdef NEOCPU_HAVE_AVX512VNNI
+      {IsaTier::kAvx512Vnni, &ConvS8RowAvx512Vnni},
 #endif
-#ifdef NEOCPU_S8_HAVE_AVX512
-  if (__builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl") &&
-      __builtin_cpu_supports("avx512dq")) {
-    t.tiers[t.count++] = {&ConvS8RowAvx512, "avx512"};
-  }
+#ifdef NEOCPU_HAVE_AVX512
+      {IsaTier::kAvx512, &ConvS8RowAvx512},
 #endif
-#ifdef NEOCPU_S8_HAVE_AVX2
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    t.tiers[t.count++] = {&ConvS8RowAvx2, "avx2"};
-  }
+#ifdef NEOCPU_HAVE_AVX2
+      {IsaTier::kAvx2, &ConvS8RowAvx2},
 #endif
-#endif
-  t.tiers[t.count++] = {&ConvS8RowBaseline, "baseline"};
-  return t;
-}
-
-const S8Tiers& Tiers() {
-  static const S8Tiers t = EnumerateTiers();
-  return t;
-}
-
-// -1: auto (widest tier). Otherwise an index into Tiers() pinned by the override hook.
-int g_isa_override = -1;
-
-const S8Dispatch& Dispatch() {
-  const S8Tiers& t = Tiers();
-  const int at = g_isa_override >= 0 ? g_isa_override : 0;
-  return t.tiers[at];
+      {IsaTier::kBaseline, &ConvS8RowBaseline},
+  });
+  return tiers;
 }
 
 }  // namespace
 }  // namespace detail
 
-const char* ConvNCHWcS8IsaName() { return detail::Dispatch().name; }
+const char* ConvNCHWcS8IsaName() { return detail::Tiers().ActiveName(); }
 
-bool SetConvNCHWcS8IsaOverride(const char* name) {
-  if (name == nullptr || name[0] == '\0') {
-    detail::g_isa_override = -1;
-    return true;
-  }
-  const detail::S8Tiers& t = detail::Tiers();
-  for (int i = 0; i < t.count; ++i) {
-    if (std::string_view(t.tiers[i].name) == name) {
-      detail::g_isa_override = i;
-      return true;
-    }
-  }
-  return false;
-}
+bool SetConvNCHWcS8IsaOverride(const char* name) { return detail::Tiers().Pin(name); }
 
 void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& input,
                  const Tensor& weight, const Tensor* bias, const Tensor& multiplier,
@@ -178,7 +128,7 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
   a.out_zero = a.out_u8 ? out_zero : 0;
   a.out = output->data();
 
-  const detail::S8RowFn row_fn = detail::Dispatch().fn;
+  const detail::S8RowFn row_fn = detail::Tiers().Active().fn;
   SerialEngine serial;
   ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
   const std::int64_t total_rows = a.n * a.ocb_count * a.oh;

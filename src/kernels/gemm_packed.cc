@@ -7,68 +7,35 @@
 #include "src/kernels/gemm_packed_impl.h"
 
 #include <cstring>
-#include <string_view>
 #include <vector>
 
 #include "src/base/logging.h"
 #include "src/kernels/gemm_packed.h"
+#include "src/kernels/isa_tiers.h"
 
 namespace neocpu {
 namespace detail {
 
-#ifdef NEOCPU_GEMM_HAVE_AVX2
+#ifdef NEOCPU_HAVE_AVX2
 void GemmF32TileAvx2(const GemmF32Args&, std::int64_t);
 #endif
-#ifdef NEOCPU_GEMM_HAVE_AVX512
+#ifdef NEOCPU_HAVE_AVX512
 void GemmF32TileAvx512(const GemmF32Args&, std::int64_t);
 #endif
 
 namespace {
 
-struct GemmDispatch {
-  GemmF32TileFn fn = &GemmF32TileBaseline;
-  const char* name = "baseline";
-};
-
-// Every tier the running CPU can execute, widest first; same structure as the s8 conv
-// dispatcher (auto pick is the front, the override hook selects by name).
-struct GemmTiers {
-  GemmDispatch tiers[3];
-  int count = 0;
-};
-
-GemmTiers EnumerateTiers() {
-  GemmTiers t;
-#if defined(__x86_64__) && defined(__GNUC__)
-  __builtin_cpu_init();
-#ifdef NEOCPU_GEMM_HAVE_AVX512
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512dq")) {
-    t.tiers[t.count++] = {&GemmF32TileAvx512, "avx512"};
-  }
+IsaTierTable<GemmF32TileFn>& Tiers() {
+  static IsaTierTable<GemmF32TileFn> tiers({
+#ifdef NEOCPU_HAVE_AVX512
+      {IsaTier::kAvx512, &GemmF32TileAvx512},
 #endif
-#ifdef NEOCPU_GEMM_HAVE_AVX2
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    t.tiers[t.count++] = {&GemmF32TileAvx2, "avx2"};
-  }
+#ifdef NEOCPU_HAVE_AVX2
+      {IsaTier::kAvx2, &GemmF32TileAvx2},
 #endif
-#endif
-  t.tiers[t.count++] = {&GemmF32TileBaseline, "baseline"};
-  return t;
-}
-
-const GemmTiers& Tiers() {
-  static const GemmTiers t = EnumerateTiers();
-  return t;
-}
-
-// -1: auto (widest tier). Otherwise an index into Tiers() pinned by the override hook.
-int g_isa_override = -1;
-
-const GemmDispatch& Dispatch() {
-  const GemmTiers& t = Tiers();
-  const int at = g_isa_override >= 0 ? g_isa_override : 0;
-  return t.tiers[at];
+      {IsaTier::kBaseline, &GemmF32TileBaseline},
+  });
+  return tiers;
 }
 
 std::int64_t CeilDiv(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
@@ -76,22 +43,9 @@ std::int64_t CeilDiv(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 }  // namespace
 }  // namespace detail
 
-const char* GemmPackedIsaName() { return detail::Dispatch().name; }
+const char* GemmPackedIsaName() { return detail::Tiers().ActiveName(); }
 
-bool SetGemmPackedIsaOverride(const char* name) {
-  if (name == nullptr || name[0] == '\0') {
-    detail::g_isa_override = -1;
-    return true;
-  }
-  const detail::GemmTiers& t = detail::Tiers();
-  for (int i = 0; i < t.count; ++i) {
-    if (std::string_view(t.tiers[i].name) == name) {
-      detail::g_isa_override = i;
-      return true;
-    }
-  }
-  return false;
-}
+bool SetGemmPackedIsaOverride(const char* name) { return detail::Tiers().Pin(name); }
 
 std::size_t PackedAF32Elems(std::int64_t m, std::int64_t k, const GemmSchedule& s) {
   return static_cast<std::size_t>(detail::CeilDiv(m, s.mr) * s.mr * k);
@@ -198,7 +152,7 @@ void GemmPackedF32(std::int64_t m, std::int64_t n, std::int64_t k, const float* 
   args.relu = relu;
   args.c = c;
 
-  const detail::GemmF32TileFn tile_fn = detail::Dispatch().fn;
+  const detail::GemmF32TileFn tile_fn = detail::Tiers().Active().fn;
   const std::int64_t tiles = detail::CeilDiv(m, args.mc) * args.nb_count;
   ParallelFor(eng, tiles, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t tile = begin; tile < end; ++tile) {

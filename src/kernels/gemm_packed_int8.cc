@@ -8,74 +8,41 @@
 #include "src/kernels/gemm_packed_int8_impl.h"
 
 #include <cstring>
-#include <string_view>
 #include <vector>
 
 #include "src/base/logging.h"
 #include "src/kernels/gemm_packed_int8.h"
+#include "src/kernels/isa_tiers.h"
 
 namespace neocpu {
 namespace detail {
 
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX2
+#ifdef NEOCPU_HAVE_AVX2
 void GemmS8TileAvx2(const GemmS8Args&, std::int64_t);
 #endif
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX512
+#ifdef NEOCPU_HAVE_AVX512
 void GemmS8TileAvx512(const GemmS8Args&, std::int64_t);
 #endif
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX512VNNI
+#ifdef NEOCPU_HAVE_AVX512VNNI
 void GemmS8TileAvx512Vnni(const GemmS8Args&, std::int64_t);
 #endif
 
 namespace {
 
-struct GemmS8Dispatch {
-  GemmS8TileFn fn = &GemmS8TileBaseline;
-  const char* name = "baseline";
-};
-
-struct GemmS8Tiers {
-  GemmS8Dispatch tiers[4];
-  int count = 0;
-};
-
-GemmS8Tiers EnumerateTiers() {
-  GemmS8Tiers t;
-#if defined(__x86_64__) && defined(__GNUC__)
-  __builtin_cpu_init();
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX512VNNI
-  if (__builtin_cpu_supports("avx512vnni") && __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512dq")) {
-    t.tiers[t.count++] = {&GemmS8TileAvx512Vnni, "avx512vnni"};
-  }
+IsaTierTable<GemmS8TileFn>& Tiers() {
+  static IsaTierTable<GemmS8TileFn> tiers({
+#ifdef NEOCPU_HAVE_AVX512VNNI
+      {IsaTier::kAvx512Vnni, &GemmS8TileAvx512Vnni},
 #endif
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX512
-  if (__builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl") &&
-      __builtin_cpu_supports("avx512dq")) {
-    t.tiers[t.count++] = {&GemmS8TileAvx512, "avx512"};
-  }
+#ifdef NEOCPU_HAVE_AVX512
+      {IsaTier::kAvx512, &GemmS8TileAvx512},
 #endif
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX2
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    t.tiers[t.count++] = {&GemmS8TileAvx2, "avx2"};
-  }
+#ifdef NEOCPU_HAVE_AVX2
+      {IsaTier::kAvx2, &GemmS8TileAvx2},
 #endif
-#endif
-  t.tiers[t.count++] = {&GemmS8TileBaseline, "baseline"};
-  return t;
-}
-
-const GemmS8Tiers& Tiers() {
-  static const GemmS8Tiers t = EnumerateTiers();
-  return t;
-}
-
-int g_isa_override = -1;
-
-const GemmS8Dispatch& Dispatch() {
-  const GemmS8Tiers& t = Tiers();
-  const int at = g_isa_override >= 0 ? g_isa_override : 0;
-  return t.tiers[at];
+      {IsaTier::kBaseline, &GemmS8TileBaseline},
+  });
+  return tiers;
 }
 
 std::int64_t CeilDiv(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
@@ -83,22 +50,9 @@ std::int64_t CeilDiv(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 }  // namespace
 }  // namespace detail
 
-const char* GemmPackedS8IsaName() { return detail::Dispatch().name; }
+const char* GemmPackedS8IsaName() { return detail::Tiers().ActiveName(); }
 
-bool SetGemmPackedS8IsaOverride(const char* name) {
-  if (name == nullptr || name[0] == '\0') {
-    detail::g_isa_override = -1;
-    return true;
-  }
-  const detail::GemmS8Tiers& t = detail::Tiers();
-  for (int i = 0; i < t.count; ++i) {
-    if (std::string_view(t.tiers[i].name) == name) {
-      detail::g_isa_override = i;
-      return true;
-    }
-  }
-  return false;
-}
+bool SetGemmPackedS8IsaOverride(const char* name) { return detail::Tiers().Pin(name); }
 
 std::size_t PackedAU8Bytes(std::int64_t m, std::int64_t k, const GemmSchedule& s) {
   return static_cast<std::size_t>(detail::CeilDiv(m, s.mr) * s.mr * detail::CeilDiv(k, 4) * 4);
@@ -200,7 +154,7 @@ void GemmPackedU8S8(std::int64_t m, std::int64_t n, std::int64_t k,
   args.out_zero = requant && out_u8 ? out_zero : 0;
   args.c = c;
 
-  const detail::GemmS8TileFn tile_fn = detail::Dispatch().fn;
+  const detail::GemmS8TileFn tile_fn = detail::Tiers().Active().fn;
   const std::int64_t tiles = detail::CeilDiv(m, args.mc) * args.nb_count;
   ParallelFor(eng, tiles, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t tile = begin; tile < end; ++tile) {

@@ -6,7 +6,8 @@
 //   * the convolution parameters — *including the batch size*: batch changes the
 //     parallelism grain and cache footprint, so batch-1 and batch-8 are distinct
 //     workloads with distinct optima;
-//   * the target ISA profile the schedule space was constrained to;
+//   * the target ISA profile the schedule space was constrained to (Target::KeyName:
+//     a host-derived profile carries its detected tier, e.g. "host@avx512");
 //   * the cost mode (analytic model vs real measurement);
 //   * the space mode (quick pruned neighbourhood vs the full §3.3.1 enumeration).
 //
@@ -47,7 +48,7 @@ struct WorkloadKey {
                         bool quick_space, DType dtype = DType::kF32) {
     WorkloadKey key;
     key.conv = params;
-    key.target = target.name;
+    key.target = target.KeyName();
     key.cost_mode = mode;
     key.quick_space = quick_space;
     key.dtype = dtype;
@@ -60,7 +61,7 @@ struct WorkloadKey {
     WorkloadKey key;
     key.dense = params;
     key.is_dense = true;
-    key.target = target.name;
+    key.target = target.KeyName();
     key.cost_mode = mode;
     key.quick_space = quick_space;
     key.dtype = dtype;

@@ -8,6 +8,8 @@
 #include "src/base/rng.h"
 #include "src/base/string_util.h"
 #include "src/base/timer.h"
+#include "src/core/target.h"
+#include "src/kernels/conv_nchwc.h"
 
 namespace neocpu {
 namespace {
@@ -103,6 +105,31 @@ TEST(CpuInfo, DetectsSomethingSane) {
   EXPECT_EQ(info.vector_bits % 32, 0);
   EXPECT_GT(info.l1d_bytes, 0u);
   EXPECT_STRNE(SimdIsaName(info.isa), "unknown");
+}
+
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+TEST(CpuInfo, IsaAndFmaFollowCpuidNotCompileFlags) {
+  __builtin_cpu_init();
+  const bool fma = __builtin_cpu_supports("fma");
+  const bool avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+                      __builtin_cpu_supports("avx512vl") &&
+                      __builtin_cpu_supports("avx512dq") && fma;
+  const bool avx2 = __builtin_cpu_supports("avx2") && fma;
+  const CpuInfo& info = HostCpuInfo();
+  EXPECT_EQ(info.isa, avx512 ? SimdIsa::kAvx512 : avx2 ? SimdIsa::kAvx2 : SimdIsa::kScalar);
+  EXPECT_EQ(info.VectorLanesF32(), avx512 ? 16 : avx2 ? 8 : 4);
+  EXPECT_EQ(info.has_fma, fma);
+  EXPECT_EQ(info.has_vnni, __builtin_cpu_supports("avx512vnni") != 0);
+}
+#endif
+
+TEST(Target, HostDescribesTheDispatchedF32ConvTier) {
+  const IsaTier tier = ConvNCHWcHostTier();
+  EXPECT_TRUE(CpuSupportsTier(tier));
+  const int lanes = tier == IsaTier::kAvx512 ? 16 : tier == IsaTier::kAvx2 ? 8 : 4;
+  const Target host = Target::Host();
+  EXPECT_EQ(host.vector_lanes, lanes) << IsaTierName(tier);
+  EXPECT_LE(host.vector_lanes, HostCpuInfo().VectorLanesF32());
 }
 
 TEST(EnvSizeT, ParsesAndFallsBack) {

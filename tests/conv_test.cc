@@ -135,6 +135,67 @@ TEST(ConvNCHWc, ThreadedMatchesSerial) {
   EXPECT_EQ(Tensor::MaxAbsDiff(out_serial, out_threaded), 0.0);
 }
 
+// Every ISA tier of the template against the reference, across the blockings the
+// schedule space emits (oc_bn 4/8/16/32 through the template instantiations, 6 through
+// MicroEdge), every reg_n, stride 1/2, pad 0/1, out-width tails (OW = 37/35/19/18 is a
+// multiple of no reg_n above 2) and the fused epilogues. The tiers differ only in FMA
+// contraction (the AVX2/AVX-512 variants fuse multiply-add, the baseline rounds twice),
+// so they are compared by tolerance, not bitwise.
+class ConvNCHWcTierParity : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ConvNCHWcTierParity, EveryBlockingMatchesReference) {
+  const char* tier = GetParam();
+  if (!SetConvNCHWcIsaOverride(tier)) {
+    GTEST_SKIP() << tier << " is not compiled in or not supported by this CPU";
+  }
+  struct Unpin {
+    ~Unpin() { SetConvNCHWcIsaOverride(nullptr); }
+  } unpin;
+  EXPECT_STREQ(ConvNCHWcIsaName(), tier);
+  constexpr double kTierTol = 1e-4;
+  NeoThreadPool pool(2, /*bind_threads=*/false);
+  const ConvEpilogue epilogues[] = {{}, {true, false, false}, {true, true, true}};
+  for (std::int64_t stride : {1, 2}) {
+    for (std::int64_t pad : {0, 1}) {
+      const Conv2dParams p{1, 16, 7, 37, 96, 3, 3, stride, stride, pad, pad};
+      Rng rng(61);
+      Tensor in = Tensor::Random({1, p.in_c, p.in_h, p.in_w}, rng, -1, 1, Layout::NCHW());
+      Tensor w = Tensor::Random({p.out_c, p.in_c, 3, 3}, rng, -0.5f, 0.5f, Layout::OIHW());
+      Tensor bias = Tensor::Random({p.out_c}, rng, -0.2f, 0.2f);
+      Tensor res = Tensor::Random({1, p.out_c, p.OutH(), p.OutW()}, rng, -1, 1,
+                                  Layout::NCHW());
+      for (const ConvEpilogue& e : epilogues) {
+        const Tensor* b = e.bias ? &bias : nullptr;
+        const Tensor* r = e.residual_add ? &res : nullptr;
+        const Tensor expected = ConvRefNCHW(p, in, w, b, r, e);
+        for (std::int64_t oc_bn : {4, 8, 16, 32, 6}) {
+          for (std::int64_t reg_n : {2, 4, 8, 16, 32}) {
+            const ConvSchedule s{8, oc_bn, reg_n, reg_n % 4 == 0};
+            const Tensor got = ConvNCHWcWithTransforms(p, s, in, w, b, r, e, &pool);
+            EXPECT_LE(Tensor::MaxAbsDiff(got, expected), kTierTol)
+                << tier << " " << s.ToString() << " stride " << stride << " pad " << pad
+                << " bias " << e.bias << " residual " << e.residual_add;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, ConvNCHWcTierParity,
+                         ::testing::Values("baseline", "avx2", "avx512"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+TEST(ConvNCHWc, IsaOverrideRejectsUnknownTiers) {
+  EXPECT_FALSE(SetConvNCHWcIsaOverride("not-an-isa"));
+  EXPECT_TRUE(SetConvNCHWcIsaOverride("baseline"));
+  EXPECT_STREQ(ConvNCHWcIsaName(), "baseline");
+  EXPECT_TRUE(SetConvNCHWcIsaOverride(nullptr));
+  EXPECT_STREQ(ConvNCHWcIsaName(), IsaTierName(ConvNCHWcHostTier()));
+}
+
 TEST(ConvNCHWc, RejectsMismatchedBlocks) {
   Conv2dParams p{1, 16, 8, 8, 16, 3, 3, 1, 1, 1, 1};
   ConvSchedule s{16, 16, 8, true};

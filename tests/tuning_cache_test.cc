@@ -111,6 +111,35 @@ TEST(TuningCache, SaveLoadRoundTripAcrossBatches) {
   std::remove(path.c_str());
 }
 
+TEST(TuningCache, HostEntriesFromANarrowerHostMiss) {
+  // A cache persisted on a 4-lane host (or before the runtime ISA detection) must not
+  // serve its schedules to a 16-lane host: host-derived keys spell the vector tier.
+  Target narrow = Target::Host();
+  narrow.vector_lanes = 4;
+  narrow.num_vector_registers = 16;
+  Target wide = Target::Host();
+  wide.vector_lanes = 16;
+  wide.num_vector_registers = 32;
+  const WorkloadKey narrow_key =
+      WorkloadKey::Of(TestConv(), narrow, CostMode::kAnalytic, true);
+  const WorkloadKey wide_key = WorkloadKey::Of(TestConv(), wide, CostMode::kAnalytic, true);
+  EXPECT_EQ(narrow_key.target, "host@baseline");
+  EXPECT_EQ(wide_key.target, "host@avx512");
+  WorkloadKey parsed;
+  ASSERT_TRUE(WorkloadKey::Parse(wide_key.ToString(), &parsed));
+  EXPECT_EQ(parsed, wide_key);
+
+  TuningCache cache;
+  cache.Insert(narrow_key, SearchFor(TestConv(), narrow));
+  const std::string path = ::testing::TempDir() + "/neocpu_tuning_cache_host_tier.txt";
+  ASSERT_TRUE(cache.SaveToFile(path));
+  TuningCache loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(path));
+  EXPECT_NE(loaded.Find(narrow_key), nullptr);
+  EXPECT_EQ(loaded.Find(wide_key), nullptr);
+  std::remove(path.c_str());
+}
+
 TEST(TuningCache, SaveIsCrashConsistentAtEveryKillPoint) {
   const Target t = Target::EpycAvx2();
   const std::string path = ::testing::TempDir() + "/neocpu_tuning_cache_crash_test.txt";

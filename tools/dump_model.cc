@@ -27,6 +27,7 @@
 #include "src/base/cycle_clock.h"
 #include "src/base/rng.h"
 #include "src/core/compiler.h"
+#include "src/kernels/conv_nchwc.h"
 #include "src/kernels/conv_nchwc_int8.h"
 #include "src/core/serialization.h"
 #include "src/models/model_zoo.h"
@@ -83,7 +84,8 @@ void PrintSummary(const CompiledModel& model) {
     std::printf("  calibration policy: %s\n",
                 CalibrationPolicyName(model.config().calibration_policy));
   }
-  std::printf("  int8 kernel tier: %s; cycle clock: %s\n", ConvNCHWcS8IsaName(),
+  std::printf("  f32 conv kernel tier: %s; int8 kernel tier: %s; cycle clock: %s\n",
+              ConvNCHWcIsaName(), ConvNCHWcS8IsaName(),
               CycleClock::Supported() ? "tsc" : "steady_clock");
   std::printf("  tuned batch: %lld%s\n", static_cast<long long>(stats.tuned_batch),
               stats.retuned ? " (retuned)" : "");
