@@ -382,14 +382,9 @@ CompiledModel Compile(const Graph& model, const CompileOptions& options) {
     calibration = CalibrateGraph(source, opts);
   }
   Graph g = LowerFusedGraph(source, opts, opts.quantize ? &calibration : nullptr, &stats);
-  std::shared_ptr<const ExecutionPlan> plan;
-  if (opts.plan_memory) {
-    plan = std::make_shared<const ExecutionPlan>(PlanMemory(g));
-  }
   stats.compile_seconds = total_timer.Seconds();
   CompiledModel compiled(std::move(g), stats, std::move(source),
                          static_cast<const CompileConfig&>(opts), opts.tuning_cache);
-  compiled.AttachPlan(std::move(plan));
   compiled.SetCalibration(std::move(calibration));
   if (opts.verbose) {
     LOG(INFO) << "compiled " << compiled.graph().name << " ["
@@ -411,27 +406,20 @@ bool RebindBatch(const CompiledModel& model, std::int64_t batch, CompiledModel* 
   if (!RebindBatchDim(&g, batch)) {
     return false;
   }
-  // Every batch variant needs its own plan: shapes changed, so offsets and the arena
-  // footprint change with them. Re-planning is pure graph analysis (microseconds).
-  const bool replan = model.plan() != nullptr;
+  // Every batch variant gets its own plan from the CompiledModel constructor: shapes
+  // changed, so offsets and the arena footprint change with them.
   if (model.has_source()) {
     Graph source = model.source_graph();
     if (RebindBatchDim(&source, batch)) {
       *out = CompiledModel(std::move(g), model.stats(), std::move(source), model.config(),
                            model.tuning());
       out->SetCalibration(model.calibration());
-      if (replan) {
-        out->AttachPlan(std::make_shared<const ExecutionPlan>(PlanMemory(out->graph())));
-      }
       return true;
     }
     // The executable graph rebinds but the source does not (should not happen — they
     // describe the same computation); degrade to a source-less, non-retunable model.
   }
   *out = CompiledModel(std::move(g), model.stats());
-  if (replan) {
-    out->AttachPlan(std::make_shared<const ExecutionPlan>(PlanMemory(out->graph())));
-  }
   return true;
 }
 
@@ -468,9 +456,6 @@ bool RetuneForBatch(const CompiledModel& model, std::int64_t batch, ThreadEngine
   *out = CompiledModel(std::move(g), stats, std::move(source), config,
                        opts.tuning_cache);
   out->SetCalibration(calibration);
-  if (config.plan_memory) {
-    out->AttachPlan(std::make_shared<const ExecutionPlan>(PlanMemory(out->graph())));
-  }
   return true;
 }
 

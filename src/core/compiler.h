@@ -53,10 +53,6 @@ struct CompileConfig {
   CostMode cost_mode = CostMode::kAnalytic;
   bool quick_space = true;  // prune channel-factor candidates (see schedule_space.h)
   std::size_t max_dp_table_entries = 1 << 22;
-  // Static memory planning (core/memory_plan): place intermediates and workspaces in
-  // one reusable arena so steady-state Run allocates nothing. Off = the classic
-  // allocate-and-release executor path.
-  bool plan_memory = true;
   // Forced convolution algorithm (ablation / testing): under the NCHWc layout modes,
   // every conv that can legally execute `forced_algo` uses it instead of the searched
   // choice; convs where it is illegal (Winograd on non-3x3-s1 shapes or fused residual
@@ -126,21 +122,24 @@ struct CompileStats {
   std::uint64_t tuning_cache_misses = 0;
 
   // Static memory planning (core/memory_plan). arena_bytes is the planned peak arena
-  // footprint; naive_arena_bytes is what the allocating executor would malloc per Run
-  // for the same buffers (sum of intermediates + workspaces, no reuse). arena_bytes <=
+  // footprint; naive_arena_bytes is what a heap-only plan would malloc per Run for the
+  // same buffers (sum of intermediates + workspaces, no reuse). arena_bytes <=
   // naive_arena_bytes always; the gap is the planner's buffer-reuse win.
-  bool memory_planned = false;
   std::size_t arena_bytes = 0;
   std::size_t naive_arena_bytes = 0;
 };
 
+// Every constructor plans the executable graph's memory (core/memory_plan) and records
+// the footprint in stats(), so plan() is never null.
 class CompiledModel {
  public:
-  CompiledModel() = default;
+  CompiledModel() : CompiledModel(Graph(), CompileStats()) {}
   // Executable graph only — no source/config/cache, so the model cannot be re-tuned
   // (legacy modules; tests that hand-build graphs).
   CompiledModel(Graph graph, CompileStats stats)
-      : graph_(std::move(graph)), stats_(stats) {}
+      : graph_(std::move(graph)), stats_(stats) {
+    PlanGraph();
+  }
   // Full form produced by Compile/RetuneForBatch/LoadModule: `source` is the fused
   // pre-layout graph (original NCHW weights; payload buffers shared, not copied).
   CompiledModel(Graph graph, CompileStats stats, Graph source, CompileConfig config,
@@ -150,7 +149,9 @@ class CompiledModel {
         source_(std::move(source)),
         has_source_(true),
         config_(std::move(config)),
-        tuning_(std::move(tuning)) {}
+        tuning_(std::move(tuning)) {
+    PlanGraph();
+  }
 
   // Runs inference. `engine` is borrowed; null runs serially.
   Tensor Run(const Tensor& input, ThreadEngine* engine = nullptr) const {
@@ -193,15 +194,8 @@ class CompiledModel {
   const std::shared_ptr<TuningCache>& tuning() const { return tuning_; }
 
   // Static memory plan for this model's executable graph (one per batch variant; see
-  // core/memory_plan). Null when compiled with plan_memory=false or for hand-built
-  // legacy models. Attach recomputes stats' footprint fields.
+  // core/memory_plan).
   const std::shared_ptr<const ExecutionPlan>& plan() const { return plan_; }
-  void AttachPlan(std::shared_ptr<const ExecutionPlan> plan) {
-    plan_ = std::move(plan);
-    stats_.memory_planned = plan_ != nullptr && plan_->UsesArena();
-    stats_.arena_bytes = plan_ != nullptr ? plan_->arena_bytes : 0;
-    stats_.naive_arena_bytes = plan_ != nullptr ? plan_->naive_bytes : 0;
-  }
 
   // Re-points the model at a different schedule cache (the serving registry's shared
   // per-registry cache). Only meaningful for models that carry tuning state.
@@ -218,6 +212,12 @@ class CompiledModel {
   void SetCalibration(CalibrationTable table) { calibration_ = std::move(table); }
 
  private:
+  void PlanGraph() {
+    plan_ = std::make_shared<const ExecutionPlan>(PlanMemory(graph_));
+    stats_.arena_bytes = plan_->arena_bytes;
+    stats_.naive_arena_bytes = plan_->naive_bytes;
+  }
+
   Graph graph_;
   CompileStats stats_;
   Graph source_;

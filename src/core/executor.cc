@@ -162,7 +162,10 @@ CalibrationTable CalibrationObserver::Finalize(CalibrationPolicy policy) {
 
 Executor::Executor(const Graph* graph, ThreadEngine* engine,
                    std::shared_ptr<const ExecutionPlan> plan)
-    : graph_(graph), engine_(engine), plan_(std::move(plan)) {
+    : graph_(graph),
+      engine_(engine),
+      plan_(plan != nullptr ? std::move(plan)
+                            : std::make_shared<const ExecutionPlan>(PlanHeapOnly(*graph))) {
   use_counts_.assign(static_cast<std::size_t>(graph->num_nodes()), 0);
   for (int id = 0; id < graph->num_nodes(); ++id) {
     const Node& node = graph->node(id);
@@ -176,11 +179,8 @@ Executor::Executor(const Graph* graph, ThreadEngine* engine,
   for (int out : graph->outputs()) {
     ++use_counts_[static_cast<std::size_t>(out)];
   }
-  if (plan_ != nullptr) {
-    NEOCPU_CHECK_EQ(static_cast<int>(plan_->nodes.size()), graph->num_nodes())
-        << "execution plan does not match the graph";
-    planned_ = plan_->UsesArena();
-  }
+  NEOCPU_CHECK_EQ(static_cast<int>(plan_->nodes.size()), graph->num_nodes())
+      << "execution plan does not match the graph";
 }
 
 std::vector<Tensor> Executor::Run(const std::vector<Tensor>& inputs) const {
@@ -219,11 +219,11 @@ std::vector<Tensor> Executor::Run(const std::vector<Tensor>& inputs, ThreadEngin
 
   // One lease per Run: a warm per-partition arena when the caller owns one (serving
   // pool), else the process-wide pool. Stack-held (the lease handle itself must not
-  // malloc on the path whose point is zero allocations) and lazy, so unplanned graphs
+  // malloc on the path whose point is zero allocations) and lazy, so heap-only plans
   // never touch the pool.
   std::optional<ArenaLease> lease;
   float* arena_base = nullptr;
-  if (planned_) {
+  if (plan_->arena_bytes > 0) {
     lease.emplace(arena, &ArenaPool::Global(), plan_->arena_bytes);
     arena_base = lease->data();
   }
@@ -264,21 +264,27 @@ std::vector<Tensor> Executor::Run(const std::vector<Tensor>& inputs, ThreadEngin
         node_begin = std::chrono::steady_clock::now();
       }
     }
-    const NodePlan* np =
-        planned_ ? &plan_->nodes[static_cast<std::size_t>(id)] : nullptr;
-    if (np != nullptr && np->placement == BufferPlacement::kArena) {
-      // Zero-allocation path: output and workspace are views at the planned offsets
-      // (offsets are SIMD-aligned, so the float-granular pointer arithmetic is exact
-      // for every element size).
-      Tensor out = Tensor::FromExternal(
-          arena_base + np->offset / sizeof(float), np->dims, np->layout, np->dtype);
-      float* workspace = np->workspace_bytes > 0
-                             ? arena_base + np->workspace_offset / sizeof(float)
-                             : nullptr;
-      ExecuteNodeInto(node, node_inputs, &out, workspace, np->workspace_bytes, engine);
-      values[static_cast<std::size_t>(id)] = std::move(out);
+    const NodePlan& np = plan_->nodes[static_cast<std::size_t>(id)];
+    Tensor& out = values[static_cast<std::size_t>(id)];
+    if (np.placement == BufferPlacement::kAlias) {
+      out = AliasView(node, node_inputs);
     } else {
-      values[static_cast<std::size_t>(id)] = ExecuteNode(node, node_inputs, engine);
+      // Arena views sit at the planned offsets (SIMD-aligned, so the float-granular
+      // pointer arithmetic is exact for every element size).
+      out = np.placement == BufferPlacement::kArena
+                ? Tensor::FromExternal(arena_base + np.offset / sizeof(float), np.dims,
+                                       np.layout, np.dtype)
+                : Tensor::Empty(*np.dims, np.layout, np.dtype);
+      Tensor heap_workspace;
+      float* workspace = nullptr;
+      if (np.workspace_bytes > 0 && arena_base != nullptr) {
+        workspace = arena_base + np.workspace_offset / sizeof(float);
+      } else if (np.workspace_bytes > 0) {
+        heap_workspace = Tensor::Empty(
+            {static_cast<std::int64_t>(np.workspace_bytes / sizeof(float))});
+        workspace = heap_workspace.data();
+      }
+      ExecuteNodeInto(node, node_inputs, &out, workspace, np.workspace_bytes, engine);
     }
     if (use_tsc) {
       profiler->RecordNode(node,
@@ -315,8 +321,8 @@ std::vector<Tensor> Executor::Run(const std::vector<Tensor>& inputs, ThreadEngin
   std::vector<Tensor> outputs;
   outputs.reserve(graph_->outputs().size());
   for (int out : graph_->outputs()) {
-    // Planned graphs place escaping buffers on the heap, so outputs own their storage
-    // and stay valid after the arena lease is returned.
+    // Escaping buffers are heap-placed, so outputs own their storage and stay valid
+    // after the arena lease is returned.
     outputs.push_back(values[static_cast<std::size_t>(out)]);
   }
   return outputs;

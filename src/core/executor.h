@@ -1,17 +1,19 @@
 // Graph executor: runs a graph's nodes in topological order on a ThreadEngine.
 //
-// Memory management has two modes:
-//   * Planned (an ExecutionPlan from core/memory_plan is attached): every intermediate
-//     tensor and kernel workspace is a view into one pre-faulted arena at the offsets
-//     the compile-time planner chose; steady-state Run performs zero heap allocations
-//     for intermediates/workspaces (graph outputs still own their storage — they
-//     escape the call). The arena comes from a caller-supplied warm Arena (the serving
-//     pool passes one per executor-pool partition so pages stay local to the cores
-//     that touch them) or, by default, from the process-wide ArenaPool.
-//   * Allocating (no plan): a node's output tensor is freshly allocated and released as
-//     soon as its last consumer has executed (liveness-based buffer release), which
-//     bounds peak activation memory — the property that lets VGG-class models run on
-//     small hosts. This remains the reference path and the fallback.
+// Every node runs through one call, ExecuteNodeInto (core/op_dispatch), into a buffer
+// its ExecutionPlan (core/memory_plan) placed: an arena view for kArena, a fresh owning
+// tensor for kHeap, an input view for kAlias (which runs no kernel). Buffers are
+// released as soon as their last consumer has executed.
+//   * With a PlanMemory plan (what CompiledModel supplies), intermediates and every
+//     kernel workspace are views into one pre-faulted arena; steady-state Run heap-
+//     allocates only the escaping graph outputs. The arena comes from a caller-supplied
+//     warm Arena (the serving pool passes one per executor-pool partition so pages stay
+//     local to the cores that touch them) or, by default, from the process-wide
+//     ArenaPool.
+//   * Without a plan, the executor uses PlanHeapOnly: every output and workspace is its
+//     own heap buffer, freed by liveness. That bounds peak activation memory without an
+//     arena and gives each buffer its own allocation (what sanitizers check), which is
+//     why it serves as the reference oracle and runs calibration.
 #ifndef NEOCPU_SRC_CORE_EXECUTOR_H_
 #define NEOCPU_SRC_CORE_EXECUTOR_H_
 
@@ -74,8 +76,8 @@ class CalibrationObserver {
 class Executor {
  public:
   // `graph` and `engine` are borrowed and must outlive the executor. A null engine runs
-  // serially. `plan` (shared, may be null) must have been computed for exactly `graph`;
-  // a null plan or one with no arena placements selects the allocating path.
+  // serially. `plan` (shared) must have been computed for exactly `graph`; null selects
+  // PlanHeapOnly(*graph).
   explicit Executor(const Graph* graph, ThreadEngine* engine = nullptr,
                     std::shared_ptr<const ExecutionPlan> plan = nullptr);
 
@@ -83,11 +85,11 @@ class Executor {
   // of the graph's output nodes. Run is stateless and const: one executor instance can
   // serve concurrent Run calls from many threads (the serving executor pool relies on
   // this to reuse a single executor per compiled model across the whole pool); each
-  // planned Run leases its own arena.
+  // Run of a plan with an arena leases its own.
   std::vector<Tensor> Run(const std::vector<Tensor>& inputs) const;
 
   // As above, but runs on `engine` instead of the engine bound at construction. A null
-  // engine runs serially. A non-null `arena` backs the planned execution instead of the
+  // engine runs serially. A non-null `arena` backs the plan's arena instead of the
   // global pool (it is grown to the plan's footprint and must not be used by another
   // Run concurrently).
   std::vector<Tensor> Run(const std::vector<Tensor>& inputs, ThreadEngine* engine) const;
@@ -99,8 +101,8 @@ class Executor {
   Tensor Run(const Tensor& input, ThreadEngine* engine) const;
   Tensor Run(const Tensor& input, ThreadEngine* engine, Arena* arena) const;
 
-  // The attached plan; null when executing on the allocating path.
-  const ExecutionPlan* plan() const { return planned_ ? plan_.get() : nullptr; }
+  // The plan every Run executes; never null.
+  const ExecutionPlan& plan() const { return *plan_; }
 
   // Attaches a calibration observer: every subsequent Run reports each input and
   // materialized node output to it. Calibration runs are offline (compile time), so
@@ -131,7 +133,6 @@ class Executor {
   const Graph* graph_;
   ThreadEngine* engine_;
   std::shared_ptr<const ExecutionPlan> plan_;
-  bool planned_ = false;  // plan_ is non-null AND places at least one buffer
   CalibrationObserver* observer_ = nullptr;
   std::atomic<NodeProfiler*> profiler_{nullptr};
   std::atomic<TraceRecorder*> tracer_{nullptr};

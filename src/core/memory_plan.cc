@@ -130,16 +130,14 @@ Liveness AnalyzeLiveness(const Graph& g) {
   return live;
 }
 
-}  // namespace
-
-ExecutionPlan PlanMemory(const Graph& g) {
-  const int n = g.num_nodes();
+// The placement pass shared by PlanMemory and PlanHeapOnly. Aliases resolve to their
+// root; inputs and constants stay externally owned (kHeap, uncounted); escaping outputs
+// are kHeap; every other materializing node is kArena. Every materializing node gets its
+// output view's dims/layout/dtype and its workspace size. No offsets yet.
+ExecutionPlan ClassifyNodes(const Graph& g, const Liveness& live) {
   ExecutionPlan plan;
-  plan.nodes.resize(static_cast<std::size_t>(n));
-  const Liveness live = AnalyzeLiveness(g);
-
-  // Classify every node first (an alias consumer never changes its root's class).
-  for (int id = 0; id < n; ++id) {
+  plan.nodes.resize(static_cast<std::size_t>(g.num_nodes()));
+  for (int id = 0; id < g.num_nodes(); ++id) {
     const Node& node = g.node(id);
     NodePlan& np = plan.nodes[static_cast<std::size_t>(id)];
     const int root = live.root[static_cast<std::size_t>(id)];
@@ -149,34 +147,50 @@ ExecutionPlan PlanMemory(const Graph& g) {
       ++plan.alias_nodes;
       continue;
     }
-    const bool external = node.type == OpType::kInput || node.type == OpType::kConstant;
-    if (external || live.escapes[static_cast<std::size_t>(id)] ||
-        !SupportsExecuteInto(node, g)) {
-      np.placement = BufferPlacement::kHeap;  // owns its storage (or is externally owned)
-      if (!external) {
-        ++plan.heap_nodes;
-      }
+    if (node.type == OpType::kInput || node.type == OpType::kConstant) {
+      np.placement = BufferPlacement::kHeap;
       continue;
     }
-    np.placement = BufferPlacement::kArena;
     np.dims = MakeSharedDims(PlannedOutputDims(node));
     np.layout = PlannedOutputLayout(node);
     np.dtype = node.out_dtype;
-    np.size_bytes = AlignUp(OutputBytes(*np.dims, np.dtype));
     np.workspace_bytes = AlignUp(NodeWorkspaceBytes(node));
-    if (np.size_bytes == 0) {  // degenerate zero-element output; keep it owning
-      np.placement = BufferPlacement::kHeap;
-      np.dims.reset();
-      np.workspace_bytes = 0;
+    if (live.escapes[static_cast<std::size_t>(id)]) {
+      np.placement = BufferPlacement::kHeap;  // outlives the Run, so owns its storage
       ++plan.heap_nodes;
-      continue;
+    } else {
+      np.placement = BufferPlacement::kArena;
+      np.size_bytes = AlignUp(OutputBytes(*np.dims, np.dtype));
+      ++plan.arena_nodes;
     }
-    ++plan.arena_nodes;
   }
+  return plan;
+}
+
+}  // namespace
+
+ExecutionPlan PlanHeapOnly(const Graph& g) {
+  ExecutionPlan plan = ClassifyNodes(g, AnalyzeLiveness(g));
+  for (NodePlan& np : plan.nodes) {
+    if (np.placement == BufferPlacement::kArena) {
+      np.placement = BufferPlacement::kHeap;
+      np.size_bytes = 0;
+    }
+  }
+  plan.heap_nodes += plan.arena_nodes;
+  plan.arena_nodes = 0;
+  return plan;
+}
+
+ExecutionPlan PlanMemory(const Graph& g) {
+  const int n = g.num_nodes();
+  const Liveness live = AnalyzeLiveness(g);
+  ExecutionPlan plan = ClassifyNodes(g, live);
 
   // Greedy offset assignment in execution (topological id) order. Within one node's
   // timestep the output, the workspace, and every input buffer coexist; inputs whose
-  // last consumer is this node are released only after it runs.
+  // last consumer is this node are released only after it runs. Workspaces are placed
+  // for every materializing node, heap-placed outputs included.
   //
   // In-place elementwise: a ReLU/ScaleShift/ElemAdd whose first input is an
   // arena-placed buffer of identical size that DIES at this node writes straight over
@@ -209,15 +223,11 @@ ExecutionPlan PlanMemory(const Graph& g) {
         np.offset = alloc.Alloc(np.size_bytes);
       }
       plan.naive_bytes += np.size_bytes;
-      if (np.workspace_bytes > 0) {
-        np.workspace_offset = alloc.Alloc(np.workspace_bytes);
-        plan.naive_bytes += np.workspace_bytes;
-      }
     }
     // The workspace dies with the node; the output dies when its last consumer ran.
-    // Buffers whose interval was transferred to an in-place successor are freed by
-    // that successor's own release, not here.
-    if (np.placement == BufferPlacement::kArena && np.workspace_bytes > 0) {
+    if (np.workspace_bytes > 0) {
+      np.workspace_offset = alloc.Alloc(np.workspace_bytes);
+      plan.naive_bytes += np.workspace_bytes;
       alloc.Free(np.workspace_offset, np.workspace_bytes);
     }
     // A transferred buffer is never freed directly: its bytes free when the in-place
@@ -263,10 +273,6 @@ bool ValidatePlan(const Graph& g, const ExecutionPlan& plan,
     const NodePlan& np = plan.nodes[static_cast<std::size_t>(id)];
     switch (np.placement) {
       case BufferPlacement::kArena: {
-        if (!SupportsExecuteInto(node, g)) {
-          fail(StrFormat("node %d (%s) is arena-placed but has no into-form", id,
-                         node.name.c_str()));
-        }
         if (live.escapes[static_cast<std::size_t>(id)]) {
           fail(StrFormat("node %d (%s) escapes via graph outputs but is arena-placed", id,
                          node.name.c_str()));
@@ -298,12 +304,6 @@ bool ValidatePlan(const Graph& g, const ExecutionPlan& plan,
         }
         const int release = std::max(live.last_use[static_cast<std::size_t>(id)], id);
         intervals.push_back({id, release, np.offset, np.size_bytes, id});
-        if (np.workspace_bytes > 0) {
-          if (np.workspace_offset + np.workspace_bytes > plan.arena_bytes) {
-            fail(StrFormat("node %d workspace exceeds arena", id));
-          }
-          intervals.push_back({id, id, np.workspace_offset, np.workspace_bytes, id});
-        }
         break;
       }
       case BufferPlacement::kAlias: {
@@ -317,6 +317,14 @@ bool ValidatePlan(const Graph& g, const ExecutionPlan& plan,
       }
       case BufferPlacement::kHeap:
         break;
+    }
+    // Workspaces live in the arena whenever the plan has one (a heap-only plan backs
+    // them per execution instead).
+    if (np.workspace_bytes > 0 && plan.arena_bytes > 0) {
+      if (np.workspace_offset + np.workspace_bytes > plan.arena_bytes) {
+        fail(StrFormat("node %d workspace exceeds arena", id));
+      }
+      intervals.push_back({id, id, np.workspace_offset, np.workspace_bytes, id});
     }
   }
 
@@ -365,6 +373,10 @@ std::string ExecutionPlan::ToString() const {
         out += StrFormat("  %3zu alias -> %d\n", id, np.alias_of);
         break;
       case BufferPlacement::kHeap:
+        if (np.workspace_bytes > 0 && arena_bytes > 0) {
+          out += StrFormat("  %3zu heap ws [%zu, %zu)\n", id, np.workspace_offset,
+                           np.workspace_offset + np.workspace_bytes);
+        }
         break;
     }
   }

@@ -10,14 +10,21 @@
 // (runtime/arena_pool): steady-state inference performs zero heap allocations for
 // intermediates and workspaces.
 //
-// Placement classes:
-//   kArena — materializing op the dispatcher can execute-into; offset/size are final.
+// Every node executes the same way (core/op_dispatch ExecuteNodeInto); the plan only
+// decides where each output lives:
+//   kArena — an intermediate: a view at a fixed offset of the arena.
 //   kAlias — the output is a view of an input's buffer (reshape/flatten/dropout,
 //            identity layout transforms); shares the producer's placement and extends
 //            its live interval.
-//   kHeap  — buffers that must own their storage: graph outputs (and anything they
-//            alias — they escape the Run and outlive the arena lease) plus the few ops
-//            without an into-form (unfolded BatchNorm, multibox detection).
+//   kHeap  — an escaping graph output (or a buffer one aliases): it outlives the Run
+//            and the arena lease, so it owns a fresh heap buffer per Run. Inputs and
+//            constants are also kHeap (externally owned, not counted).
+// Kernel workspaces are arena slots for every materializing node, kHeap outputs
+// included, so a planned Run's only heap allocations are its escaping outputs.
+//
+// PlanHeapOnly is the arena-free counterpart the executor uses when it is given no plan:
+// every materializing node is kHeap, and outputs and workspaces are allocated per Run
+// and released by liveness — the per-buffer reference behaviour.
 //
 // The plan is a pure function of the graph: every batch variant gets its own plan, and
 // module loading recomputes plans rather than trusting serialized offsets (the artifact
@@ -48,11 +55,14 @@ struct NodePlan {
   int in_place_of = -1;
   std::size_t offset = 0;            // kArena: byte offset of the output in the arena
   std::size_t size_bytes = 0;        // kArena: aligned output size
-  std::size_t workspace_offset = 0;  // kArena with workspace_bytes > 0
+  // Kernel scratch of a materializing node: an arena slot when the plan has an arena
+  // (arena_bytes > 0), else allocated per execution.
+  std::size_t workspace_offset = 0;
   std::size_t workspace_bytes = 0;
-  // Physical dims/layout/dtype of the output view (kArena), precomputed and
-  // immutable-shared so every Run builds its view without re-deriving shapes OR
-  // allocating a dims vector (Tensor::FromExternal adopts the SharedDims by refcount).
+  // Physical dims/layout/dtype of a materializing node's output (kArena view or kHeap
+  // buffer), precomputed and immutable-shared so every Run builds its arena views
+  // without re-deriving shapes OR allocating a dims vector (Tensor::FromExternal adopts
+  // the SharedDims by refcount).
   SharedDims dims;
   Layout layout;
   DType dtype = DType::kF32;
@@ -61,24 +71,28 @@ struct NodePlan {
 struct ExecutionPlan {
   std::vector<NodePlan> nodes;    // indexed by node id
   std::size_t arena_bytes = 0;    // peak arena footprint (what the executor reserves)
-  std::size_t naive_bytes = 0;    // sum of all planned buffers + workspaces: the bytes
-                                  // the allocating path mallocs per Run for the same set
+  std::size_t naive_bytes = 0;    // sum of all arena buffers + workspaces: the bytes a
+                                  // heap-only plan mallocs per Run for the same set
   int arena_nodes = 0;            // outputs placed in the arena
   int alias_nodes = 0;
-  int heap_nodes = 0;             // materializing nodes left on the allocating path
+  int heap_nodes = 0;             // materializing nodes owning a heap buffer per Run
   int in_place_nodes = 0;         // arena nodes that overwrite their dying input
 
-  bool UsesArena() const { return arena_nodes > 0; }
   std::string ToString() const;  // human-readable placement table (debugging)
 };
 
-// Plans `graph`. Always succeeds; a graph with nothing plannable yields a plan with
-// arena_nodes == 0 which the executor treats as "no plan".
+// Plans `graph`: arena offsets for every non-escaping materializing node and every
+// workspace. Always succeeds.
 ExecutionPlan PlanMemory(const Graph& graph);
 
+// PlanMemory's placement without the arena: arena_bytes == 0 and every materializing
+// node is kHeap. What an Executor built without a plan runs.
+ExecutionPlan PlanHeapOnly(const Graph& graph);
+
 // Validation used by tests: true iff no two concurrently-live arena intervals overlap,
-// every interval fits in arena_bytes, and alias/heap classification matches the
-// dispatcher's capabilities. Appends human-readable problems to `errors` if non-null.
+// every interval fits in arena_bytes, escaping outputs stay off the arena, and alias
+// and in-place claims match liveness. Appends human-readable problems to `errors` if
+// non-null.
 bool ValidatePlan(const Graph& graph, const ExecutionPlan& plan,
                   std::vector<std::string>* errors = nullptr);
 

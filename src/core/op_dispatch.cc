@@ -24,9 +24,9 @@ namespace neocpu {
 namespace {
 
 // f32 staging bytes for a conv's fused integer residual (0 when it has none): the
-// dequantized residual is materialized here rather than heap-allocated so the planned
-// executor stays zero-alloc. 64-byte aligned so kernel scratch that follows it in the
-// shared workspace keeps SIMD alignment.
+// dequantized residual is materialized at the front of the conv's workspace. 64-byte
+// aligned so kernel scratch that follows it in the shared workspace keeps SIMD
+// alignment.
 std::size_t ResidualStagingBytes(const Node& node) {
   if (node.type != OpType::kConv2d || !node.attrs.epilogue.residual_add ||
       node.attrs.qin_scales.empty()) {
@@ -41,8 +41,8 @@ std::size_t ResidualStagingBytes(const Node& node) {
 
 // Runs the convolution kernel bound to `node` writing into the preallocated `*out`;
 // `workspace` backs kernel scratch — the im2col column buffer or Winograd's per-worker
-// tile buffers (null on the allocating path, which lets the kernels self-allocate) —
-// prefixed by the fused-residual staging region when ResidualStagingBytes > 0.
+// tile buffers — prefixed by the fused-residual staging region when
+// ResidualStagingBytes > 0.
 void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* out,
                      float* workspace, std::size_t workspace_bytes, ThreadEngine* engine) {
   const Conv2dParams& p = node.attrs.conv;
@@ -55,20 +55,18 @@ void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
     // integer domain for its other consumers; this conv rescales the codes back to
     // f32 on the way into its epilogue add.
     const std::size_t staging = ResidualStagingBytes(node);
-    if (workspace != nullptr && staging > 0 && workspace_bytes >= staging) {
-      residual_f32 = Tensor::FromExternal(workspace, residual->dims(),
-                                          residual->layout(), DType::kF32);
-      workspace += staging / sizeof(float);
-      workspace_bytes -= staging;
-      if (workspace_bytes == 0) {
-        workspace = nullptr;
-      }
-      Dequantize(*residual, node.attrs.qin_scales.at(0), node.attrs.qin_zeros.at(0),
-                 &residual_f32, engine);
-    } else {
-      residual_f32 = Dequantize(*residual, node.attrs.qin_scales.at(0),
-                                node.attrs.qin_zeros.at(0), engine);
+    NEOCPU_CHECK(workspace != nullptr && staging > 0 && workspace_bytes >= staging)
+        << node.name << ": fused integer residual needs " << staging
+        << " workspace bytes, got " << workspace_bytes;
+    residual_f32 = Tensor::FromExternal(workspace, residual->dims(), residual->layout(),
+                                        DType::kF32);
+    workspace += staging / sizeof(float);
+    workspace_bytes -= staging;
+    if (workspace_bytes == 0) {
+      workspace = nullptr;
     }
+    Dequantize(*residual, node.attrs.qin_scales.at(0), node.attrs.qin_zeros.at(0),
+               &residual_f32, engine);
     residual = &residual_f32;
   }
   switch (node.attrs.kernel) {
@@ -96,26 +94,6 @@ void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
   LOG(FATAL) << "unreachable";
 }
 
-Tensor ExecuteConv(const Node& node, const std::vector<Tensor>& in, ThreadEngine* engine) {
-  const Conv2dParams& p = node.attrs.conv;
-  Tensor out;
-  if (node.attrs.kernel == ConvKernelKind::kNCHWc) {
-    const ConvSchedule& s = node.attrs.schedule;
-    out = Tensor::Empty({p.batch, p.out_c / s.oc_bn, p.OutH(), p.OutW(), s.oc_bn},
-                        Layout::NCHWc(s.oc_bn));
-  } else if (node.attrs.kernel == ConvKernelKind::kNCHWcS8) {
-    const ConvSchedule& s = node.attrs.schedule;
-    out = Tensor::Empty({p.batch, p.out_c / s.oc_bn, p.OutH(), p.OutW(), s.oc_bn},
-                        Layout::NCHWc(s.oc_bn),
-                        node.attrs.qconv.requant ? node.attrs.qconv.out_dtype
-                                                 : DType::kF32);
-  } else {
-    out = Tensor::Empty({p.batch, p.out_c, p.OutH(), p.OutW()}, Layout::NCHW());
-  }
-  ExecuteConvInto(node, in, &out, nullptr, 0, engine);
-  return out;
-}
-
 // Concatenate {N, C_i} (or flat {C_i}) tensors along the last axis into `*out`.
 void ConcatFlatInto(const std::vector<Tensor>& in, Tensor* out) {
   const std::int64_t rows = in[0].ndim() >= 2 ? in[0].dim(0) : 1;
@@ -137,20 +115,9 @@ void ConcatFlatInto(const std::vector<Tensor>& in, Tensor* out) {
   }
 }
 
-Tensor ConcatFlat(const std::vector<Tensor>& in) {
-  const std::int64_t rows = in[0].ndim() >= 2 ? in[0].dim(0) : 1;
-  std::int64_t total_cols = 0;
-  for (const Tensor& t : in) {
-    total_cols += t.NumElements() / rows;
-  }
-  Tensor out = Tensor::Empty({rows, total_cols}, Layout::Flat());
-  ConcatFlatInto(in, &out);
-  return out;
-}
-
 // Tuned packed-GEMM dense (attrs.has_gemm): the weight input is the pre-packed panel
-// constant; `workspace` (when the planned executor provides one) backs the packed-A
-// panels so the steady state allocates nothing.
+// constant; `workspace` backs the packed-A panels when it is large enough for the
+// executing row count.
 void ExecuteDenseGemmInto(const Node& node, const std::vector<Tensor>& in, Tensor* out,
                           float* workspace, std::size_t workspace_bytes,
                           ThreadEngine* engine) {
@@ -183,105 +150,7 @@ void ExecuteDenseGemmInto(const Node& node, const std::vector<Tensor>& in, Tenso
                 out->data(), s, ws, engine);
 }
 
-Tensor ExecuteDenseGemm(const Node& node, const std::vector<Tensor>& in,
-                        ThreadEngine* engine) {
-  const std::int64_t m = in[0].ndim() >= 2 ? in[0].dim(0) : 1;
-  DType out_dtype = DType::kF32;
-  if (node.attrs.gemm.dtype == DType::kU8 && node.attrs.qconv.requant) {
-    out_dtype = node.attrs.qconv.out_dtype;
-  }
-  Tensor out = Tensor::Empty({m, node.attrs.dense.n}, Layout::Flat(), out_dtype);
-  ExecuteDenseGemmInto(node, in, &out, nullptr, 0, engine);
-  return out;
-}
-
 }  // namespace
-
-Tensor ExecuteNode(const Node& node, const std::vector<Tensor>& in, ThreadEngine* engine) {
-  switch (node.type) {
-    case OpType::kInput:
-    case OpType::kConstant:
-      LOG(FATAL) << "inputs/constants are resolved by the executor, not dispatched";
-      return {};
-    case OpType::kConv2d:
-      return ExecuteConv(node, in, engine);
-    case OpType::kBatchNorm: {
-      // Reference (unsimplified) execution: fold the statistics on the fly.
-      Tensor scale, shift;
-      ComputeBnScaleShift(in[1], in[2], in[3], in[4], node.attrs.epsilon, &scale, &shift);
-      return in[0].ndim() == 5 ? ScaleShiftNCHWc(in[0], scale, shift, false, engine)
-                               : ScaleShiftNCHW(in[0], scale, shift, false, engine);
-    }
-    case OpType::kScaleShift:
-      return in[0].ndim() == 5
-                 ? ScaleShiftNCHWc(in[0], in[1], in[2], node.attrs.relu, engine)
-                 : ScaleShiftNCHW(in[0], in[1], in[2], node.attrs.relu, engine);
-    case OpType::kRelu:
-      return Relu(in[0], engine);
-    case OpType::kMaxPool:
-    case OpType::kAvgPool:
-      if (in[0].dtype() == DType::kS8 || in[0].dtype() == DType::kU8) {
-        return PoolNCHWcInt(node.attrs.pool, in[0], node.attrs.qzero, engine);
-      }
-      return in[0].ndim() == 5 ? PoolNCHWc(node.attrs.pool, in[0], engine)
-                               : PoolNCHW(node.attrs.pool, in[0], engine);
-    case OpType::kGlobalAvgPool:
-      return in[0].ndim() == 5 ? GlobalAvgPoolNCHWc(in[0], engine)
-                               : GlobalAvgPoolNCHW(in[0], engine);
-    case OpType::kDense:
-      if (node.attrs.has_gemm) {
-        return ExecuteDenseGemm(node, in, engine);
-      }
-      if (node.attrs.qconv.enabled) {
-        // Inputs: {data s8, weight s8, [bias s32], multiplier f32} — same convention
-        // as the quantized conv (multiplier last).
-        return DenseS8(in[0], in[1], in.size() > 3 ? &in[2] : nullptr, in.back(),
-                       node.attrs.relu, engine);
-      }
-      return Dense(in[0], in[1], in.size() > 2 ? &in[2] : nullptr, node.attrs.relu, engine);
-    case OpType::kSoftmax:
-      return Softmax(in[0], engine);
-    case OpType::kElemAdd:
-      return AddElementwise(in[0], in[1], node.attrs.relu, engine);
-    case OpType::kConcat:
-      if (in[0].dtype() == DType::kS8 || in[0].dtype() == DType::kU8) {
-        return ConcatChannelsInt(in, node.attrs.qin_scales, node.attrs.qin_zeros,
-                                 node.attrs.qscale, node.attrs.qzero, engine);
-      }
-      return in[0].ndim() >= 4 ? ConcatChannels(in, engine) : ConcatFlat(in);
-    case OpType::kFlatten:
-      return FlattenNCHW(in[0]);
-    case OpType::kFlattenNHWC: {
-      Tensor nhwc = NCHWToNHWC(in[0], engine);
-      return nhwc.Reshaped({in[0].dim(0), in[0].dim(1) * in[0].dim(2) * in[0].dim(3)},
-                           Layout::Flat());
-    }
-    case OpType::kReshape: {
-      const auto& dims = node.attrs.reshape_dims;
-      return in[0].Reshaped(dims, dims.size() == 4 ? Layout::NCHW() : Layout::Flat());
-    }
-    case OpType::kDropout:
-      return in[0];  // identity at inference
-    case OpType::kLayoutTransform:
-      return TransformLayout(in[0], node.attrs.dst_layout, engine);
-    case OpType::kMultiboxDetection:
-      return MultiboxDetection(node.attrs.det, in[0], in[1], in[2], engine);
-    case OpType::kQuantize:
-      return Quantize(in[0], node.attrs.qscale, node.attrs.qzero, node.attrs.qdtype,
-                      engine);
-    case OpType::kDequantize:
-      return Dequantize(in[0], node.attrs.qscale, node.attrs.qzero, engine);
-    case OpType::kLayerNorm:
-      return LayerNormRows(in[0], in[1], in[2], node.attrs.epsilon, engine);
-    case OpType::kTranspose:
-      return Transpose2D(in[0], engine);
-    case OpType::kMultiHeadAttention:
-      return MultiHeadAttention(in[0], in[1], in[2], node.attrs.heads, node.attrs.seq,
-                                engine);
-  }
-  LOG(FATAL) << "unreachable";
-  return {};
-}
 
 void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* out,
                      float* workspace, std::size_t workspace_bytes, ThreadEngine* engine) {
@@ -290,6 +159,17 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
     case OpType::kConv2d:
       ExecuteConvInto(node, in, out, workspace, workspace_bytes, engine);
       return;
+    case OpType::kBatchNorm: {
+      // Unsimplified (reference) graphs: fold the statistics on the fly.
+      Tensor scale, shift;
+      ComputeBnScaleShift(in[1], in[2], in[3], in[4], node.attrs.epsilon, &scale, &shift);
+      if (in[0].ndim() == 5) {
+        ScaleShiftNCHWc(in[0], scale, shift, false, out, engine);
+      } else {
+        ScaleShiftNCHW(in[0], scale, shift, false, out, engine);
+      }
+      return;
+    }
     case OpType::kScaleShift:
       if (in[0].ndim() == 5) {
         ScaleShiftNCHWc(in[0], in[1], in[2], node.attrs.relu, out, engine);
@@ -356,6 +236,9 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
     case OpType::kLayoutTransform:
       TransformLayout(in[0], node.attrs.dst_layout, out, engine);
       return;
+    case OpType::kMultiboxDetection:
+      MultiboxDetection(node.attrs.det, in[0], in[1], in[2], out, engine);
+      return;
     case OpType::kQuantize:
       Quantize(in[0], node.attrs.qscale, node.attrs.qzero, node.attrs.qdtype, out,
                engine);
@@ -370,18 +253,15 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
       Transpose2D(in[0], out, engine);
       return;
     case OpType::kMultiHeadAttention: {
-      // Workspace backs the per-(batch, head) score tiles; null (allocating path)
-      // falls back to an internal buffer inside the kernel.
+      // Workspace backs the per-(batch, head) score tiles.
       const std::int64_t rows = in[0].ndim() >= 2 ? in[0].dim(0) : 1;
-      float* ws = nullptr;
-      if (workspace != nullptr &&
-          workspace_bytes >= static_cast<std::size_t>(MhaWorkspaceFloats(
-                                 rows, node.attrs.seq, node.attrs.heads)) *
-                                 sizeof(float)) {
-        ws = workspace;
-      }
+      NEOCPU_CHECK_GE(workspace_bytes,
+                      static_cast<std::size_t>(
+                          MhaWorkspaceFloats(rows, node.attrs.seq, node.attrs.heads)) *
+                          sizeof(float))
+          << node.name << ": attention workspace too small";
       MultiHeadAttention(in[0], in[1], in[2], node.attrs.heads, node.attrs.seq, out,
-                         engine, ws);
+                         workspace, engine);
       return;
     }
     default:
@@ -406,21 +286,23 @@ int AliasedInput(const Node& node, const Graph& graph) {
   }
 }
 
-bool SupportsExecuteInto(const Node& node, const Graph& graph) {
+Tensor AliasView(const Node& node, const std::vector<Tensor>& in) {
   switch (node.type) {
-    case OpType::kInput:
-    case OpType::kConstant:
-    case OpType::kBatchNorm:          // reference-only: folds statistics on the fly
-    case OpType::kMultiboxDetection:  // detection head allocates internally
-    case OpType::kReshape:
     case OpType::kFlatten:
-    case OpType::kDropout:
-      return false;
-    case OpType::kLayoutTransform:
-      return AliasedInput(node, graph) < 0;
+      return FlattenNCHW(in[0]);
+    case OpType::kReshape: {
+      const auto& dims = node.attrs.reshape_dims;
+      return in[0].Reshaped(dims, dims.size() == 4 ? Layout::NCHW() : Layout::Flat());
+    }
+    case OpType::kDropout:          // identity at inference
+    case OpType::kLayoutTransform:  // identity transform (see AliasedInput)
+      return in[0];
     default:
-      return true;
+      break;
   }
+  LOG(FATAL) << "AliasView: " << OpTypeName(node.type) << " (" << node.name
+             << ") does not alias its input";
+  return {};
 }
 
 int MaxPlannedWorkers() {

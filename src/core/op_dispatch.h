@@ -3,15 +3,12 @@
 // incoming tensor's rank, so the same dispatch serves the reference executor and every
 // optimized configuration.
 //
-// Two execution forms:
-//   * ExecuteNode — allocating: the kernel materializes a fresh output tensor (and any
-//     scratch it needs). The reference path, and the fallback for graphs without a
-//     memory plan.
-//   * ExecuteNodeInto — zero-allocation: output and workspace are caller-provided (arena
-//     slices placed by core/memory_plan). Only valid for nodes where
-//     SupportsExecuteInto() is true; the planner and the executor agree on that set.
-// The planner-facing queries below are the single source of truth for which nodes
-// materialize, which alias an input's buffer, and how much scratch each kernel needs.
+// One execution form: ExecuteNodeInto writes a node's result into an output tensor the
+// executor already placed (an arena slice or an owning heap buffer, per core/memory_plan)
+// and runs kernel scratch in a caller-provided workspace. Nodes whose output is a view of
+// an input (AliasedInput) run no kernel; AliasView builds that view. The planner-facing
+// queries below are the single source of truth for which nodes materialize, which alias
+// an input's buffer, and how much scratch each kernel needs.
 #ifndef NEOCPU_SRC_CORE_OP_DISPATCH_H_
 #define NEOCPU_SRC_CORE_OP_DISPATCH_H_
 
@@ -24,26 +21,22 @@
 
 namespace neocpu {
 
-Tensor ExecuteNode(const Node& node, const std::vector<Tensor>& inputs,
-                   ThreadEngine* engine);
-
 // Executes `node` writing its result into `*out` (a preallocated tensor whose physical
 // dims/layout match PlannedOutputDims/node.out_layout) using `workspace` for kernel
 // scratch (null iff NodeWorkspaceBytes(node) == 0). `workspace_bytes` is the workspace's
 // capacity — kernels whose scratch scales with parallelism (Winograd's per-worker tile
-// buffers) clamp their fan-out to what the workspace backs. Dies if the node does not
-// support the into-form.
+// buffers) clamp their fan-out to what the workspace backs. Dies for inputs, constants
+// and aliasing nodes, which have no kernel.
 void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& inputs, Tensor* out,
                      float* workspace, std::size_t workspace_bytes, ThreadEngine* engine);
-
-// True when ExecuteNodeInto can run this node. False for ops whose output is a view of
-// an input (see AliasedInput), for inputs/constants, and for the few ops that keep the
-// allocating path (unfolded BatchNorm, multibox detection).
-bool SupportsExecuteInto(const Node& node, const Graph& graph);
 
 // If the node's output shares its input's buffer (reshape, flatten, dropout, identity
 // layout transforms), the index into node.inputs of the aliased producer; -1 otherwise.
 int AliasedInput(const Node& node, const Graph& graph);
+
+// The output of an aliasing node (AliasedInput >= 0): a view of the aliased input's
+// bytes under the node's output dims and layout. Runs no kernel and allocates no buffer.
+Tensor AliasView(const Node& node, const std::vector<Tensor>& inputs);
 
 // Bytes of kernel scratch one execution of `node` needs: im2col column buffer, Winograd
 // per-worker V/M tile scratch (sized for MaxPlannedWorkers so the plan stays valid under

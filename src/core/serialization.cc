@@ -13,7 +13,8 @@ namespace {
 
 constexpr char kMagic[4] = {'N', 'E', 'O', 'C'};
 // v1: executable graph only. v2: + source graph, CompileConfig, tuned_batch, TuningCache.
-// v3: + plan_memory config flag and memory-plan summary metadata.
+// v3: + memory-planning config flag (now a reserved slot: written as 1, ignored on
+//     load) and memory-plan summary metadata.
 // v4: + per-conv algorithm tag in the schedule block and forced-algo config fields;
 //     embedded tuning caches carry algorithm-tagged entries (cache format v3).
 // v5: quantized path — per-node quant block (ConvQuant + Q/DQ attrs + schedule dtype)
@@ -411,7 +412,7 @@ void WriteConfig(std::ostream& out, const CompileConfig& config) {
   WriteU32(out, static_cast<std::uint32_t>(config.cost_mode));
   WriteU32(out, config.quick_space ? 1 : 0);
   WriteU64(out, config.max_dp_table_entries);
-  WriteU32(out, config.plan_memory ? 1 : 0);        // v3+
+  WriteU32(out, 1);                                 // v3+: reserved
   WriteU32(out, config.force_algo ? 1 : 0);         // v4+
   WriteU32(out, static_cast<std::uint32_t>(config.forced_algo));
   WriteU32(out, config.quantize ? 1 : 0);           // v5+
@@ -442,7 +443,7 @@ CompileConfig ReadConfig(std::istream& in, std::uint32_t version) {
   config.quick_space = ReadU32(in) != 0;
   config.max_dp_table_entries = static_cast<std::size_t>(ReadU64(in));
   if (version >= 3) {
-    config.plan_memory = ReadU32(in) != 0;
+    ReadU32(in);  // reserved: every loaded model is memory-planned
   }
   if (version >= 4) {
     config.force_algo = ReadU32(in) != 0;
@@ -487,12 +488,9 @@ bool SaveModule(const CompiledModel& model, const std::string& path) {
     WriteString(out, cache_text.str());
   }
   // v3: memory-plan summary metadata (the per-node plan is recomputed at load).
-  const bool has_plan = model.plan() != nullptr;
-  WriteU32(out, has_plan ? 1 : 0);
-  if (has_plan) {
-    WriteU64(out, model.plan()->arena_bytes);
-    WriteU64(out, model.plan()->naive_bytes);
-  }
+  WriteU32(out, 1);
+  WriteU64(out, model.plan()->arena_bytes);
+  WriteU64(out, model.plan()->naive_bytes);
   // v5: calibration table (source-graph node id -> observed activation range), so a
   // warm-started server can re-run fp32-vs-int8 selection for new batch sizes.
   const CalibrationTable& calibration = model.calibration();
@@ -555,16 +553,13 @@ bool LoadModule(const std::string& path, CompiledModel* model) {
     NEOCPU_CHECK(cache->Deserialize(cache_text))
         << "corrupt tuning cache in module file " << path;
   }
-  bool has_plan = config.plan_memory;  // v2 modules: plan per today's default config
+  // v3+: memory-plan summary metadata; modules saved without a plan carry none.
   std::uint64_t stored_arena_bytes = 0;
   bool check_stored_plan = false;
-  if (version >= 3) {
-    has_plan = ReadU32(in) != 0;
-    if (has_plan) {
-      stored_arena_bytes = ReadU64(in);
-      ReadU64(in);  // naive_arena_bytes: informational, recomputed below
-      check_stored_plan = true;
-    }
+  if (version >= 3 && ReadU32(in) != 0) {
+    stored_arena_bytes = ReadU64(in);
+    ReadU64(in);  // naive_arena_bytes: informational, recomputed by the planner
+    check_stored_plan = true;
   }
   CalibrationTable calibration;
   if (version >= 5) {
@@ -579,7 +574,6 @@ bool LoadModule(const std::string& path, CompiledModel* model) {
   }
   NEOCPU_CHECK(static_cast<bool>(in)) << "truncated module file " << path;
 
-  const bool plan_memory = config.plan_memory;
   if (has_source) {
     *model = CompiledModel(std::move(g), stats, std::move(source), std::move(config),
                            std::move(cache));
@@ -587,16 +581,13 @@ bool LoadModule(const std::string& path, CompiledModel* model) {
   } else {
     *model = CompiledModel(std::move(g), stats);
   }
-  if (has_plan && plan_memory) {
-    // Plans are derived artifacts: recompute from the loaded graph rather than trusting
-    // file offsets (defense against artifact corruption AND planner-version drift).
-    auto plan = std::make_shared<const ExecutionPlan>(PlanMemory(model->graph()));
-    if (check_stored_plan && plan->arena_bytes != stored_arena_bytes) {
-      LOG(WARNING) << path << ": stored arena footprint " << stored_arena_bytes
-                   << "B differs from recomputed " << plan->arena_bytes
-                   << "B (planner changed since the module was saved)";
-    }
-    model->AttachPlan(std::move(plan));
+  // Plans are derived artifacts: the constructor recomputed one from the loaded graph
+  // rather than trusting file offsets (defense against artifact corruption AND
+  // planner-version drift); the stored footprint is only a cross-check.
+  if (check_stored_plan && model->plan()->arena_bytes != stored_arena_bytes) {
+    LOG(WARNING) << path << ": stored arena footprint " << stored_arena_bytes
+                 << "B differs from recomputed " << model->plan()->arena_bytes
+                 << "B (planner changed since the module was saved)";
   }
   return true;
 }

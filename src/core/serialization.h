@@ -19,7 +19,8 @@
 //   executable graph (name, outputs, node records: type, name, inputs, POD attribute
 //   block, dims, layout, optional payload),
 //   v2+: u32 has_source [+ source graph], config block (layout mode, NCHW kernel,
-//   target profile, cost mode, space mode, DP budget; v3 adds the plan_memory flag),
+//   target profile, cost mode, space mode, DP budget; v3 adds a reserved u32, formerly
+//   the memory-planning switch, written as 1 and ignored on load),
 //   i64 tuned_batch, u32 has_cache [+ length-prefixed TuningCache text serialization],
 //   v3+: u32 has_plan [+ u64 arena_bytes, u64 naive_arena_bytes] — the memory plan's
 //   summary metadata. The plan itself (per-node offsets) is a pure function of the

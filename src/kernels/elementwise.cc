@@ -231,27 +231,6 @@ void ConcatChannelsInt(const std::vector<Tensor>& inputs,
   }
 }
 
-Tensor ConcatChannelsInt(const std::vector<Tensor>& inputs,
-                         const std::vector<float>& in_scales,
-                         const std::vector<std::int32_t>& in_zeros, float out_scale,
-                         std::int32_t out_zero, ThreadEngine* engine) {
-  NEOCPU_CHECK(!inputs.empty());
-  const Tensor& first = inputs.front();
-  std::int64_t total_cb = 0;
-  for (const Tensor& t : inputs) {
-    total_cb += t.dim(1);
-  }
-  Tensor out =
-      first.layout().kind == LayoutKind::kNCHWc
-          ? Tensor::Empty({first.dim(0), total_cb, first.dim(2), first.dim(3),
-                           first.dim(4)},
-                          Layout::NCHWc(first.dim(4)), first.dtype())
-          : Tensor::Empty({first.dim(0), total_cb, first.dim(2), first.dim(3)},
-                          Layout::NCHW(), first.dtype());
-  ConcatChannelsInt(inputs, in_scales, in_zeros, out_scale, out_zero, &out, engine);
-  return out;
-}
-
 void Softmax(const Tensor& input, Tensor* out, ThreadEngine* engine) {
   CheckKernelOutput(out, input.dims(), input.layout(), "softmax");
   const std::int64_t rows = input.ndim() >= 2 ? input.dim(0) : 1;

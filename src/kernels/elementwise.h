@@ -42,10 +42,6 @@ void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out,
 //   q_out = clamp(round((in_scale/out_scale) * (q_in - in_zero)) + out_zero).
 // Inputs whose params already equal the output's degrade to a memcpy. All inputs and
 // the output share one dtype.
-Tensor ConcatChannelsInt(const std::vector<Tensor>& inputs,
-                         const std::vector<float>& in_scales,
-                         const std::vector<std::int32_t>& in_zeros, float out_scale,
-                         std::int32_t out_zero, ThreadEngine* engine = nullptr);
 void ConcatChannelsInt(const std::vector<Tensor>& inputs,
                        const std::vector<float>& in_scales,
                        const std::vector<std::int32_t>& in_zeros, float out_scale,

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/base/logging.h"
+#include "src/tensor/tensor_check.h"
 
 namespace neocpu {
 namespace {
@@ -63,14 +64,16 @@ Tensor MultiboxPrior(const MultiboxPriorParams& p) {
   return out;
 }
 
-Tensor MultiboxDetection(const MultiboxDetectionParams& p, const Tensor& cls_prob,
-                         const Tensor& loc_pred, const Tensor& anchors, ThreadEngine* engine) {
+void MultiboxDetection(const MultiboxDetectionParams& p, const Tensor& cls_prob,
+                       const Tensor& loc_pred, const Tensor& anchors, Tensor* out,
+                       ThreadEngine* engine) {
   NEOCPU_CHECK_EQ(cls_prob.ndim(), 2);
   const std::int64_t num_anchors = cls_prob.dim(0);
   const std::int64_t num_classes = cls_prob.dim(1);
   NEOCPU_CHECK_EQ(num_classes, p.num_classes);
   NEOCPU_CHECK_EQ(loc_pred.NumElements(), num_anchors * 4);
   NEOCPU_CHECK_EQ(anchors.NumElements(), num_anchors * 4);
+  CheckKernelOutput(out, {p.keep_top_k, 6}, Layout::Flat(), "multibox_detection");
 
   // Decode all anchor boxes once.
   std::vector<Box> boxes(static_cast<std::size_t>(num_anchors));
@@ -137,8 +140,8 @@ Tensor MultiboxDetection(const MultiboxDetectionParams& p, const Tensor& cls_pro
     kept.resize(static_cast<std::size_t>(p.keep_top_k));
   }
 
-  Tensor out = Tensor::Full({p.keep_top_k, 6}, -1.0f, Layout::Flat());
-  float* dst = out.data();
+  out->Fill(-1.0f);
+  float* dst = out->data();
   for (std::size_t i = 0; i < kept.size(); ++i) {
     dst[i * 6 + 0] = static_cast<float>(kept[i].cls);
     dst[i * 6 + 1] = kept[i].score;
@@ -147,7 +150,6 @@ Tensor MultiboxDetection(const MultiboxDetectionParams& p, const Tensor& cls_pro
     dst[i * 6 + 4] = kept[i].box.x2;
     dst[i * 6 + 5] = kept[i].box.y2;
   }
-  return out;
 }
 
 }  // namespace neocpu

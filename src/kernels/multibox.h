@@ -42,11 +42,11 @@ struct MultiboxDetectionParams {
 
 // cls_prob: {num_anchors, num_classes} (post-softmax);
 // loc_pred: flat {num_anchors * 4}; anchors: {num_anchors, 4}.
-// Returns {keep_top_k, 6} rows of (class_id, score, x1, y1, x2, y2); unused rows have
-// class_id = -1.
-Tensor MultiboxDetection(const MultiboxDetectionParams& params, const Tensor& cls_prob,
-                         const Tensor& loc_pred, const Tensor& anchors,
-                         ThreadEngine* engine = nullptr);
+// Writes {keep_top_k, 6} rows of (class_id, score, x1, y1, x2, y2) into `out`; unused
+// rows are all -1.
+void MultiboxDetection(const MultiboxDetectionParams& params, const Tensor& cls_prob,
+                       const Tensor& loc_pred, const Tensor& anchors, Tensor* out,
+                       ThreadEngine* engine = nullptr);
 
 }  // namespace neocpu
 

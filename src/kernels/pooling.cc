@@ -254,20 +254,6 @@ void PoolNCHWcInt(const Pool2dParams& p, const Tensor& input, std::int32_t zero_
   }
 }
 
-Tensor PoolNCHWcInt(const Pool2dParams& p, const Tensor& input, std::int32_t zero_point,
-                    ThreadEngine* engine) {
-  Tensor out =
-      input.ndim() == 5
-          ? Tensor::Empty({input.dim(0), input.dim(1), p.OutH(input.dim(2)),
-                           p.OutW(input.dim(3)), input.dim(4)},
-                          input.layout(), input.dtype())
-          : Tensor::Empty({input.dim(0), input.dim(1), p.OutH(input.dim(2)),
-                           p.OutW(input.dim(3))},
-                          input.layout(), input.dtype());
-  PoolNCHWcInt(p, input, zero_point, &out, engine);
-  return out;
-}
-
 void GlobalAvgPoolNCHW(const Tensor& input, Tensor* out, ThreadEngine* engine) {
   NEOCPU_CHECK_EQ(input.ndim(), 4);
   const std::int64_t n = input.dim(0), c = input.dim(1), plane = input.dim(2) * input.dim(3);

@@ -57,8 +57,6 @@ void PoolNCHWc(const Pool2dParams& params, const Tensor& input, Tensor* out,
 // element the f32 pool would have picked. Average pooling accumulates in s32 and
 // rounds once; `zero_point` is the input's zero point (s8: 0), which padded cells
 // contribute under count_include_pad because a padded f32 cell holds real 0.0.
-Tensor PoolNCHWcInt(const Pool2dParams& params, const Tensor& input,
-                    std::int32_t zero_point, ThreadEngine* engine = nullptr);
 void PoolNCHWcInt(const Pool2dParams& params, const Tensor& input,
                   std::int32_t zero_point, Tensor* out, ThreadEngine* engine = nullptr);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "src/base/logging.h"
 
@@ -62,13 +61,6 @@ void LayerNormRows(const Tensor& input, const Tensor& gamma, const Tensor& beta,
   });
 }
 
-Tensor LayerNormRows(const Tensor& input, const Tensor& gamma, const Tensor& beta,
-                     float epsilon, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty(input.dims(), input.layout());
-  LayerNormRows(input, gamma, beta, epsilon, &out, engine);
-  return out;
-}
-
 void Transpose2D(const Tensor& input, Tensor* out, ThreadEngine* engine) {
   NEOCPU_CHECK(input.dims().size() == 2) << "transpose expects a 2-D tensor";
   const std::int64_t m = input.dim(0);
@@ -97,12 +89,6 @@ void Transpose2D(const Tensor& input, Tensor* out, ThreadEngine* engine) {
   });
 }
 
-Tensor Transpose2D(const Tensor& input, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty({input.dim(1), input.dim(0)}, Layout::Flat());
-  Transpose2D(input, &out, engine);
-  return out;
-}
-
 std::int64_t MhaWorkspaceFloats(std::int64_t rows, std::int64_t seq,
                                 std::int64_t heads) {
   NEOCPU_CHECK(seq > 0 && heads > 0 && rows % seq == 0);
@@ -112,7 +98,7 @@ std::int64_t MhaWorkspaceFloats(std::int64_t rows, std::int64_t seq,
 
 void MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                         std::int64_t heads, std::int64_t seq, Tensor* out,
-                        ThreadEngine* engine, float* workspace) {
+                        float* workspace, ThreadEngine* engine) {
   std::int64_t rows = 0;
   std::int64_t dim = 0;
   RowsCols(q, &rows, &dim);
@@ -123,6 +109,7 @@ void MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
   NEOCPU_CHECK(seq > 0 && rows % seq == 0)
       << "attention rows " << rows << " not divisible by seq " << seq;
   NEOCPU_CHECK(out->NumElements() == rows * dim);
+  NEOCPU_CHECK(workspace != nullptr) << "attention needs a score workspace";
   const std::int64_t batch = rows / seq;
   const std::int64_t dh = dim / heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
@@ -130,15 +117,10 @@ void MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
   const float* kp = k.data();
   const float* vp = v.data();
   float* op = out->data();
-  std::vector<float> owned;
-  if (workspace == nullptr) {
-    owned.resize(static_cast<std::size_t>(MhaWorkspaceFloats(rows, seq, heads)));
-    workspace = owned.data();
-  }
   SerialEngine serial;
   ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
   // One unit per (batch, head) pair; each owns a private {seq, seq} score tile in the
-  // workspace, so the loop is embarrassingly parallel and allocation-free when planned.
+  // workspace, so the loop is embarrassingly parallel and allocation-free.
   ParallelFor(eng, batch * heads, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t u = begin; u < end; ++u) {
       const std::int64_t b = u / heads;
@@ -187,13 +169,6 @@ void MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
       }
     }
   });
-}
-
-Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                          std::int64_t heads, std::int64_t seq, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty(q.dims(), q.layout());
-  MultiHeadAttention(q, k, v, heads, seq, &out, engine, nullptr);
-  return out;
 }
 
 }  // namespace neocpu

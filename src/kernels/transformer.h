@@ -5,9 +5,8 @@
 // compiled graph — extends directly to encoder blocks: every FLOP-heavy piece of an
 // encoder layer (QKV projections, attention output projection, the FFN) is a Dense
 // lowered onto the packed GEMM family (kernels/gemm_packed*.h). What remains are the
-// memory-bound glue ops below. They follow the repo-wide kernel contract: an
-// allocating Tensor form plus an execute-into form for the memory-planned executor,
-// with ThreadEngine-parallel row loops.
+// memory-bound glue ops below. Each writes into an output the executor placed, with
+// ThreadEngine-parallel row loops.
 #ifndef NEOCPU_SRC_KERNELS_TRANSFORMER_H_
 #define NEOCPU_SRC_KERNELS_TRANSFORMER_H_
 
@@ -21,13 +20,10 @@ namespace neocpu {
 // Row-wise layer normalization over a {M, D} (or flat {D}) f32 tensor:
 //   out[m, d] = gamma[d] * (x[m, d] - mean_m) / sqrt(var_m + epsilon) + beta[d]
 // gamma/beta are {D} constants.
-Tensor LayerNormRows(const Tensor& input, const Tensor& gamma, const Tensor& beta,
-                     float epsilon, ThreadEngine* engine = nullptr);
 void LayerNormRows(const Tensor& input, const Tensor& gamma, const Tensor& beta,
                    float epsilon, Tensor* out, ThreadEngine* engine = nullptr);
 
 // {M, N} -> {N, M} transpose of a 2-D f32 tensor.
-Tensor Transpose2D(const Tensor& input, ThreadEngine* engine = nullptr);
 void Transpose2D(const Tensor& input, Tensor* out, ThreadEngine* engine = nullptr);
 
 // Scaled dot-product multi-head attention. q/k/v are {batch*seq, dim} f32 tensors
@@ -36,15 +32,11 @@ void Transpose2D(const Tensor& input, Tensor* out, ThreadEngine* engine = nullpt
 //   scores = softmax(Q_h K_h^T / sqrt(dh))   ({seq, seq})
 //   out_h  = scores V_h                      ({seq, dh})
 // Heads are concatenated back into {batch*seq, dim} (the caller applies the output
-// projection as an ordinary Dense). `workspace`, when given, must hold
-// MhaWorkspaceFloats(...) floats — the per-(batch, head) score buffers; null workspace
-// allocates internally (reference/unplanned path).
+// projection as an ordinary Dense). `workspace` must hold MhaWorkspaceFloats(...)
+// floats — the per-(batch, head) score buffers.
 void MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                         std::int64_t heads, std::int64_t seq, Tensor* out,
-                        ThreadEngine* engine = nullptr, float* workspace = nullptr);
-Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                          std::int64_t heads, std::int64_t seq,
-                          ThreadEngine* engine = nullptr);
+                        float* workspace, ThreadEngine* engine = nullptr);
 
 // Floats of scratch MultiHeadAttention needs for {rows, dim} inputs: one {seq, seq}
 // score tile per (batch, head) unit so units parallelize without sharing.

@@ -154,10 +154,6 @@ std::string GraphToDot(const Graph& graph, const GraphDotOptions& options) {
           } else {
             label += StrFormat("\\narena +%zu (%zu B)", np.offset, np.size_bytes);
           }
-          if (np.workspace_bytes > 0) {
-            label += StrFormat("\\nworkspace +%zu (%zu B)", np.workspace_offset,
-                               np.workspace_bytes);
-          }
           break;
         case BufferPlacement::kAlias:
           label += StrFormat("\\nalias of n%d", np.alias_of);
@@ -167,6 +163,10 @@ std::string GraphToDot(const Graph& graph, const GraphDotOptions& options) {
             label += "\\nheap";
           }
           break;
+      }
+      if (np.workspace_bytes > 0 && options.plan->arena_bytes > 0) {
+        label += StrFormat("\\nworkspace +%zu (%zu B)", np.workspace_offset,
+                           np.workspace_bytes);
       }
     }
 
@@ -201,7 +201,7 @@ std::string GraphToDot(const Graph& graph, const GraphDotOptions& options) {
   out << "  rankdir=TB;\n";
   out << "  node [fontsize=10, fontname=\"Helvetica\"];\n";
   std::string caption = DotEscape(options.graph_name);
-  if (options.plan != nullptr && options.plan->UsesArena()) {
+  if (options.plan != nullptr) {
     caption += StrFormat("\\narena %zu B (naive %zu B), %d arena / %d alias / %d heap nodes",
                          options.plan->arena_bytes, options.plan->naive_bytes,
                          options.plan->arena_nodes, options.plan->alias_nodes,

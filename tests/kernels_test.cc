@@ -308,7 +308,8 @@ TEST(Multibox, DetectionDecodesAndSuppresses) {
     anchors.data()[a * 4 + 2] = 0.2f;
     anchors.data()[a * 4 + 3] = 0.2f;
   }
-  Tensor out = MultiboxDetection(p, cls, loc, anchors);
+  Tensor out = Tensor::Empty({p.keep_top_k, 6}, Layout::Flat());
+  MultiboxDetection(p, cls, loc, anchors, &out);
   int kept = 0;
   for (std::int64_t i = 0; i < out.dim(0); ++i) {
     if (out.data()[i * 6] >= 0.0f) {
@@ -330,7 +331,9 @@ TEST(Multibox, DetectionRespectsScoreThreshold) {
   cls.data()[1] = 0.4f;  // below threshold
   Tensor loc = Tensor::Zeros({4});
   Tensor anchors = Tensor::Full({1, 4}, 0.5f);
-  Tensor out = MultiboxDetection(p, cls, loc, anchors);
+  // Stale bytes in the output (a reused arena slot) must not survive as detections.
+  Tensor out = Tensor::Full({p.keep_top_k, 6}, 7.0f, Layout::Flat());
+  MultiboxDetection(p, cls, loc, anchors, &out);
   for (std::int64_t i = 0; i < out.dim(0); ++i) {
     EXPECT_FLOAT_EQ(out.data()[i * 6], -1.0f);
   }

@@ -1,8 +1,9 @@
-// Static memory planning: plan invariants, planned-vs-allocating bitwise equivalence
+// Static memory planning: plan invariants, arena-vs-heap-only bitwise equivalence
 // across the model zoo, the interval-overlap (aliasing) regression, and the
 // zero-allocation guarantee of the steady-state execution path.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,26 +32,54 @@ Tensor InputFor(const Graph& model, std::uint64_t seed = 17) {
   return {};
 }
 
-// Runs the same executable graph through the allocating executor and the planned one;
-// identical kernels in identical order must agree bit for bit.
-void ExpectPlannedMatchesAllocatingBitwise(const CompiledModel& compiled,
-                                           const Tensor& input, const std::string& label) {
-  ASSERT_NE(compiled.plan(), nullptr) << label;
+// Distinct buffers the graph outputs resolve to (through aliases), inputs and constants
+// excluded: exactly the heap buffers a PlanMemory plan may own.
+int EscapingBuffers(const Graph& g, const ExecutionPlan& plan) {
+  std::set<int> roots;
+  for (int out : g.outputs()) {
+    const NodePlan& np = plan.nodes[static_cast<std::size_t>(out)];
+    const int root = np.placement == BufferPlacement::kAlias ? np.alias_of : out;
+    const OpType type = g.node(root).type;
+    if (type != OpType::kInput && type != OpType::kConstant) {
+      roots.insert(root);
+    }
+  }
+  return static_cast<int>(roots.size());
+}
+
+// Runs the same graph through the heap-only executor (no plan given) and under `plan`;
+// identical kernels in identical order must agree bit for bit. The plan must validate
+// and keep only escaping outputs on the heap.
+void ExpectPlannedMatchesAllocatingBitwise(const Graph& g,
+                                           std::shared_ptr<const ExecutionPlan> plan,
+                                           const std::vector<Tensor>& inputs,
+                                           const std::string& label) {
+  ASSERT_NE(plan, nullptr) << label;
   std::vector<std::string> errors;
-  EXPECT_TRUE(ValidatePlan(compiled.graph(), *compiled.plan(), &errors))
+  EXPECT_TRUE(ValidatePlan(g, *plan, &errors))
       << label << ":\n"
       << (errors.empty() ? "" : errors.front()) << "\n"
-      << compiled.plan()->ToString();
+      << plan->ToString();
+  EXPECT_EQ(plan->heap_nodes, EscapingBuffers(g, *plan)) << label << "\n"
+                                                         << plan->ToString();
 
-  const Executor allocating(&compiled.graph());
-  const Executor planned(&compiled.graph(), nullptr, compiled.plan());
-  const Tensor expected = allocating.Run(input);
-  const Tensor got = planned.Run(input);
-  EXPECT_EQ(Tensor::MaxAbsDiff(expected, got), 0.0) << label;
-  // And again on the same pooled arena (a reused arena holds the previous run's
-  // garbage: stale bytes must never leak into results).
-  const Tensor again = planned.Run(input);
-  EXPECT_EQ(Tensor::MaxAbsDiff(expected, again), 0.0) << label << " (arena reuse)";
+  const std::vector<Tensor> expected = Executor(&g).Run(inputs);
+  const Executor planned(&g, nullptr, plan);
+  // Twice: the second run reuses the pooled arena, which holds the first run's
+  // garbage — stale bytes must never leak into results.
+  for (int run = 0; run < 2; ++run) {
+    const std::vector<Tensor> got = planned.Run(inputs);
+    ASSERT_EQ(got.size(), expected.size()) << label;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(Tensor::MaxAbsDiff(expected[i], got[i]), 0.0)
+          << label << " output " << i << " run " << run;
+    }
+  }
+}
+
+void ExpectPlannedMatchesAllocatingBitwise(const CompiledModel& compiled,
+                                           const Tensor& input, const std::string& label) {
+  ExpectPlannedMatchesAllocatingBitwise(compiled.graph(), compiled.plan(), {input}, label);
 }
 
 struct ZooCase {
@@ -68,8 +97,8 @@ Graph TinyCnn() { return BuildTinyCnn(1, 32); }
 
 class ZooPlanEquivalence : public ::testing::TestWithParam<ZooCase> {};
 
-// Every model-zoo model: planned-arena execution must be bitwise identical to the seed
-// allocating executor, the plan must pass interval validation, and reuse must beat (or
+// Every model-zoo model: planned-arena execution must be bitwise identical to the
+// heap-only reference executor, the plan must pass interval validation, and reuse must beat (or
 // match) the naive sum-of-intermediates footprint.
 TEST_P(ZooPlanEquivalence, PlannedExecutionIsBitwiseIdentical) {
   Graph model = GetParam().build();
@@ -77,7 +106,6 @@ TEST_P(ZooPlanEquivalence, PlannedExecutionIsBitwiseIdentical) {
   CompiledModel compiled = Compile(model, NeoCpuOptions(Target::Host()));
 
   ASSERT_NE(compiled.plan(), nullptr);
-  EXPECT_TRUE(compiled.stats().memory_planned) << GetParam().label;
   EXPECT_GT(compiled.plan()->arena_nodes, 0) << GetParam().label;
   EXPECT_GT(compiled.stats().arena_bytes, 0u) << GetParam().label;
   EXPECT_LE(compiled.stats().arena_bytes, compiled.stats().naive_arena_bytes)
@@ -247,7 +275,7 @@ TEST(MemoryPlan, SteadyStateRunAllocatesOnlyOutputs) {
   // For this single-output model that means exactly one owning allocation per Run.
   EXPECT_EQ(compiled.plan()->heap_nodes, 1);
 
-  // The allocating path, for contrast, allocates every intermediate.
+  // The heap-only reference plan, for contrast, allocates every intermediate.
   const Executor allocating(&compiled.graph());
   const std::uint64_t alloc_before = TensorHeapAllocCount();
   allocating.Run(input);
@@ -325,17 +353,143 @@ TEST(MemoryPlan, SerializationRoundTripsPlan) {
   EXPECT_EQ(Tensor::MaxAbsDiff(compiled.Run(input), loaded.Run(input)), 0.0);
 }
 
-// Disabling planning falls back to the classic allocating executor.
-TEST(MemoryPlan, PlanMemoryOffCompilesWithoutPlan) {
+// The executor's default plan is the per-buffer reference: no arena, every
+// materializing node on the heap. The arena-vs-reference bitwise tests across the suite
+// rely on this to compare two different memory layouts, not a plan with itself.
+TEST(MemoryPlan, DefaultExecutorPlanIsHeapOnly) {
   Graph model = BuildTinyCnn(1, 32);
-  CompileOptions opts = NeoCpuOptions(Target::Host());
-  opts.plan_memory = false;
+  CompiledModel compiled = Compile(model, NeoCpuOptions(Target::Host()));
+  for (const Graph* g : {static_cast<const Graph*>(&model), &compiled.graph()}) {
+    const Executor reference(g);
+    const ExecutionPlan& plan = reference.plan();
+    EXPECT_EQ(plan.arena_bytes, 0u);
+    EXPECT_EQ(plan.arena_nodes, 0);
+    int materializing = 0;
+    for (int id = 0; id < g->num_nodes(); ++id) {
+      const NodePlan& np = plan.nodes[static_cast<std::size_t>(id)];
+      const OpType type = g->node(id).type;
+      if (type == OpType::kInput || type == OpType::kConstant ||
+          np.placement == BufferPlacement::kAlias) {
+        continue;
+      }
+      ++materializing;
+      EXPECT_EQ(np.placement, BufferPlacement::kHeap) << g->node(id).name;
+    }
+    EXPECT_GT(materializing, 1);
+    EXPECT_EQ(plan.heap_nodes, materializing);
+  }
+  EXPECT_GT(compiled.plan()->arena_bytes, 0u);
+}
+
+// Unsimplified graphs keep BatchNorm nodes; they execute into arena slots (folding the
+// statistics on the fly) like any other op, including as the escaping output.
+TEST(MemoryPlan, UnsimplifiedBatchNormRunsInArena) {
+  GraphBuilder b("bn");
+  int x = b.Input({1, 8, 16, 16});
+  int c1 = b.Conv(x, 8, 3, 1, 1, /*bias=*/false, "c1");
+  int bn1 = b.BatchNorm(c1, "bn1");
+  int r = b.Relu(bn1);
+  int c2 = b.Conv(r, 8, 3, 1, 1, /*bias=*/false, "c2");
+  int bn2 = b.BatchNorm(c2, "bn2");
+  Graph g = b.Finish({bn2});
+
+  auto plan = std::make_shared<const ExecutionPlan>(PlanMemory(g));
+  EXPECT_EQ(plan->nodes[static_cast<std::size_t>(bn1)].placement, BufferPlacement::kArena);
+  EXPECT_EQ(plan->nodes[static_cast<std::size_t>(bn2)].placement, BufferPlacement::kHeap);
+  ExpectPlannedMatchesAllocatingBitwise(g, plan, {InputFor(g)}, "batchnorm");
+}
+
+// The raw ssd zoo graph: BatchNorm throughout the backbone, MultiboxDetection as the
+// output.
+TEST(MemoryPlan, UnsimplifiedSsdRunsInArena) {
+  Graph g = TinySsd();
+  auto plan = std::make_shared<const ExecutionPlan>(PlanMemory(g));
+  int arena_bn = 0;
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    if (g.node(id).type == OpType::kBatchNorm) {
+      arena_bn += plan->nodes[static_cast<std::size_t>(id)].placement ==
+                  BufferPlacement::kArena;
+    }
+  }
+  EXPECT_GT(arena_bn, 0);
+  ExpectPlannedMatchesAllocatingBitwise(g, plan, {InputFor(g)}, "ssd");
+}
+
+// A detection head feeding another op is arena-placed; its slot holds the previous
+// Run's detections, and every row the current Run does not fill must read -1 again.
+TEST(MemoryPlan, ArenaMultiboxOverwritesStaleRows) {
+  constexpr std::int64_t kAnchors = 16;
+  constexpr std::int64_t kClasses = 3;
+  GraphBuilder b("multibox");
+  int cls = b.Input({kAnchors, kClasses}, "cls");
+  int loc = b.Input({kAnchors * 4}, "loc");
+  int anchors = b.Input({kAnchors, 4}, "anchors");
+  MultiboxDetectionParams det;
+  det.num_classes = kClasses;
+  det.score_threshold = 0.5f;
+  det.keep_top_k = 8;
+  int boxes = b.MultiboxDetect(cls, loc, anchors, det);
+  int out = b.Relu(boxes);
+  Graph g = b.Finish({out});
+
+  auto plan = std::make_shared<const ExecutionPlan>(PlanMemory(g));
+  ASSERT_EQ(plan->nodes[static_cast<std::size_t>(boxes)].placement,
+            BufferPlacement::kArena);
+
+  Rng rng(5);
+  Tensor anchor_boxes = Tensor::Random({kAnchors, 4}, rng, 0.1f, 0.9f);
+  Tensor offsets = Tensor::Random({kAnchors * 4}, rng, -0.5f, 0.5f);
+  Tensor confident = Tensor::Random({kAnchors, kClasses}, rng, 0.6f, 1.0f);
+  Tensor unsure = Tensor::Random({kAnchors, kClasses}, rng, 0.0f, 0.4f);
+  const std::vector<Tensor> many = {confident, offsets, anchor_boxes};
+  const std::vector<Tensor> none = {unsure, offsets, anchor_boxes};
+
+  const Executor planned(&g, nullptr, plan);
+  Arena arena;
+  planned.Run(many, nullptr, &arena);
+  const Tensor got = planned.Run(none, nullptr, &arena)[0];
+  EXPECT_EQ(Tensor::MaxAbsDiff(Executor(&g).Run(none)[0], got), 0.0);
+  for (std::int64_t i = 0; i < got.NumElements(); ++i) {
+    ASSERT_EQ(got.data()[i], 0.0f) << "stale detection at element " << i;
+  }
+  ExpectPlannedMatchesAllocatingBitwise(g, plan, many, "multibox");
+}
+
+// A heap-placed output still runs its kernel scratch in the arena: the last conv of an
+// im2col graph escapes, and its column buffer must not be a per-Run heap allocation.
+TEST(MemoryPlan, EscapingOutputWorkspaceIsPlanned) {
+  GraphBuilder b("output-workspace");
+  int x = b.Input({1, 8, 16, 16});
+  int c1 = b.Conv(x, 8, 3, 1, 1, /*bias=*/false, "c1");
+  int r = b.Relu(c1);
+  int c2 = b.Conv(r, 8, 3, 1, 1, /*bias=*/false, "c2");
+  Graph model = b.Finish({c2});
+  CompileOptions opts;
+  opts.layout_mode = LayoutMode::kNCHW;
+  opts.nchw_kernel = ConvKernelKind::kIm2col;
   CompiledModel compiled = Compile(model, opts);
-  EXPECT_EQ(compiled.plan(), nullptr);
-  EXPECT_FALSE(compiled.stats().memory_planned);
+  const ExecutionPlan& plan = *compiled.plan();
+  const int out = compiled.graph().outputs().front();
+  const NodePlan& out_plan = plan.nodes[static_cast<std::size_t>(out)];
+  ASSERT_EQ(out_plan.placement, BufferPlacement::kHeap) << plan.ToString();
+  EXPECT_GT(out_plan.workspace_bytes, 0u) << plan.ToString();
+  std::vector<std::string> errors;
+  EXPECT_TRUE(ValidatePlan(compiled.graph(), plan, &errors))
+      << (errors.empty() ? "" : errors.front());
+
   Tensor input = InputFor(model);
-  EXPECT_EQ(Tensor::MaxAbsDiff(Executor(&compiled.graph()).Run(input), compiled.Run(input)),
-            0.0);
+  const Executor planned(&compiled.graph(), nullptr, compiled.plan());
+  planned.Run(input);  // warm-up: faults the pooled arena
+  const std::uint64_t before = TensorHeapAllocCount();
+  constexpr std::uint64_t kRuns = 3;
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    planned.Run(input);
+  }
+  EXPECT_EQ(plan.heap_nodes, 1);
+  EXPECT_EQ(TensorHeapAllocCount() - before,
+            kRuns * static_cast<std::uint64_t>(plan.heap_nodes))
+      << plan.ToString();
+  ExpectPlannedMatchesAllocatingBitwise(compiled, input, "im2col output");
 }
 
 // Threaded planned execution matches serial planned execution exactly (kernels

@@ -89,14 +89,10 @@ void PrintSummary(const CompiledModel& model) {
               CycleClock::Supported() ? "tsc" : "steady_clock");
   std::printf("  tuned batch: %lld%s\n", static_cast<long long>(stats.tuned_batch),
               stats.retuned ? " (retuned)" : "");
-  if (model.plan() != nullptr && model.plan()->UsesArena()) {
-    const ExecutionPlan& plan = *model.plan();
-    std::printf("  memory plan: arena %zu B (naive %zu B), %d arena / %d alias / %d heap\n",
-                plan.arena_bytes, plan.naive_bytes, plan.arena_nodes, plan.alias_nodes,
-                plan.heap_nodes);
-  } else {
-    std::printf("  memory plan: none (allocating executor path)\n");
-  }
+  const ExecutionPlan& plan = *model.plan();
+  std::printf("  memory plan: arena %zu B (naive %zu B), %d arena / %d alias / %d heap\n",
+              plan.arena_bytes, plan.naive_bytes, plan.arena_nodes, plan.alias_nodes,
+              plan.heap_nodes);
   std::printf("  re-tunable: %s\n", model.has_source() ? "yes" : "no (no source graph)");
 }
 
