@@ -67,6 +67,16 @@ struct ConfigResult {
   NodeProfileSnapshot profile;
 };
 
+// The in-process sweep never overloads admission on purpose: a shed or a rejection
+// means the configuration is broken, so it aborts the run instead of skewing it.
+std::future<Tensor> SubmitAccepted(InferenceServer& server, const std::string& model,
+                                   const Tensor& input) {
+  SubmitTicket ticket = server.TrySubmit(model, input);
+  NEOCPU_CHECK(ticket.ok()) << model << ": request not admitted ("
+                            << SubmitStatusName(ticket.status) << ")";
+  return std::move(ticket.result);
+}
+
 ConfigResult RunConfig(const CompiledModel& model, const std::string& model_name,
                        int pool_width, std::int64_t max_batch, int num_clients,
                        int num_requests, std::uint32_t profile_rate,
@@ -89,7 +99,7 @@ ConfigResult RunConfig(const CompiledModel& model, const std::string& model_name
   // background re-tune land, so the timed section measures the per-batch-tuned steady
   // state rather than racing a re-tune. (Partial batches below max_batch can still
   // materialize mid-run; they are stragglers, not the steady state.)
-  server.Submit(model_name, input).wait();
+  SubmitAccepted(server, model_name, input).wait();
   if (entry->batchable() && max_batch > 1) {
     entry->VariantFor(max_batch);
   }
@@ -111,7 +121,8 @@ ConfigResult RunConfig(const CompiledModel& model, const std::string& model_name
     clients.emplace_back([&, c] {
       const int share = num_requests / num_clients + (c < num_requests % num_clients);
       for (int r = 0; r < share; ++r) {
-        futures[static_cast<std::size_t>(c)].push_back(server.Submit(model_name, input));
+        futures[static_cast<std::size_t>(c)].push_back(
+            SubmitAccepted(server, model_name, input));
       }
     });
   }

@@ -3,10 +3,12 @@
 //   ./serving_demo [model] [clients] [requests_per_client]
 //
 // Four (or more) client threads submit single-image requests through
-// InferenceServer::Submit while the dynamic batcher merges compatible requests and an
-// executor pool runs them on disjoint core partitions. Every served result is compared
-// against a serial Executor::Run of the same input — the demo prints whether all
-// results were bit-identical, then the serving stats (throughput, batching, p50/p99).
+// InferenceServer::TrySubmit while the dynamic batcher merges compatible requests and
+// an executor pool runs them on disjoint core partitions. Every served result is
+// compared against a serial Executor::Run of the same input — the demo prints whether
+// all results were bit-identical, then the serving stats (throughput, batching,
+// p50/p99). A request the server does not admit is reported with its verdict and makes
+// the demo exit non-zero.
 //
 // Observability (opt-in via environment):
 //   NEOCPU_DEMO_PROFILE  per-node profile sample rate (0=off); prints the hottest ops
@@ -58,14 +60,13 @@ int main(int argc, char** argv) {
               server.num_executors(), HostCpuInfo().physical_cores, num_clients,
               per_client);
 
-  std::vector<std::vector<std::future<Tensor>>> futures(
-      static_cast<std::size_t>(num_clients));
+  std::vector<std::vector<SubmitTicket>> tickets(static_cast<std::size_t>(num_clients));
   std::vector<std::thread> clients;
   Timer timer;
   for (int c = 0; c < num_clients; ++c) {
     clients.emplace_back([&, c] {
       for (int r = 0; r < per_client; ++r) {
-        futures[static_cast<std::size_t>(c)].push_back(server.Submit(
+        tickets[static_cast<std::size_t>(c)].push_back(server.TrySubmit(
             model_name, inputs[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)]));
       }
     });
@@ -75,9 +76,18 @@ int main(int argc, char** argv) {
   }
 
   int mismatches = 0;
+  int rejected = 0;
   for (int c = 0; c < num_clients; ++c) {
     for (int r = 0; r < per_client; ++r) {
-      Tensor got = futures[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)].get();
+      SubmitTicket& ticket =
+          tickets[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)];
+      if (!ticket.ok()) {
+        std::fprintf(stderr, "client %d request %d not admitted: %s\n", c, r,
+                     SubmitStatusName(ticket.status));
+        ++rejected;
+        continue;
+      }
+      Tensor got = ticket.result.get();
       if (Tensor::MaxAbsDiff(
               got, expected[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)]) !=
           0.0) {
@@ -92,8 +102,9 @@ int main(int argc, char** argv) {
   std::printf("\n%d requests in %.1f ms  (%.1f req/s)\n", total, seconds * 1e3,
               static_cast<double>(total) / seconds);
   std::printf("%s\n", stats.ToString().c_str());
+  const bool ok = mismatches == 0 && rejected == 0;
   std::printf("bit-identical to serial Executor::Run: %s\n",
-              mismatches == 0 ? "YES (all requests)" : "NO");
+              ok ? "YES (all requests)" : "NO");
 
   if (profile_rate > 0) {
     const NodeProfileSnapshot profile = entry->ProfileSnapshot();
@@ -116,5 +127,5 @@ int main(int argc, char** argv) {
                                      : MetricsFormat::kJson;
     std::printf("\nmetrics registry:\n%s", MetricsExport(format).c_str());
   }
-  return mismatches == 0 ? 0 : 1;
+  return ok ? 0 : 1;
 }

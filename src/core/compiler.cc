@@ -316,12 +316,8 @@ Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
                                         : LayoutPlacement::kPropagate;
   Graph lowered_source = source;
   if (quantizing &&
-      (stats->num_quantized_convs > 0 || stats->num_quantized_dense > 0 ||
-       (opts.quantize_dense && !dense_schedules.empty()))) {
-    QuantizeGraphOptions qopts;
-    qopts.quantize_dense = opts.quantize_dense;
-    lowered_source =
-        QuantizeGraph(source, *calibration, &schedules, qopts, &dense_schedules);
+      (stats->num_quantized_convs > 0 || stats->num_quantized_dense > 0)) {
+    lowered_source = QuantizeGraph(source, *calibration, &schedules, &dense_schedules);
   }
   Graph g = AlterConvLayout(lowered_source, schedules, placement, &dense_schedules);
   stats->num_layout_transforms = g.CountNodes(OpType::kLayoutTransform);

@@ -76,9 +76,8 @@ struct CompileConfig {
   CalibrationPolicy calibration_policy = CalibrationPolicy::kMinMax;
   // Also quantize dense (fully-connected) layers: dense nodes whose u8 packed-GEMM
   // search beats their f32 one (plus the Q/DQ boundary cost) take the u8*s8 kernel
-  // with requantization; dense nodes without a tuned schedule fall back to the legacy
-  // s8 GEMM epilogue. Off by default: the classifier head is small and
-  // accuracy-sensitive.
+  // with requantization, the one quantized dense path; every other dense runs in f32.
+  // Off by default: the classifier head is small and accuracy-sensitive.
   bool quantize_dense = false;
   // Pins the activation dtype of quantized convs. kF32 (the default) lets the search
   // rank s8 and u8 spaces side by side; kS8 searches only the s8 space; kU8 prefers

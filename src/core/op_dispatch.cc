@@ -200,9 +200,6 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
     case OpType::kDense:
       if (node.attrs.has_gemm) {
         ExecuteDenseGemmInto(node, in, out, workspace, workspace_bytes, engine);
-      } else if (node.attrs.qconv.enabled) {
-        DenseS8(in[0], in[1], in.size() > 3 ? &in[2] : nullptr, in.back(),
-                node.attrs.relu, out, engine);
       } else {
         Dense(in[0], in[1], in.size() > 2 ? &in[2] : nullptr, node.attrs.relu, out,
               engine);

@@ -522,12 +522,21 @@ bool LoadModule(const std::string& path, CompiledModel* model) {
   stats.num_convs = g.CountNodes(OpType::kConv2d);
   stats.num_layout_transforms = g.CountNodes(OpType::kLayoutTransform);
   for (int id = 0; id < g.num_nodes(); ++id) {
-    if (g.node(id).IsConv() && g.node(id).attrs.schedule.IsQuantized()) {
+    const Node& node = g.node(id);
+    if (node.type == OpType::kDense && node.attrs.qconv.enabled && !node.attrs.has_gemm) {
+      // v5/v6 quantize_dense modules lowered dense to an s8 kernel that no longer
+      // exists; its s8 weights must not reach the f32 Dense kernel.
+      LOG(ERROR) << path << ": dense node '" << node.name
+                 << "' uses the removed s8 dense kernel; re-export with the current "
+                    "build";
+      return false;
+    }
+    if (node.IsConv() && node.attrs.schedule.IsQuantized()) {
       ++stats.num_quantized_convs;
     }
-    if (g.node(id).type == OpType::kDense && g.node(id).attrs.has_gemm) {
+    if (node.type == OpType::kDense && node.attrs.has_gemm) {
       ++stats.num_dense;
-      if (g.node(id).attrs.gemm.IsQuantized()) {
+      if (node.attrs.gemm.IsQuantized()) {
         ++stats.num_quantized_dense;
       }
     }

@@ -321,46 +321,16 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
           rw.MapTo(id, new_id);
           break;
         }
-        if (!node.attrs.qconv.enabled) {
-          // Plain dense: ordinary layout-dependent handling (data back to NCHW-order
-          // flat; dense inputs are 2-D so no transform is needed in practice).
-          std::vector<int> inputs;
-          for (std::size_t i = 0; i < node.inputs.size(); ++i) {
-            int mapped = rw.Lookup(node.inputs[i]);
-            if (i == 0 && graph.node(node.inputs[0]).out_dims.size() == 4) {
-              mapped = ensure_layout(mapped, Layout::NCHW());
-            }
-            inputs.push_back(mapped);
+        // Plain dense: ordinary layout-dependent handling (data back to NCHW-order
+        // flat; dense inputs are 2-D so no transform is needed in practice).
+        std::vector<int> inputs;
+        for (std::size_t i = 0; i < node.inputs.size(); ++i) {
+          int mapped = rw.Lookup(node.inputs[i]);
+          if (i == 0 && graph.node(node.inputs[0]).out_dims.size() == 4) {
+            mapped = ensure_layout(mapped, Layout::NCHW());
           }
-          const int new_id = rw.dst().AddNode(OpType::kDense, std::move(inputs),
-                                              node.attrs, node.name);
-          rw.dst().node(new_id).out_layout = Layout::Flat();
-          rw.MapTo(id, new_id);
-          break;
+          inputs.push_back(mapped);
         }
-        // Quantized dense (s8 GEMM): the {Out, In} weight is per-row quantized, the
-        // bias folds to s32, and the dequantizing per-row multiplier becomes a
-        // constant input — the conv convention with a 2-D weight.
-        const Tensor& w = graph.node(node.inputs[1]).payload;
-        NEOCPU_CHECK(w.defined()) << node.name << ": dense weight must be constant";
-        Tensor w_s8;
-        std::vector<float> w_scales;
-        QuantizeConvWeightsPerOC(w, &w_s8, &w_scales);
-        std::vector<int> inputs = {
-            rw.Lookup(node.inputs[0]),
-            rw.dst().AddConstant(std::move(w_s8), node.name + ".w8")};
-        if (node.inputs.size() > 2) {
-          const Tensor& bias = graph.node(node.inputs[2]).payload;
-          NEOCPU_CHECK(bias.defined()) << node.name << ": dense bias must be constant";
-          inputs.push_back(rw.dst().AddConstant(
-              QuantizeBiasS32(bias, node.attrs.qconv.in_scale, w_scales),
-              node.name + ".b32"));
-        }
-        Tensor mult = Tensor::Empty({w.dim(0)}, Layout::Flat());
-        for (std::size_t o = 0; o < w_scales.size(); ++o) {
-          mult.data()[o] = node.attrs.qconv.in_scale * w_scales[o];
-        }
-        inputs.push_back(rw.dst().AddConstant(std::move(mult), node.name + ".m"));
         const int new_id =
             rw.dst().AddNode(OpType::kDense, std::move(inputs), node.attrs, node.name);
         rw.dst().node(new_id).out_layout = Layout::Flat();

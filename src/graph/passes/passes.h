@@ -59,16 +59,6 @@ const char* CalibrationPolicyName(CalibrationPolicy policy);
 // Winograd's), and calibrated ranges for both its data input and its output.
 bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibration);
 
-struct QuantizeGraphOptions {
-  // Quantize kDense nodes with constant weights. Dense nodes carrying a u8 tuned-GEMM
-  // schedule (in `dense_schedules`) take the packed u8*s8 kernel with requantization,
-  // so Dense->Dense chains (transformer FFNs) stay integer end to end; dense nodes
-  // without one fall back to the legacy s8-in/f32-out DenseS8 epilogue. Off by
-  // default: dense layers end the network where the fp32 tolerance of the pre-existing
-  // zoo contracts is tightest.
-  bool quantize_dense = false;
-};
-
 // Post-training quantization rewrite. `schedules` maps conv node id -> chosen schedule
 // (keyed against `graph`); convs whose schedule carries an integer dtype (s8 or u8) are
 // rewritten to the quantized form:
@@ -97,7 +87,6 @@ struct QuantizeGraphOptions {
 // *dense_schedules (optional; dense node id -> tuned GEMM schedule) likewise.
 Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
                     std::map<int, ConvSchedule>* schedules,
-                    const QuantizeGraphOptions& options = {},
                     std::map<int, GemmSchedule>* dense_schedules = nullptr);
 
 // Layout placement strategy for AlterConvLayout.

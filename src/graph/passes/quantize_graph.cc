@@ -78,7 +78,6 @@ void RangeParams(const TensorRange& range, DType dtype, float* scale,
 
 Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
                     std::map<int, ConvSchedule>* schedules,
-                    const QuantizeGraphOptions& options,
                     std::map<int, GemmSchedule>* dense_schedules) {
   NEOCPU_CHECK(schedules != nullptr);
   const int n = graph.num_nodes();
@@ -100,9 +99,6 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
            QuantizeLegal(graph, id, calibration);
   };
   auto dense_quantized = [&](int id) {
-    if (!options.quantize_dense) {
-      return false;
-    }
     const Node& node = graph.node(id);
     if (node.type != OpType::kDense || node.inputs.size() < 2) {
       return false;
@@ -157,8 +153,6 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
       if (gs->dtype == DType::kU8 && dense_quantized(id)) {
         contribute(node.inputs[0], DType::kU8);
       }
-    } else if (dense_quantized(id)) {
-      contribute(node.inputs[0], DType::kS8);
     } else if ((node.type == OpType::kMaxPool || node.type == OpType::kAvgPool ||
                 node.type == OpType::kConcat) &&
                can_int[static_cast<std::size_t>(id)] != 0 &&
@@ -358,14 +352,12 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
     }
 
     if (const GemmSchedule* gs = tuned_dense(id);
-        gs != nullptr && gs->dtype == DType::kU8 && dense_quantized(id) &&
-        (qinfo[static_cast<std::size_t>(node.inputs[0])].dtype == DType::kF32 ||
-         qinfo[static_cast<std::size_t>(node.inputs[0])].dtype == DType::kU8)) {
-      // Tuned u8 dense (packed u8*s8 GEMM): u8 activations with an affine zero point,
-      // and — unlike the legacy s8 epilogue — a REQUANTIZING output when downstream
-      // demand is integer, so Dense->Dense chains (transformer FFNs, stacked QKV
-      // projections) stay in the integer domain end to end. An s8 integer producer
-      // falls through to the legacy path below instead (the kernel is u8-only).
+        gs != nullptr && gs->dtype == DType::kU8 && dense_quantized(id)) {
+      // Tuned u8 dense (packed u8*s8 GEMM), the one quantized dense kernel: u8
+      // activations with an affine zero point, and a REQUANTIZING output when
+      // downstream demand is integer, so Dense->Dense chains (transformer FFNs, stacked
+      // QKV projections) stay in the integer domain end to end. The kernel is u8-only,
+      // so an s8 integer producer is dequantized and requantized to u8 on the way in.
       const int src = node.inputs[0];
       const QInfo& in_q = qinfo[static_cast<std::size_t>(src)];
       float in_scale;
@@ -376,6 +368,7 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
         in_zero = in_q.zero;
         data = in_q.int_id;
       } else {
+        ensure_f32(src);
         RangeParams(calibration.at(src), DType::kU8, &in_scale, &in_zero);
         const int fsrc = rw.Lookup(src);
         const auto key = std::make_pair(fsrc, static_cast<int>(DType::kU8));
@@ -421,53 +414,6 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
       if (requant) {
         qinfo[sid] = {dem, out_scale, out_zero, new_id, -1};
       }
-      continue;
-    }
-
-    if (dense_quantized(id)) {
-      // Quantized dense via the s8 GEMM epilogue: s8 in, f32 out (requant = false:
-      // without a tuned u8 schedule, dense ends the integer region).
-      const int src = node.inputs[0];
-      const QInfo& in_q = qinfo[static_cast<std::size_t>(src)];
-      float in_scale;
-      int data;
-      if (in_q.dtype == DType::kS8) {
-        in_scale = in_q.scale;
-        data = in_q.int_id;
-      } else {
-        ensure_f32(src);
-        const int fsrc = rw.Lookup(src);
-        std::int32_t zero;
-        RangeParams(calibration.at(src), DType::kS8, &in_scale, &zero);
-        const auto key = std::make_pair(fsrc, static_cast<int>(DType::kS8));
-        if (const auto it = quantize_nodes.find(key); it != quantize_nodes.end()) {
-          data = it->second;
-        } else {
-          const Layout src_layout = rw.dst().node(fsrc).out_layout;
-          NodeAttrs qattrs;
-          qattrs.qscale = in_scale;
-          qattrs.qzero = 0;
-          qattrs.qdtype = DType::kS8;
-          data = rw.dst().AddNode(OpType::kQuantize, {fsrc}, std::move(qattrs),
-                                  node.name + ".q");
-          rw.dst().node(data).out_layout = src_layout;
-          quantize_nodes.emplace(key, data);
-        }
-      }
-      NodeAttrs attrs = node.attrs;
-      attrs.qconv.enabled = true;
-      attrs.qconv.in_scale = in_scale;
-      attrs.qconv.adtype = DType::kS8;
-      attrs.qconv.in_zero = 0;
-      attrs.qconv.requant = false;
-      std::vector<int> inputs = {data};
-      for (std::size_t i = 1; i < node.inputs.size(); ++i) {
-        inputs.push_back(rw.Lookup(node.inputs[i]));
-      }
-      const int new_id = rw.dst().AddNode(OpType::kDense, std::move(inputs),
-                                          std::move(attrs), node.name);
-      rw.dst().node(new_id).out_layout = node.out_layout;
-      rw.MapTo(id, new_id);
       continue;
     }
 

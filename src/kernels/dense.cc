@@ -13,7 +13,11 @@ void Dense(const Tensor& input, const Tensor& weight, const Tensor* bias, bool r
   const std::int64_t in_dim = input.dim(1);
   const std::int64_t out_dim = weight.dim(0);
   NEOCPU_CHECK_EQ(weight.dim(1), in_dim);
+  NEOCPU_CHECK(input.dtype() == DType::kF32) << input.DebugString();
+  NEOCPU_CHECK(weight.dtype() == DType::kF32) << weight.DebugString();
+  NEOCPU_CHECK(bias == nullptr || bias->dtype() == DType::kF32) << bias->DebugString();
   CheckKernelOutput(out, {n, out_dim}, Layout::Flat(), "dense");
+  NEOCPU_CHECK(out->dtype() == DType::kF32) << out->DebugString();
   SerialEngine serial;
   ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
   const float* in_base = input.data();
@@ -60,71 +64,6 @@ Tensor Dense(const Tensor& input, const Tensor& weight, const Tensor* bias, bool
              ThreadEngine* engine) {
   Tensor out = Tensor::Empty({input.dim(0), weight.dim(0)}, Layout::Flat());
   Dense(input, weight, bias, relu, &out, engine);
-  return out;
-}
-
-void DenseS8(const Tensor& input, const Tensor& weight, const Tensor* bias,
-             const Tensor& multiplier, bool relu, Tensor* out, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(input.ndim(), 2);
-  NEOCPU_CHECK_EQ(weight.ndim(), 2);
-  NEOCPU_CHECK(input.dtype() == DType::kS8) << input.DebugString();
-  NEOCPU_CHECK(weight.dtype() == DType::kS8) << weight.DebugString();
-  NEOCPU_CHECK(bias == nullptr || bias->dtype() == DType::kS32);
-  NEOCPU_CHECK(multiplier.dtype() == DType::kF32);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t in_dim = input.dim(1);
-  const std::int64_t out_dim = weight.dim(0);
-  NEOCPU_CHECK_EQ(weight.dim(1), in_dim);
-  NEOCPU_CHECK_EQ(multiplier.NumElements(), out_dim);
-  CheckKernelOutput(out, {n, out_dim}, Layout::Flat(), "dense_s8");
-  NEOCPU_CHECK(out->dtype() == DType::kF32) << out->DebugString();
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
-  const std::int8_t* in_base = input.data_as<std::int8_t>();
-  const std::int8_t* w_base = weight.data_as<std::int8_t>();
-  const std::int32_t* b_base = bias != nullptr ? bias->data_as<std::int32_t>() : nullptr;
-  const float* m_base = multiplier.data_as<float>();
-  float* out_base = out->data();
-
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    const std::int8_t* x = in_base + ni * in_dim;
-    float* y = out_base + ni * out_dim;
-    ParallelFor(eng, out_dim, [&](std::int64_t begin, std::int64_t end) {
-      for (std::int64_t o = begin; o < end; ++o) {
-        const std::int8_t* __restrict w = w_base + o * in_dim;
-        // 16 independent s32 partials vectorize the reduction; integer addition is
-        // associative, so any lane split gives the same exact sum.
-        std::int32_t partial[16] = {};
-        std::int64_t i = 0;
-        for (; i + 16 <= in_dim; i += 16) {
-#pragma omp simd
-          for (int j = 0; j < 16; ++j) {  // SIMD dimension
-            partial[j] += static_cast<std::int32_t>(x[i + j]) * w[i + j];
-          }
-        }
-        std::int32_t sum = 0;
-        for (; i < in_dim; ++i) {
-          sum += static_cast<std::int32_t>(x[i]) * w[i];
-        }
-        for (int j = 0; j < 16; ++j) {
-          sum += partial[j];
-        }
-        if (b_base != nullptr) {
-          sum += b_base[o];
-        }
-        if (relu && sum < 0) {
-          sum = 0;
-        }
-        y[o] = static_cast<float>(sum) * m_base[o];
-      }
-    });
-  }
-}
-
-Tensor DenseS8(const Tensor& input, const Tensor& weight, const Tensor* bias,
-               const Tensor& multiplier, bool relu, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty({input.dim(0), weight.dim(0)}, Layout::Flat());
-  DenseS8(input, weight, bias, multiplier, relu, &out, engine);
   return out;
 }
 

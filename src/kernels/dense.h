@@ -15,19 +15,6 @@ Tensor Dense(const Tensor& input, const Tensor& weight, const Tensor* bias, bool
 void Dense(const Tensor& input, const Tensor& weight, const Tensor* bias, bool relu,
            Tensor* out, ThreadEngine* engine = nullptr);
 
-// Quantized dense with the s8 GEMM epilogue pattern of conv_nchwc_int8: s8 input
-// {N, In}, per-output-row symmetric s8 weights {Out, In}, pre-folded s32 bias {Out}
-// (or null), s32 accumulation, then the fused epilogue — integer ReLU and a
-// per-output-channel dequantize multiplier (in_scale * w_scale[o]) to an f32 {N, Out}
-// output. This legacy path always dequantizes on the way out; the tuned u8 GEMM path
-// (gemm_packed_int8.h, reached via a dense GemmSchedule) can instead requantize to u8
-// and keep a Dense->Dense FFN chain inside the integer region.
-Tensor DenseS8(const Tensor& input, const Tensor& weight, const Tensor* bias,
-               const Tensor& multiplier, bool relu, ThreadEngine* engine = nullptr);
-void DenseS8(const Tensor& input, const Tensor& weight, const Tensor* bias,
-             const Tensor& multiplier, bool relu, Tensor* out,
-             ThreadEngine* engine = nullptr);
-
 }  // namespace neocpu
 
 #endif  // NEOCPU_SRC_KERNELS_DENSE_H_

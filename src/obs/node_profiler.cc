@@ -15,7 +15,7 @@ namespace {
 // Aggregation key: op kind, with convolutions split by algorithm + dtype and dense
 // layers split by kernel family + dtype — the axes the search actually decides per
 // layer ("Conv2d/direct-nchwc-s8" vs "Conv2d/winograd", "dense/gemm-u8" vs the
-// legacy "dense/ref" path).
+// untuned f32 "dense/ref" path).
 std::string KindKey(const Node& node) {
   if (node.type == OpType::kDense) {
     std::string key = OpTypeName(node.type);
@@ -23,7 +23,7 @@ std::string KindKey(const Node& node) {
     if (node.attrs.has_gemm) {
       key += node.attrs.gemm.IsQuantized() ? "gemm-u8" : "gemm-f32";
     } else {
-      key += node.attrs.qconv.enabled ? "ref-s8" : "ref";
+      key += "ref";
     }
     return key;
   }

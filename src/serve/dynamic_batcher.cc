@@ -74,10 +74,6 @@ AdmitResult DynamicBatcher::TryPush(ServeRequest request) {
   return AdmitResult::kAccepted;
 }
 
-bool DynamicBatcher::Push(ServeRequest request) {
-  return TryPush(std::move(request)) == AdmitResult::kAccepted;
-}
-
 bool DynamicBatcher::PopBatch(std::vector<ServeRequest>* out, int worker_node) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (worker_node >= 0) {

@@ -46,8 +46,8 @@ inline constexpr int kNumRequestLanes = 2;
 
 const char* RequestLaneName(RequestLane lane);
 
-// One in-flight inference request. Created by InferenceServer::Submit; fulfilled by an
-// executor-pool worker.
+// One in-flight inference request. Created by InferenceServer::TrySubmit; fulfilled
+// by an executor-pool worker.
 struct ServeRequest {
   std::string model;
   Tensor input;  // single-sample tensor, dims {1, ...}
@@ -107,10 +107,6 @@ class DynamicBatcher {
   // sheds. On any non-kAccepted verdict the request is untouched beyond the move and
   // the caller still holds its promise.
   AdmitResult TryPush(ServeRequest request);
-
-  // Legacy convenience: TryPush, true iff accepted. Callers that need to distinguish
-  // shedding from shutdown use TryPush.
-  bool Push(ServeRequest request);
 
   // Blocks until a batch is ready and moves it into `out`. A batch is released when it
   // is full, when its oldest request has waited max_delay_ms, when its front request is

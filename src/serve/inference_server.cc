@@ -128,31 +128,6 @@ const char* SubmitStatusName(SubmitStatus status) {
   return "unknown";
 }
 
-std::future<Tensor> InferenceServer::Submit(const std::string& model, Tensor input) {
-  // Reproduce the legacy fatal diagnostics on top of the non-fatal path.
-  NEOCPU_CHECK(!stopped_.load(std::memory_order_acquire))
-      << "Submit after InferenceServer::Shutdown";
-  ModelEntry* entry = registry_.Find(model);
-  NEOCPU_CHECK(entry != nullptr) << "Submit: unregistered model '" << model << "'";
-  const std::vector<std::int64_t>& expect = entry->sample_dims();
-  NEOCPU_CHECK_EQ(input.ndim(), static_cast<int>(expect.size()))
-      << model << ": request rank mismatch, got " << input.DebugString();
-  for (int axis = 0; axis < input.ndim(); ++axis) {
-    NEOCPU_CHECK_EQ(input.dim(axis), expect[static_cast<std::size_t>(axis)])
-        << model << ": request shape mismatch at axis " << axis << ", got "
-        << input.DebugString();
-  }
-  SubmitTicket ticket = TrySubmit(model, std::move(input));
-  NEOCPU_CHECK(ticket.status != SubmitStatus::kShuttingDown)
-      << "Submit after InferenceServer::Shutdown";
-  NEOCPU_CHECK(ticket.ok()) << "Submit: request shed ("
-                            << SubmitStatusName(ticket.status)
-                            << ", retry after " << ticket.retry_after_ms
-                            << " ms); size queue_limit for in-process load or use "
-                               "TrySubmit and honor backpressure";
-  return std::move(ticket.result);
-}
-
 SubmitTicket InferenceServer::TrySubmit(const std::string& model, Tensor input,
                                         SubmitOptions options) {
   SubmitTicket ticket;
@@ -205,7 +180,7 @@ SubmitTicket InferenceServer::TrySubmit(const std::string& model, Tensor input,
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
   MetricsRegistry::Global()
-      .GetCounter("neocpu_serve_requests_total", "Requests accepted by Submit")
+      .GetCounter("neocpu_serve_requests_total", "Requests accepted by TrySubmit")
       ->Increment();
   if (options_.tracer != nullptr) {
     options_.tracer->RecordInstant("request", "submit",

@@ -1,10 +1,10 @@
 // Concurrent inference serving on top of the compiled graph.
 //
 //                    ┌──────────────┐   batches   ┌────────────────────────────┐
-//   Submit() ──────▶ │ DynamicBatch │ ──────────▶ │ executor pool: N workers,  │
+//   TrySubmit() ───▶ │ DynamicBatch │ ──────────▶ │ executor pool: N workers,  │
 //   (any thread)     │   er (FIFO)  │             │ each on a disjoint core    │
-//   future<Tensor> ◀─┴──────────────┘             │ partition of the host      │
-//                                                 └────────────────────────────┘
+//   SubmitTicket ◀───┴──────────────┘             │ partition of the host      │
+//   (verdict + future<Tensor>)                    └────────────────────────────┘
 //
 // The executor pool realizes the paper's Figure-4 observation: thread-pool scalability
 // flattens well before the full core count for batch-1 CNN inference, so two executors
@@ -23,14 +23,14 @@
 // MEASURED-mode re-tunes — real-hardware timings taken off the serving path, winners
 // promoted into the shared TuningCache.
 //
-// Submit is thread-safe and non-blocking; results arrive through std::future. The
-// admission queue is BOUNDED (BatchingOptions::queue_limit, plus an optional cap on
-// aggregate in-flight arena bytes): under overload TrySubmit sheds with a typed verdict
-// and a retry-after hint instead of queueing without limit — Stats().requests_shed and
-// queue_limit report the admission behavior. Requests carry a priority lane
-// (latency / throughput); the batcher serves the latency lane first. Per-request
-// latency (submit → result, split per lane) and batching counters are available from
-// Stats().
+// TrySubmit is thread-safe and non-blocking; results arrive through the ticket's
+// std::future. The admission queue is BOUNDED (BatchingOptions::queue_limit, plus an
+// optional cap on aggregate in-flight arena bytes): under overload TrySubmit sheds
+// with a typed verdict and a retry-after hint instead of queueing without limit —
+// Stats().requests_shed and queue_limit report the admission behavior. Requests carry
+// a priority lane (latency / throughput); the batcher serves the latency lane first.
+// Per-request latency (submit → result, split per lane) and batching counters are
+// available from Stats().
 #ifndef NEOCPU_SRC_SERVE_INFERENCE_SERVER_H_
 #define NEOCPU_SRC_SERVE_INFERENCE_SERVER_H_
 
@@ -80,7 +80,7 @@ struct ServerOptions {
   TraceRecorder* tracer = nullptr;
 };
 
-// Non-fatal Submit verdict: everything the wire front end turns into a typed error
+// TrySubmit verdict: everything the wire front end turns into a typed error
 // reply instead of a process death.
 enum class SubmitStatus {
   kOk = 0,
@@ -120,18 +120,13 @@ class InferenceServer {
   ModelEntry* RegisterModel(std::string name, CompiledModel model);
   ModelEntry* RegisterModelFromFile(std::string name, const std::string& path);
 
-  // Enqueues one single-sample request against a registered model and returns the
-  // future holding its output tensor. The input's dims must match the model's
-  // sample_dims() exactly (leading dim 1); violations die with the mismatching axis,
-  // and so does a shed (the bounded-admission path for in-process callers that cannot
-  // handle backpressure is to size queue_limit for their load). Wire-facing callers
-  // use TrySubmit, which never dies.
-  std::future<Tensor> Submit(const std::string& model, Tensor input);
-
-  // Bounded-admission Submit: validates the model and shape, charges the model's
-  // planned arena footprint against the cap, and enqueues on the request's lane.
-  // Returns a non-kOk status instead of dying on unknown models, shape mismatches,
-  // overload, or shutdown. Thread-safe, non-blocking.
+  // The one way in: enqueues one single-sample request against a registered model.
+  // Validates the model and shape (the input's dims must match the model's
+  // sample_dims() exactly, leading dim 1), charges the model's planned arena footprint
+  // against the cap, and enqueues on the request's lane. On kOk the ticket holds the
+  // future of the output tensor; unknown models, shape mismatches, overload and
+  // shutdown return a typed non-kOk verdict instead of dying. Thread-safe,
+  // non-blocking.
   SubmitTicket TrySubmit(const std::string& model, Tensor input,
                          SubmitOptions options = {});
 

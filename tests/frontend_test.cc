@@ -399,7 +399,9 @@ TEST_F(FrontendTest, CleanShutdownWithClientsInFlight) {
   }
   EXPECT_FALSE(frontend_->running());
   // The inference server behind the front end is still healthy.
-  server_->Submit("tiny", SampleInput(9999)).get();
+  SubmitTicket ticket = server_->TrySubmit("tiny", SampleInput(9999));
+  ASSERT_TRUE(ticket.ok()) << SubmitStatusName(ticket.status);
+  EXPECT_TRUE(ticket.result.get().defined());
 }
 
 TEST_F(FrontendTest, StopIsIdempotentAndRestartable) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/base/rng.h"
-#include "src/kernels/gemm.h"
 #include "src/kernels/gemm_packed.h"
 #include "src/kernels/gemm_packed_int8.h"
 #include "src/runtime/thread_engine.h"

@@ -16,7 +16,6 @@
 #include "src/core/serialization.h"
 #include "src/graph/builder.h"
 #include "src/kernels/conv_nchwc_int8.h"
-#include "src/kernels/dense.h"
 #include "src/kernels/quantize.h"
 #include "src/models/model_zoo.h"
 #include "src/tensor/layout_transform.h"
@@ -272,40 +271,6 @@ TEST(PackWeightsVnni, ReordersInnerTileOnly) {
   }
 }
 
-// The s8 GEMM epilogue against a scalar integer reference.
-TEST(DenseS8, MatchesScalarIntegerReference) {
-  const std::int64_t batch = 3, in_f = 17, units = 5;
-  Tensor in = Tensor::Empty({batch, in_f}, Layout::Flat(), DType::kS8);
-  Tensor w = Tensor::Empty({units, in_f}, Layout::Flat(), DType::kS8);
-  Tensor bias = Tensor::Empty({units}, Layout::Flat(), DType::kS32);
-  Tensor mult = Tensor::Empty({units}, Layout::Flat());
-  for (std::int64_t i = 0; i < in.NumElements(); ++i) {
-    in.data_as<std::int8_t>()[i] = static_cast<std::int8_t>((i * 5) % 250 - 125);
-  }
-  for (std::int64_t i = 0; i < w.NumElements(); ++i) {
-    w.data_as<std::int8_t>()[i] = static_cast<std::int8_t>((i * 11) % 240 - 120);
-  }
-  for (std::int64_t u = 0; u < units; ++u) {
-    bias.data_as<std::int32_t>()[u] = static_cast<std::int32_t>(u * 37 - 70);
-    mult.data()[u] = 2e-4f * (1.0f + static_cast<float>(u));
-  }
-  const Tensor out = DenseS8(in, w, &bias, mult, /*relu=*/true);
-  for (std::int64_t b = 0; b < batch; ++b) {
-    for (std::int64_t u = 0; u < units; ++u) {
-      std::int64_t acc = bias.data_as<std::int32_t>()[u];
-      for (std::int64_t f = 0; f < in_f; ++f) {
-        acc += static_cast<std::int32_t>(in.data_as<std::int8_t>()[b * in_f + f]) *
-               static_cast<std::int32_t>(w.data_as<std::int8_t>()[u * in_f + f]);
-      }
-      if (acc < 0) {
-        acc = 0;
-      }
-      ASSERT_EQ(out.data()[b * units + u], static_cast<float>(acc) * mult.data()[u])
-          << "b=" << b << " u=" << u;
-    }
-  }
-}
-
 // u8 feature maps relayout exactly like s8 ones (same byte-permutation path).
 TEST(LayoutTransformU8, BlockedRoundTrip) {
   Tensor x = Tensor::Empty({2, 8, 5, 5}, Layout::NCHW(), DType::kU8);
@@ -507,22 +472,43 @@ INSTANTIATE_TEST_SUITE_P(Zoo, ZooForcedU8,
 
 // ------------------------------------------------------------------ dense path
 
-// quantize_dense routes constant-weight dense layers through the s8 GEMM epilogue.
+// quantize_dense routes constant-weight dense layers through the one quantized dense
+// kernel, the tuned packed u8*s8 GEMM. A forced-s8 compile has no u8 activations to
+// offer, so every dense stays on the tuned f32 GEMM instead.
 TEST(QuantizeDense, DenseLayersQuantizeWithinTolerance) {
   Graph model = BuildTinyCnn(1, 32);
   Tensor input = InputFor(model);
   const Tensor expected = Executor(&model).Run(input);
 
-  CompileOptions opts = QuantizedOptions();
-  opts.quantize_dense = true;
-  CompiledModel compiled = Compile(model, opts);
-  int quantized_dense = 0;
-  for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
-    const Node& node = compiled.graph().node(id);
-    quantized_dense += node.type == OpType::kDense && node.attrs.qconv.enabled;
+  for (const DType forced : {DType::kF32, DType::kS8}) {
+    SCOPED_TRACE(DTypeName(forced));
+    CompileOptions opts = QuantizedOptions(forced);
+    opts.quantize_dense = true;
+    CompiledModel compiled = Compile(model, opts);
+    int dense = 0;
+    int quantized_dense = 0;
+    for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
+      const Node& node = compiled.graph().node(id);
+      if (node.type != OpType::kDense) {
+        continue;
+      }
+      ++dense;
+      EXPECT_TRUE(node.attrs.has_gemm) << node.name;
+      if (node.attrs.qconv.enabled) {
+        ++quantized_dense;
+        EXPECT_EQ(node.attrs.gemm.dtype, DType::kU8) << node.name;
+      } else {
+        EXPECT_EQ(node.attrs.gemm.dtype, DType::kF32) << node.name;
+      }
+    }
+    EXPECT_GT(dense, 0);
+    if (forced == DType::kS8) {
+      EXPECT_EQ(quantized_dense, 0);
+    } else {
+      EXPECT_GT(quantized_dense, 0);
+    }
+    EXPECT_LE(Tensor::MaxAbsDiff(compiled.Run(input), expected), 0.05);
   }
-  EXPECT_GT(quantized_dense, 0);
-  EXPECT_LE(Tensor::MaxAbsDiff(compiled.Run(input), expected), 0.05);
 }
 
 // ------------------------------------------------------------------ persistence

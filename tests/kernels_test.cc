@@ -97,6 +97,18 @@ TEST(Dense, BatchedRows) {
   }
 }
 
+// Dense is the f32 reference kernel: integer tensors (the operands of the removed s8
+// dense path) are rejected instead of being read as floats.
+TEST(Dense, RejectsIntegerOperands) {
+  Rng rng(17);
+  Tensor w = Tensor::Random({4, 8}, rng, -1, 1);
+  Tensor x_s8 = Tensor::Zeros({2, 8}, Layout::Flat(), DType::kS8);
+  EXPECT_DEATH(Dense(x_s8, w, nullptr, false), "input.dtype");
+  Tensor x = Tensor::Random({2, 8}, rng, -1, 1);
+  Tensor w_s8 = Tensor::Zeros({4, 8}, Layout::Flat(), DType::kS8);
+  EXPECT_DEATH(Dense(x, w_s8, nullptr, false), "weight.dtype");
+}
+
 TEST(Pooling, MaxKnownValues) {
   Pool2dParams p{PoolType::kMax, 2, 2, 2, 2, 0, 0, false, false};
   Tensor in = Tensor::Empty({1, 1, 4, 4}, Layout::NCHW());

@@ -33,6 +33,13 @@ Tensor TinyInput(std::uint64_t seed = 11) {
   return Tensor::Random({1, 3, 32, 32}, rng, 0.0f, 1.0f, Layout::NCHW());
 }
 
+// The servers here are sized for their load, so a shed or a rejection is a test failure.
+std::future<Tensor> SubmitOk(InferenceServer& server, Tensor input) {
+  SubmitTicket ticket = server.TrySubmit("tiny", std::move(input));
+  EXPECT_TRUE(ticket.ok()) << SubmitStatusName(ticket.status);
+  return std::move(ticket.result);
+}
+
 // ---------------------------------------------------------------- NodeProfiler
 
 TEST(NodeProfiler, TotalsApproximateWallTime) {
@@ -367,7 +374,7 @@ TEST(ServingObservability, PerModelStatsAndQueueDepth) {
 
   std::vector<std::future<Tensor>> futures;
   for (int r = 0; r < 6; ++r) {
-    futures.push_back(server.Submit("tiny", TinyInput(static_cast<std::uint64_t>(r))));
+    futures.push_back(SubmitOk(server, TinyInput(static_cast<std::uint64_t>(r))));
   }
   for (std::future<Tensor>& f : futures) {
     f.wait();
@@ -401,12 +408,12 @@ TEST(ServingObservability, ProfilingAttachesToLiveVariants) {
   options.bind_threads = false;  // profiling off at construction
   InferenceServer server(options);
   server.RegisterModel("tiny", CompileTiny());
-  server.Submit("tiny", TinyInput()).wait();
+  SubmitOk(server, TinyInput()).wait();
   EXPECT_EQ(server.Stats().per_model[0].profiled_runs, 0u);
 
   // Enable on a registry whose variants are already serving.
   server.registry().ConfigureProfiling(1);
-  server.Submit("tiny", TinyInput()).wait();
+  SubmitOk(server, TinyInput()).wait();
   server.WaitForRetunes();
   EXPECT_GT(server.Stats().per_model[0].profiled_runs, 0u);
 }

@@ -9,6 +9,7 @@
 #include "src/core/presets.h"
 #include "src/core/serialization.h"
 #include "src/graph/builder.h"
+#include "src/graph/shape_infer.h"
 #include "src/models/model_zoo.h"
 
 namespace neocpu {
@@ -100,6 +101,38 @@ TEST(Serialization, RoundTripsZooModelWithDetectionHead) {
 TEST(Serialization, MissingFileReturnsFalse) {
   CompiledModel model;
   EXPECT_FALSE(LoadModule("/nonexistent/path/module.neoc", &model));
+}
+
+// Modules saved with quantize_dense before the u8 GEMM became the only quantized dense
+// kernel hold s8 dense nodes: qconv set, no tuned GEMM, s8 weight, s32 bias and an f32
+// multiplier. Loading one fails cleanly instead of running those bytes through the f32
+// Dense kernel.
+TEST(Serialization, RejectsLegacyS8DenseModule) {
+  Graph g;
+  g.name = "legacy_s8_dense";
+  const int x = g.AddInput({1, 8});
+  NodeAttrs qattrs;
+  qattrs.qscale = 0.05f;
+  qattrs.qdtype = DType::kS8;
+  const int q = g.AddNode(OpType::kQuantize, {x}, qattrs, "fc.q");
+  const int w8 =
+      g.AddConstant(Tensor::Zeros({4, 8}, Layout::Flat(), DType::kS8), "fc.w8");
+  const int b32 =
+      g.AddConstant(Tensor::Zeros({4}, Layout::Flat(), DType::kS32), "fc.b32");
+  const int m = g.AddConstant(Tensor::Zeros({4}, Layout::Flat()), "fc.m");
+  NodeAttrs attrs;
+  attrs.qconv.enabled = true;
+  attrs.qconv.in_scale = 0.05f;
+  attrs.qconv.adtype = DType::kS8;
+  const int fc = g.AddNode(OpType::kDense, {q, w8, b32, m}, attrs, "fc");
+  g.SetOutputs({fc});
+  InferShapes(&g);
+
+  const std::string path = TempPath("legacy_s8_dense.neoc");
+  ASSERT_TRUE(SaveModule(CompiledModel(std::move(g), CompileStats()), path));
+  CompiledModel model;
+  EXPECT_FALSE(LoadModule(path, &model));
+  std::remove(path.c_str());
 }
 
 TEST(Serialization, RejectsForeignFiles) {

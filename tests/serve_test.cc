@@ -22,6 +22,14 @@ Tensor SampleInput(std::uint64_t seed, std::vector<std::int64_t> dims = {1, 3, 3
   return Tensor::Random(std::move(dims), rng, 0.0f, 1.0f, Layout::NCHW());
 }
 
+// Every server here is sized for its load, so a shed or a rejection is a test failure.
+std::future<Tensor> SubmitOk(InferenceServer& server, const std::string& model,
+                             Tensor input) {
+  SubmitTicket ticket = server.TrySubmit(model, std::move(input));
+  EXPECT_TRUE(ticket.ok()) << SubmitStatusName(ticket.status);
+  return std::move(ticket.result);
+}
+
 ServeRequest MakeRequest(const std::string& model, Tensor input, bool batchable = true) {
   ServeRequest r;
   r.model = model;
@@ -84,7 +92,9 @@ TEST(Partition, MakeEnginePartitionsBoundsWorkers) {
 TEST(DynamicBatcher, FullBatchFlushesWithoutDelay) {
   DynamicBatcher batcher({/*max_batch_size=*/3, /*max_delay_ms=*/60000.0});
   for (int i = 0; i < 3; ++i) {
-    batcher.Push(MakeRequest("m", SampleInput(static_cast<std::uint64_t>(i))));
+    const std::uint64_t seed = static_cast<std::uint64_t>(i);
+    EXPECT_EQ(batcher.TryPush(MakeRequest("m", SampleInput(seed))),
+              AdmitResult::kAccepted);
   }
   std::vector<ServeRequest> batch;
   ASSERT_TRUE(batcher.PopBatch(&batch));  // would block for a minute if delay applied
@@ -95,7 +105,7 @@ TEST(DynamicBatcher, FullBatchFlushesWithoutDelay) {
 TEST(DynamicBatcher, MaxDelayFlushesPartialBatch) {
   const double delay_ms = 50.0;
   DynamicBatcher batcher({/*max_batch_size=*/8, delay_ms});
-  batcher.Push(MakeRequest("m", SampleInput(1)));
+  EXPECT_EQ(batcher.TryPush(MakeRequest("m", SampleInput(1))), AdmitResult::kAccepted);
   Timer timer;
   std::vector<ServeRequest> batch;
   ASSERT_TRUE(batcher.PopBatch(&batch));
@@ -106,8 +116,10 @@ TEST(DynamicBatcher, MaxDelayFlushesPartialBatch) {
 
 TEST(DynamicBatcher, IncompatibleShapeBypassesImmediately) {
   DynamicBatcher batcher({/*max_batch_size=*/8, /*max_delay_ms=*/60000.0});
-  batcher.Push(MakeRequest("m", SampleInput(1, {1, 3, 32, 32})));
-  batcher.Push(MakeRequest("m", SampleInput(2, {1, 3, 24, 24})));
+  EXPECT_EQ(batcher.TryPush(MakeRequest("m", SampleInput(1, {1, 3, 32, 32}))),
+            AdmitResult::kAccepted);
+  EXPECT_EQ(batcher.TryPush(MakeRequest("m", SampleInput(2, {1, 3, 24, 24}))),
+            AdmitResult::kAccepted);
   std::vector<ServeRequest> batch;
   // The front run is blocked by the incompatible successor, so it flushes immediately
   // as a singleton despite the minute-long delay budget; FIFO order is preserved. The
@@ -124,8 +136,10 @@ TEST(DynamicBatcher, IncompatibleShapeBypassesImmediately) {
 
 TEST(DynamicBatcher, NonBatchableRequestsRunAlone) {
   DynamicBatcher batcher({/*max_batch_size=*/8, /*max_delay_ms=*/60000.0});
-  batcher.Push(MakeRequest("m", SampleInput(1), /*batchable=*/false));
-  batcher.Push(MakeRequest("m", SampleInput(2), /*batchable=*/false));
+  EXPECT_EQ(batcher.TryPush(MakeRequest("m", SampleInput(1), /*batchable=*/false)),
+            AdmitResult::kAccepted);
+  EXPECT_EQ(batcher.TryPush(MakeRequest("m", SampleInput(2), /*batchable=*/false)),
+            AdmitResult::kAccepted);
   std::vector<ServeRequest> batch;
   ASSERT_TRUE(batcher.PopBatch(&batch));
   EXPECT_EQ(batch.size(), 1u);
@@ -135,8 +149,8 @@ TEST(DynamicBatcher, NonBatchableRequestsRunAlone) {
 
 TEST(DynamicBatcher, ShutdownFlushesAndDrains) {
   DynamicBatcher batcher({/*max_batch_size=*/8, /*max_delay_ms=*/60000.0});
-  batcher.Push(MakeRequest("m", SampleInput(1)));
-  batcher.Push(MakeRequest("m", SampleInput(2)));
+  EXPECT_EQ(batcher.TryPush(MakeRequest("m", SampleInput(1))), AdmitResult::kAccepted);
+  EXPECT_EQ(batcher.TryPush(MakeRequest("m", SampleInput(2))), AdmitResult::kAccepted);
   batcher.Shutdown();
   std::vector<ServeRequest> batch;
   ASSERT_TRUE(batcher.PopBatch(&batch));
@@ -382,12 +396,12 @@ TEST(InferenceServer, PlannedServingAllocatesOnlyOutputs) {
   InferenceServer server(options);
   server.RegisterModel("tiny", compiled);
   Tensor input = SampleInput(3);
-  server.Submit("tiny", input).get();  // warm-up: faults the worker's arena
+  SubmitOk(server, "tiny", input).get();  // warm-up: faults the worker's arena
 
   const std::uint64_t before = TensorHeapAllocCount();
   constexpr std::uint64_t kRequests = 8;
   for (std::uint64_t i = 0; i < kRequests; ++i) {
-    server.Submit("tiny", input).get();
+    SubmitOk(server, "tiny", input).get();
   }
   // At most one owning allocation per request — the escaping model output; nothing for
   // intermediates or workspaces. (Single-sample requests skip StackBatch/SplitBatch
@@ -438,8 +452,9 @@ TEST(InferenceServer, ConcurrentSubmitsMatchSerialExactly) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int r = 0; r < kRequestsPerClient; ++r) {
-        futures[static_cast<std::size_t>(c)].push_back(server.Submit(
-            "tiny", inputs[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)]));
+        const Tensor& input =
+            inputs[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)];
+        futures[static_cast<std::size_t>(c)].push_back(SubmitOk(server, "tiny", input));
       }
     });
   }
@@ -483,8 +498,8 @@ TEST(InferenceServer, ServesMultipleModelsConcurrently) {
   std::vector<std::future<Tensor>> futures_a;
   std::vector<std::future<Tensor>> futures_b;
   for (int i = 0; i < 4; ++i) {
-    futures_a.push_back(server.Submit("a", input_a));
-    futures_b.push_back(server.Submit("b", input_b));
+    futures_a.push_back(SubmitOk(server, "a", input_a));
+    futures_b.push_back(SubmitOk(server, "b", input_b));
   }
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(Tensor::MaxAbsDiff(futures_a[static_cast<std::size_t>(i)].get(), expected_a),
@@ -492,16 +507,6 @@ TEST(InferenceServer, ServesMultipleModelsConcurrently) {
     EXPECT_EQ(Tensor::MaxAbsDiff(futures_b[static_cast<std::size_t>(i)].get(), expected_b),
               0.0);
   }
-}
-
-TEST(InferenceServer, RejectsWrongShapeAndUnknownModel) {
-  ServerOptions options;
-  options.num_executors = 1;
-  options.bind_threads = false;
-  InferenceServer server(options);
-  server.RegisterModel("tiny", Compile(BuildTinyCnn()));
-  EXPECT_DEATH(server.Submit("tiny", SampleInput(1, {1, 3, 24, 24})), "axis");
-  EXPECT_DEATH(server.Submit("absent", SampleInput(1)), "unregistered");
 }
 
 TEST(ModelEntry, RetuneBudgetCapsAndDefersUnderBatchChurn) {
@@ -565,32 +570,38 @@ TEST(NodeProfiler, SampledProfilingOverheadIsBounded) {
   CompiledModel model = Compile(BuildTinyCnn());
   Tensor input = SampleInput(9);
   model.Run(input);  // warm-up: faults weights and the arena
-
-  // Best-of-N timing of a fixed run block — the minimum is robust against scheduler
-  // noise on shared CI hosts, which a mean/medium comparison at 5% is not.
-  auto best_block_ms = [&](int reps) {
-    double best = 1e100;
-    for (int r = 0; r < reps; ++r) {
-      Timer timer;
-      for (int i = 0; i < 8; ++i) {
-        model.Run(input);
-      }
-      best = std::min(best, timer.Millis());
-    }
-    return best;
-  };
-
-  const double off_ms = best_block_ms(12);
   EXPECT_TRUE(model.ProfileSnapshot().empty());  // detached profiler records nothing
 
-  model.EnableProfiling(/*sample_rate=*/64);
-  const double on_ms = best_block_ms(12);
-  EXPECT_FALSE(model.ProfileSnapshot().empty());  // the sampled run was captured
-  model.DisableProfiling();
-
-  EXPECT_LT(on_ms, off_ms * 1.05)
-      << "sampled profiling overhead above 5%: off=" << off_ms << "ms on=" << on_ms
-      << "ms";
+  // Off and on runs alternate one by one, so host noise that comes and goes lands on
+  // both sides alike. Each group keeps the best of its runs per side (the minimum is
+  // robust against scheduler noise, which a mean at 5% is not), and the verdict is
+  // the median of the groups' on/off ratios, so one lucky run cannot decide it.
+  auto run_ms = [&] {
+    Timer timer;
+    model.Run(input);
+    return timer.Millis();
+  };
+  constexpr int kGroups = 100;
+  constexpr int kPairsPerGroup = 10;
+  std::vector<double> ratios;
+  for (int g = 0; g < kGroups; ++g) {
+    double off_ms = 1e100;
+    double on_ms = 1e100;
+    for (int p = 0; p < kPairsPerGroup; ++p) {
+      off_ms = std::min(off_ms, run_ms());
+      // A fresh profiler samples its first run, so every timed "on" run is a sampled
+      // one: stricter than the 1-in-64 rate it is configured with.
+      model.EnableProfiling(/*sample_rate=*/64);
+      on_ms = std::min(on_ms, run_ms());
+      ASSERT_FALSE(model.ProfileSnapshot().empty());  // the sampled run was captured
+      model.DisableProfiling();
+    }
+    ratios.push_back(on_ms / off_ms);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kGroups / 2, ratios.end());
+  EXPECT_LT(ratios[kGroups / 2], 1.05)
+      << "sampled profiling overhead above 5%: median on/off ratio "
+      << ratios[kGroups / 2];
 }
 
 TEST(InferenceServer, ShutdownDrainsPendingRequests) {
@@ -603,7 +614,7 @@ TEST(InferenceServer, ShutdownDrainsPendingRequests) {
   Tensor input = SampleInput(21);
   std::vector<std::future<Tensor>> futures;
   for (int i = 0; i < 3; ++i) {
-    futures.push_back(server.Submit("tiny", input));
+    futures.push_back(SubmitOk(server, "tiny", input));
   }
   server.Shutdown();  // must flush the delay-held batch, not strand it
   for (std::future<Tensor>& f : futures) {
@@ -650,7 +661,7 @@ TEST(InferenceServer, MeasuredTuningPartitionDegradesGracefullyAndReportsTopolog
   InferenceServer server(options);
   server.RegisterModel("tiny", Compile(BuildTinyCnn()));
   Tensor input = SampleInput(7);
-  EXPECT_TRUE(server.Submit("tiny", input).get().defined());
+  EXPECT_TRUE(SubmitOk(server, "tiny", input).get().defined());
 
   ASSERT_FALSE(server.partitions().empty());
   const ServerStats stats = server.Stats();

@@ -181,12 +181,16 @@ TEST(TransformerEncoder, ServesWithZeroSteadyStateAllocs) {
   options.background_retune = false;
   InferenceServer server(options);
   server.RegisterModel("encoder", std::move(compiled));
-  EXPECT_EQ(Tensor::MaxAbsDiff(server.Submit("encoder", input).get(), expected), 0.0);
+  SubmitTicket first = server.TrySubmit("encoder", input);
+  ASSERT_TRUE(first.ok()) << SubmitStatusName(first.status);
+  EXPECT_EQ(Tensor::MaxAbsDiff(first.result.get(), expected), 0.0);
 
   const std::uint64_t before = TensorHeapAllocCount();
   constexpr std::uint64_t kRequests = 8;
   for (std::uint64_t i = 0; i < kRequests; ++i) {
-    server.Submit("encoder", input).get();
+    SubmitTicket ticket = server.TrySubmit("encoder", input);
+    ASSERT_TRUE(ticket.ok()) << SubmitStatusName(ticket.status);
+    ticket.result.get();
   }
   EXPECT_LE(TensorHeapAllocCount() - before, kRequests)
       << "per-request allocations beyond the escaping output";
