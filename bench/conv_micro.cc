@@ -264,18 +264,21 @@ BlockedS8Setup MakeBlockedU8(const Conv2dParams& p, std::int64_t block,
 }
 
 // u8 counterpart of the BM_ConvNCHWcS8 workload sweep: same shapes, same block, the
-// u8 row drivers (vpdpbusd on the VNNI tier, s16 pairwise widening below it). The
-// stem (workload 0, ic=3) has no quad-divisible ic_bn, so it falls to ic_bn=1 blocks
-// in real compiles — skip it here rather than bench an illegal packing.
+// u8 row drivers (vpdpbusd on the VNNI tier, s32 quad loop below it), swept over
+// reg_n 2, 4 and 8 (second argument). The stem (workload 0, ic=3) has no
+// quad-divisible ic_bn, so it keeps its f32 schedule in real compiles — skip it here
+// rather than bench an illegal packing.
 //
-// reg_n differs from the s8 sweep on purpose: the VNNI micro-kernel keeps
-// reg_n * oc_bn/16 zmm accumulators live plus oc_bn/16 weight vectors, so at
-// oc_bn=64 only reg_n=2 fits the 32-register file (2*4 + 4 + 1 broadcast = 13);
-// reg_n=8 spills every accumulator and runs ~2x slower. The tuner's measured mode
-// lands on the same point (reg_n=2 is in RegNCandidates()).
+// The VNNI micro-kernel keeps reg_n * oc_bn/16 zmm accumulators live plus oc_bn/16
+// weight vectors, so at oc_bn=64 reg_n=8 fills the 32-register file. That does not
+// make it slow: on a 4-core AVX-512 VNNI Xeon (one thread), reg_n 4 and 8 ran within
+// 4% of each other on all four workloads, and reg_n 2 was the slowest on the 3x3
+// layers (stage4 3x3: 1.47 ms at reg_n 2, 0.94 ms at 4, 0.96 ms at 8). The edge and
+// tail blocks run the guarded form of the same register-blocked kernel, so a larger
+// reg_n costs only the positions the last block computes past the row end.
 void BM_ConvNCHWcU8(benchmark::State& state) {
   const Conv2dParams& p = kWorkloads[state.range(0)];
-  BlockedS8Setup setup = MakeBlockedU8(p, 64, 2);
+  BlockedS8Setup setup = MakeBlockedU8(p, 64, state.range(1));
   for (auto _ : state) {
     ConvNCHWcS8(setup.p, setup.s, setup.in, setup.w, nullptr, setup.mult, {}, true,
                 &setup.out, nullptr, /*out_zero=*/128, /*in_zero=*/128);
@@ -285,16 +288,19 @@ void BM_ConvNCHWcU8(benchmark::State& state) {
       benchmark::Counter(p.Macs(), benchmark::Counter::kIsIterationInvariantRate,
                          benchmark::Counter::kIs1000);
 }
-BENCHMARK(BM_ConvNCHWcU8)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConvNCHWcU8)
+    ->ArgsProduct({{1, 2, 3, 4}, {2, 4, 8}})
+    ->Unit(benchmark::kMillisecond);
 
 // Third leg of the acceptance comparison: u8 activations on the same resnet-style
 // 3x3 layer as BM_S8VsF32_Resnet3x3_{F32,S8}, each dtype at its preferred schedule
-// (s8: reg_n=8 for the autovectorized pairwise path; u8: reg_n=2 to keep the VNNI
-// accumulator tile in registers). On a VNNI host vpdpbusd does 4 MACs/byte-lane in
-// one op vs the s8 path's widen+pairwise sequence, so u8 should match or beat s8.
+// (s8: reg_n=8 for the autovectorized pairwise path; u8: reg_n=4, where the
+// BM_ConvNCHWcU8 sweep puts the VNNI kernel's best). On a VNNI host vpdpbusd does
+// 4 MACs/byte-lane in one op vs the s8 path's widen+pairwise sequence, so u8 should
+// match or beat s8.
 void BM_S8VsF32_Resnet3x3_U8(benchmark::State& state) {
   Conv2dParams p{1, 128, 28, 28, 128, 3, 3, 1, 1, 1, 1};
-  BlockedS8Setup setup = MakeBlockedU8(p, 64, 2);
+  BlockedS8Setup setup = MakeBlockedU8(p, 64, 4);
   for (auto _ : state) {
     ConvNCHWcS8(setup.p, setup.s, setup.in, setup.w, nullptr, setup.mult, {}, true,
                 &setup.out, nullptr, /*out_zero=*/128, /*in_zero=*/128);
@@ -320,7 +326,7 @@ void BM_Ablation_U8Isa(benchmark::State& state) {
     return;
   }
   Conv2dParams p{1, 128, 28, 28, 128, 3, 3, 1, 1, 1, 1};
-  BlockedS8Setup setup = MakeBlockedU8(p, 64, 2);
+  BlockedS8Setup setup = MakeBlockedU8(p, 64, 4);
   for (auto _ : state) {
     ConvNCHWcS8(setup.p, setup.s, setup.in, setup.w, nullptr, setup.mult, {}, true,
                 &setup.out, nullptr, /*out_zero=*/128, /*in_zero=*/128);

@@ -139,16 +139,19 @@ Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
                               opts.quick_space, opts.engine, cache, &cache_hit);
     ++(cache_hit ? stats->tuning_cache_hits : stats->tuning_cache_misses);
     if (quantizing && QuantizeLegal(source, id, *calibration)) {
-      // The u8 space exists only for quad-divisible channel blockings (VNNI packs 4
-      // input channels per lane); pre-check so the search never CHECK-fails on an
-      // empty candidate list. A forced dtype narrows which spaces join the merge —
-      // forced u8 still falls back to s8 where no legal u8 blocking exists.
-      const bool u8_possible =
-          opts.force_quant_dtype != DType::kS8 &&
-          !EnumerateS8Schedules(node.attrs.conv, opts.target, opts.quick_space,
-                                DType::kU8)
-               .empty();
-      const bool s8_wanted = opts.force_quant_dtype != DType::kU8 || !u8_possible;
+      // An int8 space exists only for the kernel's templated oc blocks, and the u8
+      // space only for quad-divisible ic blocks (VNNI packs 4 input channels per
+      // lane); pre-check so the search never CHECK-fails on an empty candidate list.
+      // A forced dtype narrows which spaces join the merge: under forced u8 a conv
+      // with no u8 blocking (the 3-channel stem) keeps its f32 schedules rather than
+      // falling back to s8.
+      auto possible = [&](DType dtype) {
+        return !EnumerateS8Schedules(node.attrs.conv, opts.target, opts.quick_space,
+                                     dtype)
+                    .empty();
+      };
+      const bool u8_possible = opts.force_quant_dtype != DType::kS8 && possible(DType::kU8);
+      const bool s8_wanted = opts.force_quant_dtype != DType::kU8 && possible(DType::kS8);
       LocalSearchResult merged = *result;
       auto merge_space = [&](DType dtype) {
         bool hit = false;

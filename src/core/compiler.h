@@ -80,9 +80,9 @@ struct CompileConfig {
   // Off by default: the classifier head is small and accuracy-sensitive.
   bool quantize_dense = false;
   // Pins the activation dtype of quantized convs. kF32 (the default) lets the search
-  // rank s8 and u8 spaces side by side; kS8 searches only the s8 space; kU8 prefers
-  // u8-with-zero-point wherever a legal quad-divisible blocking exists (falling back
-  // to s8 for channel counts with none, e.g. the 3-channel image stem).
+  // rank s8 and u8 spaces side by side; kS8 searches only the s8 space; kU8 searches
+  // only the u8 space, so a conv with no legal quad-divisible blocking (e.g. the
+  // 3-channel image stem) keeps its f32 schedule.
   DType force_quant_dtype = DType::kF32;
 };
 

@@ -7,6 +7,7 @@
 
 #include "src/base/logging.h"
 #include "src/graph/shape_infer.h"
+#include "src/kernels/conv_schedule.h"
 
 namespace neocpu {
 namespace {
@@ -532,6 +533,14 @@ bool LoadModule(const std::string& path, CompiledModel* model) {
       return false;
     }
     if (node.IsConv() && node.attrs.schedule.IsQuantized()) {
+      if (!IsInt8Templated(node.attrs.schedule)) {
+        // Earlier builds ran such blocks on a scalar edge kernel that no longer exists.
+        LOG(ERROR) << path << ": int8 conv '" << node.name << "' uses block "
+                   << node.attrs.schedule.ToString()
+                   << " that the int8 kernel is not instantiated for; re-export with "
+                      "the current build";
+        return false;
+      }
       ++stats.num_quantized_convs;
     }
     if (node.type == OpType::kDense && node.attrs.has_gemm) {

@@ -45,8 +45,9 @@ bool SaveModule(const CompiledModel& model, const std::string& path);
 
 // Reads a module previously written by SaveModule. Dies on malformed input with a
 // descriptive message; returns false for I/O-level failure and for a module this
-// build cannot execute (a v5/v6 quantized dense lowered to the removed s8 kernel —
-// logged with a "re-export with the current build" message).
+// build cannot execute (a v5/v6 quantized dense lowered to the removed s8 kernel, or
+// an int8 conv whose oc_bn/reg_n the int8 kernel is not instantiated for — logged
+// with a "re-export with the current build" message).
 bool LoadModule(const std::string& path, CompiledModel* model);
 
 }  // namespace neocpu

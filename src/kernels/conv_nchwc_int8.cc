@@ -6,6 +6,8 @@
 #define NEOCPU_S8_ROW_FN ConvS8RowBaseline
 #include "src/kernels/conv_nchwc_int8_impl.h"
 
+#include <cstring>
+
 #include "src/base/logging.h"
 #include "src/kernels/conv_nchwc_int8.h"
 #include "src/kernels/isa_tiers.h"
@@ -72,8 +74,8 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
   NEOCPU_CHECK_EQ(input.ndim(), 5);
   NEOCPU_CHECK_EQ(weight.ndim(), 6);
   NEOCPU_CHECK_EQ(output->ndim(), 5);
-  NEOCPU_CHECK_LE(s.reg_n, kMaxRegN);
-  NEOCPU_CHECK_LE(s.oc_bn, kMaxChannelBlock);
+  NEOCPU_CHECK(IsInt8Templated(s))
+      << "int8 conv has no template instantiation for " << s.ToString();
   NEOCPU_CHECK_LE(s.ic_bn, kMaxChannelBlock);
   NEOCPU_CHECK_EQ(input.dim(4), s.ic_bn);
   NEOCPU_CHECK_EQ(output->dim(4), s.oc_bn);
@@ -124,6 +126,7 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
   a.requant = requant;
   a.src_u8 = src_u8;
   a.in_zero = src_u8 ? in_zero : 0;
+  std::memset(a.pad_col, a.in_zero, sizeof(a.pad_col));
   a.out_u8 = requant && output->dtype() == DType::kU8;
   a.out_zero = a.out_u8 ? out_zero : 0;
   a.out = output->data();

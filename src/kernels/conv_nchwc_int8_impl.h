@@ -53,6 +53,9 @@ struct S8ConvArgs {
   // positions (an f32 zero quantizes to the zero point) — skipping them like the s8
   // path does would over-correct border pixels.
   std::int32_t in_zero = 0;
+  // One virtual input column of `in_zero` bytes (0 for s8): what every padded
+  // position reads.
+  std::uint8_t pad_col[kMaxChannelBlock] = {};
   bool out_u8 = false;          // requantized output dtype is u8 (else s8)
   std::int32_t out_zero = 0;    // output zero point (u8 requant only)
   void* out = nullptr;
@@ -69,16 +72,56 @@ namespace neocpu {
 namespace detail {
 namespace NEOCPU_S8_VARIANT_NS {
 
-// Interior micro-kernel: REGN consecutive out-width positions of one (n, oc_block, oh)
-// row, no horizontal bounds checks.
-//
-// The multiply-accumulate runs in 16-bit, pairwise: an s8*s8 product is exact in s16
-// (|p| <= 127*127) and the sum of TWO such products still fits (2*16129 < 32767), so
-// each input-channel pair contributes `sext32(p0 + p1)` to the s32 accumulators. The
-// vectorizer lowers the j loop to one 16-lane (or 32-lane under AVX-512BW) vpmullw pair
-// + vpaddw + one widening add — twice the MAC density of a widened 32-bit multiply, and
-// the pattern the pmaddwd/VNNI family accelerates, without requiring either.
-template <int OCB, int REGN, bool UNROLL>
+// Every micro-kernel below computes REGN consecutive out-width positions of one
+// (n, oc_block, oh) row into `out_acc`, in two instantiations per block shape: the
+// interior one (GUARD = false) for register blocks whose input columns all lie inside
+// [0, iw), and the guarded one for image edges and out-width tails. The guarded form
+// reads the zero-point column `a.pad_col` wherever a column falls outside [0, iw) —
+// exactly what a padded position contributes — so both forms run the same vector loop
+// and produce the same exact integer sums.
+
+// Input columns of the REGN positions at one kernel tap, starting at column
+// `iw_first`. The interior form is one strided pointer; the guarded form resolves each
+// column once per tap, keeping the MAC loops branch-free. A padded row (`row` null)
+// reads the zero-point column at every position in both forms.
+template <typename T, int REGN, bool GUARD>
+class Columns {
+ public:
+  Columns(const S8ConvArgs& a, const T* row, std::int64_t iw_first) {
+    const T* pad = reinterpret_cast<const T*>(a.pad_col);
+    if constexpr (GUARD) {
+      for (int r = 0; r < REGN; ++r) {
+        const std::int64_t iw = iw_first + r * a.sw;
+        col_[r] = row != nullptr && iw >= 0 && iw < a.iw ? row + iw * a.icb : pad;
+      }
+    } else {
+      base_ = row != nullptr ? row + iw_first * a.icb : pad;
+      step_ = row != nullptr ? a.sw * a.icb : 0;
+    }
+  }
+
+  const T* operator[](int r) const {
+    if constexpr (GUARD) {
+      return col_[r];
+    } else {
+      return base_ + r * step_;
+    }
+  }
+
+ private:
+  const T* col_[GUARD ? REGN : 1];
+  const T* base_ = nullptr;
+  std::int64_t step_ = 0;
+};
+
+// s8 micro-kernel. The multiply-accumulate runs in 16-bit, pairwise: an s8*s8 product
+// is exact in s16 (|p| <= 127*127) and the sum of TWO such products still fits
+// (2*16129 < 32767), so each input-channel pair contributes `sext32(p0 + p1)` to the
+// s32 accumulators. The vectorizer lowers the j loop to one 16-lane (or 32-lane under
+// AVX-512BW) vpmullw pair + vpaddw + one widening add — twice the MAC density of a
+// widened 32-bit multiply, and the pattern the pmaddwd/VNNI family accelerates,
+// without requiring either.
+template <int OCB, int REGN, bool UNROLL, bool GUARD>
 void MicroInterior(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
                    const std::int8_t* __restrict w_o, std::int64_t oh, std::int64_t ow0,
                    std::int32_t* __restrict out_acc) {
@@ -99,22 +142,22 @@ void MicroInterior(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
     for (std::int64_t kh = 0; kh < a.kh; ++kh) {
       const std::int64_t ih = oh * a.sh - a.ph + kh;
       if (ih < 0 || ih >= a.ih) {
-        continue;
+        continue;  // s8 has no zero point: a padded row contributes nothing
       }
-      const std::int8_t* in_h = in_c + ih * a.in_sh + iw0 * icb;
+      const std::int8_t* in_row = in_c + ih * a.in_sh;
       const std::int8_t* w_h = w_c + kh * a.kw * w_kstride;
       auto kw_body = [&](std::int64_t kw) {
         const std::int8_t* __restrict w_k = w_h + kw * w_kstride;
-        const std::int8_t* __restrict in_w = in_h + kw * icb;
+        const Columns<std::int8_t, REGN, GUARD> cols(a, in_row, iw0 + kw);
         std::int64_t ici = 0;
         for (; ici + 2 <= icb; ici += 2) {
           const std::int8_t* __restrict wv0 = w_k + ici * OCB;
           const std::int8_t* __restrict wv1 = wv0 + OCB;
 #pragma GCC unroll 32
           for (int r = 0; r < REGN; ++r) {
-            const std::int64_t in_at = static_cast<std::int64_t>(r) * a.sw * icb + ici;
-            const std::int16_t iv0 = in_w[in_at];
-            const std::int16_t iv1 = in_w[in_at + 1];
+            const std::int8_t* __restrict in_w = cols[r] + ici;
+            const std::int16_t iv0 = in_w[0];
+            const std::int16_t iv1 = in_w[1];
 #pragma omp simd
             for (int j = 0; j < OCB; ++j) {
               const std::int16_t p0 = static_cast<std::int16_t>(iv0 * wv0[j]);
@@ -127,8 +170,7 @@ void MicroInterior(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
           const std::int8_t* __restrict wv = w_k + ici * OCB;
 #pragma GCC unroll 32
           for (int r = 0; r < REGN; ++r) {
-            const std::int16_t iv =
-                in_w[static_cast<std::int64_t>(r) * a.sw * icb + ici];
+            const std::int16_t iv = cols[r][ici];
 #pragma omp simd
             for (int j = 0; j < OCB; ++j) {
               acc[r][j] += static_cast<std::int16_t>(iv * wv[j]);
@@ -157,52 +199,8 @@ void MicroInterior(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
   }
 }
 
-// Generic guarded micro-kernel: runtime block sizes, per-element horizontal checks
-// (image edges, out-width tails, uncommon oc_bn values).
-inline void MicroEdge(const S8ConvArgs& a, const std::int8_t* in_n, const std::int8_t* w_o,
-                      std::int64_t oh, std::int64_t ow0, std::int64_t count,
-                      std::int32_t* acc) {
-  const std::int64_t ocb = a.ocb;
-  const std::int64_t icb = a.icb;
-  for (std::int64_t r = 0; r < count; ++r) {
-    for (std::int64_t j = 0; j < ocb; ++j) {
-      acc[r * ocb + j] = 0;
-    }
-  }
-  const std::int64_t w_kstride = icb * ocb;
-  for (std::int64_t ico = 0; ico < a.icb_count; ++ico) {
-    const std::int8_t* in_c = in_n + ico * a.in_sc;
-    const std::int8_t* w_c = w_o + ico * a.w_sc;
-    for (std::int64_t kh = 0; kh < a.kh; ++kh) {
-      const std::int64_t ih = oh * a.sh - a.ph + kh;
-      if (ih < 0 || ih >= a.ih) {
-        continue;
-      }
-      const std::int8_t* in_h = in_c + ih * a.in_sh;
-      const std::int8_t* w_h = w_c + kh * a.kw * w_kstride;
-      for (std::int64_t kw = 0; kw < a.kw; ++kw) {
-        const std::int8_t* w_k = w_h + kw * w_kstride;
-        for (std::int64_t r = 0; r < count; ++r) {
-          const std::int64_t iw = (ow0 + r) * a.sw - a.pw + kw;
-          if (iw < 0 || iw >= a.iw) {
-            continue;
-          }
-          const std::int8_t* in_w = in_h + iw * icb;
-          for (std::int64_t ici = 0; ici < icb; ++ici) {
-            const std::int32_t iv = in_w[ici];
-            const std::int8_t* wv = w_k + ici * ocb;
-            for (std::int64_t j = 0; j < ocb; ++j) {
-              acc[r * ocb + j] += iv * static_cast<std::int32_t>(wv[j]);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------------
-// u8-activation micro-kernels (IntelCaffe u8·s8 form). A u8*s8 product reaches
+// u8-activation micro-kernel (IntelCaffe u8·s8 form). A u8*s8 product reaches
 // 255*127 = 32385, so the s16 pairwise trick above would overflow on the pair sum
 // (2*32385 > 32767) — the IntelCaffe s16-overflow hazard. The portable tiers
 // therefore accumulate every 4-product group directly in s32 (exact, no saturation);
@@ -210,10 +208,9 @@ inline void MicroEdge(const S8ConvArgs& a, const std::int8_t* in_n, const std::i
 // internal s16 products and s32 horizontal add are also exact — so every tier
 // produces bitwise-identical accumulators.
 //
-// Weights are VNNI-packed per (ic_block, kh, kw) tile: [ici/4][ocb][4].
-
-// Interior u8 micro-kernel: REGN positions, no horizontal checks. icb % 4 == 0.
-template <int OCB, int REGN, bool UNROLL>
+// Weights are VNNI-packed per (ic_block, kh, kw) tile: [ici/4][ocb][4]; icb % 4 == 0.
+// A padded row reads the zero-point column too, unless the zero point is 0.
+template <int OCB, int REGN, bool UNROLL, bool GUARD>
 void MicroInteriorU8(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
                      const std::int8_t* __restrict w_o, std::int64_t oh,
                      std::int64_t ow0, std::int32_t* __restrict out_acc) {
@@ -231,8 +228,6 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
         acc[r][v] = _mm512_setzero_si512();
       }
     }
-    const std::uint32_t zp_quad =
-        static_cast<std::uint32_t>(a.in_zero) * 0x01010101u;
     for (std::int64_t ico = 0; ico < a.icb_count; ++ico) {
       const std::uint8_t* in_c = u_n + ico * a.in_sc;
       const std::int8_t* w_c = w_o + ico * a.w_sc;
@@ -242,12 +237,11 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
         if (pad_row && a.in_zero == 0) {
           continue;  // a zero-point of 0 makes virtual padding contribute nothing
         }
-        const std::uint8_t* in_h =
-            pad_row ? nullptr : in_c + ih * a.in_sh + iw0 * icb;
+        const std::uint8_t* in_row = pad_row ? nullptr : in_c + ih * a.in_sh;
         const std::int8_t* w_h = w_c + kh * a.kw * w_kstride;
         for (std::int64_t kw = 0; kw < a.kw; ++kw) {
           const std::int8_t* __restrict w_k = w_h + kw * w_kstride;
-          const std::uint8_t* __restrict in_w = pad_row ? nullptr : in_h + kw * icb;
+          const Columns<std::uint8_t, REGN, GUARD> cols(a, in_row, iw0 + kw);
           for (std::int64_t ici = 0; ici < icb; ici += 4) {
             // One [ocb][4] weight tile = OCV contiguous 64-byte vectors.
             const std::int8_t* __restrict wt = w_k + ici * OCB;
@@ -257,11 +251,8 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
             }
 #pragma GCC unroll 32
             for (int r = 0; r < REGN; ++r) {
-              std::uint32_t quad = zp_quad;
-              if (!pad_row) {
-                __builtin_memcpy(
-                    &quad, in_w + static_cast<std::int64_t>(r) * a.sw * icb + ici, 4);
-              }
+              std::uint32_t quad;
+              __builtin_memcpy(&quad, cols[r] + ici, 4);
               const __m512i av = _mm512_set1_epi32(static_cast<int>(quad));
               for (int v = 0; v < OCV; ++v) {
                 acc[r][v] = _mm512_dpbusd_epi32(acc[r][v], av, b[v]);
@@ -296,20 +287,20 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
       if (pad_row && a.in_zero == 0) {
         continue;
       }
-      const std::uint8_t* in_h = pad_row ? nullptr : in_c + ih * a.in_sh + iw0 * icb;
+      const std::uint8_t* in_row = pad_row ? nullptr : in_c + ih * a.in_sh;
       const std::int8_t* w_h = w_c + kh * a.kw * w_kstride;
       auto kw_body = [&](std::int64_t kw) {
         const std::int8_t* __restrict w_k = w_h + kw * w_kstride;
-        const std::uint8_t* __restrict in_w = pad_row ? nullptr : in_h + kw * icb;
+        const Columns<std::uint8_t, REGN, GUARD> cols(a, in_row, iw0 + kw);
         for (std::int64_t ici = 0; ici < icb; ici += 4) {
           const std::int8_t* __restrict wt = w_k + ici * OCB;
 #pragma GCC unroll 32
           for (int r = 0; r < REGN; ++r) {
-            const std::int64_t in_at = static_cast<std::int64_t>(r) * a.sw * icb + ici;
-            const std::int32_t iv0 = pad_row ? a.in_zero : in_w[in_at];
-            const std::int32_t iv1 = pad_row ? a.in_zero : in_w[in_at + 1];
-            const std::int32_t iv2 = pad_row ? a.in_zero : in_w[in_at + 2];
-            const std::int32_t iv3 = pad_row ? a.in_zero : in_w[in_at + 3];
+            const std::uint8_t* __restrict in_w = cols[r] + ici;
+            const std::int32_t iv0 = in_w[0];
+            const std::int32_t iv1 = in_w[1];
+            const std::int32_t iv2 = in_w[2];
+            const std::int32_t iv3 = in_w[3];
 #pragma omp simd
             for (int j = 0; j < OCB; ++j) {
               acc[r][j] += iv0 * wt[j * 4] + iv1 * wt[j * 4 + 1] +
@@ -335,54 +326,6 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
 #pragma omp simd
     for (int j = 0; j < OCB; ++j) {
       out_acc[r * OCB + j] = acc[r][j];
-    }
-  }
-}
-
-// Generic guarded u8 micro-kernel: runtime block sizes, per-element horizontal checks.
-// Handles any ici against the packed [ici/4][ocb][4] layout, so it needs no icb
-// divisibility beyond the dispatcher-checked icb % 4 == 0.
-inline void MicroEdgeU8(const S8ConvArgs& a, const std::int8_t* in_n,
-                        const std::int8_t* w_o, std::int64_t oh, std::int64_t ow0,
-                        std::int64_t count, std::int32_t* acc) {
-  const std::uint8_t* u_n = reinterpret_cast<const std::uint8_t*>(in_n);
-  const std::int64_t ocb = a.ocb;
-  const std::int64_t icb = a.icb;
-  for (std::int64_t r = 0; r < count; ++r) {
-    for (std::int64_t j = 0; j < ocb; ++j) {
-      acc[r * ocb + j] = 0;
-    }
-  }
-  const std::int64_t w_kstride = icb * ocb;
-  for (std::int64_t ico = 0; ico < a.icb_count; ++ico) {
-    const std::uint8_t* in_c = u_n + ico * a.in_sc;
-    const std::int8_t* w_c = w_o + ico * a.w_sc;
-    for (std::int64_t kh = 0; kh < a.kh; ++kh) {
-      const std::int64_t ih = oh * a.sh - a.ph + kh;
-      const bool pad_row = ih < 0 || ih >= a.ih;
-      if (pad_row && a.in_zero == 0) {
-        continue;
-      }
-      const std::uint8_t* in_h = pad_row ? nullptr : in_c + ih * a.in_sh;
-      const std::int8_t* w_h = w_c + kh * a.kw * w_kstride;
-      for (std::int64_t kw = 0; kw < a.kw; ++kw) {
-        const std::int8_t* w_k = w_h + kw * w_kstride;
-        for (std::int64_t r = 0; r < count; ++r) {
-          const std::int64_t iw = (ow0 + r) * a.sw - a.pw + kw;
-          const bool pad = pad_row || iw < 0 || iw >= a.iw;
-          if (pad && a.in_zero == 0) {
-            continue;
-          }
-          const std::uint8_t* in_w = pad ? nullptr : in_h + iw * icb;
-          for (std::int64_t ici = 0; ici < icb; ++ici) {
-            const std::int32_t iv = pad ? a.in_zero : in_w[ici];
-            const std::int8_t* wv = w_k + (ici / 4) * ocb * 4 + (ici % 4);
-            for (std::int64_t j = 0; j < ocb; ++j) {
-              acc[r * ocb + j] += iv * static_cast<std::int32_t>(wv[j * 4]);
-            }
-          }
-        }
-      }
     }
   }
 }
@@ -425,32 +368,50 @@ using MicroFn = void (*)(const S8ConvArgs&, const std::int8_t* __restrict,
                          const std::int8_t* __restrict, std::int64_t, std::int64_t,
                          std::int32_t* __restrict);
 
+// The interior and guarded instantiations of one block shape.
+struct MicroPair {
+  MicroFn interior = nullptr;
+  MicroFn guarded = nullptr;
+};
+
+template <bool U8, int OCB, int REGN, bool UNROLL>
+MicroPair PairOf() {
+  if constexpr (U8) {
+    return {&MicroInteriorU8<OCB, REGN, UNROLL, false>,
+            &MicroInteriorU8<OCB, REGN, UNROLL, true>};
+  } else {
+    return {&MicroInterior<OCB, REGN, UNROLL, false>,
+            &MicroInterior<OCB, REGN, UNROLL, true>};
+  }
+}
+
 template <bool U8, int OCB, bool UNROLL>
-MicroFn SelectByRegN(std::int64_t reg_n) {
+MicroPair SelectByRegN(std::int64_t reg_n) {
   switch (reg_n) {
     case 2:
-      return U8 ? &MicroInteriorU8<OCB, 2, UNROLL> : &MicroInterior<OCB, 2, UNROLL>;
+      return PairOf<U8, OCB, 2, UNROLL>();
     case 4:
-      return U8 ? &MicroInteriorU8<OCB, 4, UNROLL> : &MicroInterior<OCB, 4, UNROLL>;
+      return PairOf<U8, OCB, 4, UNROLL>();
     case 8:
-      return U8 ? &MicroInteriorU8<OCB, 8, UNROLL> : &MicroInterior<OCB, 8, UNROLL>;
+      return PairOf<U8, OCB, 8, UNROLL>();
     case 16:
-      return U8 ? &MicroInteriorU8<OCB, 16, UNROLL> : &MicroInterior<OCB, 16, UNROLL>;
+      return PairOf<U8, OCB, 16, UNROLL>();
     case 32:
-      return U8 ? &MicroInteriorU8<OCB, 32, UNROLL> : &MicroInterior<OCB, 32, UNROLL>;
+      return PairOf<U8, OCB, 32, UNROLL>();
     default:
-      return nullptr;
+      return {};
   }
 }
 
 template <bool U8, int OCB>
-MicroFn SelectByUnroll(std::int64_t reg_n, bool unroll) {
+MicroPair SelectByUnroll(std::int64_t reg_n, bool unroll) {
   return unroll ? SelectByRegN<U8, OCB, true>(reg_n)
                 : SelectByRegN<U8, OCB, false>(reg_n);
 }
 
+// Block shapes the dispatcher admits (IsInt8Templated).
 template <bool U8>
-MicroFn SelectMicroFor(std::int64_t ocb, std::int64_t reg_n, bool unroll) {
+MicroPair SelectMicro(std::int64_t ocb, std::int64_t reg_n, bool unroll) {
   switch (ocb) {
     case 4:
       return SelectByUnroll<U8, 4>(reg_n, unroll);
@@ -463,18 +424,17 @@ MicroFn SelectMicroFor(std::int64_t ocb, std::int64_t reg_n, bool unroll) {
     case 64:
       return SelectByUnroll<U8, 64>(reg_n, unroll);
     default:
-      return nullptr;  // uncommon blocks fall back to MicroEdge
+      return {};
   }
-}
-
-inline MicroFn SelectMicro(std::int64_t ocb, std::int64_t reg_n, bool unroll) {
-  return SelectMicroFor<false>(ocb, reg_n, unroll);
 }
 
 }  // namespace NEOCPU_S8_VARIANT_NS
 
-// Row driver: one (n, oc_block, oh) output row — left edge, interior register blocks,
-// tail — exported per ISA variant and invoked by the dispatcher's ParallelFor.
+// Row driver: one (n, oc_block, oh) output row in reg_n register blocks from ow = 0,
+// exported per ISA variant and invoked by the dispatcher's ParallelFor. A block whose
+// columns all lie inside [ow_lo, ow_hi) runs the interior instantiation, any other the
+// guarded one; the last block computes a full reg_n and stores only the positions
+// below ow.
 void NEOCPU_S8_ROW_FN(const S8ConvArgs& a, std::int64_t row) {
   namespace v = NEOCPU_S8_VARIANT_NS;
   const std::int64_t oh = row % a.oh;
@@ -492,36 +452,13 @@ void NEOCPU_S8_ROW_FN(const S8ConvArgs& a, std::int64_t row) {
                       : static_cast<void*>(static_cast<float*>(a.out) + out_off);
 
   std::int32_t acc[kMaxRegN * kMaxChannelBlock];
-  const v::MicroFn fast = a.src_u8 ? v::SelectMicroFor<true>(a.ocb, a.reg_n, a.unroll_ker)
-                                   : v::SelectMicroFor<false>(a.ocb, a.reg_n, a.unroll_ker);
-  const auto edge = a.src_u8 ? &v::MicroEdgeU8 : &v::MicroEdge;
-
-  std::int64_t ow = 0;
-  // Left edge (horizontal padding).
-  if (ow < a.ow_lo) {
-    const std::int64_t limit = a.ow_lo < a.ow ? a.ow_lo : a.ow;
-    const std::int64_t count = limit - ow;
-    for (std::int64_t c = 0; c < count; c += a.reg_n) {
-      const std::int64_t take = a.reg_n < count - c ? a.reg_n : count - c;
-      edge(a, in_n, w_o, oh, ow + c, take, acc);
-      v::StoreSegment(a, acc, bias_o, mult_o, out_row, ow + c, take);
-    }
-    ow += count;
-  }
-  // Interior: full reg_n register blocks through the template instantiation.
-  if (fast != nullptr) {
-    while (ow + a.reg_n <= a.ow_hi) {
-      fast(a, in_n, w_o, oh, ow, acc);
-      v::StoreSegment(a, acc, bias_o, mult_o, out_row, ow, a.reg_n);
-      ow += a.reg_n;
-    }
-  }
-  // Interior tail + right edge.
-  while (ow < a.ow) {
-    const std::int64_t count = a.reg_n < a.ow - ow ? a.reg_n : a.ow - ow;
-    edge(a, in_n, w_o, oh, ow, count, acc);
-    v::StoreSegment(a, acc, bias_o, mult_o, out_row, ow, count);
-    ow += count;
+  const v::MicroPair micro = a.src_u8 ? v::SelectMicro<true>(a.ocb, a.reg_n, a.unroll_ker)
+                                      : v::SelectMicro<false>(a.ocb, a.reg_n, a.unroll_ker);
+  for (std::int64_t ow = 0; ow < a.ow; ow += a.reg_n) {
+    const bool interior = ow >= a.ow_lo && ow + a.reg_n <= a.ow_hi;
+    (interior ? micro.interior : micro.guarded)(a, in_n, w_o, oh, ow, acc);
+    v::StoreSegment(a, acc, bias_o, mult_o, out_row, ow,
+                    a.reg_n < a.ow - ow ? a.reg_n : a.ow - ow);
   }
 }
 

@@ -25,6 +25,11 @@ const char* CostModeName(CostMode mode) {
   return mode == CostMode::kAnalytic ? "analytic" : "measured";
 }
 
+double S8BlockRoundingFactor(std::int64_t out_w, std::int64_t reg_n) {
+  const std::int64_t blocks = (out_w + reg_n - 1) / reg_n;
+  return static_cast<double>(blocks * reg_n) / static_cast<double>(out_w);
+}
+
 namespace {
 
 // The §3.3.1 direct NCHW[x]c template (Algorithm 1): the original analytic model.
@@ -180,15 +185,6 @@ double AnalyticDirectNchwcS8Ms(const Conv2dParams& p, const ConvSchedule& s,
     ms *= t.vnni_dot ? 0.5 : 1.4;
   }
 
-  // Only blocks with template instantiations hit the register-blocked fast path.
-  const bool fast_ocb = s.oc_bn == 4 || s.oc_bn == 8 || s.oc_bn == 16 || s.oc_bn == 32 ||
-                        s.oc_bn == 64;
-  const bool fast_regn =
-      s.reg_n == 2 || s.reg_n == 4 || s.reg_n == 8 || s.reg_n == 16 || s.reg_n == 32;
-  if (!fast_ocb || !fast_regn) {
-    ms *= 2.5;
-  }
-
   // Accumulator pressure: reg_n x (oc_bn / s8 lanes-per-s32-vector) s32 registers.
   const double oc_vectors = std::ceil(static_cast<double>(s.oc_bn) / lanes_f32);
   const double regs_used = static_cast<double>(s.reg_n) * oc_vectors + 2.0;
@@ -201,16 +197,10 @@ double AnalyticDirectNchwcS8Ms(const Conv2dParams& p, const ConvSchedule& s,
   ms *= 1.0 + 1.0 / static_cast<double>(std::max<std::int64_t>(s.reg_n, 1));
   ms *= 1.0 + 1.6 / static_cast<double>(std::max<std::int64_t>(s.ic_bn, 1));
 
-  // Out-width tail fraction (guarded edge kernel, ~3x).
-  const std::int64_t ow = p.OutW();
-  const std::int64_t ow_lo = p.pad_w == 0 ? 0 : (p.pad_w + p.stride_w - 1) / p.stride_w;
-  const std::int64_t ow_hi =
-      std::min<std::int64_t>(ow, (p.in_w + p.pad_w - p.kernel_w) / p.stride_w + 1);
-  const std::int64_t interior =
-      std::max<std::int64_t>(ow_hi - ow_lo, 0) / s.reg_n * s.reg_n;
-  const double tail_frac =
-      1.0 - static_cast<double>(interior) / static_cast<double>(std::max<std::int64_t>(ow, 1));
-  ms *= 1.0 + 2.0 * tail_frac;
+  // Block rounding: every row runs in whole reg_n blocks (edges on the guarded
+  // instantiation of the same template), so the last block's unstored positions
+  // are computed too.
+  ms *= S8BlockRoundingFactor(p.OutW(), s.reg_n);
 
   // Quantization epilogue: one scale-and-store pass over the output.
   const double out_elems = static_cast<double>(p.batch * p.out_c) *

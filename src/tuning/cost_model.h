@@ -30,6 +30,11 @@ const char* CostModeName(CostMode mode);
 double AnalyticConvMs(const Conv2dParams& params, const ConvSchedule& schedule,
                       const Target& target);
 
+// Work factor of the int8 row driver's block rounding: a row of `out_w` positions runs
+// ceil(out_w / reg_n) whole reg_n blocks, so it computes ceil(out_w / reg_n) * reg_n
+// positions and stores out_w of them.
+double S8BlockRoundingFactor(std::int64_t out_w, std::int64_t reg_n);
+
 // Times the real kernel on deterministic synthetic tensors (min of `runs`).
 double MeasureConvMs(const Conv2dParams& params, const ConvSchedule& schedule,
                      ThreadEngine* engine = nullptr, int runs = 2);

@@ -98,10 +98,10 @@ std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& p, const Targ
     ic.erase(std::remove_if(ic.begin(), ic.end(),
                             [](std::int64_t f) { return f % 4 != 0; }),
              ic.end());
-    if (ic.empty()) {
-      return {};  // no legal u8 blocking for this channel count
-    }
   }
+  // Only block shapes the kernel is instantiated for: a conv with no such oc block
+  // among its factors (e.g. a 126-channel SSD class head) gets an empty space and
+  // stays f32.
   std::vector<ConvSchedule> out;
   out.reserve(ic.size() * oc.size() * RegNCandidates().size() * 2);
   for (std::int64_t i : ic) {
@@ -110,7 +110,9 @@ std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& p, const Targ
         for (bool u : {true, false}) {
           ConvSchedule s{i, o, r, u};
           s.dtype = dtype;
-          out.push_back(s);
+          if (IsInt8Templated(s)) {
+            out.push_back(s);
+          }
         }
       }
     }

@@ -40,12 +40,14 @@ std::vector<ConvSchedule> EnumerateAlgoCandidates(const Conv2dParams& params);
 // The quantized direct-NCHWc space for one workload: same tuple structure, but channel
 // blocks run up to the target's full s8 vector (4x the fp32 lanes — the s8 kernel's
 // throughput scales with the filled vector fraction) and quick_space prunes to the
-// {full, half, quarter} s8-vector neighbourhood. `dtype` selects the activation dtype
-// of the space (kS8 or kU8); the u8 space additionally drops ic_bn factors not
-// divisible by 4 (the VNNI quad-packing constraint) and may be empty for odd channel
-// counts. Empty when the target profile disables int8 (Target::int8_dot) — the "ISA
-// gated by Target" switch. Cached under the dtype-tagged WorkloadKey, separate from the
-// fp32 entries.
+// {full, half, quarter} s8-vector neighbourhood. Only the oc_bn values the int8 kernel
+// is instantiated for are admitted (IsInt8Templated), so the space is empty for a
+// conv with none of them among its output-channel factors. `dtype` selects the
+// activation dtype of the space (kS8 or kU8); the u8 space additionally drops ic_bn
+// factors not divisible by 4 (the VNNI quad-packing constraint) and may be empty for
+// odd channel counts. Empty when the target profile disables int8 (Target::int8_dot)
+// — the "ISA gated by Target" switch. Cached under the dtype-tagged WorkloadKey,
+// separate from the fp32 entries.
 std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& params,
                                                const Target& target,
                                                bool quick_space = false,

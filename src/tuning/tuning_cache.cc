@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/kernels/conv_schedule.h"
 #include "src/obs/metrics.h"
 
 namespace neocpu {
@@ -268,6 +269,14 @@ bool TuningCache::ParseStream(std::istream& in, ParsedMap* entries) {
     }
     if (!in) {
       return false;
+    }
+    // Earlier builds also ranked int8 blocks the kernel is not instantiated for; drop
+    // them so a warm start can never select one.
+    std::erase_if(result.ranked, [](const ScheduleCost& sc) {
+      return sc.schedule.IsQuantized() && !IsInt8Templated(sc.schedule);
+    });
+    if (result.ranked.empty()) {
+      continue;
     }
     (*entries)[key_text] = std::make_shared<const LocalSearchResult>(std::move(result));
   }

@@ -1,11 +1,13 @@
 // The u8-activation half of the int8 path: kernel-level exactness with zero points
-// and virtual padding, cross-ISA bitwise parity via the dispatch override, VNNI
-// weight packing and the zero-point bias fold, u8 graph-pass structure (integer
-// pooling, sum fusion, forced-dtype selection), zoo accuracy under forced u8, the
-// quantized dense path, and the v6 module / u8 cache round trips.
+// and virtual padding, bitwise-exact edge and tail blocks (u8 and s8) on every ISA
+// tier, the templated-block admission rules, cross-ISA bitwise parity via the
+// dispatch override, VNNI weight packing and the zero-point bias fold, u8 graph-pass
+// structure (integer pooling, sum fusion, forced-dtype selection), zoo accuracy under
+// forced u8, the quantized dense path, and the v6 module / u8 cache round trips.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -247,6 +249,169 @@ TEST(ConvNCHWcS8, CrossIsaBitwiseParity) {
   SetConvNCHWcS8IsaOverride(nullptr);
 }
 
+// Every output position runs the register-blocked template: blocks that touch an image
+// edge or the out-width tail take its guarded instantiation, which reads the zero-point
+// column outside the image. Each shape below runs on every compiled tier the host
+// supports, and each tier's output must equal the exact integer conv bit for bit. The
+// multiplier is 1 and every sum stays below 2^24, so the f32 output is the s32
+// accumulator plus bias, exactly.
+struct GuardCase {
+  const char* label;
+  Conv2dParams p;
+  std::int64_t ic_bn, oc_bn, reg_n;
+};
+
+void ExpectTiersMatchIntegerReference(const GuardCase& gc, DType dtype) {
+  SCOPED_TRACE(std::string(gc.label) + " " + DTypeName(dtype) +
+               " reg_n=" + std::to_string(gc.reg_n));
+  const Conv2dParams& p = gc.p;
+  const bool u8 = dtype == DType::kU8;
+  const std::int32_t in_zero = u8 ? 131 : 0;
+  ConvSchedule s{gc.ic_bn, gc.oc_bn, gc.reg_n, true};
+  s.dtype = dtype;
+  const std::int64_t icb = s.ic_bn, ocb = s.oc_bn;
+  Rng rng(23);
+  Tensor in = Tensor::Empty({p.batch, p.in_c / icb, p.in_h, p.in_w, icb},
+                            Layout::NCHWc(icb), dtype);
+  for (std::int64_t i = 0; i < in.NumElements(); ++i) {
+    if (u8) {
+      in.data_as<std::uint8_t>()[i] = static_cast<std::uint8_t>(rng.NextBounded(256));
+    } else {
+      in.data_as<std::int8_t>()[i] = static_cast<std::int8_t>(rng.NextBounded(255)) - 127;
+    }
+  }
+  Tensor w = Tensor::Empty(
+      {p.out_c / ocb, p.in_c / icb, p.kernel_h, p.kernel_w, icb, ocb},
+      Layout::OIHWio(icb, ocb), DType::kS8);
+  for (std::int64_t i = 0; i < w.NumElements(); ++i) {
+    w.data_as<std::int8_t>()[i] = static_cast<std::int8_t>(rng.NextBounded(255)) - 127;
+  }
+  Tensor raw_bias = Tensor::Empty({p.out_c}, Layout::Flat(), DType::kS32);
+  for (std::int64_t o = 0; o < p.out_c; ++o) {
+    raw_bias.data_as<std::int32_t>()[o] =
+        static_cast<std::int32_t>(rng.NextBounded(2000)) - 1000;
+  }
+  Tensor bias = raw_bias.Clone();
+  Tensor w_kernel = w;
+  if (u8) {
+    FoldZeroPointIntoBias(w, in_zero, &bias);
+    w_kernel = PackWeightsVnni(w);
+  }
+
+  // Exact reference: sum((x - in_zero) * w) over every tap, padded taps reading
+  // in_zero, plus the raw bias.
+  const std::int64_t oh_n = p.OutH(), ow_n = p.OutW();
+  Tensor expected = Tensor::Empty({p.batch, p.out_c / ocb, oh_n, ow_n, ocb},
+                                  Layout::NCHWc(ocb), DType::kF32);
+  for (std::int64_t n = 0; n < p.batch; ++n) {
+    for (std::int64_t oc = 0; oc < p.out_c; ++oc) {
+      for (std::int64_t oh = 0; oh < oh_n; ++oh) {
+        for (std::int64_t ow = 0; ow < ow_n; ++ow) {
+          std::int64_t acc = raw_bias.data_as<std::int32_t>()[oc];
+          for (std::int64_t ic = 0; ic < p.in_c; ++ic) {
+            for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
+              for (std::int64_t kw = 0; kw < p.kernel_w; ++kw) {
+                const std::int64_t ih = oh * p.stride_h - p.pad_h + kh;
+                const std::int64_t iw = ow * p.stride_w - p.pad_w + kw;
+                std::int32_t val = in_zero;
+                if (ih >= 0 && ih < p.in_h && iw >= 0 && iw < p.in_w) {
+                  const std::int64_t at =
+                      (((n * (p.in_c / icb) + ic / icb) * p.in_h + ih) * p.in_w + iw) *
+                          icb +
+                      ic % icb;
+                  val = u8 ? in.data_as<std::uint8_t>()[at] : in.data_as<std::int8_t>()[at];
+                }
+                const std::int64_t w_at =
+                    (((((oc / ocb) * (p.in_c / icb) + ic / icb) * p.kernel_h + kh) *
+                          p.kernel_w +
+                      kw) *
+                         icb +
+                     ic % icb) *
+                        ocb +
+                    oc % ocb;
+                acc += (val - in_zero) * w.data_as<std::int8_t>()[w_at];
+              }
+            }
+          }
+          ASSERT_LT(acc < 0 ? -acc : acc, std::int64_t{1} << 24);
+          expected.data()[(((n * (p.out_c / ocb) + oc / ocb) * oh_n + oh) * ow_n + ow) *
+                              ocb +
+                          oc % ocb] = static_cast<float>(acc);
+        }
+      }
+    }
+  }
+
+  ConvEpilogue epi;
+  epi.bias = true;
+  const Tensor mult = Tensor::Full({p.out_c}, 1.0f);
+  int tiers_run = 0;
+  for (const char* tier : {"baseline", "avx2", "avx512", "avx512vnni"}) {
+    if (!SetConvNCHWcS8IsaOverride(tier)) {
+      continue;  // tier not compiled in or CPU lacks it
+    }
+    Tensor out = Tensor::Empty(expected.dims(), Layout::NCHWc(ocb), DType::kF32);
+    ConvNCHWcS8(p, s, in, w_kernel, &bias, mult, epi, /*requant=*/false, &out, nullptr,
+                /*out_zero=*/0, in_zero);
+    EXPECT_EQ(std::memcmp(out.data(), expected.data(),
+                          static_cast<std::size_t>(out.NumElements()) * sizeof(float)),
+              0)
+        << "tier " << tier;
+    ++tiers_run;
+  }
+  SetConvNCHWcS8IsaOverride(nullptr);
+  EXPECT_GE(tiers_run, 1);
+}
+
+TEST(ConvNCHWcInt8Guarded, EdgeAndTailBlocksMatchIntegerReferenceOnEveryTier) {
+  // 7x7 output, pad 1: every block of reg_n >= 8 is guarded (reg_n 32 computes 32
+  // positions and stores 7); reg_n 2 and 4 also get interior blocks.
+  for (const std::int64_t reg_n : {2, 4, 8, 32}) {
+    for (const std::int64_t oc_bn : {8, 64}) {  // the portable loop and the VNNI one
+      const GuardCase gc{"7x7 pad 1", {1, 8, 7, 7, 64, 3, 3, 1, 1, 1, 1}, 8, oc_bn, reg_n};
+      ExpectTiersMatchIntegerReference(gc, DType::kU8);
+      ExpectTiersMatchIntegerReference(gc, DType::kS8);
+    }
+  }
+  // 56 wide at reg_n 16: guarded left block, interior blocks, and a guarded tail that
+  // stores 8 of its 16 positions.
+  const GuardCase wide{"56 wide", {1, 8, 2, 56, 32, 3, 3, 1, 1, 1, 1}, 8, 32, 16};
+  ExpectTiersMatchIntegerReference(wide, DType::kU8);
+  ExpectTiersMatchIntegerReference(wide, DType::kS8);
+  // A stem-like 7x7 kernel, stride 2, pad 3 on 3 input channels (s8 only: 3 is not
+  // quad-divisible).
+  for (const std::int64_t reg_n : {2, 4}) {
+    ExpectTiersMatchIntegerReference(
+        {"7x7 s2 p3", {1, 3, 15, 15, 16, 7, 7, 2, 2, 3, 3}, 3, 16, reg_n}, DType::kS8);
+  }
+  // A 1x1 stride-2 kernel without padding: only the out-width tail is guarded.
+  const GuardCase pointwise{"1x1 s2", {1, 8, 9, 9, 32, 1, 1, 2, 2, 0, 0}, 8, 32, 4};
+  ExpectTiersMatchIntegerReference(pointwise, DType::kU8);
+  ExpectTiersMatchIntegerReference(pointwise, DType::kS8);
+}
+
+// The kernel is instantiated for a fixed set of block shapes and rejects any other
+// instead of falling back to a slower loop.
+TEST(ConvNCHWcInt8Guarded, RejectsUntemplatedBlocks) {
+  const Conv2dParams p{1, 4, 5, 5, 12, 3, 3, 1, 1, 1, 1};
+  ConvSchedule s{4, 12, 4, true};
+  s.dtype = DType::kS8;
+  const Tensor in = Tensor::Zeros({1, 1, 5, 5, 4}, Layout::NCHWc(4), DType::kS8);
+  const Tensor w = Tensor::Zeros({1, 1, 3, 3, 4, 12}, Layout::OIHWio(4, 12), DType::kS8);
+  const Tensor mult = Tensor::Full({12}, 1.0f);
+  Tensor out = Tensor::Empty({1, 1, 5, 5, 12}, Layout::NCHWc(12), DType::kF32);
+  EXPECT_DEATH(ConvNCHWcS8(p, s, in, w, nullptr, mult, {}, false, &out),
+               "no template instantiation");
+  ConvSchedule odd_regn{4, 4, 6, true};
+  odd_regn.dtype = DType::kS8;
+  const Conv2dParams p4{1, 4, 5, 5, 4, 3, 3, 1, 1, 1, 1};
+  const Tensor w4 = Tensor::Zeros({1, 1, 3, 3, 4, 4}, Layout::OIHWio(4, 4), DType::kS8);
+  Tensor out4 = Tensor::Empty({1, 1, 5, 5, 4}, Layout::NCHWc(4), DType::kF32);
+  EXPECT_DEATH(ConvNCHWcS8(p4, odd_regn, in, w4, nullptr, Tensor::Full({4}, 1.0f), {},
+                           false, &out4),
+               "no template instantiation");
+}
+
 // PackWeightsVnni is a pure intra-tile permutation: element (o, i, kh, kw, ici, ocj)
 // moves to packed offset [ici/4][ocj][4] within the same tile.
 TEST(PackWeightsVnni, ReordersInnerTileOnly) {
@@ -303,6 +468,47 @@ TEST(U8ScheduleSpace, RequiresQuadDivisibleIcBlocks) {
     EXPECT_EQ(s.dtype, DType::kU8);
     EXPECT_EQ(s.ic_bn % 4, 0) << s.ic_bn;
   }
+}
+
+// The int8 space admits only the oc_bn values the kernel is instantiated for. A
+// 126-channel SSD class head has none among its factors, so it has no int8 space.
+TEST(Int8ScheduleSpace, AdmitsOnlyTemplatedBlocks) {
+  const Target t = Target::SkylakeAvx512();
+  const Conv2dParams head{1, 256, 5, 5, 126, 3, 3, 1, 1, 1, 1};
+  for (const DType dtype : {DType::kS8, DType::kU8}) {
+    for (const bool quick : {false, true}) {
+      EXPECT_TRUE(EnumerateS8Schedules(head, t, quick, dtype).empty())
+          << DTypeName(dtype) << " quick=" << quick;
+    }
+  }
+  const Conv2dParams odd{1, 64, 14, 14, 96, 3, 3, 1, 1, 1, 1};
+  std::set<std::int64_t> oc_blocks;
+  for (const ConvSchedule& s : EnumerateS8Schedules(odd, t, false, DType::kU8)) {
+    EXPECT_TRUE(IsInt8Templated(s)) << s.ToString();
+    oc_blocks.insert(s.oc_bn);
+  }
+  EXPECT_EQ(oc_blocks, (std::set<std::int64_t>{4, 8, 16, 32}));
+}
+
+// A conv with no int8 space keeps its f32 schedule inside a forced-int8 compile.
+TEST(QuantizeGraph, ConvWithoutTemplatedBlockStaysF32) {
+  GraphBuilder b("odd_head");
+  int x = b.Input({1, 16, 8, 8});
+  x = b.Conv(x, 32, 3, 1, 1, /*bias=*/true, "body");
+  x = b.Relu(x);
+  x = b.Conv(x, 126, 3, 1, 1, /*bias=*/true, "head");
+  Graph model = b.Finish({x});
+
+  CompiledModel compiled = Compile(model, QuantizedOptions(DType::kS8));
+  for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
+    const Node& node = compiled.graph().node(id);
+    if (node.IsConv()) {
+      EXPECT_EQ(node.attrs.qconv.enabled, node.name == "body") << node.name;
+    }
+  }
+  Tensor input = InputFor(model);
+  const Tensor expected = Executor(&model).Run(input);
+  EXPECT_LE(Tensor::MaxAbsDiff(compiled.Run(input), expected), 0.05);
 }
 
 // ------------------------------------------------------------------ pass structure
@@ -371,6 +577,37 @@ TEST(QuantizeGraphU8, ForcedU8SelectsU8Schedules) {
   EXPECT_LE(Tensor::MaxAbsDiff(compiled.Run(input), expected), 0.05);
 }
 
+// Forced u8 means u8 only: the 3-channel stem has no quad-divisible blocking, so it
+// keeps its f32 schedule (an s8 stem is slower than the f32 one) and so does the
+// maxpool after it; every quantized conv reads u8.
+TEST(QuantizeGraphU8, ForcedU8KeepsStemF32) {
+  Graph model = BuildResNet(18, 1, 64);
+  CompiledModel compiled = Compile(model, QuantizedOptions(DType::kU8));
+  const Graph& g = compiled.graph();
+  int stems = 0, u8_convs = 0;
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    const Node& node = g.node(id);
+    if (node.IsConv() && node.attrs.conv.in_c == 3) {
+      ++stems;
+      EXPECT_FALSE(node.attrs.qconv.enabled) << node.name;
+      EXPECT_EQ(node.attrs.schedule.dtype, DType::kF32) << node.name;
+    } else if (node.IsConv() && node.attrs.qconv.enabled) {
+      EXPECT_EQ(node.attrs.qconv.adtype, DType::kU8) << node.name;
+      EXPECT_EQ(node.attrs.schedule.dtype, DType::kU8) << node.name;
+      ++u8_convs;
+    }
+    if (node.type == OpType::kMaxPool) {
+      EXPECT_EQ(node.out_dtype, DType::kF32) << node.name;
+    }
+  }
+  EXPECT_EQ(stems, 1);
+  EXPECT_GT(u8_convs, 0);
+
+  Tensor input = InputFor(model);
+  const Tensor expected = Executor(&model).Run(input);
+  EXPECT_LE(Tensor::MaxAbsDiff(compiled.Run(input), expected), 0.05);
+}
+
 // resnet18's quantized boundary structure: the integer maxpool and the sum-fused
 // residual conv keep the stem's integer region intact, so the whole net needs 8
 // quantizes and ZERO standalone dequantizes — strictly fewer boundary nodes than the
@@ -425,7 +662,7 @@ Graph TinyInception() { return BuildInceptionV3(1, 139); }
 class ZooForcedU8 : public ::testing::TestWithParam<ZooCase> {};
 
 // Forced-u8 compiles: accuracy within the documented tolerance, at least one u8
-// conv actually selected (the stem may stay s8 — 3 channels have no quad blocking),
+// conv actually selected (the stem stays f32 — 3 channels have no quad blocking),
 // planned-vs-allocating bitwise equality and the zero-heap-alloc steady state.
 // Inception exercises the integer concat (per-input rescale) and 4-D pooling paths.
 TEST_P(ZooForcedU8, TracksFp32WithinToleranceAndStaysZeroAlloc) {

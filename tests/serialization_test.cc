@@ -135,6 +135,30 @@ TEST(Serialization, RejectsLegacyS8DenseModule) {
   std::remove(path.c_str());
 }
 
+// Earlier builds could select int8 conv blocks the kernel has no instantiation for and
+// ran them on a scalar edge loop that no longer exists. A module holding one fails to
+// load instead of aborting in the kernel; the same module with a templated block loads.
+TEST(Serialization, RejectsUntemplatedInt8ConvModule) {
+  for (const std::int64_t oc_bn : {12, 4}) {
+    GraphBuilder b("int8_conv");
+    int x = b.Input({1, 4, 6, 6});
+    x = b.Conv(x, 12, 3, 1, 1, /*bias=*/false, "conv");
+    Graph g = b.Finish({x});
+    for (int id = 0; id < g.num_nodes(); ++id) {
+      if (g.node(id).IsConv()) {
+        ConvSchedule s{4, oc_bn, 8, true};
+        s.dtype = DType::kS8;
+        g.node(id).attrs.schedule = s;
+      }
+    }
+    const std::string path = TempPath("int8_block.neoc");
+    ASSERT_TRUE(SaveModule(CompiledModel(std::move(g), CompileStats()), path));
+    CompiledModel model;
+    EXPECT_EQ(LoadModule(path, &model), oc_bn == 4) << "oc_bn=" << oc_bn;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(Serialization, RejectsForeignFiles) {
   const std::string path = TempPath("not_a_module.neoc");
   {

@@ -191,6 +191,28 @@ TEST(TuningCache, RejectsWrongVersionAndGarbage) {
   EXPECT_EQ(cache.size(), 0u);  // failures leave the cache untouched
 }
 
+// Earlier builds also ranked int8 blocks the kernel is not instantiated for (here
+// oc_bn 12). Loading drops those schedule lines, and an entry left with none, so a
+// warm start can never select one.
+TEST(TuningCache, DropsUntemplatedInt8Schedules) {
+  const Target t = Target::SkylakeAvx512();
+  const WorkloadKey kept = WorkloadKey::Of(TestConv(1), t, CostMode::kAnalytic, true,
+                                           DType::kS8);
+  const WorkloadKey gone = WorkloadKey::Of(TestConv(2), t, CostMode::kAnalytic, true,
+                                           DType::kS8);
+  std::istringstream text("neocpu-tuning-cache 5 2\nworkload " + kept.ToString() +
+                          " 2\n16 12 8 1 0 1 0.4\n16 16 8 1 0 1 0.5\nworkload " +
+                          gone.ToString() + " 1\n16 12 8 1 0 1 0.4\n");
+  TuningCache cache;
+  ASSERT_TRUE(cache.Deserialize(text));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Find(gone), nullptr);
+  const auto entry = cache.Find(kept);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_EQ(entry->ranked.size(), 1u);
+  EXPECT_EQ(entry->ranked[0].schedule.oc_bn, 16);
+}
+
 TEST(TuningCache, CapacityBoundHoldsUnderChurn) {
   TuningCache cache;
   const Target t = Target::SkylakeAvx512();

@@ -91,6 +91,28 @@ TEST(AnalyticCost, PenalizesRegisterSpill) {
   EXPECT_GT(spill, fit);
 }
 
+// The int8 row driver computes whole reg_n blocks, so the analytic model charges the
+// positions the last block computes but does not store.
+TEST(AnalyticCost, S8BlockRoundingWaste) {
+  // 7-wide output (resnet stage 4): one block of 8 for reg_n 2, 4 and 8; 32 computes
+  // 32 positions for 7.
+  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(7, 2), 8.0 / 7.0);
+  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(7, 4), 8.0 / 7.0);
+  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(7, 8), 8.0 / 7.0);
+  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(7, 32), 32.0 / 7.0);
+  // 56-wide output: reg_n 8 tiles it exactly, reg_n 16 computes 64 positions.
+  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(56, 8), 1.0);
+  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(56, 16), 64.0 / 56.0);
+
+  const Target t = Target::SkylakeAvx512();
+  ConvSchedule fit{64, 64, 8, true};
+  fit.dtype = DType::kU8;
+  ConvSchedule wasteful = fit;
+  wasteful.reg_n = 32;
+  const Conv2dParams narrow{1, 512, 7, 7, 512, 3, 3, 1, 1, 1, 1};
+  EXPECT_GT(AnalyticConvMs(narrow, wasteful, t), 3.0 * AnalyticConvMs(narrow, fit, t));
+}
+
 TEST(AnalyticCost, FasterTargetsPredictLowerTime) {
   Conv2dParams p{1, 64, 28, 28, 64, 3, 3, 1, 1, 1, 1};
   ConvSchedule avx512_s{16, 16, 8, true};

@@ -16,7 +16,7 @@
 //   --policy P           calibration policy for --quantize: minmax | percentile |
 //                        entropy                                 (default minmax)
 //   --dtype D            forced quantized activation dtype: s8 | u8
-//   --quantize-dense     also quantize dense layers (s8 GEMM epilogue)
+//   --quantize-dense     also quantize dense layers (u8 packed GEMM)
 //
 // Exit status: 0 on success, 1 on bad usage or I/O failure.
 #include <cstdio>
