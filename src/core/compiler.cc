@@ -364,6 +364,33 @@ CalibrationTable CalibrateGraph(const Graph& source, const CompileOptions& opts)
   return observer.Finalize(opts.calibration_policy);
 }
 
+// Lowers `source` (already at the batch to tune for) and wraps the executable graph
+// with the tuning state it was derived from: the one lowering behind Compile,
+// RetuneForBatch and LowerModel. `timer` started when the caller's work did, so
+// stats().compile_seconds covers it.
+CompiledModel LowerAtBatch(Graph source, const CompileConfig& config,
+                           std::shared_ptr<TuningCache> tuning,
+                           CalibrationTable calibration, ThreadEngine* engine, bool retuned,
+                           const Timer& timer) {
+  CompileOptions opts;
+  static_cast<CompileConfig&>(opts) = config;
+  opts.tuning_cache = std::move(tuning);
+  opts.engine = engine;
+  CompileStats stats;
+  stats.tuned_batch = GraphBatch(source);
+  stats.retuned = retuned;
+  // Re-tunes reuse the compile-time calibration: per-tensor activation ranges are a
+  // property of the data distribution, not the batch size, and the source graph's node
+  // ids (the table's keys) survive batch rebinding unchanged.
+  const bool quantize = config.quantize && !calibration.empty();
+  Graph g = LowerFusedGraph(source, opts, quantize ? &calibration : nullptr, &stats);
+  stats.compile_seconds = timer.Seconds();
+  CompiledModel out(std::move(g), stats, std::move(source), config,
+                    std::move(opts.tuning_cache));
+  out.SetCalibration(std::move(calibration));
+  return out;
+}
+
 }  // namespace
 
 CompiledModel Compile(const Graph& model, const CompileOptions& options) {
@@ -374,18 +401,15 @@ CompiledModel Compile(const Graph& model, const CompileOptions& options) {
   }
 
   Graph source = FuseOps(SimplifyInference(model));
-  CompileStats stats;
-  stats.tuned_batch = GraphBatch(source);
   CalibrationTable calibration;
   if (opts.quantize) {
     calibration = CalibrateGraph(source, opts);
   }
-  Graph g = LowerFusedGraph(source, opts, opts.quantize ? &calibration : nullptr, &stats);
-  stats.compile_seconds = total_timer.Seconds();
-  CompiledModel compiled(std::move(g), stats, std::move(source),
-                         static_cast<const CompileConfig&>(opts), opts.tuning_cache);
-  compiled.SetCalibration(std::move(calibration));
+  CompiledModel compiled =
+      LowerAtBatch(std::move(source), opts, opts.tuning_cache, std::move(calibration),
+                   opts.engine, /*retuned=*/false, total_timer);
   if (opts.verbose) {
+    const CompileStats& stats = compiled.stats();
     LOG(INFO) << "compiled " << compiled.graph().name << " ["
               << LayoutModeName(opts.layout_mode) << "/" << opts.target.name << "] batch "
               << stats.tuned_batch << ": " << stats.num_convs << " convs ("
@@ -393,69 +417,58 @@ CompiledModel Compile(const Graph& model, const CompileOptions& options) {
               << stats.num_layout_transforms << " runtime layout transforms, tuning "
               << stats.tuning_seconds << "s (cache " << stats.tuning_cache_hits
               << " hits / " << stats.tuning_cache_misses << " misses), search "
-              << stats.search_seconds << "s, arena "
-              << compiled.stats().arena_bytes << "B (naive "
-              << compiled.stats().naive_arena_bytes << "B)";
+              << stats.search_seconds << "s, arena " << stats.arena_bytes << "B (naive "
+              << stats.naive_arena_bytes << "B)";
   }
   return compiled;
 }
 
 bool RebindBatch(const CompiledModel& model, std::int64_t batch, CompiledModel* out) {
-  Graph g = model.graph();  // node headers copy; constant payloads share their buffers
-  if (!RebindBatchDim(&g, batch)) {
+  // Node headers copy; constant payloads share their buffers.
+  Graph g = model.graph();
+  Graph source = model.source_graph();
+  if (!RebindBatchDim(&g, batch) || !RebindBatchDim(&source, batch)) {
     return false;
   }
   // Every batch variant gets its own plan from the CompiledModel constructor: shapes
   // changed, so offsets and the arena footprint change with them.
-  if (model.has_source()) {
-    Graph source = model.source_graph();
-    if (RebindBatchDim(&source, batch)) {
-      *out = CompiledModel(std::move(g), model.stats(), std::move(source), model.config(),
-                           model.tuning());
-      out->SetCalibration(model.calibration());
-      return true;
-    }
-    // The executable graph rebinds but the source does not (should not happen — they
-    // describe the same computation); degrade to a source-less, non-retunable model.
-  }
-  *out = CompiledModel(std::move(g), model.stats());
+  *out = CompiledModel(std::move(g), model.stats(), std::move(source), model.config(),
+                       model.tuning());
+  out->SetCalibration(model.calibration());
   return true;
 }
 
 bool RetuneForBatch(const CompiledModel& model, std::int64_t batch, ThreadEngine* engine,
                     CompiledModel* out, const CompileConfig* config_override) {
   NEOCPU_CHECK(out != nullptr);
-  if (!model.has_source() || batch < 1) {
-    return false;
-  }
   Graph source = model.source_graph();
   if (!RebindBatchDim(&source, batch)) {
     return false;
   }
-
   const CompileConfig& config =
       config_override != nullptr ? *config_override : model.config();
   Timer total_timer;
-  CompileOptions opts;
-  static_cast<CompileConfig&>(opts) = config;
-  opts.tuning_cache =
-      model.tuning() != nullptr ? model.tuning() : std::make_shared<TuningCache>();
-  opts.engine = engine;
-
-  CompileStats stats;
-  stats.tuned_batch = batch;
-  stats.retuned = true;
-  // Re-tunes reuse the compile-time calibration: per-tensor activation ranges are a
-  // property of the data distribution, not the batch size, and the source graph's node
-  // ids (the table's keys) survive batch rebinding unchanged.
-  const CalibrationTable& calibration = model.calibration();
-  const bool quantize = config.quantize && !calibration.empty();
-  Graph g = LowerFusedGraph(source, opts, quantize ? &calibration : nullptr, &stats);
-  stats.compile_seconds = total_timer.Seconds();
-  *out = CompiledModel(std::move(g), stats, std::move(source), config,
-                       opts.tuning_cache);
-  out->SetCalibration(calibration);
+  *out = LowerAtBatch(std::move(source), config, model.tuning(), model.calibration(),
+                      engine, /*retuned=*/true, total_timer);
   return true;
+}
+
+bool LowerModel(Graph source, const CompileConfig& config,
+                std::shared_ptr<TuningCache> tuning, CalibrationTable calibration,
+                std::int64_t tuned_batch, CompiledModel* out) {
+  Timer total_timer;
+  const std::int64_t batch = GraphBatch(source);
+  if (tuned_batch != batch && !RebindBatchDim(&source, tuned_batch)) {
+    return false;
+  }
+  CompiledModel lowered =
+      LowerAtBatch(std::move(source), config, std::move(tuning), std::move(calibration),
+                   /*engine=*/nullptr, /*retuned=*/false, total_timer);
+  if (tuned_batch == batch) {
+    *out = std::move(lowered);
+    return true;
+  }
+  return RebindBatch(lowered, batch, out);
 }
 
 }  // namespace neocpu

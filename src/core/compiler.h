@@ -128,28 +128,27 @@ struct CompileStats {
   std::size_t naive_arena_bytes = 0;
 };
 
-// Every constructor plans the executable graph's memory (core/memory_plan) and records
+// A compiled model is its fused source graph, compile configuration and tuning state;
+// the executable graph is derived from them by Compile, RetuneForBatch or LoadModule.
+// The constructor plans the executable graph's memory (core/memory_plan) and records
 // the footprint in stats(), so plan() is never null.
 class CompiledModel {
  public:
-  CompiledModel() : CompiledModel(Graph(), CompileStats()) {}
-  // Executable graph only — no source/config/cache, so the model cannot be re-tuned
-  // (legacy modules; tests that hand-build graphs).
-  CompiledModel(Graph graph, CompileStats stats)
-      : graph_(std::move(graph)), stats_(stats) {
-    PlanGraph();
-  }
-  // Full form produced by Compile/RetuneForBatch/LoadModule: `source` is the fused
-  // pre-layout graph (original NCHW weights; payload buffers shared, not copied).
+  CompiledModel()
+      : CompiledModel(Graph(), CompileStats(), Graph(), CompileConfig(),
+                      std::make_shared<TuningCache>()) {}
+  // `source` is the fused pre-layout graph `graph` was lowered from (original NCHW
+  // weights; payload buffers shared, not copied).
   CompiledModel(Graph graph, CompileStats stats, Graph source, CompileConfig config,
                 std::shared_ptr<TuningCache> tuning)
       : graph_(std::move(graph)),
         stats_(stats),
         source_(std::move(source)),
-        has_source_(true),
         config_(std::move(config)),
         tuning_(std::move(tuning)) {
-    PlanGraph();
+    plan_ = std::make_shared<const ExecutionPlan>(PlanMemory(graph_));
+    stats_.arena_bytes = plan_->arena_bytes;
+    stats_.naive_arena_bytes = plan_->naive_bytes;
   }
 
   // Runs inference. `engine` is borrowed; null runs serially.
@@ -184,12 +183,9 @@ class CompiledModel {
   const Graph& graph() const { return graph_; }
   const CompileStats& stats() const { return stats_; }
 
-  // The fused pre-layout graph schedule re-selection starts from. Valid only when
-  // has_source(); models loaded from legacy artifacts have none.
-  bool has_source() const { return has_source_; }
+  // The fused pre-layout graph schedule re-selection starts from.
   const Graph& source_graph() const { return source_; }
   const CompileConfig& config() const { return config_; }
-  // Null only for source-less models.
   const std::shared_ptr<TuningCache>& tuning() const { return tuning_; }
 
   // Static memory plan for this model's executable graph (one per batch variant; see
@@ -197,30 +193,22 @@ class CompiledModel {
   const std::shared_ptr<const ExecutionPlan>& plan() const { return plan_; }
 
   // Re-points the model at a different schedule cache (the serving registry's shared
-  // per-registry cache). Only meaningful for models that carry tuning state.
+  // per-registry cache).
   void ReplaceTuningCache(std::shared_ptr<TuningCache> cache) {
-    NEOCPU_CHECK(has_source_) << "source-less models carry no tuning state";
     tuning_ = std::move(cache);
   }
 
   // Calibration ranges recorded at compile time, keyed by source-graph node id. Carried
-  // (and serialized, module format v5) so RetuneForBatch can re-run the fp32-vs-int8
-  // selection for a new batch size without re-observing activations; empty for models
-  // compiled without quantization.
+  // (and serialized with the module) so RetuneForBatch and LoadModule can re-run the
+  // fp32-vs-int8 selection without re-observing activations; empty for models compiled
+  // without quantization.
   const CalibrationTable& calibration() const { return calibration_; }
   void SetCalibration(CalibrationTable table) { calibration_ = std::move(table); }
 
  private:
-  void PlanGraph() {
-    plan_ = std::make_shared<const ExecutionPlan>(PlanMemory(graph_));
-    stats_.arena_bytes = plan_->arena_bytes;
-    stats_.naive_arena_bytes = plan_->naive_bytes;
-  }
-
   Graph graph_;
   CompileStats stats_;
   Graph source_;
-  bool has_source_ = false;
   CompileConfig config_;
   std::shared_ptr<TuningCache> tuning_;
   std::shared_ptr<const ExecutionPlan> plan_;
@@ -249,9 +237,18 @@ bool RebindBatch(const CompiledModel& model, std::int64_t batch, CompiledModel* 
 // CompileConfig for this re-tune AND for the produced model — the measured-mode tuning
 // partition uses it to flip cost_mode to kMeasured, so the re-tune times real kernels
 // and its winners land under kMeasured workload keys in the shared cache. Returns false
-// when the model carries no source graph or the source cannot be rebound to `batch`.
+// when the source cannot be rebound to `batch`.
 bool RetuneForBatch(const CompiledModel& model, std::int64_t batch, ThreadEngine* engine,
                     CompiledModel* out, const CompileConfig* config_override = nullptr);
+
+// Rebuilds a model from its persisted parts (LoadModule's path): lowers `source` at
+// `tuned_batch` through the same schedule selection and layout lowering as Compile and
+// RetuneForBatch — pure cache lookups when `tuning` holds that batch's tuning — then
+// rebinds the result to `source`'s own batch when the two differ (a saved RebindBatch
+// derivative). Returns false when the source cannot be rebound to either batch.
+bool LowerModel(Graph source, const CompileConfig& config,
+                std::shared_ptr<TuningCache> tuning, CalibrationTable calibration,
+                std::int64_t tuned_batch, CompiledModel* out);
 
 }  // namespace neocpu
 

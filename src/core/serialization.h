@@ -3,32 +3,24 @@
 // The paper emphasizes that NeoCPU "produces a standalone module with minimal size that
 // does not depend on either the frameworks or the high-performance kernel libraries,
 // which enables easy deployment to multiple platforms" (this is how it ships in
-// SageMaker Neo). This module implements that artifact: a compiled model — optimized
-// graph, chosen schedules, pre-transformed weights — serializes to a single binary file
-// that the executor can run without re-compiling or re-tuning.
+// SageMaker Neo). This module implements that artifact: a compiled model serializes to
+// a single binary file that loads into a runnable model without re-tuning.
 //
-// Since format version 2 the artifact also round-trips the model's tuning state: the
-// fused pre-layout source graph, the CompileConfig it was compiled under, and its
-// TuningCache (every batch variant's search results). A warm-started server can
-// therefore not only run the model immediately but also re-tune it for new batch sizes
-// — and when the cache already holds a batch's tuning, that re-tune is a pure table
-// lookup, no search.
+// The artifact holds what the model is made of, not what it is derived into: the fused
+// pre-layout source graph (original weights, stored once), the CompileConfig it was
+// compiled under, the batch size its schedules were tuned at, its TuningCache (every
+// batch variant's search results) and its calibration table. LoadModule re-derives
+// the executable graph — schedules, pre-transformed weights, memory plan — with the
+// same lowering Compile runs; with the embedded cache that lowering is pure table
+// lookups, so loading never searches. The module therefore stays valid across
+// changes to the lowering and the kernels, and a warm-started server can re-tune new
+// batch sizes from it.
 //
-// Format (little-endian, versioned):
-//   magic "NEOC", u32 version,
-//   executable graph (name, outputs, node records: type, name, inputs, POD attribute
-//   block, dims, layout, optional payload),
-//   v2+: u32 has_source [+ source graph], config block (layout mode, NCHW kernel,
-//   target profile, cost mode, space mode, DP budget; v3 adds a reserved u32, formerly
-//   the memory-planning switch, written as 1 and ignored on load),
-//   i64 tuned_batch, u32 has_cache [+ length-prefixed TuningCache text serialization],
-//   v3+: u32 has_plan [+ u64 arena_bytes, u64 naive_arena_bytes] — the memory plan's
-//   summary metadata. The plan itself (per-node offsets) is a pure function of the
-//   executable graph, so LoadModule recomputes it instead of trusting file offsets;
-//   the stored summary is a cross-check that warns on planner drift.
-// Version-1 files (executable graph only) and version-2 files (no plan metadata; plans
-// are computed at load) still load; v1 yields a model without source/config/cache,
-// which serves but cannot re-tune.
+// Format v8 (little-endian; docs/module_format.md is the spec):
+//   magic "NEOC", u32 version, source graph (name, outputs, node records: type, name,
+//   inputs, then input dims | constant payload | POD attribute block), config block,
+//   i64 tuned_batch, length-prefixed TuningCache text, calibration table.
+// Other versions are rejected with a "re-export with the current build" error.
 #ifndef NEOCPU_SRC_CORE_SERIALIZATION_H_
 #define NEOCPU_SRC_CORE_SERIALIZATION_H_
 
@@ -38,16 +30,15 @@
 
 namespace neocpu {
 
-// Writes the compiled model's executable graph (including constant payloads) plus its
-// tuning state (source graph, config, tuning cache) to `path`. Returns false on I/O
-// failure.
+// Writes the compiled model's source graph and tuning state to `path`. Returns false on
+// I/O failure.
 bool SaveModule(const CompiledModel& model, const std::string& path);
 
-// Reads a module previously written by SaveModule. Dies on malformed input with a
-// descriptive message; returns false for I/O-level failure and for a module this
-// build cannot execute (a v5/v6 quantized dense lowered to the removed s8 kernel, or
-// an int8 conv whose oc_bn/reg_n the int8 kernel is not instantiated for — logged
-// with a "re-export with the current build" message).
+// Reads a module written by SaveModule and re-lowers it into `*model`. Returns false,
+// logging why, when the file cannot be read or is not a well-formed v8 module: bad
+// magic, another version, truncation, a length or payload larger than the file, a node
+// id or enumerator out of range, or a corrupt embedded cache. Semantic checks on
+// well-formed bytes (shape inference, lowering) still abort the process.
 bool LoadModule(const std::string& path, CompiledModel* model);
 
 }  // namespace neocpu

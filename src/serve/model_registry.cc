@@ -90,7 +90,7 @@ ModelEntry::ModelEntry(std::string name, CompiledModel model) : name_(std::move(
   arena_bytes_per_sample_ = base.stats().arena_bytes;
 
   Slot slot;
-  slot.tuned = base.stats().tuned_batch == 1 || !base.has_source();
+  slot.tuned = base.stats().tuned_batch == 1;
   slot.current = MakeVariant(std::move(base));
   variants_.emplace(1, std::move(slot));
 }
@@ -159,16 +159,15 @@ ModelEntry::VariantPtr ModelEntry::VariantFor(std::int64_t batch) {
           << name_ << ": rebind to batch " << batch << " failed";
       Slot slot;
       // A rebind is "already tuned" only when the base's schedules were searched at
-      // exactly this batch size (or there is no tuning state to improve it with).
-      slot.tuned = rebound.stats().tuned_batch == batch || !rebound.has_source();
+      // exactly this batch size.
+      slot.tuned = rebound.stats().tuned_batch == batch;
       slot.current = MakeVariant(std::move(rebound));
       BuildReplicasLocked(*slot.current);
       AttachObservabilityLocked(*slot.current);
       it = variants_.emplace(batch, std::move(slot)).first;
     }
     Slot& slot = it->second;
-    if (!slot.tuned && !slot.retune_inflight && retune_options_.enabled && batchable_ &&
-        slot.current->model->has_source()) {
+    if (!slot.tuned && !slot.retune_inflight && retune_options_.enabled && batchable_) {
       // Registry-wide concurrency budget: when spent, DEFER rather than queue — the
       // slot stays untuned and the next request for this batch size retries, so hot
       // batch sizes naturally win the budget under churn. (Duplicate in-flight
@@ -390,8 +389,7 @@ ModelEntry* ModelRegistry::Register(std::string name, CompiledModel model) {
   // Fold the model's own tuning into the registry-wide cache and serve from that one
   // cache from here on: re-tunes for workloads any registered model already searched
   // become pure lookups.
-  if (model.has_source() && model.tuning() != nullptr &&
-      model.tuning() != shared_cache_) {
+  if (model.tuning() != shared_cache_) {
     shared_cache_->MergeFrom(*model.tuning());
     model.ReplaceTuningCache(shared_cache_);
   }

@@ -4,17 +4,18 @@
 // variant starts life as a RebindBatch derivative — the optimized structure, chosen
 // schedules, and pre-transformed weight payloads of the base model reused at the new
 // batch, which costs microseconds but executes schedules *tuned for the base batch*.
-// VariantFor therefore serves the rebound variant immediately and (when the model
-// carries its tuning state) kicks off a background re-tune for that exact batch size;
-// once RetuneForBatch finishes, the per-batch-tuned variant is hot-swapped in and all
-// subsequent batches of that size execute schedules searched for their own batch.
+// VariantFor therefore serves the rebound variant immediately and kicks off a
+// background re-tune for that exact batch size; once RetuneForBatch finishes, the
+// per-batch-tuned variant is hot-swapped in and all subsequent batches of that size
+// execute schedules searched for their own batch.
 // Variants are handed out as shared_ptr so a hot swap never invalidates an executor a
 // pool worker is mid-flight on.
 //
 // Warm start: RegisterFromFile loads a module produced by SaveModule
-// (core/serialization), so a server restart skips compilation and tuning entirely —
-// including the per-batch tunings, which ride along inside the module's TuningCache
-// (a post-restart "re-tune" of a previously seen batch is a pure cache lookup).
+// (core/serialization), so a server restart skips calibration and search entirely:
+// loading re-lowers the model from the module's TuningCache, and the per-batch tunings
+// ride along in that cache (a post-restart "re-tune" of a previously seen batch is a
+// pure cache lookup).
 #ifndef NEOCPU_SRC_SERVE_MODEL_REGISTRY_H_
 #define NEOCPU_SRC_SERVE_MODEL_REGISTRY_H_
 
@@ -176,7 +177,7 @@ class ModelEntry {
   void WaitForRetunes();
 
   EntryTuningStats TuningStats() const;
-  // The model's shared schedule cache; null when registered without tuning state.
+  // The model's shared schedule cache.
   std::shared_ptr<TuningCache> tuning_cache() const;
 
  private:
@@ -224,17 +225,17 @@ class ModelRegistry {
   // Registers under `name`; replaces any existing entry with that name. Returns the
   // entry (stable address for the registry's lifetime).
   //
-  // Cache sharing: every registered model that carries tuning state is re-pointed at
-  // ONE registry-wide TuningCache (its own cache's entries are merged in first), so
-  // identical conv workloads across models are searched once — model B's background
-  // re-tune of a batch model A already tuned is a pure cache lookup.
+  // Cache sharing: every registered model is re-pointed at ONE registry-wide
+  // TuningCache (its own cache's entries are merged in first), so identical conv
+  // workloads across models are searched once — model B's background re-tune of a
+  // batch model A already tuned is a pure cache lookup.
   ModelEntry* Register(std::string name, CompiledModel model);
 
-  // The registry-wide schedule cache shared by all entries with tuning state.
+  // The registry-wide schedule cache shared by all entries.
   std::shared_ptr<TuningCache> shared_tuning_cache() const { return shared_cache_; }
 
-  // Warm start from a serialized module (SaveModule artifact). Returns nullptr on I/O
-  // failure.
+  // Warm start from a serialized module (SaveModule artifact). Returns nullptr, with
+  // the reason logged, when LoadModule rejects the file.
   ModelEntry* RegisterFromFile(std::string name, const std::string& path);
 
   // Nullptr when unknown.

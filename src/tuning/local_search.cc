@@ -89,37 +89,6 @@ std::shared_ptr<const LocalSearchResult> LocalSearchConvShared(
   }
   if (cache != nullptr) {
     if (std::shared_ptr<const LocalSearchResult> cached = cache->Find(key)) {
-      // Entries restored from pre-algorithm caches (format v2) rank only direct
-      // blockings. Score the missing algorithm candidates now and re-insert the
-      // widened result, so a warm start never silently forecloses the algorithm
-      // choice for exactly the workloads it covers. (s8 spaces post-date the algorithm
-      // tag, so only fp32 entries ever need widening.)
-      std::vector<ConvSchedule> missing;
-      if (dtype == DType::kF32) {
-        for (const ConvSchedule& extra : EnumerateAlgoCandidates(params)) {
-          if (cached->BestForAlgo(extra.algo) == nullptr) {
-            missing.push_back(extra);
-          }
-        }
-      }
-      if (!missing.empty()) {
-        LocalSearchResult widened = *cached;
-        for (const ConvSchedule& schedule : missing) {
-          const double ms = mode == CostMode::kAnalytic
-                                ? AnalyticConvMs(params, schedule, target)
-                                : MeasureConvMs(params, schedule, engine);
-          widened.ranked.push_back(ScheduleCost{schedule, ms});
-        }
-        std::stable_sort(
-            widened.ranked.begin(), widened.ranked.end(),
-            [](const ScheduleCost& a, const ScheduleCost& b) { return a.ms < b.ms; });
-        auto shared = std::make_shared<const LocalSearchResult>(std::move(widened));
-        cache->Insert(key, shared);
-        if (cache_hit != nullptr) {
-          *cache_hit = true;
-        }
-        return shared;
-      }
       if (cache_hit != nullptr) {
         *cache_hit = true;
       }

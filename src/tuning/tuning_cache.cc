@@ -201,9 +201,9 @@ bool TuningCache::ParseStream(std::istream& in, ParsedMap* entries) {
   if (!in || tag != kFileTag) {
     return false;
   }
-  if (version < kMinFormatVersion || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     LOG(ERROR) << "tuning cache version " << version << " unsupported (expected "
-               << kMinFormatVersion << ".." << kFormatVersion << ")";
+               << kFormatVersion << ")";
     return false;
   }
   for (std::size_t e = 0; e < entry_count; ++e) {
@@ -211,7 +211,7 @@ bool TuningCache::ParseStream(std::istream& in, ParsedMap* entries) {
     std::string key_text;
     std::size_t count = 0;
     in >> record_tag >> key_text >> count;
-    const bool dense_record = version >= 5 && record_tag == "dense";
+    const bool dense_record = record_tag == "dense";
     if (!in || (record_tag != "workload" && !dense_record) || count == 0) {
       return false;
     }
@@ -223,52 +223,40 @@ bool TuningCache::ParseStream(std::istream& in, ParsedMap* entries) {
       return false;  // record tag and key spelling must agree
     }
     if (dense_record) {
+      // Lines are appended as they parse (no up-front resize), so a corrupt count
+      // fails at the first missing line instead of allocating for it.
       LocalSearchResult result;
-      result.dense_ranked.resize(count);
       for (std::size_t i = 0; i < count; ++i) {
-        unsigned dtype = static_cast<unsigned>(DType::kF32);
-        DenseScheduleCost& sc = result.dense_ranked[i];
+        unsigned dtype = 0;
+        DenseScheduleCost sc;
         in >> sc.schedule.mc >> sc.schedule.nc >> sc.schedule.kc >> sc.schedule.mr >>
             sc.schedule.nr >> dtype >> sc.ms;
-        if (dtype > static_cast<unsigned>(DType::kS32)) {
+        if (!in || dtype > static_cast<unsigned>(DType::kS32)) {
           return false;
         }
         sc.schedule.dtype = static_cast<DType>(dtype);
-      }
-      if (!in) {
-        return false;
+        result.dense_ranked.push_back(sc);
       }
       (*entries)[key_text] =
           std::make_shared<const LocalSearchResult>(std::move(result));
       continue;
     }
     LocalSearchResult result;
-    result.ranked.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
       int unroll = 0;
-      unsigned algo = static_cast<unsigned>(ConvAlgo::kDirectNCHWc);
-      unsigned dtype = static_cast<unsigned>(DType::kF32);
-      ScheduleCost& sc = result.ranked[i];
-      in >> sc.schedule.ic_bn >> sc.schedule.oc_bn >> sc.schedule.reg_n >> unroll;
-      if (version >= 3) {  // v2 lines predate the algorithm tag: direct NCHWc
-        in >> algo;
-        if (algo > static_cast<unsigned>(ConvAlgo::kReference)) {
-          return false;
-        }
+      unsigned algo = 0;
+      unsigned dtype = 0;
+      ScheduleCost sc;
+      in >> sc.schedule.ic_bn >> sc.schedule.oc_bn >> sc.schedule.reg_n >> unroll >> algo >>
+          dtype >> sc.ms;
+      if (!in || algo > static_cast<unsigned>(ConvAlgo::kReference) ||
+          dtype > static_cast<unsigned>(DType::kS32)) {
+        return false;
       }
-      if (version >= 4) {  // v3 lines predate the dtype column: fp32
-        in >> dtype;
-        if (dtype > static_cast<unsigned>(DType::kS32)) {
-          return false;
-        }
-      }
-      in >> sc.ms;
       sc.schedule.unroll_ker = unroll != 0;
       sc.schedule.algo = static_cast<ConvAlgo>(algo);
       sc.schedule.dtype = static_cast<DType>(dtype);
-    }
-    if (!in) {
-      return false;
+      result.ranked.push_back(sc);
     }
     // Earlier builds also ranked int8 blocks the kernel is not instantiated for; drop
     // them so a warm start can never select one.

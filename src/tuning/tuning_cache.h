@@ -12,8 +12,8 @@
 //   * hit/miss/insert accounting for observability (serving stats surface it);
 //   * persistable: a versioned text file (SaveToFile/LoadFromFile) for standalone use,
 //     and a Serialize/Deserialize pair used by core/serialization to embed the cache
-//     inside a compiled-module artifact so warm starts restore every batch variant's
-//     tuning without re-searching.
+//     inside a compiled-module artifact: loading re-lowers the model from it, and
+//     warm starts restore every batch variant's tuning without re-searching.
 #ifndef NEOCPU_SRC_TUNING_TUNING_CACHE_H_
 #define NEOCPU_SRC_TUNING_TUNING_CACHE_H_
 
@@ -47,14 +47,11 @@ struct TuningCacheStats {
 
 class TuningCache {
  public:
-  // Bumped whenever the on-disk layout changes. v3 appends the convolution-algorithm
-  // tag to every schedule line; v4 appends the execution dtype (s8 entries live under
-  // s8-tagged workload keys); v5 adds `dense` records for tuned-GEMM workloads (keys
-  // spelled with a "dense:" shape token, lines carrying mc/nc/kc/mr/nr blocking
-  // tuples). v2..v4 files still load, their entries defaulting to the direct NCHW[x]c
-  // algorithm / fp32. Older/unknown versions are rejected instead of misread.
+  // Bumped whenever the on-disk layout changes; only this version loads (any other is
+  // rejected instead of misread). v5: conv `workload` lines carry the algorithm and
+  // execution dtype, and `dense` records hold tuned-GEMM workloads (keys spelled with
+  // a "dense:" shape token, lines carrying mc/nc/kc/mr/nr blocking tuples).
   static constexpr std::uint32_t kFormatVersion = 5;
-  static constexpr std::uint32_t kMinFormatVersion = 2;
 
   TuningCache() = default;
   TuningCache(const TuningCache&) = delete;
@@ -99,7 +96,8 @@ class TuningCache {
   //   neocpu-tuning-cache <version> <entry-count>
   //   workload <key> <num-schedules>
   //   <ic_bn> <oc_bn> <reg_n> <unroll> <algo> <dtype> <ms>
-  //   (v2 lines omit <algo> and <dtype>; v3 lines omit <dtype>)
+  //   dense <key> <num-schedules>
+  //   <mc> <nc> <kc> <mr> <nr> <dtype> <ms>
   //   ...
   // Crash-consistent: the cache is serialized to `<path>.tmp`, fsynced, and rename(2)d
   // over `path`, so a reader never observes a torn file — a crash mid-save leaves the

@@ -92,32 +92,6 @@ TEST(ConvAlgoSearch, LocalSearchRanksAlgorithmsAlongsideBlockings) {
   EXPECT_NE(r1.BestForAlgo(ConvAlgo::kIm2col), nullptr);
 }
 
-TEST(ConvAlgoSearch, StaleCacheEntriesRegainAlgorithmCandidatesOnHit) {
-  // A cache warm-started from a pre-algorithm (format v2) file ranks only direct
-  // blockings. A hit must widen the entry with the missing algorithm candidates —
-  // otherwise a warm start would silently foreclose the algorithm choice forever.
-  const Target t = Target::SkylakeAvx512();
-  Conv2dParams p{1, 32, 14, 14, 32, 3, 3, 1, 1, 1, 1};
-  const WorkloadKey key = WorkloadKey::Of(p, t, CostMode::kAnalytic, true);
-  TuningCache cache;
-  {
-    LocalSearchResult direct_only;
-    direct_only.ranked.push_back(
-        ScheduleCost{ConvSchedule{16, 16, 8, true}, 1.0});  // v2-era entry
-    cache.Insert(key, std::move(direct_only));
-  }
-  bool hit = false;
-  LocalSearchResult widened =
-      LocalSearchConv(p, t, CostMode::kAnalytic, true, nullptr, &cache, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_NE(widened.BestForAlgo(ConvAlgo::kWinograd), nullptr);
-  EXPECT_NE(widened.BestForAlgo(ConvAlgo::kIm2col), nullptr);
-  // The widened result replaced the cache entry: the next hit is complete as-is.
-  auto cached = cache.Find(key);
-  ASSERT_NE(cached, nullptr);
-  EXPECT_NE(cached->BestForAlgo(ConvAlgo::kWinograd), nullptr);
-}
-
 TEST(ConvAlgoSearch, GlobalSearchSelectsWinogradOnVgg) {
   CompiledModel compiled = CompileVggAvx2();
   EXPECT_GE(CountConvKernels(compiled.graph(), ConvKernelKind::kWinograd), 1)
@@ -231,7 +205,6 @@ TEST(ConvAlgoSearch, PlannedWinogradExecutionStaysZeroAlloc) {
 
 TEST(ConvAlgoSearch, RetuneForBatchReselectsAlgorithms) {
   CompiledModel compiled = CompileVggAvx2();
-  ASSERT_TRUE(compiled.has_source());
   CompiledModel retuned;
   ASSERT_TRUE(RetuneForBatch(compiled, 2, nullptr, &retuned));
   EXPECT_EQ(retuned.stats().tuned_batch, 2);

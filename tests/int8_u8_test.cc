@@ -3,7 +3,7 @@
 // tier, the templated-block admission rules, cross-ISA bitwise parity via the
 // dispatch override, VNNI weight packing and the zero-point bias fold, u8 graph-pass
 // structure (integer pooling, sum fusion, forced-dtype selection), zoo accuracy under
-// forced u8, the quantized dense path, and the v6 module / u8 cache round trips.
+// forced u8, the quantized dense path, and the module / u8 cache round trips.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -750,8 +750,8 @@ TEST(QuantizeDense, DenseLayersQuantizeWithinTolerance) {
 
 // ------------------------------------------------------------------ persistence
 
-// Module format v6: a forced-u8 model (activation dtypes, zero points, per-input
-// rescale params, the new config fields) round-trips bit-exactly.
+// A forced-u8 model's module (config fields, calibration) re-lowers to the same u8
+// state (activation dtypes, zero points, per-input rescale params) bit-exactly.
 TEST(U8Serialization, ModuleV6RoundTripsU8State) {
   Graph model = BuildResNet(18, 1, 64);
   Tensor input = InputFor(model);

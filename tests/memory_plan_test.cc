@@ -335,8 +335,7 @@ TEST(MemoryPlan, RebindBatchReplans) {
   EXPECT_EQ(Tensor::MaxAbsDiff(expected, rebound.Run(input)), 0.0);
 }
 
-// Module round trip: a v3 artifact records plan metadata and loads with a working
-// (recomputed) plan of the same footprint.
+// Module round trip: the loaded model plans its re-lowered graph to the same footprint.
 TEST(MemoryPlan, SerializationRoundTripsPlan) {
   Graph model = BuildTinyCnn(1, 32);
   Tensor input = InputFor(model);

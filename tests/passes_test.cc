@@ -5,8 +5,10 @@
 
 #include "src/base/rng.h"
 #include "src/core/executor.h"
+#include "src/core/presets.h"
 #include "src/graph/builder.h"
 #include "src/graph/passes/passes.h"
+#include "src/models/model_zoo.h"
 
 namespace neocpu {
 namespace {
@@ -255,6 +257,33 @@ TEST(BindNchwKernels, SetsKernelKind) {
     }
   }
   EXPECT_LE(DiffAfter(g, bound), 0.0);
+}
+
+// Passes copy a constant only when a rewritten node reads it, so a compiled model keeps
+// no weight it no longer uses: not a folded BatchNorm's statistics, not a conv or dense
+// weight replaced by its pre-transformed, pre-quantized or pre-packed copy.
+TEST(GraphRewriter, CompiledGraphsKeepOnlyReadConstants) {
+  for (const char* name : {"tiny-cnn", "resnet18", "transformer-encoder"}) {
+    for (const bool u8 : {false, true}) {
+      CompileOptions opts = NeoCpuOptions(Target::SkylakeAvx512());
+      if (u8) {
+        opts.quantize = true;
+        opts.force_quantize = true;
+        opts.force_quant_dtype = DType::kU8;
+      }
+      const CompiledModel model = Compile(BuildModel(name), opts);
+      for (const Graph* g : {&model.graph(), &model.source_graph()}) {
+        const std::vector<std::vector<int>> consumers = g->BuildConsumerIndex();
+        int unread = 0;
+        for (int id = 0; id < g->num_nodes(); ++id) {
+          unread += g->node(id).type == OpType::kConstant &&
+                    consumers[static_cast<std::size_t>(id)].empty();
+        }
+        EXPECT_EQ(unread, 0) << name << (u8 ? " u8 " : " f32 ")
+                             << (g == &model.graph() ? "graph" : "source graph");
+      }
+    }
+  }
 }
 
 }  // namespace

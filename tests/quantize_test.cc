@@ -1,6 +1,6 @@
 // The int8 quantized inference path: kernel-level exactness, graph-pass structure
 // (Q/DQ insertion and cancellation), zoo-wide accuracy vs fp32, planned-vs-allocating
-// bitwise equality, module v5 + tuning-cache round trips, serving re-tunes, and the
+// bitwise equality, module + tuning-cache round trips, serving re-tunes, and the
 // Target::int8_dot gating. All tuning-dependent tests pin explicit Target profiles
 // (CI hosts can be 1-core/4-lane).
 #include <gtest/gtest.h>
@@ -354,9 +354,9 @@ INSTANTIATE_TEST_SUITE_P(Zoo, ZooQuantized,
 
 // ------------------------------------------------------------------ persistence
 
-// Module format v5: a quantized model (s8 weight constants, s32 biases, quant attrs,
-// calibration table, dtype-tagged cache entries) round-trips bit-exactly and the
-// loaded model can re-tune new batch sizes with int8 re-selected.
+// A quantized model's module (calibration table, dtype-tagged cache entries) re-lowers
+// to the same s8 graph, runs bit-exactly, and the loaded model can re-tune new batch
+// sizes with int8 re-selected.
 TEST(QuantizeSerialization, ModuleV5RoundTripsAndRetunes) {
   Graph model = BuildTinyCnn(1, 32);
   Tensor input = InputFor(model);
@@ -386,8 +386,8 @@ TEST(QuantizeSerialization, ModuleV5RoundTripsAndRetunes) {
   EXPECT_EQ(Tensor::MaxAbsDiff(retuned.Run(batch3), ref), 0.0);
 }
 
-// Tuning-cache format v4: s8 entries persist under dtype-tagged keys and reload next
-// to the fp32 entries of the same shape.
+// s8 cache entries persist under dtype-tagged keys and reload next to the fp32 entries
+// of the same shape.
 TEST(QuantizeSerialization, TuningCacheV4RoundTripsDtypeEntries) {
   const Conv2dParams conv{1, 64, 14, 14, 64, 3, 3, 1, 1, 1, 1};
   const Target target = Target::SkylakeAvx512();

@@ -1,15 +1,21 @@
-// Standalone-module serialization round trips: the deployment artifact (paper §1's
-// "standalone module with minimal size") must reload and produce identical outputs
-// without recompiling or retuning.
+// Standalone-module serialization: the artifact (paper §1's "standalone module with
+// minimal size") stores the fused source graph and the tuning state, and LoadModule
+// re-derives the executable graph from them. A loaded model must be the saved one node
+// by node, run bit-identically and re-lower without searching; bad bytes must fail the
+// load, not the process.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
+#include "src/base/logging.h"
 #include "src/base/rng.h"
 #include "src/core/presets.h"
 #include "src/core/serialization.h"
 #include "src/graph/builder.h"
-#include "src/graph/shape_infer.h"
 #include "src/models/model_zoo.h"
 
 namespace neocpu {
@@ -34,53 +40,137 @@ Graph SmallNet() {
   return b.Finish({x});
 }
 
-TEST(Serialization, RoundTripPreservesOutputsExactly) {
-  Graph model = SmallNet();
-  CompiledModel compiled = Compile(model, NeoCpuOptions(Target::Host()));
-  Rng rng(1);
-  Tensor input = Tensor::Random({1, 8, 16, 16}, rng, -1, 1, Layout::NCHW());
-  Tensor expected = compiled.Run(input);
-
-  const std::string path = TempPath("module_roundtrip.neoc");
-  ASSERT_TRUE(SaveModule(compiled, path));
-  CompiledModel loaded;
-  ASSERT_TRUE(LoadModule(path, &loaded));
-  Tensor got = loaded.Run(input);
-  // Same kernels, same schedules, same weights: bit-identical.
-  EXPECT_EQ(Tensor::MaxAbsDiff(expected, got), 0.0);
-  std::remove(path.c_str());
-}
-
-TEST(Serialization, PreservesGraphStructureAndSchedules) {
-  Graph model = SmallNet();
-  CompiledModel compiled = Compile(model, NeoCpuOptions(Target::Host()));
-  const std::string path = TempPath("module_structure.neoc");
-  ASSERT_TRUE(SaveModule(compiled, path));
-  CompiledModel loaded;
-  ASSERT_TRUE(LoadModule(path, &loaded));
-
-  const Graph& a = compiled.graph();
-  const Graph& b = loaded.graph();
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.outputs(), b.outputs());
-  for (int i = 0; i < a.num_nodes(); ++i) {
-    EXPECT_EQ(a.node(i).type, b.node(i).type) << i;
-    EXPECT_EQ(a.node(i).inputs, b.node(i).inputs) << i;
-    EXPECT_EQ(a.node(i).out_dims, b.node(i).out_dims) << i;
-    EXPECT_EQ(a.node(i).out_layout, b.node(i).out_layout) << i;
-    if (a.node(i).IsConv()) {
-      EXPECT_EQ(a.node(i).attrs.schedule, b.node(i).attrs.schedule) << i;
-      EXPECT_EQ(a.node(i).attrs.kernel, b.node(i).attrs.kernel) << i;
-      EXPECT_EQ(a.node(i).attrs.epilogue, b.node(i).attrs.epilogue) << i;
-    }
-    if (a.node(i).type == OpType::kConstant) {
-      EXPECT_EQ(Tensor::MaxAbsDiff(a.node(i).payload, b.node(i).payload), 0.0) << i;
+Tensor InputFor(const Graph& g) {
+  Rng rng(17);
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    const Node& node = g.node(id);
+    if (node.type == OpType::kInput) {
+      return Tensor::Random(node.out_dims, rng, -1.0f, 1.0f,
+                            node.out_dims.size() == 4 ? Layout::NCHW() : Layout::Flat());
     }
   }
-  EXPECT_EQ(loaded.stats().num_convs, compiled.stats().num_convs);
-  std::remove(path.c_str());
+  ADD_FAILURE() << "no input node";
+  return {};
 }
+
+// Node-by-node identity: structure, lowering decisions and payload bytes.
+void ExpectSameGraph(const Graph& a, const Graph& b, const std::string& label) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes()) << label;
+  EXPECT_EQ(a.name, b.name) << label;
+  EXPECT_EQ(a.outputs(), b.outputs()) << label;
+  for (int id = 0; id < a.num_nodes(); ++id) {
+    const Node& x = a.node(id);
+    const Node& y = b.node(id);
+    const std::string where = label + " node " + std::to_string(id) + " " + x.name;
+    EXPECT_EQ(x.type, y.type) << where;
+    EXPECT_EQ(x.name, y.name) << where;
+    EXPECT_EQ(x.inputs, y.inputs) << where;
+    EXPECT_EQ(x.out_dims, y.out_dims) << where;
+    EXPECT_EQ(x.out_layout, y.out_layout) << where;
+    EXPECT_EQ(x.out_dtype, y.out_dtype) << where;
+    EXPECT_EQ(x.attrs.schedule, y.attrs.schedule) << where;
+    EXPECT_EQ(x.attrs.kernel, y.attrs.kernel) << where;
+    EXPECT_EQ(x.attrs.has_gemm, y.attrs.has_gemm) << where;
+    EXPECT_EQ(x.attrs.gemm, y.attrs.gemm) << where;
+    ASSERT_EQ(x.payload.defined(), y.payload.defined()) << where;
+    if (x.payload.defined()) {
+      EXPECT_EQ(x.payload.dtype(), y.payload.dtype()) << where;
+      EXPECT_EQ(x.payload.dims(), y.payload.dims()) << where;
+      EXPECT_EQ(x.payload.layout(), y.payload.layout()) << where;
+      ASSERT_EQ(x.payload.SizeBytes(), y.payload.SizeBytes()) << where;
+      EXPECT_EQ(std::memcmp(x.payload.data(), y.payload.data(), x.payload.SizeBytes()), 0)
+          << where;
+    }
+  }
+}
+
+struct RoundTripCase {
+  std::string label;
+  Graph (*build)();
+  CompileOptions (*options)();
+  std::int64_t rebind_batch;  // > 0: save the RebindBatch derivative at this batch
+};
+
+Graph TinyCnn() { return BuildTinyCnn(1, 32); }
+Graph Encoder() { return BuildTransformerEncoder(); }
+Graph TinyInception() { return BuildInceptionV3(1, 139); }
+Graph TinyResNet18() { return BuildResNet(18, 1, 64); }
+
+CompileOptions F32Global() { return NeoCpuOptions(Target::Host()); }
+CompileOptions NchwIm2col() { return FrameworkDefaultOptions(Target::Host()); }
+CompileOptions NchwcFixed() {
+  CompileOptions opts = NeoCpuOptions(Target::Host());
+  opts.layout_mode = LayoutMode::kNCHWcFixed;
+  return opts;
+}
+CompileOptions ForcedWinograd() {
+  CompileOptions opts = NeoCpuOptions(Target::Host());
+  opts.force_algo = true;
+  opts.forced_algo = ConvAlgo::kWinograd;
+  return opts;
+}
+CompileOptions EntropyQuantize() {
+  CompileOptions opts = NeoCpuOptions(Target::SkylakeAvx512());
+  opts.quantize = true;
+  opts.force_quantize = true;
+  opts.calibration_policy = CalibrationPolicy::kEntropy;
+  return opts;
+}
+CompileOptions QuantizeDense() {
+  CompileOptions opts = EntropyQuantize();
+  opts.calibration_policy = CalibrationPolicy::kMinMax;
+  opts.quantize_dense = true;
+  return opts;
+}
+CompileOptions ForcedU8() {
+  CompileOptions opts = EntropyQuantize();
+  opts.calibration_policy = CalibrationPolicy::kMinMax;
+  opts.force_quant_dtype = DType::kU8;
+  return opts;
+}
+
+class ModuleRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
+
+// The loaded model is the saved one: the same executable and source graphs, the same
+// outputs bit for bit, the same tuned batch — and re-lowering it took no search.
+TEST_P(ModuleRoundTrip, ReLowersTheSavedModelWithoutSearch) {
+  const RoundTripCase& c = GetParam();
+  CompiledModel saved = Compile(c.build(), c.options());
+  if (c.rebind_batch > 0) {
+    CompiledModel rebound;
+    ASSERT_TRUE(RebindBatch(saved, c.rebind_batch, &rebound));
+    saved = std::move(rebound);
+  }
+  const Tensor input = InputFor(saved.graph());
+  const Tensor expected = saved.Run(input);
+
+  const std::string path = TempPath("module_roundtrip.neoc");
+  ASSERT_TRUE(SaveModule(saved, path));
+  CompiledModel loaded;
+  ASSERT_TRUE(LoadModule(path, &loaded));
+  std::remove(path.c_str());
+
+  ExpectSameGraph(saved.graph(), loaded.graph(), c.label + " graph");
+  ExpectSameGraph(saved.source_graph(), loaded.source_graph(), c.label + " source");
+  EXPECT_EQ(Tensor::MaxAbsDiff(expected, loaded.Run(input)), 0.0);
+  EXPECT_EQ(loaded.stats().tuned_batch, saved.stats().tuned_batch);
+  EXPECT_EQ(loaded.stats().tuning_cache_misses, 0u);
+  EXPECT_EQ(loaded.calibration().size(), saved.calibration().size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, ModuleRoundTrip,
+    ::testing::Values(RoundTripCase{"f32_global", &SmallNet, &F32Global, 0},
+                      RoundTripCase{"nchw_im2col", &SmallNet, &NchwIm2col, 0},
+                      RoundTripCase{"nchwc_fixed", &TinyCnn, &NchwcFixed, 0},
+                      RoundTripCase{"forced_winograd", &SmallNet, &ForcedWinograd, 0},
+                      RoundTripCase{"entropy_quantize", &TinyCnn, &EntropyQuantize, 0},
+                      RoundTripCase{"transformer_quantize_dense", &Encoder,
+                                    &QuantizeDense, 0},
+                      RoundTripCase{"inception_forced_u8", &TinyInception, &ForcedU8, 0},
+                      RoundTripCase{"resnet18_rebind_1_to_4", &TinyResNet18, &F32Global,
+                                    4}),
+    [](const ::testing::TestParamInfo<RoundTripCase>& info) { return info.param.label; });
 
 TEST(Serialization, RoundTripsZooModelWithDetectionHead) {
   // SSD exercises every serialized attribute family: multibox params, reshape dims,
@@ -103,62 +193,6 @@ TEST(Serialization, MissingFileReturnsFalse) {
   EXPECT_FALSE(LoadModule("/nonexistent/path/module.neoc", &model));
 }
 
-// Modules saved with quantize_dense before the u8 GEMM became the only quantized dense
-// kernel hold s8 dense nodes: qconv set, no tuned GEMM, s8 weight, s32 bias and an f32
-// multiplier. Loading one fails cleanly instead of running those bytes through the f32
-// Dense kernel.
-TEST(Serialization, RejectsLegacyS8DenseModule) {
-  Graph g;
-  g.name = "legacy_s8_dense";
-  const int x = g.AddInput({1, 8});
-  NodeAttrs qattrs;
-  qattrs.qscale = 0.05f;
-  qattrs.qdtype = DType::kS8;
-  const int q = g.AddNode(OpType::kQuantize, {x}, qattrs, "fc.q");
-  const int w8 =
-      g.AddConstant(Tensor::Zeros({4, 8}, Layout::Flat(), DType::kS8), "fc.w8");
-  const int b32 =
-      g.AddConstant(Tensor::Zeros({4}, Layout::Flat(), DType::kS32), "fc.b32");
-  const int m = g.AddConstant(Tensor::Zeros({4}, Layout::Flat()), "fc.m");
-  NodeAttrs attrs;
-  attrs.qconv.enabled = true;
-  attrs.qconv.in_scale = 0.05f;
-  attrs.qconv.adtype = DType::kS8;
-  const int fc = g.AddNode(OpType::kDense, {q, w8, b32, m}, attrs, "fc");
-  g.SetOutputs({fc});
-  InferShapes(&g);
-
-  const std::string path = TempPath("legacy_s8_dense.neoc");
-  ASSERT_TRUE(SaveModule(CompiledModel(std::move(g), CompileStats()), path));
-  CompiledModel model;
-  EXPECT_FALSE(LoadModule(path, &model));
-  std::remove(path.c_str());
-}
-
-// Earlier builds could select int8 conv blocks the kernel has no instantiation for and
-// ran them on a scalar edge loop that no longer exists. A module holding one fails to
-// load instead of aborting in the kernel; the same module with a templated block loads.
-TEST(Serialization, RejectsUntemplatedInt8ConvModule) {
-  for (const std::int64_t oc_bn : {12, 4}) {
-    GraphBuilder b("int8_conv");
-    int x = b.Input({1, 4, 6, 6});
-    x = b.Conv(x, 12, 3, 1, 1, /*bias=*/false, "conv");
-    Graph g = b.Finish({x});
-    for (int id = 0; id < g.num_nodes(); ++id) {
-      if (g.node(id).IsConv()) {
-        ConvSchedule s{4, oc_bn, 8, true};
-        s.dtype = DType::kS8;
-        g.node(id).attrs.schedule = s;
-      }
-    }
-    const std::string path = TempPath("int8_block.neoc");
-    ASSERT_TRUE(SaveModule(CompiledModel(std::move(g), CompileStats()), path));
-    CompiledModel model;
-    EXPECT_EQ(LoadModule(path, &model), oc_bn == 4) << "oc_bn=" << oc_bn;
-    std::remove(path.c_str());
-  }
-}
-
 TEST(Serialization, RejectsForeignFiles) {
   const std::string path = TempPath("not_a_module.neoc");
   {
@@ -167,7 +201,93 @@ TEST(Serialization, RejectsForeignFiles) {
     std::fclose(f);
   }
   CompiledModel model;
-  EXPECT_DEATH(LoadModule(path, &model), "not a NeoCPU module");
+  EXPECT_FALSE(LoadModule(path, &model));
+  std::remove(path.c_str());
+}
+
+std::string SaveToBytes(const CompiledModel& model, const std::string& path) {
+  EXPECT_TRUE(SaveModule(model, path));
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+bool LoadBytes(const std::string& bytes, const std::string& path) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  CompiledModel model;
+  return LoadModule(path, &model);
+}
+
+template <typename T>
+void Patch(std::string* bytes, std::size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
+// Every proper prefix of a module is a truncated module: each one fails the load.
+TEST(Serialization, RejectsEveryTruncation) {
+  const CompiledModel model = Compile(BuildTinyCnn(1, 32), NeoCpuOptions(Target::Host()));
+  const std::string path = TempPath("truncated.neoc");
+  ASSERT_TRUE(SaveModule(model, path));
+  const auto size = std::filesystem::file_size(path);
+  CompiledModel loaded;
+  ASSERT_TRUE(LoadModule(path, &loaded));
+  int accepted = 0;
+  const LogSeverity severity = MinLogSeverity();
+  SetMinLogSeverity(LogSeverity::kFatal);  // one rejection line per length otherwise
+  for (auto len = size; len-- > 0;) {
+    std::filesystem::resize_file(path, len);
+    accepted += LoadModule(path, &loaded) ? 1 : 0;
+  }
+  SetMinLogSeverity(severity);
+  EXPECT_EQ(accepted, 0) << "of " << size << " truncation lengths";
+  std::remove(path.c_str());
+}
+
+// Hand-placed damage in a two-node module (input -> relu): each fails the load.
+TEST(Serialization, RejectsMalformedRecords) {
+  GraphBuilder b("g");
+  const int relu = b.Relu(b.Input({1, 4, 4, 4}));
+  const CompiledModel model = Compile(b.Finish({relu}), NeoCpuOptions(Target::Host()));
+  const Graph& src = model.source_graph();
+  ASSERT_EQ(src.num_nodes(), 2);
+  const std::string path = TempPath("malformed.neoc");
+  const std::string good = SaveToBytes(model, path);
+  ASSERT_TRUE(LoadBytes(good, path));
+
+  // Offsets follow docs/module_format.md.
+  const std::size_t name_len = 8;
+  const std::size_t outputs = name_len + 4 + src.name.size();
+  const std::size_t output0 = outputs + 4;
+  const std::size_t node0 = output0 + 8 + 4;
+  const std::size_t node0_end =
+      node0 + 4 + 4 + src.node(0).name.size() + 4 + 4 + 8 * src.node(0).out_dims.size();
+  const std::size_t node1_input0 = node0_end + 4 + 4 + src.node(1).name.size() + 4;
+
+  std::string bytes = good;
+  Patch<std::uint32_t>(&bytes, 4, 7);
+  EXPECT_FALSE(LoadBytes(bytes, path)) << "older format version";
+  bytes = good;
+  Patch<std::uint32_t>(&bytes, name_len, 0xFFFFFFFFu);
+  EXPECT_FALSE(LoadBytes(bytes, path)) << "string length past the end";
+  bytes = good;
+  Patch<std::int64_t>(&bytes, output0, 2);
+  EXPECT_FALSE(LoadBytes(bytes, path)) << "output id out of range";
+  bytes = good;
+  Patch<std::uint32_t>(&bytes, node0, 1000);
+  EXPECT_FALSE(LoadBytes(bytes, path)) << "op type out of range";
+  bytes = good;
+  Patch<std::int64_t>(&bytes, node1_input0, 1);
+  EXPECT_FALSE(LoadBytes(bytes, path)) << "input id not below the node's own";
+  bytes = good;
+  Patch<std::int64_t>(&bytes, node1_input0, -1);
+  EXPECT_FALSE(LoadBytes(bytes, path)) << "negative input id";
+  bytes = good;
+  Patch<std::uint32_t>(&bytes, node0_end - 4 - 8 * src.node(0).out_dims.size(),
+                       0xFFFFFFFFu);
+  EXPECT_FALSE(LoadBytes(bytes, path)) << "dims count past the end";
   std::remove(path.c_str());
 }
 

@@ -184,9 +184,11 @@ TEST(TuningCache, RejectsWrongVersionAndGarbage) {
   EXPECT_FALSE(cache.Deserialize(wrong_version));
   std::istringstream garbage("not-a-cache at all\n");
   EXPECT_FALSE(cache.Deserialize(garbage));
+  std::istringstream older_version("neocpu-tuning-cache 4 0\n");
+  EXPECT_FALSE(cache.Deserialize(older_version));
   std::istringstream truncated(
-      "neocpu-tuning-cache 2 1\nworkload avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|quick "
-      "3\n16 16 8 1 0.5\n");
+      "neocpu-tuning-cache 5 1\nworkload avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|quick "
+      "3\n16 16 8 1 0 0 0.5\n");
   EXPECT_FALSE(cache.Deserialize(truncated));
   EXPECT_EQ(cache.size(), 0u);  // failures leave the cache untouched
 }
@@ -311,7 +313,6 @@ TEST(Compile, RecordsTunedBatchAndCacheTraffic) {
   EXPECT_EQ(first.stats().tuned_batch, 1);
   EXPECT_FALSE(first.stats().retuned);
   EXPECT_GT(first.stats().tuning_cache_misses, 0u);
-  EXPECT_TRUE(first.has_source());
   EXPECT_EQ(first.tuning().get(), cache.get());
 
   // Same model, same cache: every workload is already tuned.
@@ -322,7 +323,6 @@ TEST(Compile, RecordsTunedBatchAndCacheTraffic) {
 
 TEST(RetuneForBatch, ProducesBatchTunedModelFromSource) {
   CompiledModel base = Compile(BuildTinyCnn());
-  ASSERT_TRUE(base.has_source());
   EXPECT_EQ(base.stats().tuned_batch, 1);
 
   CompiledModel tuned;
@@ -355,11 +355,11 @@ TEST(RetuneForBatch, ProducesBatchTunedModelFromSource) {
   }
 }
 
-TEST(RetuneForBatch, FailsWithoutSourceGraph) {
+TEST(RetuneForBatch, RejectsInvalidBatch) {
   CompiledModel base = Compile(BuildTinyCnn());
-  CompiledModel stripped(Graph(base.graph()), base.stats());  // source-less copy
   CompiledModel out;
-  EXPECT_FALSE(RetuneForBatch(stripped, 4, nullptr, &out));
+  EXPECT_FALSE(RetuneForBatch(base, 0, nullptr, &out));
+  EXPECT_FALSE(RetuneForBatch(CompiledModel(), 4, nullptr, &out));  // no source graph
 }
 
 TEST(Serialization, ModuleRoundTripsTuningStateForAllBatches) {
@@ -381,7 +381,6 @@ TEST(Serialization, ModuleRoundTripsTuningStateForAllBatches) {
 
   CompiledModel loaded;
   ASSERT_TRUE(LoadModule(path, &loaded));
-  ASSERT_TRUE(loaded.has_source());
   ASSERT_NE(loaded.tuning(), nullptr);
   EXPECT_EQ(loaded.tuning()->size(), entries_before);
   EXPECT_EQ(loaded.stats().tuned_batch, 1);
