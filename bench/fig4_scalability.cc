@@ -20,19 +20,18 @@
 // OpenMP to launch and suppress threads before and after a region"). When the host has
 // >= t physical cores the harness instead prints directly measured throughput.
 //
-// NUMA leg (PR 10): beyond the pool-mechanism curves, the harness runs one partition
-// per NUMA node with node-homed arenas against the same partition count planned
-// node-obliviously (contiguous cpu slices, unbound arenas) and reports both
-// throughputs. On single-node hosts the two plans coincide, so the leg degenerates to
-// a sanity check; the JSON record (NEOCPU_BENCH_JSON, default BENCH_fig4.json) carries
-// numa_nodes so the trend checker knows which case it is looking at.
+// NUMA leg: beyond the pool-mechanism curves, the harness runs one partition per NUMA
+// node with node-homed arenas against the same partition count planned node-obliviously
+// (contiguous cpu slices, unbound arenas) and reports both throughputs. On a host with
+// more than one NUMA node the aware plan must reach kNumaFloor x the oblivious plan, or
+// the binary exits 1: NUMA awareness that makes things slower is a bug, not noise. On a
+// single node the two plans coincide, so the leg only prints a warning.
 //
 // Extra knobs: NEOCPU_FIG4_CURVES=0 skips the projection curves (CI smoke runs just
 // the NUMA leg), NEOCPU_FIG4_MODEL picks the leg's model (default resnet50; CI uses
 // tiny-cnn), NEOCPU_FIG4_NUMA_REPS sets timed inferences per partition (default 8).
 #include <atomic>
 #include <condition_variable>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -43,6 +42,10 @@
 namespace neocpu {
 namespace bench {
 namespace {
+
+// On a multi-node host the NUMA-aware plan must reach this fraction of the oblivious
+// plan's throughput (a 10% tolerance for run-to-run noise).
+constexpr double kNumaFloor = 0.9;
 
 // Cost of one scheduler->worker task handoff in the custom pool: SPSC push + pop plus
 // the fork/join atomic pair. Measured single-threaded; real cross-core handoffs add one
@@ -299,33 +302,24 @@ int Main() {
               aware_ips, aware_plan.size());
   std::printf("  numa-oblivious: %10.2f images/sec  (%zu partitions, contiguous slices)\n",
               oblivious_ips, oblivious_plan.size());
-  if (topo.num_nodes() <= 1) {
-    std::printf("  single NUMA node: both plans coincide; treat the delta as noise\n");
-  }
-
-  // Machine-readable record for cross-PR perf tracking (tools/check_bench_trend.py).
-  const char* json_env = std::getenv("NEOCPU_BENCH_JSON");
-  const std::string json_path = json_env != nullptr ? json_env : "BENCH_fig4.json";
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "failed to open %s for writing\n", json_path.c_str());
+  if (aware_ips <= 0.0 || oblivious_ips <= 0.0) {
+    std::printf("FAIL: non-positive throughput in a NUMA leg\n");
     return 1;
   }
-  json << "{\n";
-  json << "  \"bench\": \"fig4_scalability\",\n";
-  json << "  \"model\": \"" << numa_model << "\",\n";
-  json << "  \"physical_cores\": " << host_cores << ",\n";
-  json << "  \"numa_nodes\": " << topo.num_nodes() << ",\n";
-  json << "  \"spsc_handoff_us\": " << spsc_ms * 1e3 << ",\n";
-  json << "  \"condvar_wake_us\": " << wake_ms * 1e3 << ",\n";
-  json << "  \"legs\": [\n";
-  json << "    {\"name\": \"numa_aware\", \"partitions\": " << aware_plan.size()
-       << ", \"throughput_ips\": " << aware_ips << "},\n";
-  json << "    {\"name\": \"numa_oblivious\", \"partitions\": " << oblivious_plan.size()
-       << ", \"throughput_ips\": " << oblivious_ips << "}\n";
-  json << "  ]\n";
-  json << "}\n";
-  std::printf("wrote %s\n", json_path.c_str());
+  const double ratio = aware_ips / oblivious_ips;
+  std::printf("  numa-aware / oblivious: %.3f (%d NUMA node(s))\n", ratio, topo.num_nodes());
+  if (topo.num_nodes() <= 1) {
+    std::printf("WARN: single NUMA node: both plans coincide; treat the delta as noise "
+                "(the placement check arms on multi-node hosts)\n");
+    return 0;
+  }
+  if (ratio < kNumaFloor) {
+    std::printf("FAIL: the topology-aware plan reached %.3fx the oblivious plan "
+                "(floor %.2fx)\n",
+                ratio, kNumaFloor);
+    return 1;
+  }
+  std::printf("OK: NUMA-aware placement holds (>= %.2fx oblivious)\n", kNumaFloor);
   return 0;
 }
 

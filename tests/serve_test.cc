@@ -421,62 +421,90 @@ TEST(ModelEntry, RetuneDisabledKeepsReboundVariant) {
   EXPECT_EQ(entry->VariantFor(8)->model->stats().tuned_batch, 1);
 }
 
-// The acceptance-criteria test: many client threads submit concurrently; every result
-// must be bit-identical to a serial Executor::Run of the same input.
-TEST(InferenceServer, ConcurrentSubmitsMatchSerialExactly) {
-  CompiledModel compiled = Compile(BuildTinyCnn());
-
-  constexpr int kClients = 5;
-  constexpr int kRequestsPerClient = 6;
-  std::vector<std::vector<Tensor>> inputs(kClients);
-  std::vector<std::vector<Tensor>> expected(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    for (int r = 0; r < kRequestsPerClient; ++r) {
-      inputs[static_cast<std::size_t>(c)].push_back(
-          SampleInput(static_cast<std::uint64_t>(1000 + c * 100 + r)));
-      expected[static_cast<std::size_t>(c)].push_back(
-          compiled.Run(inputs[static_cast<std::size_t>(c)].back()));
+// Serves `compiled` to `clients` threads that each submit `requests_per_client`
+// distinct inputs, and expects every reply to be bit-identical to a serial
+// Executor::Run of the same input. Returns the server's stats after the last reply.
+ServerStats ServeAndCompareToSerial(CompiledModel compiled, const ServerOptions& options,
+                                    int clients, int requests_per_client,
+                                    std::uint64_t seed) {
+  std::vector<std::vector<Tensor>> inputs(static_cast<std::size_t>(clients));
+  std::vector<std::vector<Tensor>> expected(static_cast<std::size_t>(clients));
+  for (int c = 0; c < clients; ++c) {
+    for (int r = 0; r < requests_per_client; ++r) {
+      auto& in = inputs[static_cast<std::size_t>(c)];
+      in.push_back(SampleInput(seed + static_cast<std::uint64_t>(c * 100 + r)));
+      expected[static_cast<std::size_t>(c)].push_back(compiled.Run(in.back()));
     }
   }
 
+  InferenceServer server(options);
+  server.RegisterModel("model", std::move(compiled));
+  std::vector<std::vector<std::future<Tensor>>> futures(static_cast<std::size_t>(clients));
+  std::vector<std::thread> threads;
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      for (const Tensor& input : inputs[static_cast<std::size_t>(c)]) {
+        futures[static_cast<std::size_t>(c)].push_back(SubmitOk(server, "model", input));
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (int c = 0; c < clients; ++c) {
+    for (int r = 0; r < requests_per_client; ++r) {
+      const auto ci = static_cast<std::size_t>(c);
+      const auto ri = static_cast<std::size_t>(r);
+      EXPECT_EQ(Tensor::MaxAbsDiff(futures[ci][ri].get(), expected[ci][ri]), 0.0)
+          << "client " << c << " request " << r;
+    }
+  }
+  return server.Stats();
+}
+
+// The acceptance-criteria test: many client threads submit concurrently; every result
+// must be bit-identical to a serial Executor::Run of the same input.
+TEST(InferenceServer, ConcurrentSubmitsMatchSerialExactly) {
   ServerOptions options;
   options.num_executors = 3;
   options.bind_threads = false;  // CI hosts are often core-restricted
   options.batching.max_batch_size = 4;
   options.batching.max_delay_ms = 2.0;
-  InferenceServer server(options);
-  server.RegisterModel("tiny", std::move(compiled));
-
-  std::vector<std::vector<std::future<Tensor>>> futures(kClients);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int r = 0; r < kRequestsPerClient; ++r) {
-        const Tensor& input =
-            inputs[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)];
-        futures[static_cast<std::size_t>(c)].push_back(SubmitOk(server, "tiny", input));
-      }
-    });
-  }
-  for (std::thread& t : clients) {
-    t.join();
-  }
-  for (int c = 0; c < kClients; ++c) {
-    for (int r = 0; r < kRequestsPerClient; ++r) {
-      Tensor got = futures[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)].get();
-      EXPECT_EQ(Tensor::MaxAbsDiff(
-                    got, expected[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)]),
-                0.0)
-          << "client " << c << " request " << r;
-    }
-  }
-
-  const ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kClients * kRequestsPerClient));
+  const ServerStats stats = ServeAndCompareToSerial(Compile(BuildTinyCnn()), options,
+                                                    /*clients=*/5,
+                                                    /*requests_per_client=*/6, 1000);
+  EXPECT_EQ(stats.submitted, 30u);
   EXPECT_EQ(stats.completed, stats.submitted);
-  EXPECT_EQ(stats.latency.count, static_cast<std::size_t>(kClients * kRequestsPerClient));
+  EXPECT_EQ(stats.latency.count, 30u);
   EXPECT_GE(stats.batch_runs, 1u);
   EXPECT_LE(stats.max_batch_size, 4);
+}
+
+// Force-quantized models through the batcher, under both the default activation dtype
+// (s8 stem) and forced u8: batched int8 replies must match direct Runs bitwise.
+TEST(InferenceServer, ServesQuantizedModelsExactly) {
+  for (const DType dtype : {DType::kF32, DType::kU8}) {
+    SCOPED_TRACE(dtype == DType::kF32 ? "default dtype" : "forced u8");
+    CompileOptions copts;
+    copts.quantize = true;
+    copts.force_quantize = true;
+    copts.force_quant_dtype = dtype;  // kF32 = the compiler's default choice
+    CompiledModel compiled = Compile(BuildTinyCnn(), copts);
+    ASSERT_GT(compiled.stats().num_quantized_convs, 0);
+
+    ServerOptions options;
+    options.num_executors = 2;
+    options.bind_threads = false;
+    options.background_retune = false;
+    options.batching.max_batch_size = 4;
+    options.batching.max_delay_ms = 2.0;
+    const ServerStats stats = ServeAndCompareToSerial(std::move(compiled), options,
+                                                      /*clients=*/4,
+                                                      /*requests_per_client=*/6, 5000);
+    EXPECT_EQ(stats.submitted, 24u);
+    EXPECT_EQ(stats.completed, stats.submitted);
+    EXPECT_EQ(stats.requests_shed, 0u);
+  }
 }
 
 TEST(InferenceServer, ServesMultipleModelsConcurrently) {

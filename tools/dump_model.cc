@@ -11,15 +11,17 @@
 //                        hottest ops/nodes
 //   --trace PATH         write a chrome://tracing JSON of the profiled runs
 //   --metrics FORMAT     dump the process metrics registry (json | prometheus)
-//   --batch N            batch size for --zoo compilation        (default 1)
+//   --batch N            batch size for --zoo compilation, 1..4096 (default 1)
 //   --quantize           force-quantize the --zoo model (int8 serving path)
 //   --policy P           calibration policy for --quantize: minmax | percentile |
 //                        entropy                                 (default minmax)
 //   --dtype D            forced quantized activation dtype: s8 | u8
 //   --quantize-dense     also quantize dense layers (u8 packed GEMM)
+// --policy, --dtype and --quantize-dense require --quantize.
 //
 // Exit status: 0 on success, 1 on bad usage or I/O failure.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -40,9 +42,15 @@
 namespace neocpu {
 namespace {
 
+// The batch size feeds int64 size and cost arithmetic, which overflows for huge values;
+// this bound is far above any serving batch.
+constexpr long long kMaxBatch = 4096;
+
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s (--module PATH | --zoo NAME) [--batch N] [--quantize]\n"
+               "usage: %s (--module PATH | --zoo NAME) [--batch N]\n"
+               "          [--quantize [--policy minmax|percentile|entropy]\n"
+               "                      [--dtype s8|u8] [--quantize-dense]]\n"
                "          [--dot PATH] [--profile-runs N] [--trace PATH]\n"
                "          [--metrics json|prometheus]\n",
                argv0);
@@ -175,7 +183,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--zoo") {
       zoo_name = next();
     } else if (arg == "--batch") {
-      batch = std::atoll(next());
+      const char* value = next();
+      char* end = nullptr;
+      batch = std::strtoll(value, &end, 10);
+      if (end == value || *end != '\0' || batch < 1 || batch > kMaxBatch) {
+        std::fprintf(stderr, "--batch must be an integer in [1, %lld], got '%s'\n",
+                     kMaxBatch, value);
+        return Usage(argv[0]);
+      }
     } else if (arg == "--quantize") {
       quantize = true;
     } else if (arg == "--policy") {
@@ -198,6 +213,10 @@ int main(int argc, char** argv) {
     }
   }
   if (module_path.empty() == zoo_name.empty()) {  // exactly one source required
+    return Usage(argv[0]);
+  }
+  if (!quantize && (!policy.empty() || !forced_dtype.empty() || quantize_dense)) {
+    std::fprintf(stderr, "--policy, --dtype and --quantize-dense require --quantize\n");
     return Usage(argv[0]);
   }
 
