@@ -1,5 +1,7 @@
 // Layout-transformation cost micro-benchmarks: the runtime price the graph-level
 // optimization (§3.2/§3.3) eliminates or trades against better convolution schedules.
+// Each feature-map transform writes into a preallocated destination, as the executor's
+// planned buffers do, so the timings exclude allocation.
 #include <benchmark/benchmark.h>
 
 #include "src/base/rng.h"
@@ -16,8 +18,11 @@ void BM_NCHWToNCHWc(benchmark::State& state) {
   const std::int64_t hw = state.range(0);
   Rng rng(1);
   Tensor src = Tensor::Random({1, c, hw, hw}, rng, -1, 1, Layout::NCHW());
+  Tensor dst = Tensor::Empty({1, c / 16, hw, hw, 16}, Layout::NCHWc(16));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(NCHWToNCHWc(src, 16));
+    NCHWToNCHWc(src, 16, &dst);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
                           static_cast<std::int64_t>(src.SizeBytes()));
@@ -28,8 +33,11 @@ void BM_NCHWcToNCHW(benchmark::State& state) {
   const std::int64_t hw = state.range(0);
   Rng rng(2);
   Tensor src = Tensor::Random({1, 4, hw, hw, 16}, rng, -1, 1, Layout::NCHWc(16));
+  Tensor dst = Tensor::Empty({1, 64, hw, hw}, Layout::NCHW());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(NCHWcToNCHW(src));
+    NCHWcToNCHW(src, &dst);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
                           static_cast<std::int64_t>(src.SizeBytes()));
@@ -42,8 +50,11 @@ void BM_Reblock16To8(benchmark::State& state) {
   const std::int64_t hw = state.range(0);
   Rng rng(3);
   Tensor src = Tensor::Random({1, 4, hw, hw, 16}, rng, -1, 1, Layout::NCHWc(16));
+  Tensor dst = Tensor::Empty({1, 8, hw, hw, 8}, Layout::NCHWc(8));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(NCHWcToNCHWc(src, 8));
+    NCHWcToNCHWc(src, 8, &dst);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
                           static_cast<std::int64_t>(src.SizeBytes()));
@@ -65,9 +76,12 @@ BENCHMARK(BM_WeightOIHWio)->Unit(benchmark::kMillisecond);
 void BM_TransformModelAccuracy(benchmark::State& state) {
   Rng rng(5);
   Tensor src = Tensor::Random({1, 64, 56, 56}, rng, -1, 1, Layout::NCHW());
+  Tensor dst = Tensor::Empty({1, 4, 56, 56, 16}, Layout::NCHWc(16));
   const double predicted_ms = TransformMs(static_cast<std::int64_t>(src.SizeBytes()));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(NCHWToNCHWc(src, 16));
+    NCHWToNCHWc(src, 16, &dst);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
   }
   state.counters["model_ms"] = predicted_ms;
 }

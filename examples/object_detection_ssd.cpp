@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   std::printf("Building SSD-ResNet-50 at %lldx%lld with %lld classes...\n",
               static_cast<long long>(image), static_cast<long long>(image),
               static_cast<long long>(classes));
-  Graph model = BuildSsdResNet50(1, image, classes);
+  Graph model = BuildSsdResNet50(image, classes);
 
   CompiledModel compiled = Compile(model, NeoCpuOptions(Target::Host()));
   std::printf("Compiled: %d convs, %d runtime layout transforms, search=%s\n",

@@ -6,14 +6,6 @@
 #include "src/tensor/tensor_check.h"
 
 namespace neocpu {
-namespace {
-
-SerialEngine g_serial;
-
-ThreadEngine& Engine(ThreadEngine* engine) { return engine ? *engine : g_serial; }
-
-}  // namespace
-
 void ComputeBnScaleShift(const Tensor& gamma, const Tensor& beta, const Tensor& mean,
                          const Tensor& var, float epsilon, Tensor* scale, Tensor* shift) {
   const std::int64_t c = gamma.NumElements();
@@ -39,7 +31,7 @@ void ScaleShiftNCHW(const Tensor& input, const Tensor& scale, const Tensor& shif
   const float* sc = scale.data();
   const float* sh = shift.data();
   float* out_base = out->data();
-  ParallelFor(Engine(engine), n * c, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n * c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t idx = begin; idx < end; ++idx) {
       const std::int64_t ch = idx % c;
       const float s = sc[ch];
@@ -57,13 +49,6 @@ void ScaleShiftNCHW(const Tensor& input, const Tensor& scale, const Tensor& shif
   });
 }
 
-Tensor ScaleShiftNCHW(const Tensor& input, const Tensor& scale, const Tensor& shift, bool relu,
-                      ThreadEngine* engine) {
-  Tensor out = Tensor::Empty(input.dims(), input.layout());
-  ScaleShiftNCHW(input, scale, shift, relu, &out, engine);
-  return out;
-}
-
 void ScaleShiftNCHWc(const Tensor& input, const Tensor& scale, const Tensor& shift,
                      bool relu, Tensor* out, ThreadEngine* engine) {
   NEOCPU_CHECK_EQ(input.ndim(), 5);
@@ -75,7 +60,7 @@ void ScaleShiftNCHWc(const Tensor& input, const Tensor& scale, const Tensor& shi
   const float* sc = scale.data();
   const float* sh = shift.data();
   float* out_base = out->data();
-  ParallelFor(Engine(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t idx = begin; idx < end; ++idx) {
       const std::int64_t cb_idx = idx % cb;
       const float* s = sc + cb_idx * x;
@@ -93,13 +78,6 @@ void ScaleShiftNCHWc(const Tensor& input, const Tensor& scale, const Tensor& shi
       }
     }
   });
-}
-
-Tensor ScaleShiftNCHWc(const Tensor& input, const Tensor& scale, const Tensor& shift,
-                       bool relu, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty(input.dims(), input.layout());
-  ScaleShiftNCHWc(input, scale, shift, relu, &out, engine);
-  return out;
 }
 
 }  // namespace neocpu

@@ -17,16 +17,11 @@ namespace neocpu {
 void ComputeBnScaleShift(const Tensor& gamma, const Tensor& beta, const Tensor& mean,
                          const Tensor& var, float epsilon, Tensor* scale, Tensor* shift);
 
-// input NCHW {N,C,H,W}; scale/shift flat {C}. The into-form writes a preallocated
-// output (arena view on the memory-planned path).
-Tensor ScaleShiftNCHW(const Tensor& input, const Tensor& scale, const Tensor& shift, bool relu,
-                      ThreadEngine* engine = nullptr);
+// input NCHW {N,C,H,W}; scale/shift flat {C}; out has the input's dims and layout.
 void ScaleShiftNCHW(const Tensor& input, const Tensor& scale, const Tensor& shift, bool relu,
                     Tensor* out, ThreadEngine* engine = nullptr);
 
 // input NCHW[x]c {N,C/x,H,W,x}; scale/shift flat {C}.
-Tensor ScaleShiftNCHWc(const Tensor& input, const Tensor& scale, const Tensor& shift,
-                       bool relu, ThreadEngine* engine = nullptr);
 void ScaleShiftNCHWc(const Tensor& input, const Tensor& scale, const Tensor& shift,
                      bool relu, Tensor* out, ThreadEngine* engine = nullptr);
 

@@ -4,6 +4,7 @@
 
 #include "src/base/logging.h"
 #include "src/kernels/gemm_packed.h"
+#include "src/tensor/tensor_check.h"
 
 namespace neocpu {
 namespace {
@@ -63,12 +64,13 @@ std::size_t ConvIm2colWorkspaceBytes(const Conv2dParams& p) {
 void ConvIm2col(const Conv2dParams& p, const Tensor& input, const Tensor& weight,
                 const Tensor* bias, const Tensor* residual, const ConvEpilogue& epilogue,
                 Tensor* output, ThreadEngine* engine, float* workspace) {
-  NEOCPU_CHECK(output != nullptr);
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
-  const GemmSchedule s = Im2colGemmSchedule();
   const std::int64_t oh_count = p.OutH();
   const std::int64_t ow_count = p.OutW();
+  CheckKernelInput(input, {p.batch, p.in_c, p.in_h, p.in_w}, "conv_im2col");
+  CheckKernelOutput(output, {p.batch, p.out_c, oh_count, ow_count}, Layout::NCHW(),
+                    "conv_im2col");
+  ThreadEngine& eng = EngineOrSerial(engine);
+  const GemmSchedule s = Im2colGemmSchedule();
   const std::int64_t out_plane = oh_count * ow_count;
   const std::int64_t k = p.in_c * p.kernel_h * p.kernel_w;
   Tensor ws_owned;  // fallback when the caller supplies no planned workspace
@@ -119,14 +121,6 @@ void ConvIm2col(const Conv2dParams& p, const Tensor& input, const Tensor& weight
       }
     });
   }
-}
-
-Tensor ConvIm2col(const Conv2dParams& p, const Tensor& input, const Tensor& weight,
-                  const Tensor* bias, const Tensor* residual, const ConvEpilogue& epilogue,
-                  ThreadEngine* engine) {
-  Tensor out = Tensor::Empty({p.batch, p.out_c, p.OutH(), p.OutW()}, Layout::NCHW());
-  ConvIm2col(p, input, weight, bias, residual, epilogue, &out, engine);
-  return out;
 }
 
 }  // namespace neocpu

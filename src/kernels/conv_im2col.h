@@ -26,10 +26,6 @@ void ConvIm2col(const Conv2dParams& params, const Tensor& input, const Tensor& w
                 const Tensor* bias, const Tensor* residual, const ConvEpilogue& epilogue,
                 Tensor* output, ThreadEngine* engine = nullptr, float* workspace = nullptr);
 
-Tensor ConvIm2col(const Conv2dParams& params, const Tensor& input, const Tensor& weight,
-                  const Tensor* bias = nullptr, const Tensor* residual = nullptr,
-                  const ConvEpilogue& epilogue = {}, ThreadEngine* engine = nullptr);
-
 }  // namespace neocpu
 
 #endif  // NEOCPU_SRC_KERNELS_CONV_IM2COL_H_

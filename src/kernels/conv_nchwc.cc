@@ -12,7 +12,7 @@
 
 #include "src/base/logging.h"
 #include "src/kernels/isa_tiers.h"
-#include "src/tensor/layout_transform.h"
+#include "src/tensor/tensor_check.h"
 
 namespace neocpu {
 namespace detail {
@@ -51,19 +51,17 @@ IsaTier ConvNCHWcHostTier() { return detail::Tiers().Widest(); }
 void ConvNCHWc(const Conv2dParams& p, const ConvSchedule& s, const Tensor& input,
                const Tensor& weight, const Tensor* bias, const Tensor* residual,
                const ConvEpilogue& epilogue, Tensor* output, ThreadEngine* engine) {
-  NEOCPU_CHECK(output != nullptr);
-  NEOCPU_CHECK_EQ(input.ndim(), 5);
-  NEOCPU_CHECK_EQ(weight.ndim(), 6);
-  NEOCPU_CHECK_EQ(output->ndim(), 5);
   NEOCPU_CHECK_LE(s.reg_n, kMaxRegN);
   NEOCPU_CHECK_LE(s.oc_bn, kMaxChannelBlock);
   NEOCPU_CHECK_LE(s.ic_bn, kMaxChannelBlock);
-  NEOCPU_CHECK_EQ(input.dim(4), s.ic_bn);
-  NEOCPU_CHECK_EQ(output->dim(4), s.oc_bn);
-  NEOCPU_CHECK_EQ(weight.dim(4), s.ic_bn);
-  NEOCPU_CHECK_EQ(weight.dim(5), s.oc_bn);
   NEOCPU_CHECK_EQ(p.in_c % s.ic_bn, 0);
   NEOCPU_CHECK_EQ(p.out_c % s.oc_bn, 0);
+  CheckKernelInput(input, {p.batch, p.in_c / s.ic_bn, p.in_h, p.in_w, s.ic_bn}, "conv_nchwc");
+  NEOCPU_CHECK_EQ(weight.ndim(), 6);
+  NEOCPU_CHECK_EQ(weight.dim(4), s.ic_bn);
+  NEOCPU_CHECK_EQ(weight.dim(5), s.oc_bn);
+  CheckKernelOutput(output, {p.batch, p.out_c / s.oc_bn, p.OutH(), p.OutW(), s.oc_bn},
+                    Layout::NCHWc(s.oc_bn), "conv_nchwc");
   NEOCPU_CHECK(!epilogue.bias || bias != nullptr);
   NEOCPU_CHECK(!epilogue.residual_add || residual != nullptr);
 
@@ -107,29 +105,10 @@ void ConvNCHWc(const Conv2dParams& p, const ConvSchedule& s, const Tensor& input
   d.out = output->data();
 
   const detail::F32RowsFn rows_fn = detail::Tiers().Active().fn;
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
   // "for each disjoint chunk of OFMAP do  . parallel" — chunks are (n, oc_block, oh) rows.
   ParallelFor(eng, d.n * d.ocb_count * d.oh,
               [&](std::int64_t begin, std::int64_t end) { rows_fn(d, begin, end); });
-}
-
-Tensor ConvNCHWcWithTransforms(const Conv2dParams& p, const ConvSchedule& s,
-                               const Tensor& input_nchw, const Tensor& weight_oihw,
-                               const Tensor* bias, const Tensor* residual_nchw,
-                               const ConvEpilogue& epilogue, ThreadEngine* engine) {
-  Tensor in_blocked = NCHWToNCHWc(input_nchw, s.ic_bn, engine);
-  Tensor w_blocked = OIHWToOIHWio(weight_oihw, s.ic_bn, s.oc_bn);
-  Tensor res_blocked;
-  if (epilogue.residual_add) {
-    NEOCPU_CHECK(residual_nchw != nullptr);
-    res_blocked = NCHWToNCHWc(*residual_nchw, s.oc_bn, engine);
-  }
-  Tensor out = Tensor::Empty({p.batch, p.out_c / s.oc_bn, p.OutH(), p.OutW(), s.oc_bn},
-                             Layout::NCHWc(s.oc_bn));
-  ConvNCHWc(p, s, in_blocked, w_blocked, bias, epilogue.residual_add ? &res_blocked : nullptr,
-            epilogue, &out, engine);
-  return NCHWcToNCHW(out, engine);
 }
 
 }  // namespace neocpu

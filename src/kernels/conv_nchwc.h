@@ -45,15 +45,6 @@ bool SetConvNCHWcIsaOverride(const char* name);
 // in and supported by the running CPU. Target::Host() describes this tier.
 IsaTier ConvNCHWcHostTier();
 
-// Convenience wrapper used by tests/benches: takes NCHW input and OIHW weight, performs
-// the layout transforms internally, and returns an NCHW output (i.e. what a framework
-// that wraps a library kernel per-op has to do — also the per-op cost model of the
-// "layout opt. without transform elimination" ablation row).
-Tensor ConvNCHWcWithTransforms(const Conv2dParams& params, const ConvSchedule& schedule,
-                               const Tensor& input_nchw, const Tensor& weight_oihw,
-                               const Tensor* bias, const Tensor* residual_nchw,
-                               const ConvEpilogue& epilogue, ThreadEngine* engine = nullptr);
-
 }  // namespace neocpu
 
 #endif  // NEOCPU_SRC_KERNELS_CONV_NCHWC_H_

@@ -11,6 +11,7 @@
 #include "src/base/logging.h"
 #include "src/kernels/conv_nchwc_int8.h"
 #include "src/kernels/isa_tiers.h"
+#include "src/tensor/tensor_check.h"
 
 namespace neocpu {
 namespace detail {
@@ -54,7 +55,15 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
                  const Tensor& weight, const Tensor* bias, const Tensor& multiplier,
                  const ConvEpilogue& epilogue, bool requant, Tensor* output,
                  ThreadEngine* engine, std::int32_t out_zero, std::int32_t in_zero) {
-  NEOCPU_CHECK(output != nullptr);
+  NEOCPU_CHECK(IsInt8Templated(s))
+      << "int8 conv has no template instantiation for " << s.ToString();
+  NEOCPU_CHECK_LE(s.ic_bn, kMaxChannelBlock);
+  NEOCPU_CHECK_EQ(p.in_c % s.ic_bn, 0);
+  NEOCPU_CHECK_EQ(p.out_c % s.oc_bn, 0);
+  CheckKernelInput(input, {p.batch, p.in_c / s.ic_bn, p.in_h, p.in_w, s.ic_bn},
+                   "conv_nchwc_s8");
+  CheckKernelOutput(output, {p.batch, p.out_c / s.oc_bn, p.OutH(), p.OutW(), s.oc_bn},
+                    Layout::NCHWc(s.oc_bn), "conv_nchwc_s8");
   const bool src_u8 = input.dtype() == DType::kU8;
   NEOCPU_CHECK(input.dtype() == DType::kS8 || src_u8) << input.DebugString();
   NEOCPU_CHECK(weight.dtype() == DType::kS8) << weight.DebugString();
@@ -71,18 +80,9 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
   }
   NEOCPU_CHECK(multiplier.dtype() == DType::kF32);
   NEOCPU_CHECK_EQ(multiplier.NumElements(), p.out_c);
-  NEOCPU_CHECK_EQ(input.ndim(), 5);
   NEOCPU_CHECK_EQ(weight.ndim(), 6);
-  NEOCPU_CHECK_EQ(output->ndim(), 5);
-  NEOCPU_CHECK(IsInt8Templated(s))
-      << "int8 conv has no template instantiation for " << s.ToString();
-  NEOCPU_CHECK_LE(s.ic_bn, kMaxChannelBlock);
-  NEOCPU_CHECK_EQ(input.dim(4), s.ic_bn);
-  NEOCPU_CHECK_EQ(output->dim(4), s.oc_bn);
   NEOCPU_CHECK_EQ(weight.dim(4), s.ic_bn);
   NEOCPU_CHECK_EQ(weight.dim(5), s.oc_bn);
-  NEOCPU_CHECK_EQ(p.in_c % s.ic_bn, 0);
-  NEOCPU_CHECK_EQ(p.out_c % s.oc_bn, 0);
   NEOCPU_CHECK(!epilogue.bias || (bias != nullptr && bias->dtype() == DType::kS32));
   NEOCPU_CHECK(!epilogue.residual_add) << "int8 conv does not fuse residual adds";
 
@@ -132,8 +132,7 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
   a.out = output->data();
 
   const detail::S8RowFn row_fn = detail::Tiers().Active().fn;
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
   const std::int64_t total_rows = a.n * a.ocb_count * a.oh;
   ParallelFor(eng, total_rows, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t row = begin; row < end; ++row) {

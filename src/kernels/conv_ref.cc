@@ -3,17 +3,19 @@
 #include <algorithm>
 
 #include "src/base/logging.h"
+#include "src/tensor/tensor_check.h"
 
 namespace neocpu {
 
 void ConvRefNCHW(const Conv2dParams& p, const Tensor& input, const Tensor& weight,
                  const Tensor* bias, const Tensor* residual, const ConvEpilogue& epilogue,
                  Tensor* output, ThreadEngine* engine) {
-  NEOCPU_CHECK(output != nullptr);
-  NEOCPU_CHECK_EQ(input.ndim(), 4);
-  NEOCPU_CHECK_EQ(weight.ndim(), 4);
   const std::int64_t oh_count = p.OutH();
   const std::int64_t ow_count = p.OutW();
+  CheckKernelInput(input, {p.batch, p.in_c, p.in_h, p.in_w}, "conv_ref");
+  NEOCPU_CHECK_EQ(weight.ndim(), 4);
+  CheckKernelOutput(output, {p.batch, p.out_c, oh_count, ow_count}, Layout::NCHW(),
+                    "conv_ref");
   const float* in_base = input.data();
   const float* w_base = weight.data();
   const float* bias_base = epilogue.bias && bias != nullptr ? bias->data() : nullptr;
@@ -21,8 +23,7 @@ void ConvRefNCHW(const Conv2dParams& p, const Tensor& input, const Tensor& weigh
       epilogue.residual_add && residual != nullptr ? residual->data() : nullptr;
   float* out_base = output->data();
 
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
 
   const std::int64_t in_plane = p.in_h * p.in_w;
   const std::int64_t out_plane = oh_count * ow_count;
@@ -89,14 +90,6 @@ void ConvRefNCHW(const Conv2dParams& p, const Tensor& input, const Tensor& weigh
       }
     }
   });
-}
-
-Tensor ConvRefNCHW(const Conv2dParams& p, const Tensor& input, const Tensor& weight,
-                   const Tensor* bias, const Tensor* residual, const ConvEpilogue& epilogue,
-                   ThreadEngine* engine) {
-  Tensor out = Tensor::Empty({p.batch, p.out_c, p.OutH(), p.OutW()}, Layout::NCHW());
-  ConvRefNCHW(p, input, weight, bias, residual, epilogue, &out, engine);
-  return out;
 }
 
 }  // namespace neocpu

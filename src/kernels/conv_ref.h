@@ -19,11 +19,6 @@ void ConvRefNCHW(const Conv2dParams& params, const Tensor& input, const Tensor& 
                  const Tensor* bias, const Tensor* residual, const ConvEpilogue& epilogue,
                  Tensor* output, ThreadEngine* engine = nullptr);
 
-// Allocating convenience wrapper.
-Tensor ConvRefNCHW(const Conv2dParams& params, const Tensor& input, const Tensor& weight,
-                   const Tensor* bias = nullptr, const Tensor* residual = nullptr,
-                   const ConvEpilogue& epilogue = {}, ThreadEngine* engine = nullptr);
-
 }  // namespace neocpu
 
 #endif  // NEOCPU_SRC_KERNELS_CONV_REF_H_

@@ -90,8 +90,7 @@ void ConvWinograd(const Conv2dParams& p, const Tensor& input, const Tensor& u,
   const std::int64_t in_plane = p.in_h * p.in_w;
   const std::int64_t out_plane = oh * ow;
 
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
 
   // Parallelize over (batch, tile row) as one fork-join region with an explicit task
   // index, so each worker's V[16][IC] / M[16][OC] scratch (transform-major to match U's
@@ -227,13 +226,6 @@ void ConvWinograd(const Conv2dParams& p, const Tensor& input, const Tensor& u,
       }
     }
   });
-}
-
-Tensor ConvWinograd(const Conv2dParams& p, const Tensor& input, const Tensor& u,
-                    const Tensor* bias, const ConvEpilogue& epilogue, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty({p.batch, p.out_c, p.OutH(), p.OutW()}, Layout::NCHW());
-  ConvWinograd(p, input, u, bias, epilogue, &out, engine, nullptr, 0);
-  return out;
 }
 
 }  // namespace neocpu

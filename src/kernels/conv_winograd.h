@@ -37,13 +37,8 @@ Tensor WinogradTransformWeights(const Tensor& weight_oihw);
 std::size_t WinogradWorkspaceBytes(const Conv2dParams& params, int num_workers);
 
 // input NCHW; transformed weights from WinogradTransformWeights; bias flat {OC} or
-// null. Returns NCHW output.
-Tensor ConvWinograd(const Conv2dParams& params, const Tensor& input,
-                    const Tensor& transformed_weights, const Tensor* bias,
-                    const ConvEpilogue& epilogue, ThreadEngine* engine = nullptr);
-
-// Execute-into form: output preallocated NCHW; `workspace` (optional) holds per-worker
-// V/M tile scratch — when null, each worker allocates its own. `workspace_floats` is the
+// null; output preallocated NCHW. `workspace` (optional) holds per-worker V/M tile
+// scratch — when null, each worker allocates its own. `workspace_floats` is the
 // workspace's capacity in floats (0 = trust the caller to have sized it for this
 // engine's worker count); when the capacity covers fewer workers than the engine offers,
 // the kernel clamps its parallelism to the workers the workspace can back, so a plan

@@ -18,8 +18,7 @@ void Dense(const Tensor& input, const Tensor& weight, const Tensor* bias, bool r
   NEOCPU_CHECK(bias == nullptr || bias->dtype() == DType::kF32) << bias->DebugString();
   CheckKernelOutput(out, {n, out_dim}, Layout::Flat(), "dense");
   NEOCPU_CHECK(out->dtype() == DType::kF32) << out->DebugString();
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
   const float* in_base = input.data();
   const float* w_base = weight.data();
   const float* b_base = bias != nullptr ? bias->data() : nullptr;
@@ -58,13 +57,6 @@ void Dense(const Tensor& input, const Tensor& weight, const Tensor* bias, bool r
       }
     });
   }
-}
-
-Tensor Dense(const Tensor& input, const Tensor& weight, const Tensor* bias, bool relu,
-             ThreadEngine* engine) {
-  Tensor out = Tensor::Empty({input.dim(0), weight.dim(0)}, Layout::Flat());
-  Dense(input, weight, bias, relu, &out, engine);
-  return out;
 }
 
 }  // namespace neocpu

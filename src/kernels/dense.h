@@ -7,11 +7,7 @@
 
 namespace neocpu {
 
-// input {N, In}; weight {Out, In}; bias flat {Out} or null. Returns {N, Out}.
-Tensor Dense(const Tensor& input, const Tensor& weight, const Tensor* bias, bool relu,
-             ThreadEngine* engine = nullptr);
-// Execute-into form: `out` is a preallocated {N, Out} tensor (arena view on the
-// memory-planned path).
+// input {N, In}; weight {Out, In}; bias flat {Out} or null; out preallocated {N, Out}.
 void Dense(const Tensor& input, const Tensor& weight, const Tensor* bias, bool relu,
            Tensor* out, ThreadEngine* engine = nullptr);
 

@@ -9,29 +9,15 @@
 #include "src/tensor/tensor_check.h"
 
 namespace neocpu {
-namespace {
-
-SerialEngine g_serial;
-
-ThreadEngine& Engine(ThreadEngine* engine) { return engine ? *engine : g_serial; }
-
-}  // namespace
-
 void Relu(const Tensor& input, Tensor* out, ThreadEngine* engine) {
   CheckKernelOutput(out, input.dims(), input.layout(), "relu");
   const float* src = input.data();
   float* dst = out->data();
-  ParallelFor(Engine(engine), input.NumElements(), [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), input.NumElements(), [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
     }
   });
-}
-
-Tensor Relu(const Tensor& input, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty(input.dims(), input.layout());
-  Relu(input, &out, engine);
-  return out;
 }
 
 void AddElementwise(const Tensor& a, const Tensor& b, bool relu, Tensor* out,
@@ -44,7 +30,7 @@ void AddElementwise(const Tensor& a, const Tensor& b, bool relu, Tensor* out,
   const float* pa = a.data();
   const float* pb = b.data();
   float* dst = out->data();
-  ParallelFor(Engine(engine), a.NumElements(), [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), a.NumElements(), [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       float v = pa[i] + pb[i];
       if (relu) {
@@ -53,12 +39,6 @@ void AddElementwise(const Tensor& a, const Tensor& b, bool relu, Tensor* out,
       dst[i] = v;
     }
   });
-}
-
-Tensor AddElementwise(const Tensor& a, const Tensor& b, bool relu, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty(a.dims(), a.layout());
-  AddElementwise(a, b, relu, &out, engine);
-  return out;
 }
 
 void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out, ThreadEngine* engine) {
@@ -83,7 +63,7 @@ void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out, ThreadEngine
     std::int64_t c_off = 0;
     for (const Tensor& t : inputs) {
       const std::int64_t c = t.dim(1);
-      ParallelFor(Engine(engine), n, [&](std::int64_t begin, std::int64_t end) {
+      ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t ni = begin; ni < end; ++ni) {
           std::memcpy(out->data() + (ni * total_c + c_off) * plane,
                       t.data() + ni * c * plane,
@@ -112,7 +92,7 @@ void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out, ThreadEngine
   std::int64_t cb_off = 0;
   for (const Tensor& t : inputs) {
     const std::int64_t cb = t.dim(1);
-    ParallelFor(Engine(engine), n, [&](std::int64_t begin, std::int64_t end) {
+    ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
       for (std::int64_t ni = begin; ni < end; ++ni) {
         std::memcpy(out->data() + (ni * total_cb + cb_off) * plane,
                     t.data() + ni * cb * plane,
@@ -121,28 +101,6 @@ void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out, ThreadEngine
     });
     cb_off += cb;
   }
-}
-
-Tensor ConcatChannels(const std::vector<Tensor>& inputs, ThreadEngine* engine) {
-  NEOCPU_CHECK(!inputs.empty());
-  const Tensor& first = inputs.front();
-  Tensor out;
-  if (first.layout().kind == LayoutKind::kNCHW) {
-    std::int64_t total_c = 0;
-    for (const Tensor& t : inputs) {
-      total_c += t.dim(1);
-    }
-    out = Tensor::Empty({first.dim(0), total_c, first.dim(2), first.dim(3)}, Layout::NCHW());
-  } else {
-    std::int64_t total_cb = 0;
-    for (const Tensor& t : inputs) {
-      total_cb += t.dim(1);
-    }
-    out = Tensor::Empty({first.dim(0), total_cb, first.dim(2), first.dim(3), first.dim(4)},
-                        Layout::NCHWc(first.dim(4)));
-  }
-  ConcatChannels(inputs, &out, engine);
-  return out;
 }
 
 namespace {
@@ -159,7 +117,7 @@ void ConcatRescaleCopy(const Tensor& t, float rel_scale, std::int32_t in_zero,
   constexpr std::int32_t kHi = std::numeric_limits<Q>::max();
   // Same params on both sides: the "rescale" is the identity, copy bytes.
   const bool identity = rel_scale == 1.0f && in_zero == out_zero;
-  ParallelFor(Engine(engine), n, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t ni = begin; ni < end; ++ni) {
       Q* dst = dst_base + (ni * total_cb + cb_off) * plane;
       const Q* src = src_base + ni * cb * plane;
@@ -237,7 +195,7 @@ void Softmax(const Tensor& input, Tensor* out, ThreadEngine* engine) {
   const std::int64_t cols = input.NumElements() / rows;
   const float* src = input.data();
   float* dst = out->data();
-  ParallelFor(Engine(engine), rows, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), rows, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t r = begin; r < end; ++r) {
       const float* in_row = src + r * cols;
       float* out_row = dst + r * cols;
@@ -256,12 +214,6 @@ void Softmax(const Tensor& input, Tensor* out, ThreadEngine* engine) {
       }
     }
   });
-}
-
-Tensor Softmax(const Tensor& input, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty(input.dims(), input.layout());
-  Softmax(input, &out, engine);
-  return out;
 }
 
 Tensor FlattenNCHW(const Tensor& input) {

@@ -15,24 +15,15 @@
 
 namespace neocpu {
 
-// Every kernel here has two forms: a Tensor-returning one that allocates its output,
-// and an execute-into one writing a caller-provided tensor (the memory-planned
-// executor's zero-allocation path; `out` may be a non-owning arena view). Into-forms
-// check the output's dims/layout fatally.
-
 // out = max(in, 0); any layout.
-Tensor Relu(const Tensor& input, ThreadEngine* engine = nullptr);
 void Relu(const Tensor& input, Tensor* out, ThreadEngine* engine = nullptr);
 
 // out = a + b (+ReLU); shapes and layouts must match exactly.
-Tensor AddElementwise(const Tensor& a, const Tensor& b, bool relu,
-                      ThreadEngine* engine = nullptr);
 void AddElementwise(const Tensor& a, const Tensor& b, bool relu, Tensor* out,
                     ThreadEngine* engine = nullptr);
 
 // Concatenation along the channel axis. All inputs NCHW, or all NCHW[x]c with one common
 // block size x (the layout constraint the global search's cost matrices encode).
-Tensor ConcatChannels(const std::vector<Tensor>& inputs, ThreadEngine* engine = nullptr);
 void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out,
                     ThreadEngine* engine = nullptr);
 
@@ -49,7 +40,6 @@ void ConcatChannelsInt(const std::vector<Tensor>& inputs,
                        ThreadEngine* engine = nullptr);
 
 // Row-wise softmax on a {N, C} (or flat {C}) tensor.
-Tensor Softmax(const Tensor& input, ThreadEngine* engine = nullptr);
 void Softmax(const Tensor& input, Tensor* out, ThreadEngine* engine = nullptr);
 
 // NCHW {N,C,H,W} -> {N, C*H*W}. Layout-dependent: input must be NCHW (4-D).

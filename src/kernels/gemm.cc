@@ -70,8 +70,7 @@ void MicroTail(std::int64_t mr, std::int64_t nr, std::int64_t k, std::int64_t ld
 
 void Gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a, const float* b,
           float* c, bool accumulate, ThreadEngine* engine) {
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
   const std::int64_t row_tiles = (m + kMr - 1) / kMr;
   ParallelFor(eng, row_tiles, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t t = begin; t < end; ++t) {

@@ -59,8 +59,7 @@ void PackAF32(const float* a, std::int64_t m, std::int64_t k, const GemmSchedule
               float* out, ThreadEngine* engine) {
   const std::int64_t mr = s.mr;
   const std::int64_t panels = detail::CeilDiv(m, mr);
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
   ParallelFor(eng, panels, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t p = begin; p < end; ++p) {
       float* dst = out + p * k * mr;
@@ -123,8 +122,7 @@ void GemmPackedF32(std::int64_t m, std::int64_t n, std::int64_t k, const float* 
   NEOCPU_CHECK(s.mc > 0 && s.nc > 0 && s.kc > 0);
   NEOCPU_CHECK(s.mr > 0 && s.mr <= kMaxGemmMr) << s.ToString();
   NEOCPU_CHECK(s.nr > 0 && s.nr <= kMaxGemmNr) << s.ToString();
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
 
   std::vector<float> owned;  // fallback when the caller supplies no planned workspace
   float* ap = workspace;

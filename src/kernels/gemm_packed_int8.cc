@@ -67,8 +67,7 @@ void PackAU8(const std::uint8_t* a, std::int64_t m, std::int64_t k,
   const std::int64_t mr = s.mr;
   const std::int64_t kq = detail::CeilDiv(k, 4);
   const std::int64_t panels = detail::CeilDiv(m, mr);
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
   ParallelFor(eng, panels, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t p = begin; p < end; ++p) {
       std::uint8_t* dst = out + p * kq * mr * 4;
@@ -122,8 +121,7 @@ void GemmPackedU8S8(std::int64_t m, std::int64_t n, std::int64_t k,
   NEOCPU_CHECK(s.mr > 0 && s.mr <= kMaxGemmMr) << s.ToString();
   NEOCPU_CHECK(s.nr > 0 && s.nr <= kMaxGemmNr) << s.ToString();
   NEOCPU_CHECK(mult != nullptr);
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
 
   std::vector<std::uint8_t> owned;  // fallback when no planned workspace is supplied
   std::uint8_t* ap = workspace;

@@ -79,8 +79,7 @@ void MultiboxDetection(const MultiboxDetectionParams& p, const Tensor& cls_prob,
   std::vector<Box> boxes(static_cast<std::size_t>(num_anchors));
   const float* loc = loc_pred.data();
   const float* anc = anchors.data();
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
   ParallelFor(eng, num_anchors, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       const float acx = anc[i * 4 + 0], acy = anc[i * 4 + 1];

@@ -10,10 +10,6 @@
 namespace neocpu {
 namespace {
 
-SerialEngine g_serial;
-
-ThreadEngine& Engine(ThreadEngine* engine) { return engine ? *engine : g_serial; }
-
 // Channel-block ceiling of the schedule space (== kMaxChannelBlock); bounds the
 // integer pool's stack accumulator.
 constexpr std::int64_t kMaxPoolBlock = 64;
@@ -37,7 +33,7 @@ void PoolNCHW(const Pool2dParams& p, const Tensor& input, Tensor* out,
   CheckKernelOutput(out, {n, c, oh, ow}, Layout::NCHW(), "pool");
   const float* in_base = input.data();
   float* out_base = out->data();
-  ParallelFor(Engine(engine), n * c, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n * c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t idx = begin; idx < end; ++idx) {
       const float* in_ch = in_base + idx * ih * iw;
       float* out_ch = out_base + idx * oh * ow;
@@ -77,14 +73,6 @@ void PoolNCHW(const Pool2dParams& p, const Tensor& input, Tensor* out,
   });
 }
 
-Tensor PoolNCHW(const Pool2dParams& p, const Tensor& input, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty(
-      {input.dim(0), input.dim(1), p.OutH(input.dim(2)), p.OutW(input.dim(3))},
-      Layout::NCHW());
-  PoolNCHW(p, input, &out, engine);
-  return out;
-}
-
 void PoolNCHWc(const Pool2dParams& p, const Tensor& input, Tensor* out,
                ThreadEngine* engine) {
   NEOCPU_CHECK_EQ(input.ndim(), 5);
@@ -94,7 +82,7 @@ void PoolNCHWc(const Pool2dParams& p, const Tensor& input, Tensor* out,
   CheckKernelOutput(out, {n, cb, oh, ow, x}, input.layout(), "pool");
   const float* in_base = input.data();
   float* out_base = out->data();
-  ParallelFor(Engine(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t idx = begin; idx < end; ++idx) {
       const float* in_ch = in_base + idx * ih * iw * x;
       float* out_ch = out_base + idx * oh * ow * x;
@@ -145,14 +133,6 @@ void PoolNCHWc(const Pool2dParams& p, const Tensor& input, Tensor* out,
   });
 }
 
-Tensor PoolNCHWc(const Pool2dParams& p, const Tensor& input, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty({input.dim(0), input.dim(1), p.OutH(input.dim(2)),
-                              p.OutW(input.dim(3)), input.dim(4)},
-                             input.layout());
-  PoolNCHWc(p, input, &out, engine);
-  return out;
-}
-
 namespace {
 
 // `chans` is N * C/x (or N * C with x == 1 for the plain NCHW layout — the channel
@@ -166,7 +146,7 @@ void PoolNCHWcIntImpl(const Pool2dParams& p, const Tensor& input, std::int64_t c
   Q* out_base = reinterpret_cast<Q*>(out->data());
   constexpr std::int32_t kLo = std::numeric_limits<Q>::min();
   constexpr std::int32_t kHi = std::numeric_limits<Q>::max();
-  ParallelFor(Engine(engine), chans, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), chans, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t idx = begin; idx < end; ++idx) {
       const Q* in_ch = in_base + idx * ih * iw * x;
       Q* out_ch = out_base + idx * oh * ow * x;
@@ -260,7 +240,7 @@ void GlobalAvgPoolNCHW(const Tensor& input, Tensor* out, ThreadEngine* engine) {
   CheckKernelOutput(out, {n, c, 1, 1}, Layout::NCHW(), "global_avg_pool");
   const float* in_base = input.data();
   float* out_base = out->data();
-  ParallelFor(Engine(engine), n * c, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n * c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t idx = begin; idx < end; ++idx) {
       const float* src = in_base + idx * plane;
       float sum = 0.0f;
@@ -272,12 +252,6 @@ void GlobalAvgPoolNCHW(const Tensor& input, Tensor* out, ThreadEngine* engine) {
   });
 }
 
-Tensor GlobalAvgPoolNCHW(const Tensor& input, ThreadEngine* engine) {
-  Tensor out = Tensor::Empty({input.dim(0), input.dim(1), 1, 1}, Layout::NCHW());
-  GlobalAvgPoolNCHW(input, &out, engine);
-  return out;
-}
-
 void GlobalAvgPoolNCHWc(const Tensor& input, Tensor* out, ThreadEngine* engine) {
   NEOCPU_CHECK_EQ(input.ndim(), 5);
   const std::int64_t n = input.dim(0), cb = input.dim(1), plane = input.dim(2) * input.dim(3),
@@ -285,7 +259,7 @@ void GlobalAvgPoolNCHWc(const Tensor& input, Tensor* out, ThreadEngine* engine) 
   CheckKernelOutput(out, {n, cb, 1, 1, x}, input.layout(), "global_avg_pool");
   const float* in_base = input.data();
   float* out_base = out->data();
-  ParallelFor(Engine(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t idx = begin; idx < end; ++idx) {
       const float* src = in_base + idx * plane * x;
       float* dst = out_base + idx * x;
@@ -303,13 +277,6 @@ void GlobalAvgPoolNCHWc(const Tensor& input, Tensor* out, ThreadEngine* engine) 
       }
     }
   });
-}
-
-Tensor GlobalAvgPoolNCHWc(const Tensor& input, ThreadEngine* engine) {
-  Tensor out =
-      Tensor::Empty({input.dim(0), input.dim(1), 1, 1, input.dim(4)}, input.layout());
-  GlobalAvgPoolNCHWc(input, &out, engine);
-  return out;
 }
 
 }  // namespace neocpu

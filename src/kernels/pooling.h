@@ -35,17 +35,11 @@ struct Pool2dParams {
   std::int64_t OutW(std::int64_t in_w) const { return OutDim(in_w, kernel_w, stride_w, pad_w); }
 };
 
-// Each kernel has an allocating form and an execute-into form writing a caller-provided
-// output (arena view on the memory-planned path); into-forms check dims fatally.
-
-// input NCHW {N,C,H,W} -> output NCHW (allocated by callee).
-Tensor PoolNCHW(const Pool2dParams& params, const Tensor& input, ThreadEngine* engine = nullptr);
+// input NCHW {N,C,H,W} -> output NCHW.
 void PoolNCHW(const Pool2dParams& params, const Tensor& input, Tensor* out,
               ThreadEngine* engine = nullptr);
 
 // input NCHW[x]c {N,C/x,H,W,x} -> output NCHW[x]c.
-Tensor PoolNCHWc(const Pool2dParams& params, const Tensor& input,
-                 ThreadEngine* engine = nullptr);
 void PoolNCHWc(const Pool2dParams& params, const Tensor& input, Tensor* out,
                ThreadEngine* engine = nullptr);
 
@@ -61,9 +55,7 @@ void PoolNCHWcInt(const Pool2dParams& params, const Tensor& input,
                   std::int32_t zero_point, Tensor* out, ThreadEngine* engine = nullptr);
 
 // Global average pooling: NCHW -> {N, C, 1, 1}; NCHWc -> {N, C/x, 1, 1, x}.
-Tensor GlobalAvgPoolNCHW(const Tensor& input, ThreadEngine* engine = nullptr);
 void GlobalAvgPoolNCHW(const Tensor& input, Tensor* out, ThreadEngine* engine = nullptr);
-Tensor GlobalAvgPoolNCHWc(const Tensor& input, ThreadEngine* engine = nullptr);
 void GlobalAvgPoolNCHWc(const Tensor& input, Tensor* out, ThreadEngine* engine = nullptr);
 
 }  // namespace neocpu

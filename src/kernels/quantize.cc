@@ -9,17 +9,13 @@
 namespace neocpu {
 namespace {
 
-SerialEngine g_serial;
-
-ThreadEngine& Engine(ThreadEngine* engine) { return engine ? *engine : g_serial; }
-
 template <typename Q>
 void QuantizeImpl(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
                   ThreadEngine* engine, std::int32_t lo, std::int32_t hi) {
   const float inv = 1.0f / scale;
   const float* src = input.data_as<float>();
   Q* dst = out->template data_as<Q>();
-  ParallelFor(Engine(engine), input.NumElements(), [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), input.NumElements(), [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       const std::int32_t q = static_cast<std::int32_t>(std::lrintf(src[i] * inv)) + zero_point;
       dst[i] = static_cast<Q>(std::clamp(q, lo, hi));
@@ -52,13 +48,6 @@ void Quantize(const Tensor& input, float scale, std::int32_t zero_point, DType d
   }
 }
 
-Tensor Quantize(const Tensor& input, float scale, std::int32_t zero_point, DType dtype,
-                ThreadEngine* engine) {
-  Tensor out = Tensor::Empty(input.dims(), input.layout(), dtype);
-  Quantize(input, scale, zero_point, dtype, &out, engine);
-  return out;
-}
-
 void Dequantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
                 ThreadEngine* engine) {
   NEOCPU_CHECK_GT(scale, 0.0f);
@@ -66,7 +55,7 @@ void Dequantize(const Tensor& input, float scale, std::int32_t zero_point, Tenso
   NEOCPU_CHECK(out->dtype() == DType::kF32) << out->DebugString();
   float* dst = out->data_as<float>();
   auto run = [&](auto* src) {
-    ParallelFor(Engine(engine), input.NumElements(),
+    ParallelFor(EngineOrSerial(engine), input.NumElements(),
                 [&](std::int64_t begin, std::int64_t end) {
                   for (std::int64_t i = begin; i < end; ++i) {
                     dst[i] = scale * static_cast<float>(static_cast<std::int32_t>(src[i]) -
@@ -88,13 +77,6 @@ void Dequantize(const Tensor& input, float scale, std::int32_t zero_point, Tenso
       break;
   }
   LOG(FATAL) << "dequantize reads s8/u8/s32, got " << input.DebugString();
-}
-
-Tensor Dequantize(const Tensor& input, float scale, std::int32_t zero_point,
-                  ThreadEngine* engine) {
-  Tensor out = Tensor::Empty(input.dims(), input.layout(), DType::kF32);
-  Dequantize(input, scale, zero_point, &out, engine);
-  return out;
 }
 
 void QuantizeConvWeightsPerOC(const Tensor& w_oihw, Tensor* w_s8,

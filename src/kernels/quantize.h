@@ -6,9 +6,6 @@
 // property fuzz) but the conv path is pure s8. Weights are per-output-channel symmetric
 // s8; bias constants fold to s32 in the conv's accumulation domain; the per-channel
 // (de)requantization multiplier fuses into the conv epilogue (conv_nchwc_int8).
-//
-// Every runtime kernel has an allocating form and an execute-into form (arena views on
-// the memory-planned path).
 #ifndef NEOCPU_SRC_KERNELS_QUANTIZE_H_
 #define NEOCPU_SRC_KERNELS_QUANTIZE_H_
 
@@ -37,14 +34,10 @@ void AffineScaleZeroPoint(float lo, float hi, float* scale, std::int32_t* zero_p
 // f32 -> `dtype` (kS8 or kU8): q = clamp(round(x / scale) + zero_point). Rounding is
 // lrintf (round-to-nearest-even, the hardware cvtps2dq mode). zero_point must be 0 for
 // kS8 (symmetric convention).
-Tensor Quantize(const Tensor& input, float scale, std::int32_t zero_point, DType dtype,
-                ThreadEngine* engine = nullptr);
 void Quantize(const Tensor& input, float scale, std::int32_t zero_point, DType dtype,
               Tensor* out, ThreadEngine* engine = nullptr);
 
 // s8/u8 -> f32: x = scale * (q - zero_point).
-Tensor Dequantize(const Tensor& input, float scale, std::int32_t zero_point,
-                  ThreadEngine* engine = nullptr);
 void Dequantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
                 ThreadEngine* engine = nullptr);
 

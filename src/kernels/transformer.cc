@@ -36,8 +36,7 @@ void LayerNormRows(const Tensor& input, const Tensor& gamma, const Tensor& beta,
   const float* g = gamma.data();
   const float* b = beta.data();
   float* y = out->data();
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
   ParallelFor(eng, rows, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t m = begin; m < end; ++m) {
       const float* row = x + m * cols;
@@ -68,8 +67,7 @@ void Transpose2D(const Tensor& input, Tensor* out, ThreadEngine* engine) {
   NEOCPU_CHECK(out->NumElements() == m * n);
   const float* x = input.data();
   float* y = out->data();
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
   // Block 32x32 so both the read and write streams stay cache-resident.
   constexpr std::int64_t kB = 32;
   const std::int64_t row_blocks = (m + kB - 1) / kB;
@@ -117,8 +115,7 @@ void MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
   const float* kp = k.data();
   const float* vp = v.data();
   float* op = out->data();
-  SerialEngine serial;
-  ThreadEngine& eng = engine != nullptr ? *engine : static_cast<ThreadEngine&>(serial);
+  ThreadEngine& eng = EngineOrSerial(engine);
   // One unit per (batch, head) pair; each owns a private {seq, seq} score tile in the
   // workspace, so the loop is embarrassingly parallel and allocation-free.
   ParallelFor(eng, batch * heads, [&](std::int64_t begin, std::int64_t end) {

@@ -1,71 +1,91 @@
 #include "src/models/model_zoo.h"
 
 #include "src/base/logging.h"
+#include "src/base/string_util.h"
 #include "src/graph/builder.h"
 
 namespace neocpu {
 
+namespace {
+
+struct ZooModel {
+  const char* name;
+  Graph (*build)(std::int64_t batch);
+  bool table2;       // one of the paper's 15, listed in Table 2 order
+  bool batch1_only;  // the graph hard-codes batch 1
+};
+
+const std::vector<ZooModel>& Models() {
+  static const std::vector<ZooModel> kModels = {
+      {"resnet18", [](std::int64_t n) { return BuildResNet(18, n); }, true, false},
+      {"resnet34", [](std::int64_t n) { return BuildResNet(34, n); }, true, false},
+      {"resnet50", [](std::int64_t n) { return BuildResNet(50, n); }, true, false},
+      {"resnet101", [](std::int64_t n) { return BuildResNet(101, n); }, true, false},
+      {"resnet152", [](std::int64_t n) { return BuildResNet(152, n); }, true, false},
+      {"vgg11", [](std::int64_t n) { return BuildVgg(11, n); }, true, false},
+      {"vgg13", [](std::int64_t n) { return BuildVgg(13, n); }, true, false},
+      {"vgg16", [](std::int64_t n) { return BuildVgg(16, n); }, true, false},
+      {"vgg19", [](std::int64_t n) { return BuildVgg(19, n); }, true, false},
+      {"densenet121", [](std::int64_t n) { return BuildDenseNet(121, n); }, true, false},
+      {"densenet161", [](std::int64_t n) { return BuildDenseNet(161, n); }, true, false},
+      {"densenet169", [](std::int64_t n) { return BuildDenseNet(169, n); }, true, false},
+      {"densenet201", [](std::int64_t n) { return BuildDenseNet(201, n); }, true, false},
+      {"inception-v3", [](std::int64_t n) { return BuildInceptionV3(n); }, true, false},
+      {"ssd-resnet50", [](std::int64_t) { return BuildSsdResNet50(); }, true, true},
+      {"tiny-cnn", [](std::int64_t n) { return BuildTinyCnn(n); }, false, false},
+      {"transformer-encoder", [](std::int64_t n) { return BuildTransformerEncoder(n); },
+       false, false},
+  };
+  return kModels;
+}
+
+const ZooModel* FindModel(const std::string& name) {
+  for (const ZooModel& m : Models()) {
+    if (name == m.name) {
+      return &m;
+    }
+  }
+  return nullptr;
+}
+
+std::vector<std::string> NamesWhere(bool table2_only) {
+  std::vector<std::string> names;
+  for (const ZooModel& m : Models()) {
+    if (m.table2 || !table2_only) {
+      names.emplace_back(m.name);
+    }
+  }
+  return names;
+}
+
+}  // namespace
+
+std::string ModelBuildError(const std::string& name, std::int64_t batch) {
+  const ZooModel* model = FindModel(name);
+  if (model == nullptr) {
+    return "unknown model '" + name + "'";
+  }
+  if (model->batch1_only && batch != 1) {
+    return StrFormat("%s is built for batch 1 only (its detection head reshapes to "
+                     "{anchors, classes}); got batch %lld",
+                     name.c_str(), static_cast<long long>(batch));
+  }
+  return "";
+}
+
 Graph BuildModel(const std::string& name, std::int64_t batch) {
-  if (name == "tiny-cnn") {
-    return BuildTinyCnn(batch);
-  }
-  if (name == "transformer-encoder") {
-    return BuildTransformerEncoder(batch);
-  }
-  if (name == "resnet18") {
-    return BuildResNet(18, batch);
-  }
-  if (name == "resnet34") {
-    return BuildResNet(34, batch);
-  }
-  if (name == "resnet50") {
-    return BuildResNet(50, batch);
-  }
-  if (name == "resnet101") {
-    return BuildResNet(101, batch);
-  }
-  if (name == "resnet152") {
-    return BuildResNet(152, batch);
-  }
-  if (name == "vgg11") {
-    return BuildVgg(11, batch);
-  }
-  if (name == "vgg13") {
-    return BuildVgg(13, batch);
-  }
-  if (name == "vgg16") {
-    return BuildVgg(16, batch);
-  }
-  if (name == "vgg19") {
-    return BuildVgg(19, batch);
-  }
-  if (name == "densenet121") {
-    return BuildDenseNet(121, batch);
-  }
-  if (name == "densenet161") {
-    return BuildDenseNet(161, batch);
-  }
-  if (name == "densenet169") {
-    return BuildDenseNet(169, batch);
-  }
-  if (name == "densenet201") {
-    return BuildDenseNet(201, batch);
-  }
-  if (name == "inception-v3") {
-    return BuildInceptionV3(batch);
-  }
-  if (name == "ssd-resnet50") {
-    return BuildSsdResNet50(batch);
-  }
-  LOG(FATAL) << "unknown model '" << name << "'";
-  return {};
+  const std::string error = ModelBuildError(name, batch);
+  NEOCPU_CHECK(error.empty()) << error;
+  return FindModel(name)->build(batch);
 }
 
 const std::vector<std::string>& ModelZooNames() {
-  static const std::vector<std::string> kNames = {
-      "resnet18",    "resnet34",    "resnet50",    "resnet101",    "resnet152",
-      "vgg11",       "vgg13",       "vgg16",       "vgg19",        "densenet121",
-      "densenet161", "densenet169", "densenet201", "inception-v3", "ssd-resnet50"};
+  static const std::vector<std::string> kNames = NamesWhere(/*table2_only=*/true);
+  return kNames;
+}
+
+const std::vector<std::string>& BuildModelNames() {
+  static const std::vector<std::string> kNames = NamesWhere(/*table2_only=*/false);
   return kNames;
 }
 

@@ -22,8 +22,8 @@ Graph BuildResNet(int depth, std::int64_t batch = 1, std::int64_t image = 224);
 Graph BuildVgg(int depth, std::int64_t batch = 1, std::int64_t image = 224);
 Graph BuildDenseNet(int depth, std::int64_t batch = 1, std::int64_t image = 224);
 Graph BuildInceptionV3(std::int64_t batch = 1, std::int64_t image = 299);
-Graph BuildSsdResNet50(std::int64_t batch = 1, std::int64_t image = 512,
-                       std::int64_t num_classes = 21);
+// Batch 1 only: the detection head reshapes the class scores to {anchors, classes}.
+Graph BuildSsdResNet50(std::int64_t image = 512, std::int64_t num_classes = 21);
 
 // A small residual CNN (32x32 input, 10 classes, ~40k parameters) that compiles in
 // milliseconds. Not part of the paper's Table-2 zoo: it exists so the serving tests,
@@ -42,11 +42,18 @@ Graph BuildTransformerEncoder(std::int64_t batch = 1, std::int64_t seq = 8,
 
 // By name: "resnet18".."resnet152", "vgg11".."vgg19", "densenet121".."densenet201",
 // "inception-v3", "ssd-resnet50", plus the off-zoo "tiny-cnn" and
-// "transformer-encoder".
+// "transformer-encoder". Dies with ModelBuildError's message when that is non-empty.
 Graph BuildModel(const std::string& name, std::int64_t batch = 1);
+
+// Why BuildModel(name, batch) would fail, or "" when it builds: an unknown name, or a
+// batch other than 1 for ssd-resnet50.
+std::string ModelBuildError(const std::string& name, std::int64_t batch);
 
 // The 15 names in the paper's Table 2 order.
 const std::vector<std::string>& ModelZooNames();
+
+// Every name BuildModel accepts: ModelZooNames() followed by the off-zoo models.
+const std::vector<std::string>& BuildModelNames();
 
 // {N, 3, H, W} for a model's expected input ({N, S*D} for the transformer encoder).
 std::vector<std::int64_t> ModelInputDims(const std::string& name, std::int64_t batch = 1);

@@ -49,9 +49,9 @@ int ResNetStage(GraphBuilder& b, int x, std::int64_t channels, int units, std::i
 
 }  // namespace
 
-Graph BuildSsdResNet50(std::int64_t batch, std::int64_t image, std::int64_t num_classes) {
+Graph BuildSsdResNet50(std::int64_t image, std::int64_t num_classes) {
   GraphBuilder b("ssd-resnet50", /*seed=*/500);
-  int x = b.Input({batch, 3, image, image});
+  int x = b.Input({1, 3, image, image});
   x = b.ConvBnRelu(x, 64, 7, 2, 3, "stem");
   x = b.MaxPool(x, 3, 2, 1);
   x = ResNetStage(b, x, 256, 3, 1, "stage1");

@@ -4,6 +4,12 @@
 
 namespace neocpu {
 
+ThreadEngine& EngineOrSerial(ThreadEngine* engine) {
+  // Stateless, so one instance serves every thread.
+  static SerialEngine serial;
+  return engine != nullptr ? *engine : serial;
+}
+
 void ParallelFor(ThreadEngine& engine, std::int64_t total,
                  const std::function<void(std::int64_t, std::int64_t)>& body) {
   if (total <= 0) {

@@ -38,6 +38,10 @@ class SerialEngine final : public ThreadEngine {
   const char* Name() const override { return "serial"; }
 };
 
+// `engine`, or a process-wide SerialEngine when it is null: the one place a kernel's
+// optional engine argument falls back to inline execution.
+ThreadEngine& EngineOrSerial(ThreadEngine* engine);
+
 // Splits the half-open range [0, total) into NumWorkers() even chunks and runs them as
 // one fork-join region on `engine`.
 void ParallelFor(ThreadEngine& engine, std::int64_t total,

@@ -8,10 +8,6 @@
 namespace neocpu {
 namespace {
 
-SerialEngine g_serial;
-
-ThreadEngine& Engine(ThreadEngine* engine) { return engine ? *engine : g_serial; }
-
 // The NCHW<->NCHW[x]c family is dtype-generic (pure index permutation): the fp32
 // pipeline moves floats, the quantized path moves s8 activations between differently
 // blocked convolutions. Each public entry dispatches on the source dtype.
@@ -22,7 +18,7 @@ void NCHWToNCHWcT(const Tensor& src, std::int64_t x, Tensor* dst, ThreadEngine* 
   const T* s = src.data_as<T>();
   T* d = dst->data_as<T>();
   const std::int64_t hw = h * w;
-  ParallelFor(Engine(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t ncb = begin; ncb < end; ++ncb) {
       const std::int64_t ni = ncb / cb;
       const std::int64_t co = ncb % cb;
@@ -44,7 +40,7 @@ void NCHWcToNCHWT(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
   const T* s = src.data_as<T>();
   T* d = dst->data_as<T>();
   const std::int64_t hw = h * w;
-  ParallelFor(Engine(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t ncb = begin; ncb < end; ++ncb) {
       const std::int64_t ni = ncb / cb;
       const std::int64_t co = ncb % cb;
@@ -69,7 +65,7 @@ void NCHWcToNCHWcT(const Tensor& src, std::int64_t new_x, Tensor* dst,
   const T* s = src.data_as<T>();
   T* d = dst->data_as<T>();
   const std::int64_t hw = h * w;
-  ParallelFor(Engine(engine), n * new_cb, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n * new_cb, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t ncb = begin; ncb < end; ++ncb) {
       const std::int64_t ni = ncb / new_cb;
       const std::int64_t co = ncb % new_cb;
@@ -112,17 +108,6 @@ void NCHWToNCHWc(const Tensor& src, std::int64_t x, Tensor* dst, ThreadEngine* e
   }
 }
 
-Tensor NCHWToNCHWc(const Tensor& src, std::int64_t x, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(src.ndim(), 4);
-  NEOCPU_CHECK_GT(x, 0);
-  NEOCPU_CHECK_EQ(src.dim(1) % x, 0)
-      << "channels " << src.dim(1) << " not divisible by block " << x;
-  Tensor dst = Tensor::Empty({src.dim(0), src.dim(1) / x, src.dim(2), src.dim(3), x},
-                             Layout::NCHWc(x), src.dtype());
-  NCHWToNCHWc(src, x, &dst, engine);
-  return dst;
-}
-
 void NCHWcToNCHW(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
   NEOCPU_CHECK_EQ(src.ndim(), 5);
   const std::int64_t n = src.dim(0), cb = src.dim(1), h = src.dim(2), w = src.dim(3),
@@ -136,14 +121,6 @@ void NCHWcToNCHW(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
   } else {
     NCHWcToNCHWT<float>(src, dst, engine);
   }
-}
-
-Tensor NCHWcToNCHW(const Tensor& src, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(src.ndim(), 5);
-  Tensor dst = Tensor::Empty({src.dim(0), src.dim(1) * src.dim(4), src.dim(2), src.dim(3)},
-                             Layout::NCHW(), src.dtype());
-  NCHWcToNCHW(src, &dst, engine);
-  return dst;
 }
 
 void NCHWcToNCHWc(const Tensor& src, std::int64_t new_x, Tensor* dst,
@@ -166,19 +143,6 @@ void NCHWcToNCHWc(const Tensor& src, std::int64_t new_x, Tensor* dst,
   }
 }
 
-Tensor NCHWcToNCHWc(const Tensor& src, std::int64_t new_x, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(src.ndim(), 5);
-  if (new_x == src.dim(4)) {
-    return src;
-  }
-  const std::int64_t c = src.dim(1) * src.dim(4);
-  NEOCPU_CHECK_EQ(c % new_x, 0);
-  Tensor dst = Tensor::Empty({src.dim(0), c / new_x, src.dim(2), src.dim(3), new_x},
-                             Layout::NCHWc(new_x), src.dtype());
-  NCHWcToNCHWc(src, new_x, &dst, engine);
-  return dst;
-}
-
 void NCHWToNHWC(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
   NEOCPU_CHECK_EQ(src.ndim(), 4);
   const std::int64_t n = src.dim(0), c = src.dim(1), h = src.dim(2), w = src.dim(3);
@@ -186,7 +150,7 @@ void NCHWToNHWC(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
   const float* s = src.data();
   float* d = dst->data();
   const std::int64_t hw = h * w;
-  ParallelFor(Engine(engine), n, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t ni = begin; ni < end; ++ni) {
       const float* sp = s + ni * c * hw;
       float* dp = d + ni * hw * c;
@@ -199,14 +163,6 @@ void NCHWToNHWC(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
   });
 }
 
-Tensor NCHWToNHWC(const Tensor& src, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(src.ndim(), 4);
-  Tensor dst = Tensor::Empty({src.dim(0), src.dim(2), src.dim(3), src.dim(1)},
-                             Layout::NHWC());
-  NCHWToNHWC(src, &dst, engine);
-  return dst;
-}
-
 void NHWCToNCHW(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
   NEOCPU_CHECK_EQ(src.ndim(), 4);
   const std::int64_t n = src.dim(0), h = src.dim(1), w = src.dim(2), c = src.dim(3);
@@ -214,7 +170,7 @@ void NHWCToNCHW(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
   const float* s = src.data();
   float* d = dst->data();
   const std::int64_t hw = h * w;
-  ParallelFor(Engine(engine), n, [&](std::int64_t begin, std::int64_t end) {
+  ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t ni = begin; ni < end; ++ni) {
       const float* sp = s + ni * hw * c;
       float* dp = d + ni * c * hw;
@@ -225,14 +181,6 @@ void NHWCToNCHW(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
       }
     }
   });
-}
-
-Tensor NHWCToNCHW(const Tensor& src, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(src.ndim(), 4);
-  Tensor dst = Tensor::Empty({src.dim(0), src.dim(3), src.dim(1), src.dim(2)},
-                             Layout::NCHW());
-  NHWCToNCHW(src, &dst, engine);
-  return dst;
 }
 
 namespace {
@@ -278,34 +226,6 @@ Tensor OIHWToOIHWio(const Tensor& src, std::int64_t x, std::int64_t y) {
     OIHWToOIHWioT<float>(src, x, y, &dst);
   }
   return dst;
-}
-
-Tensor TransformLayout(const Tensor& src, const Layout& dst_layout, ThreadEngine* engine) {
-  const Layout& from = src.layout();
-  if (from == dst_layout) {
-    return src;
-  }
-  if (from.kind == LayoutKind::kNCHW && dst_layout.kind == LayoutKind::kNCHWc) {
-    return NCHWToNCHWc(src, dst_layout.c_block, engine);
-  }
-  if (from.kind == LayoutKind::kNCHWc && dst_layout.kind == LayoutKind::kNCHW) {
-    return NCHWcToNCHW(src, engine);
-  }
-  if (from.kind == LayoutKind::kNCHWc && dst_layout.kind == LayoutKind::kNCHWc) {
-    return NCHWcToNCHWc(src, dst_layout.c_block, engine);
-  }
-  if (from.kind == LayoutKind::kNCHW && dst_layout.kind == LayoutKind::kNHWC) {
-    return NCHWToNHWC(src, engine);
-  }
-  if (from.kind == LayoutKind::kNHWC && dst_layout.kind == LayoutKind::kNCHW) {
-    return NHWCToNCHW(src, engine);
-  }
-  if (from.kind == LayoutKind::kOIHW && dst_layout.kind == LayoutKind::kOIHWio) {
-    return OIHWToOIHWio(src, dst_layout.i_block, dst_layout.o_block);
-  }
-  LOG(FATAL) << "unsupported layout transform " << from.ToString() << " -> "
-             << dst_layout.ToString();
-  return {};
 }
 
 void TransformLayout(const Tensor& src, const Layout& dst_layout, Tensor* dst,

@@ -12,40 +12,28 @@
 
 namespace neocpu {
 
-// Each feature-map transform has an allocating form and an execute-into form writing a
-// caller-provided destination (arena view on the memory-planned path: the transform
-// "temporary" the planner sizes); into-forms check dims fatally.
-
 // NCHW (4-D) → NCHW[x]c (5-D). Channel count must be divisible by x.
-Tensor NCHWToNCHWc(const Tensor& src, std::int64_t x, ThreadEngine* engine = nullptr);
 void NCHWToNCHWc(const Tensor& src, std::int64_t x, Tensor* dst,
                  ThreadEngine* engine = nullptr);
 
 // NCHW[x]c (5-D) → NCHW (4-D).
-Tensor NCHWcToNCHW(const Tensor& src, ThreadEngine* engine = nullptr);
 void NCHWcToNCHW(const Tensor& src, Tensor* dst, ThreadEngine* engine = nullptr);
 
-// Re-block a feature map to a different split factor: NCHW[x]c → NCHW[y]c. The
-// into-form requires new_x != current x (the identity case is a view, not a copy).
-Tensor NCHWcToNCHWc(const Tensor& src, std::int64_t new_x, ThreadEngine* engine = nullptr);
+// Re-block a feature map to a different split factor: NCHW[x]c → NCHW[y]c. Requires
+// new_x != current x (the planner aliases the identity case instead of copying it).
 void NCHWcToNCHWc(const Tensor& src, std::int64_t new_x, Tensor* dst,
                   ThreadEngine* engine = nullptr);
 
 // NCHW ↔ NHWC (framework default interchange; used by tests and the NHWC entry path).
-Tensor NCHWToNHWC(const Tensor& src, ThreadEngine* engine = nullptr);
 void NCHWToNHWC(const Tensor& src, Tensor* dst, ThreadEngine* engine = nullptr);
-Tensor NHWCToNCHW(const Tensor& src, ThreadEngine* engine = nullptr);
 void NHWCToNCHW(const Tensor& src, Tensor* dst, ThreadEngine* engine = nullptr);
 
 // Convolution weights OIHW (4-D) → OIHW[x]i[y]o (6-D). I % x == 0 and O % y == 0.
 Tensor OIHWToOIHWio(const Tensor& src, std::int64_t x, std::int64_t y);
 
 // Dispatcher used by the executor's LayoutTransform node: converts `src` to `dst_layout`
-// (must be one of the conversions above).
-Tensor TransformLayout(const Tensor& src, const Layout& dst_layout,
-                       ThreadEngine* engine = nullptr);
-// Into-dispatcher for the planned executor; requires an actual data movement (the
-// planner classifies identity transforms as aliases and never routes them here).
+// (one of the feature-map conversions above). Requires an actual data movement: the
+// planner classifies identity transforms as aliases and never routes them here.
 void TransformLayout(const Tensor& src, const Layout& dst_layout, Tensor* dst,
                      ThreadEngine* engine = nullptr);
 

@@ -1,5 +1,5 @@
-// Shared precondition check for kernel execute-into forms: the caller-provided output
-// (often a non-owning arena view placed by core/memory_plan) must be defined and carry
+// Shared precondition check for kernels: the caller-provided output (often a
+// non-owning arena view placed by core/memory_plan) must be defined and carry
 // exactly the physical dims and layout the kernel is about to write. One helper, one
 // strictness level — a planner bug that produces a right-sized but wrong-layout view
 // fails identically in every kernel.
@@ -22,6 +22,13 @@ inline void CheckKernelOutput(const Tensor* out, const std::vector<std::int64_t>
   NEOCPU_CHECK(out->layout() == layout)
       << op << ": output layout mismatch, got " << out->layout().ToString() << " want "
       << layout.ToString();
+}
+
+// The matching check on an input whose shape the kernel derives from its parameters
+// (a conv's Conv2dParams and schedule) rather than reading it off the tensor.
+inline void CheckKernelInput(const Tensor& in, const std::vector<std::int64_t>& dims,
+                             const char* op) {
+  NEOCPU_CHECK(in.dims() == dims) << op << ": input dims mismatch, got " << in.DebugString();
 }
 
 }  // namespace neocpu

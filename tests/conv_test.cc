@@ -1,6 +1,7 @@
 // Convolution kernel correctness: the NCHW[x]c template (Algorithm 1) and the im2col
 // path are validated against the naive NCHW reference across a broad parameterized sweep
-// of workloads, schedules and fused epilogues.
+// of workloads, schedules and fused epilogues; every conv kernel rejects an output whose
+// dims or layout disagree with its parameters.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,6 +10,7 @@
 #include "src/base/rng.h"
 #include "src/kernels/conv_im2col.h"
 #include "src/kernels/conv_nchwc.h"
+#include "src/kernels/conv_nchwc_int8.h"
 #include "src/kernels/conv_ref.h"
 #include "src/runtime/thread_pool.h"
 #include "src/tensor/layout_transform.h"
@@ -27,10 +29,46 @@ struct ConvCase {
   std::string label;
 };
 
+// Output buffer of an NCHW-layout conv (reference, im2col).
+Tensor NchwOutput(const Conv2dParams& p) {
+  return Tensor::Empty({p.batch, p.out_c, p.OutH(), p.OutW()}, Layout::NCHW());
+}
+
+Tensor BlockedEmpty(const Tensor& nchw, std::int64_t x) {
+  return Tensor::Empty({nchw.dim(0), nchw.dim(1) / x, nchw.dim(2), nchw.dim(3), x},
+                       Layout::NCHWc(x));
+}
+
 Tensor RunReference(const ConvCase& c, const Tensor& in, const Tensor& w, const Tensor& bias,
                     const Tensor& res) {
-  return ConvRefNCHW(c.p, in, w, c.e.bias ? &bias : nullptr, c.e.residual_add ? &res : nullptr,
-                     c.e);
+  Tensor out = NchwOutput(c.p);
+  ConvRefNCHW(c.p, in, w, c.e.bias ? &bias : nullptr, c.e.residual_add ? &res : nullptr, c.e,
+              &out);
+  return out;
+}
+
+// What a framework that wraps a library kernel per op has to do: transform the NCHW
+// input (and residual) and the OIHW weight to the blocked layouts, run the template, and
+// transform the output back to NCHW.
+Tensor ConvNCHWcWithTransforms(const Conv2dParams& p, const ConvSchedule& s,
+                               const Tensor& input_nchw, const Tensor& weight_oihw,
+                               const Tensor* bias, const Tensor* residual_nchw,
+                               const ConvEpilogue& epilogue, ThreadEngine* engine = nullptr) {
+  Tensor in_blocked = BlockedEmpty(input_nchw, s.ic_bn);
+  NCHWToNCHWc(input_nchw, s.ic_bn, &in_blocked, engine);
+  Tensor w_blocked = OIHWToOIHWio(weight_oihw, s.ic_bn, s.oc_bn);
+  Tensor res_blocked;
+  if (epilogue.residual_add) {
+    res_blocked = BlockedEmpty(*residual_nchw, s.oc_bn);
+    NCHWToNCHWc(*residual_nchw, s.oc_bn, &res_blocked, engine);
+  }
+  Tensor out = Tensor::Empty({p.batch, p.out_c / s.oc_bn, p.OutH(), p.OutW(), s.oc_bn},
+                             Layout::NCHWc(s.oc_bn));
+  ConvNCHWc(p, s, in_blocked, w_blocked, bias, epilogue.residual_add ? &res_blocked : nullptr,
+            epilogue, &out, engine);
+  Tensor out_nchw = NchwOutput(p);
+  NCHWcToNCHW(out, &out_nchw, engine);
+  return out_nchw;
 }
 
 class ConvNCHWcVsRef : public ::testing::TestWithParam<ConvCase> {};
@@ -109,7 +147,8 @@ TEST_P(ConvScheduleSweep, AllSchedulesAgree) {
   Rng rng(21);
   Tensor in = Tensor::Random({1, p.in_c, p.in_h, p.in_w}, rng, -1, 1, Layout::NCHW());
   Tensor w = Tensor::Random({p.out_c, p.in_c, 3, 3}, rng, -0.5f, 0.5f, Layout::OIHW());
-  Tensor expected = ConvRefNCHW(p, in, w);
+  Tensor expected = NchwOutput(p);
+  ConvRefNCHW(p, in, w, nullptr, nullptr, {}, &expected);
   Tensor got = ConvNCHWcWithTransforms(p, s, in, w, nullptr, nullptr, {});
   EXPECT_LE(Tensor::AllCloseViolation(got, expected, kRtol, kAtol), 0.0) << s.ToString();
 }
@@ -167,7 +206,8 @@ TEST_P(ConvNCHWcTierParity, EveryBlockingMatchesReference) {
       for (const ConvEpilogue& e : epilogues) {
         const Tensor* b = e.bias ? &bias : nullptr;
         const Tensor* r = e.residual_add ? &res : nullptr;
-        const Tensor expected = ConvRefNCHW(p, in, w, b, r, e);
+        Tensor expected = NchwOutput(p);
+        ConvRefNCHW(p, in, w, b, r, e, &expected);
         for (std::int64_t oc_bn : {4, 8, 16, 32, 6}) {
           for (std::int64_t reg_n : {2, 4, 8, 16, 32}) {
             const ConvSchedule s{8, oc_bn, reg_n, reg_n % 4 == 0};
@@ -219,8 +259,9 @@ TEST_P(ConvIm2colVsRef, MatchesReference) {
   Tensor res = Tensor::Random({c.p.batch, c.p.out_c, c.p.OutH(), c.p.OutW()}, rng, -1, 1,
                               Layout::NCHW());
   Tensor expected = RunReference(c, in, w, bias, res);
-  Tensor got = ConvIm2col(c.p, in, w, c.e.bias ? &bias : nullptr,
-                          c.e.residual_add ? &res : nullptr, c.e);
+  Tensor got = NchwOutput(c.p);
+  ConvIm2col(c.p, in, w, c.e.bias ? &bias : nullptr, c.e.residual_add ? &res : nullptr, c.e,
+             &got);
   EXPECT_LE(Tensor::AllCloseViolation(got, expected, kRtol, kAtol), 0.0) << c.label;
 }
 
@@ -249,12 +290,97 @@ TEST(ConvRef, KnownTinyExample) {
     in.data()[i] = static_cast<float>(i + 1);
   }
   Tensor w = Tensor::Full({1, 1, 2, 2}, 1.0f, Layout::OIHW());
-  Tensor out = ConvRefNCHW(p, in, w);
+  Tensor out = NchwOutput(p);
+  ConvRefNCHW(p, in, w, nullptr, nullptr, {}, &out);
   ASSERT_EQ(out.NumElements(), 4);
   EXPECT_FLOAT_EQ(out.data()[0], 1 + 2 + 4 + 5);
   EXPECT_FLOAT_EQ(out.data()[1], 2 + 3 + 5 + 6);
   EXPECT_FLOAT_EQ(out.data()[2], 4 + 5 + 7 + 8);
   EXPECT_FLOAT_EQ(out.data()[3], 5 + 6 + 8 + 9);
+}
+
+// Every conv kernel derives its output shape from Conv2dParams (and the schedule's
+// blocks), so a mis-sized or mis-tagged output must die before the kernel writes it. The
+// wrong-dims outputs are one row taller than the params say: large enough that a kernel
+// which skipped the check would finish without touching memory it does not own.
+class ConvOutputCheck : public ::testing::Test {
+ protected:
+  const Conv2dParams p_{1, 16, 8, 8, 16, 3, 3, 1, 1, 1, 1};
+  const ConvSchedule s_{16, 16, 8, true};
+  Rng rng_{71};
+  const Tensor in_ = Tensor::Random({1, 16, 8, 8}, rng_, -1, 1, Layout::NCHW());
+  const Tensor w_ = Tensor::Random({16, 16, 3, 3}, rng_, -1, 1, Layout::OIHW());
+  const Tensor in_blocked_ =
+      Tensor::Random({1, 1, 8, 8, 16}, rng_, -1, 1, Layout::NCHWc(16));
+  const Tensor w_blocked_ =
+      Tensor::Random({1, 1, 3, 3, 16, 16}, rng_, -1, 1, Layout::OIHWio(16, 16));
+};
+
+TEST_F(ConvOutputCheck, RefRejectsWrongDims) {
+  Tensor out = Tensor::Empty({1, 16, 9, 8}, Layout::NCHW());
+  EXPECT_DEATH(ConvRefNCHW(p_, in_, w_, nullptr, nullptr, {}, &out), "output dims mismatch");
+}
+
+TEST_F(ConvOutputCheck, RefRejectsWrongLayout) {
+  Tensor out = Tensor::Empty({1, 16, 8, 8}, Layout::Flat());
+  EXPECT_DEATH(ConvRefNCHW(p_, in_, w_, nullptr, nullptr, {}, &out),
+               "output layout mismatch");
+}
+
+TEST_F(ConvOutputCheck, Im2colRejectsWrongDims) {
+  Tensor out = Tensor::Empty({1, 16, 9, 8}, Layout::NCHW());
+  EXPECT_DEATH(ConvIm2col(p_, in_, w_, nullptr, nullptr, {}, &out), "output dims mismatch");
+}
+
+TEST_F(ConvOutputCheck, Im2colRejectsWrongLayout) {
+  Tensor out = Tensor::Empty({1, 16, 8, 8}, Layout::Flat());
+  EXPECT_DEATH(ConvIm2col(p_, in_, w_, nullptr, nullptr, {}, &out), "output layout mismatch");
+}
+
+TEST_F(ConvOutputCheck, NCHWcRejectsWrongDims) {
+  Tensor out = Tensor::Empty({1, 1, 9, 8, 16}, Layout::NCHWc(16));
+  EXPECT_DEATH(ConvNCHWc(p_, s_, in_blocked_, w_blocked_, nullptr, nullptr, {}, &out),
+               "output dims mismatch");
+}
+
+TEST_F(ConvOutputCheck, NCHWcRejectsWrongLayout) {
+  Tensor out = Tensor::Empty({1, 1, 8, 8, 16}, Layout::Flat());
+  EXPECT_DEATH(ConvNCHWc(p_, s_, in_blocked_, w_blocked_, nullptr, nullptr, {}, &out),
+               "output layout mismatch");
+}
+
+TEST_F(ConvOutputCheck, S8RejectsWrongDims) {
+  ConvSchedule s = s_;
+  s.dtype = DType::kS8;
+  Tensor in = Tensor::Zeros({1, 1, 8, 8, 16}, Layout::NCHWc(16), DType::kS8);
+  Tensor w = Tensor::Zeros({1, 1, 3, 3, 16, 16}, Layout::OIHWio(16, 16), DType::kS8);
+  Tensor mult = Tensor::Full({16}, 1e-3f);
+  Tensor out = Tensor::Empty({1, 1, 9, 8, 16}, Layout::NCHWc(16), DType::kS8);
+  EXPECT_DEATH(ConvNCHWcS8(p_, s, in, w, nullptr, mult, {}, /*requant=*/true, &out),
+               "output dims mismatch");
+}
+
+TEST_F(ConvOutputCheck, S8RejectsWrongLayout) {
+  ConvSchedule s = s_;
+  s.dtype = DType::kS8;
+  Tensor in = Tensor::Zeros({1, 1, 8, 8, 16}, Layout::NCHWc(16), DType::kS8);
+  Tensor w = Tensor::Zeros({1, 1, 3, 3, 16, 16}, Layout::OIHWio(16, 16), DType::kS8);
+  Tensor mult = Tensor::Full({16}, 1e-3f);
+  Tensor out = Tensor::Empty({1, 1, 8, 8, 16}, Layout::Flat(), DType::kS8);
+  EXPECT_DEATH(ConvNCHWcS8(p_, s, in, w, nullptr, mult, {}, /*requant=*/true, &out),
+               "output layout mismatch");
+}
+
+// The matching input check: an input whose spatial dims disagree with the params.
+TEST_F(ConvOutputCheck, EveryConvRejectsWrongInputDims) {
+  const Tensor in = Tensor::Zeros({1, 16, 7, 8}, Layout::NCHW());
+  Tensor out = NchwOutput(p_);
+  EXPECT_DEATH(ConvRefNCHW(p_, in, w_, nullptr, nullptr, {}, &out), "input dims mismatch");
+  EXPECT_DEATH(ConvIm2col(p_, in, w_, nullptr, nullptr, {}, &out), "input dims mismatch");
+  const Tensor in_blocked = Tensor::Zeros({1, 1, 7, 8, 16}, Layout::NCHWc(16));
+  Tensor out_blocked = Tensor::Empty({1, 1, 8, 8, 16}, Layout::NCHWc(16));
+  EXPECT_DEATH(ConvNCHWc(p_, s_, in_blocked, w_blocked_, nullptr, nullptr, {}, &out_blocked),
+               "input dims mismatch");
 }
 
 TEST(Conv2dParams, OutputDimsAndMacs) {

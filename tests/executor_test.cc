@@ -26,7 +26,9 @@ TEST(Executor, SingleConvMatchesDirectKernelCall) {
   const Tensor& bias = g.node(node.inputs[2]).payload;
   ConvEpilogue epi;
   epi.bias = true;
-  Tensor expected = ConvRefNCHW(node.attrs.conv, x, w, &bias, nullptr, epi);
+  const Conv2dParams& p = node.attrs.conv;
+  Tensor expected = Tensor::Empty({p.batch, p.out_c, p.OutH(), p.OutW()}, Layout::NCHW());
+  ConvRefNCHW(p, x, w, &bias, nullptr, epi, &expected);
   EXPECT_EQ(Tensor::MaxAbsDiff(expected, out), 0.0);
 }
 

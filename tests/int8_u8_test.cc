@@ -442,10 +442,12 @@ TEST(LayoutTransformU8, BlockedRoundTrip) {
   for (std::int64_t i = 0; i < x.NumElements(); ++i) {
     x.data_as<std::uint8_t>()[i] = static_cast<std::uint8_t>(i % 251);
   }
-  Tensor blocked = NCHWToNCHWc(x, 4);
-  EXPECT_EQ(blocked.dtype(), DType::kU8);
-  Tensor back = NCHWcToNCHW(NCHWcToNCHWc(blocked, 8));
-  ASSERT_EQ(back.NumElements(), x.NumElements());
+  Tensor blocked = Tensor::Empty({2, 2, 5, 5, 4}, Layout::NCHWc(4), DType::kU8);
+  NCHWToNCHWc(x, 4, &blocked);
+  Tensor reblocked = Tensor::Empty({2, 1, 5, 5, 8}, Layout::NCHWc(8), DType::kU8);
+  NCHWcToNCHWc(blocked, 8, &reblocked);
+  Tensor back = Tensor::Empty(x.dims(), Layout::NCHW(), DType::kU8);
+  NCHWcToNCHW(reblocked, &back);
   for (std::int64_t i = 0; i < x.NumElements(); ++i) {
     ASSERT_EQ(back.data_as<std::uint8_t>()[i], x.data_as<std::uint8_t>()[i]) << i;
   }

@@ -17,6 +17,25 @@
 namespace neocpu {
 namespace {
 
+// Output buffers for the kernels under test; each kernel writes into one.
+Tensor BlockedLike(const Tensor& nchw, std::int64_t x) {
+  return Tensor::Empty({nchw.dim(0), nchw.dim(1) / x, nchw.dim(2), nchw.dim(3), x},
+                       Layout::NCHWc(x));
+}
+
+Tensor NchwLike(const Tensor& blocked) {
+  return Tensor::Empty(
+      {blocked.dim(0), blocked.dim(1) * blocked.dim(4), blocked.dim(2), blocked.dim(3)},
+      Layout::NCHW());
+}
+
+Tensor PoolOutput(const Pool2dParams& p, const Tensor& in) {
+  std::vector<std::int64_t> dims = in.dims();
+  dims[2] = p.OutH(in.dim(2));
+  dims[3] = p.OutW(in.dim(3));
+  return Tensor::Empty(dims, in.layout());
+}
+
 void NaiveGemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a, const float* b,
                float* c) {
   for (std::int64_t i = 0; i < m; ++i) {
@@ -71,7 +90,8 @@ TEST(Dense, MatchesNaiveWithBiasAndRelu) {
   Tensor x = Tensor::Random({1, in_dim}, rng, -1, 1);
   Tensor w = Tensor::Random({out_dim, in_dim}, rng, -1, 1);
   Tensor bias = Tensor::Random({out_dim}, rng, -1, 1);
-  Tensor out = Dense(x, w, &bias, /*relu=*/true);
+  Tensor out = Tensor::Empty({1, out_dim});
+  Dense(x, w, &bias, /*relu=*/true, &out);
   for (std::int64_t o = 0; o < out_dim; ++o) {
     double sum = bias.data()[o];
     for (std::int64_t i = 0; i < in_dim; ++i) {
@@ -86,12 +106,13 @@ TEST(Dense, BatchedRows) {
   Rng rng(16);
   Tensor x = Tensor::Random({3, 20}, rng, -1, 1);
   Tensor w = Tensor::Random({5, 20}, rng, -1, 1);
-  Tensor out = Dense(x, w, nullptr, false);
-  EXPECT_EQ(out.dims(), (std::vector<std::int64_t>{3, 5}));
+  Tensor out = Tensor::Empty({3, 5});
+  Dense(x, w, nullptr, false, &out);
   // Row 2 must equal an independent single-row dense.
   Tensor single = Tensor::Empty({1, 20});
   std::memcpy(single.data(), x.data() + 2 * 20, 20 * sizeof(float));
-  Tensor out_single = Dense(single, w, nullptr, false);
+  Tensor out_single = Tensor::Empty({1, 5});
+  Dense(single, w, nullptr, false, &out_single);
   for (std::int64_t o = 0; o < 5; ++o) {
     EXPECT_FLOAT_EQ(out.data()[2 * 5 + o], out_single.data()[o]);
   }
@@ -102,11 +123,12 @@ TEST(Dense, BatchedRows) {
 TEST(Dense, RejectsIntegerOperands) {
   Rng rng(17);
   Tensor w = Tensor::Random({4, 8}, rng, -1, 1);
+  Tensor out = Tensor::Empty({2, 4});
   Tensor x_s8 = Tensor::Zeros({2, 8}, Layout::Flat(), DType::kS8);
-  EXPECT_DEATH(Dense(x_s8, w, nullptr, false), "input.dtype");
+  EXPECT_DEATH(Dense(x_s8, w, nullptr, false, &out), "input.dtype");
   Tensor x = Tensor::Random({2, 8}, rng, -1, 1);
   Tensor w_s8 = Tensor::Zeros({4, 8}, Layout::Flat(), DType::kS8);
-  EXPECT_DEATH(Dense(x, w_s8, nullptr, false), "weight.dtype");
+  EXPECT_DEATH(Dense(x, w_s8, nullptr, false, &out), "weight.dtype");
 }
 
 TEST(Pooling, MaxKnownValues) {
@@ -115,7 +137,8 @@ TEST(Pooling, MaxKnownValues) {
   for (int i = 0; i < 16; ++i) {
     in.data()[i] = static_cast<float>(i);
   }
-  Tensor out = PoolNCHW(p, in);
+  Tensor out = PoolOutput(p, in);
+  PoolNCHW(p, in, &out);
   EXPECT_EQ(out.dims(), (std::vector<std::int64_t>{1, 1, 2, 2}));
   EXPECT_FLOAT_EQ(out.data()[0], 5);
   EXPECT_FLOAT_EQ(out.data()[1], 7);
@@ -126,7 +149,8 @@ TEST(Pooling, MaxKnownValues) {
 TEST(Pooling, AvgExcludesPaddingByDefault) {
   Pool2dParams p{PoolType::kAvg, 3, 3, 2, 2, 1, 1, false, false};
   Tensor in = Tensor::Full({1, 1, 4, 4}, 2.0f, Layout::NCHW());
-  Tensor out = PoolNCHW(p, in);
+  Tensor out = PoolOutput(p, in);
+  PoolNCHW(p, in, &out);
   // Every window averages only valid elements of a constant image -> exactly 2.
   for (std::int64_t i = 0; i < out.NumElements(); ++i) {
     EXPECT_FLOAT_EQ(out.data()[i], 2.0f);
@@ -136,7 +160,8 @@ TEST(Pooling, AvgExcludesPaddingByDefault) {
 TEST(Pooling, AvgIncludePadDividesByKernelArea) {
   Pool2dParams p{PoolType::kAvg, 2, 2, 2, 2, 1, 1, /*count_include_pad=*/true, false};
   Tensor in = Tensor::Full({1, 1, 2, 2}, 4.0f, Layout::NCHW());
-  Tensor out = PoolNCHW(p, in);
+  Tensor out = PoolOutput(p, in);
+  PoolNCHW(p, in, &out);
   // Corner window sees one valid element (4.0) over a 2x2 kernel -> 1.0.
   EXPECT_FLOAT_EQ(out.data()[0], 1.0f);
 }
@@ -156,9 +181,14 @@ TEST_P(PoolLayoutEquiv, NCHWcMatchesNCHW) {
   Pool2dParams p{type, kernel, kernel, stride, stride, pad, pad, false, false};
   Rng rng(17);
   Tensor in = Tensor::Random({1, 32, 13, 13}, rng, -2, 2, Layout::NCHW());
-  Tensor expected = PoolNCHW(p, in);
-  Tensor blocked = NCHWToNCHWc(in, 16);
-  Tensor got = NCHWcToNCHW(PoolNCHWc(p, blocked));
+  Tensor expected = PoolOutput(p, in);
+  PoolNCHW(p, in, &expected);
+  Tensor blocked = BlockedLike(in, 16);
+  NCHWToNCHWc(in, 16, &blocked);
+  Tensor pooled = PoolOutput(p, blocked);
+  PoolNCHWc(p, blocked, &pooled);
+  Tensor got = NchwLike(pooled);
+  NCHWcToNCHW(pooled, &got);
   EXPECT_EQ(Tensor::MaxAbsDiff(expected, got), 0.0);
 }
 
@@ -171,10 +201,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PoolLayoutEquiv,
 TEST(GlobalAvgPool, BothLayoutsAgree) {
   Rng rng(18);
   Tensor in = Tensor::Random({2, 32, 7, 7}, rng, -1, 1, Layout::NCHW());
-  Tensor expected = GlobalAvgPoolNCHW(in);
-  Tensor got = NCHWcToNCHW(GlobalAvgPoolNCHWc(NCHWToNCHWc(in, 8)));
+  Tensor expected = Tensor::Empty({2, 32, 1, 1}, Layout::NCHW());
+  GlobalAvgPoolNCHW(in, &expected);
+  Tensor blocked = BlockedLike(in, 8);
+  NCHWToNCHWc(in, 8, &blocked);
+  Tensor pooled = Tensor::Empty({2, 4, 1, 1, 8}, Layout::NCHWc(8));
+  GlobalAvgPoolNCHWc(blocked, &pooled);
+  Tensor got = NchwLike(pooled);
+  NCHWcToNCHW(pooled, &got);
   EXPECT_LE(Tensor::AllCloseViolation(got, expected, 1e-5, 1e-5), 0.0);
-  EXPECT_EQ(expected.dims(), (std::vector<std::int64_t>{2, 32, 1, 1}));
 }
 
 TEST(BatchNorm, ScaleShiftFoldingFormula) {
@@ -187,7 +222,8 @@ TEST(BatchNorm, ScaleShiftFoldingFormula) {
   Tensor scale, shift;
   ComputeBnScaleShift(gamma, beta, mean, var, 1e-5f, &scale, &shift);
   Tensor x = Tensor::Random({1, c, 4, 4}, rng, -2, 2, Layout::NCHW());
-  Tensor y = ScaleShiftNCHW(x, scale, shift, false);
+  Tensor y = Tensor::Empty(x.dims(), x.layout());
+  ScaleShiftNCHW(x, scale, shift, false, &y);
   // Reference: classic BN formula.
   for (std::int64_t ch = 0; ch < c; ++ch) {
     for (std::int64_t i = 0; i < 16; ++i) {
@@ -206,8 +242,14 @@ TEST(BatchNorm, NCHWcVariantMatchesAndFusesRelu) {
   Tensor scale = Tensor::Random({c}, rng, 0.5f, 1.5f);
   Tensor shift = Tensor::Random({c}, rng, -1.0f, 1.0f);
   Tensor x = Tensor::Random({1, c, 5, 5}, rng, -2, 2, Layout::NCHW());
-  Tensor expected = ScaleShiftNCHW(x, scale, shift, /*relu=*/true);
-  Tensor got = NCHWcToNCHW(ScaleShiftNCHWc(NCHWToNCHWc(x, 16), scale, shift, /*relu=*/true));
+  Tensor expected = Tensor::Empty(x.dims(), x.layout());
+  ScaleShiftNCHW(x, scale, shift, /*relu=*/true, &expected);
+  Tensor blocked = BlockedLike(x, 16);
+  NCHWToNCHWc(x, 16, &blocked);
+  Tensor shifted = Tensor::Empty(blocked.dims(), blocked.layout());
+  ScaleShiftNCHWc(blocked, scale, shift, /*relu=*/true, &shifted);
+  Tensor got = NchwLike(shifted);
+  NCHWcToNCHW(shifted, &got);
   EXPECT_EQ(Tensor::MaxAbsDiff(expected, got), 0.0);
   for (std::int64_t i = 0; i < expected.NumElements(); ++i) {
     EXPECT_GE(expected.data()[i], 0.0f);
@@ -220,7 +262,8 @@ TEST(Elementwise, ReluClampsNegatives) {
   x.data()[1] = 0.0f;
   x.data()[2] = 2.0f;
   x.data()[3] = -0.5f;
-  Tensor y = Relu(x);
+  Tensor y = Tensor::Empty({4});
+  Relu(x, &y);
   EXPECT_FLOAT_EQ(y.data()[0], 0.0f);
   EXPECT_FLOAT_EQ(y.data()[1], 0.0f);
   EXPECT_FLOAT_EQ(y.data()[2], 2.0f);
@@ -231,29 +274,38 @@ TEST(Elementwise, AddWithReluAndLayoutCheck) {
   Rng rng(22);
   Tensor a = Tensor::Random({1, 8, 3, 3}, rng, -1, 1, Layout::NCHW());
   Tensor b = Tensor::Random({1, 8, 3, 3}, rng, -1, 1, Layout::NCHW());
-  Tensor y = AddElementwise(a, b, /*relu=*/true);
+  Tensor y = Tensor::Empty(a.dims(), a.layout());
+  AddElementwise(a, b, /*relu=*/true, &y);
   for (std::int64_t i = 0; i < y.NumElements(); ++i) {
     EXPECT_FLOAT_EQ(y.data()[i], std::max(a.data()[i] + b.data()[i], 0.0f));
   }
   Tensor mismatched = b.Clone();
   mismatched.set_layout(Layout::NHWC());  // same dims, different layout tag
-  EXPECT_DEATH(AddElementwise(a, mismatched, false), "identical layouts");
+  EXPECT_DEATH(AddElementwise(a, mismatched, false, &y), "identical layouts");
 }
 
 TEST(Elementwise, ConcatNCHWAndNCHWcAgree) {
   Rng rng(23);
   Tensor a = Tensor::Random({1, 16, 4, 4}, rng, -1, 1, Layout::NCHW());
   Tensor b = Tensor::Random({1, 32, 4, 4}, rng, -1, 1, Layout::NCHW());
-  Tensor expected = ConcatChannels({a, b});
-  EXPECT_EQ(expected.dim(1), 48);
-  Tensor got = NCHWcToNCHW(ConcatChannels({NCHWToNCHWc(a, 16), NCHWToNCHWc(b, 16)}));
+  Tensor expected = Tensor::Empty({1, 48, 4, 4}, Layout::NCHW());
+  ConcatChannels({a, b}, &expected);
+  Tensor a_blocked = BlockedLike(a, 16);
+  Tensor b_blocked = BlockedLike(b, 16);
+  NCHWToNCHWc(a, 16, &a_blocked);
+  NCHWToNCHWc(b, 16, &b_blocked);
+  Tensor blocked = Tensor::Empty({1, 3, 4, 4, 16}, Layout::NCHWc(16));
+  ConcatChannels({a_blocked, b_blocked}, &blocked);
+  Tensor got = NchwLike(blocked);
+  NCHWcToNCHW(blocked, &got);
   EXPECT_EQ(Tensor::MaxAbsDiff(expected, got), 0.0);
 }
 
 TEST(Elementwise, SoftmaxRowsSumToOne) {
   Rng rng(24);
   Tensor x = Tensor::Random({3, 10}, rng, -5, 5);
-  Tensor y = Softmax(x);
+  Tensor y = Tensor::Empty({3, 10});
+  Softmax(x, &y);
   for (std::int64_t r = 0; r < 3; ++r) {
     double sum = 0.0;
     for (std::int64_t c = 0; c < 10; ++c) {
@@ -270,7 +322,8 @@ TEST(Elementwise, SoftmaxIsShiftInvariant) {
   x.data()[0] = 1000.0f;  // would overflow exp() without the max-subtraction
   x.data()[1] = 1001.0f;
   x.data()[2] = 1002.0f;
-  Tensor y = Softmax(x);
+  Tensor y = Tensor::Empty({1, 3});
+  Softmax(x, &y);
   EXPECT_FALSE(std::isnan(y.data()[0]));
   EXPECT_GT(y.data()[2], y.data()[1]);
 }
@@ -280,7 +333,8 @@ TEST(Elementwise, FlattenRequiresNCHW) {
   Tensor x = Tensor::Random({1, 8, 2, 2}, rng, -1, 1, Layout::NCHW());
   Tensor flat = FlattenNCHW(x);
   EXPECT_EQ(flat.dims(), (std::vector<std::int64_t>{1, 32}));
-  Tensor blocked = NCHWToNCHWc(x, 8);
+  Tensor blocked = BlockedLike(x, 8);
+  NCHWToNCHWc(x, 8, &blocked);
   Tensor fake4d = blocked.Reshaped({1, 4, 2, 4}, Layout::NCHWc(8));  // 4-D, wrong layout
   EXPECT_DEATH(FlattenNCHW(fake4d), "layout-dependent");
 }

@@ -92,7 +92,7 @@ Graph TinyResNet50() { return BuildResNet(50, 1, 64); }
 Graph TinyVgg11() { return BuildVgg(11, 1, 64); }
 Graph TinyDenseNet121() { return BuildDenseNet(121, 1, 64); }
 Graph TinyInception() { return BuildInceptionV3(1, 139); }
-Graph TinySsd() { return BuildSsdResNet50(1, 128, 5); }
+Graph TinySsd() { return BuildSsdResNet50(128, 5); }
 Graph TinyCnn() { return BuildTinyCnn(1, 32); }
 
 class ZooPlanEquivalence : public ::testing::TestWithParam<ZooCase> {};

@@ -87,7 +87,7 @@ TEST(InceptionStructure, ConvCountAndOutput) {
 }
 
 TEST(SsdStructure, HeadsAndDetection) {
-  Graph g = BuildSsdResNet50(1, 128, 5);
+  Graph g = BuildSsdResNet50(128, 5);
   // Backbone (53 incl. projections) + 8 extra-feature convs + 6 cls + 6 loc heads = 73.
   EXPECT_EQ(g.CountNodes(OpType::kConv2d), 73);
   EXPECT_EQ(g.CountNodes(OpType::kMultiboxDetection), 1);
@@ -109,6 +109,22 @@ TEST(ModelZoo, FactoryBuildsEveryName) {
 }
 
 TEST(ModelZoo, UnknownNameDies) { EXPECT_DEATH(BuildModel("alexnet"), "unknown model"); }
+
+// SSD's head reshapes the class scores to {anchors, classes}, so the builder only makes
+// batch 1; a larger batch is refused by name instead of failing in shape inference.
+TEST(ModelZoo, BatchedSsdDiesNamingTheBatchRule) {
+  EXPECT_DEATH(BuildModel("ssd-resnet50", 2), "ssd-resnet50 is built for batch 1 only");
+}
+
+TEST(ModelZoo, BuildErrorIsEmptyExactlyForBuildableInputs) {
+  for (const std::string& name : BuildModelNames()) {
+    EXPECT_EQ(ModelBuildError(name, 1), "") << name;
+  }
+  EXPECT_EQ(BuildModelNames().size(), ModelZooNames().size() + 2);
+  EXPECT_EQ(ModelBuildError("resnet18", 4), "");
+  EXPECT_NE(ModelBuildError("alexnet", 1), "");
+  EXPECT_NE(ModelBuildError("ssd-resnet50", 2), "");
+}
 
 TEST(ModelZoo, DeterministicWeights) {
   Graph a = BuildResNet(18, 1, 64);

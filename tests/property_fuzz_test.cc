@@ -157,14 +157,16 @@ TEST_P(FuzzQdqRoundTrip, ReconstructionWithinHalfStepAndIdempotent) {
 
   for (DType dtype : {DType::kS8, DType::kU8}) {
     const std::int32_t zero_point = dtype == DType::kU8 ? 128 : 0;
-    Tensor q = Quantize(x, scale, zero_point, dtype);
-    EXPECT_EQ(q.dtype(), dtype);
-    Tensor back = Dequantize(q, scale, zero_point);
+    Tensor q = Tensor::Empty({n}, Layout::Flat(), dtype);
+    Quantize(x, scale, zero_point, dtype, &q);
+    Tensor back = Tensor::Empty({n});
+    Dequantize(q, scale, zero_point, &back);
     // |x - DQ(Q(x))| <= scale/2 everywhere (no clamping: scale covers [-amax, amax]).
     EXPECT_LE(Tensor::MaxAbsDiff(x, back), scale * 0.5 + 1e-7)
         << "seed=" << seed << " dtype=" << DTypeName(dtype);
     // Idempotence: re-quantizing the dequantized tensor reproduces q bit for bit.
-    Tensor q2 = Quantize(back, scale, zero_point, dtype);
+    Tensor q2 = Tensor::Empty({n}, Layout::Flat(), dtype);
+    Quantize(back, scale, zero_point, dtype, &q2);
     EXPECT_EQ(std::memcmp(q.data(), q2.data(), static_cast<std::size_t>(n)), 0)
         << "seed=" << seed << " dtype=" << DTypeName(dtype);
   }

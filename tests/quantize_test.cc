@@ -151,7 +151,8 @@ TEST(ConvNCHWcS8, RequantAndDequantOutputsAgree) {
   Tensor out_s8 = Tensor::Empty({1, 1, 14, 14, 32}, Layout::NCHWc(32), DType::kS8);
   ConvNCHWcS8(p, s, in, w, nullptr, mult_req, {}, /*requant=*/true, &out_s8);
 
-  Tensor dequant = Dequantize(out_s8, out_scale, 0);
+  Tensor dequant = Tensor::Empty(out_s8.dims(), out_s8.layout());
+  Dequantize(out_s8, out_scale, 0, &dequant);
   // The requantized value is the f32 value snapped to the s8 grid (within clamping).
   EXPECT_LE(Tensor::MaxAbsDiff(out_f32, dequant), out_scale * 0.5 + 1e-6);
   EXPECT_STRNE(ConvNCHWcS8IsaName(), "");
@@ -163,11 +164,12 @@ TEST(LayoutTransformS8, BlockedRoundTrip) {
   for (std::int64_t i = 0; i < x.NumElements(); ++i) {
     x.data_as<std::int8_t>()[i] = static_cast<std::int8_t>(i % 251 - 125);
   }
-  Tensor blocked = NCHWToNCHWc(x, 4);
-  EXPECT_EQ(blocked.dtype(), DType::kS8);
-  Tensor reblocked = NCHWcToNCHWc(blocked, 8);
-  Tensor back = NCHWcToNCHW(reblocked);
-  ASSERT_EQ(back.NumElements(), x.NumElements());
+  Tensor blocked = Tensor::Empty({2, 2, 5, 5, 4}, Layout::NCHWc(4), DType::kS8);
+  NCHWToNCHWc(x, 4, &blocked);
+  Tensor reblocked = Tensor::Empty({2, 1, 5, 5, 8}, Layout::NCHWc(8), DType::kS8);
+  NCHWcToNCHWc(blocked, 8, &reblocked);
+  Tensor back = Tensor::Empty(x.dims(), Layout::NCHW(), DType::kS8);
+  NCHWcToNCHW(reblocked, &back);
   for (std::int64_t i = 0; i < x.NumElements(); ++i) {
     ASSERT_EQ(back.data_as<std::int8_t>()[i], x.data_as<std::int8_t>()[i]) << i;
   }

@@ -175,7 +175,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Serialization, RoundTripsZooModelWithDetectionHead) {
   // SSD exercises every serialized attribute family: multibox params, reshape dims,
   // flatten variants, and flat concats.
-  Graph model = BuildSsdResNet50(1, 128, 5);
+  Graph model = BuildSsdResNet50(128, 5);
   CompiledModel compiled = Compile(model, NeoCpuOptions(Target::Host()));
   Rng rng(2);
   Tensor input = Tensor::Random({1, 3, 128, 128}, rng, 0.f, 1.f, Layout::NCHW());

@@ -12,6 +12,10 @@
 namespace neocpu {
 namespace {
 
+Tensor NchwOutput(const Conv2dParams& p) {
+  return Tensor::Empty({p.batch, p.out_c, p.OutH(), p.OutW()}, Layout::NCHW());
+}
+
 TEST(Winograd, ApplicabilityPredicate) {
   EXPECT_TRUE(WinogradApplicable({1, 8, 8, 8, 8, 3, 3, 1, 1, 1, 1}));
   EXPECT_FALSE(WinogradApplicable({1, 8, 8, 8, 8, 3, 3, 2, 2, 1, 1}));  // stride 2
@@ -35,7 +39,8 @@ TEST(Winograd, IdentityKernelTransform) {
   Rng rng(2);
   Tensor in = Tensor::Random({1, 1, 6, 6}, rng, -1, 1, Layout::NCHW());
   Tensor u = WinogradTransformWeights(w);
-  Tensor out = ConvWinograd(p, in, u, nullptr, {});
+  Tensor out = NchwOutput(p);
+  ConvWinograd(p, in, u, nullptr, {}, &out);
   EXPECT_LE(Tensor::AllCloseViolation(out, in, 1e-5, 1e-5), 0.0);
 }
 
@@ -55,9 +60,11 @@ TEST_P(WinogradVsRef, MatchesDirectConvolution) {
   ConvEpilogue epi;
   epi.bias = true;
   epi.relu = true;
-  Tensor expected = ConvRefNCHW(p, in, w, &bias, nullptr, epi);
+  Tensor expected = NchwOutput(p);
+  ConvRefNCHW(p, in, w, &bias, nullptr, epi, &expected);
   Tensor u = WinogradTransformWeights(w);
-  Tensor got = ConvWinograd(p, in, u, &bias, epi);
+  Tensor got = NchwOutput(p);
+  ConvWinograd(p, in, u, &bias, epi, &got);
   // Winograd reassociates more aggressively than a direct sum: slightly wider tolerance.
   EXPECT_LE(Tensor::AllCloseViolation(got, expected, 2e-3, 2e-3), 0.0) << GetParam().label;
 }
@@ -80,21 +87,24 @@ TEST(Winograd, ThreadedMatchesSerial) {
   Tensor in = Tensor::Random({1, 16, 16, 16}, rng, -1, 1, Layout::NCHW());
   Tensor w = Tensor::Random({16, 16, 3, 3}, rng, -0.5f, 0.5f, Layout::OIHW());
   Tensor u = WinogradTransformWeights(w);
-  Tensor serial = ConvWinograd(p, in, u, nullptr, {});
+  Tensor serial = NchwOutput(p);
+  ConvWinograd(p, in, u, nullptr, {}, &serial);
   NeoThreadPool pool(3, /*bind_threads=*/false);
-  Tensor threaded = ConvWinograd(p, in, u, nullptr, {}, &pool);
+  Tensor threaded = NchwOutput(p);
+  ConvWinograd(p, in, u, nullptr, {}, &threaded, &pool);
   EXPECT_EQ(Tensor::MaxAbsDiff(serial, threaded), 0.0);
 }
 
 // The planner-facing workspace form: caller-provided V/M scratch sized by the query
-// hook, serial and threaded, bitwise identical to the self-allocating form.
+// hook, serial and threaded, bitwise identical to the kernel's own per-worker scratch.
 TEST(Winograd, CallerProvidedWorkspaceMatches) {
   Conv2dParams p{2, 16, 9, 9, 8, 3, 3, 1, 1, 1, 1};
   Rng rng(6);
   Tensor in = Tensor::Random({2, 16, 9, 9}, rng, -1, 1, Layout::NCHW());
   Tensor w = Tensor::Random({8, 16, 3, 3}, rng, -0.5f, 0.5f, Layout::OIHW());
   Tensor u = WinogradTransformWeights(w);
-  const Tensor expected = ConvWinograd(p, in, u, nullptr, {});
+  Tensor expected = NchwOutput(p);
+  ConvWinograd(p, in, u, nullptr, {}, &expected);
 
   SerialEngine serial;
   NeoThreadPool pool(3, /*bind_threads=*/false);
@@ -104,7 +114,7 @@ TEST(Winograd, CallerProvidedWorkspaceMatches) {
     EXPECT_EQ(ws_bytes,
               16u * (8u + 16u) * sizeof(float) * static_cast<std::size_t>(engine->NumWorkers()));
     Tensor workspace = Tensor::Empty({static_cast<std::int64_t>(ws_bytes / sizeof(float))});
-    Tensor out = Tensor::Empty({p.batch, p.out_c, p.OutH(), p.OutW()}, Layout::NCHW());
+    Tensor out = NchwOutput(p);
     ConvWinograd(p, in, u, nullptr, {}, &out, engine, workspace.data());
     EXPECT_EQ(Tensor::MaxAbsDiff(expected, out), 0.0) << engine->Name();
   }
@@ -116,7 +126,8 @@ TEST(Winograd, RejectsNonApplicableWorkloads) {
   Tensor in = Tensor::Random({1, 8, 8, 8}, rng, -1, 1, Layout::NCHW());
   Tensor w = Tensor::Random({8, 8, 3, 3}, rng, -1, 1, Layout::OIHW());
   Tensor u = WinogradTransformWeights(w);
-  EXPECT_DEATH(ConvWinograd(p, in, u, nullptr, {}), "Check failed");
+  Tensor out = NchwOutput(p);
+  EXPECT_DEATH(ConvWinograd(p, in, u, nullptr, {}, &out), "Check failed");
 }
 
 }  // namespace

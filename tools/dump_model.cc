@@ -17,7 +17,8 @@
 //                        entropy                                 (default minmax)
 //   --dtype D            forced quantized activation dtype: s8 | u8
 //   --quantize-dense     also quantize dense layers (u8 packed GEMM)
-// --policy, --dtype and --quantize-dense require --quantize.
+// --policy, --dtype and --quantize-dense require --quantize. A --zoo name or batch the
+// model zoo cannot build (ModelBuildError) is bad usage.
 //
 // Exit status: 0 on success, 1 on bad usage or I/O failure.
 #include <cstdio>
@@ -47,13 +48,18 @@ namespace {
 constexpr long long kMaxBatch = 4096;
 
 int Usage(const char* argv0) {
+  std::string names;
+  for (const std::string& name : BuildModelNames()) {
+    names += (names.empty() ? "" : ", ") + name;
+  }
   std::fprintf(stderr,
                "usage: %s (--module PATH | --zoo NAME) [--batch N]\n"
                "          [--quantize [--policy minmax|percentile|entropy]\n"
                "                      [--dtype s8|u8] [--quantize-dense]]\n"
                "          [--dot PATH] [--profile-runs N] [--trace PATH]\n"
-               "          [--metrics json|prometheus]\n",
-               argv0);
+               "          [--metrics json|prometheus]\n"
+               "zoo models: %s\n",
+               argv0, names.c_str());
   return 1;
 }
 
@@ -218,6 +224,13 @@ int main(int argc, char** argv) {
   if (!quantize && (!policy.empty() || !forced_dtype.empty() || quantize_dense)) {
     std::fprintf(stderr, "--policy, --dtype and --quantize-dense require --quantize\n");
     return Usage(argv[0]);
+  }
+  if (!zoo_name.empty()) {
+    const std::string error = ModelBuildError(zoo_name, batch);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return Usage(argv[0]);
+    }
   }
 
   CompiledModel model;
