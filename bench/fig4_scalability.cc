@@ -129,8 +129,9 @@ struct Curve {
   int max_threads;
 };
 
-// One serving-shaped partition fleet: a thread per partition, each with its own
-// engine and arena, all released together and timed until the slowest finishes.
+// One serving-shaped partition fleet: a thread per partition, each with its own pool
+// (on the partition's cpus) and arena, all released together and timed until the
+// slowest finishes.
 // `numa_aware` homes every arena on its partition's node so activations are
 // first-touched node-locally; oblivious runs leave arenas unbound (legacy behavior).
 double MeasureNumaLeg(const CompiledModel& compiled, const Tensor& input,
@@ -142,19 +143,20 @@ double MeasureNumaLeg(const CompiledModel& compiled, const Tensor& input,
   threads.reserve(plan.size());
   for (const CorePartition& partition : plan) {
     threads.emplace_back([&, partition] {
-      std::unique_ptr<ThreadEngine> engine = MakePartitionEngine(partition, bind);
+      // Built in-thread so this thread is worker 0, bound to the partition's first cpu.
+      NeoThreadPool pool(static_cast<int>(partition.cpus.size()), bind, partition.cpus);
       Arena arena;
       if (numa_aware) {
         arena.set_home_node(partition.home_node);
       }
       Executor exec(&compiled.graph(), nullptr, compiled.plan());
-      exec.Run(input, engine.get(), &arena);  // warm-up: faults the arena on-node
+      exec.Run(input, &pool, &arena);  // warm-up: faults the arena on-node
       ready.fetch_add(1, std::memory_order_release);
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
       for (int r = 0; r < reps; ++r) {
-        exec.Run(input, engine.get(), &arena);
+        exec.Run(input, &pool, &arena);
       }
     });
   }

@@ -439,16 +439,14 @@ bool RebindBatch(const CompiledModel& model, std::int64_t batch, CompiledModel* 
 }
 
 bool RetuneForBatch(const CompiledModel& model, std::int64_t batch, ThreadEngine* engine,
-                    CompiledModel* out, const CompileConfig* config_override) {
+                    CompiledModel* out) {
   NEOCPU_CHECK(out != nullptr);
   Graph source = model.source_graph();
   if (!RebindBatchDim(&source, batch)) {
     return false;
   }
-  const CompileConfig& config =
-      config_override != nullptr ? *config_override : model.config();
   Timer total_timer;
-  *out = LowerAtBatch(std::move(source), config, model.tuning(), model.calibration(),
+  *out = LowerAtBatch(std::move(source), model.config(), model.tuning(), model.calibration(),
                       engine, /*retuned=*/true, total_timer);
   return true;
 }

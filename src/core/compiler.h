@@ -232,14 +232,11 @@ bool RebindBatch(const CompiledModel& model, std::int64_t batch, CompiledModel* 
 // model's original CompileConfig and against its shared TuningCache: per-conv local
 // searches are keyed by the batch-`batch` WorkloadKey (pure cache lookups when the cache
 // already holds that batch's tuning — the warm-start path), followed by the configured
-// global selection and layout lowering. `engine` backs measured-mode tuning; null is
-// fine for analytic mode. `config_override`, when non-null, replaces the model's
-// CompileConfig for this re-tune AND for the produced model — the measured-mode tuning
-// partition uses it to flip cost_mode to kMeasured, so the re-tune times real kernels
-// and its winners land under kMeasured workload keys in the shared cache. Returns false
-// when the source cannot be rebound to `batch`.
+// global selection and layout lowering. `engine` backs measured-mode tuning; null
+// times kernels serially and is fine for analytic mode. Returns false when the source
+// cannot be rebound to `batch`.
 bool RetuneForBatch(const CompiledModel& model, std::int64_t batch, ThreadEngine* engine,
-                    CompiledModel* out, const CompileConfig* config_override = nullptr);
+                    CompiledModel* out);
 
 // Rebuilds a model from its persisted parts (LoadModule's path): lowers `source` at
 // `tuned_batch` through the same schedule selection and layout lowering as Compile and

@@ -4,32 +4,9 @@
 #include <utility>
 
 #include "src/base/cpu_info.h"
-#include "src/base/logging.h"
-#include "src/runtime/thread_pool.h"
 
 namespace neocpu {
 namespace {
-
-// The legacy contiguous split: total cores into num_partitions slices, earlier
-// partitions absorbing the remainder. This is the single-node plan, unchanged since
-// PR 1 — the single-socket regression test pins its output bit for bit.
-std::vector<CorePartition> PlanContiguous(int num_partitions, int total, int home_node) {
-  std::vector<CorePartition> plan;
-  plan.reserve(static_cast<std::size_t>(num_partitions));
-  const int base = total / num_partitions;
-  const int remainder = total % num_partitions;
-  int offset = 0;
-  for (int p = 0; p < num_partitions; ++p) {
-    const int width = base + (p < remainder ? 1 : 0);
-    CorePartition part;
-    part.core_offset = offset;
-    part.num_workers = width;
-    part.home_node = home_node;
-    plan.push_back(std::move(part));
-    offset += width;
-  }
-  return plan;
-}
 
 // Per-node cpu pool in planner preference order: primary cpus first, HT siblings
 // after, both ascending — slices take a prefix, so siblings are only used once every
@@ -101,8 +78,6 @@ std::vector<CorePartition> SliceNode(const TopologyNode& node,
     CorePartition part;
     part.home_node = node.id;
     part.cpus.assign(pool.begin() + offset, pool.begin() + offset + width);
-    part.core_offset = part.cpus.empty() ? 0 : part.cpus.front();
-    part.num_workers = width;
     slices.push_back(std::move(part));
     offset += width;
   }
@@ -117,26 +92,15 @@ std::vector<CorePartition> PlanCorePartitions(int num_partitions, int total_work
 
 std::vector<CorePartition> PlanCorePartitions(int num_partitions, int total_workers,
                                               const CpuTopology& topology) {
-  if (num_partitions < 1) {
-    num_partitions = 1;
+  int total = std::max(1, total_workers > 0 ? total_workers : HostCpuInfo().physical_cores);
+  if (topology.nodes().empty()) {
+    // A tree with no online cpus (unreadable sysfs) plans as one node of the budget.
+    return PlanCorePartitions(num_partitions, total, CpuTopology::SingleNode(total));
   }
+  num_partitions = std::max(num_partitions, 1);
 
-  if (!topology.multi_node()) {
-    // Single node: the legacy contiguous plan, bit for bit. total defaults to the
-    // physical core count exactly as it always has.
-    int total = total_workers > 0 ? total_workers : HostCpuInfo().physical_cores;
-    if (total < 1) {
-      total = 1;
-    }
-    if (num_partitions > total) {
-      num_partitions = total;
-    }
-    const int home = topology.nodes().empty() ? 0 : topology.nodes().front().id;
-    return PlanContiguous(num_partitions, total, home);
-  }
-
-  // Multi-node: build per-node pools (primaries first), clamp the worker budget to
-  // what the host actually has, and keep every slice inside one node.
+  // Build per-node pools (primaries first), clamp the worker budget to the cpus the
+  // topology actually has online, and keep every slice inside one node.
   const std::vector<TopologyNode>& nodes = topology.nodes();
   std::vector<std::vector<int>> pools;
   int capacity = 0;
@@ -144,8 +108,7 @@ std::vector<CorePartition> PlanCorePartitions(int num_partitions, int total_work
     pools.push_back(NodePool(node));
     capacity += static_cast<int>(pools.back().size());
   }
-  int total = total_workers > 0 ? total_workers : HostCpuInfo().physical_cores;
-  total = std::max(1, std::min(total, capacity));
+  total = std::min(total, capacity);
   num_partitions = std::min(num_partitions, total);
 
   if (num_partitions == 1) {
@@ -171,8 +134,6 @@ std::vector<CorePartition> PlanCorePartitions(int num_partitions, int total_work
         }
       }
     }
-    part.core_offset = part.cpus.front();
-    part.num_workers = static_cast<int>(part.cpus.size());
     return {part};
   }
 
@@ -224,107 +185,6 @@ std::vector<CorePartition> PlanCorePartitions(int num_partitions, int total_work
     }
   }
   return plan;
-}
-
-ServingPlan PlanServingAndTuning(int num_partitions, int total_workers,
-                                 const CpuTopology& topology) {
-  ServingPlan out;
-
-  // The tuning slice: HT siblings of the highest core that has any (cycles the
-  // serving plan's primary-first fill would only reach under full subscription),
-  // else the last cpu of the last node. Never more than two cpus — measured
-  // re-tunes want representative timings, not throughput.
-  std::vector<int> tuning_cpus;
-  int tuning_node = 0;
-  for (auto it = topology.nodes().rbegin(); it != topology.nodes().rend(); ++it) {
-    for (auto cpu = it->cpus.rbegin(); cpu != it->cpus.rend(); ++cpu) {
-      bool is_primary = false;
-      for (int p : it->primary_cpus) {
-        if (p == *cpu) {
-          is_primary = true;
-          break;
-        }
-      }
-      if (!is_primary) {
-        tuning_cpus.push_back(*cpu);
-        tuning_node = it->id;
-        if (tuning_cpus.size() == 2) {
-          break;
-        }
-      }
-    }
-    if (!tuning_cpus.empty()) {
-      break;
-    }
-  }
-  if (tuning_cpus.empty() && topology.num_online_cpus() > 1) {
-    // No hyperthreads: steal the last cpu outright.
-    const TopologyNode& last = topology.nodes().back();
-    tuning_cpus.push_back(last.cpus.back());
-    tuning_node = last.id;
-  }
-  std::sort(tuning_cpus.begin(), tuning_cpus.end());
-
-  if (tuning_cpus.empty()) {
-    // One-cpu host: nothing to carve. The tuning slice shares cpu 0 with serving;
-    // re-tunes timeshare exactly as they did before this feature existed.
-    out.serving = PlanCorePartitions(num_partitions, total_workers, topology);
-    out.tuning = out.serving.front();
-    out.tuning.num_workers = 1;
-    out.has_dedicated_tuning = false;
-    return out;
-  }
-
-  const CpuTopology remaining = topology.WithoutCpus(tuning_cpus);
-  int total = total_workers > 0 ? total_workers : HostCpuInfo().physical_cores;
-  total = std::min(total, remaining.num_online_cpus());
-  out.serving = PlanCorePartitions(num_partitions, total, remaining);
-  out.tuning.home_node = tuning_node;
-  out.tuning.cpus = tuning_cpus;
-  out.tuning.core_offset = tuning_cpus.front();
-  out.tuning.num_workers = static_cast<int>(tuning_cpus.size());
-  out.has_dedicated_tuning = true;
-  return out;
-}
-
-void PinnedSerialEngine::ParallelRun(int num_tasks,
-                                     const std::function<void(int, int)>& fn) {
-  // Bind lazily, once per (thread, engine): the engine is typically constructed on a
-  // setup thread but run from the partition's own worker thread.
-  static thread_local const PinnedSerialEngine* bound = nullptr;
-  if (bound != this) {
-    BindCurrentThreadToCpu(cpu_);
-    bound = this;
-  }
-  for (int i = 0; i < num_tasks; ++i) {
-    fn(i, num_tasks);
-  }
-}
-
-std::unique_ptr<ThreadEngine> MakePartitionEngine(const CorePartition& partition,
-                                                  bool bind_threads) {
-  if (partition.num_workers <= 1) {
-    // A single-core slice gains nothing from a pool, but it must still honor its
-    // placement: pin the caller to the slice's cpu (the satellite fix — unpinned
-    // SerialEngine let single-core partitions float off their cores).
-    const int cpu = partition.cpus.empty() ? partition.core_offset : partition.cpus[0];
-    if (bind_threads) {
-      return std::make_unique<PinnedSerialEngine>(cpu);
-    }
-    return std::make_unique<SerialEngine>();
-  }
-  return std::make_unique<NeoThreadPool>(partition.num_workers, bind_threads,
-                                         partition.core_offset, partition.cpus);
-}
-
-std::vector<std::unique_ptr<ThreadEngine>> MakeEnginePartitions(int num_partitions,
-                                                                int total_workers,
-                                                                bool bind_threads) {
-  std::vector<std::unique_ptr<ThreadEngine>> engines;
-  for (const CorePartition& part : PlanCorePartitions(num_partitions, total_workers)) {
-    engines.push_back(MakePartitionEngine(part, bind_threads));
-  }
-  return engines;
 }
 
 }  // namespace neocpu

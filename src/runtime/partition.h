@@ -3,97 +3,44 @@
 // The paper's Figure 4 shows that thread-pool scalability flattens well before the full
 // core count for small inputs: two model instances each on half the cores deliver more
 // aggregate throughput than one instance spanning every core. This module carves the
-// host's cores into N disjoint partitions and hands each one out as an independent
-// ThreadEngine, so N executors can run concurrently without oversubscribing or
-// cross-talking on shared cache lines. The serving executor pool (src/serve/) is the
-// primary consumer.
+// host's cpus into N disjoint partitions, so N executors can run concurrently without
+// oversubscribing or cross-talking on shared cache lines. A partition is its cpu list:
+// each consumer builds a NeoThreadPool bound to `cpus` on the thread that will drive
+// it (the serving executor pool in src/serve/ and the fig4 NUMA leg).
 //
-// Partitions are topology-aware (src/runtime/topology.h): on multi-node hosts a
-// partition never straddles a NUMA boundary (unless a single partition must span the
-// host), physical cores are preferred over hyperthread siblings, and every partition
-// reports its home node so arenas and weight replicas can be bound to match. On
-// single-node hosts the plan is bit-for-bit the legacy contiguous split — guarded by a
-// regression test — so nothing changes where there is no topology to exploit.
+// Partitions are topology-aware (src/runtime/topology.h): a single-node host is a
+// one-node topology, a partition never straddles a NUMA boundary (unless a single
+// partition must span the host), physical cores are preferred over hyperthread
+// siblings, only online cpus are handed out, and every partition reports its home
+// node so arenas and weight replicas can be bound to match.
 #ifndef NEOCPU_SRC_RUNTIME_PARTITION_H_
 #define NEOCPU_SRC_RUNTIME_PARTITION_H_
 
-#include <memory>
 #include <vector>
 
-#include "src/runtime/thread_engine.h"
 #include "src/runtime/topology.h"
 
 namespace neocpu {
 
-// One slice of the host's cores. `cpus` empty means the legacy contiguous slice
-// [core_offset, core_offset + num_workers) — the single-node shape; multi-node plans
-// list the slice's cpu ids explicitly (core_offset is then cpus.front()).
+// One slice of the host's cpus; its width is cpus.size().
 struct CorePartition {
-  int core_offset = 0;
-  int num_workers = 1;
-  int home_node = 0;       // NUMA node every cpu of this slice lives on
-  std::vector<int> cpus;   // explicit cpu ids; empty = contiguous from core_offset
+  int home_node = 0;      // NUMA node every cpu of this slice lives on
+  std::vector<int> cpus;  // the cpu ids worker i of the slice's pool binds to, in order
 };
 
-// Splits `total_workers` cores (<= 0 selects the physical core count) into
-// `num_partitions` disjoint slices, node-aligned on multi-node hosts (see the
-// topology overload). `num_partitions` is clamped to [1, total_workers] so every
-// partition has at least one core.
+// Splits `total_workers` cpus (<= 0 selects the physical core count) of the host
+// topology into `num_partitions` disjoint slices (see the topology overload).
 std::vector<CorePartition> PlanCorePartitions(int num_partitions, int total_workers = 0);
 
-// Same, planned against an explicit topology (tests plan against fixture trees).
-// Single-node topologies produce the legacy contiguous split: earlier partitions
-// absorb the remainder, cpus stays empty. Multi-node topologies apportion partitions
-// to nodes by capacity (largest remainder), fill each from the node's primary cpus
-// before its HT siblings, and never let a slice cross nodes — except when
-// num_partitions == 1 and the single partition needs more cpus than the largest node
-// holds, in which case it spans the host.
+// Same, planned against an explicit topology (tests plan against fixture trees). The
+// worker budget is clamped to the topology's online cpus and `num_partitions` to
+// [1, budget], so every partition has at least one cpu. Partitions are apportioned to
+// nodes by capacity (largest remainder); each node's share is sliced from its primary
+// cpus before its HT siblings, earlier slices absorbing the remainder, and no slice
+// crosses nodes — except when num_partitions == 1 and the single partition needs more
+// cpus than the largest node holds, in which case it spans the host.
 std::vector<CorePartition> PlanCorePartitions(int num_partitions, int total_workers,
                                               const CpuTopology& topology);
-
-// A serving plan with the measured-mode tuning slice carved out: `tuning` is the
-// smallest slice the topology offers (the HT siblings of one core when the host has
-// them — cycles serving never counted on — else the last single cpu), and `serving`
-// is planned over everything that remains. On a host with one cpu there is nothing
-// to carve; the tuning slice then shares cpu 0 with serving (has_dedicated_tuning
-// reports the distinction).
-struct ServingPlan {
-  std::vector<CorePartition> serving;
-  CorePartition tuning;
-  bool has_dedicated_tuning = false;  // tuning cpus are disjoint from serving cpus
-};
-
-ServingPlan PlanServingAndTuning(int num_partitions, int total_workers,
-                                 const CpuTopology& topology);
-
-// Serial engine that pins its calling thread to one cpu before running (lazily, once
-// per thread): single-core partitions honor their placement like pooled ones do
-// instead of floating wherever the scheduler left the caller.
-class PinnedSerialEngine final : public ThreadEngine {
- public:
-  explicit PinnedSerialEngine(int cpu) : cpu_(cpu) {}
-
-  void ParallelRun(int num_tasks, const std::function<void(int, int)>& fn) override;
-  int NumWorkers() const override { return 1; }
-  const char* Name() const override { return "pinned-serial"; }
-  int cpu() const { return cpu_; }
-
- private:
-  int cpu_;
-};
-
-// The engine for one partition: a NeoThreadPool bound to the slice's cpus, or a
-// pinned (bind_threads) / plain serial engine for single-core slices.
-std::unique_ptr<ThreadEngine> MakePartitionEngine(const CorePartition& partition,
-                                                  bool bind_threads);
-
-// Materializes a plan as independent engines bound to disjoint cores (best effort;
-// binding failures degrade to unpinned threads). With bind_threads=false the
-// partitions still bound concurrency but float across cores — the right setting for
-// tests and oversubscribed CI hosts.
-std::vector<std::unique_ptr<ThreadEngine>> MakeEnginePartitions(int num_partitions,
-                                                                int total_workers = 0,
-                                                                bool bind_threads = true);
 
 }  // namespace neocpu
 

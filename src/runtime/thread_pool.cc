@@ -1,42 +1,21 @@
 #include "src/runtime/thread_pool.h"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "src/base/cpu_info.h"
+#include "src/runtime/topology.h"
 
 namespace neocpu {
-namespace {
 
-// Best-effort pinning of the current thread to one core; failures are ignored (e.g.
-// when the process is already restricted to a subset of cores).
-void BindCurrentThreadToCore(int core) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core % CPU_SETSIZE, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)core;
-#endif
-}
-
-}  // namespace
-
-NeoThreadPool::NeoThreadPool(int num_workers, bool bind_threads, int core_offset,
-                             std::vector<int> bind_cpus)
-    : bind_threads_(bind_threads),
-      core_offset_(core_offset),
-      bind_cpus_(std::move(bind_cpus)) {
+// Binding is best effort: BindCurrentThreadToCpu leaves a thread floating when the
+// kernel refuses (e.g. a cpuset-restricted process).
+NeoThreadPool::NeoThreadPool(int num_workers, bool bind_threads, std::vector<int> bind_cpus)
+    : bind_threads_(bind_threads), bind_cpus_(std::move(bind_cpus)) {
   num_workers_ = num_workers > 0 ? num_workers : HostCpuInfo().physical_cores;
   workers_.reserve(static_cast<std::size_t>(num_workers_));
   for (int i = 0; i < num_workers_; ++i) {
     workers_.push_back(std::make_unique<Worker>());
   }
   if (bind_threads_) {
-    BindCurrentThreadToCore(BindCpuOf(0));
+    BindCurrentThreadToCpu(BindCpuOf(0));
   }
   for (int i = 1; i < num_workers_; ++i) {
     workers_[static_cast<std::size_t>(i)]->thread = std::thread([this, i] { WorkerLoop(i); });
@@ -59,12 +38,12 @@ int NeoThreadPool::BindCpuOf(int worker_index) const {
   if (worker_index < static_cast<int>(bind_cpus_.size())) {
     return bind_cpus_[static_cast<std::size_t>(worker_index)];
   }
-  return core_offset_ + worker_index;
+  return worker_index;
 }
 
 void NeoThreadPool::WorkerLoop(int worker_index) {
   if (bind_threads_) {
-    BindCurrentThreadToCore(BindCpuOf(worker_index));
+    BindCurrentThreadToCpu(BindCpuOf(worker_index));
   }
   auto& queue = workers_[static_cast<std::size_t>(worker_index)]->queue;
   int idle_spins = 0;

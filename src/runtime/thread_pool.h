@@ -28,12 +28,11 @@ class NeoThreadPool final : public ThreadEngine {
  public:
   // num_workers <= 0 selects the physical core count. Worker 0 is the calling thread
   // (the scheduler participates in the work), so only num_workers-1 threads are spawned.
-  // `core_offset` shifts the cores workers bind to: worker i binds to core
-  // core_offset + i, which lets several pools coexist on disjoint core partitions (the
-  // serving executor pool; see src/runtime/partition.h). `bind_cpus`, when non-empty,
-  // overrides the contiguous rule: worker i binds to bind_cpus[i] — how NUMA-aware
-  // partitions hand a pool their exact (possibly non-contiguous) cpu set.
-  explicit NeoThreadPool(int num_workers = 0, bool bind_threads = true, int core_offset = 0,
+  // With bind_threads, worker i binds to bind_cpus[i] when that list is given, else to
+  // cpu i — how a core partition (src/runtime/partition.h) hands a pool its exact cpu
+  // set, so several pools coexist on disjoint cpus. A bound pool of width 1 pins its
+  // constructing thread and runs every region inline.
+  explicit NeoThreadPool(int num_workers = 0, bool bind_threads = true,
                          std::vector<int> bind_cpus = {});
   ~NeoThreadPool() override;
 
@@ -62,12 +61,11 @@ class NeoThreadPool final : public ThreadEngine {
   void WorkerLoop(int worker_index);
   void RunTask(const Task& task);
 
-  // The cpu worker i binds to (core_offset_ + i unless bind_cpus overrode it).
+  // The cpu worker i binds to (bind_cpus_[i] when given, else i).
   int BindCpuOf(int worker_index) const;
 
   int num_workers_ = 1;
   bool bind_threads_ = true;
-  int core_offset_ = 0;
   std::vector<int> bind_cpus_;
   std::vector<std::unique_ptr<Worker>> workers_;
   alignas(kCacheLineBytes) std::atomic<std::uint64_t> pending_{0};

@@ -284,37 +284,6 @@ int CpuTopology::FirstCpuOfNode(int node) const {
   return -1;
 }
 
-CpuTopology CpuTopology::WithoutCpus(const std::vector<int>& removed) const {
-  const std::set<int> gone(removed.begin(), removed.end());
-  CpuTopology out;
-  out.cpus_ = cpus_;
-  for (LogicalCpu& cpu : out.cpus_) {
-    if (gone.count(cpu.id) > 0) {
-      cpu.online = false;
-    }
-  }
-  // A primary whose cpu was removed promotes its smallest remaining sibling, so the
-  // planner still sees one primary per surviving core.
-  std::map<std::pair<int, int>, int> first_of_core;  // (package, core) -> smallest cpu
-  for (const LogicalCpu& cpu : out.cpus_) {
-    if (!cpu.online) {
-      continue;
-    }
-    auto key = std::make_pair(cpu.package, cpu.core);
-    auto it = first_of_core.find(key);
-    if (it == first_of_core.end() || cpu.id < it->second) {
-      first_of_core[key] = cpu.id;
-    }
-  }
-  for (LogicalCpu& cpu : out.cpus_) {
-    if (cpu.online) {
-      cpu.primary = first_of_core[{cpu.package, cpu.core}] == cpu.id;
-    }
-  }
-  out.RebuildNodes();
-  return out;
-}
-
 const CpuTopology& HostTopology() {
   static const CpuTopology* topo = [] {
     CpuTopology parsed = CpuTopology::FromSysfs("/sys");

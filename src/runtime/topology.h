@@ -75,10 +75,6 @@ class CpuTopology {
   // want node-local first-touch bind here before touching pages.
   int FirstCpuOfNode(int node) const;
 
-  // A copy of this topology with `removed` cpus taken offline — how the planner
-  // carves the measured-mode tuning slice out before planning serving partitions.
-  CpuTopology WithoutCpus(const std::vector<int>& removed) const;
-
  private:
   void RebuildNodes();
 

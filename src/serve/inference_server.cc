@@ -25,35 +25,10 @@ InferenceServer::InferenceServer(ServerOptions options)
                                               : (cores >= 2 ? 2 : 1);
   // Partition the cores across the pool, node-aligned on multi-node hosts. When the
   // pool is wider than the core count (useful on small CI hosts), the extra workers
-  // run serial executors that timeshare. With measured_tuning_partition the tuning
-  // slice is carved out first and serving gets the rest.
+  // run serial executors that timeshare.
+  partitions_ = PlanCorePartitions(num_executors_, options_.total_workers, topology);
   RetuneOptions retune;
   retune.enabled = options_.background_retune;
-  retune.num_workers = options_.retune_workers > 0 ? options_.retune_workers : 1;
-  retune.bind_threads = false;
-  if (options_.measured_tuning_partition) {
-    ServingPlan serving_plan =
-        PlanServingAndTuning(num_executors_, options_.total_workers, topology);
-    partitions_ = std::move(serving_plan.serving);
-    tuning_partition_ = std::move(serving_plan.tuning);
-    has_tuning_partition_ = serving_plan.has_dedicated_tuning;
-  } else {
-    partitions_ = PlanCorePartitions(num_executors_, options_.total_workers, topology);
-  }
-  if (has_tuning_partition_) {
-    // Measured-mode re-tunes run pinned on the dedicated slice: real-hardware kernel
-    // timings taken off the serving path, winners promoted into the shared cache.
-    retune.cpus = tuning_partition_.cpus.empty()
-                      ? std::vector<int>{tuning_partition_.core_offset}
-                      : tuning_partition_.cpus;
-    retune.bind_threads = options_.bind_threads;
-    retune.measured = true;
-  } else {
-    // Legacy path: background re-tunes run unpinned, seeded at the last partition's
-    // cores — the "spare" end of the plan — so a re-tune competes with at most one
-    // executor rather than with the whole pool.
-    retune.core_offset = partitions_.empty() ? 0 : partitions_.back().core_offset;
-  }
   registry_.ConfigureRetune(retune);
 
   // Per-socket weight replicas when the serving plan spans nodes: every partition then
@@ -80,7 +55,7 @@ InferenceServer::InferenceServer(ServerOptions options)
     MetricsRegistry::Global()
         .GetGauge(StrFormat("neocpu_partition_%d_width", static_cast<int>(i)),
                   "Worker threads of this serving partition")
-        ->Set(static_cast<double>(partitions_[i].num_workers));
+        ->Set(static_cast<double>(partitions_[i].cpus.size()));
   }
 
   if (options_.profile_sample_rate > 0) {
@@ -193,15 +168,12 @@ SubmitTicket InferenceServer::TrySubmit(const std::string& model, Tensor input,
 
 void InferenceServer::WorkerLoop(const CorePartition& partition, bool pooled) {
   // Built in-thread so this thread is worker 0 of its partition, bound to the
-  // partition's first cpu. Single-core partitions pin too (PinnedSerialEngine) so
-  // their placement — and their arena's first touch — lands on the planned cpu.
+  // partition's first cpu — single-cpu partitions too, so their placement and their
+  // arena's first touch land on the planned cpu.
   std::unique_ptr<ThreadEngine> owned;
-  if (pooled && partition.num_workers > 1) {
-    owned = std::make_unique<NeoThreadPool>(partition.num_workers, options_.bind_threads,
-                                            partition.core_offset, partition.cpus);
-  } else if (pooled && options_.bind_threads) {
-    owned = std::make_unique<PinnedSerialEngine>(
-        partition.cpus.empty() ? partition.core_offset : partition.cpus.front());
+  if (pooled) {
+    owned = std::make_unique<NeoThreadPool>(static_cast<int>(partition.cpus.size()),
+                                            options_.bind_threads, partition.cpus);
   } else {
     owned = std::make_unique<SerialEngine>();
   }
@@ -332,14 +304,12 @@ ServerStats InferenceServer::Stats() const {
 
   stats.num_nodes = num_nodes_;
   stats.num_partitions = static_cast<int>(partitions_.size());
-  stats.has_tuning_partition = has_tuning_partition_;
 
   const EntryTuningStats tuning = registry_.AggregateTuningStats();
   stats.retunes_started = tuning.retunes_started;
   stats.retunes_completed = tuning.retunes_completed;
   stats.retunes_failed = tuning.retunes_failed;
   stats.retunes_deferred = tuning.retunes_deferred;
-  stats.measured_retunes_promoted = tuning.measured_retunes_promoted;
   stats.tuning_cache = tuning.cache;
 
   for (const std::string& name : registry_.ModelNames()) {

@@ -17,11 +17,8 @@
 // partition straddles a node boundary, each worker's arena is bound to its partition's
 // home node, constant weights are replicated per node (model_registry), and the batcher
 // dispatch is socket-affine — a batch prefers a worker on the node where the model's
-// weights are hot, falling back across nodes rather than queueing. Single-node hosts
-// get the exact legacy plan. With measured_tuning_partition the smallest slice the
-// topology offers (HT siblings when present) is carved off the serving plan and runs
-// MEASURED-mode re-tunes — real-hardware timings taken off the serving path, winners
-// promoted into the shared TuningCache.
+// weights are hot, falling back across nodes rather than queueing. A single-node host
+// is planned as a one-node topology: contiguous slices of its online cpus.
 //
 // TrySubmit is thread-safe and non-blocking; results arrive through the ticket's
 // std::future. The admission queue is BOUNDED (BatchingOptions::queue_limit, plus an
@@ -57,18 +54,9 @@ struct ServerOptions {
   bool bind_threads = true;
   // Re-tune schedules per observed batch size in the background (see model_registry.h):
   // a first-use batch serves the rebound variant immediately and hot-swaps to the
-  // per-batch-tuned variant when its re-tune lands. Re-tune threads run off the
-  // executor partitions (pointed at the last partition's cores, unpinned).
+  // per-batch-tuned variant when its re-tune lands. Re-tunes run serially on their own
+  // unpinned thread.
   bool background_retune = true;
-  int retune_workers = 1;
-  // Carve a dedicated measured-mode tuning partition out of the serving plan: the
-  // smallest slice the topology offers (one core's HT siblings when the host has them,
-  // else the last cpu) runs background re-tunes in MEASURED cost mode, pinned, off the
-  // serving path; winners are promoted into the shared TuningCache under kMeasured
-  // keys. On a host too small to carve (one online cpu) serving keeps every core and
-  // re-tunes fall back to the legacy unpinned analytic path (tuning_partition() is
-  // null). Implies bind_threads semantics for the tuning slice only.
-  bool measured_tuning_partition = false;
   BatchingOptions batching;
   // Per-node profiling across every registered model: one Run in `profile_sample_rate`
   // is timed node by node (0 = off; 1 = every Run). Snapshots surface per model in
@@ -137,13 +125,9 @@ class InferenceServer {
   ServerStats Stats() const;
   int num_executors() const { return num_executors_; }
   // The realized serving plan: one partition per pooled executor, node-aligned on
-  // multi-node hosts (partition i backs worker i; workers beyond the plan timeshare).
+  // multi-node hosts (partition i backs worker i; workers beyond the plan run serially
+  // and timeshare).
   const std::vector<CorePartition>& partitions() const { return partitions_; }
-  // The dedicated measured-mode tuning slice, or null when measured_tuning_partition
-  // is off or the host is too small to carve one.
-  const CorePartition* tuning_partition() const {
-    return has_tuning_partition_ ? &tuning_partition_ : nullptr;
-  }
   // NUMA nodes visible to the plan (1 on single-socket hosts).
   int num_nodes() const { return num_nodes_; }
   // The chrome-trace recorder this server was built with (null = tracing off).
@@ -162,8 +146,6 @@ class InferenceServer {
   int num_executors_ = 1;
   int num_nodes_ = 1;
   std::vector<CorePartition> partitions_;
-  CorePartition tuning_partition_;
-  bool has_tuning_partition_ = false;
   std::vector<std::thread> workers_;
   std::atomic<bool> stopped_{false};
 

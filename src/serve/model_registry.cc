@@ -4,11 +4,10 @@
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/base/string_util.h"
 #include "src/core/serialization.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/runtime/partition.h"
-#include "src/runtime/thread_pool.h"
 #include "src/runtime/topology.h"
 
 namespace neocpu {
@@ -56,32 +55,53 @@ std::uint64_t RetuneBudget::deferred() const {
   return deferred_;
 }
 
-ModelEntry::ModelEntry(std::string name, CompiledModel model) : name_(std::move(name)) {
-  const Graph& g = model.graph();
+namespace {
+
+// The dims of the graph's only input; empty when it has no input or several.
+std::vector<std::int64_t> SingleInputDims(const Graph& g) {
+  std::vector<std::int64_t> dims;
   int num_inputs = 0;
   for (int id = 0; id < g.num_nodes(); ++id) {
     if (g.node(id).type == OpType::kInput) {
       ++num_inputs;
-      sample_dims_ = g.node(id).out_dims;
+      dims = g.node(id).out_dims;
     }
   }
-  NEOCPU_CHECK_EQ(num_inputs, 1) << name_ << ": serving requires single-input models";
-  NEOCPU_CHECK_EQ(g.outputs().size(), 1u)
-      << name_ << ": serving requires single-output models";
-  NEOCPU_CHECK(!sample_dims_.empty()) << name_ << ": input has no dims";
+  return num_inputs == 1 ? dims : std::vector<std::int64_t>{};
+}
+
+}  // namespace
+
+std::string ModelEntry::ServableError(const CompiledModel& model) {
+  const Graph& g = model.graph();
+  const std::vector<std::int64_t> dims = SingleInputDims(g);
+  if (dims.empty()) {
+    return "serving requires a single input with dims";
+  }
+  if (g.outputs().size() != 1u) {
+    return StrFormat("serving requires single-output models (this one has %zu)",
+                     g.outputs().size());
+  }
+  CompiledModel rebound;
+  if (dims[0] != 1 && !RebindBatch(model, 1, &rebound)) {
+    return StrFormat("graph is not batch-rebindable and was registered at batch %lld",
+                     static_cast<long long>(dims[0]));
+  }
+  return "";
+}
+
+ModelEntry::ModelEntry(std::string name, CompiledModel model) : name_(std::move(name)) {
+  const std::string error = ServableError(model);
+  NEOCPU_CHECK(error.empty()) << name_ << ": " << error;
+  sample_dims_ = SingleInputDims(model.graph());
 
   // Normalize the base variant to batch 1 (the per-request granularity). A model
   // registered at batch 1 whose graph refuses rebinding is still servable, just never
   // batched.
   CompiledModel base;
-  if (RebindBatch(model, 1, &base)) {
-    batchable_ = true;
-  } else {
-    NEOCPU_CHECK_EQ(sample_dims_[0], 1)
-        << name_ << ": graph is not batch-rebindable and was registered at batch "
-        << sample_dims_[0];
+  batchable_ = RebindBatch(model, 1, &base);
+  if (!batchable_) {
     base = std::move(model);
-    batchable_ = false;
   }
   sample_dims_[0] = 1;
 
@@ -209,41 +229,14 @@ ModelEntry::VariantPtr ModelEntry::VariantFor(std::int64_t batch) {
 
 void ModelEntry::RetuneSlot(std::int64_t batch) {
   VariantPtr base;
-  RetuneOptions opts;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     base = variants_.at(1).current;
-    opts = retune_options_;
   }
-  // The engine lives in this background thread: re-tunes run off the serving executors'
-  // partitions. The measured-mode tuning partition hands its exact cpu slice through
-  // opts.cpus — the engine (and this thread, as its worker 0) binds there, so
-  // real-hardware timings never run on cores serving traffic.
-  std::unique_ptr<ThreadEngine> engine;
-  if (!opts.cpus.empty()) {
-    const CorePartition tuning_slice{opts.cpus.front(),
-                                     static_cast<int>(opts.cpus.size()), 0, opts.cpus};
-    engine = MakePartitionEngine(tuning_slice, opts.bind_threads);
-  } else if (opts.num_workers > 1) {
-    engine = std::make_unique<NeoThreadPool>(opts.num_workers, opts.bind_threads,
-                                             opts.core_offset);
-  } else {
-    engine = std::make_unique<SerialEngine>();
-  }
-  // Measured mode flips the cost model to real-hardware timings for this re-tune; the
-  // winners are keyed kMeasured in the shared cache, so they coexist with (never
-  // overwrite) the analytic entries and every future compile against the shared cache
-  // in measured mode is a pure lookup — the promotion.
-  CompileConfig measured_config;
-  const CompileConfig* config_override = nullptr;
-  if (opts.measured) {
-    measured_config = base->model->config();
-    measured_config.cost_mode = CostMode::kMeasured;
-    config_override = &measured_config;
-  }
+  // A null engine: the re-tune runs serially on this background thread, off the
+  // serving executors' partitions.
   CompiledModel tuned;
-  const bool ok =
-      RetuneForBatch(*base->model, batch, engine.get(), &tuned, config_override);
+  const bool ok = RetuneForBatch(*base->model, batch, /*engine=*/nullptr, &tuned);
   // Build the replacement variant before taking the lock: only the pointer swap needs
   // the mutex, not the executor construction.
   VariantPtr replacement = ok ? MakeVariant(std::move(tuned)) : nullptr;
@@ -262,13 +255,6 @@ void ModelEntry::RetuneSlot(std::int64_t batch) {
         .GetCounter("neocpu_retunes_completed_total",
                     "Background per-batch re-tunes that hot-swapped a variant")
         ->Increment();
-    if (opts.measured) {
-      measured_promoted_.fetch_add(1, std::memory_order_relaxed);
-      MetricsRegistry::Global()
-          .GetCounter("neocpu_measured_retunes_promoted_total",
-                      "Measured-mode re-tunes whose winners entered the shared cache")
-          ->Increment();
-    }
   } else {
     slot.tuned = true;  // don't retry a model that cannot be re-tuned
     retunes_failed_.fetch_add(1, std::memory_order_relaxed);
@@ -373,7 +359,6 @@ EntryTuningStats ModelEntry::TuningStats() const {
   stats.retunes_completed = retunes_completed_.load(std::memory_order_relaxed);
   stats.retunes_failed = retunes_failed_.load(std::memory_order_relaxed);
   stats.retunes_deferred = retunes_deferred_.load(std::memory_order_relaxed);
-  stats.measured_retunes_promoted = measured_promoted_.load(std::memory_order_relaxed);
   if (std::shared_ptr<TuningCache> cache = tuning_cache()) {
     stats.cache = cache->Stats();
   }
@@ -420,6 +405,12 @@ ModelEntry* ModelRegistry::RegisterFromFile(std::string name, const std::string&
     LOG(ERROR) << "failed to load module '" << path << "' for model '" << name << "'";
     return nullptr;
   }
+  const std::string error = ModelEntry::ServableError(model);
+  if (!error.empty()) {
+    LOG(ERROR) << "module '" << path << "' for model '" << name
+               << "' cannot be served: " << error;
+    return nullptr;
+  }
   return Register(std::move(name), std::move(model));
 }
 
@@ -442,11 +433,6 @@ std::vector<std::string> ModelRegistry::ModelNames() const {
 void ModelRegistry::ConfigureRetune(const RetuneOptions& options) {
   std::lock_guard<std::mutex> lock(mutex_);
   retune_options_ = options;
-  // One budget shared by every entry (current and future): the cap is registry-wide.
-  if (retune_options_.max_concurrent_retunes > 0 && retune_options_.budget == nullptr) {
-    retune_options_.budget =
-        std::make_shared<RetuneBudget>(retune_options_.max_concurrent_retunes);
-  }
   for (const auto& [name, entry] : entries_) {
     entry->ConfigureRetune(retune_options_);
   }
@@ -495,7 +481,6 @@ EntryTuningStats ModelRegistry::AggregateTuningStats() const {
     total.retunes_completed += stats.retunes_completed;
     total.retunes_failed += stats.retunes_failed;
     total.retunes_deferred += stats.retunes_deferred;
-    total.measured_retunes_promoted += stats.measured_retunes_promoted;
     const std::shared_ptr<TuningCache> cache = entry->tuning_cache();
     if (cache != nullptr && seen_caches.insert(cache.get()).second) {
       total.cache.hits += stats.cache.hits;

@@ -61,31 +61,13 @@ class RetuneBudget {
   std::uint64_t deferred_ = 0;
 };
 
-// How a ModelEntry runs background per-batch re-tunes.
+// How a ModelEntry runs background per-batch re-tunes. A re-tune runs serially on its
+// own unpinned thread, under the model's compile-time CompileConfig (measured tuning
+// is CompileConfig::cost_mode).
 struct RetuneOptions {
   bool enabled = true;
-  // Workers for the re-tune's thread engine (measured-mode tuning benefits; analytic
-  // mode ignores it). 1 keeps the re-tune on a single spare core.
-  int num_workers = 1;
-  // Core the re-tune engine starts binding at — point it at a spare partition so
-  // re-tunes don't steal cycles from serving executors. Binding only happens with
-  // bind_threads; unpinned re-tunes timeshare politely.
-  int core_offset = 0;
-  bool bind_threads = false;
-  // Explicit cpu ids for the re-tune engine — the measured-mode tuning partition
-  // (src/runtime/partition.h PlanServingAndTuning). Non-empty overrides num_workers /
-  // core_offset: the engine gets exactly these cpus, pinned when bind_threads.
-  std::vector<int> cpus;
-  // Run re-tunes in MEASURED cost mode (real-hardware kernel timings) instead of the
-  // model's compile-time mode. Winners land under kMeasured workload keys in the
-  // shared TuningCache — the promotion the dedicated tuning partition exists for.
-  // Only sane together with a dedicated `cpus` slice; measured timings taken on cores
-  // serving traffic would be noise and would perturb serving tails.
-  bool measured = false;
-  // Registry-wide cap on concurrent re-tunes (0 = unlimited). ModelRegistry
-  // materializes `budget` from this when it configures its entries; standalone
-  // ModelEntry users may share a budget across entries themselves.
-  int max_concurrent_retunes = 0;
+  // Cap on concurrent re-tunes, shared by every entry configured with the same
+  // budget; null = unlimited.
   std::shared_ptr<RetuneBudget> budget;
 };
 
@@ -95,18 +77,19 @@ struct EntryTuningStats {
   std::uint64_t retunes_completed = 0;
   std::uint64_t retunes_failed = 0;
   std::uint64_t retunes_deferred = 0;  // skipped because the registry budget was spent
-  // Completed MEASURED-mode re-tunes: real-hardware winners promoted into the shared
-  // cache by the tuning partition.
-  std::uint64_t measured_retunes_promoted = 0;
   TuningCacheStats cache;  // zeroed when the model carries no tuning cache
 };
 
 class ModelEntry {
  public:
-  // `model` must be single-input single-output (the serving batcher merges along the
-  // one input). Checked fatally.
+  // `model` must be servable (ServableError empty). Checked fatally.
   ModelEntry(std::string name, CompiledModel model);
   ~ModelEntry();  // joins in-flight re-tune threads
+
+  // Empty when `model` can back an entry, else the reason it cannot: serving needs a
+  // single input with dims (the batcher merges along it), a single output, and a graph
+  // registered at batch 1 or rebindable to it.
+  static std::string ServableError(const CompiledModel& model);
 
   const std::string& name() const { return name_; }
   // Per-request input dims: the registered graph's input dims with leading dim 1.
@@ -217,7 +200,6 @@ class ModelEntry {
   std::atomic<std::uint64_t> retunes_completed_{0};
   std::atomic<std::uint64_t> retunes_failed_{0};
   std::atomic<std::uint64_t> retunes_deferred_{0};
-  std::atomic<std::uint64_t> measured_promoted_{0};
 };
 
 class ModelRegistry {
@@ -235,7 +217,8 @@ class ModelRegistry {
   std::shared_ptr<TuningCache> shared_tuning_cache() const { return shared_cache_; }
 
   // Warm start from a serialized module (SaveModule artifact). Returns nullptr, with
-  // the reason logged, when LoadModule rejects the file.
+  // the reason logged, when LoadModule rejects the file or the loaded model cannot be
+  // served (see ServableError).
   ModelEntry* RegisterFromFile(std::string name, const std::string& path);
 
   // Nullptr when unknown.
@@ -243,8 +226,7 @@ class ModelRegistry {
 
   std::vector<std::string> ModelNames() const;
 
-  // Applied to every current and future entry (the server points re-tunes at a spare
-  // partition once it knows its own core plan).
+  // Applied to every current and future entry; they all share `options.budget`.
   void ConfigureRetune(const RetuneOptions& options);
 
   // Replicates every entry's constant weights onto each listed NUMA node (see

@@ -69,9 +69,9 @@ std::string ServerStats::ToString() const {
       "submitted=%llu completed=%llu shed=%llu queue_depth=%zu/%zu batch_runs=%llu "
       "mean_batch=%.2f max_batch=%lld latency{p50=%.3fms p99=%.3fms p999=%.3fms "
       "mean=%.3fms} "
-      "tuning{retunes=%llu/%llu deferred=%llu measured_promoted=%llu cache_hits=%llu "
+      "tuning{retunes=%llu/%llu deferred=%llu cache_hits=%llu "
       "cache_misses=%llu entries=%llu} "
-      "topology{nodes=%d partitions=%d cross_node=%llu tuning_partition=%s}",
+      "topology{nodes=%d partitions=%d cross_node=%llu}",
       static_cast<unsigned long long>(submitted), static_cast<unsigned long long>(completed),
       static_cast<unsigned long long>(requests_shed), queue_depth_now, queue_limit,
       static_cast<unsigned long long>(batch_runs), mean_batch_size,
@@ -79,12 +79,10 @@ std::string ServerStats::ToString() const {
       latency.p999_ms, latency.mean_ms, static_cast<unsigned long long>(retunes_completed),
       static_cast<unsigned long long>(retunes_started),
       static_cast<unsigned long long>(retunes_deferred),
-      static_cast<unsigned long long>(measured_retunes_promoted),
       static_cast<unsigned long long>(tuning_cache.hits),
       static_cast<unsigned long long>(tuning_cache.misses),
       static_cast<unsigned long long>(tuning_cache.entries), num_nodes, num_partitions,
-      static_cast<unsigned long long>(cross_node_dispatches),
-      has_tuning_partition ? "yes" : "no");
+      static_cast<unsigned long long>(cross_node_dispatches));
   for (const ModelServeStats& model : per_model) {
     out += StrFormat("\n  model %s: retunes=%llu/%llu deferred=%llu", model.name.c_str(),
                      static_cast<unsigned long long>(model.retunes_completed),
@@ -134,18 +132,15 @@ std::string ServerStats::ToJson() const {
          ", \"throughput\": " + LatencyJson(lane_latency[1]) + "},\n";
   out += StrFormat(
       "  \"retunes\": {\"started\": %llu, \"completed\": %llu, \"failed\": %llu, "
-      "\"deferred\": %llu, \"measured_promoted\": %llu},\n",
+      "\"deferred\": %llu},\n",
       static_cast<unsigned long long>(retunes_started),
       static_cast<unsigned long long>(retunes_completed),
       static_cast<unsigned long long>(retunes_failed),
-      static_cast<unsigned long long>(retunes_deferred),
-      static_cast<unsigned long long>(measured_retunes_promoted));
+      static_cast<unsigned long long>(retunes_deferred));
   out += StrFormat(
       "  \"topology\": {\"nodes\": %d, \"partitions\": %d, "
-      "\"cross_node_dispatches\": %llu, \"tuning_partition\": %s},\n",
-      num_nodes, num_partitions,
-      static_cast<unsigned long long>(cross_node_dispatches),
-      has_tuning_partition ? "true" : "false");
+      "\"cross_node_dispatches\": %llu},\n",
+      num_nodes, num_partitions, static_cast<unsigned long long>(cross_node_dispatches));
   out += "  \"models\": [" +
          JoinMapped(per_model, ", ",
                     [](const ModelServeStats& m) { return "\"" + m.name + "\""; }) +

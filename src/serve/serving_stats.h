@@ -83,12 +83,10 @@ struct ServerStats {
   // Topology-aware scale-out. num_nodes is the NUMA node count the serving plan saw
   // (1 on single-socket hosts); cross_node_dispatches counts batches a worker took on
   // a different node than the model's previous run (socket-affine dispatch falling
-  // back — always 0 single-node); has_tuning_partition reports whether a dedicated
-  // measured-mode tuning slice was carved out of the plan.
+  // back — always 0 single-node).
   int num_nodes = 1;
   int num_partitions = 0;
   std::uint64_t cross_node_dispatches = 0;
-  bool has_tuning_partition = false;
 
   // Batch-aware tuning activity, aggregated over every registered model: background
   // per-batch re-tunes and the lifetime TuningCache traffic (the caches may be shared
@@ -97,9 +95,6 @@ struct ServerStats {
   std::uint64_t retunes_completed = 0;
   std::uint64_t retunes_failed = 0;
   std::uint64_t retunes_deferred = 0;
-  // Completed MEASURED-mode re-tunes — real-hardware winners the dedicated tuning
-  // partition promoted into the shared cache (0 without measured_tuning_partition).
-  std::uint64_t measured_retunes_promoted = 0;
   TuningCacheStats tuning_cache;
 
   // One slice per registered model, registry order.

@@ -65,28 +65,20 @@ TEST(BatchUtil, StackRejectsMismatchedSampleDims) {
 }
 
 TEST(Partition, PlanSplitsCoresDisjointly) {
-  const std::vector<CorePartition> plan = PlanCorePartitions(3, 8);
+  const std::vector<CorePartition> plan =
+      PlanCorePartitions(3, 8, CpuTopology::SingleNode(8));
   ASSERT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan[0].core_offset, 0);
-  EXPECT_EQ(plan[0].num_workers, 3);
-  EXPECT_EQ(plan[1].core_offset, 3);
-  EXPECT_EQ(plan[1].num_workers, 3);
-  EXPECT_EQ(plan[2].core_offset, 6);
-  EXPECT_EQ(plan[2].num_workers, 2);
+  EXPECT_EQ(plan[0].cpus, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(plan[1].cpus, (std::vector<int>{3, 4, 5}));
+  EXPECT_EQ(plan[2].cpus, (std::vector<int>{6, 7}));
 }
 
 TEST(Partition, PlanClampsToCoreCount) {
-  const std::vector<CorePartition> plan = PlanCorePartitions(4, 2);
+  const std::vector<CorePartition> plan =
+      PlanCorePartitions(4, 2, CpuTopology::SingleNode(4));
   ASSERT_EQ(plan.size(), 2u);
-  EXPECT_EQ(plan[0].num_workers, 1);
-  EXPECT_EQ(plan[1].core_offset, 1);
-}
-
-TEST(Partition, MakeEnginePartitionsBoundsWorkers) {
-  auto engines = MakeEnginePartitions(2, 4, /*bind_threads=*/false);
-  ASSERT_EQ(engines.size(), 2u);
-  EXPECT_EQ(engines[0]->NumWorkers(), 2);
-  EXPECT_EQ(engines[1]->NumWorkers(), 2);
+  EXPECT_EQ(plan[0].cpus, (std::vector<int>{0}));
+  EXPECT_EQ(plan[1].cpus, (std::vector<int>{1}));
 }
 
 TEST(DynamicBatcher, FullBatchFlushesWithoutDelay) {
@@ -266,6 +258,38 @@ TEST(ServingStats, ReservoirKeepsCountAndBoundsMemory) {
 TEST(ModelRegistry, MissingFileReturnsNull) {
   ModelRegistry registry;
   EXPECT_EQ(registry.RegisterFromFile("nope", "/nonexistent/path.neoc"), nullptr);
+}
+
+TEST(ModelRegistry, UnservableModuleReturnsNullInsteadOfAborting) {
+  // A well-formed module the serving tier cannot serve (two outputs) loads fine; the
+  // registry must reject it with a logged reason, not take the server down.
+  GraphBuilder b("two_outputs");
+  const int in = b.Input({1, 3, 4, 4});
+  CompiledModel compiled = Compile(b.Finish({b.Relu(in), b.Relu(in)}));
+  const std::string path = ::testing::TempDir() + "/two_outputs_serve.neoc";
+  ASSERT_TRUE(SaveModule(compiled, path));
+
+  ModelRegistry registry;
+  EXPECT_EQ(registry.RegisterFromFile("two", path), nullptr);
+  EXPECT_EQ(registry.Find("two"), nullptr);
+  std::remove(path.c_str());
+}
+
+TEST(ModelEntry, ServableErrorNamesWhatServingNeeds) {
+  EXPECT_EQ(ModelEntry::ServableError(Compile(BuildTinyCnn())), "");
+
+  GraphBuilder two("two_outputs");
+  const int in = two.Input({1, 3, 4, 4});
+  const std::string outputs =
+      ModelEntry::ServableError(Compile(two.Finish({two.Relu(in), two.Relu(in)})));
+  EXPECT_NE(outputs.find("single-output"), std::string::npos) << outputs;
+
+  // Registered at batch 2 and not rebindable to batch 1.
+  GraphBuilder odd("indivisible_reshape");
+  const int odd_in = odd.Input({2, 3, 4, 4});
+  const std::string batch = ModelEntry::ServableError(
+      Compile(odd.Finish({odd.Softmax(odd.Reshape(odd_in, {3, 32}))})));
+  EXPECT_NE(batch.find("batch 2"), std::string::npos) << batch;
 }
 
 TEST(ModelEntry, ServesReboundVariantThenHotSwapsBatchTunedOne) {
@@ -545,7 +569,6 @@ TEST(ModelEntry, RetuneBudgetCapsAndDefersUnderBatchChurn) {
   ModelRegistry registry;
   auto budget = std::make_shared<RetuneBudget>(1);
   RetuneOptions opts;
-  opts.max_concurrent_retunes = 1;
   opts.budget = budget;
   registry.ConfigureRetune(opts);
   ModelEntry* entry = registry.Register("tiny", Compile(BuildTinyCnn()));
@@ -651,41 +674,13 @@ TEST(InferenceServer, ShutdownDrainsPendingRequests) {
   EXPECT_EQ(server.Stats().completed, 3u);
 }
 
-TEST(ModelEntry, MeasuredRetunePromotesIntoSharedCache) {
-  // The tuning-partition contract at the registry level: a measured-mode re-tune runs
-  // on its own cpu slice, its winners land in the shared cache under kMeasured keys,
-  // and the promotion is observable in the entry's stats.
-  ModelRegistry registry;
-  RetuneOptions retune;
-  retune.measured = true;
-  retune.cpus = {0};  // the (degenerate, one-cpu) tuning partition on this host
-  registry.ConfigureRetune(retune);
-  ModelEntry* entry = registry.Register("tiny", Compile(BuildTinyCnn()));
-
-  entry->VariantFor(4);
-  entry->WaitForRetunes();
-  EXPECT_EQ(entry->VariantFor(4)->model->stats().tuned_batch, 4);
-
-  const EntryTuningStats stats = entry->TuningStats();
-  EXPECT_EQ(stats.retunes_completed, 1u);
-  EXPECT_EQ(stats.measured_retunes_promoted, 1u);
-  bool has_measured_key = false;
-  for (const WorkloadKey& key : registry.shared_tuning_cache()->Keys()) {
-    has_measured_key |= key.cost_mode == CostMode::kMeasured;
-  }
-  EXPECT_TRUE(has_measured_key)
-      << "measured re-tune left no kMeasured entries in the shared cache";
-}
-
-TEST(InferenceServer, MeasuredTuningPartitionDegradesGracefullyAndReportsTopology) {
-  // measured_tuning_partition on a small host must not break serving: either a
-  // dedicated slice is carved (disjoint from every serving partition) or the server
-  // falls back to sharing, and the topology stats stay coherent either way.
+TEST(InferenceServer, ReportsTopologyOfItsPartitions) {
+  // The realized plan is coherent with the stats: one partition per pooled executor,
+  // every serving cpu online and owned by exactly one partition.
   ServerOptions options;
   options.num_executors = 1;
   options.batching.max_batch_size = 1;
   options.bind_threads = false;
-  options.measured_tuning_partition = true;
   InferenceServer server(options);
   server.RegisterModel("tiny", Compile(BuildTinyCnn()));
   Tensor input = SampleInput(7);
@@ -695,25 +690,12 @@ TEST(InferenceServer, MeasuredTuningPartitionDegradesGracefullyAndReportsTopolog
   const ServerStats stats = server.Stats();
   EXPECT_GE(stats.num_nodes, 1);
   EXPECT_EQ(stats.num_partitions, static_cast<int>(server.partitions().size()));
-  const CorePartition* tuning = server.tuning_partition();
-  EXPECT_EQ(stats.has_tuning_partition, tuning != nullptr);
-  if (tuning != nullptr) {
-    // The dedicated slice never overlaps a serving partition's cpus.
-    std::set<int> tuning_cpus(tuning->cpus.begin(), tuning->cpus.end());
-    if (tuning_cpus.empty()) {
-      tuning_cpus.insert(tuning->core_offset);
-    }
-    for (const CorePartition& serving : server.partitions()) {
-      if (serving.cpus.empty()) {
-        for (int c = serving.core_offset; c < serving.core_offset + serving.num_workers;
-             ++c) {
-          EXPECT_EQ(tuning_cpus.count(c), 0u) << "serving cpu " << c << " in tuning slice";
-        }
-      } else {
-        for (int c : serving.cpus) {
-          EXPECT_EQ(tuning_cpus.count(c), 0u) << "serving cpu " << c << " in tuning slice";
-        }
-      }
+  std::set<int> serving_cpus;
+  for (const CorePartition& serving : server.partitions()) {
+    EXPECT_FALSE(serving.cpus.empty());
+    for (int c : serving.cpus) {
+      EXPECT_TRUE(serving_cpus.insert(c).second) << "cpu " << c << " in two partitions";
+      EXPECT_NE(HostTopology().NodeOfCpu(c), -1) << "serving cpu " << c << " is offline";
     }
   }
   // Single-node hosts never dispatch cross-node.

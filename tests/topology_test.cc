@@ -1,17 +1,23 @@
-// Topology parsing against committed sysfs fixture trees, and the NUMA-aware
-// partition planner's invariants: node alignment, primary-before-sibling fill, the
-// single-spanning-partition exception, the measured-mode tuning carve-out, and the
-// single-socket plan staying bit-for-bit the legacy contiguous split.
+// Topology parsing against committed sysfs fixture trees, the NUMA-aware partition
+// planner's invariants (node alignment, primary-before-sibling fill, the
+// single-spanning-partition exception, the single-socket contiguous split, online cpus
+// only), and the thread affinity a partition's pool applies.
 #include <algorithm>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "src/obs/metrics.h"
 #include "src/runtime/arena_pool.h"
 #include "src/runtime/partition.h"
+#include "src/runtime/thread_pool.h"
 #include "src/runtime/topology.h"
 
 namespace neocpu {
@@ -30,32 +36,17 @@ std::vector<int> NodeCpus(const CpuTopology& topo, int node) {
   return {};
 }
 
-std::vector<int> PartitionCpus(const CorePartition& part) {
-  if (!part.cpus.empty()) {
-    return part.cpus;
-  }
-  std::vector<int> cpus;
-  for (int c = 0; c < part.num_workers; ++c) {
-    cpus.push_back(part.core_offset + c);
-  }
-  return cpus;
-}
-
-// Every plan must cover disjoint cpus, and every multi-node slice must stay inside
-// its reported home node.
+// Every plan must cover disjoint cpus, and every slice must stay inside its reported
+// home node (which also means every planned cpu is online).
 void CheckPlanInvariants(const std::vector<CorePartition>& plan,
                          const CpuTopology& topo) {
   std::set<int> seen;
   for (const CorePartition& part : plan) {
-    EXPECT_GE(part.num_workers, 1);
-    const std::vector<int> cpus = PartitionCpus(part);
-    EXPECT_EQ(static_cast<int>(cpus.size()), part.num_workers);
-    for (int cpu : cpus) {
+    EXPECT_FALSE(part.cpus.empty());
+    for (int cpu : part.cpus) {
       EXPECT_TRUE(seen.insert(cpu).second) << "cpu " << cpu << " in two partitions";
-      if (!part.cpus.empty()) {
-        EXPECT_EQ(topo.NodeOfCpu(cpu), part.home_node)
-            << "cpu " << cpu << " strays off home node " << part.home_node;
-      }
+      EXPECT_EQ(topo.NodeOfCpu(cpu), part.home_node)
+          << "cpu " << cpu << " strays off home node " << part.home_node;
     }
   }
 }
@@ -152,46 +143,49 @@ TEST(TopologyParse, HostTopologyIsUsable) {
   }
 }
 
-TEST(TopologyWithoutCpus, PromotesSiblingToPrimary) {
-  const CpuTopology topo = CpuTopology::FromSysfs(Fixture("ht_sibling"));
-  const CpuTopology carved = topo.WithoutCpus({0});
-  EXPECT_EQ(carved.num_online_cpus(), 7);
-  EXPECT_EQ(carved.NodeOfCpu(0), -1);
-  // cpu 4 (core 0's sibling) inherits the primary slot cpu 0 vacated.
-  const std::vector<int> primaries = carved.nodes().front().primary_cpus;
-  EXPECT_NE(std::find(primaries.begin(), primaries.end(), 4), primaries.end());
-  EXPECT_EQ(carved.num_primary_cpus(), 4);
-}
-
 // ---------------------------------------------------------------- planner
 
 TEST(PlanCorePartitions, SingleSocketMatchesLegacyContiguousSplit) {
-  // Regression pin: on a single-node topology the plan must be bit-for-bit the
-  // pre-NUMA contiguous split (earlier partitions absorb the remainder, cpus list
-  // empty, home node 0).
+  // Regression pin: on a single-node topology the plan is the pre-NUMA contiguous
+  // split (earlier partitions absorb the remainder, home node 0), as cpu lists.
   struct Case {
     int partitions;
     int total;
-    std::vector<std::pair<int, int>> expect;  // (core_offset, num_workers)
+    std::vector<std::vector<int>> expect;  // each partition's cpus
   };
   const Case cases[] = {
-      {2, 8, {{0, 4}, {4, 4}}},
-      {3, 8, {{0, 3}, {3, 3}, {6, 2}}},
-      {1, 4, {{0, 4}}},
-      {4, 4, {{0, 1}, {1, 1}, {2, 1}, {3, 1}}},
-      {8, 4, {{0, 1}, {1, 1}, {2, 1}, {3, 1}}},  // clamped to one core each
-      {2, 3, {{0, 2}, {2, 1}}},
+      {2, 8, {{0, 1, 2, 3}, {4, 5, 6, 7}}},
+      {3, 8, {{0, 1, 2}, {3, 4, 5}, {6, 7}}},
+      {1, 4, {{0, 1, 2, 3}}},
+      {4, 4, {{0}, {1}, {2}, {3}}},
+      {8, 4, {{0}, {1}, {2}, {3}}},  // clamped to one core each
+      {2, 3, {{0, 1}, {2}}},
   };
   for (const Case& c : cases) {
     const std::vector<CorePartition> plan =
         PlanCorePartitions(c.partitions, c.total, CpuTopology::SingleNode(c.total));
     ASSERT_EQ(plan.size(), c.expect.size()) << c.partitions << "x" << c.total;
     for (std::size_t i = 0; i < plan.size(); ++i) {
-      EXPECT_EQ(plan[i].core_offset, c.expect[i].first);
-      EXPECT_EQ(plan[i].num_workers, c.expect[i].second);
+      EXPECT_EQ(plan[i].cpus, c.expect[i]) << c.partitions << "x" << c.total;
       EXPECT_EQ(plan[i].home_node, 0);
-      EXPECT_TRUE(plan[i].cpus.empty()) << "single-node slices stay contiguous";
     }
+  }
+}
+
+TEST(PlanCorePartitions, HostPlanUsesOnlyOnlineCpus) {
+  // A budget larger than the host clamps to its online cpus: no worker is ever handed
+  // a cpu it cannot bind to (the kernel would refuse and leave it floating).
+  const CpuTopology& host = HostTopology();
+  const std::pair<int, int> requests[] = {{3, 8}, {2, 0}, {1, 64}, {4, 4}, {2, 3}};
+  for (const auto& [partitions, total] : requests) {
+    const std::vector<CorePartition> plan = PlanCorePartitions(partitions, total);
+    CheckPlanInvariants(plan, host);  // every cpu online, on its slice's home node
+    std::size_t planned = 0;
+    for (const CorePartition& part : plan) {
+      planned += part.cpus.size();
+    }
+    EXPECT_LE(planned, static_cast<std::size_t>(host.num_online_cpus()))
+        << partitions << "x" << total;
   }
 }
 
@@ -213,7 +207,7 @@ TEST(PlanCorePartitions, MorePartitionsThanNodes) {
   ASSERT_EQ(plan.size(), 4u);
   CheckPlanInvariants(plan, topo);
   for (const CorePartition& part : plan) {
-    EXPECT_EQ(part.num_workers, 4);
+    EXPECT_EQ(part.cpus.size(), 4u);
   }
   // An odd count still never straddles: 3 partitions land 2 on one node, 1 on the
   // other, and every slice keeps a single home node.
@@ -222,7 +216,7 @@ TEST(PlanCorePartitions, MorePartitionsThanNodes) {
   CheckPlanInvariants(plan, topo);
   int total_cpus = 0;
   for (const CorePartition& part : plan) {
-    total_cpus += part.num_workers;
+    total_cpus += static_cast<int>(part.cpus.size());
   }
   EXPECT_EQ(total_cpus, 16);
 }
@@ -235,9 +229,9 @@ TEST(PlanCorePartitions, UnevenNodesSplitProportionally) {
   ASSERT_EQ(plan.size(), 2u);
   CheckPlanInvariants(plan, topo);
   EXPECT_EQ(plan[0].home_node, 0);
-  EXPECT_EQ(plan[0].num_workers, 6);
+  EXPECT_EQ(plan[0].cpus.size(), 6u);
   EXPECT_EQ(plan[1].home_node, 1);
-  EXPECT_EQ(plan[1].num_workers, 4);
+  EXPECT_EQ(plan[1].cpus.size(), 4u);
   // Five partitions apportion 3:2 by capacity.
   plan = PlanCorePartitions(5, 10, topo);
   ASSERT_EQ(plan.size(), 5u);
@@ -259,7 +253,7 @@ TEST(PlanCorePartitions, SinglePartitionPrefersOneNodeThenSpans) {
   // Needs the whole host: the documented exception — one partition may straddle.
   plan = PlanCorePartitions(1, 16, topo);
   ASSERT_EQ(plan.size(), 1u);
-  EXPECT_EQ(plan[0].num_workers, 16);
+  EXPECT_EQ(plan[0].cpus.size(), 16u);
 }
 
 TEST(PlanCorePartitions, PrimariesBeforeHyperthreadSiblings) {
@@ -274,8 +268,8 @@ TEST(PlanCorePartitions, PrimariesBeforeHyperthreadSiblings) {
   // Oversubscribed past the primaries, siblings join their own node's slice.
   const std::vector<CorePartition> full = PlanCorePartitions(2, 16, topo);
   CheckPlanInvariants(full, topo);
-  EXPECT_EQ(full[0].num_workers, 8);
-  EXPECT_EQ(full[1].num_workers, 8);
+  EXPECT_EQ(full[0].cpus.size(), 8u);
+  EXPECT_EQ(full[1].cpus.size(), 8u);
 }
 
 TEST(PlanCorePartitions, WorkerBudgetClampsToCapacity) {
@@ -283,82 +277,57 @@ TEST(PlanCorePartitions, WorkerBudgetClampsToCapacity) {
   const std::vector<CorePartition> plan = PlanCorePartitions(2, 64, topo);
   int total = 0;
   for (const CorePartition& part : plan) {
-    total += part.num_workers;
+    total += static_cast<int>(part.cpus.size());
   }
   EXPECT_EQ(total, 16) << "budget beyond the host clamps to online cpus";
 }
 
-// ---------------------------------------------------------------- tuning carve-out
+// ---------------------------------------------------------------- pools + arena
 
-TEST(PlanServingAndTuning, CarvesHyperthreadSiblings) {
-  const CpuTopology topo = CpuTopology::FromSysfs(Fixture("ht_dual_socket"));
-  const ServingPlan plan = PlanServingAndTuning(2, 8, topo);
-  ASSERT_TRUE(plan.has_dedicated_tuning);
-  // The two highest HT siblings of the last node — cycles the primary-first serving
-  // fill would only reach under full subscription.
-  EXPECT_EQ(plan.tuning.cpus, (std::vector<int>{14, 15}));
-  EXPECT_EQ(plan.tuning.home_node, 1);
-  std::set<int> tuning(plan.tuning.cpus.begin(), plan.tuning.cpus.end());
-  for (const CorePartition& part : plan.serving) {
-    for (int cpu : PartitionCpus(part)) {
-      EXPECT_EQ(tuning.count(cpu), 0u) << "serving cpu " << cpu << " on tuning slice";
+#ifdef __linux__
+// The calling thread's affinity mask, ascending cpu ids.
+std::vector<int> ThreadAffinity() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) {
+      cpus.push_back(cpu);
     }
   }
+  return cpus;
 }
+#endif
 
-TEST(PlanServingAndTuning, NoHyperthreadsStealsLastCpu) {
-  const CpuTopology topo = CpuTopology::FromSysfs(Fixture("dual_socket"));
-  const ServingPlan plan = PlanServingAndTuning(2, 16, topo);
-  ASSERT_TRUE(plan.has_dedicated_tuning);
-  EXPECT_EQ(plan.tuning.cpus, (std::vector<int>{15}));
-  EXPECT_EQ(plan.tuning.home_node, 1);
-  int serving_cpus = 0;
-  for (const CorePartition& part : plan.serving) {
-    serving_cpus += part.num_workers;
-    for (int cpu : PartitionCpus(part)) {
-      EXPECT_NE(cpu, 15);
-    }
-  }
-  EXPECT_EQ(serving_cpus, 15);
-}
+TEST(NeoThreadPool, WidthOnePoolPinsItsThreadOnlyWhenBound) {
+#ifndef __linux__
+  GTEST_SKIP() << "thread affinity is read through sched_getaffinity";
+#else
+  // A cpu this process may run on, so the kernel cannot refuse the bind.
+  const int cpu = ThreadAffinity().back();
+  std::vector<int> bound_mask;
+  std::thread::id ran_on;
+  std::thread::id builder;
+  std::thread([&] {
+    builder = std::this_thread::get_id();
+    NeoThreadPool pool(1, /*bind_threads=*/true, {cpu});
+    pool.ParallelRun(3, [&](int, int) { ran_on = std::this_thread::get_id(); });
+    bound_mask = ThreadAffinity();
+  }).join();
+  EXPECT_EQ(bound_mask, std::vector<int>{cpu}) << "a bound pool pins exactly its cpu";
+  EXPECT_EQ(ran_on, builder) << "a width-1 pool runs regions inline";
 
-TEST(PlanServingAndTuning, OneCpuHostSharesInsteadOfCarving) {
-  const ServingPlan plan = PlanServingAndTuning(1, 1, CpuTopology::SingleNode(1));
-  EXPECT_FALSE(plan.has_dedicated_tuning);
-  ASSERT_EQ(plan.serving.size(), 1u);
-  EXPECT_EQ(plan.serving[0].num_workers, 1);
-  EXPECT_EQ(plan.tuning.num_workers, 1);
-}
-
-TEST(PlanServingAndTuning, SingleSocketKeepsServingContiguous) {
-  const CpuTopology topo = CpuTopology::FromSysfs(Fixture("single_socket"));
-  const ServingPlan plan = PlanServingAndTuning(2, 4, topo);
-  ASSERT_TRUE(plan.has_dedicated_tuning);
-  EXPECT_EQ(plan.tuning.cpus, (std::vector<int>{3}));
-  // Serving over the remaining prefix stays the legacy contiguous shape.
-  ASSERT_EQ(plan.serving.size(), 2u);
-  EXPECT_EQ(plan.serving[0].core_offset, 0);
-  EXPECT_EQ(plan.serving[0].num_workers, 2);
-  EXPECT_EQ(plan.serving[1].core_offset, 2);
-  EXPECT_EQ(plan.serving[1].num_workers, 1);
-  EXPECT_TRUE(plan.serving[0].cpus.empty());
-}
-
-// ---------------------------------------------------------------- engines + arena
-
-TEST(MakePartitionEngine, SingleCoreSliceIsPinnedSerial) {
-  CorePartition part;
-  part.core_offset = 0;
-  part.num_workers = 1;
-  const std::unique_ptr<ThreadEngine> pinned = MakePartitionEngine(part, true);
-  EXPECT_STREQ(pinned->Name(), "pinned-serial");
-  EXPECT_EQ(pinned->NumWorkers(), 1);
-  // The engine must actually run work on the calling thread.
-  int ran = 0;
-  pinned->ParallelRun(3, [&](int, int) { ++ran; });
-  EXPECT_EQ(ran, 3);
-  const std::unique_ptr<ThreadEngine> unpinned = MakePartitionEngine(part, false);
-  EXPECT_STREQ(unpinned->Name(), "serial");
+  std::vector<int> before;
+  std::vector<int> after;
+  std::thread([&] {
+    before = ThreadAffinity();
+    NeoThreadPool pool(1, /*bind_threads=*/false, {cpu});
+    pool.ParallelRun(1, [](int, int) {});
+    after = ThreadAffinity();
+  }).join();
+  EXPECT_EQ(after, before) << "an unbound pool leaves the mask alone";
+#endif
 }
 
 TEST(Arena, NodeBoundArenaReportsPerNodeGauge) {
