@@ -1,8 +1,8 @@
 // Tuned GEMM micro-benchmark: the blocked, packed kernel family on transformer-shaped
 // workloads, ablated three ways —
 //   * tuned f32 vs the fixed-blocking legacy Gemm() (the vendor-library stand-in);
-//   * ISA tier (baseline / avx2 / avx512 [/ avx512vnni for int8]) via the dispatch
-//     override hooks, so the register-blocking win and the ISA win separate;
+//   * ISA tier (f32: baseline / avx2 / avx512; u8: baseline / avx512vnni) via the
+//     dispatch override hooks, so the register-blocking win and the ISA win separate;
 //   * dtype: tuned f32 vs the u8·s8→s32 integer pipeline with its fused epilogue.
 //
 //   ./bench_gemm_micro
@@ -10,8 +10,7 @@
 // Shapes are the transformer-encoder zoo model's GEMMs at serving batch 8 (M = B*S)
 // plus BERT-base-sized projections/FFNs. Schedules come from the same analytic local
 // search the compiler runs for Target::Host(), so the bench measures what a compiled
-// model would execute on this host; the u8 rows are skipped when the host ranks no u8
-// schedule (no int8 dot-product tier).
+// model would execute on this host.
 // Knobs:
 //   NEOCPU_BENCH_RUNS    timed repetitions per cell   (default 2; min is reported)
 //   NEOCPU_BENCH_WARMUP  warm-up repetitions          (default 1)
@@ -22,7 +21,6 @@
 //   * where the VNNI tier ran, u8 beats the best tuned f32 on at least one shape.
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,18 +78,13 @@ double TimeMs(Fn&& fn) {
   return BestMs(samples);
 }
 
-// The host's best schedule of `dtype`, or nothing when the host ranks none (u8 without
-// an int8 dot-product tier).
-std::optional<GemmSchedule> TunedSchedule(const Shape& shape, DType dtype) {
+// The host's best schedule of `dtype`.
+GemmSchedule TunedSchedule(const Shape& shape, DType dtype) {
   const DenseParams params{shape.m, shape.n, shape.k};
   auto result = LocalSearchDenseShared(params, Target::Host(), CostMode::kAnalytic,
                                        /*quick_space=*/true, nullptr, nullptr, nullptr,
                                        dtype);
-  const DenseScheduleCost* best = result->BestDense(dtype);
-  if (best == nullptr) {
-    return std::nullopt;
-  }
-  return best->schedule;
+  return result->BestDense(dtype)->schedule;
 }
 
 // Prints one line per shape and the verdict of each invariant; returns false if any
@@ -159,7 +152,7 @@ int main() {
   std::vector<Cell> cells;
 
   const char* f32_tiers[] = {"baseline", "avx2", "avx512"};
-  const char* s8_tiers[] = {"baseline", "avx2", "avx512", "avx512vnni"};
+  const char* u8_tiers[] = {"baseline", "avx512vnni"};
 
   std::printf("%-10s %-10s %-11s %10s %10s\n", "shape", "kernel", "isa", "ms",
               "GFLOP/s");
@@ -185,7 +178,7 @@ int main() {
 
     // Tuned f32, per ISA tier.
     {
-      const GemmSchedule s = TunedSchedule(shape, DType::kF32).value();
+      const GemmSchedule s = TunedSchedule(shape, DType::kF32);
       Tensor a = Tensor::Random({shape.m, shape.k}, rng, -1.0f, 1.0f);
       Tensor w = Tensor::Random({shape.n, shape.k}, rng, -0.5f, 0.5f);
       Tensor packed_b = Tensor::Empty(
@@ -207,8 +200,8 @@ int main() {
     }
 
     // Tuned u8·s8, per ISA tier (f32 output epilogue, mult = 1).
-    if (const std::optional<GemmSchedule> u8 = TunedSchedule(shape, DType::kU8)) {
-      const GemmSchedule& s = *u8;
+    {
+      const GemmSchedule s = TunedSchedule(shape, DType::kU8);
       Tensor a = Tensor::Empty({shape.m, shape.k}, Layout::Flat(), DType::kU8);
       Tensor w = Tensor::Empty({shape.n, shape.k}, Layout::Flat(), DType::kS8);
       for (std::int64_t i = 0; i < a.NumElements(); ++i) {
@@ -227,14 +220,14 @@ int main() {
           {static_cast<std::int64_t>(PackedAU8Bytes(shape.m, shape.k, s))},
           Layout::Flat(), DType::kU8);
       Tensor c = Tensor::Empty({shape.m, shape.n});
-      for (const char* tier : s8_tiers) {
+      for (const char* tier : u8_tiers) {
         if (!SetGemmPackedS8IsaOverride(tier)) {
           continue;
         }
         record("tuned_u8", tier, TimeMs([&] {
                  GemmPackedU8S8(shape.m, shape.n, shape.k, a.data_as<std::uint8_t>(),
                                 packed_b.data_as<std::int8_t>(), nullptr, mult.data(),
-                                false, false, false, 0, c.data(), s,
+                                false, false, 0, c.data(), s,
                                 workspace.data_as<std::uint8_t>(), &pool);
                }));
       }

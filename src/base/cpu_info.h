@@ -23,8 +23,8 @@ enum class SimdIsa {
 enum class IsaTier {
   kBaseline,    // the library's portable ISA (SSE2 on x86-64, NEON on AArch64)
   kAvx2,        // -mavx2 -mfma
-  kAvx512,      // -mavx512f -mavx512bw -mavx512vl -mavx512dq
-  kAvx512Vnni,  // kAvx512 + -mavx512vnni
+  kAvx512,      // -mavx512f -mavx512bw -mavx512vl -mavx512dq -mfma
+  kAvx512Vnni,  // the AVX-512 flags + -mavx512vnni (the int8 kernels)
 };
 
 struct CpuInfo {

@@ -74,7 +74,7 @@ bool ScheduleLegalFor(const ConvSchedule& s, const Node& node) {
 }
 
 // Cheapest ranked schedule that is legal for `node` (the greedy per-conv optimum of
-// LayoutMode::kNCHWcLocal); on merged fp32+s8 lists this IS the greedy fp32-vs-int8
+// LayoutMode::kNCHWcLocal); on merged fp32+u8 lists this IS the greedy fp32-vs-int8
 // choice, boundary costs ignored — the pitfall §3.3.1 warns about, kept as the
 // ablation.
 const ConvSchedule& BestLegalSchedule(const LocalSearchResult& result, const Node& node) {
@@ -100,7 +100,7 @@ std::int64_t GraphBatch(const Graph& g) {
 // Schedule selection + layout lowering for an already simplified+fused graph. Every
 // per-conv decision is keyed by the conv's WorkloadKey (its params carry the graph's
 // batch), memoized through opts.tuning_cache. `calibration` (null = no quantization)
-// gates the int8 side: quantize-legal convs get the s8 space ranked into their
+// gates the int8 side: quantize-legal convs get the u8 space ranked into their
 // candidate list and the selection decides fp32-vs-int8 per conv. Fills the
 // tuning/search fields of *stats.
 Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
@@ -114,17 +114,17 @@ Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
   TuningCache* cache = opts.tuning_cache.get();
   NEOCPU_CHECK(cache != nullptr);
 
-  // int8 only plays under the searched modes: the fixed-block modes are fp32 paper
-  // ablations.
+  // int8 only plays where it can beat f32 — on a VNNI target — unless forced, and only
+  // under the searched modes: the fixed-block modes are fp32 paper ablations.
   const bool quantizing = opts.quantize && calibration != nullptr &&
-                          opts.target.int8_dot &&
+                          (opts.target.vnni_dot || opts.force_quantize) &&
                           (opts.layout_mode == LayoutMode::kNCHWcGlobal ||
                            opts.layout_mode == LayoutMode::kNCHWcLocal);
 
   // Local search per convolution workload, memoized through the shared cache. Hit/miss
   // attribution is counted per call (not via cache-counter deltas): concurrent compiles
   // and re-tunes share one cache, so global deltas would mix their traffic. Under
-  // quantization, int8-legal convs additionally search the s8 space (its own cache key)
+  // quantization, int8-legal convs additionally search the u8 space (its own cache key)
   // and the two ranked lists merge into one candidate list.
   Timer tuning_timer;
   LocalSearchMap locals;
@@ -138,35 +138,19 @@ Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
         LocalSearchConvShared(node.attrs.conv, opts.target, opts.cost_mode,
                               opts.quick_space, opts.engine, cache, &cache_hit);
     ++(cache_hit ? stats->tuning_cache_hits : stats->tuning_cache_misses);
-    if (quantizing && QuantizeLegal(source, id, *calibration)) {
-      // An int8 space exists only for the kernel's templated oc blocks, and the u8
-      // space only for quad-divisible ic blocks (VNNI packs 4 input channels per
-      // lane); pre-check so the search never CHECK-fails on an empty candidate list.
-      // A forced dtype narrows which spaces join the merge: under forced u8 a conv
-      // with no u8 blocking (the 3-channel stem) keeps its f32 schedules rather than
-      // falling back to s8.
-      auto possible = [&](DType dtype) {
-        return !EnumerateS8Schedules(node.attrs.conv, opts.target, opts.quick_space,
-                                     dtype)
-                    .empty();
-      };
-      const bool u8_possible = opts.force_quant_dtype != DType::kS8 && possible(DType::kU8);
-      const bool s8_wanted = opts.force_quant_dtype != DType::kU8 && possible(DType::kS8);
+    // An int8 space exists only for the kernel's templated oc blocks and quad-divisible
+    // ic blocks (VNNI packs 4 input channels per lane); pre-check so the search never
+    // CHECK-fails on an empty candidate list. A conv with no int8 blocking (the
+    // 3-channel stem) keeps its f32 schedules.
+    if (quantizing && QuantizeLegal(source, id, *calibration) &&
+        !EnumerateS8Schedules(node.attrs.conv, opts.target, opts.quick_space).empty()) {
+      bool hit = false;
+      std::shared_ptr<const LocalSearchResult> q =
+          LocalSearchConvShared(node.attrs.conv, opts.target, opts.cost_mode,
+                                opts.quick_space, opts.engine, cache, &hit, DType::kU8);
+      ++(hit ? stats->tuning_cache_hits : stats->tuning_cache_misses);
       LocalSearchResult merged = *result;
-      auto merge_space = [&](DType dtype) {
-        bool hit = false;
-        std::shared_ptr<const LocalSearchResult> q = LocalSearchConvShared(
-            node.attrs.conv, opts.target, opts.cost_mode, opts.quick_space, opts.engine,
-            cache, &hit, dtype);
-        ++(hit ? stats->tuning_cache_hits : stats->tuning_cache_misses);
-        merged.ranked.insert(merged.ranked.end(), q->ranked.begin(), q->ranked.end());
-      };
-      if (s8_wanted) {
-        merge_space(DType::kS8);
-      }
-      if (u8_possible) {
-        merge_space(DType::kU8);
-      }
+      merged.ranked.insert(merged.ranked.end(), q->ranked.begin(), q->ranked.end());
       std::stable_sort(
           merged.ranked.begin(), merged.ranked.end(),
           [](const ScheduleCost& a, const ScheduleCost& b) { return a.ms < b.ms; });
@@ -209,9 +193,7 @@ Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
         continue;
       }
       GemmSchedule chosen = best_f32->schedule;
-      if (quantizing && opts.quantize_dense &&
-          opts.force_quant_dtype != DType::kS8 &&
-          calibration->count(node.inputs[0]) > 0) {
+      if (quantizing && opts.quantize_dense && calibration->count(node.inputs[0]) > 0) {
         bool qhit = false;
         std::shared_ptr<const LocalSearchResult> u8 =
             LocalSearchDenseShared(p, opts.target, opts.cost_mode, opts.quick_space,
@@ -296,7 +278,7 @@ Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
     }
   }
   if (quantizing && opts.force_quantize) {
-    // Accuracy/CI mode: every int8-legal conv takes its best s8 schedule regardless of
+    // Accuracy/CI mode: every int8-legal conv takes its best int8 schedule regardless of
     // the cost comparison (applied last, so it also overrides force_algo).
     for (auto& [id, sched] : schedules) {
       const ScheduleCost* best = locals.at(id)->BestQuantized();

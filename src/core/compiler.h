@@ -61,12 +61,16 @@ struct CompileConfig {
   ConvAlgo forced_algo = ConvAlgo::kDirectNCHWc;
   // Post-training int8 quantization. With `quantize`, compilation calibrates the fused
   // source graph on sample inputs (CompileOptions::calibration_inputs, or a
-  // deterministic synthetic batch), ranks the s8 schedule space next to fp32 in every
-  // local search, and lets the global/local selection choose fp32-vs-int8 per conv
-  // under quantize/dequantize boundary costs. Only the kNCHWcGlobal and kNCHWcLocal
-  // modes quantize (the fixed-block modes are fp32 paper ablations). `force_quantize`
-  // overrides the cost comparison: every int8-legal conv takes its best s8 schedule
-  // (accuracy testing, int8 CI zoo). Serving re-tunes inherit both flags through the
+  // deterministic synthetic batch), ranks the int8 schedule space (u8 activations x
+  // s8 weights) next to fp32 in every local search, and lets the global/local
+  // selection choose fp32-vs-int8 per conv under quantize/dequantize boundary costs.
+  // int8 is offered only on a target with a VNNI dot product (Target::vnni_dot), where
+  // it can beat f32, and only under the kNCHWcGlobal and kNCHWcLocal modes (the
+  // fixed-block modes are fp32 paper ablations). `force_quantize` also admits int8 on
+  // targets without VNNI (the portable tier) and overrides the cost comparison: every
+  // int8-legal conv takes its best int8 schedule (accuracy testing, int8 CI zoo); a
+  // conv with no legal int8 blocking (e.g. the 3-channel image stem) keeps its f32
+  // schedule. Serving re-tunes inherit both flags through the
   // persisted config, so per-batch re-tunes re-select quantized schedules.
   bool quantize = false;
   bool force_quantize = false;
@@ -79,10 +83,9 @@ struct CompileConfig {
   // with requantization, the one quantized dense path; every other dense runs in f32.
   // Off by default: the classifier head is small and accuracy-sensitive.
   bool quantize_dense = false;
-  // Pins the activation dtype of quantized convs. kF32 (the default) lets the search
-  // rank s8 and u8 spaces side by side; kS8 searches only the s8 space; kU8 searches
-  // only the u8 space, so a conv with no legal quad-divisible blocking (e.g. the
-  // 3-channel image stem) keeps its f32 schedule.
+  // Unused: u8 is the only quantized activation dtype, and the compiler never reads
+  // this field. It stays declared only because perfbench/cnn_workload.cc assigns it;
+  // a later change to the benchmark deletes the field together with that line.
   DType force_quant_dtype = DType::kF32;
 };
 
@@ -106,7 +109,7 @@ struct CompileStats {
   bool used_exact_dp = false;    // false + used_global_search => PBQP approximation
   int num_convs = 0;
   int num_layout_transforms = 0;  // runtime transform nodes left in the final graph
-  int num_quantized_convs = 0;    // convs the selection assigned an s8 schedule
+  int num_quantized_convs = 0;    // convs the selection assigned an int8 schedule
   int num_dense = 0;              // dense nodes assigned a tuned GEMM schedule
   int num_quantized_dense = 0;    // of those, how many chose the u8 kernel
   double predicted_cost_ms = 0.0;  // global-search objective value (model units)

@@ -19,7 +19,7 @@ namespace {
 
 // Clip threshold keeping 99.9% of the |x| mass: the smallest histogram prefix whose
 // cumulative count reaches that fraction. Activation outliers (a handful of extreme
-// values in millions) otherwise dictate the s8 scale and waste most of the 256 codes.
+// values in millions) otherwise dictate the u8 scale and waste most of the 256 codes.
 float PercentileThreshold(const std::vector<std::uint64_t>& hist, float absmax) {
   std::uint64_t total = 0;
   for (std::uint64_t c : hist) {

@@ -36,7 +36,7 @@ class TraceRecorder;
 // Records per-node output ranges while a graph executes — the calibration side of
 // post-training quantization: the compiler runs the fp32 source graph over sample
 // inputs with an observer attached, and QuantizeGraph turns the resulting ranges into
-// s8/u8 scales. Min/max calibration needs a single pass; the clipping policies
+// u8 scales and zero points. Min/max calibration needs a single pass; the clipping policies
 // (percentile, entropy) need a second pass over the SAME samples that bins |x| into a
 // per-node histogram whose support [0, absmax] comes from the first pass' ranges —
 // call BeginHistogramPhase() between the passes and Finalize(policy) at the end. Not

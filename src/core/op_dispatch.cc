@@ -84,8 +84,8 @@ void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
                    workspace_bytes / sizeof(float));
       return;
     case ConvKernelKind::kNCHWcS8:
-      // Inputs: {data s8/u8, weight s8, [bias s32], multiplier f32} — the multiplier is
-      // always the last input; residual epilogues are illegal in int8.
+      // Inputs: {data u8, packed weight s8, [bias s32], multiplier f32} — the
+      // multiplier is always the last input; residual epilogues are illegal in int8.
       ConvNCHWcS8(p, node.attrs.schedule, in[0], in[1], bias, in.back(), epi,
                   node.attrs.qconv.requant, out, engine, node.attrs.qconv.out_zero,
                   node.attrs.qconv.in_zero);
@@ -129,14 +129,13 @@ void ExecuteDenseGemmInto(const Node& node, const std::vector<Tensor>& in, Tenso
     // last, the quantized-conv convention).
     const std::int32_t* bias = in.size() > 3 ? in[2].data_as<std::int32_t>() : nullptr;
     const bool requant = node.attrs.qconv.requant;
-    const bool out_u8 = requant && node.attrs.qconv.out_dtype == DType::kU8;
     std::uint8_t* ws = nullptr;
     if (workspace != nullptr && workspace_bytes >= PackedAU8Bytes(m, p.k, s)) {
       ws = reinterpret_cast<std::uint8_t*>(workspace);
     }
     GemmPackedU8S8(m, p.n, p.k, in[0].data_as<std::uint8_t>(),
                    in[1].data_as<std::int8_t>(), bias, in.back().data(),
-                   node.attrs.relu, requant, out_u8, node.attrs.qconv.out_zero,
+                   node.attrs.relu, requant, node.attrs.qconv.out_zero,
                    static_cast<void*>(out->data()), s, ws, engine);
     return;
   }
@@ -182,7 +181,7 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
       return;
     case OpType::kMaxPool:
     case OpType::kAvgPool:
-      if (in[0].dtype() == DType::kS8 || in[0].dtype() == DType::kU8) {
+      if (in[0].dtype() == DType::kU8) {
         PoolNCHWcInt(node.attrs.pool, in[0], node.attrs.qzero, out, engine);
       } else if (in[0].ndim() == 5) {
         PoolNCHWc(node.attrs.pool, in[0], out, engine);
@@ -212,7 +211,7 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
       AddElementwise(in[0], in[1], node.attrs.relu, out, engine);
       return;
     case OpType::kConcat:
-      if (in[0].dtype() == DType::kS8 || in[0].dtype() == DType::kU8) {
+      if (in[0].dtype() == DType::kU8) {
         ConcatChannelsInt(in, node.attrs.qin_scales, node.attrs.qin_zeros,
                           node.attrs.qscale, node.attrs.qzero, out, engine);
       } else if (in[0].ndim() >= 4) {
@@ -237,8 +236,7 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
       MultiboxDetection(node.attrs.det, in[0], in[1], in[2], out, engine);
       return;
     case OpType::kQuantize:
-      Quantize(in[0], node.attrs.qscale, node.attrs.qzero, node.attrs.qdtype, out,
-               engine);
+      Quantize(in[0], node.attrs.qscale, node.attrs.qzero, out, engine);
       return;
     case OpType::kDequantize:
       Dequantize(in[0], node.attrs.qscale, node.attrs.qzero, out, engine);

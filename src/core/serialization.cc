@@ -15,7 +15,7 @@ namespace {
 constexpr char kMagic[4] = {'N', 'E', 'O', 'C'};
 // One version: a module is the fused source graph plus its tuning state, and the
 // executable graph is re-derived at load. docs/module_format.md is the spec.
-constexpr std::uint32_t kVersion = 8;
+constexpr std::uint32_t kVersion = 9;
 
 // The source-graph attributes of a node, mirrored as an explicit POD so the on-disk
 // format stays stable regardless of NodeAttrs layout changes. Everything else in
@@ -267,7 +267,6 @@ void WriteConfig(std::ostream& out, const CompileConfig& config) {
   WritePod(out, static_cast<std::uint64_t>(t.l1d_bytes));
   WritePod(out, static_cast<std::uint64_t>(t.l2_bytes));
   WritePod(out, static_cast<std::uint64_t>(t.l3_bytes));
-  WritePod(out, static_cast<std::uint32_t>(t.int8_dot ? 1 : 0));
   WritePod(out, static_cast<std::uint32_t>(t.vnni_dot ? 1 : 0));
   WritePod(out, static_cast<std::uint32_t>(config.cost_mode));
   WritePod(out, static_cast<std::uint32_t>(config.quick_space ? 1 : 0));
@@ -278,7 +277,6 @@ void WriteConfig(std::ostream& out, const CompileConfig& config) {
   WritePod(out, static_cast<std::uint32_t>(config.force_quantize ? 1 : 0));
   WritePod(out, static_cast<std::uint32_t>(config.calibration_policy));
   WritePod(out, static_cast<std::uint32_t>(config.quantize_dense ? 1 : 0));
-  WritePod(out, static_cast<std::uint32_t>(config.force_quant_dtype));
 }
 
 CompileConfig ReadConfig(Reader& in) {
@@ -295,7 +293,6 @@ CompileConfig ReadConfig(Reader& in) {
   t.l1d_bytes = in.Pod<std::uint64_t>();
   t.l2_bytes = in.Pod<std::uint64_t>();
   t.l3_bytes = in.Pod<std::uint64_t>();
-  t.int8_dot = in.Pod<std::uint32_t>() != 0;
   t.vnni_dot = in.Pod<std::uint32_t>() != 0;
   config.cost_mode = in.Enum(CostMode::kMeasured);
   config.quick_space = in.Pod<std::uint32_t>() != 0;
@@ -306,7 +303,6 @@ CompileConfig ReadConfig(Reader& in) {
   config.force_quantize = in.Pod<std::uint32_t>() != 0;
   config.calibration_policy = in.Enum(CalibrationPolicy::kEntropy);
   config.quantize_dense = in.Pod<std::uint32_t>() != 0;
-  config.force_quant_dtype = in.Enum(DType::kS32);
   return config;
 }
 

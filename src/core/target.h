@@ -26,25 +26,21 @@ struct Target {
   std::size_t l2_bytes = 1024 * 1024;
   std::size_t l3_bytes = 24ull * 1024 * 1024;
 
-  // Whether the schedule space admits s8 (quantized) convolution schedules on this
-  // ISA profile. All built-in profiles support it (the s8 kernel is portable); tests
-  // flip it off to verify the gating.
-  bool int8_dot = true;
-
   // Whether this profile has a fused u8·s8 dot-product instruction (AVX-512 VNNI
-  // vpdpbusd). The u8 cost model credits the fused MAC chain only when this is set;
-  // without it the u8 path pays the overflow-safe s32 accumulation (the IntelCaffe
-  // s16-overflow workaround) and rarely beats s8. Host() detects it via cpuid; the
-  // CascadeLakeVnni profile pins it for tests.
+  // vpdpbusd), the only form in which int8 beats f32. The compiler offers int8
+  // schedules only when this is set (or quantization is forced), and the int8 cost
+  // model credits the fused MAC chain only here; without it the portable tier pays
+  // the overflow-safe s32 accumulation (the IntelCaffe s16-overflow workaround).
+  // Host() detects it via cpuid; the CascadeLakeVnni profile pins it for tests.
   bool vnni_dot = false;
 
   // Natural channel block: one vector register of fp32 lanes.
   std::int64_t PreferredBlock() const { return vector_lanes; }
   // Largest channel block the schedule space admits for this ISA.
   std::int64_t MaxBlock() const { return 2ll * vector_lanes; }
-  // s8 elements per vector register: 4x the fp32 lane count. The s8 kernel's MAC
-  // density scales with how much of a full s8 vector the oc block fills, so the s8
-  // schedule space prefers (and admits up to) these wider blocks.
+  // 8-bit elements per vector register: 4x the fp32 lane count. The int8 kernel's
+  // MAC density scales with how much of a full 8-bit vector the oc block fills, so the
+  // int8 schedule space prefers (and admits up to) these wider blocks.
   std::int64_t PreferredBlockS8() const {
     const std::int64_t b = 4ll * vector_lanes;
     return b < kMaxS8Block ? b : kMaxS8Block;

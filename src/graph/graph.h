@@ -42,8 +42,8 @@ enum class OpType {
   kDropout,      // identity at inference; removed by simplification
   kLayoutTransform,
   kMultiboxDetection,
-  kQuantize,     // f32 -> s8/u8 with a per-tensor scale (+ zero point for u8)
-  kDequantize,   // s8/u8 -> f32
+  kQuantize,     // f32 -> u8 with a per-tensor scale and zero point
+  kDequantize,   // u8 -> f32
   kLayerNorm,    // row-wise layer normalization with gamma/beta (transformer blocks)
   kTranspose,    // 2-D {M, N} -> {N, M} transpose on flat tensors
   kMultiHeadAttention,  // softmax(QK^T/sqrt(dh))V over {batch*seq, dim} Q/K/V inputs
@@ -58,12 +58,12 @@ enum class ConvKernelKind {
   kIm2col,      // im2col + GEMM in NCHW (framework-default baseline)
   kNCHWc,       // Algorithm 1 template in NCHW[x]c
   kWinograd,    // F(2x2, 3x3) in NCHW; weights pre-transformed to {4, 4, OC, IC}
-  kNCHWcS8,     // quantized s8xs8->s32 template in NCHW[x]c with fused (re/de)quant
+  kNCHWcS8,     // quantized u8xs8->s32 template in NCHW[x]c with fused (re/de)quant
 };
 
 // Quantization annotation of a conv (or dense) node (set by the QuantizeGraph pass;
 // consumed by AlterConvLayout's weight pre-quantization and the runtime dispatch).
-// Scales follow kernels/quantize.h: symmetric for s8 (zero point 0), affine for u8
+// Scales follow kernels/quantize.h: activations are affine u8
 // (q = clamp(round(x/scale) + zp, 0, 255)). The input zero point never reaches the
 // kernel's inner loop — AlterConvLayout folds the correction term
 // (bias'[oc] -= in_zero * sum(w_s8[oc,...])) into the s32 bias constant.
@@ -75,10 +75,8 @@ struct ConvQuant {
   // follows); false: the epilogue dequantizes straight to f32 (no separate
   // kDequantize node needed).
   bool requant = true;
-  DType adtype = DType::kS8;       // activation (data-input) dtype: kS8 or kU8
-  std::int32_t in_zero = 0;        // input zero point (0 for s8 activations)
-  DType out_dtype = DType::kS8;    // requantized output dtype (iff requant)
-  std::int32_t out_zero = 0;       // output zero point (0 for s8 outputs)
+  std::int32_t in_zero = 0;   // zero point of the u8 data input
+  std::int32_t out_zero = 0;  // zero point of the u8 output (iff requant)
 
   bool operator==(const ConvQuant&) const = default;
 };
@@ -94,8 +92,7 @@ struct NodeAttrs {
   ConvQuant qconv;          // kConv2d / kDense under the quantized path
   float qscale = 1.0f;      // kQuantize / kDequantize per-tensor scale; for integer
                             // pooling/concat, the scale of the integer OUTPUT
-  std::int32_t qzero = 0;   // zero point (0 for s8; meaningful for u8)
-  DType qdtype = DType::kS8;  // kQuantize target dtype
+  std::int32_t qzero = 0;   // zero point of that u8 tensor
   // Integer concat only: per-input (scale, zero point) of the incoming integer
   // tensors; the concat kernel rescales each input to (qscale, qzero) while copying.
   std::vector<float> qin_scales;
@@ -128,7 +125,7 @@ struct Node {
 
   // Filled by shape/layout inference. out_dims are logical dims (NCHW semantics for
   // feature maps); out_layout describes the physical arrangement at runtime; out_dtype
-  // the element type flowing out (s8 inside quantized conv chains, f32 elsewhere).
+  // the element type flowing out (u8 inside quantized conv chains, f32 elsewhere).
   std::vector<std::int64_t> out_dims;
   Layout out_layout = Layout::NCHW();
   DType out_dtype = DType::kF32;

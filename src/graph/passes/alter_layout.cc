@@ -139,17 +139,15 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
           break;
         }
         if (sched.IsQuantized()) {
-          // Quantized direct template: the s8/u8 data input blocks like the fp32 one;
+          // Quantized direct template: the u8 data input blocks like the fp32 one;
           // the fp32 weight constant is per-output-channel quantized and blocked at
           // compile time, the bias folds to s32 in the accumulation domain (plus the
-          // u8 zero-point correction -in_zero * sum(w)), and the epilogue's
-          // per-channel multiplier becomes a constant input. u8 activations
-          // additionally VNNI-pack the blocked weight tiles (AFTER the bias fold,
-          // which walks the standard tile order).
+          // zero-point correction -in_zero * sum(w)), and the epilogue's per-channel
+          // multiplier becomes a constant input. The blocked weight tiles are then
+          // VNNI-packed (AFTER the bias fold, which walks the standard tile order).
           NEOCPU_CHECK(node.attrs.qconv.enabled)
-              << node.name << ": s8 schedule on an unquantized conv";
-          const bool u8 = node.attrs.qconv.adtype == DType::kU8;
-          const std::int32_t in_zero = u8 ? node.attrs.qconv.in_zero : 0;
+              << node.name << ": int8 schedule on an unquantized conv";
+          const std::int32_t in_zero = node.attrs.qconv.in_zero;
           const int data =
               ensure_layout(rw.Lookup(node.inputs[0]), Layout::NCHWc(sched.ic_bn));
           const Tensor& w = graph.node(node.inputs[1]).payload;
@@ -173,9 +171,7 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
           if (in_zero != 0) {
             FoldZeroPointIntoBias(w_blocked, in_zero, &bias_s32);
           }
-          if (u8) {
-            w_blocked = PackWeightsVnni(w_blocked);
-          }
+          w_blocked = PackWeightsVnni(w_blocked);
           std::vector<int> inputs = {
               data, rw.dst().AddConstant(std::move(w_blocked), node.name + ".w8")};
           if (bias_s32.defined()) {
@@ -256,7 +252,7 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
             // convention with a 2-D weight: per-row quantization, bias folded to s32
             // with the activation zero-point correction, per-column multiplier
             // constant appended last.
-            NEOCPU_CHECK(attrs.qconv.enabled && attrs.qconv.adtype == DType::kU8)
+            NEOCPU_CHECK(attrs.qconv.enabled)
                 << node.name << ": u8 gemm schedule on an unquantized dense";
             Tensor w_s8;
             std::vector<float> w_scales;

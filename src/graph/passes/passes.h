@@ -54,16 +54,16 @@ enum class CalibrationPolicy {
 
 const char* CalibrationPolicyName(CalibrationPolicy policy);
 
-// True when `node` (a conv in the fused source graph) can execute the quantized s8
+// True when `node` (a conv in the fused source graph) can execute the quantized int8
 // kernel: constant weight, no fused residual add (int8's legality window, like
 // Winograd's), and calibrated ranges for both its data input and its output.
 bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibration);
 
 // Post-training quantization rewrite. `schedules` maps conv node id -> chosen schedule
-// (keyed against `graph`); convs whose schedule carries an integer dtype (s8 or u8) are
+// (keyed against `graph`); convs whose schedule carries the integer dtype (u8) are
 // rewritten to the quantized form:
-//   * a kQuantize node (symmetric s8 / affine u8, range from the calibrated input)
-//     feeds the conv unless the producer already yields an integer tensor — chains of
+//   * a kQuantize node (affine u8, range from the calibrated input) feeds the conv
+//     unless the producer already yields an integer tensor — chains of
 //     quantized convs stay integer with no Q/DQ pair between them (the DQ->Q
 //     cancellation, done constructively);
 //   * pooling and concat between quantized convs execute natively in the integer
@@ -75,14 +75,11 @@ bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibrati
 //     epilogue;
 //   * the conv keeps its fp32 weight constant but gains ConvQuant attrs (in/out
 //     scale/zero-point/dtype); AlterConvLayout later pre-quantizes the weights per
-//     output channel, VNNI-packs them for u8 activations, and folds the bias (and the
-//     u8 zero-point correction) to s32;
+//     output channel, VNNI-packs them, and folds the bias (and the zero-point
+//     correction) to s32;
 //   * consumers that need fp32 read a kDequantize of the conv's integer output; when
 //     NO consumer stays integer the dequantization fuses into the conv epilogue
 //     instead (ConvQuant::requant = false) and no kDequantize node is emitted.
-// A conv's requantized OUTPUT dtype follows what its integer consumers demand (falling
-// back to s8 on disagreement), independent of its own activation dtype — so an s8 stem
-// conv can feed a u8 chain and vice versa.
 // On return *schedules is re-keyed to the rewritten graph's conv ids, and
 // *dense_schedules (optional; dense node id -> tuned GEMM schedule) likewise.
 Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,

@@ -121,7 +121,7 @@ void InferNodeShape(Graph* graph, int id) {
       }
     }
   }
-  // Dtype inference: s8/u8 enters at kQuantize (or a quantized conv's requantizing
+  // Dtype inference: u8 enters at kQuantize (or a quantized conv's requantizing
   // epilogue), leaves at kDequantize (or a dequantizing epilogue), and flows through
   // layout transforms and the integer-native structural ops (pooling, concat — the
   // QuantizeGraph pass only routes integer tensors into them when it rewrote them to
@@ -139,7 +139,7 @@ void InferNodeShape(Graph* graph, int id) {
         node.out_dtype = node.payload.dtype();
         break;
       case OpType::kQuantize:
-        node.out_dtype = node.attrs.qdtype;
+        node.out_dtype = DType::kU8;
         break;
       case OpType::kDequantize:
         node.out_dtype = DType::kF32;
@@ -147,7 +147,7 @@ void InferNodeShape(Graph* graph, int id) {
       case OpType::kConv2d:
       case OpType::kDense:
         node.out_dtype = node.attrs.qconv.enabled && node.attrs.qconv.requant
-                             ? node.attrs.qconv.out_dtype
+                             ? DType::kU8
                              : DType::kF32;
         break;
       case OpType::kLayoutTransform:

@@ -1,7 +1,7 @@
-// Baseline instantiation + validation + runtime ISA dispatch of the s8 NCHWc direct
-// convolution. The baseline row driver compiles at the library's portable ISA; wider
-// variants live in conv_nchwc_int8_avx{2,512}.cc behind per-file flags, and this TU
-// (always portable code itself) picks the widest one the running CPU supports.
+// Baseline instantiation + validation + runtime ISA dispatch of the u8·s8 NCHWc direct
+// convolution. The baseline row driver compiles at the library's portable ISA; the
+// VNNI variant lives in conv_nchwc_int8_avx512vnni.cc behind per-file flags, and this
+// TU (always portable code itself) picks it when the running CPU supports it.
 #define NEOCPU_S8_VARIANT_NS s8_baseline
 #define NEOCPU_S8_ROW_FN ConvS8RowBaseline
 #include "src/kernels/conv_nchwc_int8_impl.h"
@@ -16,12 +16,6 @@
 namespace neocpu {
 namespace detail {
 
-#ifdef NEOCPU_HAVE_AVX2
-void ConvS8RowAvx2(const S8ConvArgs&, std::int64_t);
-#endif
-#ifdef NEOCPU_HAVE_AVX512
-void ConvS8RowAvx512(const S8ConvArgs&, std::int64_t);
-#endif
 #ifdef NEOCPU_HAVE_AVX512VNNI
 void ConvS8RowAvx512Vnni(const S8ConvArgs&, std::int64_t);
 #endif
@@ -32,12 +26,6 @@ IsaTierTable<S8RowFn>& Tiers() {
   static IsaTierTable<S8RowFn> tiers({
 #ifdef NEOCPU_HAVE_AVX512VNNI
       {IsaTier::kAvx512Vnni, &ConvS8RowAvx512Vnni},
-#endif
-#ifdef NEOCPU_HAVE_AVX512
-      {IsaTier::kAvx512, &ConvS8RowAvx512},
-#endif
-#ifdef NEOCPU_HAVE_AVX2
-      {IsaTier::kAvx2, &ConvS8RowAvx2},
 #endif
       {IsaTier::kBaseline, &ConvS8RowBaseline},
   });
@@ -64,20 +52,13 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
                    "conv_nchwc_s8");
   CheckKernelOutput(output, {p.batch, p.out_c / s.oc_bn, p.OutH(), p.OutW(), s.oc_bn},
                     Layout::NCHWc(s.oc_bn), "conv_nchwc_s8");
-  const bool src_u8 = input.dtype() == DType::kU8;
-  NEOCPU_CHECK(input.dtype() == DType::kS8 || src_u8) << input.DebugString();
+  NEOCPU_CHECK(input.dtype() == DType::kU8) << input.DebugString();
   NEOCPU_CHECK(weight.dtype() == DType::kS8) << weight.DebugString();
-  if (requant) {
-    NEOCPU_CHECK(output->dtype() == DType::kS8 || output->dtype() == DType::kU8)
-        << output->DebugString();
-  } else {
-    NEOCPU_CHECK(output->dtype() == DType::kF32) << output->DebugString();
-  }
-  // u8 activations pair with VNNI-packed weights: 4 consecutive input channels feed
-  // one dot-product lane, so the channel block must split into quads.
-  if (src_u8) {
-    NEOCPU_CHECK_EQ(s.ic_bn % 4, 0) << "u8 conv requires ic_bn % 4 == 0";
-  }
+  NEOCPU_CHECK(output->dtype() == (requant ? DType::kU8 : DType::kF32))
+      << output->DebugString();
+  // VNNI-packed weights: 4 consecutive input channels feed one dot-product lane, so
+  // the channel block must split into quads.
+  NEOCPU_CHECK_EQ(s.ic_bn % 4, 0) << "int8 conv requires ic_bn % 4 == 0";
   NEOCPU_CHECK(multiplier.dtype() == DType::kF32);
   NEOCPU_CHECK_EQ(multiplier.NumElements(), p.out_c);
   NEOCPU_CHECK_EQ(weight.ndim(), 6);
@@ -118,17 +99,15 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
   const std::int64_t ow_hi_incl = (a.iw + a.pw - a.kw) / a.sw;
   a.ow_hi = a.ow < ow_hi_incl + 1 ? a.ow : ow_hi_incl + 1;
 
-  a.in = reinterpret_cast<const std::int8_t*>(input.data());
+  a.in = input.data_as<std::uint8_t>();
   a.w = weight.data_as<std::int8_t>();
   a.bias = epilogue.bias ? bias->data_as<std::int32_t>() : nullptr;
   a.mult = multiplier.data_as<float>();
   a.relu = epilogue.relu;
   a.requant = requant;
-  a.src_u8 = src_u8;
-  a.in_zero = src_u8 ? in_zero : 0;
+  a.in_zero = in_zero;
   std::memset(a.pad_col, a.in_zero, sizeof(a.pad_col));
-  a.out_u8 = requant && output->dtype() == DType::kU8;
-  a.out_zero = a.out_u8 ? out_zero : 0;
+  a.out_zero = requant ? out_zero : 0;
   a.out = output->data();
 
   const detail::S8RowFn row_fn = detail::Tiers().Active().fn;

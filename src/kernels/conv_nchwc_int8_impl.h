@@ -1,4 +1,4 @@
-// Implementation body of the s8 NCHWc direct convolution, compiled once per ISA
+// Implementation body of the u8·s8 NCHWc direct convolution, compiled once per ISA
 // variant: the including translation unit defines NEOCPU_S8_VARIANT_NS (a unique
 // namespace, so multiple instantiations coexist without ODR collisions) and
 // NEOCPU_S8_ROW_FN (the exported row-driver symbol), then includes this header.
@@ -35,29 +35,24 @@ struct S8ConvArgs {
   bool unroll_ker = true;
   std::int64_t ow_lo = 0, ow_hi = 0;  // interior out-width range (no horizontal checks)
 
-  const std::int8_t* in = nullptr;
+  // u8 activations (the zero-point correction is pre-folded into `bias`, so the kernel
+  // multiplies raw bytes) against VNNI-packed s8 weights: the inner [ici][ocb] tile is
+  // reordered to [ici/4][ocb][4] so one vpdpbusd lane reads 4 consecutive ici
+  // weights. Both tiers read this layout (the portable one just indexes it), which
+  // keeps their accumulators bitwise identical. Requires icb % 4 == 0.
+  const std::uint8_t* in = nullptr;
   const std::int8_t* w = nullptr;
   const std::int32_t* bias = nullptr;  // null when no bias epilogue
   const float* mult = nullptr;         // per-output-channel epilogue multiplier, {OC}
   bool relu = false;
-  bool requant = false;  // true: out is s8/u8; false: out is f32
-  // u8-activation mode: `in` bytes are u8 (the zero-point correction is pre-folded
-  // into `bias`, so the kernel multiplies raw bytes), and the weights are VNNI-packed:
-  // the inner [ici][ocb] tile is reordered to [ici/4][ocb][4] so one vpdpbusd lane
-  // reads 4 consecutive ici weights. All ISA tiers read this layout (scalar tiers just
-  // index it differently), which keeps the cross-ISA accumulators bitwise identical.
-  // Requires icb % 4 == 0.
-  bool src_u8 = false;
-  // Input zero point (u8 mode). The bias fold subtracts in_zero * sum(w) over ALL
-  // kernel taps, so the u8 micro-kernels must read a virtual `in_zero` byte at padded
-  // positions (an f32 zero quantizes to the zero point) — skipping them like the s8
-  // path does would over-correct border pixels.
+  bool requant = false;  // true: out is u8; false: out is f32
+  // Input zero point. The bias fold subtracts in_zero * sum(w) over ALL kernel taps,
+  // so the micro-kernels read a virtual `in_zero` byte at padded positions (an f32
+  // zero quantizes to the zero point).
   std::int32_t in_zero = 0;
-  // One virtual input column of `in_zero` bytes (0 for s8): what every padded
-  // position reads.
+  // One virtual input column of `in_zero` bytes: what every padded position reads.
   std::uint8_t pad_col[kMaxChannelBlock] = {};
-  bool out_u8 = false;          // requantized output dtype is u8 (else s8)
-  std::int32_t out_zero = 0;    // output zero point (u8 requant only)
+  std::int32_t out_zero = 0;  // output zero point (requant only)
   void* out = nullptr;
 };
 
@@ -84,11 +79,11 @@ namespace NEOCPU_S8_VARIANT_NS {
 // `iw_first`. The interior form is one strided pointer; the guarded form resolves each
 // column once per tap, keeping the MAC loops branch-free. A padded row (`row` null)
 // reads the zero-point column at every position in both forms.
-template <typename T, int REGN, bool GUARD>
+template <int REGN, bool GUARD>
 class Columns {
  public:
-  Columns(const S8ConvArgs& a, const T* row, std::int64_t iw_first) {
-    const T* pad = reinterpret_cast<const T*>(a.pad_col);
+  Columns(const S8ConvArgs& a, const std::uint8_t* row, std::int64_t iw_first) {
+    const std::uint8_t* pad = a.pad_col;
     if constexpr (GUARD) {
       for (int r = 0; r < REGN; ++r) {
         const std::int64_t iw = iw_first + r * a.sw;
@@ -100,7 +95,7 @@ class Columns {
     }
   }
 
-  const T* operator[](int r) const {
+  const std::uint8_t* operator[](int r) const {
     if constexpr (GUARD) {
       return col_[r];
     } else {
@@ -109,112 +104,24 @@ class Columns {
   }
 
  private:
-  const T* col_[GUARD ? REGN : 1];
-  const T* base_ = nullptr;
+  const std::uint8_t* col_[GUARD ? REGN : 1];
+  const std::uint8_t* base_ = nullptr;
   std::int64_t step_ = 0;
 };
 
-// s8 micro-kernel. The multiply-accumulate runs in 16-bit, pairwise: an s8*s8 product
-// is exact in s16 (|p| <= 127*127) and the sum of TWO such products still fits
-// (2*16129 < 32767), so each input-channel pair contributes `sext32(p0 + p1)` to the
-// s32 accumulators. The vectorizer lowers the j loop to one 16-lane (or 32-lane under
-// AVX-512BW) vpmullw pair + vpaddw + one widening add — twice the MAC density of a
-// widened 32-bit multiply, and the pattern the pmaddwd/VNNI family accelerates,
-// without requiring either.
-template <int OCB, int REGN, bool UNROLL, bool GUARD>
-void MicroInterior(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
-                   const std::int8_t* __restrict w_o, std::int64_t oh, std::int64_t ow0,
-                   std::int32_t* __restrict out_acc) {
-  std::int32_t acc[REGN][OCB];
-  for (int r = 0; r < REGN; ++r) {
-#pragma omp simd
-    for (int j = 0; j < OCB; ++j) {
-      acc[r][j] = 0;
-    }
-  }
-  const std::int64_t iw0 = ow0 * a.sw - a.pw;
-  const std::int64_t icb = a.icb;
-  const std::int64_t w_kstride = icb * OCB;
-
-  for (std::int64_t ico = 0; ico < a.icb_count; ++ico) {
-    const std::int8_t* in_c = in_n + ico * a.in_sc;
-    const std::int8_t* w_c = w_o + ico * a.w_sc;
-    for (std::int64_t kh = 0; kh < a.kh; ++kh) {
-      const std::int64_t ih = oh * a.sh - a.ph + kh;
-      if (ih < 0 || ih >= a.ih) {
-        continue;  // s8 has no zero point: a padded row contributes nothing
-      }
-      const std::int8_t* in_row = in_c + ih * a.in_sh;
-      const std::int8_t* w_h = w_c + kh * a.kw * w_kstride;
-      auto kw_body = [&](std::int64_t kw) {
-        const std::int8_t* __restrict w_k = w_h + kw * w_kstride;
-        const Columns<std::int8_t, REGN, GUARD> cols(a, in_row, iw0 + kw);
-        std::int64_t ici = 0;
-        for (; ici + 2 <= icb; ici += 2) {
-          const std::int8_t* __restrict wv0 = w_k + ici * OCB;
-          const std::int8_t* __restrict wv1 = wv0 + OCB;
-#pragma GCC unroll 32
-          for (int r = 0; r < REGN; ++r) {
-            const std::int8_t* __restrict in_w = cols[r] + ici;
-            const std::int16_t iv0 = in_w[0];
-            const std::int16_t iv1 = in_w[1];
-#pragma omp simd
-            for (int j = 0; j < OCB; ++j) {
-              const std::int16_t p0 = static_cast<std::int16_t>(iv0 * wv0[j]);
-              const std::int16_t p1 = static_cast<std::int16_t>(iv1 * wv1[j]);
-              acc[r][j] += static_cast<std::int16_t>(p0 + p1);
-            }
-          }
-        }
-        if (ici < icb) {  // odd input-channel block tail
-          const std::int8_t* __restrict wv = w_k + ici * OCB;
-#pragma GCC unroll 32
-          for (int r = 0; r < REGN; ++r) {
-            const std::int16_t iv = cols[r][ici];
-#pragma omp simd
-            for (int j = 0; j < OCB; ++j) {
-              acc[r][j] += static_cast<std::int16_t>(iv * wv[j]);
-            }
-          }
-        }
-      };
-      if constexpr (UNROLL) {
-#pragma GCC unroll 8
-        for (std::int64_t kw = 0; kw < a.kw; ++kw) {
-          kw_body(kw);
-        }
-      } else {
-#pragma GCC unroll 1
-        for (std::int64_t kw = 0; kw < a.kw; ++kw) {
-          kw_body(kw);
-        }
-      }
-    }
-  }
-  for (int r = 0; r < REGN; ++r) {
-#pragma omp simd
-    for (int j = 0; j < OCB; ++j) {
-      out_acc[r * OCB + j] = acc[r][j];
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------------
-// u8-activation micro-kernel (IntelCaffe u8·s8 form). A u8*s8 product reaches
-// 255*127 = 32385, so the s16 pairwise trick above would overflow on the pair sum
-// (2*32385 > 32767) — the IntelCaffe s16-overflow hazard. The portable tiers
-// therefore accumulate every 4-product group directly in s32 (exact, no saturation);
-// the AVX-512 VNNI tier lowers the identical 4-wide group to one vpdpbusd, whose
-// internal s16 products and s32 horizontal add are also exact — so every tier
-// produces bitwise-identical accumulators.
+// The u8·s8 micro-kernel (IntelCaffe's form). A u8*s8 product reaches 255*127 =
+// 32385, so two of them overflow an s16 pair sum — the IntelCaffe s16-overflow
+// hazard. The portable tier therefore accumulates every 4-product group directly in
+// s32 (exact, no saturation); the AVX-512 VNNI tier lowers the identical 4-wide group
+// to one vpdpbusd, whose internal s16 products and s32 horizontal add are also exact —
+// so both tiers produce bitwise-identical accumulators.
 //
 // Weights are VNNI-packed per (ic_block, kh, kw) tile: [ici/4][ocb][4]; icb % 4 == 0.
 // A padded row reads the zero-point column too, unless the zero point is 0.
 template <int OCB, int REGN, bool UNROLL, bool GUARD>
-void MicroInteriorU8(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
+void MicroInteriorU8(const S8ConvArgs& a, const std::uint8_t* __restrict u_n,
                      const std::int8_t* __restrict w_o, std::int64_t oh,
                      std::int64_t ow0, std::int32_t* __restrict out_acc) {
-  const std::uint8_t* __restrict u_n = reinterpret_cast<const std::uint8_t*>(in_n);
   const std::int64_t iw0 = ow0 * a.sw - a.pw;
   const std::int64_t icb = a.icb;
   const std::int64_t w_kstride = icb * OCB;
@@ -241,7 +148,7 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
         const std::int8_t* w_h = w_c + kh * a.kw * w_kstride;
         for (std::int64_t kw = 0; kw < a.kw; ++kw) {
           const std::int8_t* __restrict w_k = w_h + kw * w_kstride;
-          const Columns<std::uint8_t, REGN, GUARD> cols(a, in_row, iw0 + kw);
+          const Columns<REGN, GUARD> cols(a, in_row, iw0 + kw);
           for (std::int64_t ici = 0; ici < icb; ici += 4) {
             // One [ocb][4] weight tile = OCV contiguous 64-byte vectors.
             const std::int8_t* __restrict wt = w_k + ici * OCB;
@@ -291,7 +198,7 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
       const std::int8_t* w_h = w_c + kh * a.kw * w_kstride;
       auto kw_body = [&](std::int64_t kw) {
         const std::int8_t* __restrict w_k = w_h + kw * w_kstride;
-        const Columns<std::uint8_t, REGN, GUARD> cols(a, in_row, iw0 + kw);
+        const Columns<REGN, GUARD> cols(a, in_row, iw0 + kw);
         for (std::int64_t ici = 0; ici < icb; ici += 4) {
           const std::int8_t* __restrict wt = w_k + ici * OCB;
 #pragma GCC unroll 32
@@ -331,7 +238,7 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::int8_t* __restrict in_n,
 }
 
 // Epilogue for `count` positions starting at ow0: bias add, integer ReLU, per-channel
-// scale, store to s8 (requant) or f32 (dequant).
+// scale, store to u8 (requant, offset by the output zero point) or f32 (dequant).
 inline void StoreSegment(const S8ConvArgs& a, const std::int32_t* acc,
                          const std::int32_t* bias_o, const float* mult_o, void* out_row,
                          std::int64_t ow0, std::int64_t count) {
@@ -348,15 +255,9 @@ inline void StoreSegment(const S8ConvArgs& a, const std::int32_t* acc,
       const float scaled = static_cast<float>(v) * mult_o[j];
       const std::int64_t at = (ow0 + r) * ocb + j;
       if (a.requant) {
-        std::int32_t q = static_cast<std::int32_t>(std::lrintf(scaled));
-        if (a.out_u8) {
-          q += a.out_zero;
-          q = q > 255 ? 255 : (q < 0 ? 0 : q);
-          static_cast<std::uint8_t*>(out_row)[at] = static_cast<std::uint8_t>(q);
-        } else {
-          q = q > 127 ? 127 : (q < -127 ? -127 : q);
-          static_cast<std::int8_t*>(out_row)[at] = static_cast<std::int8_t>(q);
-        }
+        std::int32_t q = static_cast<std::int32_t>(std::lrintf(scaled)) + a.out_zero;
+        q = q > 255 ? 255 : (q < 0 ? 0 : q);
+        static_cast<std::uint8_t*>(out_row)[at] = static_cast<std::uint8_t>(q);
       } else {
         static_cast<float*>(out_row)[at] = scaled;
       }
@@ -364,7 +265,7 @@ inline void StoreSegment(const S8ConvArgs& a, const std::int32_t* acc,
   }
 }
 
-using MicroFn = void (*)(const S8ConvArgs&, const std::int8_t* __restrict,
+using MicroFn = void (*)(const S8ConvArgs&, const std::uint8_t* __restrict,
                          const std::int8_t* __restrict, std::int64_t, std::int64_t,
                          std::int32_t* __restrict);
 
@@ -374,55 +275,48 @@ struct MicroPair {
   MicroFn guarded = nullptr;
 };
 
-template <bool U8, int OCB, int REGN, bool UNROLL>
+template <int OCB, int REGN, bool UNROLL>
 MicroPair PairOf() {
-  if constexpr (U8) {
-    return {&MicroInteriorU8<OCB, REGN, UNROLL, false>,
-            &MicroInteriorU8<OCB, REGN, UNROLL, true>};
-  } else {
-    return {&MicroInterior<OCB, REGN, UNROLL, false>,
-            &MicroInterior<OCB, REGN, UNROLL, true>};
-  }
+  return {&MicroInteriorU8<OCB, REGN, UNROLL, false>,
+          &MicroInteriorU8<OCB, REGN, UNROLL, true>};
 }
 
-template <bool U8, int OCB, bool UNROLL>
+template <int OCB, bool UNROLL>
 MicroPair SelectByRegN(std::int64_t reg_n) {
   switch (reg_n) {
     case 2:
-      return PairOf<U8, OCB, 2, UNROLL>();
+      return PairOf<OCB, 2, UNROLL>();
     case 4:
-      return PairOf<U8, OCB, 4, UNROLL>();
+      return PairOf<OCB, 4, UNROLL>();
     case 8:
-      return PairOf<U8, OCB, 8, UNROLL>();
+      return PairOf<OCB, 8, UNROLL>();
     case 16:
-      return PairOf<U8, OCB, 16, UNROLL>();
+      return PairOf<OCB, 16, UNROLL>();
     case 32:
-      return PairOf<U8, OCB, 32, UNROLL>();
+      return PairOf<OCB, 32, UNROLL>();
     default:
       return {};
   }
 }
 
-template <bool U8, int OCB>
+template <int OCB>
 MicroPair SelectByUnroll(std::int64_t reg_n, bool unroll) {
-  return unroll ? SelectByRegN<U8, OCB, true>(reg_n)
-                : SelectByRegN<U8, OCB, false>(reg_n);
+  return unroll ? SelectByRegN<OCB, true>(reg_n) : SelectByRegN<OCB, false>(reg_n);
 }
 
 // Block shapes the dispatcher admits (IsInt8Templated).
-template <bool U8>
-MicroPair SelectMicro(std::int64_t ocb, std::int64_t reg_n, bool unroll) {
+inline MicroPair SelectMicro(std::int64_t ocb, std::int64_t reg_n, bool unroll) {
   switch (ocb) {
     case 4:
-      return SelectByUnroll<U8, 4>(reg_n, unroll);
+      return SelectByUnroll<4>(reg_n, unroll);
     case 8:
-      return SelectByUnroll<U8, 8>(reg_n, unroll);
+      return SelectByUnroll<8>(reg_n, unroll);
     case 16:
-      return SelectByUnroll<U8, 16>(reg_n, unroll);
+      return SelectByUnroll<16>(reg_n, unroll);
     case 32:
-      return SelectByUnroll<U8, 32>(reg_n, unroll);
+      return SelectByUnroll<32>(reg_n, unroll);
     case 64:
-      return SelectByUnroll<U8, 64>(reg_n, unroll);
+      return SelectByUnroll<64>(reg_n, unroll);
     default:
       return {};
   }
@@ -442,18 +336,17 @@ void NEOCPU_S8_ROW_FN(const S8ConvArgs& a, std::int64_t row) {
   const std::int64_t oco = rest % a.ocb_count;
   const std::int64_t n = rest / a.ocb_count;
 
-  const std::int8_t* in_n = a.in + n * a.in_sn;
+  const std::uint8_t* in_n = a.in + n * a.in_sn;
   const std::int8_t* w_o = a.w + oco * a.w_so;
   const std::int32_t* bias_o = a.bias != nullptr ? a.bias + oco * a.ocb : nullptr;
   const float* mult_o = a.mult + oco * a.ocb;
   const std::int64_t out_off = n * a.out_sn + oco * a.out_sc + oh * a.out_sh;
   void* out_row = a.requant
-                      ? static_cast<void*>(static_cast<std::int8_t*>(a.out) + out_off)
+                      ? static_cast<void*>(static_cast<std::uint8_t*>(a.out) + out_off)
                       : static_cast<void*>(static_cast<float*>(a.out) + out_off);
 
   std::int32_t acc[kMaxRegN * kMaxChannelBlock];
-  const v::MicroPair micro = a.src_u8 ? v::SelectMicro<true>(a.ocb, a.reg_n, a.unroll_ker)
-                                      : v::SelectMicro<false>(a.ocb, a.reg_n, a.unroll_ker);
+  const v::MicroPair micro = v::SelectMicro(a.ocb, a.reg_n, a.unroll_ker);
   for (std::int64_t ow = 0; ow < a.ow; ow += a.reg_n) {
     const bool interior = ow >= a.ow_lo && ow + a.reg_n <= a.ow_hi;
     (interior ? micro.interior : micro.guarded)(a, in_n, w_o, oh, ow, acc);

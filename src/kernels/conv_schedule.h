@@ -41,19 +41,17 @@ struct ConvSchedule {
   std::int64_t reg_n = 8;
   bool unroll_ker = true;
   ConvAlgo algo = ConvAlgo::kDirectNCHWc;
-  // Execution dtype: kF32 runs the paper's fp32 pipeline, kS8/kU8 the quantized direct
-  // NCHWc kernel (integer dtypes are only valid with kDirectNCHWc). kS8 carries
-  // symmetric s8 activations; kU8 carries asymmetric u8 activations with a zero point
-  // (the IntelCaffe u8·s8 form the VNNI driver accelerates — post-ReLU ranges use the
-  // full u8 grid). The dtype is part of the searched schedule — the global search
-  // weighs fp32-vs-s8-vs-u8 per conv against quantize/dequantize boundary costs
-  // exactly like layout-transform costs.
+  // Execution dtype: kF32 runs the paper's fp32 pipeline, kU8 the quantized direct
+  // NCHWc kernel (only valid with kDirectNCHWc): u8 activations with a zero point
+  // against s8 weights, the IntelCaffe form vpdpbusd accelerates. The dtype is part of
+  // the searched schedule — the global search weighs fp32-vs-u8 per conv against
+  // quantize/dequantize boundary costs exactly like layout-transform costs.
   DType dtype = DType::kF32;
 
   bool operator==(const ConvSchedule&) const = default;
 
   bool IsDirect() const { return algo == ConvAlgo::kDirectNCHWc; }
-  bool IsQuantized() const { return dtype == DType::kS8 || dtype == DType::kU8; }
+  bool IsQuantized() const { return dtype == DType::kU8; }
 
   // Channel blocks of the layouts this schedule consumes/produces, as seen by the
   // global search's transform edges: kDirectNCHWc reads NCHW[ic_bn]c and writes
@@ -63,24 +61,17 @@ struct ConvSchedule {
 
   // Interface signatures for the global search's pairwise costs: block + dtype. Two
   // adjacent convs compose for free only when both the physical block AND the element
-  // dtype agree; an fp32/s8 boundary costs a quantize or dequantize pass just like a
-  // relayout costs a transform, and an s8/u8 boundary costs a (cheap, but nonzero)
-  // offset-rewrite pass, so it carries its own signature bit.
+  // dtype agree; an fp32/u8 boundary costs a quantize or dequantize pass just like a
+  // relayout costs a transform.
   std::int64_t InSig() const { return InBlock() | DtypeSigBit(); }
   std::int64_t OutSig() const { return OutBlock() | DtypeSigBit(); }
 
   std::string ToString() const;
 
-  static constexpr std::int64_t kS8SigBit = std::int64_t{1} << 32;
   static constexpr std::int64_t kU8SigBit = std::int64_t{1} << 33;
 
  private:
-  std::int64_t DtypeSigBit() const {
-    if (dtype == DType::kS8) {
-      return kS8SigBit;
-    }
-    return dtype == DType::kU8 ? kU8SigBit : 0;
-  }
+  std::int64_t DtypeSigBit() const { return IsQuantized() ? kU8SigBit : 0; }
 };
 
 // Canonical schedule entry for a non-blocked algorithm (blocking fields zeroed).

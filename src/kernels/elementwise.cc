@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "src/base/logging.h"
 #include "src/tensor/tensor_check.h"
@@ -105,16 +104,16 @@ void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out, ThreadEngine
 
 namespace {
 
-template <typename Q>
 void ConcatRescaleCopy(const Tensor& t, float rel_scale, std::int32_t in_zero,
                        std::int32_t out_zero, std::int64_t n, std::int64_t total_cb,
                        std::int64_t cb_off, std::int64_t plane, Tensor* out,
                        ThreadEngine* engine) {
+  using Q = std::uint8_t;
   const std::int64_t cb = t.dim(1);
-  const Q* src_base = reinterpret_cast<const Q*>(t.data());
-  Q* dst_base = reinterpret_cast<Q*>(out->data());
-  constexpr std::int32_t kLo = std::numeric_limits<Q>::min();
-  constexpr std::int32_t kHi = std::numeric_limits<Q>::max();
+  const Q* src_base = t.data_as<Q>();
+  Q* dst_base = out->data_as<Q>();
+  constexpr std::int32_t kLo = 0;
+  constexpr std::int32_t kHi = 255;
   // Same params on both sides: the "rescale" is the identity, copy bytes.
   const bool identity = rel_scale == 1.0f && in_zero == out_zero;
   ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
@@ -150,8 +149,7 @@ void ConcatChannelsInt(const std::vector<Tensor>& inputs,
   const Tensor& first = inputs.front();
   const bool blocked = first.layout().kind == LayoutKind::kNCHWc;
   NEOCPU_CHECK(blocked || first.ndim() == 4) << first.DebugString();
-  const DType dt = first.dtype();
-  NEOCPU_CHECK(dt == DType::kS8 || dt == DType::kU8) << first.DebugString();
+  NEOCPU_CHECK(first.dtype() == DType::kU8) << first.DebugString();
   // NCHW is the x == 1 case of the blocked walk: per sample, each input contributes
   // one contiguous [cb * plane] run at a channel offset.
   const std::int64_t x = blocked ? first.dim(4) : 1;
@@ -159,7 +157,7 @@ void ConcatChannelsInt(const std::vector<Tensor>& inputs,
   std::int64_t total_cb = 0;
   for (const Tensor& t : inputs) {
     NEOCPU_CHECK_EQ(t.ndim(), blocked ? 5 : 4);
-    NEOCPU_CHECK(t.dtype() == dt) << t.DebugString();
+    NEOCPU_CHECK(t.dtype() == DType::kU8) << t.DebugString();
     if (blocked) {
       NEOCPU_CHECK_EQ(t.dim(4), x) << "concat requires one common channel block";
     }
@@ -173,18 +171,13 @@ void ConcatChannelsInt(const std::vector<Tensor>& inputs,
   } else {
     CheckKernelOutput(out, {n, total_cb, h, w}, Layout::NCHW(), "concat_int");
   }
-  NEOCPU_CHECK(out->dtype() == dt) << out->DebugString();
+  NEOCPU_CHECK(out->dtype() == DType::kU8) << out->DebugString();
   const std::int64_t plane = h * w * x;
   std::int64_t cb_off = 0;
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     const float rel = in_scales[k] / out_scale;
-    if (dt == DType::kS8) {
-      ConcatRescaleCopy<std::int8_t>(inputs[k], rel, in_zeros[k], out_zero, n,
-                                     total_cb, cb_off, plane, out, engine);
-    } else {
-      ConcatRescaleCopy<std::uint8_t>(inputs[k], rel, in_zeros[k], out_zero, n,
-                                      total_cb, cb_off, plane, out, engine);
-    }
+    ConcatRescaleCopy(inputs[k], rel, in_zeros[k], out_zero, n, total_cb, cb_off, plane,
+                      out, engine);
     cb_off += inputs[k].dim(1);
   }
 }

@@ -27,12 +27,11 @@ void AddElementwise(const Tensor& a, const Tensor& b, bool relu, Tensor* out,
 void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out,
                     ThreadEngine* engine = nullptr);
 
-// Integer-domain channel concat over s8/u8 NCHW[x]c inputs: each input is rescaled
+// Integer-domain channel concat over u8 NCHW[x]c inputs: each input is rescaled
 // inline during the copy from its own quantization params (in_scales[i], in_zeros[i])
 // to the common output params (out_scale, out_zero) —
 //   q_out = clamp(round((in_scale/out_scale) * (q_in - in_zero)) + out_zero).
-// Inputs whose params already equal the output's degrade to a memcpy. All inputs and
-// the output share one dtype.
+// Inputs whose params already equal the output's degrade to a memcpy.
 void ConcatChannelsInt(const std::vector<Tensor>& inputs,
                        const std::vector<float>& in_scales,
                        const std::vector<std::int32_t>& in_zeros, float out_scale,

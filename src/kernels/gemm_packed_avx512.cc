@@ -1,5 +1,5 @@
 // AVX-512 instantiation of the packed fp32 GEMM tile driver. This TU is compiled with
-// -mavx512{f,bw,vl,dq} (see CMakeLists.txt) and only ever entered after the
+// -mavx512{f,bw,vl,dq} -mfma (see CMakeLists.txt) and only ever entered after the
 // dispatcher's cpuid check.
 #define NEOCPU_GEMM_VARIANT_NS gemm_f32_avx512
 #define NEOCPU_GEMM_TILE_FN GemmF32TileAvx512

@@ -1,8 +1,8 @@
 // Baseline instantiation + operand packing + validation + runtime ISA dispatch of the
 // packed u8·s8 GEMM. The baseline tile driver compiles at the library's portable ISA;
-// wider variants live in gemm_packed_int8_avx{2,512,512vnni}.cc behind per-file flags,
-// and this TU (always portable code itself) picks the widest one the running CPU
-// supports. All tiers are bitwise-identical (see gemm_packed_int8_impl.h).
+// the VNNI variant lives in gemm_packed_int8_avx512vnni.cc behind per-file flags, and
+// this TU (always portable code itself) picks it when the running CPU supports it.
+// Both tiers are bitwise-identical (see gemm_packed_int8_impl.h).
 #define NEOCPU_GEMM_S8_VARIANT_NS gemm_s8_baseline
 #define NEOCPU_GEMM_S8_TILE_FN GemmS8TileBaseline
 #include "src/kernels/gemm_packed_int8_impl.h"
@@ -17,12 +17,6 @@
 namespace neocpu {
 namespace detail {
 
-#ifdef NEOCPU_HAVE_AVX2
-void GemmS8TileAvx2(const GemmS8Args&, std::int64_t);
-#endif
-#ifdef NEOCPU_HAVE_AVX512
-void GemmS8TileAvx512(const GemmS8Args&, std::int64_t);
-#endif
 #ifdef NEOCPU_HAVE_AVX512VNNI
 void GemmS8TileAvx512Vnni(const GemmS8Args&, std::int64_t);
 #endif
@@ -33,12 +27,6 @@ IsaTierTable<GemmS8TileFn>& Tiers() {
   static IsaTierTable<GemmS8TileFn> tiers({
 #ifdef NEOCPU_HAVE_AVX512VNNI
       {IsaTier::kAvx512Vnni, &GemmS8TileAvx512Vnni},
-#endif
-#ifdef NEOCPU_HAVE_AVX512
-      {IsaTier::kAvx512, &GemmS8TileAvx512},
-#endif
-#ifdef NEOCPU_HAVE_AVX2
-      {IsaTier::kAvx2, &GemmS8TileAvx2},
 #endif
       {IsaTier::kBaseline, &GemmS8TileBaseline},
   });
@@ -113,7 +101,7 @@ void PackBS8FromTransposed(const std::int8_t* w, std::int64_t n, std::int64_t k,
 void GemmPackedU8S8(std::int64_t m, std::int64_t n, std::int64_t k,
                     const std::uint8_t* a, const std::int8_t* packed_b,
                     const std::int32_t* bias, const float* mult, bool relu,
-                    bool requant, bool out_u8, std::int32_t out_zero, void* c,
+                    bool requant, std::int32_t out_zero, void* c,
                     const GemmSchedule& s, std::uint8_t* workspace,
                     ThreadEngine* engine) {
   NEOCPU_CHECK(m > 0 && n > 0 && k > 0);
@@ -148,8 +136,7 @@ void GemmPackedU8S8(std::int64_t m, std::int64_t n, std::int64_t k,
   args.mult = mult;
   args.relu = relu;
   args.requant = requant;
-  args.out_u8 = requant && out_u8;
-  args.out_zero = requant && out_u8 ? out_zero : 0;
+  args.out_zero = requant ? out_zero : 0;
   args.c = c;
 
   const detail::GemmS8TileFn tile_fn = detail::Tiers().Active().fn;

@@ -8,11 +8,11 @@
 // A is [ceil(m/mr)][ceil(k/4)][mr][4] u8, B is [ceil(n/nr)][ceil(k/4)][nr][4] s8,
 // zero-padded in both the panel and quad tails (pad bytes multiply pad bytes, so they
 // contribute nothing — the u8 zero-point correction is pre-folded into the s32 bias
-// over the true k only). A u8·s8 product reaches 255*127, so the s16 pairwise trick of
-// the int8 conv would overflow on a pair sum; the portable tiers therefore accumulate
-// every 4-product quad directly in s32 (exact), and the AVX-512 VNNI tier lowers the
-// identical quad to one vpdpbusd whose internal widening is also exact — every tier
-// produces bitwise-identical s32 accumulators, and the whole K reduction stays in
+// over the true k only). A u8·s8 product reaches 255*127, so two of them overflow an
+// s16 pair sum; the portable tier therefore accumulates every 4-product quad directly
+// in s32 (exact), and the AVX-512 VNNI tier lowers the identical quad to one vpdpbusd
+// whose internal widening is also exact — both tiers produce bitwise-identical s32
+// accumulators, and the whole K reduction stays in
 // registers (single K pass), so the fused requantizing epilogue needs no s32 staging.
 #ifndef NEOCPU_SRC_KERNELS_GEMM_PACKED_INT8_IMPL_COMMON_
 #define NEOCPU_SRC_KERNELS_GEMM_PACKED_INT8_IMPL_COMMON_
@@ -40,9 +40,8 @@ struct GemmS8Args {
   const std::int32_t* bias = nullptr;  // zero-point-folded s32 bias, length n; null ok
   const float* mult = nullptr;  // per-column dequant/requant multiplier, length n
   bool relu = false;
-  bool requant = false;  // true: c is s8/u8; false: c is f32
-  bool out_u8 = false;   // requantized output dtype is u8 (else s8)
-  std::int32_t out_zero = 0;  // output zero point (u8 requant only)
+  bool requant = false;  // true: c is u8; false: c is f32
+  std::int32_t out_zero = 0;  // output zero point (requant only)
   void* c = nullptr;          // row-major [m][n]
 };
 
@@ -156,7 +155,7 @@ inline void MicroEdgeU8(const GemmS8Args& a, const std::uint8_t* ap,
 }
 
 // Epilogue for one micro tile at C(i0, j0): bias add, integer ReLU, per-column scale,
-// store to s8/u8 (requant) or f32 (dequant). rows/cols guard the padded tile edges.
+// store to u8 (requant) or f32 (dequant). rows/cols guard the padded tile edges.
 inline void StoreTileS8(const GemmS8Args& a, const std::int32_t* acc, std::int64_t i0,
                         std::int64_t j0, std::int64_t rows, std::int64_t cols) {
   const std::int64_t nr = a.nr;
@@ -174,15 +173,9 @@ inline void StoreTileS8(const GemmS8Args& a, const std::int32_t* acc, std::int64
       }
       const float scaled = static_cast<float>(v) * mult_j[j];
       if (a.requant) {
-        std::int32_t q = static_cast<std::int32_t>(std::lrintf(scaled));
-        if (a.out_u8) {
-          q += a.out_zero;
-          q = q > 255 ? 255 : (q < 0 ? 0 : q);
-          static_cast<std::uint8_t*>(a.c)[at0 + j] = static_cast<std::uint8_t>(q);
-        } else {
-          q = q > 127 ? 127 : (q < -127 ? -127 : q);
-          static_cast<std::int8_t*>(a.c)[at0 + j] = static_cast<std::int8_t>(q);
-        }
+        std::int32_t q = static_cast<std::int32_t>(std::lrintf(scaled)) + a.out_zero;
+        q = q > 255 ? 255 : (q < 0 ? 0 : q);
+        static_cast<std::uint8_t*>(a.c)[at0 + j] = static_cast<std::uint8_t>(q);
       } else {
         static_cast<float*>(a.c)[at0 + j] = scaled;
       }

@@ -60,7 +60,7 @@ class IsaTierTable {
   }
 
  private:
-  static constexpr int kMaxTiers = 4;
+  static constexpr int kMaxTiers = 3;
   Entry entries_[kMaxTiers] = {};
   int count_ = 0;
   std::atomic<int> pinned_{-1};

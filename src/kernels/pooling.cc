@@ -137,15 +137,15 @@ namespace {
 
 // `chans` is N * C/x (or N * C with x == 1 for the plain NCHW layout — the channel
 // walk is the same with a one-wide block).
-template <typename Q>
 void PoolNCHWcIntImpl(const Pool2dParams& p, const Tensor& input, std::int64_t chans,
                       std::int64_t ih, std::int64_t iw, std::int64_t x, std::int32_t zp,
                       Tensor* out, ThreadEngine* engine) {
+  using Q = std::uint8_t;
   const std::int64_t oh = p.OutH(ih), ow = p.OutW(iw);
-  const Q* in_base = reinterpret_cast<const Q*>(input.data());
-  Q* out_base = reinterpret_cast<Q*>(out->data());
-  constexpr std::int32_t kLo = std::numeric_limits<Q>::min();
-  constexpr std::int32_t kHi = std::numeric_limits<Q>::max();
+  const Q* in_base = input.data_as<Q>();
+  Q* out_base = out->data_as<Q>();
+  constexpr std::int32_t kLo = 0;
+  constexpr std::int32_t kHi = 255;
   ParallelFor(EngineOrSerial(engine), chans, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t idx = begin; idx < end; ++idx) {
       const Q* in_ch = in_base + idx * ih * iw * x;
@@ -225,13 +225,8 @@ void PoolNCHWcInt(const Pool2dParams& p, const Tensor& input, std::int32_t zero_
   }
   NEOCPU_CHECK(out->dtype() == input.dtype())
       << "integer pooling keeps the input dtype: " << out->DebugString();
-  if (input.dtype() == DType::kS8) {
-    PoolNCHWcIntImpl<std::int8_t>(p, input, n * cb, ih, iw, x, zero_point, out, engine);
-  } else {
-    NEOCPU_CHECK(input.dtype() == DType::kU8) << input.DebugString();
-    PoolNCHWcIntImpl<std::uint8_t>(p, input, n * cb, ih, iw, x, zero_point, out,
-                                   engine);
-  }
+  NEOCPU_CHECK(input.dtype() == DType::kU8) << input.DebugString();
+  PoolNCHWcIntImpl(p, input, n * cb, ih, iw, x, zero_point, out, engine);
 }
 
 void GlobalAvgPoolNCHW(const Tensor& input, Tensor* out, ThreadEngine* engine) {

@@ -43,14 +43,14 @@ void PoolNCHW(const Pool2dParams& params, const Tensor& input, Tensor* out,
 void PoolNCHWc(const Pool2dParams& params, const Tensor& input, Tensor* out,
                ThreadEngine* engine = nullptr);
 
-// Integer-domain pooling over s8 or u8 tensors, NCHW[x]c or plain NCHW (the x == 1
-// case — layout fallbacks around concat groups can demote integer tensors to NCHW).
-// The output keeps the input dtype
-// and quantization params, so no Q/DQ pair is needed around the node). Max pooling is
-// an integer compare — quantization is monotonic, so the result is bitwise the same
-// element the f32 pool would have picked. Average pooling accumulates in s32 and
-// rounds once; `zero_point` is the input's zero point (s8: 0), which padded cells
-// contribute under count_include_pad because a padded f32 cell holds real 0.0.
+// Integer-domain pooling over u8 tensors, NCHW[x]c or plain NCHW (the x == 1 case —
+// layout fallbacks around concat groups can demote integer tensors to NCHW). The
+// output keeps the input's dtype and quantization params, so no Q/DQ pair is needed
+// around the node. Max pooling is an integer compare — quantization is monotonic, so
+// the result is bitwise the same element the f32 pool would have picked. Average
+// pooling accumulates in s32 and rounds once; `zero_point` is the input's zero point,
+// which padded cells contribute under count_include_pad because a padded f32 cell
+// holds real 0.0.
 void PoolNCHWcInt(const Pool2dParams& params, const Tensor& input,
                   std::int32_t zero_point, Tensor* out, ThreadEngine* engine = nullptr);
 

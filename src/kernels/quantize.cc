@@ -7,76 +7,39 @@
 #include "src/tensor/tensor_check.h"
 
 namespace neocpu {
-namespace {
 
-template <typename Q>
-void QuantizeImpl(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
-                  ThreadEngine* engine, std::int32_t lo, std::int32_t hi) {
-  const float inv = 1.0f / scale;
-  const float* src = input.data_as<float>();
-  Q* dst = out->template data_as<Q>();
-  ParallelFor(EngineOrSerial(engine), input.NumElements(), [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      const std::int32_t q = static_cast<std::int32_t>(std::lrintf(src[i] * inv)) + zero_point;
-      dst[i] = static_cast<Q>(std::clamp(q, lo, hi));
-    }
-  });
-}
-
-}  // namespace
-
-float SymmetricScale(float lo, float hi) {
-  const float amax = std::max(std::fabs(lo), std::fabs(hi));
-  return std::max(amax, 1e-8f) / static_cast<float>(kS8QuantMax);
-}
-
-void Quantize(const Tensor& input, float scale, std::int32_t zero_point, DType dtype,
-              Tensor* out, ThreadEngine* engine) {
+void Quantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
+              ThreadEngine* engine) {
   NEOCPU_CHECK(input.dtype() == DType::kF32) << "quantize reads f32, got "
                                              << input.DebugString();
   NEOCPU_CHECK_GT(scale, 0.0f);
   CheckKernelOutput(out, input.dims(), input.layout(), "quantize");
-  if (dtype == DType::kS8) {
-    NEOCPU_CHECK_EQ(zero_point, 0) << "s8 quantization is symmetric";
-    NEOCPU_CHECK(out->dtype() == DType::kS8) << out->DebugString();
-    QuantizeImpl<std::int8_t>(input, scale, zero_point, out, engine, -kS8QuantMax,
-                              kS8QuantMax);
-  } else {
-    NEOCPU_CHECK(dtype == DType::kU8) << "quantize targets s8 or u8";
-    NEOCPU_CHECK(out->dtype() == DType::kU8) << out->DebugString();
-    QuantizeImpl<std::uint8_t>(input, scale, zero_point, out, engine, 0, 255);
-  }
+  const float inv = 1.0f / scale;
+  const float* src = input.data_as<float>();
+  std::uint8_t* dst = out->data_as<std::uint8_t>();
+  ParallelFor(EngineOrSerial(engine), input.NumElements(),
+              [&](std::int64_t begin, std::int64_t end) {
+                for (std::int64_t i = begin; i < end; ++i) {
+                  const std::int32_t q =
+                      static_cast<std::int32_t>(std::lrintf(src[i] * inv)) + zero_point;
+                  dst[i] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
+                }
+              });
 }
 
 void Dequantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
                 ThreadEngine* engine) {
   NEOCPU_CHECK_GT(scale, 0.0f);
   CheckKernelOutput(out, input.dims(), input.layout(), "dequantize");
-  NEOCPU_CHECK(out->dtype() == DType::kF32) << out->DebugString();
+  const std::uint8_t* src = input.data_as<std::uint8_t>();
   float* dst = out->data_as<float>();
-  auto run = [&](auto* src) {
-    ParallelFor(EngineOrSerial(engine), input.NumElements(),
-                [&](std::int64_t begin, std::int64_t end) {
-                  for (std::int64_t i = begin; i < end; ++i) {
-                    dst[i] = scale * static_cast<float>(static_cast<std::int32_t>(src[i]) -
-                                                        zero_point);
-                  }
-                });
-  };
-  switch (input.dtype()) {
-    case DType::kS8:
-      run(input.data_as<std::int8_t>());
-      return;
-    case DType::kU8:
-      run(input.data_as<std::uint8_t>());
-      return;
-    case DType::kS32:
-      run(input.data_as<std::int32_t>());
-      return;
-    case DType::kF32:
-      break;
-  }
-  LOG(FATAL) << "dequantize reads s8/u8/s32, got " << input.DebugString();
+  ParallelFor(EngineOrSerial(engine), input.NumElements(),
+              [&](std::int64_t begin, std::int64_t end) {
+                for (std::int64_t i = begin; i < end; ++i) {
+                  dst[i] = scale * static_cast<float>(static_cast<std::int32_t>(src[i]) -
+                                                      zero_point);
+                }
+              });
 }
 
 void QuantizeConvWeightsPerOC(const Tensor& w_oihw, Tensor* w_s8,

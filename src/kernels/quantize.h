@@ -1,11 +1,10 @@
 // Quantization kernels and scale helpers for the int8 inference path.
 //
-// Convention (IntelCaffe-style, PAPERS.md "Highly Efficient 8-bit Low Precision
-// Inference"): activations are per-tensor symmetric s8 (zero point 0, clamp [-127,127]);
-// u8 with an explicit zero point is supported by the standalone Q/DQ kernels (and the
-// property fuzz) but the conv path is pure s8. Weights are per-output-channel symmetric
-// s8; bias constants fold to s32 in the conv's accumulation domain; the per-channel
-// (de)requantization multiplier fuses into the conv epilogue (conv_nchwc_int8).
+// Convention (IntelCaffe, PAPERS.md "Highly Efficient 8-bit Low Precision Inference"):
+// activations are per-tensor affine u8 with a zero point; weights are per-output-
+// channel symmetric s8; bias constants fold to s32 in the conv's accumulation domain
+// (with the zero-point correction folded in); the per-channel (de)requantization
+// multiplier fuses into the conv epilogue (conv_nchwc_int8).
 #ifndef NEOCPU_SRC_KERNELS_QUANTIZE_H_
 #define NEOCPU_SRC_KERNELS_QUANTIZE_H_
 
@@ -17,27 +16,23 @@
 
 namespace neocpu {
 
-// Quantized s8/u8 values cover [-127, 127] / [0, 255]: s8 keeps the symmetric +/-127
-// range so scale * 127 == max|x| exactly round-trips the range endpoints.
+// Quantized s8 weights cover [-127, 127]: the symmetric +/-127 range makes
+// scale * 127 == max|w| exactly round-trip the range endpoints.
 inline constexpr std::int32_t kS8QuantMax = 127;
 
-// Symmetric s8 scale covering an observed activation range: max(|lo|, |hi|) / 127,
-// floored away from zero so a degenerate all-zero range stays invertible.
-float SymmetricScale(float lo, float hi);
-
-// Affine u8 parameters covering [lo, hi]: scale = (hi - lo) / 255 (floored like
-// SymmetricScale), zero_point = round(-lo / scale) clamped to [0, 255]. The range is
-// first widened to include 0 so the zero point is exactly representable (a quantized
-// zero that round-trips is what lets ReLU and zero padding stay exact in u8).
+// Affine u8 parameters covering [lo, hi]: scale = (hi - lo) / 255 (floored away from
+// zero so a degenerate all-zero range stays invertible), zero_point = round(-lo /
+// scale) clamped to [0, 255]. The range is first widened to include 0 so the zero
+// point is exactly representable (a quantized zero that round-trips is what lets ReLU
+// and zero padding stay exact in u8).
 void AffineScaleZeroPoint(float lo, float hi, float* scale, std::int32_t* zero_point);
 
-// f32 -> `dtype` (kS8 or kU8): q = clamp(round(x / scale) + zero_point). Rounding is
-// lrintf (round-to-nearest-even, the hardware cvtps2dq mode). zero_point must be 0 for
-// kS8 (symmetric convention).
-void Quantize(const Tensor& input, float scale, std::int32_t zero_point, DType dtype,
-              Tensor* out, ThreadEngine* engine = nullptr);
+// f32 -> u8: q = clamp(round(x / scale) + zero_point, 0, 255). Rounding is lrintf
+// (round-to-nearest-even, the hardware cvtps2dq mode).
+void Quantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
+              ThreadEngine* engine = nullptr);
 
-// s8/u8 -> f32: x = scale * (q - zero_point).
+// u8 -> f32: x = scale * (q - zero_point).
 void Dequantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
                 ThreadEngine* engine = nullptr);
 

@@ -14,7 +14,7 @@ namespace {
 
 // Aggregation key: op kind, with convolutions split by algorithm + dtype and dense
 // layers split by kernel family + dtype — the axes the search actually decides per
-// layer ("Conv2d/direct-nchwc-s8" vs "Conv2d/winograd", "dense/gemm-u8" vs the
+// layer ("Conv2d/direct-nchwc-u8" vs "Conv2d/winograd", "dense/gemm-u8" vs the
 // untuned f32 "dense/ref" path).
 std::string KindKey(const Node& node) {
   if (node.type == OpType::kDense) {
@@ -34,7 +34,7 @@ std::string KindKey(const Node& node) {
   key += '/';
   key += ConvAlgoName(node.attrs.schedule.algo);
   if (node.attrs.schedule.IsQuantized()) {
-    key += "-s8";
+    key += "-u8";
   }
   return key;
 }

@@ -9,7 +9,7 @@ namespace neocpu {
 namespace {
 
 // The NCHW<->NCHW[x]c family is dtype-generic (pure index permutation): the fp32
-// pipeline moves floats, the quantized path moves s8 activations between differently
+// pipeline moves floats, the quantized path moves u8 activations between differently
 // blocked convolutions. Each public entry dispatches on the source dtype.
 template <typename T>
 void NCHWToNCHWcT(const Tensor& src, std::int64_t x, Tensor* dst, ThreadEngine* engine) {
@@ -85,9 +85,8 @@ void CheckSameDtype(const Tensor& src, const Tensor* dst) {
   NEOCPU_CHECK(dst->dtype() == src.dtype())
       << "layout transform cannot change dtype: " << src.DebugString() << " -> "
       << dst->DebugString();
-  NEOCPU_CHECK(src.dtype() == DType::kF32 || src.dtype() == DType::kS8 ||
-               src.dtype() == DType::kU8)
-      << "layout transforms support f32/s8/u8 feature maps, got " << src.DebugString();
+  NEOCPU_CHECK(src.dtype() == DType::kF32 || src.dtype() == DType::kU8)
+      << "layout transforms support f32/u8 feature maps, got " << src.DebugString();
 }
 
 }  // namespace
@@ -99,9 +98,7 @@ void NCHWToNCHWc(const Tensor& src, std::int64_t x, Tensor* dst, ThreadEngine* e
   NEOCPU_CHECK_EQ(c % x, 0) << "channels " << c << " not divisible by block " << x;
   CheckKernelOutput(dst, {n, c / x, h, w, x}, Layout::NCHWc(x), "layout_transform");
   CheckSameDtype(src, dst);
-  if (src.dtype() == DType::kS8) {
-    NCHWToNCHWcT<std::int8_t>(src, x, dst, engine);
-  } else if (src.dtype() == DType::kU8) {
+  if (src.dtype() == DType::kU8) {
     NCHWToNCHWcT<std::uint8_t>(src, x, dst, engine);
   } else {
     NCHWToNCHWcT<float>(src, x, dst, engine);
@@ -114,9 +111,7 @@ void NCHWcToNCHW(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
                      x = src.dim(4);
   CheckKernelOutput(dst, {n, cb * x, h, w}, Layout::NCHW(), "layout_transform");
   CheckSameDtype(src, dst);
-  if (src.dtype() == DType::kS8) {
-    NCHWcToNCHWT<std::int8_t>(src, dst, engine);
-  } else if (src.dtype() == DType::kU8) {
+  if (src.dtype() == DType::kU8) {
     NCHWcToNCHWT<std::uint8_t>(src, dst, engine);
   } else {
     NCHWcToNCHWT<float>(src, dst, engine);
@@ -134,9 +129,7 @@ void NCHWcToNCHWc(const Tensor& src, std::int64_t new_x, Tensor* dst,
   CheckKernelOutput(dst, {n, c / new_x, h, w, new_x}, Layout::NCHWc(new_x),
                     "layout_transform");
   CheckSameDtype(src, dst);
-  if (src.dtype() == DType::kS8) {
-    NCHWcToNCHWcT<std::int8_t>(src, new_x, dst, engine);
-  } else if (src.dtype() == DType::kU8) {
+  if (src.dtype() == DType::kU8) {
     NCHWcToNCHWcT<std::uint8_t>(src, new_x, dst, engine);
   } else {
     NCHWcToNCHWcT<float>(src, new_x, dst, engine);
@@ -219,8 +212,6 @@ Tensor OIHWToOIHWio(const Tensor& src, std::int64_t x, std::int64_t y) {
                              src.dtype());
   if (src.dtype() == DType::kS8) {
     OIHWToOIHWioT<std::int8_t>(src, x, y, &dst);
-  } else if (src.dtype() == DType::kU8) {
-    OIHWToOIHWioT<std::uint8_t>(src, x, y, &dst);
   } else {
     NEOCPU_CHECK(src.dtype() == DType::kF32) << src.DebugString();
     OIHWToOIHWioT<float>(src, x, y, &dst);

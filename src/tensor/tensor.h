@@ -3,7 +3,7 @@
 // Copies are shallow (reference the same buffer); use Clone() for a deep copy. The
 // dimensions stored are the *physical* dimensions: an NCHW16c tensor of 64 channels has
 // dims {N, 4, H, W, 16}. Elements default to fp32; the quantized inference path stores
-// s8/u8 activations and weights and s32 bias constants in the same container (allocation
+// u8 activations, s8 weights and s32 bias constants in the same container (allocation
 // and SizeBytes are elem-size-aware).
 #ifndef NEOCPU_SRC_TENSOR_TENSOR_H_
 #define NEOCPU_SRC_TENSOR_TENSOR_H_

@@ -157,12 +157,11 @@ double AnalyticReferenceMs(const Conv2dParams& p, const Target& t) {
   return 2.0 * p.Macs() / scalar_macs_per_ms;
 }
 
-// The s8xs8->s32 NCHWc template (conv_nchwc_int8). The s16 pairwise multiply path
-// sustains ~2x the fp32 FMA MAC rate *when the oc block fills a whole s8 vector*
-// (4x the fp32 lanes); narrower blocks waste lanes in every vpmullw, so efficiency
-// scales with the filled fraction — the dominant term bench/conv_micro's s8 sweep
-// measures (oc_bn=64 ~2.3x fp32, 32 ~1.0x, 16 ~0.55x on an AVX-512 host). Secondary
-// terms mirror the fp32 model where the loop structure is shared.
+// The u8·s8->s32 NCHWc template (conv_nchwc_int8). The base rate is ~2x the fp32 FMA
+// MAC rate *when the oc block fills a whole 8-bit vector* (4x the fp32 lanes);
+// narrower blocks waste lanes in every multiply, so efficiency scales with the filled
+// fraction — the curve bench/conv_micro's int8 block sweep measures. Secondary terms
+// mirror the fp32 model where the loop structure is shared.
 double AnalyticDirectNchwcS8Ms(const Conv2dParams& p, const ConvSchedule& s,
                                const Target& t) {
   const double macs = p.Macs();
@@ -172,20 +171,16 @@ double AnalyticDirectNchwcS8Ms(const Conv2dParams& p, const ConvSchedule& s,
       2.0 * t.freq_ghz * lanes_f32 * static_cast<double>(t.fma_per_cycle);
   double ms = macs / (peak_macs_per_ns * 1e6);
 
-  // Vector-fill efficiency: the s16 multiply path only pays off on wide oc blocks.
+  // Vector-fill efficiency: the 8-bit multiply only pays off on wide oc blocks.
   const double fill = std::min(1.0, static_cast<double>(s.oc_bn) / s8_block);
   ms /= std::max(fill, 0.05);
 
-  // Activation dtype. u8 on a VNNI target runs vpdpbusd — one instruction per
-  // 4-channel group where the s16 pairwise path needs a multiply + two widening adds,
-  // roughly doubling the sustained MAC rate. Without VNNI the portable u8 tiers
-  // accumulate each quad straight into s32 (the s16-overflow guard), which is SLOWER
-  // than s8's pairwise trick — the model must steer the search back to s8 there.
-  if (s.dtype == DType::kU8) {
-    ms *= t.vnni_dot ? 0.5 : 1.4;
-  }
+  // Kernel tier. A VNNI target runs vpdpbusd — one instruction per 4-channel group,
+  // roughly doubling the base rate. Without VNNI the portable tier accumulates each
+  // quad straight into s32 (the s16-overflow guard) and falls well below it.
+  ms *= t.vnni_dot ? 0.5 : 1.4;
 
-  // Accumulator pressure: reg_n x (oc_bn / s8 lanes-per-s32-vector) s32 registers.
+  // Accumulator pressure: reg_n x (oc_bn / s32 lanes per vector) s32 registers.
   const double oc_vectors = std::ceil(static_cast<double>(s.oc_bn) / lanes_f32);
   const double regs_used = static_cast<double>(s.reg_n) * oc_vectors + 2.0;
   const double regs_avail = static_cast<double>(t.num_vector_registers);
@@ -221,7 +216,7 @@ double AnalyticDirectNchwcS8Ms(const Conv2dParams& p, const ConvSchedule& s,
 
 double AnalyticConvMs(const Conv2dParams& p, const ConvSchedule& s, const Target& t) {
   if (s.IsQuantized()) {
-    NEOCPU_CHECK(s.IsDirect()) << "s8 schedules are direct-NCHWc only";
+    NEOCPU_CHECK(s.IsDirect()) << "int8 schedules are direct-NCHWc only";
     return AnalyticDirectNchwcS8Ms(p, s, t);
   }
   switch (s.algo) {
@@ -305,27 +300,19 @@ double MeasureNchwAlgoMs(const Conv2dParams& p, ConvAlgo algo, ThreadEngine* eng
 
 namespace {
 
-// Times the quantized direct template on deterministic synthetic tensors. s.dtype
-// picks the activation path: s8 symmetric, or u8 with a zero point (the weight bytes
-// stand in for the VNNI-packed constant — packing permutes bytes, not the workload).
+// Times the quantized direct template on deterministic synthetic tensors: u8 input
+// with a zero point (the weight bytes stand in for the VNNI-packed constant — packing
+// permutes bytes, not the workload).
 double MeasureDirectNchwcS8Ms(const Conv2dParams& p, const ConvSchedule& s,
                               ThreadEngine* engine, int runs) {
-  const bool u8 = s.dtype == DType::kU8;
   Tensor input = Tensor::Empty({p.batch, p.in_c / s.ic_bn, p.in_h, p.in_w, s.ic_bn},
-                               Layout::NCHWc(s.ic_bn), u8 ? DType::kU8 : DType::kS8);
+                               Layout::NCHWc(s.ic_bn), DType::kU8);
   Tensor weight = Tensor::Empty(
       {p.out_c / s.oc_bn, p.in_c / s.ic_bn, p.kernel_h, p.kernel_w, s.ic_bn, s.oc_bn},
       Layout::OIHWio(s.ic_bn, s.oc_bn), DType::kS8);
-  if (u8) {
-    std::uint8_t* in = reinterpret_cast<std::uint8_t*>(input.data());
-    for (std::int64_t i = 0; i < input.NumElements(); ++i) {
-      in[i] = static_cast<std::uint8_t>(i % 256);
-    }
-  } else {
-    std::int8_t* in = input.data_as<std::int8_t>();
-    for (std::int64_t i = 0; i < input.NumElements(); ++i) {
-      in[i] = static_cast<std::int8_t>(i % 251 - 125);
-    }
+  std::uint8_t* in = input.data_as<std::uint8_t>();
+  for (std::int64_t i = 0; i < input.NumElements(); ++i) {
+    in[i] = static_cast<std::uint8_t>(i % 256);
   }
   std::int8_t* w = weight.data_as<std::int8_t>();
   for (std::int64_t i = 0; i < weight.NumElements(); ++i) {
@@ -333,13 +320,13 @@ double MeasureDirectNchwcS8Ms(const Conv2dParams& p, const ConvSchedule& s,
   }
   Tensor mult = Tensor::Full({p.out_c}, 1e-3f);
   Tensor out = Tensor::Empty({p.batch, p.out_c / s.oc_bn, p.OutH(), p.OutW(), s.oc_bn},
-                             Layout::NCHWc(s.oc_bn), u8 ? DType::kU8 : DType::kS8);
+                             Layout::NCHWc(s.oc_bn), DType::kU8);
   ConvEpilogue epilogue;  // bare conv: the schedule choice is epilogue-independent
   double best = 1e30;
   for (int i = 0; i < runs + 1; ++i) {
     Timer timer;
     ConvNCHWcS8(p, s, input, weight, nullptr, mult, epilogue, /*requant=*/true, &out,
-                engine, /*out_zero=*/u8 ? 128 : 0, /*in_zero=*/u8 ? 128 : 0);
+                engine, /*out_zero=*/128, /*in_zero=*/128);
     const double ms = timer.Millis();
     if (i > 0 || runs == 1) {
       best = std::min(best, ms);
@@ -461,12 +448,12 @@ double MeasureDenseU8Ms(const DenseParams& p, const GemmSchedule& s,
   PackBS8FromTransposed(w.data(), p.n, p.k, s, bp.data());
   std::vector<std::uint8_t> ws(PackedAU8Bytes(p.m, p.k, s));
   std::vector<float> mult(static_cast<std::size_t>(p.n), 1e-3f);
-  std::vector<std::int8_t> c(static_cast<std::size_t>(p.m * p.n));
+  std::vector<std::uint8_t> c(static_cast<std::size_t>(p.m * p.n));
   double best = 1e30;
   for (int i = 0; i < runs + 1; ++i) {
     Timer timer;
     GemmPackedU8S8(p.m, p.n, p.k, a.data(), bp.data(), /*bias=*/nullptr, mult.data(),
-                   /*relu=*/false, /*requant=*/true, /*out_u8=*/false, /*out_zero=*/0,
+                   /*relu=*/false, /*requant=*/true, /*out_zero=*/0,
                    c.data(), s, ws.data(), engine);
     const double ms = timer.Millis();
     if (i > 0 || runs == 1) {
@@ -511,7 +498,7 @@ double TransformMs(std::int64_t tensor_bytes) {
 }
 
 double QdqMs(std::int64_t f32_bytes) {
-  // One sequential f32-side stream + a quarter-size s8-side stream; the convert itself
+  // One sequential f32-side stream + a quarter-size u8-side stream; the convert itself
   // is cheap but not free (clamp + round), folded into a 1.5x factor.
   const double traffic = 1.25 * static_cast<double>(f32_bytes);
   return 1.5 * traffic / CalibratedCopyBytesPerMs();

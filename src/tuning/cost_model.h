@@ -58,7 +58,7 @@ double MeasureDenseMs(const DenseParams& params, const GemmSchedule& schedule,
 double TransformMs(std::int64_t tensor_bytes);
 
 // Estimated milliseconds for a quantize or dequantize pass over a feature map whose
-// fp32 representation is `f32_bytes`: one f32-side stream plus one quarter-size s8-side
+// fp32 representation is `f32_bytes`: one f32-side stream plus one quarter-size u8-side
 // stream, with convert overhead folded in. These are the boundary costs the global
 // search charges when adjacent convs disagree on dtype (the fp32<->int8 analogue of a
 // layout transform).

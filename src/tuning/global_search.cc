@@ -68,7 +68,7 @@ PbqpProblem GlobalProblem::ToPbqp() const {
         // Interface signatures combine the channel block with the execution dtype
         // (ConvSchedule::In/OutSig): NCHW-layout algorithms (Winograd, im2col: block 0)
         // pay a transform against blocked neighbours but compose for free with each
-        // other and with graph inputs/outputs, and an fp32/s8 boundary costs a
+        // other and with graph inputs/outputs, and an fp32/u8 boundary costs a
         // quantize/dequantize pass charged at the same per-edge rate as a relayout
         // (both are one gather pass over the feature map).
         const std::int64_t out_sig = oa[i].schedule.OutSig();
@@ -100,8 +100,8 @@ GlobalProblem ExtractGlobalProblem(const Graph& graph, const LocalSearchMap& loc
   // QuantizeGraph executes pooling natively in the integer domain, so a value "stays
   // integer" when it neither escapes nor reaches a consumer outside {conv data reads,
   // pools that themselves stay integer}. Concat also has an integer form, but it
-  // additionally needs its own calibrated range and one common input dtype — unknown
-  // at costing time, so it stays a (conservative) boundary here.
+  // additionally needs its own calibrated range and every input integer — unknown at
+  // costing time, so it stays a (conservative) boundary here.
   std::function<bool(int)> stays_int = [&](int v) -> bool {
     if (escapes[static_cast<std::size_t>(v)] != 0) {
       return false;
@@ -127,13 +127,13 @@ GlobalProblem ExtractGlobalProblem(const Graph& graph, const LocalSearchMap& loc
     const auto it = locals.find(id);
     NEOCPU_CHECK(it != locals.end()) << "missing local search result for conv " << id;
 
-    // Boundary costs an s8 option pays regardless of its neighbours' choices: a
+    // Boundary costs an int8 option pays regardless of its neighbours' choices: a
     // quantize pass unless the data arrives from another conv — possibly through a
     // pooling chain, which QuantizeGraph keeps in the integer domain — and a
     // dequantize pass when the output reaches any consumer that cannot stay integer
     // (non-conv non-pool ops, residual/sibling reads, graph outputs). Direct
     // conv-to-conv boundaries are the edges' job.
-    double s8_boundary_ms = 0.0;
+    double int8_boundary_ms = 0.0;
     const int data = node.inputs[0];
     int p_walk = data;
     while (graph.node(p_walk).type == OpType::kMaxPool ||
@@ -141,10 +141,10 @@ GlobalProblem ExtractGlobalProblem(const Graph& graph, const LocalSearchMap& loc
       p_walk = graph.node(p_walk).inputs[0];
     }
     if (!graph.node(p_walk).IsConv()) {
-      s8_boundary_ms += QdqMs(FeatureMapBytes(graph.node(data).out_dims));
+      int8_boundary_ms += QdqMs(FeatureMapBytes(graph.node(data).out_dims));
     }
     if (!stays_int(id)) {
-      s8_boundary_ms += QdqMs(FeatureMapBytes(node.out_dims));
+      int8_boundary_ms += QdqMs(FeatureMapBytes(node.out_dims));
     }
 
     // One option per (dtype, algo, ic_bn, oc_bn) combination: the combination's
@@ -174,7 +174,7 @@ GlobalProblem ExtractGlobalProblem(const Graph& graph, const LocalSearchMap& loc
       if (!seen) {
         ScheduleCost option = sc;
         if (option.schedule.IsQuantized()) {
-          option.ms += s8_boundary_ms;
+          option.ms += int8_boundary_ms;
         }
         options.push_back(option);
       }

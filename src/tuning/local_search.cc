@@ -62,7 +62,7 @@ std::shared_ptr<const LocalSearchResult> LocalSearchDenseShared(
   }
   LocalSearchResult result;
   const std::vector<GemmSchedule> candidates =
-      EnumerateDenseSchedules(params, target, quick_space, dtype);
+      EnumerateDenseSchedules(params, quick_space, dtype);
   for (const GemmSchedule& schedule : candidates) {
     const double ms = mode == CostMode::kAnalytic
                           ? AnalyticDenseMs(params, schedule, target)
@@ -74,7 +74,7 @@ std::shared_ptr<const LocalSearchResult> LocalSearchDenseShared(
                      return a.ms < b.ms;
                    });
   auto shared = std::make_shared<const LocalSearchResult>(std::move(result));
-  if (cache != nullptr && !shared->dense_ranked.empty()) {
+  if (cache != nullptr) {
     cache->Insert(key, shared);
   }
   return shared;
@@ -95,13 +95,14 @@ std::shared_ptr<const LocalSearchResult> LocalSearchConvShared(
       return cached;
     }
   }
+  NEOCPU_CHECK(dtype == DType::kF32 || dtype == DType::kU8);
   LocalSearchResult result;
   std::vector<ConvSchedule> candidates;
-  if (dtype == DType::kS8 || dtype == DType::kU8) {
-    candidates = EnumerateS8Schedules(params, target, quick_space, dtype);
+  if (dtype == DType::kU8) {
+    candidates = EnumerateS8Schedules(params, target, quick_space);
     NEOCPU_CHECK(!candidates.empty())
-        << "int8 search found no candidates (disabled target or no legal u8 blocking) "
-        << "for " << params.ToString();
+        << "int8 search found no candidates (no legal u8 blocking) for "
+        << params.ToString();
   } else {
     candidates = EnumerateSchedules(params, target, quick_space);
     // Algorithm alternatives (im2col; Winograd where applicable) are ranked in the same

@@ -42,8 +42,8 @@ struct LocalSearchResult {
   // Cheapest fp32 entry computed with `algo`; nullptr if none was ranked (e.g. Winograd
   // for a non-3x3 workload).
   const ScheduleCost* BestForAlgo(ConvAlgo algo) const;
-  // Cheapest s8 (quantized) entry; nullptr when the list carries none (pure fp32
-  // searches, int8-disabled targets).
+  // Cheapest quantized (u8) entry; nullptr when the list carries none (pure fp32
+  // searches).
   const ScheduleCost* BestQuantized() const;
   // Cheapest dense entry of the given dtype; nullptr when none was ranked.
   const DenseScheduleCost* BestDense(DType dtype = DType::kF32) const;
@@ -54,8 +54,8 @@ struct LocalSearchResult {
 using LocalSearchMap = std::map<int, std::shared_ptr<const LocalSearchResult>>;
 
 // Walks the §3.3.1 candidate space for one workload. `dtype` selects the space: kF32
-// ranks the fp32 blockings plus the NCHW algorithm alternatives; kS8 ranks the
-// quantized direct-NCHWc space (EnumerateS8Schedules) and caches under the s8-tagged
+// ranks the fp32 blockings plus the NCHW algorithm alternatives; kU8 ranks the
+// quantized direct-NCHWc space (EnumerateS8Schedules) and caches under the u8-tagged
 // WorkloadKey. `cache` (optional) is consulted first and populated with the result on a
 // miss. `cache_hit` (optional) reports whether this call was served from the cache —
 // callers attribute cache traffic to themselves through it, since the cache's own
@@ -68,8 +68,7 @@ std::shared_ptr<const LocalSearchResult> LocalSearchConvShared(
 
 // Walks EnumerateDenseSchedules for one tuned-GEMM workload and ranks it into
 // dense_ranked, caching under the dense-spelled WorkloadKey ("dense:M_N_K" shape
-// token). `dtype` is kF32 or kU8; a u8 search on an int8-disabled target returns a
-// result with an empty dense_ranked (and caches nothing) so callers can fall back.
+// token). `dtype` is kF32 or kU8.
 std::shared_ptr<const LocalSearchResult> LocalSearchDenseShared(
     const DenseParams& params, const Target& target, CostMode mode, bool quick_space,
     ThreadEngine* engine = nullptr, TuningCache* cache = nullptr,

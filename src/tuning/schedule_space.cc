@@ -64,14 +64,10 @@ std::vector<ConvSchedule> EnumerateAlgoCandidates(const Conv2dParams& p) {
 }
 
 std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& p, const Target& t,
-                                               bool quick_space, DType dtype) {
-  NEOCPU_CHECK(dtype == DType::kS8 || dtype == DType::kU8);
-  if (!t.int8_dot) {
-    return {};
-  }
-  // s8 blocks run up to a full s8 vector (4x the fp32 lanes): the quantized kernel's
-  // MAC density scales with the filled fraction of the vector, so the space leans on
-  // the widest admissible factors.
+                                               bool quick_space) {
+  // int8 blocks run up to a full 8-bit vector (4x the fp32 lanes): the quantized
+  // kernel's MAC density scales with the filled fraction of the vector, so the space
+  // leans on the widest admissible factors.
   const std::int64_t cap = std::min<std::int64_t>(t.MaxBlockS8(), kMaxChannelBlock);
   std::vector<std::int64_t> ic = Factors(p.in_c, cap);
   std::vector<std::int64_t> oc = Factors(p.out_c, cap);
@@ -92,13 +88,10 @@ std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& p, const Targ
     prune(ic);
     prune(oc);
   }
-  if (dtype == DType::kU8) {
-    // u8 activations pair 4 input channels per vpdpbusd lane (and the portable tiers
-    // mirror that grouping), so only quad-divisible ic blocks are admissible.
-    ic.erase(std::remove_if(ic.begin(), ic.end(),
-                            [](std::int64_t f) { return f % 4 != 0; }),
-             ic.end());
-  }
+  // u8 activations pair 4 input channels per vpdpbusd lane (and the portable tier
+  // mirrors that grouping), so only quad-divisible ic blocks are admissible.
+  ic.erase(std::remove_if(ic.begin(), ic.end(), [](std::int64_t f) { return f % 4 != 0; }),
+           ic.end());
   // Only block shapes the kernel is instantiated for: a conv with no such oc block
   // among its factors (e.g. a 126-channel SSD class head) gets an empty space and
   // stays f32.
@@ -109,7 +102,7 @@ std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& p, const Targ
       for (std::int64_t r : RegNCandidates()) {
         for (bool u : {true, false}) {
           ConvSchedule s{i, o, r, u};
-          s.dtype = dtype;
+          s.dtype = DType::kU8;
           if (IsInt8Templated(s)) {
             out.push_back(s);
           }
@@ -120,12 +113,9 @@ std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& p, const Targ
   return out;
 }
 
-std::vector<GemmSchedule> EnumerateDenseSchedules(const DenseParams& p, const Target& t,
-                                                  bool quick_space, DType dtype) {
+std::vector<GemmSchedule> EnumerateDenseSchedules(const DenseParams& p, bool quick_space,
+                                                  DType dtype) {
   NEOCPU_CHECK(dtype == DType::kF32 || dtype == DType::kU8);
-  if (dtype == DType::kU8 && !t.int8_dot) {
-    return {};
-  }
   const std::vector<std::int64_t> mrs =
       quick_space ? std::vector<std::int64_t>{4, 6, 8} : std::vector<std::int64_t>{2, 4, 6, 8};
   const std::vector<std::int64_t> nrs =

@@ -37,31 +37,26 @@ std::vector<ConvSchedule> EnumerateSchedules(const Conv2dParams& params, const T
 // the selection layer's job — the cached ranked list is keyed by shape alone.
 std::vector<ConvSchedule> EnumerateAlgoCandidates(const Conv2dParams& params);
 
-// The quantized direct-NCHWc space for one workload: same tuple structure, but channel
-// blocks run up to the target's full s8 vector (4x the fp32 lanes — the s8 kernel's
-// throughput scales with the filled vector fraction) and quick_space prunes to the
-// {full, half, quarter} s8-vector neighbourhood. Only the oc_bn values the int8 kernel
-// is instantiated for are admitted (IsInt8Templated), so the space is empty for a
-// conv with none of them among its output-channel factors. `dtype` selects the
-// activation dtype of the space (kS8 or kU8); the u8 space additionally drops ic_bn
-// factors not divisible by 4 (the VNNI quad-packing constraint) and may be empty for
-// odd channel counts. Empty when the target profile disables int8 (Target::int8_dot)
-// — the "ISA gated by Target" switch. Cached under the dtype-tagged WorkloadKey,
-// separate from the fp32 entries.
+// The quantized (u8 activations x s8 weights) direct-NCHWc space for one workload:
+// same tuple structure, but channel blocks run up to the target's full 8-bit vector
+// (4x the fp32 lanes — the int8 kernel's throughput scales with the filled vector
+// fraction) and quick_space prunes to the {full, half, quarter} 8-bit-vector
+// neighbourhood. Only ic_bn factors divisible by 4 (the VNNI quad-packing
+// constraint) and the oc_bn values the kernel is instantiated for (IsInt8Templated)
+// are admitted, so the space is empty for a conv with none of them — a 3-channel
+// stem, a 126-channel SSD class head. Every schedule carries dtype kU8 and caches
+// under the u8-tagged WorkloadKey, separate from the fp32 entries.
 std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& params,
                                                const Target& target,
-                                               bool quick_space = false,
-                                               DType dtype = DType::kS8);
+                                               bool quick_space = false);
 
 // Blocking space for one tuned GEMM (Dense) workload: register kernel mr x nr crossed
 // with mc/nc/kc cache tiles. quick_space keeps the register-kernel neighbourhood that
 // wins on every shape we have measured (mr in {4,6,8}, nr in {16,32,64}) with one cache
 // tiling; the full space adds the small register kernels and sweeps the cache tiles.
 // The u8 space (dtype == kU8) pins kc = k — the quantized kernel accumulates the whole
-// reduction in s32 registers in a single K pass so the requant epilogue can fuse — and
-// is empty when the target profile disables int8 (Target::int8_dot).
+// reduction in s32 registers in a single K pass so the requant epilogue can fuse.
 std::vector<GemmSchedule> EnumerateDenseSchedules(const DenseParams& params,
-                                                  const Target& target,
                                                   bool quick_space = false,
                                                   DType dtype = DType::kF32);
 

@@ -231,10 +231,10 @@ bool TuningCache::ParseStream(std::istream& in, ParsedMap* entries) {
         DenseScheduleCost sc;
         in >> sc.schedule.mc >> sc.schedule.nc >> sc.schedule.kc >> sc.schedule.mr >>
             sc.schedule.nr >> dtype >> sc.ms;
-        if (!in || dtype > static_cast<unsigned>(DType::kS32)) {
-          return false;
+        if (!in || dtype != static_cast<unsigned>(key.dtype)) {
+          return false;  // every schedule of an entry has its key's dtype
         }
-        sc.schedule.dtype = static_cast<DType>(dtype);
+        sc.schedule.dtype = key.dtype;
         result.dense_ranked.push_back(sc);
       }
       (*entries)[key_text] =
@@ -250,12 +250,12 @@ bool TuningCache::ParseStream(std::istream& in, ParsedMap* entries) {
       in >> sc.schedule.ic_bn >> sc.schedule.oc_bn >> sc.schedule.reg_n >> unroll >> algo >>
           dtype >> sc.ms;
       if (!in || algo > static_cast<unsigned>(ConvAlgo::kReference) ||
-          dtype > static_cast<unsigned>(DType::kS32)) {
+          dtype != static_cast<unsigned>(key.dtype)) {
         return false;
       }
       sc.schedule.unroll_ker = unroll != 0;
       sc.schedule.algo = static_cast<ConvAlgo>(algo);
-      sc.schedule.dtype = static_cast<DType>(dtype);
+      sc.schedule.dtype = key.dtype;
       result.ranked.push_back(sc);
     }
     // Earlier builds also ranked int8 blocks the kernel is not instantiated for; drop

@@ -88,14 +88,16 @@ class TuningCache {
   // Stream form used both by the file API and by module serialization. Deserialize
   // *merges* into the current contents and returns false on version mismatch or
   // malformed input (cache left with the entries parsed so far discarded — the cache is
-  // untouched on any failure).
+  // untouched on any failure). Malformed includes a key this build cannot parse (an
+  // s8 dtype token, written by a build that had s8 activations) and a schedule line
+  // whose dtype differs from its key's.
   void Serialize(std::ostream& out) const;
   bool Deserialize(std::istream& in);
 
   // Versioned text file:
   //   neocpu-tuning-cache <version> <entry-count>
   //   workload <key> <num-schedules>
-  //   <ic_bn> <oc_bn> <reg_n> <unroll> <algo> <dtype> <ms>
+  //   <ic_bn> <oc_bn> <reg_n> <unroll> <algo> <dtype> <ms>     (dtype: the key's)
   //   dense <key> <num-schedules>
   //   <mc> <nc> <kc> <mr> <nr> <dtype> <ms>
   //   ...

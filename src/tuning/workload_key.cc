@@ -35,14 +35,10 @@ bool WorkloadKey::Parse(const std::string& text, WorkloadKey* key) {
   const std::string space_text =
       d == std::string::npos ? text.substr(c + 1) : text.substr(c + 1, d - c - 1);
   if (d != std::string::npos) {
-    const std::string dtype_text = text.substr(d + 1);
-    if (dtype_text == "s8") {
-      parsed.dtype = DType::kS8;
-    } else if (dtype_text == "u8") {
-      parsed.dtype = DType::kU8;
-    } else {
-      return false;  // f32 keys never spell the dtype token
+    if (text.substr(d + 1) != "u8") {
+      return false;  // f32 keys never spell the dtype token; u8 is the only int8 one
     }
+    parsed.dtype = DType::kU8;
   }
 
   if (conv_text.rfind("dense:", 0) == 0) {

@@ -39,9 +39,9 @@ struct WorkloadKey {
   std::string target = "host";
   CostMode cost_mode = CostMode::kAnalytic;
   bool quick_space = true;
-  // Execution dtype the space was searched for: the s8 schedule space (different block
-  // caps, different kernel) caches under its own key, so fp32 and quantized tunings of
-  // one shape coexist — exactly like distinct batches. Dense workloads use kF32 or kU8.
+  // Execution dtype the space was searched for, kF32 or kU8: the u8 schedule space
+  // (different block caps, different kernel) caches under its own key, so fp32 and
+  // quantized tunings of one shape coexist — exactly like distinct batches.
   DType dtype = DType::kF32;
 
   static WorkloadKey Of(const Conv2dParams& params, const Target& target, CostMode mode,
@@ -72,7 +72,7 @@ struct WorkloadKey {
 
   // Stable single-token text form, e.g.
   //   "avx512|8_64_28x28_64_3x3_1x1_1x1|analytic|quick"       (fp32; the pre-dtype form)
-  //   "avx512|8_64_28x28_64_3x3_1x1_1x1|analytic|quick|s8"    (quantized)
+  //   "avx512|8_64_28x28_64_3x3_1x1_1x1|analytic|quick|u8"    (quantized)
   //   "avx512|dense:64_256_64|analytic|quick|u8"              (dense GEMM workload)
   // fp32 keys keep the historical 4-token spelling so caches persisted before the
   // quantized path still hit; dense workloads reuse the same frame with a "dense:"

@@ -351,22 +351,22 @@ TEST_F(ConvOutputCheck, NCHWcRejectsWrongLayout) {
 
 TEST_F(ConvOutputCheck, S8RejectsWrongDims) {
   ConvSchedule s = s_;
-  s.dtype = DType::kS8;
-  Tensor in = Tensor::Zeros({1, 1, 8, 8, 16}, Layout::NCHWc(16), DType::kS8);
+  s.dtype = DType::kU8;
+  Tensor in = Tensor::Zeros({1, 1, 8, 8, 16}, Layout::NCHWc(16), DType::kU8);
   Tensor w = Tensor::Zeros({1, 1, 3, 3, 16, 16}, Layout::OIHWio(16, 16), DType::kS8);
   Tensor mult = Tensor::Full({16}, 1e-3f);
-  Tensor out = Tensor::Empty({1, 1, 9, 8, 16}, Layout::NCHWc(16), DType::kS8);
+  Tensor out = Tensor::Empty({1, 1, 9, 8, 16}, Layout::NCHWc(16), DType::kU8);
   EXPECT_DEATH(ConvNCHWcS8(p_, s, in, w, nullptr, mult, {}, /*requant=*/true, &out),
                "output dims mismatch");
 }
 
 TEST_F(ConvOutputCheck, S8RejectsWrongLayout) {
   ConvSchedule s = s_;
-  s.dtype = DType::kS8;
-  Tensor in = Tensor::Zeros({1, 1, 8, 8, 16}, Layout::NCHWc(16), DType::kS8);
+  s.dtype = DType::kU8;
+  Tensor in = Tensor::Zeros({1, 1, 8, 8, 16}, Layout::NCHWc(16), DType::kU8);
   Tensor w = Tensor::Zeros({1, 1, 3, 3, 16, 16}, Layout::OIHWio(16, 16), DType::kS8);
   Tensor mult = Tensor::Full({16}, 1e-3f);
-  Tensor out = Tensor::Empty({1, 1, 8, 8, 16}, Layout::Flat(), DType::kS8);
+  Tensor out = Tensor::Empty({1, 1, 8, 8, 16}, Layout::Flat(), DType::kU8);
   EXPECT_DEATH(ConvNCHWcS8(p_, s, in, w, nullptr, mult, {}, /*requant=*/true, &out),
                "output layout mismatch");
 }

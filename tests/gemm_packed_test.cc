@@ -1,6 +1,6 @@
 // The packed GEMM kernel family: f32 tuned-vs-reference parity across shapes,
 // blockings and epilogues; u8·s8 exactness against a naive integer reference;
-// cross-ISA bitwise parity for the integer path via the dispatch override; and
+// bitwise parity of the two integer tiers via the dispatch override; and
 // packed-operand layout invariants (padding contributes nothing).
 #include <gtest/gtest.h>
 
@@ -121,7 +121,7 @@ TEST(GemmPackedF32, PackBFromTransposedMatchesPackB) {
 struct S8Case {
   std::int64_t m, n, k;
   GemmSchedule s;
-  bool bias, relu, requant, out_u8;
+  bool bias, relu, requant;
   std::int32_t out_zero;
 };
 
@@ -163,15 +163,9 @@ void ReferenceU8S8(const S8Case& c, const std::vector<std::uint8_t>& a,
       }
       const float scaled = static_cast<float>(acc) * mult[j];
       if (c.requant) {
-        std::int32_t q = static_cast<std::int32_t>(std::lrintf(scaled));
-        if (c.out_u8) {
-          q += c.out_zero;
-          q = q > 255 ? 255 : (q < 0 ? 0 : q);
-          static_cast<std::uint8_t*>(out)[i * c.n + j] = static_cast<std::uint8_t>(q);
-        } else {
-          q = q > 127 ? 127 : (q < -127 ? -127 : q);
-          static_cast<std::int8_t*>(out)[i * c.n + j] = static_cast<std::int8_t>(q);
-        }
+        std::int32_t q = static_cast<std::int32_t>(std::lrintf(scaled)) + c.out_zero;
+        q = q > 255 ? 255 : (q < 0 ? 0 : q);
+        static_cast<std::uint8_t*>(out)[i * c.n + j] = static_cast<std::uint8_t>(q);
       } else {
         static_cast<float*>(out)[i * c.n + j] = scaled;
       }
@@ -181,15 +175,16 @@ void ReferenceU8S8(const S8Case& c, const std::vector<std::uint8_t>& a,
 
 TEST(GemmPackedU8S8, ExactAgainstReferenceAndBitwiseAcrossIsaTiers) {
   const std::vector<S8Case> cases = {
-      {64, 256, 64, {64, 128, 64, 4, 16, DType::kU8}, true, true, false, false, 0},
-      {8, 10, 512, {64, 256, 512, 4, 16, DType::kU8}, true, false, false, false, 0},
-      // Requantizing stores, s8 and u8 outputs; k % 4 != 0 exercises quad padding.
-      {13, 37, 70, {8, 32, 70, 4, 16, DType::kU8}, true, true, true, false, 0},
-      {15, 33, 66, {8, 32, 66, 6, 32, DType::kU8}, true, false, true, true, 17},
+      {64, 256, 64, {64, 128, 64, 4, 16, DType::kU8}, true, true, false, 0},
+      {8, 10, 512, {64, 256, 512, 4, 16, DType::kU8}, true, false, false, 0},
+      // Requantizing u8 stores with and without a zero point; k % 4 != 0 exercises
+      // quad padding.
+      {13, 37, 70, {8, 32, 70, 4, 16, DType::kU8}, true, true, true, 0},
+      {15, 33, 66, {8, 32, 66, 6, 32, DType::kU8}, true, false, true, 17},
       // Off-grid micro pair exercises the MicroEdgeU8 fallback.
-      {9, 21, 35, {8, 16, 35, 3, 12, DType::kU8}, false, true, false, false, 0},
+      {9, 21, 35, {8, 16, 35, 3, 12, DType::kU8}, false, true, false, 0},
   };
-  const std::vector<std::string> tiers = {"baseline", "avx2", "avx512", "avx512vnni"};
+  const std::vector<std::string> tiers = {"baseline", "avx512vnni"};
   for (const auto& c : cases) {
     const auto a = RandomU8(c.m * c.k, 5);
     const auto w = RandomS8(c.n * c.k, 11);
@@ -219,7 +214,7 @@ TEST(GemmPackedU8S8, ExactAgainstReferenceAndBitwiseAcrossIsaTiers) {
       std::vector<std::uint8_t> got(out_bytes, 0xAB);
       GemmPackedU8S8(c.m, c.n, c.k, a.data(), bp.data(),
                      c.bias ? bias.data() : nullptr, mult.data(), c.relu, c.requant,
-                     c.out_u8, c.out_zero, got.data(), c.s);
+                     c.out_zero, got.data(), c.s);
       EXPECT_EQ(got, want) << "tier " << tier << " schedule " << c.s.ToString();
       if (first.empty()) {
         first = got;

@@ -269,7 +269,6 @@ TEST(GraphRewriter, CompiledGraphsKeepOnlyReadConstants) {
       if (u8) {
         opts.quantize = true;
         opts.force_quantize = true;
-        opts.force_quant_dtype = DType::kU8;
       }
       const CompiledModel model = Compile(BuildModel(name), opts);
       for (const Graph* g : {&model.graph(), &model.source_graph()}) {

@@ -122,10 +122,9 @@ CompileOptions QuantizeDense() {
   opts.quantize_dense = true;
   return opts;
 }
-CompileOptions ForcedU8() {
+CompileOptions MinMaxQuantize() {
   CompileOptions opts = EntropyQuantize();
   opts.calibration_policy = CalibrationPolicy::kMinMax;
-  opts.force_quant_dtype = DType::kU8;
   return opts;
 }
 
@@ -167,7 +166,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RoundTripCase{"entropy_quantize", &TinyCnn, &EntropyQuantize, 0},
                       RoundTripCase{"transformer_quantize_dense", &Encoder,
                                     &QuantizeDense, 0},
-                      RoundTripCase{"inception_forced_u8", &TinyInception, &ForcedU8, 0},
+                      RoundTripCase{"inception_quantize", &TinyInception, &MinMaxQuantize,
+                                    0},
                       RoundTripCase{"resnet18_rebind_1_to_4", &TinyResNet18, &F32Global,
                                     4}),
     [](const ::testing::TestParamInfo<RoundTripCase>& info) { return info.param.label; });
@@ -224,6 +224,22 @@ template <typename T>
 void Patch(std::string* bytes, std::size_t offset, T value) {
   ASSERT_LE(offset + sizeof(T), bytes->size());
   std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
+// A module written before u8 became the only activation dtype is format v8, whose
+// config record still carried the int8_dot and force_quant_dtype fields. Loading one
+// fails with the version message instead of misreading the record.
+TEST(Serialization, RejectsV8ModuleWithVersionMessage) {
+  const CompiledModel model = Compile(BuildTinyCnn(1, 32), NeoCpuOptions(Target::Host()));
+  const std::string path = TempPath("v8.neoc");
+  std::string bytes = SaveToBytes(model, path);
+  Patch<std::uint32_t>(&bytes, 4, 8);
+  ::testing::internal::CaptureStderr();
+  const bool loaded = LoadBytes(bytes, path);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(loaded);
+  EXPECT_NE(log.find("module format v8 is not supported"), std::string::npos) << log;
+  std::remove(path.c_str());
 }
 
 // Every proper prefix of a module is a truncated module: each one fails the load.

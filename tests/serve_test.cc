@@ -504,31 +504,27 @@ TEST(InferenceServer, ConcurrentSubmitsMatchSerialExactly) {
   EXPECT_LE(stats.max_batch_size, 4);
 }
 
-// Force-quantized models through the batcher, under both the default activation dtype
-// (s8 stem) and forced u8: batched int8 replies must match direct Runs bitwise.
+// A force-quantized model through the batcher: batched int8 replies must match direct
+// Runs bitwise.
 TEST(InferenceServer, ServesQuantizedModelsExactly) {
-  for (const DType dtype : {DType::kF32, DType::kU8}) {
-    SCOPED_TRACE(dtype == DType::kF32 ? "default dtype" : "forced u8");
-    CompileOptions copts;
-    copts.quantize = true;
-    copts.force_quantize = true;
-    copts.force_quant_dtype = dtype;  // kF32 = the compiler's default choice
-    CompiledModel compiled = Compile(BuildTinyCnn(), copts);
-    ASSERT_GT(compiled.stats().num_quantized_convs, 0);
+  CompileOptions copts;
+  copts.quantize = true;
+  copts.force_quantize = true;
+  CompiledModel compiled = Compile(BuildTinyCnn(), copts);
+  ASSERT_GT(compiled.stats().num_quantized_convs, 0);
 
-    ServerOptions options;
-    options.num_executors = 2;
-    options.bind_threads = false;
-    options.background_retune = false;
-    options.batching.max_batch_size = 4;
-    options.batching.max_delay_ms = 2.0;
-    const ServerStats stats = ServeAndCompareToSerial(std::move(compiled), options,
-                                                      /*clients=*/4,
-                                                      /*requests_per_client=*/6, 5000);
-    EXPECT_EQ(stats.submitted, 24u);
-    EXPECT_EQ(stats.completed, stats.submitted);
-    EXPECT_EQ(stats.requests_shed, 0u);
-  }
+  ServerOptions options;
+  options.num_executors = 2;
+  options.bind_threads = false;
+  options.background_retune = false;
+  options.batching.max_batch_size = 4;
+  options.batching.max_delay_ms = 2.0;
+  const ServerStats stats = ServeAndCompareToSerial(std::move(compiled), options,
+                                                    /*clients=*/4,
+                                                    /*requests_per_client=*/6, 5000);
+  EXPECT_EQ(stats.submitted, 24u);
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_EQ(stats.requests_shed, 0u);
 }
 
 TEST(InferenceServer, ServesMultipleModelsConcurrently) {

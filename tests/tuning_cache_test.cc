@@ -62,6 +62,9 @@ TEST(WorkloadKey, ParseRejectsMalformedText) {
   EXPECT_FALSE(WorkloadKey::Parse("avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|sideways",
                                   &parsed));
   EXPECT_FALSE(WorkloadKey::Parse("too|many|fields|in|here", &parsed));
+  // u8 is the only dtype token; s8 activations are gone.
+  EXPECT_FALSE(
+      WorkloadKey::Parse("avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|quick|s8", &parsed));
   const WorkloadKey valid =
       WorkloadKey::Of(TestConv(), Target::SkylakeAvx512(), CostMode::kAnalytic, true);
   ASSERT_TRUE(WorkloadKey::Parse(valid.ToString(), &parsed));
@@ -193,18 +196,42 @@ TEST(TuningCache, RejectsWrongVersionAndGarbage) {
   EXPECT_EQ(cache.size(), 0u);  // failures leave the cache untouched
 }
 
+// A cache saved by a build that still had s8 activations has the same v5 layout but
+// `|s8` key tokens and dtype-1 schedule lines. Loading it fails cleanly — no abort, no
+// entry — and so does a u8 entry carrying an s8 schedule line.
+TEST(TuningCache, RejectsS8Entries) {
+  const std::string path = ::testing::TempDir() + "/s8_cache.v5";
+  {
+    std::ofstream out(path);
+    out << "neocpu-tuning-cache 5 1\n"
+           "workload avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|quick|s8 1\n"
+           "16 64 8 1 0 1 0.5\n";
+  }
+  TuningCache cache;
+  EXPECT_FALSE(cache.LoadFromFile(path));
+  EXPECT_EQ(cache.size(), 0u);
+  std::remove(path.c_str());
+
+  std::istringstream mixed(
+      "neocpu-tuning-cache 5 1\n"
+      "workload avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|quick|u8 1\n"
+      "16 64 8 1 0 1 0.5\n");
+  EXPECT_FALSE(cache.Deserialize(mixed));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
 // Earlier builds also ranked int8 blocks the kernel is not instantiated for (here
 // oc_bn 12). Loading drops those schedule lines, and an entry left with none, so a
 // warm start can never select one.
 TEST(TuningCache, DropsUntemplatedInt8Schedules) {
   const Target t = Target::SkylakeAvx512();
   const WorkloadKey kept = WorkloadKey::Of(TestConv(1), t, CostMode::kAnalytic, true,
-                                           DType::kS8);
+                                           DType::kU8);
   const WorkloadKey gone = WorkloadKey::Of(TestConv(2), t, CostMode::kAnalytic, true,
-                                           DType::kS8);
+                                           DType::kU8);
   std::istringstream text("neocpu-tuning-cache 5 2\nworkload " + kept.ToString() +
-                          " 2\n16 12 8 1 0 1 0.4\n16 16 8 1 0 1 0.5\nworkload " +
-                          gone.ToString() + " 1\n16 12 8 1 0 1 0.4\n");
+                          " 2\n16 12 8 1 0 2 0.4\n16 16 8 1 0 2 0.5\nworkload " +
+                          gone.ToString() + " 1\n16 12 8 1 0 2 0.4\n");
   TuningCache cache;
   ASSERT_TRUE(cache.Deserialize(text));
   EXPECT_EQ(cache.size(), 1u);

@@ -12,12 +12,12 @@
 //   --trace PATH         write a chrome://tracing JSON of the profiled runs
 //   --metrics FORMAT     dump the process metrics registry (json | prometheus)
 //   --batch N            batch size for --zoo compilation, 1..4096 (default 1)
-//   --quantize           force-quantize the --zoo model (int8 serving path)
+//   --quantize           force-quantize the --zoo model to u8 activations x s8 weights
+//                        (int8 serving path)
 //   --policy P           calibration policy for --quantize: minmax | percentile |
 //                        entropy                                 (default minmax)
-//   --dtype D            forced quantized activation dtype: s8 | u8
 //   --quantize-dense     also quantize dense layers (u8 packed GEMM)
-// --policy, --dtype and --quantize-dense require --quantize. A --zoo name or batch the
+// --policy and --quantize-dense require --quantize. A --zoo name or batch the
 // model zoo cannot build (ModelBuildError) is bad usage.
 //
 // Exit status: 0 on success, 1 on bad usage or I/O failure.
@@ -55,7 +55,7 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--module PATH | --zoo NAME) [--batch N]\n"
                "          [--quantize [--policy minmax|percentile|entropy]\n"
-               "                      [--dtype s8|u8] [--quantize-dense]]\n"
+               "                      [--quantize-dense]]\n"
                "          [--dot PATH] [--profile-runs N] [--trace PATH]\n"
                "          [--metrics json|prometheus]\n"
                "zoo models: %s\n",
@@ -117,9 +117,8 @@ void PrintSummary(const CompiledModel& model, bool loaded) {
   }
 }
 
-// Per-layer quantization detail: which dtype each quantized layer reads and writes,
-// with the zero points that go with them (s8 is symmetric, zero point 0; u8 carries
-// the affine offset the bias fold absorbed).
+// Per-layer quantization detail: what each quantized layer reads and writes (u8, or
+// f32 where the epilogue dequantizes), with the zero points the bias fold absorbed.
 void PrintQuantLayers(const CompiledModel& model) {
   const Graph& graph = model.graph();
   bool any = false;
@@ -133,11 +132,9 @@ void PrintQuantLayers(const CompiledModel& model) {
       any = true;
     }
     const ConvQuant& q = node.attrs.qconv;
-    std::printf("  %-28s %s(zp=%d) -> %s(zp=%d)\n",
-                node.name.empty() ? "(unnamed)" : node.name.c_str(),
-                DTypeName(q.adtype), q.in_zero,
-                q.requant ? DTypeName(q.out_dtype) : "f32",
-                q.requant ? q.out_zero : 0);
+    std::printf("  %-28s u8(zp=%d) -> %s(zp=%d)\n",
+                node.name.empty() ? "(unnamed)" : node.name.c_str(), q.in_zero,
+                q.requant ? "u8" : "f32", q.requant ? q.out_zero : 0);
   }
 }
 
@@ -174,7 +171,7 @@ int main(int argc, char** argv) {
   int profile_runs = 0;
   bool quantize = false;
   bool quantize_dense = false;
-  std::string policy, forced_dtype;
+  std::string policy;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -201,8 +198,6 @@ int main(int argc, char** argv) {
       quantize = true;
     } else if (arg == "--policy") {
       policy = next();
-    } else if (arg == "--dtype") {
-      forced_dtype = next();
     } else if (arg == "--quantize-dense") {
       quantize_dense = true;
     } else if (arg == "--dot") {
@@ -221,8 +216,8 @@ int main(int argc, char** argv) {
   if (module_path.empty() == zoo_name.empty()) {  // exactly one source required
     return Usage(argv[0]);
   }
-  if (!quantize && (!policy.empty() || !forced_dtype.empty() || quantize_dense)) {
-    std::fprintf(stderr, "--policy, --dtype and --quantize-dense require --quantize\n");
+  if (!quantize && (!policy.empty() || quantize_dense)) {
+    std::fprintf(stderr, "--policy and --quantize-dense require --quantize\n");
     return Usage(argv[0]);
   }
   if (!zoo_name.empty()) {
@@ -251,14 +246,6 @@ int main(int argc, char** argv) {
         options.calibration_policy = CalibrationPolicy::kEntropy;
       } else if (!policy.empty() && policy != "minmax") {
         std::fprintf(stderr, "unknown calibration policy: %s\n", policy.c_str());
-        return Usage(argv[0]);
-      }
-      if (forced_dtype == "s8") {
-        options.force_quant_dtype = DType::kS8;
-      } else if (forced_dtype == "u8") {
-        options.force_quant_dtype = DType::kU8;
-      } else if (!forced_dtype.empty()) {
-        std::fprintf(stderr, "unknown quantized dtype: %s\n", forced_dtype.c_str());
         return Usage(argv[0]);
       }
     }
