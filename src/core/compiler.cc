@@ -64,22 +64,13 @@ bool AlgoLegalFor(ConvAlgo algo, const Node& node) {
   return true;
 }
 
-// Schedule-level legality: algorithm legality plus the int8 window (quantized entries
-// only appear in merged lists of quantize-legal convs, but re-check the epilogue).
-bool ScheduleLegalFor(const ConvSchedule& s, const Node& node) {
-  if (s.IsQuantized() && node.attrs.epilogue.residual_add) {
-    return false;
-  }
-  return AlgoLegalFor(s.algo, node);
-}
-
 // Cheapest ranked schedule that is legal for `node` (the greedy per-conv optimum of
 // LayoutMode::kNCHWcLocal); on merged fp32+u8 lists this IS the greedy fp32-vs-int8
 // choice, boundary costs ignored — the pitfall §3.3.1 warns about, kept as the
 // ablation.
 const ConvSchedule& BestLegalSchedule(const LocalSearchResult& result, const Node& node) {
   for (const ScheduleCost& sc : result.ranked) {
-    if (ScheduleLegalFor(sc.schedule, node)) {
+    if (AlgoLegalFor(sc.schedule.algo, node)) {
       return sc.schedule;
     }
   }

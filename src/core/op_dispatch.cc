@@ -23,13 +23,13 @@
 namespace neocpu {
 namespace {
 
-// f32 staging bytes for a conv's fused integer residual (0 when it has none): the
+// f32 staging bytes for an f32 conv's fused integer residual (0 when it has none): the
 // dequantized residual is materialized at the front of the conv's workspace. 64-byte
 // aligned so kernel scratch that follows it in the shared workspace keeps SIMD
-// alignment.
+// alignment. The u8 conv reads an integer residual in its epilogue and stages nothing.
 std::size_t ResidualStagingBytes(const Node& node) {
   if (node.type != OpType::kConv2d || !node.attrs.epilogue.residual_add ||
-      node.attrs.qin_scales.empty()) {
+      node.attrs.qin_scales.empty() || node.attrs.kernel == ConvKernelKind::kNCHWcS8) {
     return 0;
   }
   std::int64_t elems = 1;
@@ -48,6 +48,23 @@ void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
   const Conv2dParams& p = node.attrs.conv;
   const ConvEpilogue& epi = node.attrs.epilogue;
   const Tensor* bias = epi.bias ? &in[2] : nullptr;
+  if (node.attrs.kernel == ConvKernelKind::kNCHWcS8) {
+    // Inputs: {data u8, packed weight s8, [bias s32], [residual], multiplier f32} —
+    // the multiplier is always last. A u8 residual carries the (scale, zero point) its
+    // producer quantized with on qin_scales/qin_zeros; an f32 one has scale 1.
+    const ConvQuant& q = node.attrs.qconv;
+    S8Residual residual;
+    if (epi.residual_add) {
+      residual.tensor = &in[in.size() - 2];
+      const bool u8 = residual.tensor->dtype() == DType::kU8;
+      residual.mult =
+          (u8 ? node.attrs.qin_scales.at(0) : 1.0f) / (q.requant ? q.out_scale : 1.0f);
+      residual.zero = u8 ? node.attrs.qin_zeros.at(0) : 0;
+    }
+    ConvNCHWcS8(p, node.attrs.schedule, in[0], in[1], bias, in.back(), epi, q.requant, out,
+                engine, q.out_zero, q.in_zero, residual);
+    return;
+  }
   const Tensor* residual = epi.residual_add ? &in.back() : nullptr;
   Tensor residual_f32;
   if (residual != nullptr && residual->dtype() != DType::kF32) {
@@ -84,12 +101,7 @@ void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
                    workspace_bytes / sizeof(float));
       return;
     case ConvKernelKind::kNCHWcS8:
-      // Inputs: {data u8, packed weight s8, [bias s32], multiplier f32} — the
-      // multiplier is always the last input; residual epilogues are illegal in int8.
-      ConvNCHWcS8(p, node.attrs.schedule, in[0], in[1], bias, in.back(), epi,
-                  node.attrs.qconv.requant, out, engine, node.attrs.qconv.out_zero,
-                  node.attrs.qconv.in_zero);
-      return;
+      break;  // dispatched above
   }
   LOG(FATAL) << "unreachable";
 }

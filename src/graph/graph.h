@@ -93,8 +93,9 @@ struct NodeAttrs {
   float qscale = 1.0f;      // kQuantize / kDequantize per-tensor scale; for integer
                             // pooling/concat, the scale of the integer OUTPUT
   std::int32_t qzero = 0;   // zero point of that u8 tensor
-  // Integer concat only: per-input (scale, zero point) of the incoming integer
-  // tensors; the concat kernel rescales each input to (qscale, qzero) while copying.
+  // Integer concat: per-input (scale, zero point) of the incoming integer tensors; the
+  // concat kernel rescales each input to (qscale, qzero) while copying. A conv with a
+  // fused u8 residual: that residual's one (scale, zero point).
   std::vector<float> qin_scales;
   std::vector<std::int32_t> qin_zeros;
   Pool2dParams pool;

@@ -12,6 +12,9 @@
 // Under LayoutPlacement::kPerOp the propagation is disabled: each conv converts its
 // input from NCHW and converts its output back, which is what a framework delegating to
 // a fixed kernel library does (Table 3 "Layout Opt." row).
+#include <map>
+#include <utility>
+
 #include "src/base/logging.h"
 #include "src/graph/passes/passes.h"
 #include "src/graph/passes/rewriter.h"
@@ -67,17 +70,22 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
   GraphRewriter rw(graph);
 
   // Inserts a LayoutTransform in the rewritten graph unless `mapped` already produces
-  // `want`.
-  auto ensure_layout = [&rw](int mapped, const Layout& want) -> int {
+  // `want` or an earlier transform of `mapped` to `want` exists (a block's data and
+  // residual reads of one tensor share it).
+  std::map<std::pair<int, Layout>, int> transforms;
+  auto ensure_layout = [&rw, &transforms](int mapped, const Layout& want) -> int {
     const Layout& have = rw.dst().node(mapped).out_layout;
     if (have == want) {
       return mapped;
     }
-    NodeAttrs attrs;
-    attrs.dst_layout = want;
-    const int id = rw.dst().AddNode(OpType::kLayoutTransform, {mapped}, std::move(attrs));
-    rw.dst().node(id).out_layout = want;
-    return id;
+    const auto [it, inserted] = transforms.try_emplace({mapped, want}, -1);
+    if (inserted) {
+      NodeAttrs attrs;
+      attrs.dst_layout = want;
+      it->second = rw.dst().AddNode(OpType::kLayoutTransform, {mapped}, std::move(attrs));
+      rw.dst().node(it->second).out_layout = want;
+    }
+    return it->second;
   };
 
   for (int id = 0; id < graph.num_nodes(); ++id) {
@@ -143,8 +151,9 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
           // the fp32 weight constant is per-output-channel quantized and blocked at
           // compile time, the bias folds to s32 in the accumulation domain (plus the
           // zero-point correction -in_zero * sum(w)), and the epilogue's per-channel
-          // multiplier becomes a constant input. The blocked weight tiles are then
-          // VNNI-packed (AFTER the bias fold, which walks the standard tile order).
+          // multiplier becomes a constant input, after the residual (blocked like the
+          // output) when there is one. The blocked weight tiles are then VNNI-packed
+          // (AFTER the bias fold, which walks the standard tile order).
           NEOCPU_CHECK(node.attrs.qconv.enabled)
               << node.name << ": int8 schedule on an unquantized conv";
           const std::int32_t in_zero = node.attrs.qconv.in_zero;
@@ -177,6 +186,10 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
           if (bias_s32.defined()) {
             inputs.push_back(
                 rw.dst().AddConstant(std::move(bias_s32), node.name + ".b32"));
+          }
+          if (node.attrs.epilogue.residual_add) {
+            inputs.push_back(ensure_layout(rw.Lookup(node.inputs.back()),
+                                           Layout::NCHWc(sched.oc_bn)));
           }
           Tensor mult = Tensor::Empty({node.attrs.conv.out_c}, Layout::Flat());
           const float denom =

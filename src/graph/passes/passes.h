@@ -55,8 +55,8 @@ enum class CalibrationPolicy {
 const char* CalibrationPolicyName(CalibrationPolicy policy);
 
 // True when `node` (a conv in the fused source graph) can execute the quantized int8
-// kernel: constant weight, no fused residual add (int8's legality window, like
-// Winograd's), and calibrated ranges for both its data input and its output.
+// kernel: constant weight and calibrated ranges for both its data input and its output.
+// A fused residual add is legal: the u8 epilogue adds it (sum fusion).
 bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibration);
 
 // Post-training quantization rewrite. `schedules` maps conv node id -> chosen schedule
@@ -79,7 +79,12 @@ bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibrati
 //     correction) to s32;
 //   * consumers that need fp32 read a kDequantize of the conv's integer output; when
 //     NO consumer stays integer the dequantization fuses into the conv epilogue
-//     instead (ConvQuant::requant = false) and no kDequantize node is emitted.
+//     instead (ConvQuant::requant = false) and no kDequantize node is emitted;
+//   * a conv's fused residual (IntelCaffe's sum fusion, in both templates) reads the
+//     producer's integer tensor when there is one, with its (scale, zero point) on
+//     qin_scales/qin_zeros; a quantized conv otherwise reads the codes of an existing
+//     quantize of the f32 source, or the f32 tensor. A residual read is not integer
+//     demand: it never makes its producer requantize.
 // On return *schedules is re-keyed to the rewritten graph's conv ids, and
 // *dense_schedules (optional; dense node id -> tuned GEMM schedule) likewise.
 Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,

@@ -50,7 +50,7 @@ const char* CalibrationPolicyName(CalibrationPolicy policy) {
 
 bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibration) {
   const Node& node = graph.node(id);
-  if (!node.IsConv() || node.attrs.epilogue.residual_add) {
+  if (!node.IsConv()) {
     return false;
   }
   const Node& weight = graph.node(node.inputs[1]);
@@ -201,6 +201,28 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
     return in;
   };
 
+  // The residual a quantized conv adds in its epilogue (sum fusion): the producer's
+  // integer tensor when there is one, else the codes of an existing quantize of the f32
+  // source, else the f32 tensor. An integer read records its (scale, zero point) on
+  // qin_scales/qin_zeros.
+  auto residual_input = [&](int src, NodeAttrs* attrs) {
+    const QInfo& q = qinfo[static_cast<std::size_t>(src)];
+    if (q.integer) {
+      attrs->qin_scales = {q.scale};
+      attrs->qin_zeros = {q.zero};
+      return q.int_id;
+    }
+    const int fsrc = rw.Lookup(src);
+    const auto it = quantize_nodes.find(fsrc);
+    if (it == quantize_nodes.end()) {
+      return fsrc;
+    }
+    const NodeAttrs& qattrs = rw.dst().node(it->second).attrs;
+    attrs->qin_scales = {qattrs.qscale};
+    attrs->qin_zeros = {qattrs.qzero};
+    return it->second;
+  };
+
   // Rewrites quantized conv or dense `id` onto its u8 input. The output requantizes
   // to u8 iff `requant` (something downstream reads it as integer); otherwise the
   // epilogue dequantizes to f32. Returns the rewritten node id.
@@ -223,6 +245,9 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
     std::vector<int> inputs = {in.int_id};
     for (std::size_t i = 1; i < node.inputs.size(); ++i) {
       inputs.push_back(rw.Lookup(node.inputs[i]));
+    }
+    if (node.IsConv() && node.attrs.epilogue.residual_add) {
+      inputs.back() = residual_input(node.inputs.back(), &attrs);
     }
     const int new_id =
         rw.dst().AddNode(node.type, std::move(inputs), std::move(attrs), node.name);
@@ -319,11 +344,10 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
 
     if (node.IsConv() && node.attrs.epilogue.residual_add && node.inputs.size() >= 2 &&
         qinfo[static_cast<std::size_t>(node.inputs.back())].integer) {
-      // IntelCaffe's "sum fusion": an fp32 conv with a fused residual add reads an
+      // IntelCaffe's "sum fusion" on a residual conv that stays fp32: it reads an
       // INTEGER residual directly and dequantizes it inside the epilogue (the rescale
-      // params ride on qin_scales/qin_zeros). This deletes the standalone kDequantize
-      // that the residual read of a pooled integer tensor would otherwise force — on
-      // resnet-style stems, the only f32 reader the integer maxpool output has left.
+      // params ride on qin_scales/qin_zeros), so the residual read forces no
+      // standalone kDequantize.
       const QInfo& res_q = qinfo[static_cast<std::size_t>(node.inputs.back())];
       NodeAttrs attrs = node.attrs;
       attrs.qin_scales = {res_q.scale};

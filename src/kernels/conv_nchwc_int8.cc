@@ -42,7 +42,8 @@ bool SetConvNCHWcS8IsaOverride(const char* name) { return detail::Tiers().Pin(na
 void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& input,
                  const Tensor& weight, const Tensor* bias, const Tensor& multiplier,
                  const ConvEpilogue& epilogue, bool requant, Tensor* output,
-                 ThreadEngine* engine, std::int32_t out_zero, std::int32_t in_zero) {
+                 ThreadEngine* engine, std::int32_t out_zero, std::int32_t in_zero,
+                 const S8Residual& residual) {
   NEOCPU_CHECK(IsInt8Templated(s))
       << "int8 conv has no template instantiation for " << s.ToString();
   NEOCPU_CHECK_LE(s.ic_bn, kMaxChannelBlock);
@@ -65,7 +66,14 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
   NEOCPU_CHECK_EQ(weight.dim(4), s.ic_bn);
   NEOCPU_CHECK_EQ(weight.dim(5), s.oc_bn);
   NEOCPU_CHECK(!epilogue.bias || (bias != nullptr && bias->dtype() == DType::kS32));
-  NEOCPU_CHECK(!epilogue.residual_add) << "int8 conv does not fuse residual adds";
+  NEOCPU_CHECK_EQ(epilogue.residual_add, residual.tensor != nullptr)
+      << "conv_nchwc_s8: a residual tensor is required iff epilogue.residual_add";
+  if (residual.tensor != nullptr) {
+    CheckKernelInput(*residual.tensor, output->dims(), "conv_nchwc_s8 residual");
+    NEOCPU_CHECK(residual.tensor->dtype() == DType::kU8 ||
+                 (residual.tensor->dtype() == DType::kF32 && residual.zero == 0))
+        << residual.tensor->DebugString();
+  }
 
   detail::S8ConvArgs a;
   a.n = p.batch;
@@ -109,6 +117,12 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
   std::memset(a.pad_col, a.in_zero, sizeof(a.pad_col));
   a.out_zero = requant ? out_zero : 0;
   a.out = output->data();
+  if (residual.tensor != nullptr) {
+    a.res = residual.tensor->data();
+    a.res_u8 = residual.tensor->dtype() == DType::kU8;
+    a.res_mult = residual.mult;
+    a.res_zero = residual.zero;
+  }
 
   const detail::S8RowFn row_fn = detail::Tiers().Active().fn;
   ThreadEngine& eng = EngineOrSerial(engine);

@@ -2,10 +2,11 @@
 //
 // The int8 sibling of conv_nchwc.cc (Algorithm 1): the same disjoint-output-chunk
 // parallelization and reg_n x oc_bn register blocking, with s32 accumulators and the
-// quantization epilogue fused in — per-output-channel multiplier (in_scale * w_scale[oc]
-// [/ out_scale]), s32 bias, ReLU in the integer domain, and either a requantize store to
-// u8 or a dequantize store to f32. Activations are u8 with a zero point, weights are
-// per-output-channel s8: IntelCaffe's format, the one vpdpbusd accelerates.
+// quantization epilogue fused in — s32 bias, per-output-channel multiplier (in_scale *
+// w_scale[oc] [/ out_scale]), an optional residual add (IntelCaffe's sum fusion), ReLU,
+// and either a requantize store to u8 or a dequantize store to f32. Activations are u8
+// with a zero point, weights are per-output-channel s8: IntelCaffe's format, the one
+// vpdpbusd accelerates.
 //
 // Two ISA tiers: the portable baseline (plain loops + `omp simd`, the reference that
 // parity tests and non-VNNI hosts run) and AVX-512 VNNI (one vpdpbusd per 4-channel
@@ -33,16 +34,26 @@ namespace neocpu {
 //             in_scale * w_scale[oc] when dequantizing to f32
 // output:     preallocated NCHW[oc_bn]c: u8 when `requant` (stores add `out_zero`
 //             before the 0..255 clamp), f32 otherwise
-// Residual epilogues are not supported in int8 (quantization legality excludes them,
-// like Winograd); epilogue.relu applies in the integer domain before the store.
-// `in_zero` is the input's zero point: the kernel reads a virtual `in_zero` byte at
-// padded positions (f32 zero == the zero point) so the whole-tap bias fold stays exact
-// on borders.
+// residual:   required iff epilogue.residual_add (S8Residual)
+// The epilogue computes (acc + bias) * multiplier + (residual - zero) * residual.mult in
+// float, the f32 template's order, then applies epilogue.relu and stores; the requantize
+// store rounds to nearest even. `in_zero` is the input's zero point: the kernel reads a
+// virtual `in_zero` byte at padded positions (f32 zero == the zero point) so the
+// whole-tap bias fold stays exact on borders.
+struct S8Residual {
+  // The output's dims and NCHW[oc_bn]c layout; u8 codes or f32.
+  const Tensor* tensor = nullptr;
+  // The residual's scale (1 for f32), divided by the output scale when requantizing.
+  float mult = 1.0f;
+  std::int32_t zero = 0;  // the u8 residual's zero point; 0 for f32
+};
+
 void ConvNCHWcS8(const Conv2dParams& params, const ConvSchedule& schedule,
                  const Tensor& input, const Tensor& weight, const Tensor* bias,
                  const Tensor& multiplier, const ConvEpilogue& epilogue, bool requant,
                  Tensor* output, ThreadEngine* engine = nullptr,
-                 std::int32_t out_zero = 0, std::int32_t in_zero = 0);
+                 std::int32_t out_zero = 0, std::int32_t in_zero = 0,
+                 const S8Residual& residual = {});
 
 // Name of the ISA variant the dispatcher would run on this host ("baseline" or
 // "avx512vnni") — surfaced by benches and tests.

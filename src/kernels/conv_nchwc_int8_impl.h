@@ -11,7 +11,6 @@
 #ifndef NEOCPU_SRC_KERNELS_CONV_NCHWC_INT8_IMPL_COMMON_
 #define NEOCPU_SRC_KERNELS_CONV_NCHWC_INT8_IMPL_COMMON_
 
-#include <cmath>
 #include <cstdint>
 
 #if defined(__AVX512VNNI__) && defined(__AVX512VL__)
@@ -54,6 +53,14 @@ struct S8ConvArgs {
   std::uint8_t pad_col[kMaxChannelBlock] = {};
   std::int32_t out_zero = 0;  // output zero point (requant only)
   void* out = nullptr;
+  // What a bias-free epilogue adds: zeros, so the store loop never branches on bias.
+  std::int32_t zero_bias[kMaxChannelBlock] = {};
+  // Fused residual add, laid out like `out` (null when none): u8 codes or f32. The
+  // epilogue adds (res - res_zero) * res_mult; res_zero is 0 for f32.
+  const void* res = nullptr;
+  bool res_u8 = false;
+  float res_mult = 1.0f;
+  std::int32_t res_zero = 0;
 };
 
 using S8RowFn = void (*)(const S8ConvArgs&, std::int64_t row);
@@ -237,31 +244,69 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::uint8_t* __restrict u_n,
   }
 }
 
-// Epilogue for `count` positions starting at ow0: bias add, integer ReLU, per-channel
-// scale, store to u8 (requant, offset by the output zero point) or f32 (dequant).
-inline void StoreSegment(const S8ConvArgs& a, const std::int32_t* acc,
-                         const std::int32_t* bias_o, const float* mult_o, void* out_row,
-                         std::int64_t ow0, std::int64_t count) {
+// Epilogue for `count` positions starting at ow0, in the f32 template's order: bias,
+// per-channel scale, residual add, ReLU, then a requantize store to u8 (offset by the
+// output zero point) or an f32 store. RES is the residual kind: 0 none, 1 u8 codes,
+// 2 f32. The loops over the channel block are branch-free so they vectorize; rounding is
+// rint (nearest even, like lrintf) with the clamp to 0..255 done in float, which
+// saturates values beyond the s32 range. The owning TUs build with -ffp-contract=off,
+// so no tier fuses the multiply-adds and both tiers round identically.
+template <int RES, bool REQUANT>
+void StoreSegmentAs(const S8ConvArgs& a, const std::int32_t* __restrict acc,
+                    const std::int32_t* __restrict bias_o, const float* __restrict mult_o,
+                    const void* res_row, void* out_row, std::int64_t ow0,
+                    std::int64_t count) {
   const std::int64_t ocb = a.ocb;
+  const float lo = a.relu ? 0.0f : -__builtin_inff();
+  const float res_mult = a.res_mult;
+  const std::int32_t res_zero = a.res_zero;
+  const float out_zero = static_cast<float>(a.out_zero);
   for (std::int64_t r = 0; r < count; ++r) {
+    const std::int64_t at = (ow0 + r) * ocb;
+    const std::int32_t* __restrict acc_r = acc + r * ocb;
+#pragma omp simd
     for (std::int64_t j = 0; j < ocb; ++j) {
-      std::int32_t v = acc[r * ocb + j];
-      if (bias_o != nullptr) {
-        v += bias_o[j];
+      float v = static_cast<float>(acc_r[j] + bias_o[j]) * mult_o[j];
+      if constexpr (RES == 1) {
+        const std::int32_t code = static_cast<const std::uint8_t*>(res_row)[at + j];
+        v += static_cast<float>(code - res_zero) * res_mult;
+      } else if constexpr (RES == 2) {
+        v += static_cast<const float*>(res_row)[at + j] * res_mult;
       }
-      if (a.relu && v < 0) {
-        v = 0;
-      }
-      const float scaled = static_cast<float>(v) * mult_o[j];
-      const std::int64_t at = (ow0 + r) * ocb + j;
-      if (a.requant) {
-        std::int32_t q = static_cast<std::int32_t>(std::lrintf(scaled)) + a.out_zero;
-        q = q > 255 ? 255 : (q < 0 ? 0 : q);
-        static_cast<std::uint8_t*>(out_row)[at] = static_cast<std::uint8_t>(q);
+      v = v < lo ? lo : v;
+      if constexpr (REQUANT) {
+        float q = __builtin_rintf(v) + out_zero;
+        q = q < 0.0f ? 0.0f : (q > 255.0f ? 255.0f : q);
+        static_cast<std::uint8_t*>(out_row)[at + j] =
+            static_cast<std::uint8_t>(static_cast<std::int32_t>(q));
       } else {
-        static_cast<float*>(out_row)[at] = scaled;
+        static_cast<float*>(out_row)[at + j] = v;
       }
     }
+  }
+}
+
+template <int RES>
+void StoreSegmentRes(const S8ConvArgs& a, const std::int32_t* acc,
+                     const std::int32_t* bias_o, const float* mult_o, const void* res_row,
+                     void* out_row, std::int64_t ow0, std::int64_t count) {
+  if (a.requant) {
+    StoreSegmentAs<RES, true>(a, acc, bias_o, mult_o, res_row, out_row, ow0, count);
+  } else {
+    StoreSegmentAs<RES, false>(a, acc, bias_o, mult_o, res_row, out_row, ow0, count);
+  }
+}
+
+inline void StoreSegment(const S8ConvArgs& a, const std::int32_t* acc,
+                         const std::int32_t* bias_o, const float* mult_o,
+                         const void* res_row, void* out_row, std::int64_t ow0,
+                         std::int64_t count) {
+  if (res_row == nullptr) {
+    StoreSegmentRes<0>(a, acc, bias_o, mult_o, res_row, out_row, ow0, count);
+  } else if (a.res_u8) {
+    StoreSegmentRes<1>(a, acc, bias_o, mult_o, res_row, out_row, ow0, count);
+  } else {
+    StoreSegmentRes<2>(a, acc, bias_o, mult_o, res_row, out_row, ow0, count);
   }
 }
 
@@ -338,19 +383,24 @@ void NEOCPU_S8_ROW_FN(const S8ConvArgs& a, std::int64_t row) {
 
   const std::uint8_t* in_n = a.in + n * a.in_sn;
   const std::int8_t* w_o = a.w + oco * a.w_so;
-  const std::int32_t* bias_o = a.bias != nullptr ? a.bias + oco * a.ocb : nullptr;
+  const std::int32_t* bias_o = a.bias != nullptr ? a.bias + oco * a.ocb : a.zero_bias;
   const float* mult_o = a.mult + oco * a.ocb;
   const std::int64_t out_off = n * a.out_sn + oco * a.out_sc + oh * a.out_sh;
   void* out_row = a.requant
                       ? static_cast<void*>(static_cast<std::uint8_t*>(a.out) + out_off)
                       : static_cast<void*>(static_cast<float*>(a.out) + out_off);
+  const void* res_row =
+      a.res == nullptr ? nullptr
+      : a.res_u8       ? static_cast<const void*>(static_cast<const std::uint8_t*>(a.res) +
+                                                  out_off)
+                       : static_cast<const void*>(static_cast<const float*>(a.res) + out_off);
 
   std::int32_t acc[kMaxRegN * kMaxChannelBlock];
   const v::MicroPair micro = v::SelectMicro(a.ocb, a.reg_n, a.unroll_ker);
   for (std::int64_t ow = 0; ow < a.ow; ow += a.reg_n) {
     const bool interior = ow >= a.ow_lo && ow + a.reg_n <= a.ow_hi;
     (interior ? micro.interior : micro.guarded)(a, in_n, w_o, oh, ow, acc);
-    v::StoreSegment(a, acc, bias_o, mult_o, out_row, ow,
+    v::StoreSegment(a, acc, bias_o, mult_o, res_row, out_row, ow,
                     a.reg_n < a.ow - ow ? a.reg_n : a.ow - ow);
   }
 }

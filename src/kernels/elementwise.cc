@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/base/logging.h"
+#include "src/kernels/quantize.h"
 #include "src/tensor/tensor_check.h"
 
 namespace neocpu {
@@ -112,8 +113,8 @@ void ConcatRescaleCopy(const Tensor& t, float rel_scale, std::int32_t in_zero,
   const std::int64_t cb = t.dim(1);
   const Q* src_base = t.data_as<Q>();
   Q* dst_base = out->data_as<Q>();
-  constexpr std::int32_t kLo = 0;
-  constexpr std::int32_t kHi = 255;
+  constexpr float kLo = 0.0f;
+  constexpr float kHi = 255.0f;
   // Same params on both sides: the "rescale" is the identity, copy bytes.
   const bool identity = rel_scale == 1.0f && in_zero == out_zero;
   ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
@@ -127,9 +128,7 @@ void ConcatRescaleCopy(const Tensor& t, float rel_scale, std::int32_t in_zero,
       for (std::int64_t i = 0; i < cb * plane; ++i) {
         const float v = rel_scale * static_cast<float>(
                                         static_cast<std::int32_t>(src[i]) - in_zero);
-        const std::int32_t q =
-            static_cast<std::int32_t>(std::lrintf(v)) + out_zero;
-        dst[i] = static_cast<Q>(std::clamp(q, kLo, kHi));
+        dst[i] = static_cast<Q>(RoundClamp(v, out_zero, kLo, kHi));
       }
     }
   });

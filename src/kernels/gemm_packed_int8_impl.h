@@ -17,7 +17,6 @@
 #ifndef NEOCPU_SRC_KERNELS_GEMM_PACKED_INT8_IMPL_COMMON_
 #define NEOCPU_SRC_KERNELS_GEMM_PACKED_INT8_IMPL_COMMON_
 
-#include <cmath>
 #include <cstdint>
 
 #if defined(__AVX512VNNI__) && defined(__AVX512VL__)
@@ -155,7 +154,9 @@ inline void MicroEdgeU8(const GemmS8Args& a, const std::uint8_t* ap,
 }
 
 // Epilogue for one micro tile at C(i0, j0): bias add, integer ReLU, per-column scale,
-// store to u8 (requant) or f32 (dequant). rows/cols guard the padded tile edges.
+// store to u8 (requant) or f32 (dequant). rows/cols guard the padded tile edges. The
+// requantize store rounds with rint (nearest even, like lrintf) and clamps in float,
+// which vectorizes and saturates values beyond the s32 range.
 inline void StoreTileS8(const GemmS8Args& a, const std::int32_t* acc, std::int64_t i0,
                         std::int64_t j0, std::int64_t rows, std::int64_t cols) {
   const std::int64_t nr = a.nr;
@@ -173,9 +174,10 @@ inline void StoreTileS8(const GemmS8Args& a, const std::int32_t* acc, std::int64
       }
       const float scaled = static_cast<float>(v) * mult_j[j];
       if (a.requant) {
-        std::int32_t q = static_cast<std::int32_t>(std::lrintf(scaled)) + a.out_zero;
-        q = q > 255 ? 255 : (q < 0 ? 0 : q);
-        static_cast<std::uint8_t*>(a.c)[at0 + j] = static_cast<std::uint8_t>(q);
+        float q = __builtin_rintf(scaled) + static_cast<float>(a.out_zero);
+        q = q < 0.0f ? 0.0f : (q > 255.0f ? 255.0f : q);
+        static_cast<std::uint8_t*>(a.c)[at0 + j] =
+            static_cast<std::uint8_t>(static_cast<std::int32_t>(q));
       } else {
         static_cast<float*>(a.c)[at0 + j] = scaled;
       }

@@ -19,10 +19,10 @@ void Quantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor*
   std::uint8_t* dst = out->data_as<std::uint8_t>();
   ParallelFor(EngineOrSerial(engine), input.NumElements(),
               [&](std::int64_t begin, std::int64_t end) {
+#pragma omp simd
                 for (std::int64_t i = begin; i < end; ++i) {
-                  const std::int32_t q =
-                      static_cast<std::int32_t>(std::lrintf(src[i] * inv)) + zero_point;
-                  dst[i] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
+                  dst[i] = static_cast<std::uint8_t>(
+                      RoundClamp(src[i] * inv, zero_point, 0.0f, 255.0f));
                 }
               });
 }
@@ -63,9 +63,9 @@ void QuantizeConvWeightsPerOC(const Tensor& w_oihw, Tensor* w_s8,
     (*scales)[static_cast<std::size_t>(o)] = scale;
     const float inv = 1.0f / scale;
     std::int8_t* qrow = dst + o * per_oc;
+    constexpr float kMax = static_cast<float>(kS8QuantMax);
     for (std::int64_t i = 0; i < per_oc; ++i) {
-      const std::int32_t q = static_cast<std::int32_t>(std::lrintf(row[i] * inv));
-      qrow[i] = static_cast<std::int8_t>(std::clamp(q, -kS8QuantMax, kS8QuantMax));
+      qrow[i] = static_cast<std::int8_t>(RoundClamp(row[i] * inv, 0, -kMax, kMax));
     }
   }
 }

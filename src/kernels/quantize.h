@@ -20,6 +20,15 @@ namespace neocpu {
 // scale * 127 == max|w| exactly round-trip the range endpoints.
 inline constexpr std::int32_t kS8QuantMax = 127;
 
+// round(v) + zero, clamped to [lo, hi]: the store every quantizing kernel makes.
+// Rounds with rint (nearest even, like lrintf) and clamps in float, branch-free so loops
+// over it vectorize; values beyond the s32 range saturate instead of wrapping.
+inline std::int32_t RoundClamp(float v, std::int32_t zero, float lo, float hi) {
+  float q = __builtin_rintf(v) + static_cast<float>(zero);
+  q = q < lo ? lo : (q > hi ? hi : q);
+  return static_cast<std::int32_t>(q);
+}
+
 // Affine u8 parameters covering [lo, hi]: scale = (hi - lo) / 255 (floored away from
 // zero so a degenerate all-zero range stays invertible), zero_point = round(-lo /
 // scale) clamped to [0, 255]. The range is first widened to include 0 so the zero
@@ -27,8 +36,7 @@ inline constexpr std::int32_t kS8QuantMax = 127;
 // and zero padding stay exact in u8).
 void AffineScaleZeroPoint(float lo, float hi, float* scale, std::int32_t* zero_point);
 
-// f32 -> u8: q = clamp(round(x / scale) + zero_point, 0, 255). Rounding is lrintf
-// (round-to-nearest-even, the hardware cvtps2dq mode).
+// f32 -> u8: q = clamp(round(x / scale) + zero_point, 0, 255) (RoundClamp).
 void Quantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
               ThreadEngine* engine = nullptr);
 

@@ -7,6 +7,7 @@
 #ifndef NEOCPU_SRC_TENSOR_LAYOUT_H_
 #define NEOCPU_SRC_TENSOR_LAYOUT_H_
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -38,6 +39,7 @@ struct Layout {
   static Layout Flat() { return {LayoutKind::kFlat, 0, 0, 0}; }
 
   bool operator==(const Layout& other) const = default;
+  auto operator<=>(const Layout& other) const = default;
 
   bool IsBlockedFeatureMap() const { return kind == LayoutKind::kNCHWc; }
 

@@ -98,17 +98,18 @@ GlobalProblem ExtractGlobalProblem(const Graph& graph, const LocalSearchMap& loc
     escapes[static_cast<std::size_t>(out)] = 1;
   }
   // QuantizeGraph executes pooling natively in the integer domain, so a value "stays
-  // integer" when it neither escapes nor reaches a consumer outside {conv data reads,
-  // pools that themselves stay integer}. Concat also has an integer form, but it
-  // additionally needs its own calibrated range and every input integer — unknown at
-  // costing time, so it stays a (conservative) boundary here.
+  // integer" when it neither escapes nor reaches a consumer outside {conv data and
+  // residual reads, pools that themselves stay integer}. Concat also has an integer
+  // form, but it additionally needs its own calibrated range and every input integer —
+  // unknown at costing time, so it stays a (conservative) boundary here.
   std::function<bool(int)> stays_int = [&](int v) -> bool {
     if (escapes[static_cast<std::size_t>(v)] != 0) {
       return false;
     }
     for (int c : consumers[static_cast<std::size_t>(v)]) {
       const Node& cn = graph.node(c);
-      if (cn.IsConv() && cn.inputs[0] == v) {
+      if (cn.IsConv() && (cn.inputs[0] == v || (cn.attrs.epilogue.residual_add &&
+                                                  cn.inputs.back() == v))) {
         continue;
       }
       if ((cn.type == OpType::kMaxPool || cn.type == OpType::kAvgPool) &&
@@ -131,8 +132,8 @@ GlobalProblem ExtractGlobalProblem(const Graph& graph, const LocalSearchMap& loc
     // quantize pass unless the data arrives from another conv — possibly through a
     // pooling chain, which QuantizeGraph keeps in the integer domain — and a
     // dequantize pass when the output reaches any consumer that cannot stay integer
-    // (non-conv non-pool ops, residual/sibling reads, graph outputs). Direct
-    // conv-to-conv boundaries are the edges' job.
+    // (non-conv non-pool ops, graph outputs). Direct conv-to-conv boundaries are the
+    // edges' job.
     double int8_boundary_ms = 0.0;
     const int data = node.inputs[0];
     int p_walk = data;
@@ -150,15 +151,11 @@ GlobalProblem ExtractGlobalProblem(const Graph& graph, const LocalSearchMap& loc
     // One option per (dtype, algo, ic_bn, oc_bn) combination: the combination's
     // cheapest schedule. Transform costs only see the combination, so cheaper
     // same-combination schedules dominate. Winograd options are dropped for convs
-    // whose fused epilogue the kernel cannot execute (residual adds); quantized
-    // options are likewise dropped where int8 is illegal.
+    // whose fused epilogue the kernel cannot execute (residual adds).
     std::vector<ScheduleCost> options;
     for (const ScheduleCost& sc : it->second->ranked) {
       if (sc.schedule.algo == ConvAlgo::kWinograd &&
           !WinogradLegal(node.attrs.conv, node.attrs.epilogue)) {
-        continue;
-      }
-      if (sc.schedule.IsQuantized() && node.attrs.epilogue.residual_add) {
         continue;
       }
       bool seen = false;

@@ -5,6 +5,7 @@
 // fusion, u8-only selection), the quantized dense path, and the module round trip.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <string>
@@ -214,6 +215,150 @@ TEST(ConvNCHWcU8, CrossIsaBitwiseParity) {
   }
   SetConvNCHWcS8IsaOverride(nullptr);
   EXPECT_GE(tiers_run, 1) << "at least the baseline tier must always be available";
+}
+
+// The fused residual epilogue (sum fusion) against a scalar reference, bit for bit, on
+// every tier the host runs and so across tiers: a u8 residual with a nonzero zero point
+// and an f32 one, requantized and dequantized output, ReLU on and off. The 7x13 output
+// with pad 1 at reg_n 8 puts padded edges in both blocks of each row and a tail that
+// stores 5 of its 8 positions. The reference computes
+// (acc + bias) * mult + (res - res_zero) * res_mult, then ReLU, then lrintf + clamp.
+TEST(ConvNCHWcU8, ResidualEpilogueMatchesScalarReferenceOnEveryTier) {
+  const Conv2dParams p{1, 8, 7, 13, 32, 3, 3, 1, 1, 1, 1};
+  ConvSchedule s{8, 16, 8, true};
+  s.dtype = DType::kU8;
+  const std::int64_t icb = s.ic_bn, ocb = s.oc_bn;
+  const std::int64_t oh_n = p.OutH(), ow_n = p.OutW();
+  const std::int32_t in_zero = 131, res_zero = 77, out_zero = 37;
+  const float res_scale = 0.05f, out_scale = 0.04f;
+  Rng rng(29);
+  Tensor in = Tensor::Empty({1, p.in_c / icb, p.in_h, p.in_w, icb}, Layout::NCHWc(icb),
+                            DType::kU8);
+  for (std::int64_t i = 0; i < in.NumElements(); ++i) {
+    in.data_as<std::uint8_t>()[i] = static_cast<std::uint8_t>(rng.NextBounded(256));
+  }
+  Tensor w = Tensor::Empty({p.out_c / ocb, p.in_c / icb, 3, 3, icb, ocb},
+                           Layout::OIHWio(icb, ocb), DType::kS8);
+  for (std::int64_t i = 0; i < w.NumElements(); ++i) {
+    w.data_as<std::int8_t>()[i] = static_cast<std::int8_t>(rng.NextBounded(255)) - 127;
+  }
+  Tensor raw_bias = Tensor::Empty({p.out_c}, Layout::Flat(), DType::kS32);
+  for (std::int64_t o = 0; o < p.out_c; ++o) {
+    raw_bias.data_as<std::int32_t>()[o] =
+        static_cast<std::int32_t>(rng.NextBounded(20000)) - 10000;
+  }
+  Tensor bias = raw_bias.Clone();
+  FoldZeroPointIntoBias(w, in_zero, &bias);
+  const Tensor w_kernel = PackWeightsVnni(w);
+  std::vector<float> base_mult(static_cast<std::size_t>(p.out_c));
+  for (std::int64_t o = 0; o < p.out_c; ++o) {
+    base_mult[static_cast<std::size_t>(o)] = 2e-5f * static_cast<float>(1 + o % 5);
+  }
+
+  const std::vector<std::int64_t> out_dims = {1, p.out_c / ocb, oh_n, ow_n, ocb};
+  Tensor res_u8 = Tensor::Empty(out_dims, Layout::NCHWc(ocb), DType::kU8);
+  for (std::int64_t i = 0; i < res_u8.NumElements(); ++i) {
+    res_u8.data_as<std::uint8_t>()[i] = static_cast<std::uint8_t>(rng.NextBounded(256));
+  }
+  const Tensor res_f32 = Tensor::Random(out_dims, rng, -4.0f, 4.0f, Layout::NCHWc(ocb));
+
+  // Exact integer accumulator plus raw bias per output element (NCHWc order).
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(res_u8.NumElements()));
+  for (std::int64_t oc = 0; oc < p.out_c; ++oc) {
+    for (std::int64_t oh = 0; oh < oh_n; ++oh) {
+      for (std::int64_t ow = 0; ow < ow_n; ++ow) {
+        std::int32_t a = raw_bias.data_as<std::int32_t>()[oc];
+        for (std::int64_t ic = 0; ic < p.in_c; ++ic) {
+          for (std::int64_t kh = 0; kh < 3; ++kh) {
+            for (std::int64_t kw = 0; kw < 3; ++kw) {
+              const std::int64_t ih = oh - 1 + kh, iw = ow - 1 + kw;
+              std::int32_t val = in_zero;
+              if (ih >= 0 && ih < p.in_h && iw >= 0 && iw < p.in_w) {
+                val = in.data_as<std::uint8_t>()
+                          [(((ic / icb) * p.in_h + ih) * p.in_w + iw) * icb + ic % icb];
+              }
+              a += (val - in_zero) *
+                   w.data_as<std::int8_t>()
+                       [(((((oc / ocb) * (p.in_c / icb) + ic / icb) * 3 + kh) * 3 + kw) *
+                             icb +
+                         ic % icb) *
+                            ocb +
+                        oc % ocb];
+            }
+          }
+        }
+        acc[static_cast<std::size_t>((((oc / ocb) * oh_n + oh) * ow_n + ow) * ocb +
+                                     oc % ocb)] = a;
+      }
+    }
+  }
+
+  for (const bool u8_res : {true, false}) {
+    for (const bool requant : {true, false}) {
+      for (const bool relu : {false, true}) {
+        SCOPED_TRACE(std::string(u8_res ? "u8" : "f32") + " residual, " +
+                     (requant ? "requant" : "dequant") + (relu ? ", relu" : ""));
+        const float denom = requant ? out_scale : 1.0f;
+        Tensor mult = Tensor::Empty({p.out_c}, Layout::Flat());
+        for (std::int64_t o = 0; o < p.out_c; ++o) {
+          mult.data()[o] = base_mult[static_cast<std::size_t>(o)] / denom;
+        }
+        S8Residual residual;
+        residual.tensor = u8_res ? &res_u8 : &res_f32;
+        residual.mult = (u8_res ? res_scale : 1.0f) / denom;
+        residual.zero = u8_res ? res_zero : 0;
+        ConvEpilogue epi;
+        epi.bias = true;
+        epi.residual_add = true;
+        epi.relu = relu;
+
+        const DType out_dtype = requant ? DType::kU8 : DType::kF32;
+        Tensor expected = Tensor::Empty(out_dims, Layout::NCHWc(ocb), out_dtype);
+        int clamped = 0;
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+          const std::int64_t oc = (static_cast<std::int64_t>(i) / (oh_n * ow_n * ocb)) *
+                                      ocb +
+                                  static_cast<std::int64_t>(i) % ocb;
+          // volatile keeps the products out of an FMA, as the kernel TUs do.
+          const volatile float scaled = static_cast<float>(acc[i]) * mult.data()[oc];
+          const volatile float res_term =
+              u8_res ? static_cast<float>(res_u8.data_as<std::uint8_t>()[i] - res_zero) *
+                           residual.mult
+                     : res_f32.data()[i] * residual.mult;
+          float v = scaled + res_term;
+          if (relu && v < 0.0f) {
+            v = 0.0f;
+          }
+          if (requant) {
+            long q = std::lrintf(v) + out_zero;
+            clamped += q < 0 || q > 255;
+            q = q < 0 ? 0 : (q > 255 ? 255 : q);
+            expected.data_as<std::uint8_t>()[i] = static_cast<std::uint8_t>(q);
+          } else {
+            expected.data()[i] = v;
+          }
+        }
+        if (requant) {
+          EXPECT_GT(clamped, 0) << "the case should exercise the clamp";
+        }
+
+        int tiers_run = 0;
+        for (const char* tier : kInt8Tiers) {
+          if (!SetConvNCHWcS8IsaOverride(tier)) {
+            continue;  // tier not compiled in or CPU lacks it
+          }
+          Tensor out = Tensor::Empty(out_dims, Layout::NCHWc(ocb), out_dtype);
+          ConvNCHWcS8(p, s, in, w_kernel, &bias, mult, epi, requant, &out, nullptr,
+                      requant ? out_zero : 0, in_zero, residual);
+          EXPECT_EQ(std::memcmp(out.data(), expected.data(), out.SizeBytes()), 0)
+              << "tier " << tier;
+          ++tiers_run;
+        }
+        SetConvNCHWcS8IsaOverride(nullptr);
+        EXPECT_GE(tiers_run, 1);
+      }
+    }
+  }
 }
 
 // Every output position runs the register-blocked template: blocks that touch an image
@@ -567,8 +712,8 @@ TEST(QuantizeGraphU8, ResNet18HasNoS8Activations) {
 }
 
 // A pool read both by a quantized conv and as a conv's residual stays integer: the
-// pool runs on u8 codes, and the residual conv reads them directly and dequantizes
-// inside its epilogue (sum fusion, the rescale params on qin_scales/qin_zeros), so the
+// pool runs on u8 codes, and the residual conv c3 — quantized too — reads them directly
+// in its u8 epilogue (sum fusion, the rescale params on qin_scales/qin_zeros), so the
 // graph needs one entry quantize and no standalone dequantize.
 TEST(QuantizeGraphU8, SumFusionReadsIntegerResidual) {
   GraphBuilder b("sum_fusion");
@@ -580,17 +725,26 @@ TEST(QuantizeGraphU8, SumFusionReadsIntegerResidual) {
   Graph model = b.Finish({b.Add(x, pool)});
 
   CompiledModel compiled = Compile(model, QuantizedOptions());
-  EXPECT_EQ(compiled.stats().num_quantized_convs, 2);  // c3 fuses the residual add
+  EXPECT_EQ(compiled.stats().num_quantized_convs, 3);  // c3 fuses the residual add
   const Graph& g = compiled.graph();
   EXPECT_EQ(g.CountNodes(OpType::kQuantize), 1);
   EXPECT_EQ(g.CountNodes(OpType::kDequantize), 0);
   int fused_residual = 0, integer_pools = 0;
   for (int id = 0; id < g.num_nodes(); ++id) {
     const Node& node = g.node(id);
-    if (node.IsConv() && node.attrs.epilogue.residual_add &&
-        !node.attrs.qin_scales.empty()) {
-      EXPECT_EQ(g.node(node.inputs.back()).out_dtype, DType::kU8) << node.name;
-      EXPECT_EQ(node.attrs.qin_scales.size(), node.attrs.qin_zeros.size());
+    if (node.IsConv() && node.attrs.epilogue.residual_add) {
+      EXPECT_EQ(node.name, "c3");
+      EXPECT_EQ(node.attrs.kernel, ConvKernelKind::kNCHWcS8) << node.name;
+      // {data, w8, b32, residual, multiplier}: the residual is the u8 pool, possibly
+      // through a reblock to the conv's output blocking.
+      int res = node.inputs[node.inputs.size() - 2];
+      if (g.node(res).type == OpType::kLayoutTransform) {
+        res = g.node(res).inputs[0];
+      }
+      EXPECT_EQ(g.node(res).type, OpType::kMaxPool) << node.name;
+      EXPECT_EQ(g.node(res).out_dtype, DType::kU8) << node.name;
+      EXPECT_EQ(node.attrs.qin_scales.size(), 1u);
+      EXPECT_EQ(node.attrs.qin_zeros.size(), 1u);
       ++fused_residual;
     }
     if (node.type == OpType::kMaxPool && node.out_dtype == DType::kU8) {
@@ -605,18 +759,47 @@ TEST(QuantizeGraphU8, SumFusionReadsIntegerResidual) {
   EXPECT_LE(Tensor::MaxAbsDiff(compiled.Run(input), expected), 0.05);
 }
 
-// resnet18's quantized boundary structure. The stem and its maxpool stay f32. Each of
-// the 8 basic blocks quantizes its f32 input once (its first conv and its downsample
-// share the quantize), and the residual conv that ends the block stays f32, reading
-// the dequantizing epilogue of the quantized conv before it: 11 quantized convs, 8
-// quantizes, no standalone dequantize.
+// resnet18's quantized boundary structure. The stem and its maxpool stay f32; one
+// quantize converts the maxpool output, and from there every block stays u8 from its
+// input to its output: the residual conv ending each block adds its shortcut in the u8
+// epilogue, and the last one dequantizes into its f32 output. 19 of 20 convs quantized,
+// one quantize, no standalone dequantize.
 TEST(QuantizeGraphU8, ResNet18BoundaryStructure) {
   Graph model = BuildResNet(18, 1, 64);
   CompiledModel compiled = Compile(model, QuantizedOptions());
-  EXPECT_EQ(compiled.stats().num_quantized_convs, 11);
+  EXPECT_EQ(compiled.stats().num_quantized_convs, 19);
+  EXPECT_EQ(compiled.stats().num_convs, 20);
   const Graph& g = compiled.graph();
-  EXPECT_EQ(g.CountNodes(OpType::kQuantize), 8);
+  EXPECT_EQ(g.CountNodes(OpType::kQuantize), 1);
   EXPECT_EQ(g.CountNodes(OpType::kDequantize), 0);
+  // A residual is read as u8 (with its producer's scale and zero point) wherever u8
+  // codes of it exist; the first block reads the codes of the one quantize. The three
+  // downsampling blocks read their projection's f32 output: a residual read does not
+  // make its producer requantize.
+  int u8_residuals = 0, f32_residuals = 0;
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    const Node& node = g.node(id);
+    if (!node.IsConv() || !node.attrs.epilogue.residual_add) {
+      continue;
+    }
+    ASSERT_EQ(node.attrs.kernel, ConvKernelKind::kNCHWcS8) << node.name;
+    int res = node.inputs[node.inputs.size() - 2];
+    if (g.node(res).type == OpType::kLayoutTransform) {
+      res = g.node(res).inputs[0];
+    }
+    if (g.node(res).out_dtype == DType::kU8) {
+      EXPECT_EQ(node.attrs.qin_zeros.size(), 1u) << node.name;
+      ++u8_residuals;
+      if (node.name == "stage1.unit1.conv2") {
+        EXPECT_EQ(g.node(res).type, OpType::kQuantize) << node.name;
+      }
+    } else {
+      EXPECT_TRUE(node.attrs.qin_scales.empty()) << node.name;
+      ++f32_residuals;
+    }
+  }
+  EXPECT_EQ(u8_residuals, 5);
+  EXPECT_EQ(f32_residuals, 3);
 
   Tensor input = InputFor(model);
   const Tensor expected = Executor(&model).Run(input);

@@ -5,6 +5,9 @@
 // (CI hosts can be 1-core/4-lane).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -72,6 +75,46 @@ TEST(ConvNCHWcS8, RequantAndDequantOutputsAgree) {
   Dequantize(out_u8, out_scale, out_zero, &dequant);
   EXPECT_LE(Tensor::MaxAbsDiff(out_f32, dequant), out_scale * 0.5 + 1e-6);
   EXPECT_STRNE(ConvNCHWcS8IsaName(), "");
+}
+
+// Every quantizing store rounds with rint and clamps in float (RoundClamp). On ties,
+// negatives and values beyond the s32 range it gives the bytes lrintf followed by an
+// integer clamp gives; values beyond +-2^31 saturate instead of wrapping.
+TEST(Quantize, RoundClampMatchesLrintfAndSaturates) {
+  std::vector<float> xs;
+  for (int k = -300; k <= 300; ++k) {
+    for (const float frac : {0.0f, 0.25f, 0.5f, 0.75f}) {
+      xs.push_back(static_cast<float>(k) + frac);  // every ±k.5 is a tie
+    }
+  }
+  for (const float big : {2147483648.0f, 3e9f, 1e12f, 5e18f}) {
+    xs.push_back(big);
+    xs.push_back(-big);
+  }
+  const auto lrintf_clamp = [](float x, std::int32_t zero, long lo, long hi) {
+    const long q = std::lrintf(x) + zero;
+    return q < lo ? lo : (q > hi ? hi : q);
+  };
+  Tensor in = Tensor::Empty({static_cast<std::int64_t>(xs.size())}, Layout::Flat());
+  std::copy(xs.begin(), xs.end(), in.data());
+  Tensor out = Tensor::Empty(in.dims(), in.layout(), DType::kU8);
+  for (const std::int32_t zero : {0, 3, 128, 255}) {
+    Quantize(in, 1.0f, zero, &out);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(out.data_as<std::uint8_t>()[i], lrintf_clamp(xs[i], zero, 0, 255))
+          << "x=" << xs[i] << " zero=" << zero;
+    }
+  }
+  for (const float x : xs) {  // the s8 weight range
+    ASSERT_EQ(RoundClamp(x, 0, -kS8QuantMax, kS8QuantMax),
+              lrintf_clamp(x, 0, -kS8QuantMax, kS8QuantMax))
+        << "x=" << x;
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float x : {1e30f, inf}) {
+    EXPECT_EQ(RoundClamp(x, 128, 0.0f, 255.0f), 255) << x;
+    EXPECT_EQ(RoundClamp(-x, 128, 0.0f, 255.0f), 0) << -x;
+  }
 }
 
 // ------------------------------------------------------------------ pass structure
@@ -149,20 +192,23 @@ TEST(QuantizeGraph, BranchesShareOneQuantizeNode) {
   EXPECT_LE(Tensor::AllCloseViolation(compiled.Run(input), expected, 0.05, 0.05), 0.0);
 }
 
-// Residual-add epilogues are outside int8's legality window: those convs stay fp32
-// even under force_quantize (exactly like Winograd's legality filtering).
-TEST(QuantizeGraph, ResidualConvsStayFp32) {
+// The u8 template fuses a residual add (sum fusion), so under force_quantize every
+// residual conv runs kNCHWcS8; only the 3-channel stem, which has no int8 blocking,
+// stays fp32.
+TEST(QuantizeGraph, ResidualConvsRunNCHWcS8) {
   Graph model = BuildResNet(18, 1, 32);
   CompiledModel compiled = Compile(model, QuantizedOptions(Target::SkylakeAvx512()));
-  EXPECT_GT(compiled.stats().num_quantized_convs, 0);
-  EXPECT_LT(compiled.stats().num_quantized_convs, compiled.stats().num_convs);
+  EXPECT_EQ(compiled.stats().num_quantized_convs, compiled.stats().num_convs - 1);
+  int residual_convs = 0;
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& node = compiled.graph().node(id);
     if (node.IsConv() && node.attrs.epilogue.residual_add) {
-      EXPECT_FALSE(node.attrs.qconv.enabled) << node.name;
-      EXPECT_NE(node.attrs.kernel, ConvKernelKind::kNCHWcS8) << node.name;
+      EXPECT_TRUE(node.attrs.qconv.enabled) << node.name;
+      EXPECT_EQ(node.attrs.kernel, ConvKernelKind::kNCHWcS8) << node.name;
+      ++residual_convs;
     }
   }
+  EXPECT_EQ(residual_convs, 8);
 }
 
 // "ISA gated by Target": int8 beats f32 only through VNNI, so a target without it
