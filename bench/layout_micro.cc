@@ -20,7 +20,7 @@ void BM_NCHWToNCHWc(benchmark::State& state) {
   Tensor src = Tensor::Random({1, c, hw, hw}, rng, -1, 1, Layout::NCHW());
   Tensor dst = Tensor::Empty({1, c / 16, hw, hw, 16}, Layout::NCHWc(16));
   for (auto _ : state) {
-    NCHWToNCHWc(src, 16, &dst);
+    TransformLayout(src, dst.layout(), &dst);
     benchmark::DoNotOptimize(dst.data());
     benchmark::ClobberMemory();
   }
@@ -35,7 +35,7 @@ void BM_NCHWcToNCHW(benchmark::State& state) {
   Tensor src = Tensor::Random({1, 4, hw, hw, 16}, rng, -1, 1, Layout::NCHWc(16));
   Tensor dst = Tensor::Empty({1, 64, hw, hw}, Layout::NCHW());
   for (auto _ : state) {
-    NCHWcToNCHW(src, &dst);
+    TransformLayout(src, dst.layout(), &dst);
     benchmark::DoNotOptimize(dst.data());
     benchmark::ClobberMemory();
   }
@@ -52,7 +52,7 @@ void BM_Reblock16To8(benchmark::State& state) {
   Tensor src = Tensor::Random({1, 4, hw, hw, 16}, rng, -1, 1, Layout::NCHWc(16));
   Tensor dst = Tensor::Empty({1, 8, hw, hw, 8}, Layout::NCHWc(8));
   for (auto _ : state) {
-    NCHWcToNCHWc(src, 8, &dst);
+    TransformLayout(src, dst.layout(), &dst);
     benchmark::DoNotOptimize(dst.data());
     benchmark::ClobberMemory();
   }
@@ -79,7 +79,7 @@ void BM_TransformModelAccuracy(benchmark::State& state) {
   Tensor dst = Tensor::Empty({1, 4, 56, 56, 16}, Layout::NCHWc(16));
   const double predicted_ms = TransformMs(static_cast<std::int64_t>(src.SizeBytes()));
   for (auto _ : state) {
-    NCHWToNCHWc(src, 16, &dst);
+    TransformLayout(src, dst.layout(), &dst);
     benchmark::DoNotOptimize(dst.data());
     benchmark::ClobberMemory();
   }

@@ -54,8 +54,10 @@ int Main() {
   const std::vector<std::string> models = BenchModels();
   auto tuning_cache = std::make_shared<TuningCache>();
 
-  NeoThreadPool neo_pool;
+  // The OMP-style pool first: the bound pool pins this thread while it lives, and
+  // threads started meanwhile would inherit that one-cpu mask.
   OmpStylePool omp_pool;
+  NeoThreadPool neo_pool;
 
   for (const std::string& arch : archs) {
     const Target target = Target::ByName(arch);

@@ -1,6 +1,5 @@
 #include "src/core/op_dispatch.h"
 
-#include <cstring>
 #include <thread>
 
 #include "src/base/logging.h"
@@ -23,26 +22,9 @@
 namespace neocpu {
 namespace {
 
-// f32 staging bytes for an f32 conv's fused integer residual (0 when it has none): the
-// dequantized residual is materialized at the front of the conv's workspace. 64-byte
-// aligned so kernel scratch that follows it in the shared workspace keeps SIMD
-// alignment. The u8 conv reads an integer residual in its epilogue and stages nothing.
-std::size_t ResidualStagingBytes(const Node& node) {
-  if (node.type != OpType::kConv2d || !node.attrs.epilogue.residual_add ||
-      node.attrs.qin_scales.empty() || node.attrs.kernel == ConvKernelKind::kNCHWcS8) {
-    return 0;
-  }
-  std::int64_t elems = 1;
-  for (std::int64_t d : node.out_dims) {
-    elems *= d;
-  }
-  return (static_cast<std::size_t>(elems) * sizeof(float) + 63) & ~std::size_t{63};
-}
-
 // Runs the convolution kernel bound to `node` writing into the preallocated `*out`;
 // `workspace` backs kernel scratch — the im2col column buffer or Winograd's per-worker
-// tile buffers — prefixed by the fused-residual staging region when
-// ResidualStagingBytes > 0.
+// tile buffers.
 void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* out,
                      float* workspace, std::size_t workspace_bytes, ThreadEngine* engine) {
   const Conv2dParams& p = node.attrs.conv;
@@ -66,26 +48,6 @@ void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
     return;
   }
   const Tensor* residual = epi.residual_add ? &in.back() : nullptr;
-  Tensor residual_f32;
-  if (residual != nullptr && residual->dtype() != DType::kF32) {
-    // Fused integer residual (QuantizeGraph's sum fusion): the producer stayed in the
-    // integer domain for its other consumers; this conv rescales the codes back to
-    // f32 on the way into its epilogue add.
-    const std::size_t staging = ResidualStagingBytes(node);
-    NEOCPU_CHECK(workspace != nullptr && staging > 0 && workspace_bytes >= staging)
-        << node.name << ": fused integer residual needs " << staging
-        << " workspace bytes, got " << workspace_bytes;
-    residual_f32 = Tensor::FromExternal(workspace, residual->dims(), residual->layout(),
-                                        DType::kF32);
-    workspace += staging / sizeof(float);
-    workspace_bytes -= staging;
-    if (workspace_bytes == 0) {
-      workspace = nullptr;
-    }
-    Dequantize(*residual, node.attrs.qin_scales.at(0), node.attrs.qin_zeros.at(0),
-               &residual_f32, engine);
-    residual = &residual_f32;
-  }
   switch (node.attrs.kernel) {
     case ConvKernelKind::kDirectNCHW:
       ConvRefNCHW(p, in[0], in[1], bias, residual, epi, out, engine);
@@ -104,27 +66,6 @@ void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
       break;  // dispatched above
   }
   LOG(FATAL) << "unreachable";
-}
-
-// Concatenate {N, C_i} (or flat {C_i}) tensors along the last axis into `*out`.
-void ConcatFlatInto(const std::vector<Tensor>& in, Tensor* out) {
-  const std::int64_t rows = in[0].ndim() >= 2 ? in[0].dim(0) : 1;
-  std::int64_t total_cols = 0;
-  for (const Tensor& t : in) {
-    total_cols += t.NumElements() / rows;
-  }
-  NEOCPU_CHECK(out != nullptr && out->defined());
-  NEOCPU_CHECK_EQ(out->NumElements(), rows * total_cols)
-      << "flat concat output mismatch: " << out->DebugString();
-  std::int64_t col_off = 0;
-  for (const Tensor& t : in) {
-    const std::int64_t cols = t.NumElements() / rows;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      std::memcpy(out->data() + r * total_cols + col_off, t.data() + r * cols,
-                  static_cast<std::size_t>(cols) * sizeof(float));
-    }
-    col_off += cols;
-  }
 }
 
 // Tuned packed-GEMM dense (attrs.has_gemm): the weight input is the pre-packed panel
@@ -174,19 +115,11 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
       // Unsimplified (reference) graphs: fold the statistics on the fly.
       Tensor scale, shift;
       ComputeBnScaleShift(in[1], in[2], in[3], in[4], node.attrs.epsilon, &scale, &shift);
-      if (in[0].ndim() == 5) {
-        ScaleShiftNCHWc(in[0], scale, shift, false, out, engine);
-      } else {
-        ScaleShiftNCHW(in[0], scale, shift, false, out, engine);
-      }
+      ScaleShift(in[0], scale, shift, false, out, engine);
       return;
     }
     case OpType::kScaleShift:
-      if (in[0].ndim() == 5) {
-        ScaleShiftNCHWc(in[0], in[1], in[2], node.attrs.relu, out, engine);
-      } else {
-        ScaleShiftNCHW(in[0], in[1], in[2], node.attrs.relu, out, engine);
-      }
+      ScaleShift(in[0], in[1], in[2], node.attrs.relu, out, engine);
       return;
     case OpType::kRelu:
       Relu(in[0], out, engine);
@@ -195,18 +128,12 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
     case OpType::kAvgPool:
       if (in[0].dtype() == DType::kU8) {
         PoolNCHWcInt(node.attrs.pool, in[0], node.attrs.qzero, out, engine);
-      } else if (in[0].ndim() == 5) {
-        PoolNCHWc(node.attrs.pool, in[0], out, engine);
       } else {
-        PoolNCHW(node.attrs.pool, in[0], out, engine);
+        Pool(node.attrs.pool, in[0], out, engine);
       }
       return;
     case OpType::kGlobalAvgPool:
-      if (in[0].ndim() == 5) {
-        GlobalAvgPoolNCHWc(in[0], out, engine);
-      } else {
-        GlobalAvgPoolNCHW(in[0], out, engine);
-      }
+      GlobalAvgPool(in[0], out, engine);
       return;
     case OpType::kDense:
       if (node.attrs.has_gemm) {
@@ -226,19 +153,17 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
       if (in[0].dtype() == DType::kU8) {
         ConcatChannelsInt(in, node.attrs.qin_scales, node.attrs.qin_zeros,
                           node.attrs.qscale, node.attrs.qzero, out, engine);
-      } else if (in[0].ndim() >= 4) {
-        ConcatChannels(in, out, engine);
       } else {
-        ConcatFlatInto(in, out);
+        ConcatChannels(in, out, engine);
       }
       return;
     case OpType::kFlattenNHWC: {
-      // The planner sizes the flat {N, C*H*W} output; the permutation writes straight
+      // The planner sizes the flat {N, C*H*W} output; the transform writes straight
       // into it through an NHWC-shaped view of the same bytes.
       Tensor nhwc = Tensor::FromExternal(
           out->data(), {in[0].dim(0), in[0].dim(2), in[0].dim(3), in[0].dim(1)},
           Layout::NHWC());
-      NCHWToNHWC(in[0], &nhwc, engine);
+      TransformLayout(in[0], Layout::NHWC(), &nhwc, engine);
       return;
     }
     case OpType::kLayoutTransform:
@@ -338,18 +263,14 @@ std::size_t NodeWorkspaceBytes(const Node& node) {
   if (node.type != OpType::kConv2d) {
     return 0;
   }
-  std::size_t bytes = ResidualStagingBytes(node);
   switch (node.attrs.kernel) {
     case ConvKernelKind::kIm2col:
-      bytes += ConvIm2colWorkspaceBytes(node.attrs.conv);
-      break;
+      return ConvIm2colWorkspaceBytes(node.attrs.conv);
     case ConvKernelKind::kWinograd:
-      bytes += WinogradWorkspaceBytes(node.attrs.conv, MaxPlannedWorkers());
-      break;
+      return WinogradWorkspaceBytes(node.attrs.conv, MaxPlannedWorkers());
     default:
-      break;
+      return 0;
   }
-  return bytes;
 }
 
 std::vector<std::int64_t> PlannedOutputDims(const Node& node) {

@@ -80,11 +80,12 @@ bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibrati
 //   * consumers that need fp32 read a kDequantize of the conv's integer output; when
 //     NO consumer stays integer the dequantization fuses into the conv epilogue
 //     instead (ConvQuant::requant = false) and no kDequantize node is emitted;
-//   * a conv's fused residual (IntelCaffe's sum fusion, in both templates) reads the
+//   * a quantized conv's fused residual (IntelCaffe's sum fusion) reads the
 //     producer's integer tensor when there is one, with its (scale, zero point) on
-//     qin_scales/qin_zeros; a quantized conv otherwise reads the codes of an existing
-//     quantize of the f32 source, or the f32 tensor. A residual read is not integer
-//     demand: it never makes its producer requantize.
+//     qin_scales/qin_zeros, else the codes of an existing quantize of the f32 source,
+//     else the f32 tensor. An f32 conv reads its residual in f32, through the shared
+//     kDequantize like any other f32 reader. A residual read is not integer demand: it
+//     never makes its producer requantize.
 // On return *schedules is re-keyed to the rewritten graph's conv ids, and
 // *dense_schedules (optional; dense node id -> tuned GEMM schedule) likewise.
 Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,

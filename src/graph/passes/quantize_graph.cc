@@ -342,35 +342,9 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
       continue;
     }
 
-    if (node.IsConv() && node.attrs.epilogue.residual_add && node.inputs.size() >= 2 &&
-        qinfo[static_cast<std::size_t>(node.inputs.back())].integer) {
-      // IntelCaffe's "sum fusion" on a residual conv that stays fp32: it reads an
-      // INTEGER residual directly and dequantizes it inside the epilogue (the rescale
-      // params ride on qin_scales/qin_zeros), so the residual read forces no
-      // standalone kDequantize.
-      const QInfo& res_q = qinfo[static_cast<std::size_t>(node.inputs.back())];
-      NodeAttrs attrs = node.attrs;
-      attrs.qin_scales = {res_q.scale};
-      attrs.qin_zeros = {res_q.zero};
-      std::vector<int> inputs;
-      inputs.reserve(node.inputs.size());
-      for (std::size_t i = 0; i + 1 < node.inputs.size(); ++i) {
-        ensure_f32(node.inputs[i]);
-        inputs.push_back(rw.Lookup(node.inputs[i]));
-      }
-      inputs.push_back(res_q.int_id);
-      const int new_id = rw.dst().AddNode(OpType::kConv2d, std::move(inputs),
-                                          std::move(attrs), node.name);
-      rw.dst().node(new_id).out_layout = node.out_layout;
-      rw.MapTo(id, new_id);
-      if (const auto it = schedules->find(id); it != schedules->end()) {
-        remapped[new_id] = it->second;
-      }
-      continue;
-    }
-
-    // Everything else executes in f32: dequantize any integer inputs first (shared,
-    // created on first demand), then copy verbatim.
+    // Everything else executes in f32, an f32 conv's fused residual included:
+    // dequantize any integer inputs first (shared, created on first demand), then copy
+    // verbatim.
     for (int in : node.inputs) {
       ensure_f32(in);
     }

@@ -21,50 +21,21 @@ void ComputeBnScaleShift(const Tensor& gamma, const Tensor& beta, const Tensor& 
   }
 }
 
-void ScaleShiftNCHW(const Tensor& input, const Tensor& scale, const Tensor& shift, bool relu,
-                    Tensor* out, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(input.ndim(), 4);
-  const std::int64_t n = input.dim(0), c = input.dim(1), plane = input.dim(2) * input.dim(3);
-  NEOCPU_CHECK_EQ(scale.NumElements(), c);
-  CheckKernelOutput(out, input.dims(), input.layout(), "scale_shift");
-  const float* in_base = input.data();
-  const float* sc = scale.data();
-  const float* sh = shift.data();
-  float* out_base = out->data();
-  ParallelFor(EngineOrSerial(engine), n * c, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t idx = begin; idx < end; ++idx) {
-      const std::int64_t ch = idx % c;
-      const float s = sc[ch];
-      const float b = sh[ch];
-      const float* src = in_base + idx * plane;
-      float* dst = out_base + idx * plane;
-      for (std::int64_t i = 0; i < plane; ++i) {
-        float v = src[i] * s + b;
-        if (relu) {
-          v = v > 0.0f ? v : 0.0f;
-        }
-        dst[i] = v;
-      }
-    }
-  });
-}
+namespace {
 
-void ScaleShiftNCHWc(const Tensor& input, const Tensor& scale, const Tensor& shift,
-                     bool relu, Tensor* out, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(input.ndim(), 5);
-  const std::int64_t n = input.dim(0), cb = input.dim(1), plane = input.dim(2) * input.dim(3),
-                     x = input.dim(4);
-  NEOCPU_CHECK_EQ(scale.NumElements(), cb * x);
-  CheckKernelOutput(out, input.dims(), input.layout(), "scale_shift");
-  const float* in_base = input.data();
-  const float* sc = scale.data();
-  const float* sh = shift.data();
-  float* out_base = out->data();
-  ParallelFor(EngineOrSerial(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
+// The one scale-shift body over an NCHW[x]c view. kBlock is the block when known at
+// compile time (1 for NCHW, so the inner loop vectorizes over the plane), 0 otherwise.
+template <std::int64_t kBlock>
+void ScaleShiftT(const Tensor& input, const BlockedDims& d, const float* sc,
+                 const float* sh, bool relu, Tensor* out, ThreadEngine* engine) {
+  const std::int64_t x = kBlock > 0 ? kBlock : d.x;
+  const std::int64_t plane = d.h * d.w;
+  const float* in_base = input.data_as<float>();
+  float* out_base = out->data_as<float>();
+  ParallelFor(EngineOrSerial(engine), d.n * d.cb, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t idx = begin; idx < end; ++idx) {
-      const std::int64_t cb_idx = idx % cb;
-      const float* s = sc + cb_idx * x;
-      const float* b = sh + cb_idx * x;
+      const float* s = sc + (idx % d.cb) * x;
+      const float* b = sh + (idx % d.cb) * x;
       const float* src = in_base + idx * plane * x;
       float* dst = out_base + idx * plane * x;
       for (std::int64_t i = 0; i < plane; ++i) {
@@ -78,6 +49,21 @@ void ScaleShiftNCHWc(const Tensor& input, const Tensor& scale, const Tensor& shi
       }
     }
   });
+}
+
+}  // namespace
+
+void ScaleShift(const Tensor& input, const Tensor& scale, const Tensor& shift, bool relu,
+                Tensor* out, ThreadEngine* engine) {
+  const BlockedDims d = BlockedDimsOf(input);
+  NEOCPU_CHECK_EQ(scale.NumElements(), d.channels());
+  NEOCPU_CHECK_EQ(shift.NumElements(), d.channels());
+  CheckKernelOutput(out, input.dims(), d.layout, "scale_shift");
+  if (d.x == 1) {
+    ScaleShiftT<1>(input, d, scale.data(), shift.data(), relu, out, engine);
+  } else {
+    ScaleShiftT<0>(input, d, scale.data(), shift.data(), relu, out, engine);
+  }
 }
 
 }  // namespace neocpu

@@ -17,13 +17,10 @@ namespace neocpu {
 void ComputeBnScaleShift(const Tensor& gamma, const Tensor& beta, const Tensor& mean,
                          const Tensor& var, float epsilon, Tensor* scale, Tensor* shift);
 
-// input NCHW {N,C,H,W}; scale/shift flat {C}; out has the input's dims and layout.
-void ScaleShiftNCHW(const Tensor& input, const Tensor& scale, const Tensor& shift, bool relu,
-                    Tensor* out, ThreadEngine* engine = nullptr);
-
-// input NCHW[x]c {N,C/x,H,W,x}; scale/shift flat {C}.
-void ScaleShiftNCHWc(const Tensor& input, const Tensor& scale, const Tensor& shift,
-                     bool relu, Tensor* out, ThreadEngine* engine = nullptr);
+// y = x * scale[c] + shift[c] (+ReLU). input NCHW {N,C,H,W} or NCHW[x]c
+// {N,C/x,H,W,x}; scale/shift flat {C}; out has the input's dims and layout.
+void ScaleShift(const Tensor& input, const Tensor& scale, const Tensor& shift, bool relu,
+                Tensor* out, ThreadEngine* engine = nullptr);
 
 }  // namespace neocpu
 

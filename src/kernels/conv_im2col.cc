@@ -84,7 +84,7 @@ void ConvIm2col(const Conv2dParams& p, const Tensor& input, const Tensor& weight
   float* packed_a = packed_b + PackedBF32Elems(out_plane, k, s);
   const float* bias_base = epilogue.bias && bias != nullptr ? bias->data() : nullptr;
   const float* res_base =
-      epilogue.residual_add && residual != nullptr ? residual->data() : nullptr;
+      epilogue.residual_add && residual != nullptr ? residual->data_as<float>() : nullptr;
   // The conv bias is per output channel — a per-M broadcast, which the GEMM epilogue
   // (per-N bias) cannot express; ReLU fuses into the GEMM only when it is the whole
   // epilogue.

@@ -20,8 +20,9 @@ namespace neocpu {
 // GEMM panels, all reused across batch images.
 std::size_t ConvIm2colWorkspaceBytes(const Conv2dParams& params);
 
-// input NCHW; weight OIHW; output preallocated NCHW. `workspace` (optional) must hold
-// ConvIm2colWorkspaceBytes(params); when null the kernel allocates its column buffer.
+// input NCHW; weight OIHW; residual f32 NCHW or null; output preallocated NCHW.
+// `workspace` (optional) must hold ConvIm2colWorkspaceBytes(params); when null the
+// kernel allocates its column buffer.
 void ConvIm2col(const Conv2dParams& params, const Tensor& input, const Tensor& weight,
                 const Tensor* bias, const Tensor* residual, const ConvEpilogue& epilogue,
                 Tensor* output, ThreadEngine* engine = nullptr, float* workspace = nullptr);

@@ -100,7 +100,7 @@ void ConvNCHWc(const Conv2dParams& p, const ConvSchedule& s, const Tensor& input
   d.in = input.data();
   d.w = weight.data();
   d.bias = epilogue.bias ? bias->data() : nullptr;
-  d.res = epilogue.residual_add ? residual->data() : nullptr;
+  d.res = epilogue.residual_add ? residual->data_as<float>() : nullptr;
   d.relu = epilogue.relu;
   d.out = output->data();
 

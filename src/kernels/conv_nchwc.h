@@ -26,7 +26,7 @@ namespace neocpu {
 // input:    NCHW[ic_bn]c, dims {N, IC/ic_bn, IH, IW, ic_bn}
 // weight:   OIHW[ic_bn]i[oc_bn]o, dims {OC/oc_bn, IC/ic_bn, KH, KW, ic_bn, oc_bn}
 // bias:     flat {OC} (required iff epilogue.bias)
-// residual: same layout/dims as output (required iff epilogue.residual_add)
+// residual: f32, same layout/dims as output (required iff epilogue.residual_add)
 // output:   preallocated NCHW[oc_bn]c, dims {N, OC/oc_bn, OH, OW, oc_bn}
 void ConvNCHWc(const Conv2dParams& params, const ConvSchedule& schedule, const Tensor& input,
                const Tensor& weight, const Tensor* bias, const Tensor* residual,

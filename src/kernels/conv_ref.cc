@@ -20,7 +20,7 @@ void ConvRefNCHW(const Conv2dParams& p, const Tensor& input, const Tensor& weigh
   const float* w_base = weight.data();
   const float* bias_base = epilogue.bias && bias != nullptr ? bias->data() : nullptr;
   const float* res_base =
-      epilogue.residual_add && residual != nullptr ? residual->data() : nullptr;
+      epilogue.residual_add && residual != nullptr ? residual->data_as<float>() : nullptr;
   float* out_base = output->data();
 
   ThreadEngine& eng = EngineOrSerial(engine);

@@ -14,7 +14,7 @@
 namespace neocpu {
 
 // input NCHW {N, IC, IH, IW}; weight OIHW {OC, IC, KH, KW}; bias flat {OC} or null;
-// residual NCHW (same dims as output) or null; output preallocated NCHW.
+// residual f32 NCHW (same dims as output) or null; output preallocated NCHW.
 void ConvRefNCHW(const Conv2dParams& params, const Tensor& input, const Tensor& weight,
                  const Tensor* bias, const Tensor* residual, const ConvEpilogue& epilogue,
                  Tensor* output, ThreadEngine* engine = nullptr);

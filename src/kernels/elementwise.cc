@@ -41,91 +41,86 @@ void AddElementwise(const Tensor& a, const Tensor& b, bool relu, Tensor* out,
   });
 }
 
-void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out, ThreadEngine* engine) {
+namespace {
+
+// Checks that `inputs` concatenate along the channel axis into `out` and returns the
+// batch. A 4-D NCHW, 5-D NCHW[x]c or flat {N, C} tensor (flat {C}: a batch of 1) holds
+// each sample's channels as one contiguous run, so the concat copies, per sample, one
+// run per input at its channel offset. The inputs share every dim but the channel
+// (block) axis, and their layout, hence one common block.
+std::int64_t CheckConcat(const std::vector<Tensor>& inputs, const Tensor* out,
+                         const char* op) {
   NEOCPU_CHECK(!inputs.empty());
-  NEOCPU_CHECK(out != nullptr);
   const Tensor& first = inputs.front();
+  const int rank = first.ndim();
   const LayoutKind kind = first.layout().kind;
-  NEOCPU_CHECK(kind == LayoutKind::kNCHW || kind == LayoutKind::kNCHWc);
-
-  if (kind == LayoutKind::kNCHW) {
-    const std::int64_t n = first.dim(0), h = first.dim(2), w = first.dim(3);
-    std::int64_t total_c = 0;
-    for (const Tensor& t : inputs) {
-      NEOCPU_CHECK_EQ(t.ndim(), 4);
-      NEOCPU_CHECK_EQ(t.dim(0), n);
-      NEOCPU_CHECK_EQ(t.dim(2), h);
-      NEOCPU_CHECK_EQ(t.dim(3), w);
-      total_c += t.dim(1);
-    }
-    CheckKernelOutput(out, {n, total_c, h, w}, Layout::NCHW(), "concat");
-    const std::int64_t plane = h * w;
-    std::int64_t c_off = 0;
-    for (const Tensor& t : inputs) {
-      const std::int64_t c = t.dim(1);
-      ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t ni = begin; ni < end; ++ni) {
-          std::memcpy(out->data() + (ni * total_c + c_off) * plane,
-                      t.data() + ni * c * plane,
-                      static_cast<std::size_t>(c * plane) * sizeof(float));
-        }
-      });
-      c_off += c;
-    }
-    return;
-  }
-
-  // NCHWc: all inputs must share the block size; blocks are concatenated along C/x.
-  const std::int64_t x = first.dim(4);
-  const std::int64_t n = first.dim(0), h = first.dim(2), w = first.dim(3);
-  std::int64_t total_cb = 0;
+  NEOCPU_CHECK(rank == 1 || rank == 2 || (rank == 4 && kind == LayoutKind::kNCHW) ||
+               (rank == 5 && kind == LayoutKind::kNCHWc))
+      << op << ": cannot concat " << first.DebugString();
+  const std::size_t axis = rank == 1 ? 0 : 1;
+  std::vector<std::int64_t> dims = first.dims();
+  dims[axis] = 0;
   for (const Tensor& t : inputs) {
-    NEOCPU_CHECK_EQ(t.ndim(), 5);
-    NEOCPU_CHECK_EQ(t.dim(4), x) << "concat requires one common channel block";
-    NEOCPU_CHECK_EQ(t.dim(0), n);
-    NEOCPU_CHECK_EQ(t.dim(2), h);
-    NEOCPU_CHECK_EQ(t.dim(3), w);
-    total_cb += t.dim(1);
+    NEOCPU_CHECK(t.layout() == first.layout())
+        << op << ": concat requires one common channel block, got "
+        << t.layout().ToString() << " and " << first.layout().ToString();
+    NEOCPU_CHECK_EQ(t.ndim(), rank);
+    NEOCPU_CHECK(t.dtype() == first.dtype()) << t.DebugString();
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      NEOCPU_CHECK(i == axis || t.dims()[i] == dims[i])
+          << op << ": concat dims mismatch, " << t.DebugString() << " vs "
+          << first.DebugString();
+    }
+    dims[axis] += t.dims()[axis];
   }
-  CheckKernelOutput(out, {n, total_cb, h, w, x}, Layout::NCHWc(x), "concat");
-  const std::int64_t plane = h * w * x;
-  std::int64_t cb_off = 0;
+  CheckKernelOutput(out, dims, first.layout(), op);
+  NEOCPU_CHECK(out->dtype() == first.dtype()) << out->DebugString();
+  return rank == 1 ? 1 : dims[0];
+}
+
+}  // namespace
+
+void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out, ThreadEngine* engine) {
+  const std::int64_t n = CheckConcat(inputs, out, "concat");
+  const std::int64_t out_run = out->NumElements() / n;
+  std::int64_t off = 0;
   for (const Tensor& t : inputs) {
-    const std::int64_t cb = t.dim(1);
+    const std::int64_t run = t.NumElements() / n;
+    const float* src = t.data_as<float>();
+    float* dst = out->data_as<float>() + off;
     ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
       for (std::int64_t ni = begin; ni < end; ++ni) {
-        std::memcpy(out->data() + (ni * total_cb + cb_off) * plane,
-                    t.data() + ni * cb * plane,
-                    static_cast<std::size_t>(cb * plane) * sizeof(float));
+        std::memcpy(dst + ni * out_run, src + ni * run,
+                    static_cast<std::size_t>(run) * sizeof(float));
       }
     });
-    cb_off += cb;
+    off += run;
   }
 }
 
 namespace {
 
 void ConcatRescaleCopy(const Tensor& t, float rel_scale, std::int32_t in_zero,
-                       std::int32_t out_zero, std::int64_t n, std::int64_t total_cb,
-                       std::int64_t cb_off, std::int64_t plane, Tensor* out,
-                       ThreadEngine* engine) {
+                       std::int32_t out_zero, std::int64_t n, std::int64_t out_off,
+                       Tensor* out, ThreadEngine* engine) {
   using Q = std::uint8_t;
-  const std::int64_t cb = t.dim(1);
+  const std::int64_t run = t.NumElements() / n;
+  const std::int64_t out_run = out->NumElements() / n;
   const Q* src_base = t.data_as<Q>();
-  Q* dst_base = out->data_as<Q>();
+  Q* dst_base = out->data_as<Q>() + out_off;
   constexpr float kLo = 0.0f;
   constexpr float kHi = 255.0f;
   // Same params on both sides: the "rescale" is the identity, copy bytes.
   const bool identity = rel_scale == 1.0f && in_zero == out_zero;
   ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t ni = begin; ni < end; ++ni) {
-      Q* dst = dst_base + (ni * total_cb + cb_off) * plane;
-      const Q* src = src_base + ni * cb * plane;
+      Q* dst = dst_base + ni * out_run;
+      const Q* src = src_base + ni * run;
       if (identity) {
-        std::memcpy(dst, src, static_cast<std::size_t>(cb * plane) * sizeof(Q));
+        std::memcpy(dst, src, static_cast<std::size_t>(run) * sizeof(Q));
         continue;
       }
-      for (std::int64_t i = 0; i < cb * plane; ++i) {
+      for (std::int64_t i = 0; i < run; ++i) {
         const float v = rel_scale * static_cast<float>(
                                         static_cast<std::int32_t>(src[i]) - in_zero);
         dst[i] = static_cast<Q>(RoundClamp(v, out_zero, kLo, kHi));
@@ -140,44 +135,15 @@ void ConcatChannelsInt(const std::vector<Tensor>& inputs,
                        const std::vector<float>& in_scales,
                        const std::vector<std::int32_t>& in_zeros, float out_scale,
                        std::int32_t out_zero, Tensor* out, ThreadEngine* engine) {
-  NEOCPU_CHECK(!inputs.empty());
-  NEOCPU_CHECK(out != nullptr);
   NEOCPU_CHECK_EQ(inputs.size(), in_scales.size());
   NEOCPU_CHECK_EQ(inputs.size(), in_zeros.size());
   NEOCPU_CHECK_GT(out_scale, 0.0f);
-  const Tensor& first = inputs.front();
-  const bool blocked = first.layout().kind == LayoutKind::kNCHWc;
-  NEOCPU_CHECK(blocked || first.ndim() == 4) << first.DebugString();
-  NEOCPU_CHECK(first.dtype() == DType::kU8) << first.DebugString();
-  // NCHW is the x == 1 case of the blocked walk: per sample, each input contributes
-  // one contiguous [cb * plane] run at a channel offset.
-  const std::int64_t x = blocked ? first.dim(4) : 1;
-  const std::int64_t n = first.dim(0), h = first.dim(2), w = first.dim(3);
-  std::int64_t total_cb = 0;
-  for (const Tensor& t : inputs) {
-    NEOCPU_CHECK_EQ(t.ndim(), blocked ? 5 : 4);
-    NEOCPU_CHECK(t.dtype() == DType::kU8) << t.DebugString();
-    if (blocked) {
-      NEOCPU_CHECK_EQ(t.dim(4), x) << "concat requires one common channel block";
-    }
-    NEOCPU_CHECK_EQ(t.dim(0), n);
-    NEOCPU_CHECK_EQ(t.dim(2), h);
-    NEOCPU_CHECK_EQ(t.dim(3), w);
-    total_cb += t.dim(1);
-  }
-  if (blocked) {
-    CheckKernelOutput(out, {n, total_cb, h, w, x}, Layout::NCHWc(x), "concat_int");
-  } else {
-    CheckKernelOutput(out, {n, total_cb, h, w}, Layout::NCHW(), "concat_int");
-  }
-  NEOCPU_CHECK(out->dtype() == DType::kU8) << out->DebugString();
-  const std::int64_t plane = h * w * x;
-  std::int64_t cb_off = 0;
+  const std::int64_t n = CheckConcat(inputs, out, "concat_int");
+  std::int64_t off = 0;
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     const float rel = in_scales[k] / out_scale;
-    ConcatRescaleCopy(inputs[k], rel, in_zeros[k], out_zero, n, total_cb, cb_off, plane,
-                      out, engine);
-    cb_off += inputs[k].dim(1);
+    ConcatRescaleCopy(inputs[k], rel, in_zeros[k], out_zero, n, off, out, engine);
+    off += inputs[k].NumElements() / n;
   }
 }
 

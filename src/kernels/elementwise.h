@@ -22,8 +22,9 @@ void Relu(const Tensor& input, Tensor* out, ThreadEngine* engine = nullptr);
 void AddElementwise(const Tensor& a, const Tensor& b, bool relu, Tensor* out,
                     ThreadEngine* engine = nullptr);
 
-// Concatenation along the channel axis. All inputs NCHW, or all NCHW[x]c with one common
-// block size x (the layout constraint the global search's cost matrices encode).
+// Concatenation along the channel axis. All inputs NCHW, all NCHW[x]c with one common
+// block size x (the layout constraint the global search's cost matrices encode), or
+// all flat {N, C}: each copies one contiguous run per input per sample.
 void ConcatChannels(const std::vector<Tensor>& inputs, Tensor* out,
                     ThreadEngine* engine = nullptr);
 

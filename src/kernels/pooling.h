@@ -1,9 +1,10 @@
 // Spatial pooling in NCHW and NCHW[x]c layouts.
 //
 // Pooling is "layout-tolerant" in the paper's taxonomy (§3.2): it needs to know the
-// layout but works in both, so the optimized NCHW[x]c layout flows through it without a
-// transform. The NCHWc variant's inner loop runs over the channel block, vectorizing the
-// same way the convolution epilogue does.
+// layout but works in any, so the optimized NCHW[x]c layout flows through it without a
+// transform. Each kernel has one body that reads its input as NCHW[x]c, NCHW being the
+// x == 1 case; the inner loop runs over the channel block, vectorizing the same way the
+// convolution epilogue does.
 #ifndef NEOCPU_SRC_KERNELS_POOLING_H_
 #define NEOCPU_SRC_KERNELS_POOLING_H_
 
@@ -35,13 +36,10 @@ struct Pool2dParams {
   std::int64_t OutW(std::int64_t in_w) const { return OutDim(in_w, kernel_w, stride_w, pad_w); }
 };
 
-// input NCHW {N,C,H,W} -> output NCHW.
-void PoolNCHW(const Pool2dParams& params, const Tensor& input, Tensor* out,
-              ThreadEngine* engine = nullptr);
-
-// input NCHW[x]c {N,C/x,H,W,x} -> output NCHW[x]c.
-void PoolNCHWc(const Pool2dParams& params, const Tensor& input, Tensor* out,
-               ThreadEngine* engine = nullptr);
+// f32 pooling: input NCHW {N,C,H,W} or NCHW[x]c {N,C/x,H,W,x}; the output keeps the
+// input's layout.
+void Pool(const Pool2dParams& params, const Tensor& input, Tensor* out,
+          ThreadEngine* engine = nullptr);
 
 // Integer-domain pooling over u8 tensors, NCHW[x]c or plain NCHW (the x == 1 case —
 // layout fallbacks around concat groups can demote integer tensors to NCHW). The
@@ -54,9 +52,9 @@ void PoolNCHWc(const Pool2dParams& params, const Tensor& input, Tensor* out,
 void PoolNCHWcInt(const Pool2dParams& params, const Tensor& input,
                   std::int32_t zero_point, Tensor* out, ThreadEngine* engine = nullptr);
 
-// Global average pooling: NCHW -> {N, C, 1, 1}; NCHWc -> {N, C/x, 1, 1, x}.
-void GlobalAvgPoolNCHW(const Tensor& input, Tensor* out, ThreadEngine* engine = nullptr);
-void GlobalAvgPoolNCHWc(const Tensor& input, Tensor* out, ThreadEngine* engine = nullptr);
+// Global average pooling: NCHW -> {N, C, 1, 1}; NCHW[x]c -> {N, C/x, 1, 1, x}. Sums
+// the plane, then multiplies by 1/(H*W).
+void GlobalAvgPool(const Tensor& input, Tensor* out, ThreadEngine* engine = nullptr);
 
 }  // namespace neocpu
 

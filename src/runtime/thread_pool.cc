@@ -15,6 +15,8 @@ NeoThreadPool::NeoThreadPool(int num_workers, bool bind_threads, std::vector<int
     workers_.push_back(std::make_unique<Worker>());
   }
   if (bind_threads_) {
+    builder_ = std::this_thread::get_id();
+    builder_cpus_ = CurrentThreadCpus();
     BindCurrentThreadToCpu(BindCpuOf(0));
   }
   for (int i = 1; i < num_workers_; ++i) {
@@ -29,6 +31,9 @@ NeoThreadPool::~NeoThreadPool() {
     if (w.thread.joinable()) {
       w.thread.join();
     }
+  }
+  if (!builder_cpus_.empty() && std::this_thread::get_id() == builder_) {
+    BindCurrentThreadToCpus(builder_cpus_);
   }
 }
 

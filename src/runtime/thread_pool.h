@@ -30,8 +30,10 @@ class NeoThreadPool final : public ThreadEngine {
   // (the scheduler participates in the work), so only num_workers-1 threads are spawned.
   // With bind_threads, worker i binds to bind_cpus[i] when that list is given, else to
   // cpu i — how a core partition (src/runtime/partition.h) hands a pool its exact cpu
-  // set, so several pools coexist on disjoint cpus. A bound pool of width 1 pins its
-  // constructing thread and runs every region inline.
+  // set, so several pools coexist on disjoint cpus. A bound pool pins its constructing
+  // thread (worker 0; a pool of width 1 runs every region inline on it) only while it
+  // lives: destroyed on that thread, it restores the thread's earlier affinity mask, so
+  // threads the caller starts later are not confined to the pool's cpu.
   explicit NeoThreadPool(int num_workers = 0, bool bind_threads = true,
                          std::vector<int> bind_cpus = {});
   ~NeoThreadPool() override;
@@ -67,6 +69,9 @@ class NeoThreadPool final : public ThreadEngine {
   int num_workers_ = 1;
   bool bind_threads_ = true;
   std::vector<int> bind_cpus_;
+  // The constructing thread and its mask before the pool pinned it (bound pools only).
+  std::thread::id builder_;
+  std::vector<int> builder_cpus_;
   std::vector<std::unique_ptr<Worker>> workers_;
   alignas(kCacheLineBytes) std::atomic<std::uint64_t> pending_{0};
   alignas(kCacheLineBytes) std::atomic<bool> shutdown_{false};

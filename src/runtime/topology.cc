@@ -295,16 +295,36 @@ const CpuTopology& HostTopology() {
   return *topo;
 }
 
-bool BindCurrentThreadToCpu(int cpu) {
+bool BindCurrentThreadToCpu(int cpu) { return BindCurrentThreadToCpus({cpu}); }
+
+bool BindCurrentThreadToCpus(const std::vector<int>& cpus) {
 #ifdef __linux__
   cpu_set_t set;
   CPU_ZERO(&set);
-  CPU_SET(cpu % CPU_SETSIZE, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+  for (int cpu : cpus) {
+    CPU_SET(cpu % CPU_SETSIZE, &set);
+  }
+  return !cpus.empty() && pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
 #else
-  (void)cpu;
+  (void)cpus;
   return false;
 #endif
+}
+
+std::vector<int> CurrentThreadCpus() {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+#endif
+  return cpus;
 }
 
 bool TryBindMemoryToNode(void* addr, std::size_t len, int node) {

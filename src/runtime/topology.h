@@ -94,6 +94,12 @@ std::vector<int> ParseCpuList(const std::string& text);
 // has no affinity API or the kernel refuses (cpuset-restricted process); failure
 // leaves the thread floating, never errors.
 bool BindCurrentThreadToCpu(int cpu);
+// The same for a set of cpus (false when `cpus` is empty).
+bool BindCurrentThreadToCpus(const std::vector<int>& cpus);
+
+// The calling thread's affinity mask as ascending cpu ids; empty when the platform has
+// no affinity API or the query fails.
+std::vector<int> CurrentThreadCpus();
 
 // Best-effort: binds the pages of [addr, addr+len) to `node` with a preferred-node
 // memory policy (raw mbind(2) — no libnuma dependency). Call before first touch.

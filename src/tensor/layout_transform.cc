@@ -1,6 +1,7 @@
 #include "src/tensor/layout_transform.h"
 
-#include <cstring>
+#include <algorithm>
+#include <numeric>
 
 #include "src/base/logging.h"
 #include "src/tensor/tensor_check.h"
@@ -8,175 +9,76 @@
 namespace neocpu {
 namespace {
 
-// The NCHW<->NCHW[x]c family is dtype-generic (pure index permutation): the fp32
-// pipeline moves floats, the quantized path moves u8 activations between differently
-// blocked convolutions. Each public entry dispatches on the source dtype.
-template <typename T>
-void NCHWToNCHWcT(const Tensor& src, std::int64_t x, Tensor* dst, ThreadEngine* engine) {
-  const std::int64_t n = src.dim(0), c = src.dim(1), h = src.dim(2), w = src.dim(3);
-  const std::int64_t cb = c / x;
-  const T* s = src.data_as<T>();
-  T* d = dst->data_as<T>();
-  const std::int64_t hw = h * w;
-  ParallelFor(EngineOrSerial(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t ncb = begin; ncb < end; ++ncb) {
-      const std::int64_t ni = ncb / cb;
-      const std::int64_t co = ncb % cb;
-      T* dp = d + ncb * hw * x;
-      const T* sp = s + (ni * c + co * x) * hw;
-      for (std::int64_t p = 0; p < hw; ++p) {
-        for (std::int64_t ci = 0; ci < x; ++ci) {
-          dp[p * x + ci] = sp[ci * hw + p];
+// The one feature-map transform: every layout is NCHW[x]c for some x (NCHW x = 1, NHWC
+// x = C), so a transform re-blocks channels from the source block to the destination
+// block. Dtype-generic (a pure index permutation): the fp32 pipeline moves floats, the
+// quantized path moves u8 activations between differently blocked convolutions.
+//
+// Channels go in groups of lcm(sx, dx), whole blocks on both sides; the grid is
+// (n, group, row), so a batch-1 map with a single group still splits across workers, and
+// a task's consecutive rows of one group run as one span. The span goes in tiles of
+// kPositions positions, and a tile moves in runs of gcd(sx, dx) channels, contiguous on
+// both sides: each run walks the tile's positions with a constant stride on both sides,
+// and the tile stays in cache across its runs, like a blocked transpose. kUnitRun
+// instantiates the same body with a run of 1 (NCHW against any other layout) so the
+// innermost copy folds away.
+template <typename T, bool kUnitRun>
+void ReblockT(const Tensor& src, const BlockedDims& s, const BlockedDims& d, Tensor* dst,
+              ThreadEngine* engine) {
+  constexpr std::int64_t kPositions = 64;
+  const std::int64_t h = s.h, w = s.w, sx = s.x, dx = d.x;
+  const std::int64_t run = kUnitRun ? 1 : std::gcd(sx, dx);
+  const std::int64_t group = sx / run * dx;
+  const std::int64_t groups = s.channels() / group;
+  const std::int64_t s_block = h * w * sx, d_block = h * w * dx;  // one block's elements
+  const T* src_base = src.data_as<T>();
+  T* dst_base = dst->data_as<T>();
+  ParallelFor(EngineOrSerial(engine), s.n * groups * h, [&](std::int64_t begin,
+                                                            std::int64_t end) {
+    for (std::int64_t t = begin; t < end;) {
+      const std::int64_t ng = t / h;  // n * groups + group
+      const std::int64_t stop = std::min(end, (ng + 1) * h);
+      const std::int64_t ni = ng / groups, c0 = (ng % groups) * group;
+      const T* sp = src_base + (ni * s.cb + c0 / sx) * s_block;
+      T* dp = dst_base + (ni * d.cb + c0 / dx) * d_block;
+      const std::int64_t p_end = (stop - ng * h) * w;
+      for (std::int64_t p = (t - ng * h) * w; p < p_end; p += kPositions) {
+        const std::int64_t np = std::min(kPositions, p_end - p);
+        const T* sr = sp + p * sx;
+        T* dr = dp + p * dx;
+        std::int64_t s_lane = 0, d_lane = 0;  // the run's lane in its source / dest block
+        for (std::int64_t c = 0; c < group; c += run) {
+          for (std::int64_t q = 0; q < np; ++q) {
+            for (std::int64_t l = 0; l < run; ++l) {
+              dr[d_lane + q * dx + l] = sr[s_lane + q * sx + l];
+            }
+          }
+          s_lane += run;
+          d_lane += run;
+          if (s_lane == sx) {
+            s_lane = 0;
+            sr += s_block;
+          }
+          if (d_lane == dx) {
+            d_lane = 0;
+            dr += d_block;
+          }
         }
       }
+      t = stop;
     }
   });
 }
 
 template <typename T>
-void NCHWcToNCHWT(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
-  const std::int64_t n = src.dim(0), cb = src.dim(1), h = src.dim(2), w = src.dim(3),
-                     x = src.dim(4);
-  const T* s = src.data_as<T>();
-  T* d = dst->data_as<T>();
-  const std::int64_t hw = h * w;
-  ParallelFor(EngineOrSerial(engine), n * cb, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t ncb = begin; ncb < end; ++ncb) {
-      const std::int64_t ni = ncb / cb;
-      const std::int64_t co = ncb % cb;
-      const T* sp = s + ncb * hw * x;
-      T* dp = d + (ni * cb * x + co * x) * hw;
-      for (std::int64_t p = 0; p < hw; ++p) {
-        for (std::int64_t ci = 0; ci < x; ++ci) {
-          dp[ci * hw + p] = sp[p * x + ci];
-        }
-      }
-    }
-  });
-}
-
-template <typename T>
-void NCHWcToNCHWcT(const Tensor& src, std::int64_t new_x, Tensor* dst,
-                   ThreadEngine* engine) {
-  const std::int64_t n = src.dim(0), cb = src.dim(1), h = src.dim(2), w = src.dim(3),
-                     x = src.dim(4);
-  const std::int64_t c = cb * x;
-  const std::int64_t new_cb = c / new_x;
-  const T* s = src.data_as<T>();
-  T* d = dst->data_as<T>();
-  const std::int64_t hw = h * w;
-  ParallelFor(EngineOrSerial(engine), n * new_cb, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t ncb = begin; ncb < end; ++ncb) {
-      const std::int64_t ni = ncb / new_cb;
-      const std::int64_t co = ncb % new_cb;
-      T* dp = d + ncb * hw * new_x;
-      for (std::int64_t ci = 0; ci < new_x; ++ci) {
-        const std::int64_t ch = co * new_x + ci;  // global channel index
-        const T* sp = s + ((ni * cb + ch / x) * hw) * x + (ch % x);
-        for (std::int64_t p = 0; p < hw; ++p) {
-          dp[p * new_x + ci] = sp[p * x];
-        }
-      }
-    }
-  });
-}
-
-void CheckSameDtype(const Tensor& src, const Tensor* dst) {
-  NEOCPU_CHECK(dst->dtype() == src.dtype())
-      << "layout transform cannot change dtype: " << src.DebugString() << " -> "
-      << dst->DebugString();
-  NEOCPU_CHECK(src.dtype() == DType::kF32 || src.dtype() == DType::kU8)
-      << "layout transforms support f32/u8 feature maps, got " << src.DebugString();
-}
-
-}  // namespace
-
-void NCHWToNCHWc(const Tensor& src, std::int64_t x, Tensor* dst, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(src.ndim(), 4);
-  const std::int64_t n = src.dim(0), c = src.dim(1), h = src.dim(2), w = src.dim(3);
-  NEOCPU_CHECK_GT(x, 0);
-  NEOCPU_CHECK_EQ(c % x, 0) << "channels " << c << " not divisible by block " << x;
-  CheckKernelOutput(dst, {n, c / x, h, w, x}, Layout::NCHWc(x), "layout_transform");
-  CheckSameDtype(src, dst);
-  if (src.dtype() == DType::kU8) {
-    NCHWToNCHWcT<std::uint8_t>(src, x, dst, engine);
+void Reblock(const Tensor& src, const BlockedDims& s, const BlockedDims& d, Tensor* dst,
+             ThreadEngine* engine) {
+  if (std::gcd(s.x, d.x) == 1) {
+    ReblockT<T, /*kUnitRun=*/true>(src, s, d, dst, engine);
   } else {
-    NCHWToNCHWcT<float>(src, x, dst, engine);
+    ReblockT<T, /*kUnitRun=*/false>(src, s, d, dst, engine);
   }
 }
-
-void NCHWcToNCHW(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(src.ndim(), 5);
-  const std::int64_t n = src.dim(0), cb = src.dim(1), h = src.dim(2), w = src.dim(3),
-                     x = src.dim(4);
-  CheckKernelOutput(dst, {n, cb * x, h, w}, Layout::NCHW(), "layout_transform");
-  CheckSameDtype(src, dst);
-  if (src.dtype() == DType::kU8) {
-    NCHWcToNCHWT<std::uint8_t>(src, dst, engine);
-  } else {
-    NCHWcToNCHWT<float>(src, dst, engine);
-  }
-}
-
-void NCHWcToNCHWc(const Tensor& src, std::int64_t new_x, Tensor* dst,
-                  ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(src.ndim(), 5);
-  const std::int64_t n = src.dim(0), cb = src.dim(1), h = src.dim(2), w = src.dim(3),
-                     x = src.dim(4);
-  const std::int64_t c = cb * x;
-  NEOCPU_CHECK(new_x != x) << "identity re-block is a view, not a copy";
-  NEOCPU_CHECK_EQ(c % new_x, 0);
-  CheckKernelOutput(dst, {n, c / new_x, h, w, new_x}, Layout::NCHWc(new_x),
-                    "layout_transform");
-  CheckSameDtype(src, dst);
-  if (src.dtype() == DType::kU8) {
-    NCHWcToNCHWcT<std::uint8_t>(src, new_x, dst, engine);
-  } else {
-    NCHWcToNCHWcT<float>(src, new_x, dst, engine);
-  }
-}
-
-void NCHWToNHWC(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(src.ndim(), 4);
-  const std::int64_t n = src.dim(0), c = src.dim(1), h = src.dim(2), w = src.dim(3);
-  CheckKernelOutput(dst, {n, h, w, c}, Layout::NHWC(), "layout_transform");
-  const float* s = src.data();
-  float* d = dst->data();
-  const std::int64_t hw = h * w;
-  ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t ni = begin; ni < end; ++ni) {
-      const float* sp = s + ni * c * hw;
-      float* dp = d + ni * hw * c;
-      for (std::int64_t p = 0; p < hw; ++p) {
-        for (std::int64_t ci = 0; ci < c; ++ci) {
-          dp[p * c + ci] = sp[ci * hw + p];
-        }
-      }
-    }
-  });
-}
-
-void NHWCToNCHW(const Tensor& src, Tensor* dst, ThreadEngine* engine) {
-  NEOCPU_CHECK_EQ(src.ndim(), 4);
-  const std::int64_t n = src.dim(0), h = src.dim(1), w = src.dim(2), c = src.dim(3);
-  CheckKernelOutput(dst, {n, c, h, w}, Layout::NCHW(), "layout_transform");
-  const float* s = src.data();
-  float* d = dst->data();
-  const std::int64_t hw = h * w;
-  ParallelFor(EngineOrSerial(engine), n, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t ni = begin; ni < end; ++ni) {
-      const float* sp = s + ni * hw * c;
-      float* dp = d + ni * c * hw;
-      for (std::int64_t ci = 0; ci < c; ++ci) {
-        for (std::int64_t p = 0; p < hw; ++p) {
-          dp[ci * hw + p] = sp[p * c + ci];
-        }
-      }
-    }
-  });
-}
-
-namespace {
 
 template <typename T>
 void OIHWToOIHWioT(const Tensor& src, std::int64_t x, std::int64_t y, Tensor* dst) {
@@ -221,31 +123,42 @@ Tensor OIHWToOIHWio(const Tensor& src, std::int64_t x, std::int64_t y) {
 
 void TransformLayout(const Tensor& src, const Layout& dst_layout, Tensor* dst,
                      ThreadEngine* engine) {
-  const Layout& from = src.layout();
-  NEOCPU_CHECK(!(from == dst_layout))
+  NEOCPU_CHECK(!(src.layout() == dst_layout))
       << "identity transform reached the into-path; the planner aliases these";
-  if (from.kind == LayoutKind::kNCHW && dst_layout.kind == LayoutKind::kNCHWc) {
-    NCHWToNCHWc(src, dst_layout.c_block, dst, engine);
-    return;
+  const BlockedDims s = BlockedDimsOf(src);
+  const std::int64_t c = s.channels();
+  BlockedDims d = s;
+  d.layout = dst_layout;
+  switch (dst_layout.kind) {
+    case LayoutKind::kNCHW:
+      d.x = 1;
+      break;
+    case LayoutKind::kNHWC:
+      d.x = c;
+      break;
+    case LayoutKind::kNCHWc:
+      d.x = dst_layout.c_block;
+      break;
+    default:
+      d.x = 0;
+      break;
   }
-  if (from.kind == LayoutKind::kNCHWc && dst_layout.kind == LayoutKind::kNCHW) {
-    NCHWcToNCHW(src, dst, engine);
-    return;
+  NEOCPU_CHECK(src.layout() == s.layout && d.x > 0)
+      << "unsupported layout transform " << src.layout().ToString() << " -> "
+      << dst_layout.ToString();
+  NEOCPU_CHECK_EQ(c % d.x, 0) << "channels " << c << " not divisible by block " << d.x;
+  d.cb = c / d.x;
+  CheckKernelOutput(dst, d.Dims(), dst_layout, "layout_transform");
+  NEOCPU_CHECK(dst->dtype() == src.dtype())
+      << "layout transform cannot change dtype: " << src.DebugString() << " -> "
+      << dst->DebugString();
+  if (src.dtype() == DType::kU8) {
+    Reblock<std::uint8_t>(src, s, d, dst, engine);
+  } else {
+    NEOCPU_CHECK(src.dtype() == DType::kF32)
+        << "layout transforms support f32/u8 feature maps, got " << src.DebugString();
+    Reblock<float>(src, s, d, dst, engine);
   }
-  if (from.kind == LayoutKind::kNCHWc && dst_layout.kind == LayoutKind::kNCHWc) {
-    NCHWcToNCHWc(src, dst_layout.c_block, dst, engine);
-    return;
-  }
-  if (from.kind == LayoutKind::kNCHW && dst_layout.kind == LayoutKind::kNHWC) {
-    NCHWToNHWC(src, dst, engine);
-    return;
-  }
-  if (from.kind == LayoutKind::kNHWC && dst_layout.kind == LayoutKind::kNCHW) {
-    NHWCToNCHW(src, dst, engine);
-    return;
-  }
-  LOG(FATAL) << "unsupported layout transform " << from.ToString() << " -> "
-             << dst_layout.ToString();
 }
 
 std::int64_t TransformBytes(const Tensor& src) {

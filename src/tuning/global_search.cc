@@ -99,7 +99,11 @@ GlobalProblem ExtractGlobalProblem(const Graph& graph, const LocalSearchMap& loc
   }
   // QuantizeGraph executes pooling natively in the integer domain, so a value "stays
   // integer" when it neither escapes nor reaches a consumer outside {conv data and
-  // residual reads, pools that themselves stay integer}. Concat also has an integer
+  // residual reads, pools that themselves stay integer}. A conv read is no boundary
+  // here because its edge prices it: the producer-consumer (data) and sibling (residual)
+  // edges compare signatures that carry the dtype, so an int8 producer feeding an f32
+  // conv pays the dequantize there — the shared kDequantize that an f32 residual conv
+  // reads, like any other f32 reader. Concat also has an integer
   // form, but it additionally needs its own calibrated range and every input integer —
   // unknown at costing time, so it stays a (conservative) boundary here.
   std::function<bool(int)> stays_int = [&](int v) -> bool {

@@ -55,19 +55,19 @@ Tensor ConvNCHWcWithTransforms(const Conv2dParams& p, const ConvSchedule& s,
                                const Tensor* bias, const Tensor* residual_nchw,
                                const ConvEpilogue& epilogue, ThreadEngine* engine = nullptr) {
   Tensor in_blocked = BlockedEmpty(input_nchw, s.ic_bn);
-  NCHWToNCHWc(input_nchw, s.ic_bn, &in_blocked, engine);
+  TransformLayout(input_nchw, Layout::NCHWc(s.ic_bn), &in_blocked, engine);
   Tensor w_blocked = OIHWToOIHWio(weight_oihw, s.ic_bn, s.oc_bn);
   Tensor res_blocked;
   if (epilogue.residual_add) {
     res_blocked = BlockedEmpty(*residual_nchw, s.oc_bn);
-    NCHWToNCHWc(*residual_nchw, s.oc_bn, &res_blocked, engine);
+    TransformLayout(*residual_nchw, Layout::NCHWc(s.oc_bn), &res_blocked, engine);
   }
   Tensor out = Tensor::Empty({p.batch, p.out_c / s.oc_bn, p.OutH(), p.OutW(), s.oc_bn},
                              Layout::NCHWc(s.oc_bn));
   ConvNCHWc(p, s, in_blocked, w_blocked, bias, epilogue.residual_add ? &res_blocked : nullptr,
             epilogue, &out, engine);
   Tensor out_nchw = NchwOutput(p);
-  NCHWcToNCHW(out, &out_nchw, engine);
+  TransformLayout(out, Layout::NCHW(), &out_nchw, engine);
   return out_nchw;
 }
 
@@ -381,6 +381,22 @@ TEST_F(ConvOutputCheck, EveryConvRejectsWrongInputDims) {
   Tensor out_blocked = Tensor::Empty({1, 1, 8, 8, 16}, Layout::NCHWc(16));
   EXPECT_DEATH(ConvNCHWc(p_, s_, in_blocked, w_blocked_, nullptr, nullptr, {}, &out_blocked),
                "input dims mismatch");
+}
+
+// The f32 kernels add an f32 residual: an integer one dies instead of being read as
+// floats.
+TEST_F(ConvOutputCheck, F32ConvsRejectIntegerResidual) {
+  ConvEpilogue epi;
+  epi.residual_add = true;
+  Tensor out = NchwOutput(p_);
+  const Tensor res = Tensor::Zeros({1, 16, 8, 8}, Layout::NCHW(), DType::kU8);
+  EXPECT_DEATH(ConvRefNCHW(p_, in_, w_, nullptr, &res, epi, &out), "tensor holds u8");
+  EXPECT_DEATH(ConvIm2col(p_, in_, w_, nullptr, &res, epi, &out), "tensor holds u8");
+  Tensor out_blocked = Tensor::Empty({1, 1, 8, 8, 16}, Layout::NCHWc(16));
+  const Tensor res_blocked = Tensor::Zeros({1, 1, 8, 8, 16}, Layout::NCHWc(16), DType::kU8);
+  EXPECT_DEATH(ConvNCHWc(p_, s_, in_blocked_, w_blocked_, nullptr, &res_blocked, epi,
+                         &out_blocked),
+               "tensor holds u8");
 }
 
 TEST(Conv2dParams, OutputDimsAndMacs) {

@@ -542,11 +542,11 @@ TEST(LayoutTransformU8, BlockedRoundTrip) {
     x.data_as<std::uint8_t>()[i] = static_cast<std::uint8_t>(i % 251);
   }
   Tensor blocked = Tensor::Empty({2, 2, 5, 5, 4}, Layout::NCHWc(4), DType::kU8);
-  NCHWToNCHWc(x, 4, &blocked);
+  TransformLayout(x, Layout::NCHWc(4), &blocked);
   Tensor reblocked = Tensor::Empty({2, 1, 5, 5, 8}, Layout::NCHWc(8), DType::kU8);
-  NCHWcToNCHWc(blocked, 8, &reblocked);
+  TransformLayout(blocked, Layout::NCHWc(8), &reblocked);
   Tensor back = Tensor::Empty(x.dims(), Layout::NCHW(), DType::kU8);
-  NCHWcToNCHW(reblocked, &back);
+  TransformLayout(reblocked, Layout::NCHW(), &back);
   for (std::int64_t i = 0; i < x.NumElements(); ++i) {
     ASSERT_EQ(back.data_as<std::uint8_t>()[i], x.data_as<std::uint8_t>()[i]) << i;
   }
@@ -755,6 +755,52 @@ TEST(QuantizeGraphU8, SumFusionReadsIntegerResidual) {
   EXPECT_EQ(integer_pools, 1);
 
   Tensor input = InputFor(model);
+  const Tensor expected = Executor(&model).Run(input);
+  EXPECT_LE(Tensor::MaxAbsDiff(compiled.Run(input), expected), 0.05);
+}
+
+// A residual conv that stays f32 (its 6 input channels have no int8 blocking) while its
+// residual's producer requantizes for a u8 reader: the conv reads the residual through
+// the one shared kDequantize, like any other f32 reader, and its f32 kernel adds it.
+TEST(QuantizeGraphU8, F32ResidualConvReadsSharedDequantize) {
+  GraphBuilder b("f32_residual");
+  const int x = b.Input({1, 16, 8, 8});
+  const int c1 = b.Relu(b.Conv(x, 32, 3, 1, 1, /*bias=*/true, "c1"));
+  const int c2 = b.Conv(c1, 32, 3, 1, 1, /*bias=*/true, "c2");  // the u8 reader
+  const int narrow = b.Relu(b.Conv(x, 6, 3, 1, 1, /*bias=*/true, "narrow"));
+  const int res = b.Conv(narrow, 32, 3, 1, 1, /*bias=*/true, "res");
+  Graph model = b.Finish({b.Concat({b.Add(res, c1), c2})});
+
+  // Calibrated on the test input, so the tolerance checks the route rather than the
+  // clipping of values a synthetic calibration batch never reached.
+  const Tensor input = InputFor(model);
+  CompileOptions opts = QuantizedOptions();
+  opts.calibration_inputs = {input};
+  CompiledModel compiled = Compile(model, opts);
+  const Graph& g = compiled.graph();
+  EXPECT_EQ(g.CountNodes(OpType::kDequantize), 1);
+  int residual_convs = 0;
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    const Node& node = g.node(id);
+    if (!node.IsConv() || !node.attrs.epilogue.residual_add) {
+      continue;
+    }
+    ++residual_convs;
+    EXPECT_EQ(node.name, "res");
+    EXPECT_FALSE(node.attrs.qconv.enabled);
+    EXPECT_NE(node.attrs.kernel, ConvKernelKind::kNCHWcS8);
+    EXPECT_TRUE(node.attrs.qin_scales.empty());
+    int res = node.inputs.back();
+    if (g.node(res).type == OpType::kLayoutTransform) {
+      res = g.node(res).inputs[0];
+    }
+    ASSERT_EQ(g.node(res).type, OpType::kDequantize);
+    const Node& producer = g.node(g.node(res).inputs[0]);
+    EXPECT_EQ(producer.name, "c1");
+    EXPECT_EQ(producer.out_dtype, DType::kU8);
+  }
+  EXPECT_EQ(residual_convs, 1);
+
   const Tensor expected = Executor(&model).Run(input);
   EXPECT_LE(Tensor::MaxAbsDiff(compiled.Run(input), expected), 0.05);
 }

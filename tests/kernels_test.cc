@@ -17,16 +17,26 @@
 namespace neocpu {
 namespace {
 
-// Output buffers for the kernels under test; each kernel writes into one.
-Tensor BlockedLike(const Tensor& nchw, std::int64_t x) {
-  return Tensor::Empty({nchw.dim(0), nchw.dim(1) / x, nchw.dim(2), nchw.dim(3), x},
-                       Layout::NCHWc(x));
+// `t` (NCHW) re-blocked to NCHW[x]c, and a blocked map back to NCHW.
+Tensor Blocked(const Tensor& t, std::int64_t x) {
+  Tensor out = Tensor::Empty({t.dim(0), t.dim(1) / x, t.dim(2), t.dim(3), x},
+                             Layout::NCHWc(x));
+  TransformLayout(t, out.layout(), &out);
+  return out;
 }
 
-Tensor NchwLike(const Tensor& blocked) {
-  return Tensor::Empty(
-      {blocked.dim(0), blocked.dim(1) * blocked.dim(4), blocked.dim(2), blocked.dim(3)},
-      Layout::NCHW());
+Tensor Unblocked(const Tensor& t) {
+  Tensor out = Tensor::Empty({t.dim(0), t.dim(1) * t.dim(4), t.dim(2), t.dim(3)},
+                             Layout::NCHW());
+  TransformLayout(t, Layout::NCHW(), &out);
+  return out;
+}
+
+// Same dims and the same bytes: a layout-tolerant kernel runs one body in every
+// layout, so its NCHW and NCHW[x]c results agree bit for bit.
+void ExpectBitwiseEqual(const Tensor& got, const Tensor& expected) {
+  ASSERT_EQ(got.dims(), expected.dims());
+  EXPECT_EQ(std::memcmp(got.data(), expected.data(), expected.SizeBytes()), 0);
 }
 
 Tensor PoolOutput(const Pool2dParams& p, const Tensor& in) {
@@ -138,7 +148,7 @@ TEST(Pooling, MaxKnownValues) {
     in.data()[i] = static_cast<float>(i);
   }
   Tensor out = PoolOutput(p, in);
-  PoolNCHW(p, in, &out);
+  Pool(p, in, &out);
   EXPECT_EQ(out.dims(), (std::vector<std::int64_t>{1, 1, 2, 2}));
   EXPECT_FLOAT_EQ(out.data()[0], 5);
   EXPECT_FLOAT_EQ(out.data()[1], 7);
@@ -150,7 +160,7 @@ TEST(Pooling, AvgExcludesPaddingByDefault) {
   Pool2dParams p{PoolType::kAvg, 3, 3, 2, 2, 1, 1, false, false};
   Tensor in = Tensor::Full({1, 1, 4, 4}, 2.0f, Layout::NCHW());
   Tensor out = PoolOutput(p, in);
-  PoolNCHW(p, in, &out);
+  Pool(p, in, &out);
   // Every window averages only valid elements of a constant image -> exactly 2.
   for (std::int64_t i = 0; i < out.NumElements(); ++i) {
     EXPECT_FLOAT_EQ(out.data()[i], 2.0f);
@@ -161,7 +171,7 @@ TEST(Pooling, AvgIncludePadDividesByKernelArea) {
   Pool2dParams p{PoolType::kAvg, 2, 2, 2, 2, 1, 1, /*count_include_pad=*/true, false};
   Tensor in = Tensor::Full({1, 1, 2, 2}, 4.0f, Layout::NCHW());
   Tensor out = PoolOutput(p, in);
-  PoolNCHW(p, in, &out);
+  Pool(p, in, &out);
   // Corner window sees one valid element (4.0) over a 2x2 kernel -> 1.0.
   EXPECT_FLOAT_EQ(out.data()[0], 1.0f);
 }
@@ -182,14 +192,12 @@ TEST_P(PoolLayoutEquiv, NCHWcMatchesNCHW) {
   Rng rng(17);
   Tensor in = Tensor::Random({1, 32, 13, 13}, rng, -2, 2, Layout::NCHW());
   Tensor expected = PoolOutput(p, in);
-  PoolNCHW(p, in, &expected);
-  Tensor blocked = BlockedLike(in, 16);
-  NCHWToNCHWc(in, 16, &blocked);
+  Pool(p, in, &expected);
+  const Tensor blocked = Blocked(in, 16);
   Tensor pooled = PoolOutput(p, blocked);
-  PoolNCHWc(p, blocked, &pooled);
-  Tensor got = NchwLike(pooled);
-  NCHWcToNCHW(pooled, &got);
-  EXPECT_EQ(Tensor::MaxAbsDiff(expected, got), 0.0);
+  NeoThreadPool pool(4, /*bind_threads=*/false);
+  Pool(p, blocked, &pooled, &pool);
+  ExpectBitwiseEqual(Unblocked(pooled), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PoolLayoutEquiv,
@@ -202,14 +210,16 @@ TEST(GlobalAvgPool, BothLayoutsAgree) {
   Rng rng(18);
   Tensor in = Tensor::Random({2, 32, 7, 7}, rng, -1, 1, Layout::NCHW());
   Tensor expected = Tensor::Empty({2, 32, 1, 1}, Layout::NCHW());
-  GlobalAvgPoolNCHW(in, &expected);
-  Tensor blocked = BlockedLike(in, 8);
-  NCHWToNCHWc(in, 8, &blocked);
+  GlobalAvgPool(in, &expected);
   Tensor pooled = Tensor::Empty({2, 4, 1, 1, 8}, Layout::NCHWc(8));
-  GlobalAvgPoolNCHWc(blocked, &pooled);
-  Tensor got = NchwLike(pooled);
-  NCHWcToNCHW(pooled, &got);
-  EXPECT_LE(Tensor::AllCloseViolation(got, expected, 1e-5, 1e-5), 0.0);
+  GlobalAvgPool(Blocked(in, 8), &pooled);
+  ExpectBitwiseEqual(Unblocked(pooled), expected);
+  // Both sum the plane in order, then multiply by 1/plane.
+  float sum = 0.0f;
+  for (int i = 0; i < 49; ++i) {
+    sum += in.data()[i];
+  }
+  EXPECT_EQ(expected.data()[0], sum * (1.0f / 49.0f));
 }
 
 TEST(BatchNorm, ScaleShiftFoldingFormula) {
@@ -223,7 +233,7 @@ TEST(BatchNorm, ScaleShiftFoldingFormula) {
   ComputeBnScaleShift(gamma, beta, mean, var, 1e-5f, &scale, &shift);
   Tensor x = Tensor::Random({1, c, 4, 4}, rng, -2, 2, Layout::NCHW());
   Tensor y = Tensor::Empty(x.dims(), x.layout());
-  ScaleShiftNCHW(x, scale, shift, false, &y);
+  ScaleShift(x, scale, shift, false, &y);
   // Reference: classic BN formula.
   for (std::int64_t ch = 0; ch < c; ++ch) {
     for (std::int64_t i = 0; i < 16; ++i) {
@@ -243,14 +253,12 @@ TEST(BatchNorm, NCHWcVariantMatchesAndFusesRelu) {
   Tensor shift = Tensor::Random({c}, rng, -1.0f, 1.0f);
   Tensor x = Tensor::Random({1, c, 5, 5}, rng, -2, 2, Layout::NCHW());
   Tensor expected = Tensor::Empty(x.dims(), x.layout());
-  ScaleShiftNCHW(x, scale, shift, /*relu=*/true, &expected);
-  Tensor blocked = BlockedLike(x, 16);
-  NCHWToNCHWc(x, 16, &blocked);
+  ScaleShift(x, scale, shift, /*relu=*/true, &expected);
+  const Tensor blocked = Blocked(x, 16);
   Tensor shifted = Tensor::Empty(blocked.dims(), blocked.layout());
-  ScaleShiftNCHWc(blocked, scale, shift, /*relu=*/true, &shifted);
-  Tensor got = NchwLike(shifted);
-  NCHWcToNCHW(shifted, &got);
-  EXPECT_EQ(Tensor::MaxAbsDiff(expected, got), 0.0);
+  NeoThreadPool pool(4, /*bind_threads=*/false);
+  ScaleShift(blocked, scale, shift, /*relu=*/true, &shifted, &pool);
+  ExpectBitwiseEqual(Unblocked(shifted), expected);
   for (std::int64_t i = 0; i < expected.NumElements(); ++i) {
     EXPECT_GE(expected.data()[i], 0.0f);
   }
@@ -284,21 +292,38 @@ TEST(Elementwise, AddWithReluAndLayoutCheck) {
   EXPECT_DEATH(AddElementwise(a, mismatched, false, &y), "identical layouts");
 }
 
+// One copy covers NCHW, NCHW[x]c and flat {N, C}: per sample, each input's channels
+// land after the previous inputs' channels, in every layout.
 TEST(Elementwise, ConcatNCHWAndNCHWcAgree) {
   Rng rng(23);
-  Tensor a = Tensor::Random({1, 16, 4, 4}, rng, -1, 1, Layout::NCHW());
-  Tensor b = Tensor::Random({1, 32, 4, 4}, rng, -1, 1, Layout::NCHW());
-  Tensor expected = Tensor::Empty({1, 48, 4, 4}, Layout::NCHW());
-  ConcatChannels({a, b}, &expected);
-  Tensor a_blocked = BlockedLike(a, 16);
-  Tensor b_blocked = BlockedLike(b, 16);
-  NCHWToNCHWc(a, 16, &a_blocked);
-  NCHWToNCHWc(b, 16, &b_blocked);
-  Tensor blocked = Tensor::Empty({1, 3, 4, 4, 16}, Layout::NCHWc(16));
-  ConcatChannels({a_blocked, b_blocked}, &blocked);
-  Tensor got = NchwLike(blocked);
-  NCHWcToNCHW(blocked, &got);
-  EXPECT_EQ(Tensor::MaxAbsDiff(expected, got), 0.0);
+  Tensor a = Tensor::Random({2, 16, 4, 4}, rng, -1, 1, Layout::NCHW());
+  Tensor b = Tensor::Random({2, 32, 4, 4}, rng, -1, 1, Layout::NCHW());
+  NeoThreadPool pool(2, /*bind_threads=*/false);
+  Tensor expected = Tensor::Empty({2, 48, 4, 4}, Layout::NCHW());
+  ConcatChannels({a, b}, &expected, &pool);
+  for (std::int64_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(std::memcmp(expected.data() + i * 48 * 16, a.data() + i * 16 * 16,
+                          16 * 16 * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(expected.data() + (i * 48 + 16) * 16, b.data() + i * 32 * 16,
+                          32 * 16 * sizeof(float)),
+              0);
+  }
+  Tensor blocked = Tensor::Empty({2, 3, 4, 4, 16}, Layout::NCHWc(16));
+  ConcatChannels({Blocked(a, 16), Blocked(b, 16)}, &blocked, &pool);
+  ExpectBitwiseEqual(Unblocked(blocked), expected);
+
+  // Flat {N, C}: the same per-sample runs.
+  Tensor fa = a.Reshaped({2, 16 * 16});
+  Tensor fb = b.Reshaped({2, 32 * 16});
+  Tensor flat = Tensor::Empty({2, 48 * 16});
+  ConcatChannels({fa, fb}, &flat, &pool);
+  EXPECT_EQ(std::memcmp(flat.data(), expected.data(), expected.SizeBytes()), 0);
+
+  // The inputs must share one channel block.
+  Tensor mixed = Tensor::Empty({2, 6, 4, 4, 8}, Layout::NCHWc(8));
+  EXPECT_DEATH(ConcatChannels({Blocked(a, 16), Blocked(b, 8)}, &mixed),
+               "one common channel block");
 }
 
 TEST(Elementwise, SoftmaxRowsSumToOne) {
@@ -333,9 +358,7 @@ TEST(Elementwise, FlattenRequiresNCHW) {
   Tensor x = Tensor::Random({1, 8, 2, 2}, rng, -1, 1, Layout::NCHW());
   Tensor flat = FlattenNCHW(x);
   EXPECT_EQ(flat.dims(), (std::vector<std::int64_t>{1, 32}));
-  Tensor blocked = BlockedLike(x, 8);
-  NCHWToNCHWc(x, 8, &blocked);
-  Tensor fake4d = blocked.Reshaped({1, 4, 2, 4}, Layout::NCHWc(8));  // 4-D, wrong layout
+  Tensor fake4d = Blocked(x, 8).Reshaped({1, 4, 2, 4}, Layout::NCHWc(8));  // 4-D, wrong layout
   EXPECT_DEATH(FlattenNCHW(fake4d), "layout-dependent");
 }
 

@@ -1,8 +1,10 @@
 // Unit and property tests for layout transformations: correctness against direct index
-// arithmetic and round-trip identity across a parameter sweep.
+// arithmetic and round-trip identity across parameter sweeps.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
+#include <utility>
 
 #include "src/base/rng.h"
 #include "src/runtime/thread_pool.h"
@@ -17,30 +19,142 @@ Tensor BlockedLike(const Tensor& nchw, std::int64_t x) {
                        Layout::NCHWc(x), nchw.dtype());
 }
 
-Tensor NchwLike(const Tensor& blocked) {
-  return Tensor::Empty(
-      {blocked.dim(0), blocked.dim(1) * blocked.dim(4), blocked.dim(2), blocked.dim(3)},
-      Layout::NCHW(), blocked.dtype());
+// The oracle: physical dims and the offset of logical element (i, c, y, z) of an
+// {n, ch, h, w} feature map, written out per layout.
+std::vector<std::int64_t> DimsIn(const Layout& l, std::int64_t n, std::int64_t ch,
+                                 std::int64_t h, std::int64_t w) {
+  switch (l.kind) {
+    case LayoutKind::kNHWC:
+      return {n, h, w, ch};
+    case LayoutKind::kNCHWc:
+      return {n, ch / l.c_block, h, w, l.c_block};
+    default:
+      return {n, ch, h, w};
+  }
 }
 
-TEST(LayoutTransform, NCHWToNCHWcIndexing) {
-  // 1x4x2x2 with block 2: channel c at (h,w) must land at [c/2][h][w][c%2].
-  Tensor src = Tensor::Empty({1, 4, 2, 2}, Layout::NCHW());
-  for (std::int64_t i = 0; i < src.NumElements(); ++i) {
-    src.data()[i] = static_cast<float>(i);
+std::int64_t OffsetIn(const Layout& l, std::int64_t ch, std::int64_t h, std::int64_t w,
+                      std::int64_t i, std::int64_t c, std::int64_t y, std::int64_t z) {
+  switch (l.kind) {
+    case LayoutKind::kNHWC:
+      return ((i * h + y) * w + z) * ch + c;
+    case LayoutKind::kNCHWc: {
+      const std::int64_t x = l.c_block;
+      return (((i * (ch / x) + c / x) * h + y) * w + z) * x + c % x;
+    }
+    default:
+      return ((i * ch + c) * h + y) * w + z;
   }
-  Tensor dst = Tensor::Empty({1, 2, 2, 2, 2}, Layout::NCHWc(2));
-  NCHWToNCHWc(src, 2, &dst);
-  for (std::int64_t c = 0; c < 4; ++c) {
-    for (std::int64_t h = 0; h < 2; ++h) {
-      for (std::int64_t w = 0; w < 2; ++w) {
-        const float expected = src.data()[(c * 2 + h) * 2 + w];
-        const float got = dst.data()[(((c / 2) * 2 + h) * 2 + w) * 2 + (c % 2)];
-        EXPECT_EQ(got, expected) << "c=" << c << " h=" << h << " w=" << w;
+}
+
+// Every conversion between NCHW, NCHW4c, NCHW16c and NHWC, in f32 and u8, serially
+// and on a 4-worker pool, over shapes that include a one-row map and maps with fewer
+// rows than workers (the (n, group, row) grid must still cover them exactly).
+struct ReblockCase {
+  Layout from;
+  Layout to;
+  DType dtype;
+  bool threaded;
+};
+
+void PrintTo(const ReblockCase& rc, std::ostream* os) {
+  *os << rc.from.ToString() << " -> " << rc.to.ToString() << " " << DTypeName(rc.dtype)
+      << (rc.threaded ? " on 4 workers" : " serial");
+}
+
+std::vector<ReblockCase> AllReblockCases() {
+  const Layout layouts[] = {Layout::NCHW(), Layout::NCHWc(4), Layout::NCHWc(16),
+                            Layout::NHWC()};
+  std::vector<ReblockCase> cases;
+  for (const Layout& from : layouts) {
+    for (const Layout& to : layouts) {
+      if (from == to) {
+        continue;  // the planner aliases an identity transform (IdentityTransformIsRejected)
+      }
+      for (DType dtype : {DType::kF32, DType::kU8}) {
+        for (bool threaded : {false, true}) {
+          cases.push_back({from, to, dtype, threaded});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+// Fills an {n, ch, h, w} map in `from` with its element indices, transforms it to `to`
+// and checks every element against the index formula.
+void ExpectReblockMatchesIndexFormula(const Layout& from, const Layout& to, DType dtype,
+                                      ThreadEngine* engine, std::int64_t n,
+                                      std::int64_t ch, std::int64_t h, std::int64_t w) {
+  Tensor src = Tensor::Empty(DimsIn(from, n, ch, h, w), from, dtype);
+  Tensor dst = Tensor::Empty(DimsIn(to, n, ch, h, w), to, dtype);
+  for (std::int64_t e = 0; e < src.NumElements(); ++e) {
+    if (dtype == DType::kU8) {
+      src.data_as<std::uint8_t>()[e] = static_cast<std::uint8_t>(e % 251);
+    } else {
+      src.data()[e] = static_cast<float>(e);
+    }
+  }
+  TransformLayout(src, to, &dst, engine);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t c = 0; c < ch; ++c) {
+      for (std::int64_t y = 0; y < h; ++y) {
+        for (std::int64_t z = 0; z < w; ++z) {
+          const std::int64_t from_at = OffsetIn(from, ch, h, w, i, c, y, z);
+          const std::int64_t to_at = OffsetIn(to, ch, h, w, i, c, y, z);
+          if (dtype == DType::kU8) {
+            ASSERT_EQ(dst.data_as<std::uint8_t>()[to_at],
+                      src.data_as<std::uint8_t>()[from_at])
+                << "n=" << n << " ch=" << ch << " h=" << h << " w=" << w;
+          } else {
+            ASSERT_EQ(dst.data()[to_at], src.data()[from_at])
+                << "n=" << n << " ch=" << ch << " h=" << h << " w=" << w;
+          }
+        }
       }
     }
   }
 }
+
+class ReblockTest : public ::testing::TestWithParam<ReblockCase> {};
+
+TEST_P(ReblockTest, MatchesIndexFormula) {
+  const ReblockCase& rc = GetParam();
+  NeoThreadPool pool(4, /*bind_threads=*/false);
+  ThreadEngine* engine = rc.threaded ? &pool : nullptr;
+  // The last shape has more positions per row span than one position tile and, for
+  // NCHW <-> NHWC, more channel runs than one offset table holds.
+  const std::int64_t shapes[][4] = {{2, 16, 5, 7}, {1, 32, 1, 9}, {1, 16, 3, 4},
+                                    {1, 48, 2, 1}, {3, 64, 1, 1}, {1, 96, 9, 11}};
+  for (const auto& shape : shapes) {
+    ExpectReblockMatchesIndexFormula(rc.from, rc.to, rc.dtype, engine, shape[0], shape[1],
+                                     shape[2], shape[3]);
+  }
+}
+
+// Blocks that do not divide each other (8 and 12: runs of gcd 4 channels, groups of
+// lcm 24) follow the same formula.
+TEST(LayoutTransform, NonNestedBlocksMatchIndexFormula) {
+  NeoThreadPool pool(4, /*bind_threads=*/false);
+  for (ThreadEngine* engine : {static_cast<ThreadEngine*>(nullptr),
+                               static_cast<ThreadEngine*>(&pool)}) {
+    for (DType dtype : {DType::kF32, DType::kU8}) {
+      for (const auto& [from, to] : {std::pair{Layout::NCHWc(8), Layout::NCHWc(12)},
+                                     std::pair{Layout::NCHWc(12), Layout::NCHWc(8)}}) {
+        ExpectReblockMatchesIndexFormula(from, to, dtype, engine, 2, 24, 3, 5);
+        ExpectReblockMatchesIndexFormula(from, to, dtype, engine, 1, 48, 9, 11);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPairs, ReblockTest, ::testing::ValuesIn(AllReblockCases()),
+    [](const ::testing::TestParamInfo<ReblockCase>& info) {
+      const ReblockCase& rc = info.param;
+      return rc.from.ToString() + "_to_" + rc.to.ToString() + "_" +
+             DTypeName(rc.dtype) + (rc.threaded ? "_pool4" : "_serial");
+    });
 
 TEST(LayoutTransform, OIHWioIndexing) {
   Tensor src = Tensor::Empty({4, 4, 1, 1}, Layout::OIHW());
@@ -63,17 +177,7 @@ TEST(LayoutTransform, RejectsIndivisibleChannels) {
   Rng rng(1);
   Tensor src = Tensor::Random({1, 6, 2, 2}, rng, -1, 1, Layout::NCHW());
   Tensor dst = Tensor::Empty({1, 1, 2, 2, 4}, Layout::NCHWc(4));
-  EXPECT_DEATH(NCHWToNCHWc(src, 4, &dst), "divisible");
-}
-
-TEST(LayoutTransform, NHWCRoundTrip) {
-  Rng rng(2);
-  Tensor src = Tensor::Random({2, 5, 3, 4}, rng, -1, 1, Layout::NCHW());
-  Tensor nhwc = Tensor::Empty({2, 3, 4, 5}, Layout::NHWC());
-  NCHWToNHWC(src, &nhwc);
-  Tensor back = Tensor::Empty(src.dims(), Layout::NCHW());
-  NHWCToNCHW(nhwc, &back);
-  EXPECT_EQ(Tensor::MaxAbsDiff(src, back), 0.0);
+  EXPECT_DEATH(TransformLayout(src, Layout::NCHWc(4), &dst), "divisible");
 }
 
 TEST(LayoutTransform, TransformBytesCountsReadPlusWrite) {
@@ -96,9 +200,9 @@ TEST_P(RoundTripTest, NCHWcRoundTripIsIdentity) {
   NeoThreadPool pool(2, /*bind_threads=*/false);
   ThreadEngine* engine = threaded ? &pool : nullptr;
   Tensor blocked = BlockedLike(src, block);
-  NCHWToNCHWc(src, block, &blocked, engine);
-  Tensor back = NchwLike(blocked);
-  NCHWcToNCHW(blocked, &back, engine);
+  TransformLayout(src, Layout::NCHWc(block), &blocked, engine);
+  Tensor back = Tensor::Empty(src.dims(), Layout::NCHW());
+  TransformLayout(blocked, Layout::NCHW(), &back, engine);
   EXPECT_EQ(Tensor::MaxAbsDiff(src, back), 0.0)
       << "channels=" << channels << " block=" << block;
 }
@@ -109,38 +213,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::int64_t>(1, 2, 4, 8, 16),
                        ::testing::Bool()));
 
-// Property: re-blocking NCHW[x]c -> NCHW[y]c (x != y) equals the transform through NCHW.
-class ReblockTest
-    : public ::testing::TestWithParam<std::tuple<std::int64_t, std::int64_t>> {};
-
-TEST_P(ReblockTest, MatchesTransformViaNCHW) {
-  const auto [from_block, to_block] = GetParam();
-  if (from_block == to_block) {
-    GTEST_SKIP();  // the planner aliases an identity re-block (IdentityTransformIsRejected)
-  }
-  const std::int64_t channels = 48;  // divisible by every tested block
-  Rng rng(78);
-  Tensor nchw = Tensor::Random({1, channels, 3, 5}, rng, -1, 1, Layout::NCHW());
-  Tensor blocked = BlockedLike(nchw, from_block);
-  NCHWToNCHWc(nchw, from_block, &blocked);
-  Tensor direct = BlockedLike(nchw, to_block);
-  NCHWcToNCHWc(blocked, to_block, &direct);
-  Tensor via_nchw = BlockedLike(nchw, to_block);
-  NCHWToNCHWc(nchw, to_block, &via_nchw);
-  EXPECT_EQ(Tensor::MaxAbsDiff(direct, via_nchw), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, ReblockTest,
-                         ::testing::Combine(::testing::Values<std::int64_t>(2, 4, 8, 16),
-                                            ::testing::Values<std::int64_t>(2, 4, 8, 16)));
-
-// An identity transform is the planner's alias, never a kernel call: the transforms
-// refuse to copy a tensor onto its own layout.
+// An identity transform is the planner's alias, never a kernel call: the transform
+// refuses to copy a tensor onto its own layout.
 TEST(LayoutTransform, IdentityTransformIsRejected) {
   Rng rng(3);
   Tensor src = Tensor::Random({1, 2, 3, 3, 8}, rng, -1, 1, Layout::NCHWc(8));
   Tensor dst = Tensor::Empty(src.dims(), src.layout());
-  EXPECT_DEATH(NCHWcToNCHWc(src, 8, &dst), "identity re-block");
   EXPECT_DEATH(TransformLayout(src, Layout::NCHWc(8), &dst), "identity transform");
 }
 

@@ -3,6 +3,7 @@
 // single-spanning-partition exception, the single-socket contiguous split, online cpus
 // only), and the thread affinity a partition's pool applies.
 #include <algorithm>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/runtime/arena_pool.h"
+#include "src/runtime/omp_pool.h"
 #include "src/runtime/partition.h"
 #include "src/runtime/thread_pool.h"
 #include "src/runtime/topology.h"
@@ -327,6 +329,56 @@ TEST(NeoThreadPool, WidthOnePoolPinsItsThreadOnlyWhenBound) {
     after = ThreadAffinity();
   }).join();
   EXPECT_EQ(after, before) << "an unbound pool leaves the mask alone";
+
+  // Destroyed on the thread that built it, a bound pool of any width gives that thread
+  // back the mask it had before.
+  const std::vector<int> allowed = ThreadAffinity();
+  for (int width : {1, 2}) {
+    std::vector<int> built;
+    std::vector<int> pinned;
+    std::vector<int> restored;
+    std::thread([&] {
+      built = ThreadAffinity();
+      {
+        NeoThreadPool pool(width, /*bind_threads=*/true, {allowed.front(), allowed.back()});
+        pinned = ThreadAffinity();
+      }
+      restored = ThreadAffinity();
+    }).join();
+    EXPECT_EQ(pinned, std::vector<int>{allowed.front()}) << "width " << width;
+    EXPECT_EQ(restored, built) << "width " << width;
+  }
+#endif
+}
+
+// Threads started after a bound pool is gone inherit the builder's own mask, not the
+// pool's one cpu: an OMP-style pool built next runs its tasks with every allowed cpu.
+TEST(NeoThreadPool, DestroyedBoundPoolLeavesLaterThreadsUnpinned) {
+#ifndef __linux__
+  GTEST_SKIP() << "thread affinity is read through sched_getaffinity";
+#else
+  const std::vector<int> allowed = ThreadAffinity();
+  if (allowed.size() < 2) {
+    GTEST_SKIP() << "the process may run on one cpu only";
+  }
+  std::mutex mu;
+  std::vector<std::size_t> task_cpus;
+  std::thread([&] {
+    {
+      NeoThreadPool pool(2, /*bind_threads=*/true, {allowed[0], allowed[1]});
+      pool.ParallelRun(2, [](int, int) {});
+    }
+    OmpStylePool omp(2);
+    omp.ParallelRun(4, [&](int, int) {
+      const std::size_t cpus = ThreadAffinity().size();
+      std::lock_guard<std::mutex> lock(mu);
+      task_cpus.push_back(cpus);
+    });
+  }).join();
+  ASSERT_EQ(task_cpus.size(), 4u);
+  for (std::size_t cpus : task_cpus) {
+    EXPECT_GE(cpus, 2u);
+  }
 #endif
 }
 
