@@ -67,7 +67,7 @@ void BM_WeightOIHWio(benchmark::State& state) {
   Rng rng(4);
   Tensor w = Tensor::Random({256, 256, 3, 3}, rng, -1, 1, Layout::OIHW());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(OIHWToOIHWio(w, 16, 16));
+    benchmark::DoNotOptimize(ReblockWeight(w, 16, 16));
   }
 }
 BENCHMARK(BM_WeightOIHWio)->Unit(benchmark::kMillisecond);

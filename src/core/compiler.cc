@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <unordered_set>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -11,6 +12,7 @@
 #include "src/graph/passes/passes.h"
 #include "src/graph/shape_infer.h"
 #include "src/kernels/conv_winograd.h"
+#include "src/tensor/layout_transform.h"
 #include "src/tuning/global_search.h"
 #include "src/tuning/schedule_space.h"
 
@@ -88,14 +90,35 @@ std::int64_t GraphBatch(const Graph& g) {
   return 0;
 }
 
+// Reblocks, in `source` itself, the weight of every f32 direct conv that is the only
+// reader of a weight in `owned`, to the conv's (ic_bn, oc_bn): AlterConvLayout then
+// finds the blocks it needs and shares the buffer, so the weight is stored once.
+void StoreDirectWeightsOnce(const std::map<int, ConvSchedule>& schedules,
+                            const std::unordered_set<int>& owned, Graph* source) {
+  const std::vector<std::vector<int>> consumers = source->BuildConsumerIndex();
+  for (const auto& [id, sched] : schedules) {
+    const int w = source->node(id).inputs[1];
+    if (sched.IsDirect() && !sched.IsQuantized() && owned.count(w) > 0 &&
+        consumers[static_cast<std::size_t>(w)].size() == 1) {
+      Node& weight = source->node(w);
+      ReblockWeightInPlace(&weight.payload, sched.ic_bn, sched.oc_bn);
+      weight.out_dims = weight.payload.dims();
+      weight.out_layout = weight.payload.layout();
+    }
+  }
+}
+
 // Schedule selection + layout lowering for an already simplified+fused graph. Every
 // per-conv decision is keyed by the conv's WorkloadKey (its params carry the graph's
 // batch), memoized through opts.tuning_cache. `calibration` (null = no quantization)
 // gates the int8 side: quantize-legal convs get the u8 space ranked into their
-// candidate list and the selection decides fp32-vs-int8 per conv. Fills the
-// tuning/search fields of *stats.
-Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
-                      const CalibrationTable* calibration, CompileStats* stats) {
+// candidate list and the selection decides fp32-vs-int8 per conv. `owned` (may be
+// null) names the weight constants no one outside this lowering reads; those a direct
+// conv alone reads are reblocked in place in `source`. Fills the tuning/search fields
+// of *stats.
+Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
+                      const CalibrationTable* calibration,
+                      const std::unordered_set<int>* owned, CompileStats* stats) {
   if (opts.layout_mode == LayoutMode::kNCHW) {
     Graph g = BindNchwKernels(source, opts.nchw_kernel);
     stats->num_convs = g.CountNodes(OpType::kConv2d);
@@ -220,6 +243,12 @@ Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
       // the largest factor of its channel counts.
       const std::int64_t x = opts.target.PreferredBlock();
       for (auto& [id, result] : locals) {
+        if (result->BestForAlgo(ConvAlgo::kDirectNCHWc) == nullptr) {
+          // No templated block divides this conv's channels: it runs its best NCHW
+          // algorithm, behind transforms like any NCHW conv.
+          schedules[id] = BestLegalSchedule(*result, source.node(id));
+          continue;
+        }
         const std::int64_t ic_bn = PickFixedBlock(*result, /*input_side=*/true, x);
         const std::int64_t oc_bn = PickFixedBlock(*result, /*input_side=*/false, x);
         const ScheduleCost* best = result->BestForPair(ic_bn, oc_bn);
@@ -260,9 +289,11 @@ Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
         continue;
       }
       if (opts.forced_algo == ConvAlgo::kDirectNCHWc) {
+        // A conv with no templated block keeps its searched algorithm.
         const ScheduleCost* best = locals.at(id)->BestForAlgo(ConvAlgo::kDirectNCHWc);
-        NEOCPU_CHECK(best != nullptr);
-        sched = best->schedule;
+        if (best != nullptr) {
+          sched = best->schedule;
+        }
       } else {
         sched = AlgoSchedule(opts.forced_algo);
       }
@@ -285,6 +316,10 @@ Graph LowerFusedGraph(const Graph& source, const CompileOptions& opts,
         ++stats->num_quantized_convs;
       }
     }
+  }
+
+  if (owned != nullptr) {
+    StoreDirectWeightsOnce(schedules, *owned, &source);
   }
 
   const LayoutPlacement placement = opts.layout_mode == LayoutMode::kNCHWcPerOp
@@ -340,11 +375,12 @@ CalibrationTable CalibrateGraph(const Graph& source, const CompileOptions& opts)
 // Lowers `source` (already at the batch to tune for) and wraps the executable graph
 // with the tuning state it was derived from: the one lowering behind Compile,
 // RetuneForBatch and LowerModel. `timer` started when the caller's work did, so
-// stats().compile_seconds covers it.
+// stats().compile_seconds covers it. `owned` as in LowerFusedGraph: only Compile
+// passes it, because only its source holds weights no caller or live model can read.
 CompiledModel LowerAtBatch(Graph source, const CompileConfig& config,
                            std::shared_ptr<TuningCache> tuning,
                            CalibrationTable calibration, ThreadEngine* engine, bool retuned,
-                           const Timer& timer) {
+                           const Timer& timer, const std::unordered_set<int>* owned = nullptr) {
   CompileOptions opts;
   static_cast<CompileConfig&>(opts) = config;
   opts.tuning_cache = std::move(tuning);
@@ -356,7 +392,8 @@ CompiledModel LowerAtBatch(Graph source, const CompileConfig& config,
   // property of the data distribution, not the batch size, and the source graph's node
   // ids (the table's keys) survive batch rebinding unchanged.
   const bool quantize = config.quantize && !calibration.empty();
-  Graph g = LowerFusedGraph(source, opts, quantize ? &calibration : nullptr, &stats);
+  Graph g =
+      LowerFusedGraph(source, opts, quantize ? &calibration : nullptr, owned, &stats);
   stats.compile_seconds = timer.Seconds();
   CompiledModel out(std::move(g), stats, std::move(source), config,
                     std::move(opts.tuning_cache));
@@ -378,9 +415,22 @@ CompiledModel Compile(const Graph& model, const CompileOptions& options) {
   if (opts.quantize) {
     calibration = CalibrateGraph(source, opts);
   }
+  // The constants SimplifyInference created (BatchNorm-folded weights) belong to this
+  // compile; every other constant shares a buffer with the caller's graph.
+  std::unordered_set<const float*> caller_buffers;
+  for (int id = 0; id < model.num_nodes(); ++id) {
+    caller_buffers.insert(model.node(id).payload.data());
+  }
+  std::unordered_set<int> owned;
+  for (int id = 0; id < source.num_nodes(); ++id) {
+    const Node& node = source.node(id);
+    if (node.type == OpType::kConstant && caller_buffers.count(node.payload.data()) == 0) {
+      owned.insert(id);
+    }
+  }
   CompiledModel compiled =
       LowerAtBatch(std::move(source), opts, opts.tuning_cache, std::move(calibration),
-                   opts.engine, /*retuned=*/false, total_timer);
+                   opts.engine, /*retuned=*/false, total_timer, &owned);
   if (opts.verbose) {
     const CompileStats& stats = compiled.stats();
     LOG(INFO) << "compiled " << compiled.graph().name << " ["

@@ -15,7 +15,7 @@ namespace {
 constexpr char kMagic[4] = {'N', 'E', 'O', 'C'};
 // One version: a module is the fused source graph plus its tuning state, and the
 // executable graph is re-derived at load. docs/module_format.md is the spec.
-constexpr std::uint32_t kVersion = 9;
+constexpr std::uint32_t kVersion = 10;
 
 // The source-graph attributes of a node, mirrored as an explicit POD so the on-disk
 // format stays stable regardless of NodeAttrs layout changes. Everything else in

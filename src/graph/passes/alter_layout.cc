@@ -88,6 +88,19 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
     return it->second;
   };
 
+  // The conv weight constant in blocks (x, y), OIHW when both are 1: the source
+  // constant itself when it already has them (Compile reblocks the weights it owns in
+  // place, so a direct conv's blocked weight is its only copy), else a reblocked copy.
+  auto weight_as = [&rw, &graph](const Node& node, std::int64_t x, std::int64_t y) -> int {
+    const Tensor& w = graph.node(node.inputs[1]).payload;
+    NEOCPU_CHECK(w.defined()) << node.name << ": conv weight must be constant";
+    Tensor blocked = ReblockWeight(w, x, y);
+    if (blocked.data() == w.data()) {
+      return rw.Lookup(node.inputs[1]);
+    }
+    return rw.dst().AddConstant(std::move(blocked), node.name + ".w");
+  };
+
   for (int id = 0; id < graph.num_nodes(); ++id) {
     const Node& node = graph.node(id);
     switch (node.type) {
@@ -122,10 +135,10 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
                 << node.name << ": winograd assigned to an illegal conv";
             const Tensor& w = graph.node(node.inputs[1]).payload;
             NEOCPU_CHECK(w.defined()) << node.name << ": conv weight must be constant";
-            inputs.push_back(
-                rw.dst().AddConstant(WinogradTransformWeights(w), node.name + ".wino"));
+            inputs.push_back(rw.dst().AddConstant(
+                WinogradTransformWeights(ReblockWeight(w, 1, 1)), node.name + ".wino"));
           } else {
-            inputs.push_back(rw.Lookup(node.inputs[1]));
+            inputs.push_back(weight_as(node, 1, 1));
           }
           std::size_t next_input = 2;
           if (node.attrs.epilogue.bias) {
@@ -161,10 +174,10 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
               ensure_layout(rw.Lookup(node.inputs[0]), Layout::NCHWc(sched.ic_bn));
           const Tensor& w = graph.node(node.inputs[1]).payload;
           NEOCPU_CHECK(w.defined()) << node.name << ": conv weight must be constant";
-          Tensor w_s8;
+          Tensor w_blocked;  // quantized per output channel in OIHW, then blocked
           std::vector<float> w_scales;
-          QuantizeConvWeightsPerOC(w, &w_s8, &w_scales);
-          Tensor w_blocked = OIHWToOIHWio(w_s8, sched.ic_bn, sched.oc_bn);
+          QuantizeConvWeightsPerOC(ReblockWeight(w, 1, 1), &w_blocked, &w_scales);
+          ReblockWeightInPlace(&w_blocked, sched.ic_bn, sched.oc_bn);
           NodeAttrs attrs = node.attrs;
           Tensor bias_s32;
           if (node.attrs.epilogue.bias) {
@@ -210,11 +223,7 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
             ensure_layout(rw.Lookup(node.inputs[0]), Layout::NCHWc(sched.ic_bn));
         // Pre-transform the weight constant at compile time (Figure 2's
         // "Pre-transformed Kernel").
-        const Tensor& w = graph.node(node.inputs[1]).payload;
-        NEOCPU_CHECK(w.defined()) << node.name << ": conv weight must be constant";
-        Tensor w_blocked = OIHWToOIHWio(w, sched.ic_bn, sched.oc_bn);
-        std::vector<int> inputs = {data,
-                                   rw.dst().AddConstant(std::move(w_blocked), node.name + ".w")};
+        std::vector<int> inputs = {data, weight_as(node, sched.ic_bn, sched.oc_bn)};
         std::size_t next_input = 2;
         if (node.attrs.epilogue.bias) {
           inputs.push_back(rw.Lookup(node.inputs[static_cast<int>(next_input)]));

@@ -62,15 +62,18 @@ Graph SimplifyInference(const Graph& graph) {
         }
         Tensor scale, shift;
         BnConstants(graph, graph.node(bn_id), &scale, &shift);
+        // One pass writes w * s into a fresh tensor: this compile owns the result
+        // (Compile may reblock it in place), the caller's weight is only read.
         const Tensor& w = graph.node(node.inputs[1]).payload;
-        Tensor w_folded = w.Clone();
+        Tensor w_folded = Tensor::Empty(w.dims(), w.layout());
         const std::int64_t oc = w.dim(0);
         const std::int64_t per_oc = w.NumElements() / oc;
         for (std::int64_t o = 0; o < oc; ++o) {
           const float s = scale.data()[o];
-          float* row = w_folded.data() + o * per_oc;
+          const float* src = w.data() + o * per_oc;
+          float* dst = w_folded.data() + o * per_oc;
           for (std::int64_t i = 0; i < per_oc; ++i) {
-            row[i] *= s;
+            dst[i] = src[i] * s;
           }
         }
         Tensor bias_folded = shift.Clone();

@@ -51,8 +51,8 @@ IsaTier ConvNCHWcHostTier() { return detail::Tiers().Widest(); }
 void ConvNCHWc(const Conv2dParams& p, const ConvSchedule& s, const Tensor& input,
                const Tensor& weight, const Tensor* bias, const Tensor* residual,
                const ConvEpilogue& epilogue, Tensor* output, ThreadEngine* engine) {
-  NEOCPU_CHECK_LE(s.reg_n, kMaxRegN);
-  NEOCPU_CHECK_LE(s.oc_bn, kMaxChannelBlock);
+  NEOCPU_CHECK(IsTemplated(s)) << "f32 conv has no template instantiation for "
+                                << s.ToString();
   NEOCPU_CHECK_LE(s.ic_bn, kMaxChannelBlock);
   NEOCPU_CHECK_EQ(p.in_c % s.ic_bn, 0);
   NEOCPU_CHECK_EQ(p.out_c % s.oc_bn, 0);

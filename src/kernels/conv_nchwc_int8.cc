@@ -2,7 +2,7 @@
 // convolution. The baseline row driver compiles at the library's portable ISA; the
 // VNNI variant lives in conv_nchwc_int8_avx512vnni.cc behind per-file flags, and this
 // TU (always portable code itself) picks it when the running CPU supports it.
-#define NEOCPU_S8_VARIANT_NS s8_baseline
+#define NEOCPU_CONV_VARIANT_NS s8_baseline
 #define NEOCPU_S8_ROW_FN ConvS8RowBaseline
 #include "src/kernels/conv_nchwc_int8_impl.h"
 
@@ -44,7 +44,7 @@ void ConvNCHWcS8(const Conv2dParams& p, const ConvSchedule& s, const Tensor& inp
                  const ConvEpilogue& epilogue, bool requant, Tensor* output,
                  ThreadEngine* engine, std::int32_t out_zero, std::int32_t in_zero,
                  const S8Residual& residual) {
-  NEOCPU_CHECK(IsInt8Templated(s))
+  NEOCPU_CHECK(IsTemplated(s))
       << "int8 conv has no template instantiation for " << s.ToString();
   NEOCPU_CHECK_LE(s.ic_bn, kMaxChannelBlock);
   NEOCPU_CHECK_EQ(p.in_c % s.ic_bn, 0);

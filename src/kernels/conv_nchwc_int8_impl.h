@@ -1,5 +1,5 @@
 // Implementation body of the u8·s8 NCHWc direct convolution, compiled once per ISA
-// variant: the including translation unit defines NEOCPU_S8_VARIANT_NS (a unique
+// variant: the including translation unit defines NEOCPU_CONV_VARIANT_NS (a unique
 // namespace, so multiple instantiations coexist without ODR collisions) and
 // NEOCPU_S8_ROW_FN (the exported row-driver symbol), then includes this header.
 //
@@ -70,53 +70,18 @@ using S8RowFn = void (*)(const S8ConvArgs&, std::int64_t row);
 
 #endif  // NEOCPU_SRC_KERNELS_CONV_NCHWC_INT8_IMPL_COMMON_
 
+#include "src/kernels/conv_nchwc_micro.h"
+
 namespace neocpu {
 namespace detail {
-namespace NEOCPU_S8_VARIANT_NS {
+namespace NEOCPU_CONV_VARIANT_NS {
 
-// Every micro-kernel below computes REGN consecutive out-width positions of one
-// (n, oc_block, oh) row into `out_acc`, in two instantiations per block shape: the
-// interior one (GUARD = false) for register blocks whose input columns all lie inside
-// [0, iw), and the guarded one for image edges and out-width tails. The guarded form
-// reads the zero-point column `a.pad_col` wherever a column falls outside [0, iw) —
-// exactly what a padded position contributes — so both forms run the same vector loop
-// and produce the same exact integer sums.
-
-// Input columns of the REGN positions at one kernel tap, starting at column
-// `iw_first`. The interior form is one strided pointer; the guarded form resolves each
-// column once per tap, keeping the MAC loops branch-free. A padded row (`row` null)
-// reads the zero-point column at every position in both forms.
-template <int REGN, bool GUARD>
-class Columns {
- public:
-  Columns(const S8ConvArgs& a, const std::uint8_t* row, std::int64_t iw_first) {
-    const std::uint8_t* pad = a.pad_col;
-    if constexpr (GUARD) {
-      for (int r = 0; r < REGN; ++r) {
-        const std::int64_t iw = iw_first + r * a.sw;
-        col_[r] = row != nullptr && iw >= 0 && iw < a.iw ? row + iw * a.icb : pad;
-      }
-    } else {
-      base_ = row != nullptr ? row + iw_first * a.icb : pad;
-      step_ = row != nullptr ? a.sw * a.icb : 0;
-    }
-  }
-
-  const std::uint8_t* operator[](int r) const {
-    if constexpr (GUARD) {
-      return col_[r];
-    } else {
-      return base_ + r * step_;
-    }
-  }
-
- private:
-  const std::uint8_t* col_[GUARD ? REGN : 1];
-  const std::uint8_t* base_ = nullptr;
-  std::int64_t step_ = 0;
-};
-
-// The u8·s8 micro-kernel (IntelCaffe's form). A u8*s8 product reaches 255*127 =
+// The u8·s8 micro-kernel (IntelCaffe's form): REGN consecutive out-width positions of
+// one (n, oc_block, oh) row into `out_acc`, in the interior and the guarded
+// instantiation (Columns, conv_nchwc_micro.h). The guarded form reads the zero-point
+// column `a.pad_col` wherever a column falls outside [0, iw) — exactly what a padded
+// position contributes — so both forms run the same vector loop and produce the same
+// exact integer sums. A u8*s8 product reaches 255*127 =
 // 32385, so two of them overflow an s16 pair sum — the IntelCaffe s16-overflow
 // hazard. The portable tier therefore accumulates every 4-product group directly in
 // s32 (exact, no saturation); the AVX-512 VNNI tier lowers the identical 4-wide group
@@ -126,9 +91,18 @@ class Columns {
 // Weights are VNNI-packed per (ic_block, kh, kw) tile: [ici/4][ocb][4]; icb % 4 == 0.
 // A padded row reads the zero-point column too, unless the zero point is 0.
 template <int OCB, int REGN, bool UNROLL, bool GUARD>
-void MicroInteriorU8(const S8ConvArgs& a, const std::uint8_t* __restrict u_n,
-                     const std::int8_t* __restrict w_o, std::int64_t oh,
-                     std::int64_t ow0, std::int32_t* __restrict out_acc) {
+struct U8Micro {
+  static void Run(const S8ConvArgs& a, const std::uint8_t* __restrict u_n,
+                  const std::int8_t* __restrict w_o, std::int64_t oh, std::int64_t ow0,
+                  std::int32_t* __restrict out_acc);
+};
+
+template <int OCB, int REGN, bool UNROLL, bool GUARD>
+void U8Micro<OCB, REGN, UNROLL, GUARD>::Run(const S8ConvArgs& a,
+                                            const std::uint8_t* __restrict u_n,
+                                            const std::int8_t* __restrict w_o,
+                                            std::int64_t oh, std::int64_t ow0,
+                                            std::int32_t* __restrict out_acc) {
   const std::int64_t iw0 = ow0 * a.sw - a.pw;
   const std::int64_t icb = a.icb;
   const std::int64_t w_kstride = icb * OCB;
@@ -155,7 +129,8 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::uint8_t* __restrict u_n,
         const std::int8_t* w_h = w_c + kh * a.kw * w_kstride;
         for (std::int64_t kw = 0; kw < a.kw; ++kw) {
           const std::int8_t* __restrict w_k = w_h + kw * w_kstride;
-          const Columns<REGN, GUARD> cols(a, in_row, iw0 + kw);
+          const Columns<std::uint8_t, REGN, GUARD> cols(in_row, iw0 + kw, a.iw, icb, a.sw,
+                                                        a.pad_col);
           for (std::int64_t ici = 0; ici < icb; ici += 4) {
             // One [ocb][4] weight tile = OCV contiguous 64-byte vectors.
             const std::int8_t* __restrict wt = w_k + ici * OCB;
@@ -205,7 +180,8 @@ void MicroInteriorU8(const S8ConvArgs& a, const std::uint8_t* __restrict u_n,
       const std::int8_t* w_h = w_c + kh * a.kw * w_kstride;
       auto kw_body = [&](std::int64_t kw) {
         const std::int8_t* __restrict w_k = w_h + kw * w_kstride;
-        const Columns<REGN, GUARD> cols(a, in_row, iw0 + kw);
+        const Columns<std::uint8_t, REGN, GUARD> cols(in_row, iw0 + kw, a.iw, icb, a.sw,
+                                                        a.pad_col);
         for (std::int64_t ici = 0; ici < icb; ici += 4) {
           const std::int8_t* __restrict wt = w_k + ici * OCB;
 #pragma GCC unroll 32
@@ -310,64 +286,7 @@ inline void StoreSegment(const S8ConvArgs& a, const std::int32_t* acc,
   }
 }
 
-using MicroFn = void (*)(const S8ConvArgs&, const std::uint8_t* __restrict,
-                         const std::int8_t* __restrict, std::int64_t, std::int64_t,
-                         std::int32_t* __restrict);
-
-// The interior and guarded instantiations of one block shape.
-struct MicroPair {
-  MicroFn interior = nullptr;
-  MicroFn guarded = nullptr;
-};
-
-template <int OCB, int REGN, bool UNROLL>
-MicroPair PairOf() {
-  return {&MicroInteriorU8<OCB, REGN, UNROLL, false>,
-          &MicroInteriorU8<OCB, REGN, UNROLL, true>};
-}
-
-template <int OCB, bool UNROLL>
-MicroPair SelectByRegN(std::int64_t reg_n) {
-  switch (reg_n) {
-    case 2:
-      return PairOf<OCB, 2, UNROLL>();
-    case 4:
-      return PairOf<OCB, 4, UNROLL>();
-    case 8:
-      return PairOf<OCB, 8, UNROLL>();
-    case 16:
-      return PairOf<OCB, 16, UNROLL>();
-    case 32:
-      return PairOf<OCB, 32, UNROLL>();
-    default:
-      return {};
-  }
-}
-
-template <int OCB>
-MicroPair SelectByUnroll(std::int64_t reg_n, bool unroll) {
-  return unroll ? SelectByRegN<OCB, true>(reg_n) : SelectByRegN<OCB, false>(reg_n);
-}
-
-// Block shapes the dispatcher admits (IsInt8Templated).
-inline MicroPair SelectMicro(std::int64_t ocb, std::int64_t reg_n, bool unroll) {
-  switch (ocb) {
-    case 4:
-      return SelectByUnroll<4>(reg_n, unroll);
-    case 8:
-      return SelectByUnroll<8>(reg_n, unroll);
-    case 16:
-      return SelectByUnroll<16>(reg_n, unroll);
-    case 32:
-      return SelectByUnroll<32>(reg_n, unroll);
-    case 64:
-      return SelectByUnroll<64>(reg_n, unroll);
-    default:
-      return {};
-  }
-}
-
-}  // namespace NEOCPU_S8_VARIANT_NS
+}  // namespace NEOCPU_CONV_VARIANT_NS
 
 // Row driver: one (n, oc_block, oh) output row in reg_n register blocks from ow = 0,
 // exported per ISA variant and invoked by the dispatcher's ParallelFor. A block whose
@@ -375,7 +294,7 @@ inline MicroPair SelectMicro(std::int64_t ocb, std::int64_t reg_n, bool unroll) 
 // guarded one; the last block computes a full reg_n and stores only the positions
 // below ow.
 void NEOCPU_S8_ROW_FN(const S8ConvArgs& a, std::int64_t row) {
-  namespace v = NEOCPU_S8_VARIANT_NS;
+  namespace v = NEOCPU_CONV_VARIANT_NS;
   const std::int64_t oh = row % a.oh;
   const std::int64_t rest = row / a.oh;
   const std::int64_t oco = rest % a.ocb_count;
@@ -396,7 +315,8 @@ void NEOCPU_S8_ROW_FN(const S8ConvArgs& a, std::int64_t row) {
                        : static_cast<const void*>(static_cast<const float*>(a.res) + out_off);
 
   std::int32_t acc[kMaxRegN * kMaxChannelBlock];
-  const v::MicroPair micro = v::SelectMicro(a.ocb, a.reg_n, a.unroll_ker);
+  const v::MicroPair<v::U8Micro> micro =
+      v::SelectMicro<v::U8Micro>(a.ocb, a.reg_n, a.unroll_ker);
   for (std::int64_t ow = 0; ow < a.ow; ow += a.reg_n) {
     const bool interior = ow >= a.ow_lo && ow + a.reg_n <= a.ow_hi;
     (interior ? micro.interior : micro.guarded)(a, in_n, w_o, oh, ow, acc);

@@ -81,10 +81,11 @@ ConvSchedule AlgoSchedule(ConvAlgo algo);
 inline constexpr std::int64_t kMaxRegN = 32;
 inline constexpr std::int64_t kMaxChannelBlock = 64;
 
-// Whether the int8 NCHWc template is instantiated for the schedule's block shape:
-// oc_bn in {4, 8, 16, 32, 64} and reg_n in {2, 4, 8, 16, 32}. The int8 schedule space
-// admits only these, and ConvNCHWcS8 rejects any other block.
-inline bool IsInt8Templated(const ConvSchedule& s) {
+// Whether the NCHW[x]c templates (f32 and u8) are instantiated for the schedule's
+// block shape: oc_bn in {4, 8, 16, 32, 64} and reg_n in {2, 4, 8, 16, 32}
+// (SelectMicro). Both schedule spaces admit only these, and ConvNCHWc and ConvNCHWcS8
+// reject any other block; ic_bn is a runtime loop bound and takes any factor.
+inline bool IsTemplated(const ConvSchedule& s) {
   const std::int64_t o = s.oc_bn, r = s.reg_n;
   return (o == 4 || o == 8 || o == 16 || o == 32 || o == 64) &&
          (r == 2 || r == 4 || r == 8 || r == 16 || r == 32);

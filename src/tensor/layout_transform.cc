@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "src/base/logging.h"
 #include "src/tensor/tensor_check.h"
@@ -80,45 +81,103 @@ void Reblock(const Tensor& src, const BlockedDims& s, const BlockedDims& d, Tens
   }
 }
 
+// A conv weight's logical extents and its (x, y) blocks.
+struct WeightBlocks {
+  std::int64_t o, i, khw, x, y;
+};
+
+WeightBlocks WeightBlocksOf(const Tensor& w) {
+  if (w.ndim() == 4) {
+    NEOCPU_CHECK(w.layout().kind == LayoutKind::kOIHW) << w.DebugString();
+    return {w.dim(0), w.dim(1), w.dim(2) * w.dim(3), 1, 1};
+  }
+  NEOCPU_CHECK(w.ndim() == 6 && w.layout().kind == LayoutKind::kOIHWio) << w.DebugString();
+  return {w.dim(0) * w.dim(5), w.dim(1) * w.dim(4), w.dim(2) * w.dim(3), w.dim(4),
+          w.dim(5)};
+}
+
+// Reblocks `src` (blocks b) into `dst` (blocks x, y) one slab of g = lcm(b.y, y)
+// output channels at a time: a slab is contiguous in both layouts, so `dst` may be
+// `src`'s own buffer. Each slab is first copied to a scratch slab, then written back in
+// the destination order. Within a slab, element (o, i, k) of blocks (x, y) sits at
+//   (((o / y * (I / x) + i / x) * khw + k) * x + i % x) * y + o % y,
+// which splits into an o term and an (i, k) term; the source's are tabulated once, so
+// the write-back walks the destination in order with one add per element. The scratch
+// pads each source o-block by a cache line: the write-back reads y rows at once, and
+// unpadded OIHW rows of I * KH * KW floats often share L1 sets.
 template <typename T>
-void OIHWToOIHWioT(const Tensor& src, std::int64_t x, std::int64_t y, Tensor* dst) {
-  const std::int64_t o = src.dim(0), i = src.dim(1), kh = src.dim(2), kw = src.dim(3);
-  const std::int64_t ob = o / y;
-  const std::int64_t ib = i / x;
-  const T* s = src.data_as<T>();
-  T* d = dst->data_as<T>();
-  const std::int64_t khw = kh * kw;
-  for (std::int64_t oo = 0; oo < ob; ++oo) {
-    for (std::int64_t ii = 0; ii < ib; ++ii) {
-      for (std::int64_t k = 0; k < khw; ++k) {
-        for (std::int64_t xi = 0; xi < x; ++xi) {
-          for (std::int64_t yi = 0; yi < y; ++yi) {
-            const std::int64_t src_idx = ((oo * y + yi) * i + (ii * x + xi)) * khw + k;
-            T* dp = d + ((((oo * ib + ii) * khw + k) * x + xi) * y + yi);
-            *dp = s[src_idx];
-          }
+void ReblockWeightT(const T* src, T* dst, const WeightBlocks& b, std::int64_t x,
+                    std::int64_t y) {
+  const std::int64_t g = std::lcm(b.y, y);
+  const std::int64_t block = b.i * b.khw * b.y;  // one source o-block
+  const std::int64_t stride = block + 64 / static_cast<std::int64_t>(sizeof(T));
+  std::vector<std::int64_t> o_term(static_cast<std::size_t>(g));
+  for (std::int64_t o = 0; o < g; ++o) {
+    o_term[static_cast<std::size_t>(o)] = (o / b.y) * stride + o % b.y;
+  }
+  // In destination order of (i / x, k, i % x).
+  std::vector<std::int64_t> ik_term;
+  ik_term.reserve(static_cast<std::size_t>(b.i * b.khw));
+  for (std::int64_t ib = 0; ib < b.i / x; ++ib) {
+    for (std::int64_t k = 0; k < b.khw; ++k) {
+      for (std::int64_t xi = 0; xi < x; ++xi) {
+        const std::int64_t i = ib * x + xi;
+        ik_term.push_back((((i / b.x) * b.khw + k) * b.x + i % b.x) * b.y);
+      }
+    }
+  }
+  std::vector<T> scratch(static_cast<std::size_t>(g / b.y * stride));
+  for (std::int64_t o0 = 0; o0 < b.o; o0 += g) {
+    const T* from = src + o0 * b.i * b.khw;
+    for (std::int64_t sb = 0; sb < g / b.y; ++sb) {
+      std::copy(from + sb * block, from + (sb + 1) * block, scratch.data() + sb * stride);
+    }
+    T* to = dst + o0 * b.i * b.khw;
+    for (std::int64_t ob = 0; ob < g / y; ++ob) {
+      const std::int64_t* o_at = o_term.data() + ob * y;
+      for (const std::int64_t ik : ik_term) {
+        for (std::int64_t yi = 0; yi < y; ++yi) {
+          *to++ = scratch[static_cast<std::size_t>(o_at[yi] + ik)];
         }
       }
     }
   }
 }
 
+// `w` with blocks (x, y) (OIHW when both are 1): `w` itself when it has them, else a
+// reblocked copy, or `w`'s own buffer reblocked when `in_place`.
+Tensor Reblocked(const Tensor& w, std::int64_t x, std::int64_t y, bool in_place) {
+  const WeightBlocks b = WeightBlocksOf(w);
+  if (b.x == x && b.y == y) {
+    return w;
+  }
+  NEOCPU_CHECK_EQ(b.i % x, 0) << "input channels " << b.i << " not divisible by " << x;
+  NEOCPU_CHECK_EQ(b.o % y, 0) << "output channels " << b.o << " not divisible by " << y;
+  const std::int64_t kh = w.dim(2), kw = w.dim(3);  // the same in both ranks
+  const bool oihw = x == 1 && y == 1;
+  std::vector<std::int64_t> dims = oihw ? std::vector<std::int64_t>{b.o, b.i, kh, kw}
+                                        : std::vector<std::int64_t>{b.o / y, b.i / x, kh,
+                                                                    kw, x, y};
+  const Layout layout = oihw ? Layout::OIHW() : Layout::OIHWio(x, y);
+  Tensor out = in_place ? w.Reshaped(std::move(dims), layout)
+                        : Tensor::Empty(std::move(dims), layout, w.dtype());
+  if (w.dtype() == DType::kS8) {
+    ReblockWeightT(w.data_as<std::int8_t>(), out.data_as<std::int8_t>(), b, x, y);
+  } else {
+    NEOCPU_CHECK(w.dtype() == DType::kF32) << w.DebugString();
+    ReblockWeightT(w.data_as<float>(), out.data_as<float>(), b, x, y);
+  }
+  return out;
+}
+
 }  // namespace
 
-Tensor OIHWToOIHWio(const Tensor& src, std::int64_t x, std::int64_t y) {
-  NEOCPU_CHECK_EQ(src.ndim(), 4);
-  const std::int64_t o = src.dim(0), i = src.dim(1), kh = src.dim(2), kw = src.dim(3);
-  NEOCPU_CHECK_EQ(i % x, 0);
-  NEOCPU_CHECK_EQ(o % y, 0);
-  Tensor dst = Tensor::Empty({o / y, i / x, kh, kw, x, y}, Layout::OIHWio(x, y),
-                             src.dtype());
-  if (src.dtype() == DType::kS8) {
-    OIHWToOIHWioT<std::int8_t>(src, x, y, &dst);
-  } else {
-    NEOCPU_CHECK(src.dtype() == DType::kF32) << src.DebugString();
-    OIHWToOIHWioT<float>(src, x, y, &dst);
-  }
-  return dst;
+Tensor ReblockWeight(const Tensor& w, std::int64_t x, std::int64_t y) {
+  return Reblocked(w, x, y, /*in_place=*/false);
+}
+
+void ReblockWeightInPlace(Tensor* w, std::int64_t x, std::int64_t y) {
+  *w = Reblocked(*w, x, y, /*in_place=*/true);
 }
 
 void TransformLayout(const Tensor& src, const Layout& dst_layout, Tensor* dst,

@@ -12,8 +12,18 @@
 
 namespace neocpu {
 
-// Convolution weights OIHW (4-D) → OIHW[x]i[y]o (6-D). I % x == 0 and O % y == 0.
-Tensor OIHWToOIHWio(const Tensor& src, std::int64_t x, std::int64_t y);
+// Convolution weights in OIHW[x]i[y]o: 6-D {O/y, I/x, KH, KW, x, y}, with OIHW (4-D)
+// read as OIHW[1]i[1]o, just as NCHW is NCHW[1]c. f32 or s8.
+//
+// Returns `w` itself when it already has blocks (x, y), else a copy with them: OIHW
+// when x = y = 1, else OIHW[x]i[y]o. I % x == 0 and O % y == 0.
+Tensor ReblockWeight(const Tensor& w, std::int64_t x, std::int64_t y);
+
+// Reblocks `*w` to (x, y) in its own buffer: a group of lcm(y, y') output channels
+// is one contiguous slab in both layouts, so the slabs go one at a time through one
+// reusable scratch slab. Only for a buffer nothing else reads (a weight the caller
+// created): every tensor sharing the buffer sees the new element order.
+void ReblockWeightInPlace(Tensor* w, std::int64_t x, std::int64_t y);
 
 // The one feature-map transform, behind the executor's LayoutTransform node: copies
 // `src` (NCHW, NHWC or NCHW[x]c; f32 or u8) into `dst` in `dst_layout`, one of the same

@@ -25,7 +25,7 @@ const char* CostModeName(CostMode mode) {
   return mode == CostMode::kAnalytic ? "analytic" : "measured";
 }
 
-double S8BlockRoundingFactor(std::int64_t out_w, std::int64_t reg_n) {
+double BlockRoundingFactor(std::int64_t out_w, std::int64_t reg_n) {
   const std::int64_t blocks = (out_w + reg_n - 1) / reg_n;
   return static_cast<double>(blocks * reg_n) / static_cast<double>(out_w);
 }
@@ -43,37 +43,26 @@ double AnalyticDirectNchwcMs(const Conv2dParams& p, const ConvSchedule& s, const
   const double oc_vectors = std::ceil(static_cast<double>(s.oc_bn) / lanes);
   ms *= (oc_vectors * lanes) / static_cast<double>(s.oc_bn);
 
-  // Only blocks with template instantiations hit the register-blocked fast path.
-  const bool fast_ocb = s.oc_bn == 4 || s.oc_bn == 8 || s.oc_bn == 16 || s.oc_bn == 32;
-  const bool fast_regn =
-      s.reg_n == 2 || s.reg_n == 4 || s.reg_n == 8 || s.reg_n == 16 || s.reg_n == 32;
-  if (!fast_ocb || !fast_regn) {
-    ms *= 2.5;
-  }
-
-  // Register pressure: the register block needs reg_n * ceil(oc_bn/lanes) accumulators
-  // plus a kernel vector and a broadcast; spilling is progressive, not a cliff.
-  const double regs_used = static_cast<double>(s.reg_n) * oc_vectors + 2.0;
+  // The register tile (Figure 1): each input channel step issues A = reg_n * oc_vectors
+  // FMAs, one per accumulator, against oc_vectors weight loads and reg_n broadcasts.
+  // Fewer than ~10 independent accumulators cannot hide the FMA latency; the loads add
+  // time in proportion to their count per FMA; and a tile whose accumulators, weight
+  // vectors and broadcast overflow the register file spills progressively.
+  const double accumulators = static_cast<double>(s.reg_n) * oc_vectors;
+  ms *= std::max(accumulators, 10.0) / accumulators;
+  ms *= 1.0 + 0.25 * (oc_vectors + static_cast<double>(s.reg_n)) / accumulators;
+  const double regs_used = accumulators + oc_vectors + 1.0;
   const double regs_avail = static_cast<double>(t.num_vector_registers);
   if (regs_used > regs_avail) {
-    ms *= 1.0 + 0.35 * (regs_used - regs_avail) / regs_avail;
+    ms *= 1.0 + 0.6 * (regs_used - regs_avail) / regs_avail;
   }
-
-  // Weight-vector reuse: one kernel vector load is amortized over reg_n FMAs.
-  ms *= 1.0 + 1.0 / static_cast<double>(s.reg_n);
   // Inner ici loop overhead for tiny input blocks.
   ms *= 1.0 + 0.8 / static_cast<double>(s.ic_bn);
 
-  // Out-width tail: positions not covered by full interior reg_n blocks run the slow
-  // guarded kernel (~3x).
-  const std::int64_t ow = p.OutW();
-  const std::int64_t ow_lo = p.pad_w == 0 ? 0 : (p.pad_w + p.stride_w - 1) / p.stride_w;
-  const std::int64_t ow_hi =
-      std::min<std::int64_t>(ow, (p.in_w + p.pad_w - p.kernel_w) / p.stride_w + 1);
-  const std::int64_t interior = std::max<std::int64_t>(ow_hi - ow_lo, 0) / s.reg_n * s.reg_n;
-  const double tail_frac =
-      1.0 - static_cast<double>(interior) / static_cast<double>(std::max<std::int64_t>(ow, 1));
-  ms *= 1.0 + 2.0 * tail_frac;
+  // Block rounding: every row runs in whole reg_n blocks (edges on the guarded
+  // instantiation of the same template), so the last block's unstored positions are
+  // computed too.
+  ms *= BlockRoundingFactor(p.OutW(), s.reg_n);
 
   // Cache footprint: weights streamed per output row block; if the whole reduction's
   // weights for one oc block overflow L2, they re-stream from L3/DRAM.
@@ -195,7 +184,7 @@ double AnalyticDirectNchwcS8Ms(const Conv2dParams& p, const ConvSchedule& s,
   // Block rounding: every row runs in whole reg_n blocks (edges on the guarded
   // instantiation of the same template), so the last block's unstored positions
   // are computed too.
-  ms *= S8BlockRoundingFactor(p.OutW(), s.reg_n);
+  ms *= BlockRoundingFactor(p.OutW(), s.reg_n);
 
   // Quantization epilogue: one scale-and-store pass over the output.
   const double out_elems = static_cast<double>(p.batch * p.out_c) *

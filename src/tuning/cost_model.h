@@ -7,7 +7,7 @@
 //    ResNet-50's 20 workloads on an 18-core machine).
 //  * kAnalytic — a calibrated machine model over the same schedule space: peak-FMA
 //    baseline adjusted for vector-lane utilization, register pressure, loop overheads,
-//    out_width tail fractions and cache footprints. Orders of magnitude faster; used by
+//    out_width block rounding and cache footprints. Orders of magnitude faster; used by
 //    default so compiling all 15 zoo models stays CI-friendly. Benches and tests verify
 //    the two modes agree on the ranking's head.
 #ifndef NEOCPU_SRC_TUNING_COST_MODEL_H_
@@ -30,10 +30,10 @@ const char* CostModeName(CostMode mode);
 double AnalyticConvMs(const Conv2dParams& params, const ConvSchedule& schedule,
                       const Target& target);
 
-// Work factor of the int8 row driver's block rounding: a row of `out_w` positions runs
-// ceil(out_w / reg_n) whole reg_n blocks, so it computes ceil(out_w / reg_n) * reg_n
-// positions and stores out_w of them.
-double S8BlockRoundingFactor(std::int64_t out_w, std::int64_t reg_n);
+// Work factor of the NCHW[x]c row drivers' block rounding (f32 and u8): a row of
+// `out_w` positions runs ceil(out_w / reg_n) whole reg_n blocks, so it computes
+// ceil(out_w / reg_n) * reg_n positions and stores out_w of them.
+double BlockRoundingFactor(std::int64_t out_w, std::int64_t reg_n);
 
 // Times the real kernel on deterministic synthetic tensors (min of `runs`).
 double MeasureConvMs(const Conv2dParams& params, const ConvSchedule& schedule,

@@ -99,13 +99,15 @@ GlobalProblem ExtractGlobalProblem(const Graph& graph, const LocalSearchMap& loc
   }
   // QuantizeGraph executes pooling natively in the integer domain, so a value "stays
   // integer" when it neither escapes nor reaches a consumer outside {conv data and
-  // residual reads, pools that themselves stay integer}. A conv read is no boundary
-  // here because its edge prices it: the producer-consumer (data) and sibling (residual)
-  // edges compare signatures that carry the dtype, so an int8 producer feeding an f32
-  // conv pays the dequantize there — the shared kDequantize that an f32 residual conv
-  // reads, like any other f32 reader. Concat also has an integer
-  // form, but it additionally needs its own calibrated range and every input integer —
-  // unknown at costing time, so it stays a (conservative) boundary here.
+  // residual reads, pools that themselves stay integer}. A conv's data read is no
+  // boundary here because its producer-consumer edge prices it: the edge compares
+  // signatures that carry the dtype, so an int8 producer feeding an f32 conv pays the
+  // dequantize there. A residual read is costed as integer on the assumption that the
+  // reading conv is quantized; when that conv stays f32, it reads the shared
+  // kDequantize that QuantizeGraph creates for f32 readers, which this sweep does not
+  // charge. Concat also has an integer form, but it additionally needs its own
+  // calibrated range and every input integer — unknown at costing time, so it stays a
+  // (conservative) boundary here.
   std::function<bool(int)> stays_int = [&](int v) -> bool {
     if (escapes[static_cast<std::size_t>(v)] != 0) {
       return false;

@@ -1,6 +1,7 @@
 #include "src/tuning/schedule_space.h"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "src/base/logging.h"
 #include "src/kernels/conv_winograd.h"
@@ -18,40 +19,59 @@ std::vector<std::int64_t> Factors(std::int64_t n, std::int64_t cap) {
   return out;
 }
 
-std::vector<ConvSchedule> EnumerateSchedules(const Conv2dParams& p, const Target& t,
-                                             bool quick_space) {
-  const std::int64_t cap = std::min<std::int64_t>(t.MaxBlock(), kMaxChannelBlock);
-  std::vector<std::int64_t> ic = Factors(p.in_c, cap);
-  std::vector<std::int64_t> oc = Factors(p.out_c, cap);
-  if (quick_space) {
-    auto prune = [&](std::vector<std::int64_t>& v) {
-      const std::int64_t lanes = t.PreferredBlock();
-      std::vector<std::int64_t> keep;
-      for (std::int64_t f : v) {
-        if (f == lanes || f == lanes / 2 || f == 2 * lanes || f == v.back()) {
-          keep.push_back(f);
-        }
-      }
-      if (keep.empty()) {
-        keep.push_back(v.back());
-      }
-      v = std::move(keep);
-    };
-    prune(ic);
-    prune(oc);
+namespace {
+
+// Channel factors up to `cap`, pruned under quick_space to the block sizes in `keep`
+// (plus the largest factor, so the list is never empty).
+std::vector<std::int64_t> BlockCandidates(std::int64_t channels, std::int64_t cap,
+                                          bool quick_space,
+                                          std::initializer_list<std::int64_t> keep) {
+  std::vector<std::int64_t> v = Factors(channels, std::min(cap, kMaxChannelBlock));
+  if (!quick_space) {
+    return v;
   }
+  std::vector<std::int64_t> kept;
+  for (std::int64_t f : v) {
+    if (std::find(keep.begin(), keep.end(), f) != keep.end() || f == v.back()) {
+      kept.push_back(f);
+    }
+  }
+  return kept;
+}
+
+// The §3.3.1 tuples over the given channel blocks, for the block shapes the templates
+// are instantiated for (IsTemplated): a conv with no such oc block among its factors
+// (a 126-channel SSD class head) gets an empty direct space.
+std::vector<ConvSchedule> TemplatedSchedules(const std::vector<std::int64_t>& ic,
+                                             const std::vector<std::int64_t>& oc,
+                                             DType dtype) {
   std::vector<ConvSchedule> out;
   out.reserve(ic.size() * oc.size() * RegNCandidates().size() * 2);
   for (std::int64_t i : ic) {
     for (std::int64_t o : oc) {
       for (std::int64_t r : RegNCandidates()) {
         for (bool u : {true, false}) {
-          out.push_back(ConvSchedule{i, o, r, u});
+          ConvSchedule s{i, o, r, u};
+          s.dtype = dtype;
+          if (IsTemplated(s)) {
+            out.push_back(s);
+          }
         }
       }
     }
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<ConvSchedule> EnumerateSchedules(const Conv2dParams& p, const Target& t,
+                                             bool quick_space) {
+  const std::int64_t lanes = t.PreferredBlock();
+  const auto keep = {lanes, lanes / 2, 2 * lanes};
+  return TemplatedSchedules(BlockCandidates(p.in_c, t.MaxBlock(), quick_space, keep),
+                            BlockCandidates(p.out_c, t.MaxBlock(), quick_space, keep),
+                            DType::kF32);
 }
 
 std::vector<ConvSchedule> EnumerateAlgoCandidates(const Conv2dParams& p) {
@@ -68,49 +88,14 @@ std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& p, const Targ
   // int8 blocks run up to a full 8-bit vector (4x the fp32 lanes): the quantized
   // kernel's MAC density scales with the filled fraction of the vector, so the space
   // leans on the widest admissible factors.
-  const std::int64_t cap = std::min<std::int64_t>(t.MaxBlockS8(), kMaxChannelBlock);
-  std::vector<std::int64_t> ic = Factors(p.in_c, cap);
-  std::vector<std::int64_t> oc = Factors(p.out_c, cap);
-  if (quick_space) {
-    auto prune = [&](std::vector<std::int64_t>& v) {
-      const std::int64_t full = t.PreferredBlockS8();
-      std::vector<std::int64_t> keep;
-      for (std::int64_t f : v) {
-        if (f == full || f == full / 2 || f == full / 4 || f == v.back()) {
-          keep.push_back(f);
-        }
-      }
-      if (keep.empty()) {
-        keep.push_back(v.back());
-      }
-      v = std::move(keep);
-    };
-    prune(ic);
-    prune(oc);
-  }
+  const std::int64_t full = t.PreferredBlockS8();
+  const auto keep = {full, full / 2, full / 4};
+  std::vector<std::int64_t> ic = BlockCandidates(p.in_c, t.MaxBlockS8(), quick_space, keep);
   // u8 activations pair 4 input channels per vpdpbusd lane (and the portable tier
   // mirrors that grouping), so only quad-divisible ic blocks are admissible.
-  ic.erase(std::remove_if(ic.begin(), ic.end(), [](std::int64_t f) { return f % 4 != 0; }),
-           ic.end());
-  // Only block shapes the kernel is instantiated for: a conv with no such oc block
-  // among its factors (e.g. a 126-channel SSD class head) gets an empty space and
-  // stays f32.
-  std::vector<ConvSchedule> out;
-  out.reserve(ic.size() * oc.size() * RegNCandidates().size() * 2);
-  for (std::int64_t i : ic) {
-    for (std::int64_t o : oc) {
-      for (std::int64_t r : RegNCandidates()) {
-        for (bool u : {true, false}) {
-          ConvSchedule s{i, o, r, u};
-          s.dtype = DType::kU8;
-          if (IsInt8Templated(s)) {
-            out.push_back(s);
-          }
-        }
-      }
-    }
-  }
-  return out;
+  std::erase_if(ic, [](std::int64_t f) { return f % 4 != 0; });
+  return TemplatedSchedules(
+      ic, BlockCandidates(p.out_c, t.MaxBlockS8(), quick_space, keep), DType::kU8);
 }
 
 std::vector<GemmSchedule> EnumerateDenseSchedules(const DenseParams& p, bool quick_space,

@@ -2,7 +2,8 @@
 //
 // The candidate lists follow the paper exactly:
 //   * ic_bn / oc_bn: all factors of the channel counts (capped by the target ISA's
-//     admissible block size);
+//     admissible block size), oc_bn restricted to the templated blocks
+//     {4, 8, 16, 32, 64};
 //   * reg_n: [32, 16, 8, 4, 2];
 //   * unroll_ker: [true, false].
 #ifndef NEOCPU_SRC_TUNING_SCHEDULE_SPACE_H_
@@ -25,7 +26,9 @@ std::vector<std::int64_t> Factors(std::int64_t n, std::int64_t cap);
 // The full §3.3.1 space for one workload on one target. With quick_space, the channel
 // factors are pruned to the neighbourhood of the target's preferred block (half / one /
 // two vectors), which keeps measured search affordable; the full space is what the
-// paper's offline multi-hour search walks. Direct-NCHWc schedules only; the algorithm
+// paper's offline multi-hour search walks. Direct-NCHWc schedules only, and only the
+// block shapes the template is instantiated for (IsTemplated), so the space is empty
+// for a conv with no templated oc block (a 126-channel SSD class head); the algorithm
 // alternatives below ride along in the local search's candidate list.
 std::vector<ConvSchedule> EnumerateSchedules(const Conv2dParams& params, const Target& target,
                                              bool quick_space = false);
@@ -42,7 +45,7 @@ std::vector<ConvSchedule> EnumerateAlgoCandidates(const Conv2dParams& params);
 // (4x the fp32 lanes — the int8 kernel's throughput scales with the filled vector
 // fraction) and quick_space prunes to the {full, half, quarter} 8-bit-vector
 // neighbourhood. Only ic_bn factors divisible by 4 (the VNNI quad-packing
-// constraint) and the oc_bn values the kernel is instantiated for (IsInt8Templated)
+// constraint) and the oc_bn values the kernel is instantiated for (IsTemplated)
 // are admitted, so the space is empty for a conv with none of them — a 3-channel
 // stem, a 126-channel SSD class head. Every schedule carries dtype kU8 and caches
 // under the u8-tagged WorkloadKey, separate from the fp32 entries.

@@ -258,10 +258,10 @@ bool TuningCache::ParseStream(std::istream& in, ParsedMap* entries) {
       sc.schedule.dtype = key.dtype;
       result.ranked.push_back(sc);
     }
-    // Earlier builds also ranked int8 blocks the kernel is not instantiated for; drop
+    // Earlier builds also ranked blocks the templates are not instantiated for; drop
     // them so a warm start can never select one.
     std::erase_if(result.ranked, [](const ScheduleCost& sc) {
-      return sc.schedule.IsQuantized() && !IsInt8Templated(sc.schedule);
+      return sc.schedule.IsDirect() && !IsTemplated(sc.schedule);
     });
     if (result.ranked.empty()) {
       continue;

@@ -68,10 +68,11 @@ TEST(ConvAlgoCost, WinnerFlipsWithLayerShape) {
   Conv2dParams small{1, 3, 64, 64, 8, 3, 3, 1, 1, 1, 1};
   EXPECT_GT(AnalyticConvMs(small, AlgoSchedule(ConvAlgo::kWinograd), t),
             AnalyticConvMs(small, ConvSchedule{3, 8, 8, true}, t));
-  // Huge channel count: U falls out of the L3, Winograd pays DRAM per tile.
+  // Huge channel count: U falls out of the L3, Winograd pays DRAM per tile. (A tile of
+  // 8 accumulators: two AVX2 vectors of output channels by reg_n 4.)
   Conv2dParams huge{1, 512, 8, 8, 512, 3, 3, 1, 1, 1, 1};
   EXPECT_GT(AnalyticConvMs(huge, AlgoSchedule(ConvAlgo::kWinograd), t),
-            AnalyticConvMs(huge, ConvSchedule{8, 8, 4, true}, t));
+            AnalyticConvMs(huge, ConvSchedule{8, 16, 4, true}, t));
   // The reference loop nest never wins.
   EXPECT_GT(AnalyticConvMs(big, AlgoSchedule(ConvAlgo::kReference), t),
             AnalyticConvMs(big, ConvSchedule{8, 8, 8, true}, t));

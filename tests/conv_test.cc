@@ -4,6 +4,7 @@
 // dims or layout disagree with its parameters.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <tuple>
 
@@ -56,7 +57,7 @@ Tensor ConvNCHWcWithTransforms(const Conv2dParams& p, const ConvSchedule& s,
                                const ConvEpilogue& epilogue, ThreadEngine* engine = nullptr) {
   Tensor in_blocked = BlockedEmpty(input_nchw, s.ic_bn);
   TransformLayout(input_nchw, Layout::NCHWc(s.ic_bn), &in_blocked, engine);
-  Tensor w_blocked = OIHWToOIHWio(weight_oihw, s.ic_bn, s.oc_bn);
+  Tensor w_blocked = ReblockWeight(weight_oihw, s.ic_bn, s.oc_bn);
   Tensor res_blocked;
   if (epilogue.residual_add) {
     res_blocked = BlockedEmpty(*residual_nchw, s.oc_bn);
@@ -109,10 +110,10 @@ std::vector<ConvCase> MakeWorkloadSweep() {
   add({1, 16, 9, 9, 16, 7, 1, 1, 1, 3, 0}, {16, 16, 8, false}, {}, "7x1");
   // First-layer style: 3 input channels.
   add({1, 3, 20, 20, 16, 7, 7, 2, 2, 3, 3}, {3, 16, 4, true}, {}, "stem_ic3");
-  // Non-power-of-two and non-fast blocks (SSD heads: 84 = 4*21 channels).
-  add({1, 16, 10, 10, 84, 3, 3, 1, 1, 1, 1}, {16, 21, 8, true}, {}, "oc84_block21");
+  // SSD heads (84 = 4*21 channels) and an input block that is no power of two (ic_bn is
+  // a runtime loop bound; oc_bn must be templated, see RejectsUntemplatedBlocks).
   add({1, 16, 10, 10, 84, 3, 3, 1, 1, 1, 1}, {16, 4, 8, true}, {}, "oc84_block4");
-  add({1, 24, 8, 8, 24, 3, 3, 1, 1, 1, 1}, {12, 12, 4, true}, {}, "block12_generic");
+  add({1, 24, 8, 8, 24, 3, 3, 1, 1, 1, 1}, {12, 8, 4, true}, {}, "ic_block12");
   // Width smaller than reg_n (tail-only path).
   add({1, 16, 5, 5, 16, 3, 3, 1, 1, 1, 1}, {16, 16, 16, true}, {}, "ow_smaller_than_regn");
   // Batch > 1.
@@ -174,12 +175,12 @@ TEST(ConvNCHWc, ThreadedMatchesSerial) {
   EXPECT_EQ(Tensor::MaxAbsDiff(out_serial, out_threaded), 0.0);
 }
 
-// Every ISA tier of the template against the reference, across the blockings the
-// schedule space emits (oc_bn 4/8/16/32 through the template instantiations, 6 through
-// MicroEdge), every reg_n, stride 1/2, pad 0/1, out-width tails (OW = 37/35/19/18 is a
-// multiple of no reg_n above 2) and the fused epilogues. The tiers differ only in FMA
-// contraction (the AVX2/AVX-512 variants fuse multiply-add, the baseline rounds twice),
-// so they are compared by tolerance, not bitwise.
+// Every ISA tier of the template against the reference, across every templated
+// blocking (oc_bn 4/8/16/32/64, reg_n 2/4/8/16/32), stride 1/2, pad 0/1, out-width
+// tails (OW = 37/35/19/18 is a multiple of no reg_n above 2) and the fused epilogues.
+// The tiers differ only in FMA contraction (the AVX2/AVX-512 variants fuse
+// multiply-add, the baseline rounds twice), so they are compared by tolerance, not
+// bitwise.
 class ConvNCHWcTierParity : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ConvNCHWcTierParity, EveryBlockingMatchesReference) {
@@ -208,7 +209,7 @@ TEST_P(ConvNCHWcTierParity, EveryBlockingMatchesReference) {
         const Tensor* r = e.residual_add ? &res : nullptr;
         Tensor expected = NchwOutput(p);
         ConvRefNCHW(p, in, w, b, r, e, &expected);
-        for (std::int64_t oc_bn : {4, 8, 16, 32, 6}) {
+        for (std::int64_t oc_bn : {4, 8, 16, 32}) {
           for (std::int64_t reg_n : {2, 4, 8, 16, 32}) {
             const ConvSchedule s{8, oc_bn, reg_n, reg_n % 4 == 0};
             const Tensor got = ConvNCHWcWithTransforms(p, s, in, w, b, r, e, &pool);
@@ -223,6 +224,72 @@ TEST_P(ConvNCHWcTierParity, EveryBlockingMatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, ConvNCHWcTierParity,
+                         ::testing::Values("baseline", "avx2", "avx512"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+// Small maps, where every block of a row may be guarded: 7² and 14², odd widths, a
+// row narrower than reg_n, stride 2 with pad 1, a 1x1 conv, with and without the fused
+// bias + residual + ReLU. On each tier, for every templated oc_bn, every reg_n must give
+// bitwise the same output (a position's sum does not depend on its block), within
+// 1e-4 of the reference.
+class ConvNCHWcSmallMapParity : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ConvNCHWcSmallMapParity, EveryRegNBitwiseEqual) {
+  const char* tier = GetParam();
+  if (!SetConvNCHWcIsaOverride(tier)) {
+    GTEST_SKIP() << tier << " is not compiled in or not supported by this CPU";
+  }
+  struct Unpin {
+    ~Unpin() { SetConvNCHWcIsaOverride(nullptr); }
+  } unpin;
+  constexpr double kRefTol = 1e-4;
+  NeoThreadPool pool(2, /*bind_threads=*/false);
+  const Conv2dParams shapes[] = {
+      {1, 32, 7, 7, 64, 3, 3, 1, 1, 1, 1},     // stage-4 3x3 at 7^2
+      {1, 16, 14, 14, 64, 3, 3, 1, 1, 1, 1},   // 14^2
+      {1, 16, 14, 14, 64, 3, 3, 2, 2, 1, 1},   // stride 2, pad 1: 14^2 -> 7^2
+      {1, 16, 13, 11, 64, 3, 3, 2, 2, 1, 1},   // odd sizes, stride 2: OW 6
+      {1, 16, 9, 11, 64, 3, 3, 1, 1, 1, 1},    // odd width 11
+      {1, 16, 5, 3, 64, 3, 3, 1, 1, 1, 1},     // OW 3 < reg_n
+      {1, 32, 7, 7, 64, 1, 1, 1, 1, 0, 0},     // 1x1 at 7^2
+  };
+  const ConvEpilogue epilogues[] = {{}, {true, true, true}};
+  for (const Conv2dParams& p : shapes) {
+    Rng rng(71);
+    Tensor in = Tensor::Random({1, p.in_c, p.in_h, p.in_w}, rng, -1, 1, Layout::NCHW());
+    Tensor w = Tensor::Random({p.out_c, p.in_c, p.kernel_h, p.kernel_w}, rng, -0.5f, 0.5f,
+                              Layout::OIHW());
+    Tensor bias = Tensor::Random({p.out_c}, rng, -0.2f, 0.2f);
+    Tensor res =
+        Tensor::Random({1, p.out_c, p.OutH(), p.OutW()}, rng, -1, 1, Layout::NCHW());
+    for (const ConvEpilogue& e : epilogues) {
+      const Tensor* b = e.bias ? &bias : nullptr;
+      const Tensor* r = e.residual_add ? &res : nullptr;
+      Tensor expected = NchwOutput(p);
+      ConvRefNCHW(p, in, w, b, r, e, &expected);
+      for (std::int64_t oc_bn : {4, 8, 16, 32, 64}) {
+        Tensor first;
+        for (std::int64_t reg_n : {2, 4, 8, 16, 32}) {
+          const ConvSchedule s{16, oc_bn, reg_n, reg_n != 8};
+          const Tensor got = ConvNCHWcWithTransforms(p, s, in, w, b, r, e, &pool);
+          const std::string what = std::string(tier) + " " + p.ToString() + " " +
+                                   s.ToString() + (e.relu ? " bias+res+relu" : "");
+          EXPECT_LE(Tensor::MaxAbsDiff(got, expected), kRefTol) << what;
+          if (!first.defined()) {
+            first = got;
+          } else {
+            EXPECT_EQ(std::memcmp(got.data(), first.data(), got.SizeBytes()), 0)
+                << what << " differs from reg_n 2";
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, ConvNCHWcSmallMapParity,
                          ::testing::Values("baseline", "avx2", "avx512"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
@@ -244,6 +311,23 @@ TEST(ConvNCHWc, RejectsMismatchedBlocks) {
   Tensor w = Tensor::Random({1, 1, 3, 3, 16, 16}, rng, -1, 1, Layout::OIHWio(16, 16));
   Tensor out = Tensor::Empty({1, 1, 8, 8, 16}, Layout::NCHWc(16));
   EXPECT_DEATH(ConvNCHWc(p, s, in, w, nullptr, nullptr, {}, &out), "Check failed");
+}
+
+// Only templated block shapes run: an oc_bn or reg_n with no instantiation dies.
+TEST(ConvNCHWc, RejectsUntemplatedBlocks) {
+  Conv2dParams p{1, 16, 8, 8, 84, 3, 3, 1, 1, 1, 1};
+  Rng rng(43);
+  Tensor in = Tensor::Random({1, 1, 8, 8, 16}, rng, -1, 1, Layout::NCHWc(16));
+  Tensor w21 = Tensor::Random({4, 1, 3, 3, 16, 21}, rng, -1, 1, Layout::OIHWio(16, 21));
+  Tensor out21 = Tensor::Empty({1, 4, 8, 8, 21}, Layout::NCHWc(21));
+  EXPECT_DEATH(ConvNCHWc(p, ConvSchedule{16, 21, 8, true}, in, w21, nullptr, nullptr, {},
+                         &out21),
+               "no template instantiation");
+  Tensor w4 = Tensor::Random({21, 1, 3, 3, 16, 4}, rng, -1, 1, Layout::OIHWio(16, 4));
+  Tensor out4 = Tensor::Empty({1, 21, 8, 8, 4}, Layout::NCHWc(4));
+  EXPECT_DEATH(ConvNCHWc(p, ConvSchedule{16, 4, 3, true}, in, w4, nullptr, nullptr, {},
+                         &out4),
+               "no template instantiation");
 }
 
 class ConvIm2colVsRef : public ::testing::TestWithParam<ConvCase> {};

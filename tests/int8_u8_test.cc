@@ -581,7 +581,7 @@ TEST(Int8ScheduleSpace, AdmitsOnlyTemplatedBlocks) {
   const Conv2dParams odd{1, 64, 14, 14, 96, 3, 3, 1, 1, 1, 1};
   std::set<std::int64_t> oc_blocks;
   for (const ConvSchedule& s : EnumerateS8Schedules(odd, t)) {
-    EXPECT_TRUE(IsInt8Templated(s)) << s.ToString();
+    EXPECT_TRUE(IsTemplated(s)) << s.ToString();
     oc_blocks.insert(s.oc_bn);
   }
   EXPECT_EQ(oc_blocks, (std::set<std::int64_t>{4, 8, 16, 32}));

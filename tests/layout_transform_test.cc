@@ -2,6 +2,7 @@
 // arithmetic and round-trip identity across parameter sweeps.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <ostream>
 #include <tuple>
 #include <utility>
@@ -161,7 +162,7 @@ TEST(LayoutTransform, OIHWioIndexing) {
   for (std::int64_t i = 0; i < src.NumElements(); ++i) {
     src.data()[i] = static_cast<float>(i);
   }
-  Tensor dst = OIHWToOIHWio(src, 2, 2);
+  Tensor dst = ReblockWeight(src, 2, 2);
   EXPECT_EQ(dst.dims(), (std::vector<std::int64_t>{2, 2, 1, 1, 2, 2}));
   for (std::int64_t o = 0; o < 4; ++o) {
     for (std::int64_t i = 0; i < 4; ++i) {
@@ -222,8 +223,7 @@ TEST(LayoutTransform, IdentityTransformIsRejected) {
   EXPECT_DEATH(TransformLayout(src, Layout::NCHWc(8), &dst), "identity transform");
 }
 
-// Property: OIHW -> OIHW[x]i[y]o preserves every element (checked via multiset sum) and
-// the exact positional mapping spot-checked by reconstruction.
+// Property: OIHW -> OIHW[x]i[y]o keeps every element at its index-formula position.
 class WeightBlockTest
     : public ::testing::TestWithParam<std::tuple<std::int64_t, std::int64_t>> {};
 
@@ -234,7 +234,7 @@ TEST_P(WeightBlockTest, PreservesAllElements) {
   if (8 % x != 0 || 16 % y != 0) {
     GTEST_SKIP();
   }
-  Tensor blocked = OIHWToOIHWio(w, x, y);
+  Tensor blocked = ReblockWeight(w, x, y);
   EXPECT_EQ(blocked.NumElements(), w.NumElements());
   // Reconstruct and compare.
   const std::int64_t ob = 16 / y, ib = 8 / x;
@@ -255,6 +255,70 @@ TEST_P(WeightBlockTest, PreservesAllElements) {
 INSTANTIATE_TEST_SUITE_P(Sweep, WeightBlockTest,
                          ::testing::Combine(::testing::Values<std::int64_t>(1, 2, 4, 8),
                                             ::testing::Values<std::int64_t>(1, 2, 4, 8, 16)));
+
+// Value of OIHW element (o, i, k) of a {24, 24, 3, 3} weight, exact in f32 and s8.
+float WeightValue(std::int64_t o, std::int64_t i, std::int64_t k) {
+  return static_cast<float>(((o * 24 + i) * 9 + k) % 251 - 125);
+}
+
+// Checks every element of `w` (24 x 24 x 3 x 3, any blocks) against WeightValue.
+template <typename T>
+void ExpectWeightAt(const Tensor& w, std::int64_t x, std::int64_t y) {
+  ASSERT_EQ(w.ndim(), x == 1 && y == 1 ? 4 : 6);
+  const T* d = w.data_as<T>();
+  for (std::int64_t o = 0; o < 24; ++o) {
+    for (std::int64_t i = 0; i < 24; ++i) {
+      for (std::int64_t k = 0; k < 9; ++k) {
+        const std::int64_t at = ((((o / y) * (24 / x) + i / x) * 9 + k) * x + i % x) * y + o % y;
+        ASSERT_EQ(static_cast<float>(d[at]), WeightValue(o, i, k))
+            << "x=" << x << " y=" << y << " o=" << o << " i=" << i << " k=" << k;
+      }
+    }
+  }
+}
+
+// ReblockWeight between any two block pairs (OIHW = OIHW[1]i[1]o), f32 and s8: the copy
+// and the in-place form agree with the index formula (output blocks 8 and 12, or 4 and
+// 6, do not nest: the in-place form moves slabs of lcm(y, y') channels), the source of
+// a copy is left unchanged, and asking for the blocks a weight already has returns the
+// weight itself.
+TEST(ReblockWeight, EveryBlockPairCopyAndInPlace) {
+  const std::pair<std::int64_t, std::int64_t> blocks[] = {{1, 1}, {3, 4}, {8, 8},
+                                                          {24, 12}, {4, 6}};
+  for (const DType dtype : {DType::kF32, DType::kS8}) {
+    for (const auto& [sx, sy] : blocks) {
+      for (const auto& [dx, dy] : blocks) {
+        Tensor oihw = Tensor::Empty({24, 24, 3, 3}, Layout::OIHW(), dtype);
+        for (std::int64_t e = 0; e < oihw.NumElements(); ++e) {
+          const float v = WeightValue(e / 216, e / 9 % 24, e % 9);
+          if (dtype == DType::kF32) {
+            oihw.data_as<float>()[e] = v;
+          } else {
+            oihw.data_as<std::int8_t>()[e] = static_cast<std::int8_t>(v);
+          }
+        }
+        Tensor src = oihw;
+        ReblockWeightInPlace(&src, sx, sy);
+        const Tensor before = src.Clone();
+        const Tensor copy = ReblockWeight(src, dx, dy);
+        EXPECT_EQ(copy.data() == src.data(), sx == dx && sy == dy);
+        EXPECT_EQ(std::memcmp(src.data(), before.data(), src.SizeBytes()), 0);
+        Tensor in_place = src;
+        ReblockWeightInPlace(&in_place, dx, dy);
+        EXPECT_EQ(in_place.data(), src.data());
+        EXPECT_EQ(in_place.dims(), copy.dims());
+        EXPECT_EQ(in_place.layout(), copy.layout());
+        if (dtype == DType::kF32) {
+          ExpectWeightAt<float>(copy, dx, dy);
+          ExpectWeightAt<float>(in_place, dx, dy);
+        } else {
+          ExpectWeightAt<std::int8_t>(copy, dx, dy);
+          ExpectWeightAt<std::int8_t>(in_place, dx, dy);
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace neocpu

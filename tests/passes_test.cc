@@ -3,12 +3,18 @@
 // assertion is paired with a numerical equivalence check through the executor.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "src/base/rng.h"
+#include "src/core/compiler.h"
 #include "src/core/executor.h"
 #include "src/core/presets.h"
 #include "src/graph/builder.h"
 #include "src/graph/passes/passes.h"
 #include "src/models/model_zoo.h"
+#include "src/tuning/tuning_cache.h"
 
 namespace neocpu {
 namespace {
@@ -283,6 +289,148 @@ TEST(GraphRewriter, CompiledGraphsKeepOnlyReadConstants) {
       }
     }
   }
+}
+
+// Every constant of `g`, deep-copied: what the caller's graph held before a compile.
+std::vector<Tensor> SnapshotConstants(const Graph& g) {
+  std::vector<Tensor> out;
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    out.push_back(g.node(id).type == OpType::kConstant ? g.node(id).payload.Clone()
+                                                       : Tensor());
+  }
+  return out;
+}
+
+void ExpectConstantsUnchanged(const Graph& g, const std::vector<Tensor>& before,
+                              const std::string& label) {
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    const Tensor& now = g.node(id).payload;
+    const Tensor& was = before[static_cast<std::size_t>(id)];
+    if (!was.defined()) {
+      continue;
+    }
+    EXPECT_EQ(now.dims(), was.dims()) << label << " " << g.node(id).name;
+    EXPECT_EQ(now.layout(), was.layout()) << label << " " << g.node(id).name;
+    EXPECT_EQ(std::memcmp(now.data(), was.data(), was.SizeBytes()), 0)
+        << label << " " << g.node(id).name;
+  }
+}
+
+// A conv with no BatchNorm: nothing folds, so its weight is the caller's buffer.
+Graph ConvWithoutBn() {
+  GraphBuilder b("no_bn");
+  int x = b.Input({1, 16, 14, 14});
+  x = b.Conv(x, 32, 3, 1, 1, true, "c1");
+  x = b.Relu(x);
+  x = b.Conv(x, 32, 1, 1, 0, false, "c2");
+  return b.Finish({x});
+}
+
+// The weights a compile reblocks in place are its own (BatchNorm-folded) copies: the
+// caller's constants keep their bytes, dims and layout, f32 and quantized.
+TEST(WeightOwnership, CompileLeavesCallerConstantsUnchanged) {
+  for (const bool u8 : {false, true}) {
+    for (const bool resnet : {true, false}) {
+      const Graph model = resnet ? BuildModel("resnet18") : ConvWithoutBn();
+      const std::vector<Tensor> before = SnapshotConstants(model);
+      CompileOptions opts = NeoCpuOptions(Target::SkylakeAvx512());
+      opts.quantize = u8;
+      opts.force_quantize = u8;
+      const CompiledModel compiled = Compile(model, opts);
+      ExpectConstantsUnchanged(model, before,
+                               std::string(resnet ? "resnet18" : "no_bn") +
+                                   (u8 ? " u8" : " f32"));
+    }
+  }
+}
+
+// Index of the conv named `name` in `g`.
+int ConvNamed(const Graph& g, const std::string& name) {
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    if (g.node(id).IsConv() && g.node(id).name == name) {
+      return id;
+    }
+  }
+  ADD_FAILURE() << "no conv " << name;
+  return -1;
+}
+
+// A direct f32 conv's weight is stored once: its BatchNorm-folded weight is reblocked
+// to the conv's blocks in the retained source graph, and the executable graph reads
+// that same buffer. A weight the caller owns (no BatchNorm) is copied instead.
+TEST(WeightOwnership, DirectConvWeightIsStoredOnce) {
+  const Graph model = BuildModel("resnet18");
+  const CompiledModel compiled = Compile(model, NeoCpuOptions(Target::SkylakeAvx512()));
+  const Graph& g = compiled.graph();
+  const Graph& source = compiled.source_graph();
+  int direct = 0;
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    const Node& conv = g.node(id);
+    if (!conv.IsConv() || conv.attrs.kernel != ConvKernelKind::kNCHWc) {
+      continue;
+    }
+    ++direct;
+    const Tensor& w = g.node(conv.inputs[1]).payload;
+    const Tensor& src_w =
+        source.node(source.node(ConvNamed(source, conv.name)).inputs[1]).payload;
+    EXPECT_EQ(w.data(), src_w.data()) << conv.name;
+    EXPECT_EQ(src_w.layout(),
+              Layout::OIHWio(conv.attrs.schedule.ic_bn, conv.attrs.schedule.oc_bn))
+        << conv.name;
+  }
+  EXPECT_EQ(direct, 20) << "every resnet18 conv runs the direct template on avx512";
+
+  const Graph no_bn = ConvWithoutBn();
+  const CompiledModel plain = Compile(no_bn, NeoCpuOptions(Target::SkylakeAvx512()));
+  const int c1 = ConvNamed(plain.graph(), "c1");
+  EXPECT_NE(plain.graph().node(plain.graph().node(c1).inputs[1]).payload.data(),
+            no_bn.node(no_bn.node(ConvNamed(no_bn, "c1")).inputs[1]).payload.data());
+}
+
+// A re-tune runs beside a serving model and reads the weights that model executes: it
+// copies whatever it reblocks, so the live model's outputs stay bitwise the same even
+// when the re-tuned search picks other blocks.
+TEST(WeightOwnership, RetuneLeavesLiveModelBitwiseUnchanged) {
+  const Graph model = BuildModel("resnet18");
+  const CompiledModel live = Compile(model, NeoCpuOptions(Target::SkylakeAvx512()));
+  Rng rng(5);
+  const Tensor input = Tensor::Random({1, 3, 224, 224}, rng, -1, 1, Layout::NCHW());
+  const Tensor before = live.Run(input);
+  const std::vector<Tensor> source_before = SnapshotConstants(live.source_graph());
+
+  // Seed the shared cache so that the batch-8 search can only pick 16-channel output
+  // blocks (and 16-channel input blocks where they divide), which no live conv uses.
+  const CompileConfig& config = live.config();
+  for (int id = 0; id < live.source_graph().num_nodes(); ++id) {
+    const Node& node = live.source_graph().node(id);
+    if (!node.IsConv()) {
+      continue;
+    }
+    Conv2dParams p = node.attrs.conv;
+    p.batch = 8;
+    LocalSearchResult only16;
+    only16.ranked.push_back(
+        {ConvSchedule{p.in_c % 16 == 0 ? 16 : p.in_c, 16, 8, true}, 1.0});
+    live.tuning()->Insert(
+        WorkloadKey::Of(p, config.target, config.cost_mode, config.quick_space),
+        std::move(only16));
+  }
+  CompiledModel retuned;
+  ASSERT_TRUE(RetuneForBatch(live, 8, nullptr, &retuned));
+  int reblocked = 0;
+  for (int id = 0; id < retuned.graph().num_nodes(); ++id) {
+    const Node& conv = retuned.graph().node(id);
+    if (!conv.IsConv()) {
+      continue;
+    }
+    const Node& old = live.graph().node(ConvNamed(live.graph(), conv.name));
+    reblocked += conv.attrs.schedule != old.attrs.schedule;
+  }
+  EXPECT_EQ(reblocked, 20) << "the batch-8 search picks other blocks for every conv";
+
+  const Tensor after = live.Run(input);
+  EXPECT_EQ(std::memcmp(after.data(), before.data(), before.SizeBytes()), 0);
+  ExpectConstantsUnchanged(live.source_graph(), source_before, "live source");
 }
 
 }  // namespace

@@ -95,6 +95,7 @@ Graph TinyCnn() { return BuildTinyCnn(1, 32); }
 Graph Encoder() { return BuildTransformerEncoder(); }
 Graph TinyInception() { return BuildInceptionV3(1, 139); }
 Graph TinyResNet18() { return BuildResNet(18, 1, 64); }
+Graph ResNet18() { return BuildModel("resnet18"); }
 
 CompileOptions F32Global() { return NeoCpuOptions(Target::Host()); }
 CompileOptions NchwIm2col() { return FrameworkDefaultOptions(Target::Host()); }
@@ -160,6 +161,7 @@ TEST_P(ModuleRoundTrip, ReLowersTheSavedModelWithoutSearch) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, ModuleRoundTrip,
     ::testing::Values(RoundTripCase{"f32_global", &SmallNet, &F32Global, 0},
+                      RoundTripCase{"resnet18_f32", &ResNet18, &F32Global, 0},
                       RoundTripCase{"nchw_im2col", &SmallNet, &NchwIm2col, 0},
                       RoundTripCase{"nchwc_fixed", &TinyCnn, &NchwcFixed, 0},
                       RoundTripCase{"forced_winograd", &SmallNet, &ForcedWinograd, 0},

@@ -26,16 +26,18 @@ TEST(Factors, AllFactorsAscending) {
 TEST(ScheduleSpace, MatchesPaperCandidateLists) {
   // Paper: "if the number of channels is 64, [32, 16, 8, 4, 2, 1] are listed as the
   // candidates" (plus 64 itself under our cap), reg_n from [32,16,8,4,2], unroll both.
+  // oc_bn keeps only the templated blocks, so 1 and 2 drop out on the output side.
   Conv2dParams p{1, 64, 28, 28, 64, 3, 3, 1, 1, 1, 1};
   const Target t = Target::SkylakeAvx512();
   auto schedules = EnumerateSchedules(p, t, /*quick_space=*/false);
-  // 6 ic (cap 32 = MaxBlock of avx512) ... MaxBlock = 2*16 = 32: factors {1..32} = 6.
-  EXPECT_EQ(schedules.size(), 6u * 6u * 5u * 2u);
+  // MaxBlock of avx512 = 2*16 = 32: 6 ic factors {1..32}, 4 templated oc {4..32}.
+  EXPECT_EQ(schedules.size(), 6u * 4u * 5u * 2u);
   bool has_paper_tuple = false;
   for (const ConvSchedule& s : schedules) {
     EXPECT_EQ(64 % s.ic_bn, 0);
     EXPECT_EQ(64 % s.oc_bn, 0);
     EXPECT_LE(s.oc_bn, t.MaxBlock());
+    EXPECT_TRUE(IsTemplated(s)) << s.ToString();
     if (s.ic_bn == 16 && s.oc_bn == 16 && s.reg_n == 8 && s.unroll_ker) {
       has_paper_tuple = true;
     }
@@ -72,14 +74,22 @@ TEST(AnalyticCost, ScalesWithWork) {
 
 TEST(AnalyticCost, PenalizesNonVectorBlocks) {
   const Target t = Target::SkylakeAvx512();
-  Conv2dParams p{1, 84, 14, 14, 84, 3, 3, 1, 1, 1, 1};
-  // 84 = 2*2*3*7: block 21 wastes lanes and misses the fast kernels; block 4 hits a
-  // template but underfills the vector.
-  const double ms21 = AnalyticConvMs(p, ConvSchedule{21, 21, 8, true}, t);
-  const double ms4 = AnalyticConvMs(p, ConvSchedule{4, 4, 8, true}, t);
-  const double ms_lane = AnalyticConvMs(p, ConvSchedule{12, 12, 8, true}, t);
-  EXPECT_GT(ms21, ms_lane * 0.99);
-  EXPECT_GT(ms4, 0.0);
+  Conv2dParams p{1, 64, 14, 14, 64, 3, 3, 1, 1, 1, 1};
+  // Output blocks below one 16-lane vector leave lanes idle in every FMA.
+  const double ms4 = AnalyticConvMs(p, ConvSchedule{16, 4, 8, true}, t);
+  const double ms8 = AnalyticConvMs(p, ConvSchedule{16, 8, 8, true}, t);
+  const double ms_lane = AnalyticConvMs(p, ConvSchedule{16, 16, 8, true}, t);
+  EXPECT_GT(ms4, ms8);
+  EXPECT_GT(ms8, ms_lane);
+}
+
+// The register tile needs enough independent accumulators to hide the FMA latency:
+// 4 (reg_n 4, one vector) is slower than 16 (reg_n 8, two vectors).
+TEST(AnalyticCost, PenalizesTooFewAccumulators) {
+  const Target t = Target::SkylakeAvx512();
+  Conv2dParams p{1, 64, 56, 56, 64, 3, 3, 1, 1, 1, 1};
+  EXPECT_GT(AnalyticConvMs(p, ConvSchedule{16, 16, 4, true}, t),
+            AnalyticConvMs(p, ConvSchedule{16, 32, 8, true}, t));
 }
 
 TEST(AnalyticCost, PenalizesRegisterSpill) {
@@ -96,13 +106,13 @@ TEST(AnalyticCost, PenalizesRegisterSpill) {
 TEST(AnalyticCost, S8BlockRoundingWaste) {
   // 7-wide output (resnet stage 4): one block of 8 for reg_n 2, 4 and 8; 32 computes
   // 32 positions for 7.
-  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(7, 2), 8.0 / 7.0);
-  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(7, 4), 8.0 / 7.0);
-  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(7, 8), 8.0 / 7.0);
-  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(7, 32), 32.0 / 7.0);
+  EXPECT_DOUBLE_EQ(BlockRoundingFactor(7, 2), 8.0 / 7.0);
+  EXPECT_DOUBLE_EQ(BlockRoundingFactor(7, 4), 8.0 / 7.0);
+  EXPECT_DOUBLE_EQ(BlockRoundingFactor(7, 8), 8.0 / 7.0);
+  EXPECT_DOUBLE_EQ(BlockRoundingFactor(7, 32), 32.0 / 7.0);
   // 56-wide output: reg_n 8 tiles it exactly, reg_n 16 computes 64 positions.
-  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(56, 8), 1.0);
-  EXPECT_DOUBLE_EQ(S8BlockRoundingFactor(56, 16), 64.0 / 56.0);
+  EXPECT_DOUBLE_EQ(BlockRoundingFactor(56, 8), 1.0);
+  EXPECT_DOUBLE_EQ(BlockRoundingFactor(56, 16), 64.0 / 56.0);
 
   const Target t = Target::SkylakeAvx512();
   ConvSchedule fit{64, 64, 8, true};
