@@ -35,7 +35,7 @@ CompileOptions MxnetLike(const Target& target) {
 CompileOptions TfLike(const Target& target) {
   CompileOptions opts = FrameworkDefaultOptions(target);
   if (target.name == "neon") {
-    opts.nchw_kernel = ConvKernelKind::kDirectNCHW;  // Eigen-style default path
+    opts.force_algo = false;  // Eigen-style default path: the direct NCHW loop
   }
   return opts;
 }

@@ -119,12 +119,6 @@ void StoreDirectWeightsOnce(const std::map<int, ConvSchedule>& schedules,
 Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
                       const CalibrationTable* calibration,
                       const std::unordered_set<int>* owned, CompileStats* stats) {
-  if (opts.layout_mode == LayoutMode::kNCHW) {
-    Graph g = BindNchwKernels(source, opts.nchw_kernel);
-    stats->num_convs = g.CountNodes(OpType::kConv2d);
-    return g;
-  }
-
   TuningCache* cache = opts.tuning_cache.get();
   NEOCPU_CHECK(cache != nullptr);
 
@@ -139,12 +133,12 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
   // attribution is counted per call (not via cache-counter deltas): concurrent compiles
   // and re-tunes share one cache, so global deltas would mix their traffic. Under
   // quantization, int8-legal convs additionally search the u8 space (its own cache key)
-  // and the two ranked lists merge into one candidate list.
+  // and the two ranked lists merge into one candidate list. kNCHW searches nothing.
   Timer tuning_timer;
   LocalSearchMap locals;
   for (int id = 0; id < source.num_nodes(); ++id) {
     const Node& node = source.node(id);
-    if (!node.IsConv()) {
+    if (!node.IsConv() || opts.layout_mode == LayoutMode::kNCHW) {
       continue;
     }
     bool cache_hit = false;
@@ -233,10 +227,20 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
     }
   }
   stats->tuning_seconds = tuning_timer.Seconds();
-  stats->num_convs = static_cast<int>(locals.size());
+  stats->num_convs = source.CountNodes(OpType::kConv2d);
 
   std::map<int, ConvSchedule> schedules;
   switch (opts.layout_mode) {
+    case LayoutMode::kNCHW: {
+      // The default-layout baselines: every conv runs the reference loop unless
+      // `force_algo` names another NCHW algorithm below.
+      for (int id = 0; id < source.num_nodes(); ++id) {
+        if (source.node(id).IsConv()) {
+          schedules[id] = AlgoSchedule(ConvAlgo::kReference);
+        }
+      }
+      break;
+    }
     case LayoutMode::kNCHWcPerOp:
     case LayoutMode::kNCHWcFixed: {
       // One global split factor (§3.2): the target's vector width, degraded per conv to
@@ -276,8 +280,6 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
       schedules = std::move(solution.assignment);
       break;
     }
-    default:
-      LOG(FATAL) << "unreachable";
   }
 
   if (opts.force_algo) {
@@ -289,8 +291,12 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
         continue;
       }
       if (opts.forced_algo == ConvAlgo::kDirectNCHWc) {
-        // A conv with no templated block keeps its searched algorithm.
-        const ScheduleCost* best = locals.at(id)->BestForAlgo(ConvAlgo::kDirectNCHWc);
+        // A conv with no templated block keeps its searched algorithm, and kNCHW,
+        // which searches no blocking, keeps its NCHW one.
+        const auto local = locals.find(id);
+        const ScheduleCost* best =
+            local == locals.end() ? nullptr
+                                  : local->second->BestForAlgo(ConvAlgo::kDirectNCHWc);
         if (best != nullptr) {
           sched = best->schedule;
         }

@@ -4,8 +4,9 @@
 // AlterConvLayout (+ compile-time weight pre-transformation) → executable graph.
 //
 // LayoutMode is the ablation axis of the paper's Table 3:
-//   kNCHW          — row 1 "Baseline": default layout, vectorized direct (or im2col)
-//                    kernels, fusion and inference simplification still applied.
+//   kNCHW          — row 1 "Baseline": default layout, the reference direct loop (or
+//                    `forced_algo`: im2col, Winograd), no search; fusion and inference
+//                    simplification still applied.
 //   kNCHWcPerOp    — row 2 "Layout Opt.": every conv uses the NCHW[x]c template but
 //                    transforms its input/output from/to NCHW (what a framework
 //                    delegating to a fixed kernel library does).
@@ -47,16 +48,17 @@ const char* LayoutModeName(LayoutMode mode);
 // sizes under the exact same policy it was originally compiled with.
 struct CompileConfig {
   LayoutMode layout_mode = LayoutMode::kNCHWcGlobal;
-  // Convolution implementation for kNCHW mode (baselines).
-  ConvKernelKind nchw_kernel = ConvKernelKind::kDirectNCHW;
   Target target = Target::Host();
   CostMode cost_mode = CostMode::kAnalytic;
   bool quick_space = true;  // prune channel-factor candidates (see schedule_space.h)
   std::size_t max_dp_table_entries = 1 << 22;
-  // Forced convolution algorithm (ablation / testing): under the NCHWc layout modes,
-  // every conv that can legally execute `forced_algo` uses it instead of the searched
-  // choice; convs where it is illegal (Winograd on non-3x3-s1 shapes or fused residual
-  // adds) keep their searched schedule. kNCHW mode keeps `nchw_kernel`.
+  // Forced convolution algorithm (baselines / ablation / testing): every conv that can
+  // legally execute `forced_algo` gets it as its schedule instead of the selected one;
+  // convs where it is illegal (Winograd on non-3x3-s1 shapes or fused residual adds)
+  // keep the selected schedule. Under the NCHWc layout modes that is the searched
+  // choice; kNCHW mode runs no search, gives every conv the reference loop, and only
+  // the NCHW-layout algorithms (im2col, Winograd, reference) override it. Lowering
+  // records the resulting ConvSchedule on each conv, and dispatch reads it.
   bool force_algo = false;
   ConvAlgo forced_algo = ConvAlgo::kDirectNCHWc;
   // Post-training int8 quantization. With `quantize`, compilation calibrates the fused

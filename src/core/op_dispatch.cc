@@ -22,15 +22,15 @@
 namespace neocpu {
 namespace {
 
-// Runs the convolution kernel bound to `node` writing into the preallocated `*out`;
-// `workspace` backs kernel scratch — the im2col column buffer or Winograd's per-worker
-// tile buffers.
+// Runs the convolution kernel `node`'s schedule names, writing into the preallocated
+// `*out`; `workspace` backs kernel scratch — the im2col column buffer or Winograd's
+// per-worker tile buffers.
 void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* out,
                      float* workspace, std::size_t workspace_bytes, ThreadEngine* engine) {
   const Conv2dParams& p = node.attrs.conv;
   const ConvEpilogue& epi = node.attrs.epilogue;
   const Tensor* bias = epi.bias ? &in[2] : nullptr;
-  if (node.attrs.kernel == ConvKernelKind::kNCHWcS8) {
+  if (node.attrs.schedule.IsQuantized()) {
     // Inputs: {data u8, packed weight s8, [bias s32], [residual], multiplier f32} —
     // the multiplier is always last. A u8 residual carries the (scale, zero point) its
     // producer quantized with on qin_scales/qin_zeros; an f32 one has scale 1.
@@ -48,22 +48,20 @@ void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
     return;
   }
   const Tensor* residual = epi.residual_add ? &in.back() : nullptr;
-  switch (node.attrs.kernel) {
-    case ConvKernelKind::kDirectNCHW:
+  switch (node.attrs.schedule.algo) {
+    case ConvAlgo::kReference:
       ConvRefNCHW(p, in[0], in[1], bias, residual, epi, out, engine);
       return;
-    case ConvKernelKind::kIm2col:
+    case ConvAlgo::kIm2col:
       ConvIm2col(p, in[0], in[1], bias, residual, epi, out, engine, workspace);
       return;
-    case ConvKernelKind::kNCHWc:
+    case ConvAlgo::kDirectNCHWc:
       ConvNCHWc(p, node.attrs.schedule, in[0], in[1], bias, residual, epi, out, engine);
       return;
-    case ConvKernelKind::kWinograd:
+    case ConvAlgo::kWinograd:
       ConvWinograd(p, in[0], in[1], bias, epi, out, engine, workspace,
                    workspace_bytes / sizeof(float));
       return;
-    case ConvKernelKind::kNCHWcS8:
-      break;  // dispatched above
   }
   LOG(FATAL) << "unreachable";
 }
@@ -263,10 +261,10 @@ std::size_t NodeWorkspaceBytes(const Node& node) {
   if (node.type != OpType::kConv2d) {
     return 0;
   }
-  switch (node.attrs.kernel) {
-    case ConvKernelKind::kIm2col:
+  switch (node.attrs.schedule.algo) {
+    case ConvAlgo::kIm2col:
       return ConvIm2colWorkspaceBytes(node.attrs.conv);
-    case ConvKernelKind::kWinograd:
+    case ConvAlgo::kWinograd:
       return WinogradWorkspaceBytes(node.attrs.conv, MaxPlannedWorkers());
     default:
       return 0;

@@ -38,7 +38,8 @@ inline CompileOptions FrameworkLibOptions(const Target& target) {
 inline CompileOptions FrameworkDefaultOptions(const Target& target) {
   CompileOptions opts;
   opts.layout_mode = LayoutMode::kNCHW;
-  opts.nchw_kernel = ConvKernelKind::kIm2col;
+  opts.force_algo = true;
+  opts.forced_algo = ConvAlgo::kIm2col;
   opts.target = target;
   return opts;
 }
@@ -47,7 +48,6 @@ inline CompileOptions FrameworkDefaultOptions(const Target& target) {
 inline CompileOptions AblationBaselineNchw(const Target& target) {
   CompileOptions opts;
   opts.layout_mode = LayoutMode::kNCHW;
-  opts.nchw_kernel = ConvKernelKind::kDirectNCHW;
   opts.target = target;
   return opts;
 }

@@ -15,11 +15,11 @@ namespace {
 constexpr char kMagic[4] = {'N', 'E', 'O', 'C'};
 // One version: a module is the fused source graph plus its tuning state, and the
 // executable graph is re-derived at load. docs/module_format.md is the spec.
-constexpr std::uint32_t kVersion = 10;
+constexpr std::uint32_t kVersion = 11;
 
 // The source-graph attributes of a node, mirrored as an explicit POD so the on-disk
 // format stays stable regardless of NodeAttrs layout changes. Everything else in
-// NodeAttrs (schedules, kernels, quantization, GEMM tiles) is set by lowering.
+// NodeAttrs (schedules, quantization, GEMM tiles) is set by lowering.
 struct AttrBlock {
   Conv2dParams conv;
   ConvEpilogue epilogue;
@@ -256,7 +256,6 @@ bool ReadSourceGraph(Reader& in, Graph* out) {
 
 void WriteConfig(std::ostream& out, const CompileConfig& config) {
   WritePod(out, static_cast<std::uint32_t>(config.layout_mode));
-  WritePod(out, static_cast<std::uint32_t>(config.nchw_kernel));
   const Target& t = config.target;
   WriteString(out, t.name);
   WritePod(out, static_cast<std::uint32_t>(t.vector_lanes));
@@ -282,7 +281,6 @@ void WriteConfig(std::ostream& out, const CompileConfig& config) {
 CompileConfig ReadConfig(Reader& in) {
   CompileConfig config;
   config.layout_mode = in.Enum(LayoutMode::kNCHWcGlobal);
-  config.nchw_kernel = in.Enum(ConvKernelKind::kNCHWcS8);
   Target& t = config.target;
   t.name = in.String();
   t.vector_lanes = static_cast<int>(in.Pod<std::uint32_t>());

@@ -51,16 +51,6 @@ enum class OpType {
 
 const char* OpTypeName(OpType type);
 
-// How a convolution node executes (bound by the compiler, not the model author).
-// Enumerator values appear in serialized modules — append only.
-enum class ConvKernelKind {
-  kDirectNCHW,  // reference/baseline direct convolution in NCHW
-  kIm2col,      // im2col + GEMM in NCHW (framework-default baseline)
-  kNCHWc,       // Algorithm 1 template in NCHW[x]c
-  kWinograd,    // F(2x2, 3x3) in NCHW; weights pre-transformed to {4, 4, OC, IC}
-  kNCHWcS8,     // quantized u8xs8->s32 template in NCHW[x]c with fused (re/de)quant
-};
-
 // Quantization annotation of a conv (or dense) node (set by the QuantizeGraph pass;
 // consumed by AlterConvLayout's weight pre-quantization and the runtime dispatch).
 // Scales follow kernels/quantize.h: activations are affine u8
@@ -87,8 +77,9 @@ struct ConvQuant {
 struct NodeAttrs {
   Conv2dParams conv;
   ConvEpilogue epilogue;
-  ConvSchedule schedule;
-  ConvKernelKind kernel = ConvKernelKind::kDirectNCHW;
+  // kConv2d: how the conv runs, the one record lowering writes and dispatch reads. An
+  // unlowered conv (a source or reference graph) runs the reference loop nest.
+  ConvSchedule schedule = AlgoSchedule(ConvAlgo::kReference);
   ConvQuant qconv;          // kConv2d / kDense under the quantized path
   float qscale = 1.0f;      // kQuantize / kDequantize per-tensor scale; for integer
                             // pooling/concat, the scale of the integer OUTPUT

@@ -1,12 +1,14 @@
 // AlterOpLayout + LayoutTransform insertion/elimination (paper §3.2, Figure 2).
 //
-// Convolutions with an assigned schedule are rewritten to the NCHW[x]c template; their
-// weight constants are pre-transformed to OIHW[x]i[y]o at compile time. The blocked
+// Every convolution is lowered to the kernel its schedule names and carries that
+// schedule: a direct schedule rewrites it to the NCHW[x]c template with its weight
+// constant pre-transformed to OIHW[x]i[y]o at compile time, and an NCHW-layout
+// algorithm (im2col, Winograd, the reference loop) keeps NCHW. The blocked
 // layout then propagates through layout-oblivious and layout-tolerant operations;
 // LayoutTransform nodes are inserted only where the incoming layout differs from what a
 // node requires:
-//   * conv data input         -> NCHW[ic_bn]c
-//   * conv residual input     -> NCHW[oc_bn]c (must match the conv's own output)
+//   * conv data input         -> NCHW[ic_bn]c (NCHW for the NCHW-layout algorithms)
+//   * conv residual input     -> the conv's own output layout
 //   * elemwise add / concat   -> all inputs follow the first input's layout
 //   * layout-dependent ops    -> back to NCHW (Flatten, FlattenNHWC, ...)
 // Under LayoutPlacement::kPerOp the propagation is disabled: each conv converts its
@@ -106,59 +108,8 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
     switch (node.type) {
       case OpType::kConv2d: {
         const auto it = schedules.find(id);
-        if (it == schedules.end()) {
-          // Stays in NCHW: make sure the input actually is NCHW.
-          const int data = ensure_layout(rw.Lookup(node.inputs[0]), Layout::NCHW());
-          std::vector<int> inputs = {data};
-          for (std::size_t i = 1; i < node.inputs.size(); ++i) {
-            inputs.push_back(rw.Lookup(node.inputs[static_cast<int>(i)]));
-          }
-          if (node.attrs.epilogue.residual_add) {
-            inputs.back() = ensure_layout(inputs.back(), Layout::NCHW());
-          }
-          const int new_id =
-              rw.dst().AddNode(OpType::kConv2d, std::move(inputs), node.attrs, node.name);
-          rw.dst().node(new_id).out_layout = Layout::NCHW();
-          rw.MapTo(id, new_id);
-          break;
-        }
-        const ConvSchedule& sched = it->second;
-        if (!sched.IsDirect()) {
-          // An NCHW-layout algorithm won the search for this conv: the data (and any
-          // residual) must arrive in NCHW, the output stays NCHW, and the kernel kind
-          // dispatches the chosen algorithm. Winograd additionally pre-transforms the
-          // weight constant to the {4, 4, OC, IC} Winograd domain at compile time.
-          const int data = ensure_layout(rw.Lookup(node.inputs[0]), Layout::NCHW());
-          std::vector<int> inputs = {data};
-          if (sched.algo == ConvAlgo::kWinograd) {
-            NEOCPU_CHECK(WinogradLegal(node.attrs.conv, node.attrs.epilogue))
-                << node.name << ": winograd assigned to an illegal conv";
-            const Tensor& w = graph.node(node.inputs[1]).payload;
-            NEOCPU_CHECK(w.defined()) << node.name << ": conv weight must be constant";
-            inputs.push_back(rw.dst().AddConstant(
-                WinogradTransformWeights(ReblockWeight(w, 1, 1)), node.name + ".wino"));
-          } else {
-            inputs.push_back(weight_as(node, 1, 1));
-          }
-          std::size_t next_input = 2;
-          if (node.attrs.epilogue.bias) {
-            inputs.push_back(rw.Lookup(node.inputs[static_cast<int>(next_input)]));
-            ++next_input;
-          }
-          if (node.attrs.epilogue.residual_add) {
-            inputs.push_back(ensure_layout(rw.Lookup(node.inputs.back()), Layout::NCHW()));
-          }
-          NodeAttrs attrs = node.attrs;
-          attrs.kernel = sched.algo == ConvAlgo::kWinograd ? ConvKernelKind::kWinograd
-                         : sched.algo == ConvAlgo::kIm2col ? ConvKernelKind::kIm2col
-                                                           : ConvKernelKind::kDirectNCHW;
-          attrs.schedule = sched;
-          const int new_id = rw.dst().AddNode(OpType::kConv2d, std::move(inputs),
-                                              std::move(attrs), node.name);
-          rw.dst().node(new_id).out_layout = Layout::NCHW();
-          rw.MapTo(id, new_id);
-          break;
-        }
+        const ConvSchedule& sched =
+            it != schedules.end() ? it->second : node.attrs.schedule;
         if (sched.IsQuantized()) {
           // Quantized direct template: the u8 data input blocks like the fp32 one;
           // the fp32 weight constant is per-output-channel quantized and blocked at
@@ -211,7 +162,6 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
             mult.data()[o] = node.attrs.qconv.in_scale * w_scales[o] / denom;
           }
           inputs.push_back(rw.dst().AddConstant(std::move(mult), node.name + ".m"));
-          attrs.kernel = ConvKernelKind::kNCHWcS8;
           attrs.schedule = sched;
           const int new_id = rw.dst().AddNode(OpType::kConv2d, std::move(inputs),
                                               std::move(attrs), node.name);
@@ -219,26 +169,38 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
           rw.MapTo(id, new_id);
           break;
         }
-        const int data =
-            ensure_layout(rw.Lookup(node.inputs[0]), Layout::NCHWc(sched.ic_bn));
-        // Pre-transform the weight constant at compile time (Figure 2's
-        // "Pre-transformed Kernel").
-        std::vector<int> inputs = {data, weight_as(node, sched.ic_bn, sched.oc_bn)};
-        std::size_t next_input = 2;
+        // f32: the data (and any residual) arrive in the schedule's blocks, NCHW for
+        // the NCHW-layout algorithms, and the weight constant is pre-transformed at
+        // compile time (Figure 2's "Pre-transformed Kernel"): OIHW[x]i[y]o for the
+        // NCHW[x]c template, the {4, 4, OC, IC} Winograd domain, or plain OIHW.
+        const Layout in_layout =
+            sched.IsDirect() ? Layout::NCHWc(sched.ic_bn) : Layout::NCHW();
+        const Layout out_layout =
+            sched.IsDirect() ? Layout::NCHWc(sched.oc_bn) : Layout::NCHW();
+        std::vector<int> inputs = {ensure_layout(rw.Lookup(node.inputs[0]), in_layout)};
+        if (sched.algo == ConvAlgo::kWinograd) {
+          NEOCPU_CHECK(WinogradLegal(node.attrs.conv, node.attrs.epilogue))
+              << node.name << ": winograd assigned to an illegal conv";
+          const Tensor& w = graph.node(node.inputs[1]).payload;
+          NEOCPU_CHECK(w.defined()) << node.name << ": conv weight must be constant";
+          inputs.push_back(rw.dst().AddConstant(
+              WinogradTransformWeights(ReblockWeight(w, 1, 1)), node.name + ".wino"));
+        } else if (sched.IsDirect()) {
+          inputs.push_back(weight_as(node, sched.ic_bn, sched.oc_bn));
+        } else {
+          inputs.push_back(weight_as(node, 1, 1));
+        }
         if (node.attrs.epilogue.bias) {
-          inputs.push_back(rw.Lookup(node.inputs[static_cast<int>(next_input)]));
-          ++next_input;
+          inputs.push_back(rw.Lookup(node.inputs[2]));
         }
         if (node.attrs.epilogue.residual_add) {
-          inputs.push_back(ensure_layout(rw.Lookup(node.inputs.back()),
-                                         Layout::NCHWc(sched.oc_bn)));
+          inputs.push_back(ensure_layout(rw.Lookup(node.inputs.back()), out_layout));
         }
         NodeAttrs attrs = node.attrs;
-        attrs.kernel = ConvKernelKind::kNCHWc;
         attrs.schedule = sched;
         int new_id =
             rw.dst().AddNode(OpType::kConv2d, std::move(inputs), std::move(attrs), node.name);
-        rw.dst().node(new_id).out_layout = Layout::NCHWc(sched.oc_bn);
+        rw.dst().node(new_id).out_layout = out_layout;
         if (placement == LayoutPlacement::kPerOp) {
           new_id = ensure_layout(new_id, Layout::NCHW());
         }

@@ -6,11 +6,11 @@
 //      convolution when the convolution has no other consumer.
 //   2. FuseOps — fuse ReLU / residual-add(+ReLU) epilogues into convolutions and ReLU
 //      into remaining ScaleShift nodes, raising arithmetic intensity (§2.2).
-//   3. AlterConvLayout — rewrite convolutions to the NCHW[x]c template with the
-//      schedules chosen by the search, pre-transform weight constants to
-//      OIHW[x]i[y]o at compile time, propagate layouts through layout-oblivious /
-//      layout-tolerant operations, and insert LayoutTransform nodes only where layouts
-//      genuinely change (§3.2).
+//   3. AlterConvLayout — lower each convolution to the kernel its schedule names
+//      (the NCHW[x]c template, or an NCHW-layout algorithm), pre-transform weight
+//      constants (OIHW[x]i[y]o, Winograd domain) at compile time, propagate layouts
+//      through layout-oblivious / layout-tolerant operations, and insert
+//      LayoutTransform nodes only where layouts genuinely change (§3.2).
 //
 // Every pass returns a new Graph (nodes are rebuilt in topological order); shape
 // inference is re-run internally.
@@ -100,8 +100,10 @@ enum class LayoutPlacement {
                 // on mismatch (Table 3 rows "Transform Elim." and "Global Search")
 };
 
-// `schedules` maps conv node id (in `graph`) to its chosen schedule. Convs not in the
-// map keep their NCHW kernel. Weight constants are pre-transformed in the result.
+// `schedules` maps conv node id (in `graph`) to its chosen schedule, which the
+// rewritten conv carries and dispatch runs. Convs not in the map keep their own
+// schedule (an unlowered conv: the reference loop). Weight constants are
+// pre-transformed in the result.
 // `dense_schedules` (optional) maps dense node id to its tuned GEMM schedule: those
 // dense nodes get their weight constant pre-packed into the kernel's panel layout
 // (f32, or per-row-quantized s8 with the bias folded to s32 for u8 schedules) and
@@ -109,9 +111,6 @@ enum class LayoutPlacement {
 Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& schedules,
                       LayoutPlacement placement,
                       const std::map<int, GemmSchedule>* dense_schedules = nullptr);
-
-// Assigns ConvKernelKind for NCHW execution (baseline paths; no layout change).
-Graph BindNchwKernels(const Graph& graph, ConvKernelKind kind);
 
 }  // namespace neocpu
 

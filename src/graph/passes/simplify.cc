@@ -128,18 +128,4 @@ Graph SimplifyInference(const Graph& graph) {
   return out;
 }
 
-Graph BindNchwKernels(const Graph& graph, ConvKernelKind kind) {
-  GraphRewriter rw(graph);
-  for (int id = 0; id < graph.num_nodes(); ++id) {
-    const Node& node = graph.node(id);
-    const int new_id = rw.CopyNode(node);
-    if (node.IsConv()) {
-      rw.dst().node(new_id).attrs.kernel = kind;
-    }
-  }
-  Graph out = rw.Finish();
-  InferShapes(&out);
-  return out;
-}
-
 }  // namespace neocpu

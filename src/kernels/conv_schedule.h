@@ -14,6 +14,11 @@
 // cost model and settled by the global search like any other schedule knob. The blocking
 // fields are only meaningful for kDirectNCHWc; the NCHW-layout algorithms store zeros
 // there so pair-keyed selection never confuses them with blocked schedules.
+//
+// A conv node's schedule is the only record of how it runs: lowering (AlterConvLayout)
+// stores the chosen schedule on the node, under every layout mode, and the executor
+// dispatches on its `algo` and `dtype`. An unlowered conv carries
+// AlgoSchedule(kReference).
 #ifndef NEOCPU_SRC_KERNELS_CONV_SCHEDULE_H_
 #define NEOCPU_SRC_KERNELS_CONV_SCHEDULE_H_
 

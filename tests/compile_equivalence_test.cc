@@ -138,7 +138,7 @@ TEST(CompileEquivalence, StatsAreCoherent) {
   int blocked_convs = 0;
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& node = compiled.graph().node(id);
-    blocked_convs += node.IsConv() && node.attrs.kernel == ConvKernelKind::kNCHWc;
+    blocked_convs += node.IsConv() && node.attrs.schedule.IsDirect();
   }
   if (blocked_convs > 0) {
     EXPECT_GE(stats.num_layout_transforms, 1);

@@ -17,6 +17,7 @@
 #include "src/core/presets.h"
 #include "src/core/serialization.h"
 #include "src/graph/builder.h"
+#include "src/kernels/conv_winograd.h"
 #include "src/models/model_zoo.h"
 #include "src/tuning/local_search.h"
 #include "src/tuning/tuning_cache.h"
@@ -40,11 +41,11 @@ Tensor InputFor(const Graph& model, std::uint64_t seed = 23) {
   return {};
 }
 
-int CountConvKernels(const Graph& g, ConvKernelKind kind) {
+int CountConvAlgo(const Graph& g, ConvAlgo algo) {
   int n = 0;
   for (int id = 0; id < g.num_nodes(); ++id) {
     const Node& node = g.node(id);
-    n += node.IsConv() && node.attrs.kernel == kind;
+    n += node.IsConv() && node.attrs.schedule.algo == algo;
   }
   return n;
 }
@@ -95,16 +96,14 @@ TEST(ConvAlgoSearch, LocalSearchRanksAlgorithmsAlongsideBlockings) {
 
 TEST(ConvAlgoSearch, GlobalSearchSelectsWinogradOnVgg) {
   CompiledModel compiled = CompileVggAvx2();
-  EXPECT_GE(CountConvKernels(compiled.graph(), ConvKernelKind::kWinograd), 1)
+  EXPECT_GE(CountConvAlgo(compiled.graph(), ConvAlgo::kWinograd), 1)
       << "no conv layer selected Winograd on the AVX2 profile";
-  // Winograd convs carry the algorithm on their schedule and pre-transformed weights
-  // {4, 4, OC, IC}.
+  // Winograd convs read pre-transformed weights {4, 4, OC, IC} and stay NCHW.
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& node = compiled.graph().node(id);
-    if (!node.IsConv() || node.attrs.kernel != ConvKernelKind::kWinograd) {
+    if (!node.IsConv() || node.attrs.schedule.algo != ConvAlgo::kWinograd) {
       continue;
     }
-    EXPECT_EQ(node.attrs.schedule.algo, ConvAlgo::kWinograd);
     const Tensor& w = compiled.graph().node(node.inputs[1]).payload;
     ASSERT_EQ(w.ndim(), 4);
     EXPECT_EQ(w.dim(0), 4);
@@ -122,7 +121,7 @@ TEST(ConvAlgoSearch, GlobalSearchSelectsWinogradOnVgg) {
 
 TEST(ConvAlgoSearch, ChoiceRoundTripsThroughModuleSerialization) {
   CompiledModel compiled = CompileVggAvx2();
-  const int wino = CountConvKernels(compiled.graph(), ConvKernelKind::kWinograd);
+  const int wino = CountConvAlgo(compiled.graph(), ConvAlgo::kWinograd);
   ASSERT_GE(wino, 1);
 
   const std::string path = TempPath("algo_roundtrip.neoc");
@@ -131,12 +130,11 @@ TEST(ConvAlgoSearch, ChoiceRoundTripsThroughModuleSerialization) {
   ASSERT_TRUE(LoadModule(path, &loaded));
   std::remove(path.c_str());
 
-  EXPECT_EQ(CountConvKernels(loaded.graph(), ConvKernelKind::kWinograd), wino);
+  EXPECT_EQ(CountConvAlgo(loaded.graph(), ConvAlgo::kWinograd), wino);
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& a = compiled.graph().node(id);
     const Node& b = loaded.graph().node(id);
     if (a.IsConv()) {
-      EXPECT_EQ(a.attrs.kernel, b.attrs.kernel) << a.name;
       EXPECT_EQ(a.attrs.schedule, b.attrs.schedule) << a.name;
     }
   }
@@ -152,7 +150,7 @@ TEST(ConvAlgoSearch, ChoiceRoundTripsThroughTuningCache) {
   CompileOptions opts = NeoCpuOptions(Target::EpycAvx2());
   opts.tuning_cache = cache;
   CompiledModel first = Compile(model, opts);
-  const int wino = CountConvKernels(first.graph(), ConvKernelKind::kWinograd);
+  const int wino = CountConvAlgo(first.graph(), ConvAlgo::kWinograd);
   ASSERT_GE(wino, 1);
   ASSERT_GT(first.stats().tuning_cache_misses, 0u);
 
@@ -171,19 +169,19 @@ TEST(ConvAlgoSearch, ChoiceRoundTripsThroughTuningCache) {
   EXPECT_EQ(second.stats().tuning_cache_misses, 0u);
   EXPECT_EQ(second.stats().tuning_cache_hits, first.stats().tuning_cache_hits +
                                                   first.stats().tuning_cache_misses);
-  EXPECT_EQ(CountConvKernels(second.graph(), ConvKernelKind::kWinograd), wino);
+  EXPECT_EQ(CountConvAlgo(second.graph(), ConvAlgo::kWinograd), wino);
 }
 
 TEST(ConvAlgoSearch, PlannedWinogradExecutionStaysZeroAlloc) {
   CompiledModel compiled = CompileVggAvx2();
-  ASSERT_GE(CountConvKernels(compiled.graph(), ConvKernelKind::kWinograd), 1);
+  ASSERT_GE(CountConvAlgo(compiled.graph(), ConvAlgo::kWinograd), 1);
   ASSERT_NE(compiled.plan(), nullptr);
 
   // Winograd convs must plan per-worker tile scratch in the arena.
   bool wino_workspace = false;
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& node = compiled.graph().node(id);
-    if (node.IsConv() && node.attrs.kernel == ConvKernelKind::kWinograd) {
+    if (node.IsConv() && node.attrs.schedule.algo == ConvAlgo::kWinograd) {
       wino_workspace |=
           compiled.plan()->nodes[static_cast<std::size_t>(id)].workspace_bytes > 0;
     }
@@ -210,15 +208,18 @@ TEST(ConvAlgoSearch, RetuneForBatchReselectsAlgorithms) {
   ASSERT_TRUE(RetuneForBatch(compiled, 2, nullptr, &retuned));
   EXPECT_EQ(retuned.stats().tuned_batch, 2);
   // The batch-2 variant made its own algorithm decisions; whatever it picked, every
-  // conv's schedule must be tagged consistently with its kernel binding...
+  // conv runs at batch 2 and every Winograd conv reads Winograd-domain weights...
   for (int id = 0; id < retuned.graph().num_nodes(); ++id) {
     const Node& node = retuned.graph().node(id);
     if (!node.IsConv()) {
       continue;
     }
     EXPECT_EQ(node.attrs.conv.batch, 2) << node.name;
-    if (node.attrs.kernel == ConvKernelKind::kWinograd) {
-      EXPECT_EQ(node.attrs.schedule.algo, ConvAlgo::kWinograd) << node.name;
+    if (node.attrs.schedule.algo == ConvAlgo::kWinograd) {
+      EXPECT_EQ(retuned.graph().node(node.inputs[1]).payload.dims(),
+                (std::vector<std::int64_t>{4, 4, node.attrs.conv.out_c,
+                                           node.attrs.conv.in_c}))
+          << node.name;
     }
   }
   // ...and the variant must execute correctly at its batch size.
@@ -255,7 +256,7 @@ TEST(ForcedAlgo, ForcesLegalConvsAndSkipsIllegalOnes) {
     if (!node.IsConv()) {
       continue;
     }
-    if (node.attrs.kernel == ConvKernelKind::kWinograd) {
+    if (node.attrs.schedule.algo == ConvAlgo::kWinograd) {
       ++wino;
       residual_wino += node.attrs.epilogue.residual_add;
     }
@@ -276,7 +277,7 @@ TEST(ForcedAlgo, ForcedIm2colBindsEveryConv) {
   opts.forced_algo = ConvAlgo::kIm2col;
   CompiledModel compiled = Compile(model, opts);
   const int convs = compiled.graph().CountNodes(OpType::kConv2d);
-  EXPECT_EQ(CountConvKernels(compiled.graph(), ConvKernelKind::kIm2col), convs);
+  EXPECT_EQ(CountConvAlgo(compiled.graph(), ConvAlgo::kIm2col), convs);
 
   Tensor input = InputFor(model);
   Tensor expected = Executor(&model).Run(input);
@@ -297,6 +298,43 @@ TEST(ForcedAlgo, RoundTripsThroughModuleConfig) {
   std::remove(path.c_str());
   EXPECT_TRUE(loaded.config().force_algo);
   EXPECT_EQ(loaded.config().forced_algo, ConvAlgo::kIm2col);
+}
+
+// kNCHW runs no search: every conv gets the reference loop, and a forced NCHW
+// algorithm replaces it wherever that algorithm is legal, its weights pre-transformed
+// by the same lowering as under the NCHWc modes.
+TEST(ForcedAlgo, NchwModeForcesWinogradOnlyWhereLegal) {
+  GraphBuilder b("nchw_winograd");
+  int x = b.Input({1, 16, 16, 16});
+  int y = b.Conv(x, 16, 3, 1, 1, false, "plain");
+  y = b.Relu(y);
+  y = b.Conv(y, 16, 3, 1, 1, false, "residual");  // fuses the add below
+  y = b.Add(y, x);
+  Graph model = b.Finish({y});
+  CompileOptions opts = AblationBaselineNchw(Target::Host());
+  opts.force_algo = true;
+  opts.forced_algo = ConvAlgo::kWinograd;
+  CompiledModel compiled = Compile(model, opts);
+
+  int legal = 0;
+  for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
+    const Node& node = compiled.graph().node(id);
+    if (!node.IsConv()) {
+      continue;
+    }
+    const bool wino = WinogradLegal(node.attrs.conv, node.attrs.epilogue);
+    legal += wino;
+    EXPECT_EQ(node.attrs.schedule,
+              AlgoSchedule(wino ? ConvAlgo::kWinograd : ConvAlgo::kReference))
+        << node.name;
+  }
+  EXPECT_EQ(legal, 1);
+  EXPECT_EQ(compiled.graph().CountNodes(OpType::kConv2d), 2);
+  EXPECT_EQ(compiled.stats().num_layout_transforms, 0);
+
+  Tensor input = InputFor(model);
+  Tensor expected = Executor(&model).Run(input);
+  EXPECT_LE(Tensor::AllCloseViolation(compiled.Run(input), expected, kRtol, kAtol), 0.0);
 }
 
 // ---------------------------------------------------------------- zoo-wide dispatch
@@ -324,7 +362,7 @@ TEST_P(WinogradZooDispatch, ForcedWinogradMatchesPlannedAndReference) {
   opts.force_algo = true;
   opts.forced_algo = ConvAlgo::kWinograd;
   CompiledModel compiled = Compile(model, opts);
-  EXPECT_GE(CountConvKernels(compiled.graph(), ConvKernelKind::kWinograd), 1)
+  EXPECT_GE(CountConvAlgo(compiled.graph(), ConvAlgo::kWinograd), 1)
       << GetParam().label;
 
   const Executor allocating(&compiled.graph());

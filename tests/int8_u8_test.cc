@@ -734,7 +734,7 @@ TEST(QuantizeGraphU8, SumFusionReadsIntegerResidual) {
     const Node& node = g.node(id);
     if (node.IsConv() && node.attrs.epilogue.residual_add) {
       EXPECT_EQ(node.name, "c3");
-      EXPECT_EQ(node.attrs.kernel, ConvKernelKind::kNCHWcS8) << node.name;
+      EXPECT_TRUE(node.attrs.schedule.IsQuantized()) << node.name;
       // {data, w8, b32, residual, multiplier}: the residual is the u8 pool, possibly
       // through a reblock to the conv's output blocking.
       int res = node.inputs[node.inputs.size() - 2];
@@ -788,7 +788,7 @@ TEST(QuantizeGraphU8, F32ResidualConvReadsSharedDequantize) {
     ++residual_convs;
     EXPECT_EQ(node.name, "res");
     EXPECT_FALSE(node.attrs.qconv.enabled);
-    EXPECT_NE(node.attrs.kernel, ConvKernelKind::kNCHWcS8);
+    EXPECT_FALSE(node.attrs.schedule.IsQuantized());
     EXPECT_TRUE(node.attrs.qin_scales.empty());
     int res = node.inputs.back();
     if (g.node(res).type == OpType::kLayoutTransform) {
@@ -828,7 +828,7 @@ TEST(QuantizeGraphU8, ResNet18BoundaryStructure) {
     if (!node.IsConv() || !node.attrs.epilogue.residual_add) {
       continue;
     }
-    ASSERT_EQ(node.attrs.kernel, ConvKernelKind::kNCHWcS8) << node.name;
+    ASSERT_TRUE(node.attrs.schedule.IsQuantized()) << node.name;
     int res = node.inputs[node.inputs.size() - 2];
     if (g.node(res).type == OpType::kLayoutTransform) {
       res = g.node(res).inputs[0];

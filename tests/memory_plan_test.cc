@@ -190,7 +190,8 @@ TEST(MemoryPlan, Im2colWorkspaceIsPlanned) {
   Tensor input = InputFor(model);
   CompileOptions opts;
   opts.layout_mode = LayoutMode::kNCHW;
-  opts.nchw_kernel = ConvKernelKind::kIm2col;
+  opts.force_algo = true;
+  opts.forced_algo = ConvAlgo::kIm2col;
   CompiledModel compiled = Compile(model, opts);
 
   ASSERT_NE(compiled.plan(), nullptr);
@@ -465,7 +466,8 @@ TEST(MemoryPlan, EscapingOutputWorkspaceIsPlanned) {
   Graph model = b.Finish({c2});
   CompileOptions opts;
   opts.layout_mode = LayoutMode::kNCHW;
-  opts.nchw_kernel = ConvKernelKind::kIm2col;
+  opts.force_algo = true;
+  opts.forced_algo = ConvAlgo::kIm2col;
   CompiledModel compiled = Compile(model, opts);
   const ExecutionPlan& plan = *compiled.plan();
   const int out = compiled.graph().outputs().front();

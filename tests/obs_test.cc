@@ -10,12 +10,14 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/base/timer.h"
 #include "src/core/compiler.h"
 #include "src/core/executor.h"
+#include "src/core/presets.h"
 #include "src/models/model_zoo.h"
 #include "src/obs/graph_dot.h"
 #include "src/obs/metrics.h"
@@ -76,6 +78,29 @@ TEST(NodeProfiler, TotalsApproximateWallTime) {
   ASSERT_FALSE(snap.by_kind.empty());
   EXPECT_TRUE(snap.by_kind[0].kind.rfind("conv2d", 0) == 0)
       << "hottest kind: " << snap.by_kind[0].kind;
+}
+
+// The NCHW baselines are profiled and drawn by the algorithm that runs: im2col for the
+// framework default, the reference loop for Table 3's baseline row.
+TEST(NodeProfiler, BaselineConvsAreLabelledByTheirAlgorithm) {
+  const std::pair<CompileOptions, std::string> cases[] = {
+      {FrameworkDefaultOptions(Target::Host()), "im2col"},
+      {AblationBaselineNchw(Target::Host()), "reference"}};
+  for (const auto& [options, algo] : cases) {
+    CompiledModel model = Compile(BuildTinyCnn(), options);
+    model.EnableProfiling(/*sample_rate=*/1);
+    model.Run(TinyInput());
+    std::vector<std::string> conv_kinds;
+    for (const OpKindProfile& kind : model.ProfileSnapshot().by_kind) {
+      if (kind.kind.rfind("conv2d", 0) == 0) {
+        conv_kinds.push_back(kind.kind);
+      }
+    }
+    EXPECT_EQ(conv_kinds, std::vector<std::string>{"conv2d/" + algo});
+    const std::string dot = CompiledModelToDot(model);
+    EXPECT_NE(dot.find("algo=" + algo), std::string::npos) << algo;
+    EXPECT_EQ(dot.find("ic_bn="), std::string::npos) << algo;
+  }
 }
 
 TEST(NodeProfiler, SamplingTimesOneRunInN) {

@@ -251,20 +251,6 @@ TEST(AlterConvLayout, ConcatFallsBackWhenBlockDoesNotDivide) {
   // Output of concat is NCHW (logical), equivalence is the main assertion.
 }
 
-TEST(BindNchwKernels, SetsKernelKind) {
-  GraphBuilder b("bind");
-  int x = b.Input({1, 8, 6, 6});
-  x = b.Conv(x, 8, 3, 1, 1);
-  Graph g = b.Finish({x});
-  Graph bound = BindNchwKernels(g, ConvKernelKind::kIm2col);
-  for (int i = 0; i < bound.num_nodes(); ++i) {
-    if (bound.node(i).IsConv()) {
-      EXPECT_EQ(bound.node(i).attrs.kernel, ConvKernelKind::kIm2col);
-    }
-  }
-  EXPECT_LE(DiffAfter(g, bound), 0.0);
-}
-
 // Passes copy a constant only when a rewritten node reads it, so a compiled model keeps
 // no weight it no longer uses: not a folded BatchNorm's statistics, not a conv or dense
 // weight replaced by its pre-transformed, pre-quantized or pre-packed copy.
@@ -366,7 +352,7 @@ TEST(WeightOwnership, DirectConvWeightIsStoredOnce) {
   int direct = 0;
   for (int id = 0; id < g.num_nodes(); ++id) {
     const Node& conv = g.node(id);
-    if (!conv.IsConv() || conv.attrs.kernel != ConvKernelKind::kNCHWc) {
+    if (!conv.IsConv() || !conv.attrs.schedule.IsDirect()) {
       continue;
     }
     ++direct;

@@ -140,7 +140,7 @@ TEST(QuantizeGraph, ChainStaysInInt8) {
   for (int id = 0; id < g.num_nodes(); ++id) {
     const Node& node = g.node(id);
     if (node.IsConv() && node.attrs.qconv.enabled) {
-      EXPECT_EQ(node.attrs.kernel, ConvKernelKind::kNCHWcS8) << node.name;
+      EXPECT_TRUE(node.attrs.schedule.IsQuantized()) << node.name;
       requant_convs += node.attrs.qconv.requant ? 1 : 0;
     }
   }
@@ -204,7 +204,7 @@ TEST(QuantizeGraph, ResidualConvsRunNCHWcS8) {
     const Node& node = compiled.graph().node(id);
     if (node.IsConv() && node.attrs.epilogue.residual_add) {
       EXPECT_TRUE(node.attrs.qconv.enabled) << node.name;
-      EXPECT_EQ(node.attrs.kernel, ConvKernelKind::kNCHWcS8) << node.name;
+      EXPECT_TRUE(node.attrs.schedule.IsQuantized()) << node.name;
       ++residual_convs;
     }
   }
@@ -392,7 +392,7 @@ TEST(QuantizeBatch, RebindKeepsInt8AndMatchesAllocating) {
   ASSERT_TRUE(RebindBatch(compiled, 4, &rebound));
   int quantized = 0;
   for (int id = 0; id < rebound.graph().num_nodes(); ++id) {
-    quantized += rebound.graph().node(id).attrs.kernel == ConvKernelKind::kNCHWcS8;
+    quantized += rebound.graph().node(id).attrs.schedule.IsQuantized();
   }
   EXPECT_EQ(quantized, compiled.stats().num_quantized_convs);
 

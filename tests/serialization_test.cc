@@ -69,7 +69,6 @@ void ExpectSameGraph(const Graph& a, const Graph& b, const std::string& label) {
     EXPECT_EQ(x.out_layout, y.out_layout) << where;
     EXPECT_EQ(x.out_dtype, y.out_dtype) << where;
     EXPECT_EQ(x.attrs.schedule, y.attrs.schedule) << where;
-    EXPECT_EQ(x.attrs.kernel, y.attrs.kernel) << where;
     EXPECT_EQ(x.attrs.has_gemm, y.attrs.has_gemm) << where;
     EXPECT_EQ(x.attrs.gemm, y.attrs.gemm) << where;
     ASSERT_EQ(x.payload.defined(), y.payload.defined()) << where;
@@ -187,6 +186,56 @@ TEST(Serialization, RoundTripsZooModelWithDetectionHead) {
   CompiledModel loaded;
   ASSERT_TRUE(LoadModule(path, &loaded));
   EXPECT_EQ(Tensor::MaxAbsDiff(expected, loaded.Run(input)), 0.0);
+  std::remove(path.c_str());
+}
+
+// No module config aborts the process. An NCHWc compile reblocks its source weights in
+// place; rewrapped under every layout mode and forced algorithm, such a model saves,
+// loads and re-lowers (every weight read through ReblockWeight), and each lowering
+// computes the original model's function.
+TEST(Serialization, EveryLayoutModeAndForcedAlgoReLowersABlockedSource) {
+  const CompiledModel compiled =
+      Compile(BuildTinyCnn(1, 32), NeoCpuOptions(Target::Host()));
+  int blocked_weights = 0;
+  const Graph& source = compiled.source_graph();
+  for (int id = 0; id < source.num_nodes(); ++id) {
+    if (source.node(id).IsConv()) {
+      blocked_weights += source.node(source.node(id).inputs[1]).payload.ndim() == 6;
+    }
+  }
+  ASSERT_GT(blocked_weights, 0) << "no source weight was reblocked in place";
+  const Tensor input = InputFor(compiled.graph());
+  const Tensor expected = compiled.Run(input);
+
+  struct Forced {
+    const char* label;
+    bool force;
+    ConvAlgo algo;
+  };
+  const Forced forced[] = {{"searched", false, ConvAlgo::kDirectNCHWc},
+                           {"direct", true, ConvAlgo::kDirectNCHWc},
+                           {"im2col", true, ConvAlgo::kIm2col},
+                           {"winograd", true, ConvAlgo::kWinograd},
+                           {"reference", true, ConvAlgo::kReference}};
+  const std::string path = TempPath("rewrapped.neoc");
+  for (const LayoutMode mode :
+       {LayoutMode::kNCHW, LayoutMode::kNCHWcPerOp, LayoutMode::kNCHWcFixed,
+        LayoutMode::kNCHWcLocal, LayoutMode::kNCHWcGlobal}) {
+    for (const Forced& f : forced) {
+      const std::string label = std::string(LayoutModeName(mode)) + "/" + f.label;
+      CompileConfig config = compiled.config();
+      config.layout_mode = mode;
+      config.force_algo = f.force;
+      config.forced_algo = f.algo;
+      const CompiledModel rewrapped(compiled.graph(), compiled.stats(),
+                                    compiled.source_graph(), config, compiled.tuning());
+      ASSERT_TRUE(SaveModule(rewrapped, path)) << label;
+      CompiledModel loaded;
+      ASSERT_TRUE(LoadModule(path, &loaded)) << label;
+      EXPECT_LE(Tensor::AllCloseViolation(loaded.Run(input), expected, 5e-3, 5e-3), 0.0)
+          << label;
+    }
+  }
   std::remove(path.c_str());
 }
 
