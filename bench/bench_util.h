@@ -21,7 +21,10 @@
 namespace neocpu {
 namespace bench {
 
-inline std::size_t Runs() { return EnvSizeT("NEOCPU_BENCH_RUNS", 2); }
+// Timed repetitions: NEOCPU_BENCH_RUNS, else `fallback`.
+inline std::size_t Runs(std::size_t fallback = 2) {
+  return EnvSizeT("NEOCPU_BENCH_RUNS", fallback);
+}
 inline std::size_t Warmup() { return EnvSizeT("NEOCPU_BENCH_WARMUP", 1); }
 
 inline CostMode BenchCostMode() {

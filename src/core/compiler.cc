@@ -167,41 +167,43 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
     locals[id] = std::move(result);
   }
 
-  // Dense (tuned packed-GEMM) schedule selection rides the same local-search +
-  // cache machinery under the searched modes. Dense nodes carry no layout edges
-  // (their inputs/outputs are flat), so in the global formulation each is an
-  // isolated variable: its per-layer f32-vs-u8 choice decomposes out of the DP
-  // objective exactly, and comparing best-f32 against best-u8 plus the Q/DQ
-  // boundary cost IS the global optimum for that variable.
+  // Every dense with a constant 2-D f32 weight runs the packed GEMM. The searched modes
+  // rank its blocking through the same local-search + cache machinery as the convs;
+  // the fixed-layout baselines take GemmSchedule{}, the fixed "library" blocking their
+  // im2col convs run. Dense nodes carry no layout edges (their inputs/outputs are
+  // flat), so in the global formulation each is an isolated variable: its per-layer
+  // f32-vs-u8 choice decomposes out of the DP objective exactly, and comparing best-f32
+  // against best-u8 plus the Q/DQ boundary cost IS the global optimum for that variable.
+  const bool searched = opts.layout_mode == LayoutMode::kNCHWcLocal ||
+                        opts.layout_mode == LayoutMode::kNCHWcGlobal;
   std::map<int, GemmSchedule> dense_schedules;
-  if (opts.layout_mode == LayoutMode::kNCHWcLocal ||
-      opts.layout_mode == LayoutMode::kNCHWcGlobal) {
-    for (int id = 0; id < source.num_nodes(); ++id) {
-      const Node& node = source.node(id);
-      if (node.type != OpType::kDense || node.inputs.size() < 2) {
-        continue;
-      }
-      const Node& weight = source.node(node.inputs[1]);
-      if (!weight.payload.defined() || weight.payload.dtype() != DType::kF32 ||
-          weight.payload.dims().size() != 2) {
-        continue;
-      }
-      const auto& d = source.node(node.inputs[0]).out_dims;
-      if (d.size() != 2) {
-        continue;
-      }
-      const DenseParams p{d[0], weight.payload.dim(0), weight.payload.dim(1)};
+  for (int id = 0; id < source.num_nodes(); ++id) {
+    const Node& node = source.node(id);
+    if (node.type != OpType::kDense || node.inputs.size() < 2) {
+      continue;
+    }
+    const Node& weight = source.node(node.inputs[1]);
+    if (!weight.payload.defined() || weight.payload.dtype() != DType::kF32 ||
+        weight.payload.dims().size() != 2) {
+      continue;
+    }
+    // The fixed blocking, kept unless the search ranks this dense's own.
+    GemmSchedule chosen;
+    if (searched) {
+      // Shape inference holds every dense input 2-D.
+      const DenseParams p{source.node(node.inputs[0]).out_dims[0], weight.payload.dim(0),
+                          weight.payload.dim(1)};
       bool hit = false;
       std::shared_ptr<const LocalSearchResult> f32 =
           LocalSearchDenseShared(p, opts.target, opts.cost_mode, opts.quick_space,
                                  opts.engine, cache, &hit);
       ++(hit ? stats->tuning_cache_hits : stats->tuning_cache_misses);
       const DenseScheduleCost* best_f32 = f32->BestDense(DType::kF32);
-      if (best_f32 == nullptr) {
-        continue;
+      if (best_f32 != nullptr) {
+        chosen = best_f32->schedule;
       }
-      GemmSchedule chosen = best_f32->schedule;
-      if (quantizing && opts.quantize_dense && calibration->count(node.inputs[0]) > 0) {
+      if (best_f32 != nullptr && quantizing && opts.quantize_dense &&
+          calibration->count(node.inputs[0]) > 0) {
         bool qhit = false;
         std::shared_ptr<const LocalSearchResult> u8 =
             LocalSearchDenseShared(p, opts.target, opts.cost_mode, opts.quick_space,
@@ -219,11 +221,11 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
           }
         }
       }
-      dense_schedules[id] = chosen;
-      ++stats->num_dense;
-      if (chosen.dtype == DType::kU8) {
-        ++stats->num_quantized_dense;
-      }
+    }
+    dense_schedules[id] = chosen;
+    ++stats->num_dense;
+    if (chosen.IsQuantized()) {
+      ++stats->num_quantized_dense;
     }
   }
   stats->tuning_seconds = tuning_timer.Seconds();
@@ -336,7 +338,7 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
       (stats->num_quantized_convs > 0 || stats->num_quantized_dense > 0)) {
     lowered_source = QuantizeGraph(source, *calibration, &schedules, &dense_schedules);
   }
-  Graph g = AlterConvLayout(lowered_source, schedules, placement, &dense_schedules);
+  Graph g = AlterConvLayout(lowered_source, schedules, placement, dense_schedules);
   stats->num_layout_transforms = g.CountNodes(OpType::kLayoutTransform);
   return g;
 }

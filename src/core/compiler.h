@@ -16,6 +16,9 @@
 //                    global search over local-search candidates (§3.3).
 //   kNCHWcLocal    — extra ablation: greedy per-conv local optimum, ignoring transform
 //                    costs (the pitfall §3.3.1 warns about).
+// In every mode each dense with a constant 2-D weight runs the packed GEMM: the two
+// searched modes (kNCHWcGlobal, kNCHWcLocal) rank its blocking per layer, and the
+// other three run it at the fixed "library" blocking GemmSchedule{}.
 //
 // Every per-conv decision is keyed by WorkloadKey — the conv shape *including the batch
 // size* plus target/cost/space mode — and memoized in a shared TuningCache, so schedules
@@ -112,7 +115,7 @@ struct CompileStats {
   int num_convs = 0;
   int num_layout_transforms = 0;  // runtime transform nodes left in the final graph
   int num_quantized_convs = 0;    // convs the selection assigned an int8 schedule
-  int num_dense = 0;              // dense nodes assigned a tuned GEMM schedule
+  int num_dense = 0;              // dense nodes lowered to the packed GEMM
   int num_quantized_dense = 0;    // of those, how many chose the u8 kernel
   double predicted_cost_ms = 0.0;  // global-search objective value (model units)
 
@@ -162,14 +165,8 @@ class CompiledModel {
     exec.SetProfiler(profiler_.get());
     return exec.Run(input);
   }
-  std::vector<Tensor> RunAll(const std::vector<Tensor>& inputs,
-                             ThreadEngine* engine = nullptr) const {
-    Executor exec(&graph_, engine, plan_);
-    exec.SetProfiler(profiler_.get());
-    return exec.Run(inputs);
-  }
 
-  // Per-node profiling for the convenience Run paths above (serving builds its own
+  // Per-node profiling for the convenience Run path above (serving builds its own
   // per-variant profilers against long-lived executors instead). Every sample_rate-th
   // Run is timed node by node; Snapshot() aggregates. The profiler is shared, so
   // RebindBatch-style copies of the model keep feeding the same aggregate.

@@ -65,7 +65,6 @@ class CalibrationObserver {
   CalibrationTable Finalize(CalibrationPolicy policy);
 
   const CalibrationTable& table() const { return table_; }
-  CalibrationTable TakeTable() { return std::move(table_); }
 
  private:
   CalibrationTable table_;

@@ -66,7 +66,7 @@ void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
   LOG(FATAL) << "unreachable";
 }
 
-// Tuned packed-GEMM dense (attrs.has_gemm): the weight input is the pre-packed panel
+// Packed-GEMM dense (attrs.has_gemm): the weight input is the pre-packed panel
 // constant; `workspace` backs the packed-A panels when it is large enough for the
 // executing row count.
 void ExecuteDenseGemmInto(const Node& node, const std::vector<Tensor>& in, Tensor* out,

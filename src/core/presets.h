@@ -12,6 +12,10 @@
 //   FrameworkDefaultOptions— "framework default": im2col+GEMM in NCHW (TensorFlow/
 //                            Eigen-like), no layout optimization.
 //
+// The framework presets (and every unsearched Table 3 row) run each dense on the
+// packed GEMM at the fixed blocking GemmSchedule{} — the library's one blocking, the
+// one their im2col convs run — where NeoCpuOptions searches it per layer.
+//
 // Run-time thread engines are chosen by the caller: NeoThreadPool for NeoCPU,
 // OmpStylePool for the framework baselines (Figure 4).
 #ifndef NEOCPU_SRC_CORE_PRESETS_H_

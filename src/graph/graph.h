@@ -95,10 +95,10 @@ struct NodeAttrs {
   Layout dst_layout;  // kLayoutTransform target
   std::vector<std::int64_t> reshape_dims;
   MultiboxDetectionParams det;
-  // kDense under the tuned packed-GEMM path (set by AlterConvLayout when the search
-  // assigned a schedule): the blocking tuple, the workload shape (workspace sizing,
-  // profiling), and the flag that routes dispatch to the packed kernels. Weights are
-  // pre-packed into the panel layout at compile time when has_gemm is set.
+  // kDense lowered to the packed GEMM (set by AlterConvLayout for every dense given a
+  // schedule, searched or fixed): the blocking tuple, the workload shape (workspace
+  // sizing, profiling), and the flag that routes dispatch to the packed kernels.
+  // Weights are pre-packed into the panel layout at compile time when has_gemm is set.
   GemmSchedule gemm;
   DenseParams dense;
   bool has_gemm = false;

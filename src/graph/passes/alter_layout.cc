@@ -14,6 +14,8 @@
 // Under LayoutPlacement::kPerOp the propagation is disabled: each conv converts its
 // input from NCHW and converts its output back, which is what a framework delegating to
 // a fixed kernel library does (Table 3 "Layout Opt." row).
+// A dense with a GEMM schedule runs the packed GEMM on a weight pre-packed at compile
+// time, in every layout mode; its data input is flat.
 #include <map>
 #include <utility>
 
@@ -68,7 +70,7 @@ bool IsLayoutDependent(OpType type) {
 
 Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& schedules,
                       LayoutPlacement placement,
-                      const std::map<int, GemmSchedule>* dense_schedules) {
+                      const std::map<int, GemmSchedule>& dense_schedules) {
   GraphRewriter rw(graph);
 
   // Inserts a LayoutTransform in the rewritten graph unless `mapped` already produces
@@ -103,6 +105,22 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
     return rw.dst().AddConstant(std::move(blocked), node.name + ".w");
   };
 
+  // A layout-dependent op reads its data input back in NCHW (a flat input needs no
+  // transform) and produces a flat output.
+  auto lower_layout_dependent = [&rw, &graph, &ensure_layout](int id, const Node& node) {
+    std::vector<int> inputs;
+    for (std::size_t i = 0; i < node.inputs.size(); ++i) {
+      int mapped = rw.Lookup(node.inputs[i]);
+      if (i == 0 && graph.node(node.inputs[0]).out_dims.size() == 4) {
+        mapped = ensure_layout(mapped, Layout::NCHW());
+      }
+      inputs.push_back(mapped);
+    }
+    const int new_id = rw.dst().AddNode(node.type, std::move(inputs), node.attrs, node.name);
+    rw.dst().node(new_id).out_layout = Layout::Flat();
+    rw.MapTo(id, new_id);
+  };
+
   for (int id = 0; id < graph.num_nodes(); ++id) {
     const Node& node = graph.node(id);
     switch (node.type) {
@@ -111,57 +129,38 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
         const ConvSchedule& sched =
             it != schedules.end() ? it->second : node.attrs.schedule;
         if (sched.IsQuantized()) {
-          // Quantized direct template: the u8 data input blocks like the fp32 one;
-          // the fp32 weight constant is per-output-channel quantized and blocked at
-          // compile time, the bias folds to s32 in the accumulation domain (plus the
-          // zero-point correction -in_zero * sum(w)), and the epilogue's per-channel
-          // multiplier becomes a constant input, after the residual (blocked like the
-          // output) when there is one. The blocked weight tiles are then VNNI-packed
-          // (AFTER the bias fold, which walks the standard tile order).
+          // Quantized direct template: the u8 data input blocks like the fp32 one; the
+          // weight, s32 bias and per-channel epilogue multiplier are the layer's
+          // QuantizeOperands. The s8 weight is then blocked and its tiles VNNI-packed,
+          // and the multiplier is the last input, after the residual (blocked like the
+          // output) when there is one.
           NEOCPU_CHECK(node.attrs.qconv.enabled)
               << node.name << ": int8 schedule on an unquantized conv";
-          const std::int32_t in_zero = node.attrs.qconv.in_zero;
+          const ConvQuant& qc = node.attrs.qconv;
           const int data =
               ensure_layout(rw.Lookup(node.inputs[0]), Layout::NCHWc(sched.ic_bn));
           const Tensor& w = graph.node(node.inputs[1]).payload;
           NEOCPU_CHECK(w.defined()) << node.name << ": conv weight must be constant";
-          Tensor w_blocked;  // quantized per output channel in OIHW, then blocked
-          std::vector<float> w_scales;
-          QuantizeConvWeightsPerOC(ReblockWeight(w, 1, 1), &w_blocked, &w_scales);
-          ReblockWeightInPlace(&w_blocked, sched.ic_bn, sched.oc_bn);
-          NodeAttrs attrs = node.attrs;
-          Tensor bias_s32;
+          const Tensor* bias = nullptr;
           if (node.attrs.epilogue.bias) {
-            const Tensor& bias = graph.node(node.inputs[2]).payload;
-            NEOCPU_CHECK(bias.defined()) << node.name << ": conv bias must be constant";
-            bias_s32 = QuantizeBiasS32(bias, node.attrs.qconv.in_scale, w_scales);
-          } else if (in_zero != 0) {
-            // The zero-point correction needs a bias to live in: synthesize zeros.
-            bias_s32 = Tensor::Zeros({node.attrs.conv.out_c}, Layout::Flat(),
-                                     DType::kS32);
-            attrs.epilogue.bias = true;
+            bias = &graph.node(node.inputs[2]).payload;
+            NEOCPU_CHECK(bias->defined()) << node.name << ": conv bias must be constant";
           }
-          if (in_zero != 0) {
-            FoldZeroPointIntoBias(w_blocked, in_zero, &bias_s32);
-          }
-          w_blocked = PackWeightsVnni(w_blocked);
+          QuantizedOperands q = QuantizeOperands(ReblockWeight(w, 1, 1), bias, qc.in_scale,
+                                                 qc.in_zero, qc.requant ? qc.out_scale : 1.0f);
+          ReblockWeightInPlace(&q.weight, sched.ic_bn, sched.oc_bn);
           std::vector<int> inputs = {
-              data, rw.dst().AddConstant(std::move(w_blocked), node.name + ".w8")};
-          if (bias_s32.defined()) {
-            inputs.push_back(
-                rw.dst().AddConstant(std::move(bias_s32), node.name + ".b32"));
+              data, rw.dst().AddConstant(PackWeightsVnni(q.weight), node.name + ".w8")};
+          NodeAttrs attrs = node.attrs;
+          attrs.epilogue.bias = q.bias.defined();
+          if (q.bias.defined()) {
+            inputs.push_back(rw.dst().AddConstant(std::move(q.bias), node.name + ".b32"));
           }
           if (node.attrs.epilogue.residual_add) {
             inputs.push_back(ensure_layout(rw.Lookup(node.inputs.back()),
                                            Layout::NCHWc(sched.oc_bn)));
           }
-          Tensor mult = Tensor::Empty({node.attrs.conv.out_c}, Layout::Flat());
-          const float denom =
-              node.attrs.qconv.requant ? node.attrs.qconv.out_scale : 1.0f;
-          for (std::size_t o = 0; o < w_scales.size(); ++o) {
-            mult.data()[o] = node.attrs.qconv.in_scale * w_scales[o] / denom;
-          }
-          inputs.push_back(rw.dst().AddConstant(std::move(mult), node.name + ".m"));
+          inputs.push_back(rw.dst().AddConstant(std::move(q.mult), node.name + ".m"));
           attrs.schedule = sched;
           const int new_id = rw.dst().AddNode(OpType::kConv2d, std::move(inputs),
                                               std::move(attrs), node.name);
@@ -208,111 +207,63 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
         break;
       }
       case OpType::kDense: {
-        const auto dit = dense_schedules != nullptr ? dense_schedules->find(id)
-                                                    : std::map<int, GemmSchedule>::
-                                                          const_iterator{};
-        if (dense_schedules != nullptr && dit != dense_schedules->end()) {
-          // Tuned packed-GEMM dense: the {Out, In} weight constant is pre-packed into
-          // the kernel's [ceil(n/nr)][k][nr] panel layout at compile time (Figure 2's
-          // pre-transformed-kernel idea applied to GEMM), and the node carries the
-          // blocking schedule so dispatch needs no search.
-          const GemmSchedule& sched = dit->second;
-          const Tensor& w = graph.node(node.inputs[1]).payload;
-          NEOCPU_CHECK(w.defined()) << node.name << ": dense weight must be constant";
-          NEOCPU_CHECK_EQ(static_cast<int>(w.dims().size()), 2) << node.name;
-          const std::int64_t n = w.dim(0);
-          const std::int64_t kk = w.dim(1);
-          const std::int64_t m = graph.node(node.inputs[0]).out_dims[0];
-          NodeAttrs attrs = node.attrs;
-          attrs.gemm = sched;
-          attrs.dense = DenseParams{m, n, kk};
-          attrs.has_gemm = true;
-          int data = rw.Lookup(node.inputs[0]);
-          if (graph.node(node.inputs[0]).out_dims.size() == 4) {
-            data = ensure_layout(data, Layout::NCHW());
+        const auto dit = dense_schedules.find(id);
+        if (dit == dense_schedules.end()) {
+          // An unscheduled dense (no constant 2-D f32 weight) runs Dense() and lowers
+          // like any layout-dependent op.
+          lower_layout_dependent(id, node);
+          break;
+        }
+        // Packed-GEMM dense: the {Out, In} weight constant is pre-packed into the
+        // kernel's [ceil(n/nr)][k][nr] panel layout at compile time (Figure 2's
+        // pre-transformed-kernel idea applied to GEMM), and the node carries the
+        // blocking schedule so dispatch needs no search.
+        const GemmSchedule& sched = dit->second;
+        const Tensor& w = graph.node(node.inputs[1]).payload;
+        NEOCPU_CHECK(w.defined()) << node.name << ": dense weight must be constant";
+        NEOCPU_CHECK_EQ(static_cast<int>(w.dims().size()), 2) << node.name;
+        const std::int64_t n = w.dim(0);
+        const std::int64_t kk = w.dim(1);
+        const std::int64_t m = graph.node(node.inputs[0]).out_dims[0];  // a 2-D input
+        NodeAttrs attrs = node.attrs;
+        attrs.gemm = sched;
+        attrs.dense = DenseParams{m, n, kk};
+        attrs.has_gemm = true;
+        std::vector<int> inputs = {rw.Lookup(node.inputs[0])};
+        if (sched.IsQuantized()) {
+          // u8 activations x s8 pre-packed weight, s32 accumulate: the layer's
+          // QuantizeOperands with a 2-D weight, the multiplier appended last.
+          NEOCPU_CHECK(attrs.qconv.enabled)
+              << node.name << ": u8 gemm schedule on an unquantized dense";
+          const ConvQuant& qc = attrs.qconv;
+          const Tensor* bias = nullptr;
+          if (node.inputs.size() > 2) {
+            bias = &graph.node(node.inputs[2]).payload;
+            NEOCPU_CHECK(bias->defined()) << node.name << ": dense bias must be constant";
           }
-          if (sched.dtype == DType::kU8) {
-            // u8 activations x s8 pre-packed weight, s32 accumulate. The conv
-            // convention with a 2-D weight: per-row quantization, bias folded to s32
-            // with the activation zero-point correction, per-column multiplier
-            // constant appended last.
-            NEOCPU_CHECK(attrs.qconv.enabled)
-                << node.name << ": u8 gemm schedule on an unquantized dense";
-            Tensor w_s8;
-            std::vector<float> w_scales;
-            QuantizeConvWeightsPerOC(w, &w_s8, &w_scales);
-            Tensor bias_s32;
-            if (node.inputs.size() > 2) {
-              const Tensor& bias = graph.node(node.inputs[2]).payload;
-              NEOCPU_CHECK(bias.defined()) << node.name << ": dense bias must be constant";
-              bias_s32 = QuantizeBiasS32(bias, attrs.qconv.in_scale, w_scales);
-            } else if (attrs.qconv.in_zero != 0) {
-              bias_s32 = Tensor::Zeros({n}, Layout::Flat(), DType::kS32);
-            }
-            if (attrs.qconv.in_zero != 0) {
-              // bias'[o] -= in_zero * sum_k w_s8[o, k] (the u8 zero-point correction;
-              // the 2-D analogue of FoldZeroPointIntoBias's blocked-conv walk).
-              const std::int8_t* ws = w_s8.data_as<std::int8_t>();
-              std::int32_t* bs = bias_s32.data_as<std::int32_t>();
-              for (std::int64_t o = 0; o < n; ++o) {
-                std::int32_t sum = 0;
-                for (std::int64_t x = 0; x < kk; ++x) {
-                  sum += ws[o * kk + x];
-                }
-                bs[o] -= attrs.qconv.in_zero * sum;
-              }
-            }
-            Tensor packed = Tensor::Empty(
-                {static_cast<std::int64_t>(PackedBS8Bytes(n, kk, sched))},
-                Layout::Flat(), DType::kS8);
-            PackBS8FromTransposed(w_s8.data_as<std::int8_t>(), n, kk, sched,
-                                  packed.data_as<std::int8_t>());
-            std::vector<int> inputs = {
-                data, rw.dst().AddConstant(std::move(packed), node.name + ".w8p")};
-            if (bias_s32.defined()) {
-              inputs.push_back(
-                  rw.dst().AddConstant(std::move(bias_s32), node.name + ".b32"));
-            }
-            Tensor mult = Tensor::Empty({n}, Layout::Flat());
-            const float denom = attrs.qconv.requant ? attrs.qconv.out_scale : 1.0f;
-            for (std::size_t o = 0; o < w_scales.size(); ++o) {
-              mult.data()[o] = attrs.qconv.in_scale * w_scales[o] / denom;
-            }
-            inputs.push_back(rw.dst().AddConstant(std::move(mult), node.name + ".m"));
-            const int new_id = rw.dst().AddNode(OpType::kDense, std::move(inputs),
-                                                std::move(attrs), node.name);
-            rw.dst().node(new_id).out_layout = Layout::Flat();
-            rw.MapTo(id, new_id);
-            break;
+          QuantizedOperands q = QuantizeOperands(w, bias, qc.in_scale, qc.in_zero,
+                                                 qc.requant ? qc.out_scale : 1.0f);
+          Tensor packed = Tensor::Empty(
+              {static_cast<std::int64_t>(PackedBS8Bytes(n, kk, sched))}, Layout::Flat(),
+              DType::kS8);
+          PackBS8FromTransposed(q.weight.data_as<std::int8_t>(), n, kk, sched,
+                                packed.data_as<std::int8_t>());
+          inputs.push_back(rw.dst().AddConstant(std::move(packed), node.name + ".w8p"));
+          if (q.bias.defined()) {
+            inputs.push_back(rw.dst().AddConstant(std::move(q.bias), node.name + ".b32"));
           }
-          NEOCPU_CHECK(sched.dtype == DType::kF32)
-              << node.name << ": unsupported gemm schedule dtype";
+          inputs.push_back(rw.dst().AddConstant(std::move(q.mult), node.name + ".m"));
+        } else {
           Tensor packed = Tensor::Empty(
               {static_cast<std::int64_t>(PackedBF32Elems(n, kk, sched))}, Layout::Flat());
           PackBF32FromTransposed(w.data(), n, kk, sched, packed.data());
-          std::vector<int> inputs = {
-              data, rw.dst().AddConstant(std::move(packed), node.name + ".wp")};
+          inputs.push_back(rw.dst().AddConstant(std::move(packed), node.name + ".wp"));
           if (node.inputs.size() > 2) {
             inputs.push_back(rw.Lookup(node.inputs[2]));
           }
-          const int new_id = rw.dst().AddNode(OpType::kDense, std::move(inputs),
-                                              std::move(attrs), node.name);
-          rw.dst().node(new_id).out_layout = Layout::Flat();
-          rw.MapTo(id, new_id);
-          break;
         }
-        // Plain dense: ordinary layout-dependent handling (data back to NCHW-order
-        // flat; dense inputs are 2-D so no transform is needed in practice).
-        std::vector<int> inputs;
-        for (std::size_t i = 0; i < node.inputs.size(); ++i) {
-          int mapped = rw.Lookup(node.inputs[i]);
-          if (i == 0 && graph.node(node.inputs[0]).out_dims.size() == 4) {
-            mapped = ensure_layout(mapped, Layout::NCHW());
-          }
-          inputs.push_back(mapped);
-        }
-        const int new_id =
-            rw.dst().AddNode(OpType::kDense, std::move(inputs), node.attrs, node.name);
+        const int new_id = rw.dst().AddNode(OpType::kDense, std::move(inputs),
+                                            std::move(attrs), node.name);
         rw.dst().node(new_id).out_layout = Layout::Flat();
         rw.MapTo(id, new_id);
         break;
@@ -355,18 +306,7 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
           break;
         }
         if (IsLayoutDependent(node.type)) {
-          std::vector<int> inputs;
-          for (std::size_t i = 0; i < node.inputs.size(); ++i) {
-            int mapped = rw.Lookup(node.inputs[i]);
-            if (i == 0 && graph.node(node.inputs[0]).out_dims.size() == 4) {
-              mapped = ensure_layout(mapped, Layout::NCHW());
-            }
-            inputs.push_back(mapped);
-          }
-          const int new_id =
-              rw.dst().AddNode(node.type, std::move(inputs), node.attrs, node.name);
-          rw.dst().node(new_id).out_layout = Layout::Flat();
-          rw.MapTo(id, new_id);
+          lower_layout_dependent(id, node);
           break;
         }
         // Inputs, constants, pre-existing layout transforms.

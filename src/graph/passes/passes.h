@@ -104,13 +104,13 @@ enum class LayoutPlacement {
 // rewritten conv carries and dispatch runs. Convs not in the map keep their own
 // schedule (an unlowered conv: the reference loop). Weight constants are
 // pre-transformed in the result.
-// `dense_schedules` (optional) maps dense node id to its tuned GEMM schedule: those
-// dense nodes get their weight constant pre-packed into the kernel's panel layout
-// (f32, or per-row-quantized s8 with the bias folded to s32 for u8 schedules) and
-// execute through the packed GEMM family.
+// `dense_schedules` maps dense node id to its GEMM schedule: those dense nodes get
+// their weight constant pre-packed into the kernel's panel layout (f32, or the
+// QuantizeOperands of a u8 schedule) and execute through the packed GEMM family. A
+// dense not in the map runs Dense(), the reference an unlowered graph runs.
 Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& schedules,
                       LayoutPlacement placement,
-                      const std::map<int, GemmSchedule>* dense_schedules = nullptr);
+                      const std::map<int, GemmSchedule>& dense_schedules = {});
 
 }  // namespace neocpu
 

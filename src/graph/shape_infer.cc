@@ -48,7 +48,7 @@ void InferNodeShape(Graph* graph, int id) {
         const auto& d = in_dims(0);
         NEOCPU_CHECK_EQ(static_cast<int>(d.size()), 2) << node.name;
         if (node.attrs.has_gemm) {
-          // Tuned packed-GEMM dense: the weight constant is a flat pre-packed panel
+          // Packed-GEMM dense: the weight constant is a flat pre-packed panel
           // buffer, so the logical {N, K} shape lives in attrs.dense instead.
           NEOCPU_CHECK_EQ(d[1], node.attrs.dense.k) << node.name;
           node.out_dims = {d[0], node.attrs.dense.n};

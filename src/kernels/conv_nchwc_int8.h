@@ -28,10 +28,10 @@ namespace neocpu {
 //             with the inner [ic_bn][oc_bn] tile VNNI-packed to [ic_bn/4][oc_bn][4]
 //             (PackWeightsVnni)
 // bias:       s32 flat {OC} (required iff epilogue.bias), pre-folded to the accumulation
-//             domain (QuantizeBiasS32) with the zero-point correction
-//             -in_zero * sum(w[oc,...]) already folded in
+//             domain with the zero-point correction -in_zero * sum(w[oc,...]) already
+//             folded in (QuantizeOperands)
 // multiplier: f32 flat {OC}: in_scale * w_scale[oc] / out_scale when requantizing,
-//             in_scale * w_scale[oc] when dequantizing to f32
+//             in_scale * w_scale[oc] when dequantizing to f32 (QuantizeOperands)
 // output:     preallocated NCHW[oc_bn]c: u8 when `requant` (stores add `out_zero`
 //             before the 0..255 clamp), f32 otherwise
 // residual:   required iff epilogue.residual_add (S8Residual)

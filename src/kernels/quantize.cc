@@ -2,11 +2,45 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/base/logging.h"
 #include "src/tensor/tensor_check.h"
 
 namespace neocpu {
+
+namespace {
+
+// Per-output-channel symmetric s8 quantization of an OIHW or {Out, In} f32 weight, in
+// the same order, with scales[o] = max|w[o,...]| / 127.
+void QuantizeWeightsPerOC(const Tensor& w_oihw, Tensor* w_s8, std::vector<float>* scales) {
+  NEOCPU_CHECK(w_s8 != nullptr && scales != nullptr);
+  NEOCPU_CHECK(w_oihw.dtype() == DType::kF32);
+  NEOCPU_CHECK(w_oihw.ndim() == 4 || w_oihw.ndim() == 2) << w_oihw.DebugString();
+  const std::int64_t oc = w_oihw.dim(0);
+  const std::int64_t per_oc = w_oihw.NumElements() / oc;
+  *w_s8 = Tensor::Empty(w_oihw.dims(), w_oihw.layout(), DType::kS8);
+  scales->assign(static_cast<std::size_t>(oc), 0.0f);
+  const float* src = w_oihw.data_as<float>();
+  std::int8_t* dst = w_s8->data_as<std::int8_t>();
+  for (std::int64_t o = 0; o < oc; ++o) {
+    const float* row = src + o * per_oc;
+    float amax = 0.0f;
+    for (std::int64_t i = 0; i < per_oc; ++i) {
+      amax = std::max(amax, std::fabs(row[i]));
+    }
+    const float scale = std::max(amax, 1e-8f) / static_cast<float>(kS8QuantMax);
+    (*scales)[static_cast<std::size_t>(o)] = scale;
+    const float inv = 1.0f / scale;
+    std::int8_t* qrow = dst + o * per_oc;
+    constexpr float kMax = static_cast<float>(kS8QuantMax);
+    for (std::int64_t i = 0; i < per_oc; ++i) {
+      qrow[i] = static_cast<std::int8_t>(RoundClamp(row[i] * inv, 0, -kMax, kMax));
+    }
+  }
+}
+
+}  // namespace
 
 void Quantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
               ThreadEngine* engine) {
@@ -42,34 +76,6 @@ void Dequantize(const Tensor& input, float scale, std::int32_t zero_point, Tenso
               });
 }
 
-void QuantizeConvWeightsPerOC(const Tensor& w_oihw, Tensor* w_s8,
-                              std::vector<float>* scales) {
-  NEOCPU_CHECK(w_s8 != nullptr && scales != nullptr);
-  NEOCPU_CHECK(w_oihw.dtype() == DType::kF32);
-  NEOCPU_CHECK(w_oihw.ndim() == 4 || w_oihw.ndim() == 2) << w_oihw.DebugString();
-  const std::int64_t oc = w_oihw.dim(0);
-  const std::int64_t per_oc = w_oihw.NumElements() / oc;
-  *w_s8 = Tensor::Empty(w_oihw.dims(), w_oihw.layout(), DType::kS8);
-  scales->assign(static_cast<std::size_t>(oc), 0.0f);
-  const float* src = w_oihw.data_as<float>();
-  std::int8_t* dst = w_s8->data_as<std::int8_t>();
-  for (std::int64_t o = 0; o < oc; ++o) {
-    const float* row = src + o * per_oc;
-    float amax = 0.0f;
-    for (std::int64_t i = 0; i < per_oc; ++i) {
-      amax = std::max(amax, std::fabs(row[i]));
-    }
-    const float scale = std::max(amax, 1e-8f) / static_cast<float>(kS8QuantMax);
-    (*scales)[static_cast<std::size_t>(o)] = scale;
-    const float inv = 1.0f / scale;
-    std::int8_t* qrow = dst + o * per_oc;
-    constexpr float kMax = static_cast<float>(kS8QuantMax);
-    for (std::int64_t i = 0; i < per_oc; ++i) {
-      qrow[i] = static_cast<std::int8_t>(RoundClamp(row[i] * inv, 0, -kMax, kMax));
-    }
-  }
-}
-
 void AffineScaleZeroPoint(float lo, float hi, float* scale, std::int32_t* zero_point) {
   NEOCPU_CHECK(scale != nullptr && zero_point != nullptr);
   lo = std::min(lo, 0.0f);
@@ -101,51 +107,56 @@ Tensor PackWeightsVnni(const Tensor& w_blocked_s8) {
   return out;
 }
 
-void FoldZeroPointIntoBias(const Tensor& w_blocked_s8, std::int32_t in_zero,
-                           Tensor* bias_s32) {
+void FoldZeroPointIntoBias(const Tensor& w_s8, std::int32_t in_zero, Tensor* bias_s32) {
   NEOCPU_CHECK(bias_s32 != nullptr && bias_s32->dtype() == DType::kS32);
-  NEOCPU_CHECK(w_blocked_s8.dtype() == DType::kS8);
-  NEOCPU_CHECK_EQ(w_blocked_s8.ndim(), 6) << w_blocked_s8.DebugString();
+  NEOCPU_CHECK(w_s8.dtype() == DType::kS8);
+  NEOCPU_CHECK(w_s8.ndim() == 4 || w_s8.ndim() == 2) << w_s8.DebugString();
   if (in_zero == 0) {
     return;
   }
-  // Dims {OCB_cnt, ICB_cnt, KH, KW, ic_bn, oc_bn}, standard (un-packed) tile order:
-  // the column j of each [ic_bn][oc_bn] tile is output channel oco*oc_bn + j. Call
-  // this BEFORE PackWeightsVnni — the reorder moves elements across columns.
-  const std::int64_t ocb_cnt = w_blocked_s8.dim(0);
-  const std::int64_t ocb = w_blocked_s8.dim(5);
-  const std::int64_t red = w_blocked_s8.dim(1) * w_blocked_s8.dim(2) *
-                           w_blocked_s8.dim(3) * w_blocked_s8.dim(4);
-  NEOCPU_CHECK_EQ(bias_s32->NumElements(), ocb_cnt * ocb);
-  const std::int8_t* w = w_blocked_s8.data_as<std::int8_t>();
+  const std::int64_t oc = w_s8.dim(0);
+  const std::int64_t per_oc = w_s8.NumElements() / oc;
+  NEOCPU_CHECK_EQ(bias_s32->NumElements(), oc);
+  const std::int8_t* w = w_s8.data_as<std::int8_t>();
   std::int32_t* bias = bias_s32->data_as<std::int32_t>();
-  for (std::int64_t oco = 0; oco < ocb_cnt; ++oco) {
-    std::vector<std::int64_t> sums(static_cast<std::size_t>(ocb), 0);
-    const std::int8_t* wo = w + oco * red * ocb;
-    for (std::int64_t i = 0; i < red; ++i) {
-      for (std::int64_t j = 0; j < ocb; ++j) {
-        sums[static_cast<std::size_t>(j)] += wo[i * ocb + j];
-      }
+  for (std::int64_t o = 0; o < oc; ++o) {
+    std::int64_t sum = 0;
+    for (std::int64_t i = 0; i < per_oc; ++i) {
+      sum += w[o * per_oc + i];
     }
-    for (std::int64_t j = 0; j < ocb; ++j) {
-      bias[oco * ocb + j] -= in_zero * static_cast<std::int32_t>(
-                                           sums[static_cast<std::size_t>(j)]);
-    }
+    bias[o] -= in_zero * static_cast<std::int32_t>(sum);
   }
 }
 
-Tensor QuantizeBiasS32(const Tensor& bias_f32, float in_scale,
-                       const std::vector<float>& w_scales) {
-  NEOCPU_CHECK(bias_f32.dtype() == DType::kF32);
-  NEOCPU_CHECK_EQ(bias_f32.NumElements(), static_cast<std::int64_t>(w_scales.size()));
-  Tensor out = Tensor::Empty(bias_f32.dims(), bias_f32.layout(), DType::kS32);
-  const float* src = bias_f32.data_as<float>();
-  std::int32_t* dst = out.data_as<std::int32_t>();
-  for (std::size_t o = 0; o < w_scales.size(); ++o) {
-    const double acc_scale = static_cast<double>(in_scale) * w_scales[o];
-    dst[o] = static_cast<std::int32_t>(std::llrint(src[o] / acc_scale));
+QuantizedOperands QuantizeOperands(const Tensor& w_f32, const Tensor* bias_f32,
+                                   float in_scale, std::int32_t in_zero, float out_scale) {
+  QuantizedOperands q;
+  std::vector<float> w_scales;
+  QuantizeWeightsPerOC(w_f32, &q.weight, &w_scales);
+  const std::int64_t oc = w_f32.dim(0);
+  if (bias_f32 != nullptr) {
+    NEOCPU_CHECK(bias_f32->dtype() == DType::kF32);
+    NEOCPU_CHECK_EQ(bias_f32->NumElements(), oc);
+    q.bias = Tensor::Empty(bias_f32->dims(), bias_f32->layout(), DType::kS32);
+    const float* src = bias_f32->data();
+    std::int32_t* dst = q.bias.data_as<std::int32_t>();
+    for (std::int64_t o = 0; o < oc; ++o) {
+      const double acc_scale =
+          static_cast<double>(in_scale) * w_scales[static_cast<std::size_t>(o)];
+      dst[o] = static_cast<std::int32_t>(std::llrint(src[o] / acc_scale));
+    }
+  } else if (in_zero != 0) {
+    // The zero-point correction needs a bias to live in: synthesize zeros.
+    q.bias = Tensor::Zeros({oc}, Layout::Flat(), DType::kS32);
   }
-  return out;
+  if (in_zero != 0) {
+    FoldZeroPointIntoBias(q.weight, in_zero, &q.bias);
+  }
+  q.mult = Tensor::Empty({oc}, Layout::Flat());
+  for (std::int64_t o = 0; o < oc; ++o) {
+    q.mult.data()[o] = in_scale * w_scales[static_cast<std::size_t>(o)] / out_scale;
+  }
+  return q;
 }
 
 }  // namespace neocpu

@@ -9,7 +9,6 @@
 #define NEOCPU_SRC_KERNELS_QUANTIZE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/runtime/thread_engine.h"
 #include "src/tensor/tensor.h"
@@ -44,16 +43,21 @@ void Quantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor*
 void Dequantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
                 ThreadEngine* engine = nullptr);
 
-// Per-output-channel symmetric weight quantization: OIHW f32 -> OIHW s8 plus one scale
-// per output channel (scales[o] = max|w[o,...]| / 127). Also accepts a dense layer's
-// {Out, In} weight (per-row scales).
-void QuantizeConvWeightsPerOC(const Tensor& w_oihw, Tensor* w_s8,
-                              std::vector<float>* scales);
-
-// Bias fold into the conv's s32 accumulation domain:
-//   b_s32[oc] = round(b_f32[oc] / (in_scale * w_scales[oc])).
-Tensor QuantizeBiasS32(const Tensor& bias_f32, float in_scale,
-                       const std::vector<float>& w_scales);
+// The quantized operands of one u8 conv or dense layer (IntelCaffe's fold, PAPERS.md):
+//   weight: the f32 weight (OIHW, or a dense layer's {Out, In}) quantized per output
+//           channel to symmetric s8 in the same order, scale[o] = max|w[o,...]| / 127;
+//   bias:   the s32 bias in the accumulation domain with the zero-point correction,
+//           round(b[o] / (in_scale * scale[o])) - in_zero * sum(weight[o, ...]);
+//           zeros when `bias_f32` is null and in_zero != 0, undefined when neither;
+//   mult:   the epilogue's f32 multiplier in_scale * scale[o] / out_scale (pass 1 for
+//           an epilogue that dequantizes instead of requantizing).
+struct QuantizedOperands {
+  Tensor weight;
+  Tensor bias;
+  Tensor mult;
+};
+QuantizedOperands QuantizeOperands(const Tensor& w_f32, const Tensor* bias_f32,
+                                   float in_scale, std::int32_t in_zero, float out_scale);
 
 // VNNI weight packing for u8-activation convs: reorders each blocked weight tile's
 // inner [ic_bn][oc_bn] layout (OIHW[ic_bn]i[oc_bn]o, dims {OCB, ICB, KH, KW, ic_bn,
@@ -66,9 +70,8 @@ Tensor PackWeightsVnni(const Tensor& w_blocked_s8);
 //   bias[oc] -= in_zero * sum over (ic, kh, kw) of w_s8[oc, ...].
 // With q_u8 = x/scale + zp, the raw u8 dot product overshoots the true integer
 // accumulation by zp * sum(w); folding the constant here keeps the kernel branch-free.
-// Takes the blocked weights in standard tile order — call before PackWeightsVnni.
-void FoldZeroPointIntoBias(const Tensor& w_blocked_s8, std::int32_t in_zero,
-                           Tensor* bias_s32);
+// Takes the unblocked weight (OIHW or {Out, In}): each output channel is one row.
+void FoldZeroPointIntoBias(const Tensor& w_s8, std::int32_t in_zero, Tensor* bias_s32);
 
 }  // namespace neocpu
 

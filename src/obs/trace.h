@@ -83,35 +83,6 @@ class TraceRecorder {
   std::uint64_t dropped_ = 0;
 };
 
-// RAII span: records construction→destruction on `recorder` (null = no-op, so call
-// sites stay unconditional).
-class TraceSpan {
- public:
-  TraceSpan(TraceRecorder* recorder, const char* category, std::string name,
-            std::string args_json = {})
-      : recorder_(recorder),
-        category_(category),
-        name_(std::move(name)),
-        args_(std::move(args_json)),
-        begin_(recorder != nullptr ? TraceRecorder::Clock::now()
-                                   : TraceRecorder::Clock::time_point()) {}
-  ~TraceSpan() {
-    if (recorder_ != nullptr) {
-      recorder_->RecordSpan(category_, std::move(name_), begin_,
-                            TraceRecorder::Clock::now(), std::move(args_));
-    }
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  TraceRecorder* recorder_;
-  const char* category_;
-  std::string name_;
-  std::string args_;
-  TraceRecorder::Clock::time_point begin_;
-};
-
 }  // namespace neocpu
 
 #endif  // NEOCPU_SRC_OBS_TRACE_H_

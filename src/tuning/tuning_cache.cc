@@ -43,27 +43,7 @@ Counter* InsertsMetric() {
   return counter;
 }
 
-Counter* EvictionsMetric() {
-  static Counter* counter = MetricsRegistry::Global().GetCounter(
-      "neocpu_tuning_cache_evictions_total", "Tuning-cache LRU evictions");
-  return counter;
-}
-
 }  // namespace
-
-void TuningCache::TouchLocked(const Entry& entry) const {
-  lru_.splice(lru_.begin(), lru_, entry.recency);
-}
-
-void TuningCache::EvictOverCapacityLocked() {
-  while (capacity_ > 0 && entries_.size() > capacity_) {
-    NEOCPU_CHECK(!lru_.empty());
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-    ++evictions_;
-    EvictionsMetric()->Increment();
-  }
-}
 
 std::shared_ptr<const LocalSearchResult> TuningCache::Find(const WorkloadKey& key) const {
   const std::string text = key.ToString();
@@ -76,8 +56,7 @@ std::shared_ptr<const LocalSearchResult> TuningCache::Find(const WorkloadKey& ke
   }
   ++hits_;
   HitsMetric()->Increment();
-  TouchLocked(it->second);
-  return it->second.result;
+  return it->second;
 }
 
 void TuningCache::Insert(const WorkloadKey& key, LocalSearchResult result) {
@@ -96,28 +75,9 @@ void TuningCache::Insert(const WorkloadKey& key,
 
 void TuningCache::InsertLocked(std::string text,
                                std::shared_ptr<const LocalSearchResult> result) {
-  auto it = entries_.find(text);
-  if (it != entries_.end()) {
-    it->second.result = std::move(result);
-    TouchLocked(it->second);
-  } else {
-    lru_.push_front(text);
-    entries_.emplace(std::move(text), Entry{std::move(result), lru_.begin()});
-  }
+  entries_[std::move(text)] = std::move(result);
   ++inserts_;
   InsertsMetric()->Increment();
-  EvictOverCapacityLocked();
-}
-
-void TuningCache::SetCapacity(std::size_t max_entries) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = max_entries;
-  EvictOverCapacityLocked();
-}
-
-std::size_t TuningCache::capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
 }
 
 void TuningCache::MergeFrom(const TuningCache& other) {
@@ -125,17 +85,14 @@ void TuningCache::MergeFrom(const TuningCache& other) {
     return;
   }
   // Snapshot under the source lock, insert under ours: no lock is ever held twice.
-  std::vector<std::pair<std::string, std::shared_ptr<const LocalSearchResult>>> snapshot;
+  EntryMap snapshot;
   {
     std::lock_guard<std::mutex> lock(other.mutex_);
-    snapshot.reserve(other.entries_.size());
-    for (const auto& [text, entry] : other.entries_) {
-      snapshot.emplace_back(text, entry.result);
-    }
+    snapshot = other.entries_;
   }
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [text, result] : snapshot) {
-    InsertLocked(std::move(text), std::move(result));
+    InsertLocked(text, std::move(result));
   }
 }
 
@@ -150,9 +107,7 @@ TuningCacheStats TuningCache::Stats() const {
   stats.hits = hits_;
   stats.misses = misses_;
   stats.inserts = inserts_;
-  stats.evictions = evictions_;
   stats.entries = entries_.size();
-  stats.capacity = capacity_;
   return stats;
 }
 
@@ -160,7 +115,7 @@ std::vector<WorkloadKey> TuningCache::Keys() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<WorkloadKey> keys;
   keys.reserve(entries_.size());
-  for (const auto& [text, entry] : entries_) {
+  for (const auto& [text, result] : entries_) {
     WorkloadKey key;
     NEOCPU_CHECK(WorkloadKey::Parse(text, &key)) << "unparseable cache key " << text;
     keys.push_back(std::move(key));
@@ -172,19 +127,19 @@ void TuningCache::Serialize(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mutex_);
   out << kFileTag << " " << kFormatVersion << " " << entries_.size() << "\n";
   out << std::setprecision(17);
-  for (const auto& [text, entry] : entries_) {
-    if (!entry.result->dense_ranked.empty()) {
+  for (const auto& [text, result] : entries_) {
+    if (!result->dense_ranked.empty()) {
       // Dense (tuned GEMM) entry: v5 record tag, one blocking tuple per line.
-      out << "dense " << text << " " << entry.result->dense_ranked.size() << "\n";
-      for (const DenseScheduleCost& sc : entry.result->dense_ranked) {
+      out << "dense " << text << " " << result->dense_ranked.size() << "\n";
+      for (const DenseScheduleCost& sc : result->dense_ranked) {
         out << sc.schedule.mc << " " << sc.schedule.nc << " " << sc.schedule.kc << " "
             << sc.schedule.mr << " " << sc.schedule.nr << " "
             << static_cast<unsigned>(sc.schedule.dtype) << " " << sc.ms << "\n";
       }
       continue;
     }
-    out << "workload " << text << " " << entry.result->ranked.size() << "\n";
-    for (const ScheduleCost& sc : entry.result->ranked) {
+    out << "workload " << text << " " << result->ranked.size() << "\n";
+    for (const ScheduleCost& sc : result->ranked) {
       out << sc.schedule.ic_bn << " " << sc.schedule.oc_bn << " " << sc.schedule.reg_n
           << " " << (sc.schedule.unroll_ker ? 1 : 0) << " "
           << static_cast<unsigned>(sc.schedule.algo) << " "
@@ -193,7 +148,7 @@ void TuningCache::Serialize(std::ostream& out) const {
   }
 }
 
-bool TuningCache::ParseStream(std::istream& in, ParsedMap* entries) {
+bool TuningCache::ParseStream(std::istream& in, EntryMap* entries) {
   std::string tag;
   std::uint32_t version = 0;
   std::size_t entry_count = 0;
@@ -272,7 +227,7 @@ bool TuningCache::ParseStream(std::istream& in, ParsedMap* entries) {
 }
 
 bool TuningCache::Deserialize(std::istream& in) {
-  ParsedMap entries;
+  EntryMap entries;
   if (!ParseStream(in, &entries)) {
     return false;
   }

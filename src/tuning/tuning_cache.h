@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,9 +34,7 @@ struct TuningCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t inserts = 0;
-  std::uint64_t evictions = 0;
   std::size_t entries = 0;
-  std::size_t capacity = 0;  // 0 = unbounded
 
   double HitRate() const {
     const std::uint64_t lookups = hits + misses;
@@ -57,8 +54,7 @@ class TuningCache {
   TuningCache(const TuningCache&) = delete;
   TuningCache& operator=(const TuningCache&) = delete;
 
-  // Nullptr on miss. Every call counts toward hit/miss accounting, and a hit marks the
-  // entry most-recently-used for the eviction policy.
+  // Nullptr on miss. Every call counts toward hit/miss accounting.
   std::shared_ptr<const LocalSearchResult> Find(const WorkloadKey& key) const;
 
   // Inserting an existing key replaces its result (a fresh re-measurement of the same
@@ -67,16 +63,8 @@ class TuningCache {
   void Insert(const WorkloadKey& key, LocalSearchResult result);
   void Insert(const WorkloadKey& key, std::shared_ptr<const LocalSearchResult> result);
 
-  // Size bound with LRU eviction for long-lived caches (the serving registry's shared
-  // cache sees unbounded workload churn: many models x many batch sizes). 0 (the
-  // default) = unbounded. Shrinking below the current size evicts immediately,
-  // least-recently-used first. Handed-out shared_ptr results survive eviction.
-  void SetCapacity(std::size_t max_entries);
-  std::size_t capacity() const;
-
   // Merges every entry of `other` into this cache (replacing same-key entries), used to
-  // fold a model's private cache into a registry-wide shared one. Counts as inserts and
-  // respects the capacity bound.
+  // fold a model's private cache into a registry-wide shared one. Counts as inserts.
   void MergeFrom(const TuningCache& other);
 
   std::size_t size() const;
@@ -116,31 +104,20 @@ class TuningCache {
   static void SetSaveKillPointForTest(SaveKillPoint point);
 
  private:
-  struct Entry {
-    std::shared_ptr<const LocalSearchResult> result;
-    // Position in lru_ (most-recent at the front); kept in sync on every touch.
-    std::list<std::string>::iterator recency;
-  };
-  using EntryMap = std::map<std::string, Entry>;
-  using ParsedMap = std::map<std::string, std::shared_ptr<const LocalSearchResult>>;
+  using EntryMap = std::map<std::string, std::shared_ptr<const LocalSearchResult>>;
 
-  static bool ParseStream(std::istream& in, ParsedMap* entries);
+  static bool ParseStream(std::istream& in, EntryMap* entries);
 
-  // All private helpers below require mutex_ held.
+  // Requires mutex_ held.
   void InsertLocked(std::string text, std::shared_ptr<const LocalSearchResult> result);
-  void TouchLocked(const Entry& entry) const;
-  void EvictOverCapacityLocked();
 
   mutable std::mutex mutex_;
   // Keyed by WorkloadKey::ToString(); Keys() re-parses on demand (Parse is the exact
   // inverse, so there is no second map to keep in sync).
   EntryMap entries_;
-  mutable std::list<std::string> lru_;  // front = most recently used
-  std::size_t capacity_ = 0;            // 0 = unbounded
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
   std::uint64_t inserts_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace neocpu

@@ -71,12 +71,11 @@ struct WorkloadKey {
   bool operator==(const WorkloadKey&) const = default;
 
   // Stable single-token text form, e.g.
-  //   "avx512|8_64_28x28_64_3x3_1x1_1x1|analytic|quick"       (fp32; the pre-dtype form)
+  //   "avx512|8_64_28x28_64_3x3_1x1_1x1|analytic|quick"       (fp32)
   //   "avx512|8_64_28x28_64_3x3_1x1_1x1|analytic|quick|u8"    (quantized)
   //   "avx512|dense:64_256_64|analytic|quick|u8"              (dense GEMM workload)
-  // fp32 keys keep the historical 4-token spelling so caches persisted before the
-  // quantized path still hit; dense workloads reuse the same frame with a "dense:"
-  // shape token (which pre-dense parsers reject cleanly).
+  // An fp32 key has four tokens and a quantized one appends its dtype; dense workloads
+  // reuse the same frame with a "dense:" shape token.
   std::string ToString() const;
 
   // Inverse of ToString. Returns false (leaving *key untouched) on malformed input.

@@ -6,6 +6,7 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/core/compiler.h"
@@ -28,7 +29,9 @@ Tensor InputFor(const Graph& model, std::uint64_t seed = 9) {
   Rng rng(seed);
   for (int i = 0; i < model.num_nodes(); ++i) {
     if (model.node(i).type == OpType::kInput) {
-      return Tensor::Random(model.node(i).out_dims, rng, -1.0f, 1.0f, Layout::NCHW());
+      const std::vector<std::int64_t>& dims = model.node(i).out_dims;
+      return Tensor::Random(dims, rng, -1.0f, 1.0f,
+                            dims.size() == 4 ? Layout::NCHW() : Layout::Flat());
     }
   }
   ADD_FAILURE() << "no input node";
@@ -59,6 +62,17 @@ Graph MiniNet() {
   return b.Finish({b.Softmax(fc)});
 }
 
+// A layout mode's name as a test-name suffix ("nchwc-per-op" -> "nchwc_per_op").
+std::string ModeTestName(const ::testing::TestParamInfo<LayoutMode>& info) {
+  std::string name = LayoutModeName(info.param);
+  for (char& c : name) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return name;
+}
+
 class LayoutModeEquivalence : public ::testing::TestWithParam<LayoutMode> {};
 
 TEST_P(LayoutModeEquivalence, MiniNetMatchesReference) {
@@ -79,15 +93,41 @@ INSTANTIATE_TEST_SUITE_P(AllModes, LayoutModeEquivalence,
                          ::testing::Values(LayoutMode::kNCHW, LayoutMode::kNCHWcPerOp,
                                            LayoutMode::kNCHWcFixed, LayoutMode::kNCHWcLocal,
                                            LayoutMode::kNCHWcGlobal),
-                         [](const ::testing::TestParamInfo<LayoutMode>& info) {
-                           std::string name = LayoutModeName(info.param);
-                           for (char& c : name) {
-                             if (c == '-') {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         ModeTestName);
+
+// The unsearched layout modes (the framework presets and Table 3's first three rows)
+// run every dense on the packed GEMM at the fixed blocking, GemmSchedule{}.
+class FixedBlockingDense : public ::testing::TestWithParam<LayoutMode> {};
+
+TEST_P(FixedBlockingDense, EveryDenseRunsThePackedGemm) {
+  for (const Graph& model : {BuildTinyCnn(), BuildTransformerEncoder()}) {
+    CompileOptions opts;
+    opts.layout_mode = GetParam();
+    opts.target = Target::Host();
+    CompiledModel compiled = Compile(model, opts);
+    int dense = 0;
+    for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
+      const Node& node = compiled.graph().node(id);
+      if (node.type == OpType::kDense) {
+        EXPECT_TRUE(node.attrs.has_gemm) << model.name << " " << node.name;
+        EXPECT_EQ(node.attrs.gemm, GemmSchedule{}) << model.name << " " << node.name;
+        ++dense;
+      }
+    }
+    EXPECT_GT(dense, 0) << model.name;
+    EXPECT_EQ(compiled.stats().num_dense, dense) << model.name;
+    const Tensor input = InputFor(model);
+    EXPECT_LE(Tensor::AllCloseViolation(compiled.Run(input), ReferenceRun(model, input),
+                                        kRtol, kAtol),
+              0.0)
+        << model.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(UnsearchedModes, FixedBlockingDense,
+                         ::testing::Values(LayoutMode::kNCHW, LayoutMode::kNCHWcPerOp,
+                                           LayoutMode::kNCHWcFixed),
+                         ModeTestName);
 
 class TargetEquivalence : public ::testing::TestWithParam<std::string> {};
 

@@ -81,6 +81,12 @@ TEST(GemmPackedF32, MatchesReferenceAcrossShapesAndBlockings) {
       {17, 23, 29, {8, 16, 16, 3, 12, DType::kF32}, true, true},
       // mc/nc smaller than mr/nr rounding, multiple macro tiles.
       {33, 65, 17, {16, 32, 8, 8, 32, DType::kF32}, false, true},
+      // The fixed blocking every unsearched layout mode's dense and im2col conv run:
+      // a single element, both tails, mixed tails, and a batch-1 classifier head.
+      {1, 1, 1, GemmSchedule{}, false, false},
+      {5, 33, 7, GemmSchedule{}, true, false},
+      {17, 100, 29, GemmSchedule{}, false, true},
+      {1, 1000, 512, GemmSchedule{}, true, false},
   };
   for (const auto& c : cases) {
     const auto a = RandomVec(c.m * c.k, 7 * static_cast<std::uint64_t>(c.m + c.k));

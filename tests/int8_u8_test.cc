@@ -79,9 +79,9 @@ U8Case MakeU8Case() {
     c.bias.data_as<std::int32_t>()[o] =
         static_cast<std::int32_t>(rng.NextBounded(2000)) - 1000;
   }
-  // The lowering order AlterConvLayout uses: fold the zero-point correction against
-  // the standard tile order, THEN pack for VNNI.
-  FoldZeroPointIntoBias(c.w_blocked, c.in_zero, &c.bias);
+  // The zero-point correction sums each output channel of the unblocked weight (the
+  // lowering folds it before blocking); the blocked tiles are then packed for VNNI.
+  FoldZeroPointIntoBias(ReblockWeight(c.w_blocked, 1, 1), c.in_zero, &c.bias);
   c.w_packed = PackWeightsVnni(c.w_blocked);
   c.mult = Tensor::Empty({c.p.out_c}, Layout::Flat());
   for (std::int64_t o = 0; o < c.p.out_c; ++o) {
@@ -248,7 +248,7 @@ TEST(ConvNCHWcU8, ResidualEpilogueMatchesScalarReferenceOnEveryTier) {
         static_cast<std::int32_t>(rng.NextBounded(20000)) - 10000;
   }
   Tensor bias = raw_bias.Clone();
-  FoldZeroPointIntoBias(w, in_zero, &bias);
+  FoldZeroPointIntoBias(ReblockWeight(w, 1, 1), in_zero, &bias);
   const Tensor w_kernel = PackWeightsVnni(w);
   std::vector<float> base_mult(static_cast<std::size_t>(p.out_c));
   for (std::int64_t o = 0; o < p.out_c; ++o) {
@@ -398,7 +398,7 @@ void ExpectTiersMatchIntegerReference(const GuardCase& gc) {
         static_cast<std::int32_t>(rng.NextBounded(2000)) - 1000;
   }
   Tensor bias = raw_bias.Clone();
-  FoldZeroPointIntoBias(w, in_zero, &bias);
+  FoldZeroPointIntoBias(ReblockWeight(w, 1, 1), in_zero, &bias);
   const Tensor w_kernel = PackWeightsVnni(w);
 
   // Exact reference: sum((x - in_zero) * w) over every tap, padded taps reading

@@ -1,4 +1,4 @@
-// Unit tests for GEMM, dense, pooling, batch-norm, elementwise and multibox kernels.
+// Unit tests for dense, pooling, batch-norm, elementwise and multibox kernels.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "src/kernels/batchnorm.h"
 #include "src/kernels/dense.h"
 #include "src/kernels/elementwise.h"
-#include "src/kernels/gemm.h"
 #include "src/kernels/multibox.h"
 #include "src/kernels/pooling.h"
 #include "src/runtime/thread_pool.h"
@@ -44,54 +43,6 @@ Tensor PoolOutput(const Pool2dParams& p, const Tensor& in) {
   dims[2] = p.OutH(in.dim(2));
   dims[3] = p.OutW(in.dim(3));
   return Tensor::Empty(dims, in.layout());
-}
-
-void NaiveGemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a, const float* b,
-               float* c) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      double sum = 0.0;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        sum += static_cast<double>(a[i * k + kk]) * b[kk * n + j];
-      }
-      c[i * n + j] = static_cast<float>(sum);
-    }
-  }
-}
-
-class GemmShapes : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(GemmShapes, MatchesNaive) {
-  const auto [m, n, k] = GetParam();
-  Rng rng(13);
-  Tensor a = Tensor::Random({m, k}, rng, -1, 1);
-  Tensor b = Tensor::Random({k, n}, rng, -1, 1);
-  Tensor c = Tensor::Zeros({m, n});
-  Tensor expected = Tensor::Zeros({m, n});
-  Gemm(m, n, k, a.data(), b.data(), c.data());
-  NaiveGemm(m, n, k, a.data(), b.data(), expected.data());
-  EXPECT_LE(Tensor::AllCloseViolation(c, expected, 1e-4, 1e-4), 0.0)
-      << m << "x" << n << "x" << k;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, GemmShapes,
-                         ::testing::Values(std::tuple{1, 1, 1}, std::tuple{4, 32, 8},
-                                           std::tuple{5, 33, 7},      // both tails
-                                           std::tuple{8, 64, 64},     // clean tiles
-                                           std::tuple{3, 31, 17},     // row+col tails only
-                                           std::tuple{17, 100, 29})); // mixed
-
-TEST(Gemm, AccumulateAddsToExisting) {
-  Rng rng(14);
-  Tensor a = Tensor::Random({4, 8}, rng, -1, 1);
-  Tensor b = Tensor::Random({8, 32}, rng, -1, 1);
-  Tensor c = Tensor::Full({4, 32}, 1.0f);
-  Tensor expected = Tensor::Zeros({4, 32});
-  NaiveGemm(4, 32, 8, a.data(), b.data(), expected.data());
-  Gemm(4, 32, 8, a.data(), b.data(), c.data(), /*accumulate=*/true);
-  for (std::int64_t i = 0; i < c.NumElements(); ++i) {
-    EXPECT_NEAR(c.data()[i], expected.data()[i] + 1.0f, 1e-4);
-  }
 }
 
 TEST(Dense, MatchesNaiveWithBiasAndRelu) {

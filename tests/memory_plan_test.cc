@@ -255,7 +255,7 @@ TEST(MemoryPlan, AliasExtendsRootLifetime) {
 // The acceptance criterion: steady-state planned Run performs ZERO heap allocations for
 // intermediates and workspaces. The only owning allocations left are the escaping graph
 // outputs (one per heap-placed node).
-TEST(MemoryPlan, SteadyStateRunAllocatesOnlyOutputs) {
+TEST(MemoryPlan, SteadyStateRunsAllocateOnlyOutputs) {
   Graph model = BuildTinyCnn(1, 32);
   Tensor input = InputFor(model);
   CompiledModel compiled = Compile(model, NeoCpuOptions(Target::Host()));

@@ -81,7 +81,8 @@ TEST(NodeProfiler, TotalsApproximateWallTime) {
 }
 
 // The NCHW baselines are profiled and drawn by the algorithm that runs: im2col for the
-// framework default, the reference loop for Table 3's baseline row.
+// framework default, the reference loop for Table 3's baseline row. Their dense runs
+// the packed f32 GEMM at the fixed blocking.
 TEST(NodeProfiler, BaselineConvsAreLabelledByTheirAlgorithm) {
   const std::pair<CompileOptions, std::string> cases[] = {
       {FrameworkDefaultOptions(Target::Host()), "im2col"},
@@ -90,16 +91,20 @@ TEST(NodeProfiler, BaselineConvsAreLabelledByTheirAlgorithm) {
     CompiledModel model = Compile(BuildTinyCnn(), options);
     model.EnableProfiling(/*sample_rate=*/1);
     model.Run(TinyInput());
-    std::vector<std::string> conv_kinds;
+    std::vector<std::string> conv_kinds, dense_kinds;
     for (const OpKindProfile& kind : model.ProfileSnapshot().by_kind) {
       if (kind.kind.rfind("conv2d", 0) == 0) {
         conv_kinds.push_back(kind.kind);
+      } else if (kind.kind.rfind("dense", 0) == 0) {
+        dense_kinds.push_back(kind.kind);
       }
     }
     EXPECT_EQ(conv_kinds, std::vector<std::string>{"conv2d/" + algo});
+    EXPECT_EQ(dense_kinds, std::vector<std::string>{"dense/gemm-f32"}) << algo;
     const std::string dot = CompiledModelToDot(model);
     EXPECT_NE(dot.find("algo=" + algo), std::string::npos) << algo;
     EXPECT_EQ(dot.find("ic_bn="), std::string::npos) << algo;
+    EXPECT_NE(dot.find("mc=64 nc=256 kc=256 mr=4 nr=16"), std::string::npos) << algo;
   }
 }
 

@@ -242,53 +242,6 @@ TEST(TuningCache, DropsUntemplatedInt8Schedules) {
   EXPECT_EQ(entry->ranked[0].schedule.oc_bn, 16);
 }
 
-TEST(TuningCache, CapacityBoundHoldsUnderChurn) {
-  TuningCache cache;
-  const Target t = Target::SkylakeAvx512();
-  cache.SetCapacity(8);
-  const LocalSearchResult result = SearchFor(TestConv(1), t);
-  for (std::int64_t batch = 1; batch <= 100; ++batch) {
-    cache.Insert(WorkloadKey::Of(TestConv(batch), t, CostMode::kAnalytic, true), result);
-    ASSERT_LE(cache.size(), 8u) << "cap must hold at every step, batch " << batch;
-  }
-  const TuningCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 8u);
-  EXPECT_EQ(stats.capacity, 8u);
-  EXPECT_EQ(stats.inserts, 100u);
-  EXPECT_EQ(stats.evictions, 92u);
-  // The newest 8 workloads survive; everything older was evicted.
-  for (std::int64_t batch = 93; batch <= 100; ++batch) {
-    EXPECT_NE(cache.Find(WorkloadKey::Of(TestConv(batch), t, CostMode::kAnalytic, true)),
-              nullptr)
-        << "batch " << batch;
-  }
-  EXPECT_EQ(cache.Find(WorkloadKey::Of(TestConv(92), t, CostMode::kAnalytic, true)),
-            nullptr);
-}
-
-TEST(TuningCache, EvictionIsLeastRecentlyUsed) {
-  TuningCache cache;
-  const Target t = Target::SkylakeAvx512();
-  cache.SetCapacity(2);
-  const LocalSearchResult result = SearchFor(TestConv(1), t);
-  const WorkloadKey a = WorkloadKey::Of(TestConv(1), t, CostMode::kAnalytic, true);
-  const WorkloadKey b = WorkloadKey::Of(TestConv(2), t, CostMode::kAnalytic, true);
-  const WorkloadKey c = WorkloadKey::Of(TestConv(3), t, CostMode::kAnalytic, true);
-  cache.Insert(a, result);
-  cache.Insert(b, result);
-  EXPECT_NE(cache.Find(a), nullptr);  // touch: a becomes most-recent
-  cache.Insert(c, result);            // evicts b, the least recently used
-  EXPECT_NE(cache.Find(a), nullptr);
-  EXPECT_NE(cache.Find(c), nullptr);
-  EXPECT_EQ(cache.Find(b), nullptr);
-  // A handed-out result stays valid after its entry is evicted.
-  auto held = cache.Find(a);
-  cache.SetCapacity(1);  // shrink evicts immediately
-  EXPECT_EQ(cache.size(), 1u);
-  ASSERT_NE(held, nullptr);
-  EXPECT_FALSE(held->ranked.empty());
-}
-
 TEST(TuningCache, MergeFromFoldsEntriesAndReplacesDuplicates) {
   const Target t = Target::SkylakeAvx512();
   TuningCache a;
