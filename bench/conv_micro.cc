@@ -152,9 +152,11 @@ struct BlockedU8Setup {
   Tensor in, w, mult, out;
 };
 
-// Requires ic_bn % 4 == 0, which every block the sweeps use satisfies (8/16/32/64).
-BlockedU8Setup MakeBlockedU8(const Conv2dParams& p, std::int64_t block,
+// Runs `p` on its quad-padded input channels (Conv2dParams::QuadPadded), as compiles
+// do, so every ic_bn is a multiple of 4: the stem's 3 channels run as one quad.
+BlockedU8Setup MakeBlockedU8(const Conv2dParams& unpadded, std::int64_t block,
                              std::int64_t reg_n) {
+  const Conv2dParams p = unpadded.QuadPadded();
   auto factor = [](std::int64_t c, std::int64_t want) {
     std::int64_t best = 1;
     for (std::int64_t f = 1; f <= want && f <= c; ++f) {
@@ -198,8 +200,8 @@ void RunU8(BlockedU8Setup& setup) {
 
 // The workload sweep at the full 8-bit vector block (Target::PreferredBlockS8() == 64
 // on the avx512 profile), swept over reg_n 2, 4 and 8 (second argument). The stem
-// (workload 0, ic=3) has no quad-divisible ic_bn, so it keeps its f32 schedule in real
-// compiles — skip it here rather than bench an illegal packing.
+// (workload 0) runs on its 3 channels padded to 4, ic_bn 4; GMACS counts the real
+// channels' MACs, so its rate compares with BM_ConvNCHWc's f32 stem.
 //
 // The VNNI micro-kernel keeps reg_n * oc_bn/16 zmm accumulators live plus oc_bn/16
 // weight vectors, so at oc_bn=64 reg_n=8 fills the 32-register file. That does not
@@ -220,7 +222,7 @@ void BM_ConvNCHWcU8(benchmark::State& state) {
                          benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_ConvNCHWcU8)
-    ->ArgsProduct({{1, 2, 3, 4}, {2, 4, 8}})
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
 // Block sweep on the resnet-style 3x3 layer: the vector-fill efficiency curve the int8

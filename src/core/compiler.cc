@@ -146,10 +146,10 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
         LocalSearchConvShared(node.attrs.conv, opts.target, opts.cost_mode,
                               opts.quick_space, opts.engine, cache, &cache_hit);
     ++(cache_hit ? stats->tuning_cache_hits : stats->tuning_cache_misses);
-    // An int8 space exists only for the kernel's templated oc blocks and quad-divisible
-    // ic blocks (VNNI packs 4 input channels per lane); pre-check so the search never
-    // CHECK-fails on an empty candidate list. A conv with no int8 blocking (the
-    // 3-channel stem) keeps its f32 schedules.
+    // An int8 space exists only for the kernel's templated oc blocks (ic blocks split
+    // the quad-padded input channels, so the 3-channel stem has one); pre-check so the
+    // search never CHECK-fails on an empty candidate list. A conv with no int8 blocking
+    // (a 126-channel SSD class head) keeps its f32 schedules.
     if (quantizing && QuantizeLegal(source, id, *calibration) &&
         !EnumerateS8Schedules(node.attrs.conv, opts.target, opts.quick_space).empty()) {
       bool hit = false;

@@ -74,9 +74,11 @@ struct CompileConfig {
   // fixed-block modes are fp32 paper ablations). `force_quantize` also admits int8 on
   // targets without VNNI (the portable tier) and overrides the cost comparison: every
   // int8-legal conv takes its best int8 schedule (accuracy testing, int8 CI zoo); a
-  // conv with no legal int8 blocking (e.g. the 3-channel image stem) keeps its f32
-  // schedule. Serving re-tunes inherit both flags through the
-  // persisted config, so per-batch re-tunes re-select quantized schedules.
+  // conv with no legal int8 blocking (e.g. a 126-channel SSD class head) keeps its f32
+  // schedule. The 3-channel image stem quantizes too, over input channels padded to a
+  // quad by the image's one quantize pass (QuantizeGraph). Serving re-tunes inherit
+  // both flags through the persisted config, so per-batch re-tunes re-select quantized
+  // schedules.
   bool quantize = false;
   bool force_quantize = false;
   // How activation ranges observed during calibration become quantization ranges:

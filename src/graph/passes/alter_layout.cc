@@ -11,11 +11,13 @@
 //   * conv residual input     -> the conv's own output layout
 //   * elemwise add / concat   -> all inputs follow the first input's layout
 //   * layout-dependent ops    -> back to NCHW (Flatten, FlattenNHWC, ...)
+//   * the quantize of an image -> NCHW; it writes its conv's NCHW[ic_bn]c itself
 // Under LayoutPlacement::kPerOp the propagation is disabled: each conv converts its
 // input from NCHW and converts its output back, which is what a framework delegating to
 // a fixed kernel library does (Table 3 "Layout Opt." row).
 // A dense with a GEMM schedule runs the packed GEMM on a weight pre-packed at compile
 // time, in every layout mode; its data input is flat.
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -64,6 +66,22 @@ bool IsLayoutDependent(OpType type) {
     default:
       return false;
   }
+}
+
+// An OIHW weight with its input channels zero-padded to `in_c`, the channels a
+// quad-padded u8 conv reads (Conv2dParams::QuadPadded); `w` itself when it has them.
+Tensor PadInputChannels(const Tensor& w, std::int64_t in_c) {
+  const std::int64_t i = w.dim(1);
+  if (i == in_c) {
+    return w;
+  }
+  const std::int64_t khw = w.dim(2) * w.dim(3);
+  Tensor out = Tensor::Zeros({w.dim(0), in_c, w.dim(2), w.dim(3)}, Layout::OIHW());
+  for (std::int64_t o = 0; o < w.dim(0); ++o) {
+    std::copy(w.data() + o * i * khw, w.data() + (o + 1) * i * khw,
+              out.data() + o * in_c * khw);
+  }
+  return out;
 }
 
 }  // namespace
@@ -131,9 +149,10 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
         if (sched.IsQuantized()) {
           // Quantized direct template: the u8 data input blocks like the fp32 one; the
           // weight, s32 bias and per-channel epilogue multiplier are the layer's
-          // QuantizeOperands. The s8 weight is then blocked and its tiles VNNI-packed,
-          // and the multiplier is the last input, after the residual (blocked like the
-          // output) when there is one.
+          // QuantizeOperands, over the quad-padded input channels the conv's params
+          // carry (a pad channel weighs 0, so the folded bias is unchanged). The s8
+          // weight is then blocked and its tiles VNNI-packed, and the multiplier is the
+          // last input, after the residual (blocked like the output) when there is one.
           NEOCPU_CHECK(node.attrs.qconv.enabled)
               << node.name << ": int8 schedule on an unquantized conv";
           const ConvQuant& qc = node.attrs.qconv;
@@ -146,8 +165,10 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
             bias = &graph.node(node.inputs[2]).payload;
             NEOCPU_CHECK(bias->defined()) << node.name << ": conv bias must be constant";
           }
-          QuantizedOperands q = QuantizeOperands(ReblockWeight(w, 1, 1), bias, qc.in_scale,
-                                                 qc.in_zero, qc.requant ? qc.out_scale : 1.0f);
+          QuantizedOperands q =
+              QuantizeOperands(PadInputChannels(ReblockWeight(w, 1, 1), node.attrs.conv.in_c),
+                               bias, qc.in_scale, qc.in_zero,
+                               qc.requant ? qc.out_scale : 1.0f);
           ReblockWeightInPlace(&q.weight, sched.ic_bn, sched.oc_bn);
           std::vector<int> inputs = {
               data, rw.dst().AddConstant(PackWeightsVnni(q.weight), node.name + ".w8")};
@@ -299,6 +320,15 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
         break;
       }
       default: {
+        if (node.type == OpType::kQuantize && node.attrs.dst_layout.IsBlockedFeatureMap()) {
+          // The quantize of an image reads it as NCHW and writes its conv's blocks.
+          const int new_id = rw.dst().AddNode(
+              OpType::kQuantize, {ensure_layout(rw.Lookup(node.inputs[0]), Layout::NCHW())},
+              node.attrs, node.name);
+          rw.dst().node(new_id).out_layout = node.attrs.dst_layout;
+          rw.MapTo(id, new_id);
+          break;
+        }
         if (IsLayoutTolerant(node.type)) {
           const int new_id = rw.CopyNode(node);
           rw.dst().node(new_id).out_layout =

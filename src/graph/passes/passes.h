@@ -56,7 +56,9 @@ const char* CalibrationPolicyName(CalibrationPolicy policy);
 
 // True when `node` (a conv in the fused source graph) can execute the quantized int8
 // kernel: constant weight and calibrated ranges for both its data input and its output.
-// A fused residual add is legal: the u8 epilogue adds it (sum fusion).
+// A fused residual add is legal: the u8 epilogue adds it (sum fusion). A conv whose
+// in_c is not a multiple of 4 is legal only on a graph input: it runs quad-padded
+// (Conv2dParams::QuadPadded), and the quantize of the image writes the pad channels.
 bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibration);
 
 // Post-training quantization rewrite. `schedules` maps conv node id -> chosen schedule
@@ -65,7 +67,10 @@ bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibrati
 //   * a kQuantize node (affine u8, range from the calibrated input) feeds the conv
 //     unless the producer already yields an integer tensor — chains of
 //     quantized convs stay integer with no Q/DQ pair between them (the DQ->Q
-//     cancellation, done constructively);
+//     cancellation, done constructively). The quantize of a graph input (the image)
+//     reads it as NCHW and writes the conv's NCHW[ic_bn]c blocks directly
+//     (attrs.dst_layout), its channels padded at the zero point to the quad the conv
+//     runs on, so the image needs no separate relayout;
 //   * pooling and concat between quantized convs execute natively in the integer
 //     domain (max pool compares raw codes — quantization is monotonic; avg pool
 //     accumulates in s32; concat rescales each input to the concat's own calibrated range
@@ -74,7 +79,8 @@ bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibrati
 //     actually follows — otherwise the producing conv keeps its free fused-dequantize
 //     epilogue;
 //   * the conv keeps its fp32 weight constant but gains ConvQuant attrs (in/out
-//     scale/zero-point/dtype); AlterConvLayout later pre-quantizes the weights per
+//     scale/zero-point/dtype) and its quad-padded params; AlterConvLayout later pads
+//     the weight's input channels with zeros, pre-quantizes the weights per
 //     output channel, VNNI-packs them, and folds the bias (and the zero-point
 //     correction) to s32;
 //   * consumers that need fp32 read a kDequantize of the conv's integer output; when

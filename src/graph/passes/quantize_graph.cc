@@ -57,6 +57,11 @@ bool QuantizeLegal(const Graph& graph, int id, const CalibrationTable& calibrati
   if (!weight.payload.defined() || weight.payload.dtype() != DType::kF32) {
     return false;
   }
+  // Pad channels come from the one pass that writes them, the quantize of the image.
+  if (node.attrs.conv.QuadPadded() != node.attrs.conv &&
+      graph.node(node.inputs[0]).type != OpType::kInput) {
+    return false;
+  }
   return calibration.count(node.inputs[0]) > 0 && calibration.count(id) > 0;
 }
 
@@ -176,8 +181,10 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
   };
 
   // The u8 data input of quantized node `node`: the producer's integer tensor when
-  // there is one, otherwise a (shared) quantize of the f32 source.
-  auto u8_input = [&](const Node& node) {
+  // there is one, otherwise a (shared) quantize of the f32 source. The quantize of an
+  // image a conv reads writes that conv's input blocks straight from NCHW, its
+  // channels padded at the zero point to whole blocks (what QuadPadded convs read).
+  auto u8_input = [&](const Node& node, const ConvSchedule* sched) {
     const int src = node.inputs[0];
     QInfo in = qinfo[static_cast<std::size_t>(src)];
     if (in.integer) {
@@ -190,13 +197,17 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
       in.int_id = it->second;  // a sibling quantized node already converted this tensor
       return in;
     }
-    const Layout src_layout = rw.dst().node(fsrc).out_layout;
+    Layout out_layout = rw.dst().node(fsrc).out_layout;
     NodeAttrs qattrs;
     qattrs.qscale = in.scale;
     qattrs.qzero = in.zero;
+    if (sched != nullptr && graph.node(src).type == OpType::kInput) {
+      out_layout = Layout::NCHWc(sched->ic_bn);
+      qattrs.dst_layout = out_layout;
+    }
     in.int_id = rw.dst().AddNode(OpType::kQuantize, {fsrc}, std::move(qattrs),
                                  node.name + ".q");
-    rw.dst().node(in.int_id).out_layout = src_layout;
+    rw.dst().node(in.int_id).out_layout = out_layout;
     quantize_nodes.emplace(fsrc, in.int_id);
     return in;
   };
@@ -228,8 +239,11 @@ Graph QuantizeGraph(const Graph& graph, const CalibrationTable& calibration,
   // epilogue dequantizes to f32. Returns the rewritten node id.
   auto add_quantized = [&](int id, bool requant) {
     const Node& node = graph.node(id);
-    const QInfo in = u8_input(node);
+    const QInfo in = u8_input(node, node.IsConv() ? &schedules->at(id) : nullptr);
     NodeAttrs attrs = node.attrs;
+    if (node.IsConv()) {
+      attrs.conv = attrs.conv.QuadPadded();
+    }
     attrs.qconv.enabled = true;
     attrs.qconv.in_scale = in.scale;
     attrs.qconv.in_zero = in.zero;

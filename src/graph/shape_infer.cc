@@ -106,6 +106,13 @@ void InferNodeShape(Graph* graph, int id) {
         node.out_dims = {node.attrs.det.keep_top_k, 6};
         break;
       case OpType::kQuantize:
+        node.out_dims = in_dims(0);
+        if (node.attrs.dst_layout.kind == LayoutKind::kNCHWc) {
+          // The quantize of an image writes whole blocks, pad channels included.
+          const std::int64_t x = node.attrs.dst_layout.c_block;
+          node.out_dims[1] = (node.out_dims[1] + x - 1) / x * x;
+        }
+        break;
       case OpType::kDequantize:
         node.out_dims = in_dims(0);
         break;

@@ -37,6 +37,15 @@ struct Conv2dParams {
            static_cast<double>(kernel_w);
   }
 
+  // The workload the u8 kernel runs: VNNI reads input channels in quads, so a conv
+  // whose in_c is not a multiple of 4 runs on its channels rounded up to the next quad.
+  // The pad channels hold the input zero point and weigh 0, so the result is exact.
+  Conv2dParams QuadPadded() const {
+    Conv2dParams p = *this;
+    p.in_c = (in_c + 3) / 4 * 4;
+    return p;
+  }
+
   std::string ToString() const;
   // Stable shape token inside a WorkloadKey (src/tuning/workload_key.h); leads with the
   // batch size because the batch is part of the tuning-workload identity.

@@ -32,7 +32,8 @@ namespace {
 // NCHW[x]c (x == 1 for NCHW) and the grid is (n, channel block, output row). Each
 // output position reduces its window over the block's x lanes. f32 accumulates in the
 // output and multiplies by the reciprocal of the count, so every layout rounds alike;
-// u8 accumulates in s32 from the padded cells' zero point `zp` and rounds once.
+// u8 takes its max as bytes, and accumulates its average in s32 from the padded cells'
+// zero point `zp` and rounds once.
 template <typename T>
 void PoolT(const Pool2dParams& p, const Tensor& input, std::int32_t zp, Tensor* out,
            ThreadEngine* engine, const char* op) {
@@ -69,6 +70,23 @@ void PoolT(const Pool2dParams& p, const Tensor& input, std::int32_t zp, Tensor* 
           acc = dst;
         }
         if (p.type == PoolType::kMax) {
+          if constexpr (kInt) {
+            // u8 codes take their max as bytes, which the portable ISA vectorizes (it
+            // has no s32 max), in a local run: a u8 store may alias the captures.
+            const std::int64_t lanes = x;
+            std::uint8_t codes[kMaxPoolBlock] = {};
+            for (std::int64_t hh = hc; hh < h1; ++hh) {
+              for (std::int64_t ww = wc; ww < w1; ++ww) {
+                const T* src = in_ch + (hh * iw + ww) * lanes;
+                for (std::int64_t ci = 0; ci < lanes; ++ci) {
+                  const std::uint8_t v = src[ci];
+                  codes[ci] = v > codes[ci] ? v : codes[ci];
+                }
+              }
+            }
+            std::copy(codes, codes + lanes, dst);
+            continue;
+          }
           const Acc lowest = kInt ? Acc{0} : -std::numeric_limits<Acc>::infinity();
           for (std::int64_t ci = 0; ci < x; ++ci) {
             acc[ci] = lowest;
@@ -79,11 +97,6 @@ void PoolT(const Pool2dParams& p, const Tensor& input, std::int32_t zp, Tensor* 
               for (std::int64_t ci = 0; ci < x; ++ci) {
                 acc[ci] = std::max(acc[ci], static_cast<Acc>(src[ci]));
               }
-            }
-          }
-          if constexpr (kInt) {
-            for (std::int64_t ci = 0; ci < x; ++ci) {
-              dst[ci] = static_cast<T>(acc[ci]);
             }
           }
           continue;

@@ -1,7 +1,9 @@
 #include "src/kernels/quantize.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -40,6 +42,71 @@ void QuantizeWeightsPerOC(const Tensor& w_oihw, Tensor* w_s8, std::vector<float>
   }
 }
 
+// f32 NCHW -> u8 NCHW[x]c, the channels padded to whole blocks with the zero point;
+// x % 4 == 0. The grid is ReblockT's (n, block, row) with a unit run: a task's
+// consecutive rows of one block run as one span, in tiles of kPositions positions. A
+// tile goes one quad of lanes at a time: each lane quantizes the tile's positions,
+// contiguous in the source, into its byte of a local run of 4-byte groups (one
+// vectorizable loop per lane), and the run goes to the destination one group per
+// position.
+void QuantizeBlocked(const Tensor& input, float inv, std::int32_t zero_point, Tensor* out,
+                     ThreadEngine* engine) {
+  static_assert(std::endian::native == std::endian::little,
+                "lane l of a group is its byte l");
+  constexpr std::int64_t kPositions = 256;
+  const BlockedDims s = BlockedDimsOf(input);
+  const std::int64_t c = s.channels(), h = s.h, w = s.w, plane = s.h * s.w;
+  const std::int64_t x = out->layout().c_block;
+  NEOCPU_CHECK_EQ(x % 4, 0) << "quantize writes u8 blocks of whole quads, got " << x;
+  const std::int64_t cb = (c + x - 1) / x;
+  CheckKernelOutput(out, {s.n, cb, h, w, x}, Layout::NCHWc(x), "quantize");
+  const float* src_base = input.data_as<float>();
+  std::uint8_t* dst_base = out->data_as<std::uint8_t>();
+  ParallelFor(EngineOrSerial(engine), s.n * cb * h, [&](std::int64_t begin,
+                                                        std::int64_t end) {
+    // Locals: a u8 store may alias the captures, which would reload them per element.
+    const std::int64_t stride = x;
+    const float k = inv;
+    const std::int32_t zp = zero_point;
+    std::uint32_t groups[kPositions];
+    for (std::int64_t t = begin; t < end;) {
+      const std::int64_t nb = t / h;  // n * cb + block
+      const std::int64_t stop = std::min(end, (nb + 1) * h);
+      const std::int64_t ni = nb / cb, c0 = (nb % cb) * stride;
+      std::uint8_t* dp = dst_base + nb * plane * stride;
+      const std::int64_t p_end = (stop - nb * h) * w;
+      for (std::int64_t p = (t - nb * h) * w; p < p_end; p += kPositions) {
+        const std::int64_t np = std::min(kPositions, p_end - p);
+        for (std::int64_t quad = 0; quad < stride; quad += 4) {
+          std::fill(groups, groups + np, 0u);
+          for (std::int64_t l = 0; l < 4; ++l) {
+            const std::int64_t ci = c0 + quad + l;
+            const int shift = static_cast<int>(8 * l);
+            if (ci >= c) {
+              const std::uint32_t pad = static_cast<std::uint32_t>(zp) << shift;
+              for (std::int64_t q = 0; q < np; ++q) {
+                groups[q] |= pad;
+              }
+              continue;
+            }
+            const float* sr = src_base + (ni * c + ci) * plane + p;
+#pragma omp simd
+            for (std::int64_t q = 0; q < np; ++q) {
+              groups[q] |= static_cast<std::uint32_t>(RoundClamp(sr[q] * k, zp, 0.0f, 255.0f))
+                           << shift;
+            }
+          }
+          std::uint8_t* dr = dp + p * stride + quad;
+          for (std::int64_t q = 0; q < np; ++q) {
+            std::memcpy(dr + q * stride, &groups[q], 4);
+          }
+        }
+      }
+      t = stop;
+    }
+  });
+}
+
 }  // namespace
 
 void Quantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
@@ -47,16 +114,26 @@ void Quantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor*
   NEOCPU_CHECK(input.dtype() == DType::kF32) << "quantize reads f32, got "
                                              << input.DebugString();
   NEOCPU_CHECK_GT(scale, 0.0f);
-  CheckKernelOutput(out, input.dims(), input.layout(), "quantize");
+  NEOCPU_CHECK(out != nullptr && out->defined()) << "quantize: undefined output tensor";
   const float inv = 1.0f / scale;
+  if (input.layout().kind == LayoutKind::kNCHW && out->layout().IsBlockedFeatureMap()) {
+    QuantizeBlocked(input, inv, zero_point, out, engine);
+    return;
+  }
+  CheckKernelOutput(out, input.dims(), input.layout(), "quantize");
   const float* src = input.data_as<float>();
   std::uint8_t* dst = out->data_as<std::uint8_t>();
   ParallelFor(EngineOrSerial(engine), input.NumElements(),
               [&](std::int64_t begin, std::int64_t end) {
+                // Locals: a u8 store may alias the captures, which would reload them
+                // per element and keep the loop scalar.
+                const float* in = src;
+                std::uint8_t* q = dst;
+                const float k = inv;
+                const std::int32_t zp = zero_point;
 #pragma omp simd
                 for (std::int64_t i = begin; i < end; ++i) {
-                  dst[i] = static_cast<std::uint8_t>(
-                      RoundClamp(src[i] * inv, zero_point, 0.0f, 255.0f));
+                  q[i] = static_cast<std::uint8_t>(RoundClamp(in[i] * k, zp, 0.0f, 255.0f));
                 }
               });
 }

@@ -20,12 +20,19 @@ namespace neocpu {
 inline constexpr std::int32_t kS8QuantMax = 127;
 
 // round(v) + zero, clamped to [lo, hi]: the store every quantizing kernel makes.
-// Rounds with rint (nearest even, like lrintf) and clamps in float, branch-free so loops
-// over it vectorize; values beyond the s32 range saturate instead of wrapping.
+// Rounds to nearest even (like lrintf) and clamps in float; values beyond the s32 range
+// saturate instead of wrapping. Loops over it vectorize even at the portable ISA, which
+// has no vector rint: the clamp comes first, to the integer bounds shifted by the zero
+// point (the same result, as rounding is monotonic), so |v| < 2^22 for every u8/s8
+// store, and adding and then subtracting 1.5 * 2^23 leaves v rounded to nearest even.
+// The two compares are separate statements, each executed on every element, because a
+// nested select would make the second one conditional, which blocks if-conversion.
 inline std::int32_t RoundClamp(float v, std::int32_t zero, float lo, float hi) {
-  float q = __builtin_rintf(v) + static_cast<float>(zero);
-  q = q < lo ? lo : (q > hi ? hi : q);
-  return static_cast<std::int32_t>(q);
+  constexpr float kRounder = 12582912.0f;  // 1.5 * 2^23
+  const float z = static_cast<float>(zero);
+  v = v < lo - z ? lo - z : v;
+  v = v > hi - z ? hi - z : v;
+  return static_cast<std::int32_t>((v + kRounder) - kRounder + z);
 }
 
 // Affine u8 parameters covering [lo, hi]: scale = (hi - lo) / 255 (floored away from
@@ -35,7 +42,11 @@ inline std::int32_t RoundClamp(float v, std::int32_t zero, float lo, float hi) {
 // and zero padding stay exact in u8).
 void AffineScaleZeroPoint(float lo, float hi, float* scale, std::int32_t* zero_point);
 
-// f32 -> u8: q = clamp(round(x / scale) + zero_point, 0, 255) (RoundClamp).
+// f32 -> u8: q = clamp(round(x / scale) + zero_point, 0, 255) (RoundClamp), into an
+// output of the input's dims and layout. An NCHW input quantizes into an NCHW[x]c
+// output too (x % 4 == 0, like every u8 conv's ic_bn): the image's one pass in a
+// quantized graph, which writes the blocks its conv reads, {N, ceil(C/x), H, W, x},
+// with the channels past C (the quad padding of a 3-channel image) at the zero point.
 void Quantize(const Tensor& input, float scale, std::int32_t zero_point, Tensor* out,
               ThreadEngine* engine = nullptr);
 

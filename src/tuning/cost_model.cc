@@ -206,7 +206,7 @@ double AnalyticDirectNchwcS8Ms(const Conv2dParams& p, const ConvSchedule& s,
 double AnalyticConvMs(const Conv2dParams& p, const ConvSchedule& s, const Target& t) {
   if (s.IsQuantized()) {
     NEOCPU_CHECK(s.IsDirect()) << "int8 schedules are direct-NCHWc only";
-    return AnalyticDirectNchwcS8Ms(p, s, t);
+    return AnalyticDirectNchwcS8Ms(p.QuadPadded(), s, t);
   }
   switch (s.algo) {
     case ConvAlgo::kDirectNCHWc:
@@ -329,7 +329,7 @@ double MeasureDirectNchwcS8Ms(const Conv2dParams& p, const ConvSchedule& s,
 double MeasureConvMs(const Conv2dParams& p, const ConvSchedule& s, ThreadEngine* engine,
                      int runs) {
   if (s.IsQuantized()) {
-    return MeasureDirectNchwcS8Ms(p, s, engine, runs);
+    return MeasureDirectNchwcS8Ms(p.QuadPadded(), s, engine, runs);
   }
   if (s.algo != ConvAlgo::kDirectNCHWc) {
     return MeasureNchwAlgoMs(p, s.algo, engine, runs);

@@ -90,9 +90,11 @@ std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& p, const Targ
   // leans on the widest admissible factors.
   const std::int64_t full = t.PreferredBlockS8();
   const auto keep = {full, full / 2, full / 4};
-  std::vector<std::int64_t> ic = BlockCandidates(p.in_c, t.MaxBlockS8(), quick_space, keep);
   // u8 activations pair 4 input channels per vpdpbusd lane (and the portable tier
-  // mirrors that grouping), so only quad-divisible ic blocks are admissible.
+  // mirrors that grouping), so the blocks split the quad-padded channels, and only
+  // quad-divisible ic blocks are admissible.
+  std::vector<std::int64_t> ic =
+      BlockCandidates(p.QuadPadded().in_c, t.MaxBlockS8(), quick_space, keep);
   std::erase_if(ic, [](std::int64_t f) { return f % 4 != 0; });
   return TemplatedSchedules(
       ic, BlockCandidates(p.out_c, t.MaxBlockS8(), quick_space, keep), DType::kU8);

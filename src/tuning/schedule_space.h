@@ -44,11 +44,12 @@ std::vector<ConvSchedule> EnumerateAlgoCandidates(const Conv2dParams& params);
 // same tuple structure, but channel blocks run up to the target's full 8-bit vector
 // (4x the fp32 lanes — the int8 kernel's throughput scales with the filled vector
 // fraction) and quick_space prunes to the {full, half, quarter} 8-bit-vector
-// neighbourhood. Only ic_bn factors divisible by 4 (the VNNI quad-packing
-// constraint) and the oc_bn values the kernel is instantiated for (IsTemplated)
-// are admitted, so the space is empty for a conv with none of them — a 3-channel
-// stem, a 126-channel SSD class head. Every schedule carries dtype kU8 and caches
-// under the u8-tagged WorkloadKey, separate from the fp32 entries.
+// neighbourhood. The ic blocks split the quad-padded input channels
+// (Conv2dParams::QuadPadded: a 3-channel stem gets ic_bn 4), only factors divisible
+// by 4 (the VNNI quad-packing constraint) are admitted, and only the oc_bn values the
+// kernel is instantiated for (IsTemplated), so the space is empty for a conv with no
+// templated oc block — a 126-channel SSD class head. Every schedule carries dtype kU8
+// and caches under the u8-tagged WorkloadKey, separate from the fp32 entries.
 std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& params,
                                                const Target& target,
                                                bool quick_space = false);

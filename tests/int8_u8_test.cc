@@ -19,6 +19,7 @@
 #include "src/kernels/conv_nchwc_int8.h"
 #include "src/kernels/quantize.h"
 #include "src/models/model_zoo.h"
+#include "src/runtime/thread_pool.h"
 #include "src/tensor/layout_transform.h"
 #include "src/tuning/schedule_space.h"
 
@@ -366,11 +367,14 @@ TEST(ConvNCHWcU8, ResidualEpilogueMatchesScalarReferenceOnEveryTier) {
 // column outside the image. Each shape below runs on both tiers where the host
 // supports them, and each tier's output must equal the exact integer conv bit for bit. The
 // multiplier is 1 and every sum stays below 2^24, so the f32 output is the s32
-// accumulator plus bias, exactly.
+// accumulator plus bias, exactly. A case with `real_in_c` set is a quad-padded conv:
+// the input channels from real_in_c on hold the zero point and weigh 0, as the image's
+// quantize and the lowering lay them out, and the reference sums the real ones only.
 struct GuardCase {
   const char* label;
   Conv2dParams p;
   std::int64_t ic_bn, oc_bn, reg_n;
+  std::int64_t real_in_c = 0;  // 0: every input channel is real
 };
 
 void ExpectTiersMatchIntegerReference(const GuardCase& gc) {
@@ -397,6 +401,18 @@ void ExpectTiersMatchIntegerReference(const GuardCase& gc) {
     raw_bias.data_as<std::int32_t>()[o] =
         static_cast<std::int32_t>(rng.NextBounded(2000)) - 1000;
   }
+  const std::int64_t real_c = gc.real_in_c > 0 ? gc.real_in_c : p.in_c;
+  const std::int64_t plane = p.in_h * p.in_w, taps = p.kernel_h * p.kernel_w;
+  for (std::int64_t i = 0; i < in.NumElements(); ++i) {
+    if (i / (plane * icb) % (p.in_c / icb) * icb + i % icb >= real_c) {
+      in.data_as<std::uint8_t>()[i] = static_cast<std::uint8_t>(in_zero);
+    }
+  }
+  for (std::int64_t i = 0; i < w.NumElements(); ++i) {
+    if (i / (taps * icb * ocb) % (p.in_c / icb) * icb + i / ocb % icb >= real_c) {
+      w.data_as<std::int8_t>()[i] = 0;
+    }
+  }
   Tensor bias = raw_bias.Clone();
   FoldZeroPointIntoBias(ReblockWeight(w, 1, 1), in_zero, &bias);
   const Tensor w_kernel = PackWeightsVnni(w);
@@ -411,7 +427,7 @@ void ExpectTiersMatchIntegerReference(const GuardCase& gc) {
       for (std::int64_t oh = 0; oh < oh_n; ++oh) {
         for (std::int64_t ow = 0; ow < ow_n; ++ow) {
           std::int64_t acc = raw_bias.data_as<std::int32_t>()[oc];
-          for (std::int64_t ic = 0; ic < p.in_c; ++ic) {
+          for (std::int64_t ic = 0; ic < real_c; ++ic) {
             for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
               for (std::int64_t kw = 0; kw < p.kernel_w; ++kw) {
                 const std::int64_t ih = oh * p.stride_h - p.pad_h + kh;
@@ -479,10 +495,15 @@ TEST(ConvNCHWcInt8Guarded, EdgeAndTailBlocksMatchIntegerReferenceOnEveryTier) {
   // stores 8 of its 16 positions.
   ExpectTiersMatchIntegerReference(
       {"56 wide", {1, 8, 2, 56, 32, 3, 3, 1, 1, 1, 1}, 8, 32, 16});
-  // A stem-like 7x7 kernel, stride 2, pad 3 on one quad of input channels.
+  // A stem-like 7x7 kernel, stride 2, pad 3 on one quad of input channels, and the
+  // quad-padded stem itself: 3 real channels and a pad channel, into oc_bn 64.
   for (const std::int64_t reg_n : {2, 4}) {
     ExpectTiersMatchIntegerReference(
         {"7x7 s2 p3", {1, 4, 15, 15, 16, 7, 7, 2, 2, 3, 3}, 4, 16, reg_n});
+  }
+  for (const std::int64_t reg_n : {4, 8}) {
+    ExpectTiersMatchIntegerReference(
+        {"7x7 s2 p3, 3->4 padded", {1, 4, 15, 15, 64, 7, 7, 2, 2, 3, 3}, 4, 64, reg_n, 3});
   }
   // A 1x1 stride-2 kernel without padding: only the out-width tail is guarded.
   ExpectTiersMatchIntegerReference(
@@ -552,14 +573,66 @@ TEST(LayoutTransformU8, BlockedRoundTrip) {
   }
 }
 
+// The image's one quantize pass: f32 NCHW into u8 NCHW[x]c, the channels padded to
+// whole blocks with the zero point. Element (n, c, y, z) of the output sits at
+// ((n * ceil(C/x) + c / x) * H * W + y * W + z) * x + c % x; every (n, block, row) of
+// the grid is checked, serial and on a 4-worker pool, on maps both taller and
+// shorter than the worker count.
+TEST(QuantizeBlocked, WritesPaddedBlocksOfTheImage) {
+  const float scale = 0.0625f;  // an exact reciprocal: x / scale == x * (1 / scale)
+  const std::int32_t zero = 77;
+  NeoThreadPool pool(4, /*bind_threads=*/false);
+  for (const std::int64_t c : {3, 5}) {
+    for (const std::int64_t x : {4, 8}) {
+      for (const std::int64_t h : {2, 7}) {
+        for (ThreadEngine* engine : {static_cast<ThreadEngine*>(nullptr),
+                                     static_cast<ThreadEngine*>(&pool)}) {
+          SCOPED_TRACE("C=" + std::to_string(c) + " x=" + std::to_string(x) +
+                       " h=" + std::to_string(h) + (engine ? " pool" : " serial"));
+          const std::int64_t n = 2, w = 5, cb = (c + x - 1) / x;
+          Rng rng(static_cast<std::uint64_t>(c * 100 + x * 10 + h));
+          const Tensor in = Tensor::Random({n, c, h, w}, rng, -8.0f, 8.0f, Layout::NCHW());
+          Tensor out = Tensor::Empty({n, cb, h, w, x}, Layout::NCHWc(x), DType::kU8);
+          std::memset(out.data(), 0xAB, static_cast<std::size_t>(out.NumElements()));
+          Quantize(in, scale, zero, &out, engine);
+          const std::uint8_t* q = out.data_as<std::uint8_t>();
+          for (std::int64_t ni = 0; ni < n; ++ni) {
+            for (std::int64_t ci = 0; ci < cb * x; ++ci) {
+              for (std::int64_t y = 0; y < h; ++y) {
+                for (std::int64_t z = 0; z < w; ++z) {
+                  const std::int64_t at = ((ni * cb + ci / x) * h * w + y * w + z) * x + ci % x;
+                  const std::int32_t want =
+                      ci < c ? RoundClamp(in.data()[((ni * c + ci) * h + y) * w + z] / scale,
+                                          zero, 0.0f, 255.0f)
+                             : zero;
+                  ASSERT_EQ(q[at], want) << "n " << ni << " c " << ci << " y " << y
+                                         << " z " << z;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------------ schedule space
 
 // u8 admission: only quad-divisible ic blocks are legal (4 input channels per
-// dot-product group), so a 3-channel stem has no int8 space at all.
+// dot-product group), over the input channels padded to a quad, so a 3-channel stem
+// runs ic_bn 4 and nothing else.
 TEST(U8ScheduleSpace, RequiresQuadDivisibleIcBlocks) {
   const Target t = Target::SkylakeAvx512();
   const Conv2dParams stem{1, 3, 32, 32, 64, 7, 7, 2, 2, 3, 3};
-  EXPECT_TRUE(EnumerateS8Schedules(stem, t).empty());
+  EXPECT_EQ(stem.QuadPadded().in_c, 4);
+  for (const bool quick : {false, true}) {
+    const auto stem_space = EnumerateS8Schedules(stem, t, quick);
+    ASSERT_FALSE(stem_space.empty()) << "quick=" << quick;
+    for (const ConvSchedule& s : stem_space) {
+      EXPECT_EQ(s.ic_bn, 4) << s.ToString();
+    }
+  }
 
   const Conv2dParams wide{1, 64, 14, 14, 64, 3, 3, 1, 1, 1, 1};
   const auto u8_space = EnumerateS8Schedules(wide, t);
@@ -675,36 +748,45 @@ TEST(QuantizeGraphU8, ForcedQuantizeSelectsU8Schedules) {
 }
 
 // u8 is the only quantized activation dtype. A forced compile of resnet18 on the VNNI
-// profile keeps the 3-channel stem on its f32 schedule (it has no quad-divisible
-// blocking, and an s8 stem would be slower than the f32 one), and so the maxpool after
-// it; every quantized conv reads u8 and every quantize node writes u8.
+// profile runs the 3-channel stem in u8 too, on its channels padded to a quad: the one
+// quantize reads the graph input and writes the stem's NCHW4c blocks with the pad
+// channel at the zero point, and the maxpool after the stem compares u8 codes. Every
+// quantized conv reads u8 and every quantize node writes u8.
 TEST(QuantizeGraphU8, ResNet18HasNoS8Activations) {
   Graph model = BuildResNet(18, 1, 64);
   CompiledModel compiled = Compile(model, QuantizedOptions(Target::CascadeLakeVnni()));
   const Graph& g = compiled.graph();
-  int stems = 0, u8_convs = 0, quantizes = 0;
+  int stems = 0, u8_convs = 0, quantizes = 0, u8_pools = 0;
   for (int id = 0; id < g.num_nodes(); ++id) {
     const Node& node = g.node(id);
-    if (node.IsConv() && node.attrs.conv.in_c == 3) {
+    if (node.IsConv() && node.name == "stem") {
       ++stems;
-      EXPECT_FALSE(node.attrs.qconv.enabled) << node.name;
-      EXPECT_EQ(node.attrs.schedule.dtype, DType::kF32) << node.name;
-    } else if (node.IsConv() && node.attrs.qconv.enabled) {
+      EXPECT_TRUE(node.attrs.qconv.enabled) << node.name;
+      EXPECT_EQ(node.attrs.conv.in_c, 4) << node.name;
+      EXPECT_EQ(node.attrs.schedule.ic_bn, 4) << node.name;
+    }
+    if (node.IsConv()) {
+      EXPECT_TRUE(node.attrs.qconv.enabled) << node.name;
       EXPECT_EQ(g.node(node.inputs[0]).out_dtype, DType::kU8) << node.name;
       EXPECT_EQ(node.attrs.schedule.dtype, DType::kU8) << node.name;
       ++u8_convs;
     }
     if (node.type == OpType::kQuantize) {
       EXPECT_EQ(node.out_dtype, DType::kU8) << node.name;
+      EXPECT_EQ(g.node(node.inputs[0]).type, OpType::kInput) << node.name;
+      EXPECT_EQ(node.out_layout, Layout::NCHWc(4)) << node.name;
+      EXPECT_EQ(node.out_dims, (std::vector<std::int64_t>{1, 4, 64, 64})) << node.name;
       ++quantizes;
     }
     if (node.type == OpType::kMaxPool) {
-      EXPECT_EQ(node.out_dtype, DType::kF32) << node.name;
+      EXPECT_EQ(node.out_dtype, DType::kU8) << node.name;
+      ++u8_pools;
     }
   }
   EXPECT_EQ(stems, 1);
-  EXPECT_GT(u8_convs, 0);
-  EXPECT_GT(quantizes, 0);
+  EXPECT_EQ(u8_convs, 20);
+  EXPECT_EQ(quantizes, 1);
+  EXPECT_EQ(u8_pools, 1);
 
   Tensor input = InputFor(model);
   const Tensor expected = Executor(&model).Run(input);
@@ -759,7 +841,8 @@ TEST(QuantizeGraphU8, SumFusionReadsIntegerResidual) {
   EXPECT_LE(Tensor::MaxAbsDiff(compiled.Run(input), expected), 0.05);
 }
 
-// A residual conv that stays f32 (its 6 input channels have no int8 blocking) while its
+// A residual conv that stays f32 (its 6 input channels are not a quad multiple, and it
+// does not read the image, whose quantize alone writes pad channels) while its
 // residual's producer requantizes for a u8 reader: the conv reads the residual through
 // the one shared kDequantize, like any other f32 reader, and its f32 kernel adds it.
 TEST(QuantizeGraphU8, F32ResidualConvReadsSharedDequantize) {
@@ -805,23 +888,28 @@ TEST(QuantizeGraphU8, F32ResidualConvReadsSharedDequantize) {
   EXPECT_LE(Tensor::MaxAbsDiff(compiled.Run(input), expected), 0.05);
 }
 
-// resnet18's quantized boundary structure. The stem and its maxpool stay f32; one
-// quantize converts the maxpool output, and from there every block stays u8 from its
-// input to its output: the residual conv ending each block adds its shortcut in the u8
-// epilogue, and the last one dequantizes into its f32 output. 19 of 20 convs quantized,
-// one quantize, no standalone dequantize.
+// resnet18's quantized boundary structure. One quantize converts the image into the
+// quad-padded stem's blocks; from there every conv, the maxpool and every block stay u8
+// from input to output: the residual conv ending each block adds its shortcut in the u8
+// epilogue, and the last one dequantizes into its f32 output. 20 of 20 convs quantized,
+// one quantize, no standalone dequantize, and no layout transform until the f32 tail.
 TEST(QuantizeGraphU8, ResNet18BoundaryStructure) {
   Graph model = BuildResNet(18, 1, 64);
   CompiledModel compiled = Compile(model, QuantizedOptions());
-  EXPECT_EQ(compiled.stats().num_quantized_convs, 19);
+  EXPECT_EQ(compiled.stats().num_quantized_convs, 20);
   EXPECT_EQ(compiled.stats().num_convs, 20);
   const Graph& g = compiled.graph();
   EXPECT_EQ(g.CountNodes(OpType::kQuantize), 1);
   EXPECT_EQ(g.CountNodes(OpType::kDequantize), 0);
+  for (int id = 0; id < g.num_nodes(); ++id) {
+    if (g.node(id).type == OpType::kLayoutTransform) {
+      EXPECT_EQ(g.node(id).out_dtype, DType::kF32) << g.node(id).name;
+    }
+  }
   // A residual is read as u8 (with its producer's scale and zero point) wherever u8
-  // codes of it exist; the first block reads the codes of the one quantize. The three
-  // downsampling blocks read their projection's f32 output: a residual read does not
-  // make its producer requantize.
+  // codes of it exist; the first block reads the u8 maxpool. The three downsampling
+  // blocks read their projection's f32 output: a residual read does not make its
+  // producer requantize.
   int u8_residuals = 0, f32_residuals = 0;
   for (int id = 0; id < g.num_nodes(); ++id) {
     const Node& node = g.node(id);
@@ -837,7 +925,7 @@ TEST(QuantizeGraphU8, ResNet18BoundaryStructure) {
       EXPECT_EQ(node.attrs.qin_zeros.size(), 1u) << node.name;
       ++u8_residuals;
       if (node.name == "stage1.unit1.conv2") {
-        EXPECT_EQ(g.node(res).type, OpType::kQuantize) << node.name;
+        EXPECT_EQ(g.node(res).type, OpType::kMaxPool) << node.name;
       }
     } else {
       EXPECT_TRUE(node.attrs.qin_scales.empty()) << node.name;

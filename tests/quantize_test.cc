@@ -193,12 +193,12 @@ TEST(QuantizeGraph, BranchesShareOneQuantizeNode) {
 }
 
 // The u8 template fuses a residual add (sum fusion), so under force_quantize every
-// residual conv runs kNCHWcS8; only the 3-channel stem, which has no int8 blocking,
-// stays fp32.
+// residual conv runs kNCHWcS8, and so does every other conv: the 3-channel stem runs
+// on its input channels padded to a quad.
 TEST(QuantizeGraph, ResidualConvsRunNCHWcS8) {
   Graph model = BuildResNet(18, 1, 32);
   CompiledModel compiled = Compile(model, QuantizedOptions(Target::SkylakeAvx512()));
-  EXPECT_EQ(compiled.stats().num_quantized_convs, compiled.stats().num_convs - 1);
+  EXPECT_EQ(compiled.stats().num_quantized_convs, compiled.stats().num_convs);
   int residual_convs = 0;
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& node = compiled.graph().node(id);
@@ -305,6 +305,34 @@ INSTANTIATE_TEST_SUITE_P(Zoo, ZooQuantized,
                          [](const ::testing::TestParamInfo<ZooCase>& info) {
                            return info.param.label;
                          });
+
+// The default calibration is one synthetic batch from [-1, 1], and the image itself is
+// quantized against its range, so accuracy must hold on inputs it never saw: three
+// held-out seeded images each from [0, 1] (perfbench's image range) and from [-1, 1],
+// on the full-size resnet18 (every conv u8, the stem included) and on tiny-cnn. The
+// reference is the f32 compile of the same graph.
+TEST(ZooQuantizedHeldOut, DefaultCalibrationHoldsOnUnseenInputs) {
+  const Target target = Target::SkylakeAvx512();
+  for (const char* name : {"resnet18", "tiny-cnn"}) {
+    const Graph model = BuildModel(name);
+    CompiledModel quantized = Compile(model, QuantizedOptions(target));
+    ASSERT_EQ(quantized.stats().num_quantized_convs, quantized.stats().num_convs) << name;
+    const CompiledModel reference = Compile(model, NeoCpuOptions(target));
+    int input_id = 0;
+    while (model.node(input_id).type != OpType::kInput) {
+      ++input_id;
+    }
+    for (const float lo : {0.0f, -1.0f}) {
+      for (const std::uint64_t seed : {101, 202, 303}) {
+        Rng rng(seed);
+        const Tensor input = Tensor::Random(model.node(input_id).out_dims, rng, lo, 1.0f,
+                                            Layout::NCHW());
+        EXPECT_LE(Tensor::MaxAbsDiff(quantized.Run(input), reference.Run(input)), 0.05)
+            << name << " input in [" << lo << ", 1], seed " << seed;
+      }
+    }
+  }
+}
 
 // ------------------------------------------------------------------ persistence
 
