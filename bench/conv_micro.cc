@@ -9,7 +9,6 @@
 #include "src/kernels/conv_nchwc.h"
 #include "src/kernels/conv_nchwc_int8.h"
 #include "src/kernels/conv_ref.h"
-#include "src/kernels/conv_winograd.h"
 #include "src/kernels/quantize.h"
 #include "src/tensor/layout_transform.h"
 
@@ -318,30 +317,6 @@ void BM_Ablation_F32Isa(benchmark::State& state) {
   SetConvNCHWcIsaOverride(nullptr);
 }
 BENCHMARK(BM_Ablation_F32Isa)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
-
-// Winograd F(2x2,3x3) vs the direct template on the same workload (the paper's named
-// future-work algorithm; arithmetic drops 2.25x, transforms eat part of it back).
-void BM_ConvWinograd(benchmark::State& state) {
-  const Conv2dParams& p = kWorkloads[state.range(0)];
-  if (!WinogradApplicable(p)) {
-    state.SkipWithError("not a 3x3/s1 workload");
-    return;
-  }
-  Rng rng(5);
-  Tensor in = Tensor::Random({p.batch, p.in_c, p.in_h, p.in_w}, rng, -1, 1, Layout::NCHW());
-  Tensor w = Tensor::Random({p.out_c, p.in_c, 3, 3}, rng, -0.5f, 0.5f, Layout::OIHW());
-  Tensor u = WinogradTransformWeights(w);
-  Tensor out = Tensor::Empty({p.batch, p.out_c, p.OutH(), p.OutW()}, Layout::NCHW());
-  for (auto _ : state) {
-    ConvWinograd(p, in, u, nullptr, {}, &out);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.counters["GFLOPS(direct-equiv)"] =
-      benchmark::Counter(2.0 * p.Macs(), benchmark::Counter::kIsIterationInvariantRate,
-                         benchmark::Counter::kIs1000);
-}
-BENCHMARK(BM_ConvWinograd)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // Fused epilogue vs separate passes (the fusion half of the joint optimization).
 void BM_FusedEpilogue(benchmark::State& state) {

@@ -11,7 +11,6 @@
 #include "src/core/memory_plan.h"
 #include "src/graph/passes/passes.h"
 #include "src/graph/shape_infer.h"
-#include "src/kernels/conv_winograd.h"
 #include "src/tensor/layout_transform.h"
 #include "src/tuning/global_search.h"
 #include "src/tuning/schedule_space.h"
@@ -26,8 +25,6 @@ const char* LayoutModeName(LayoutMode mode) {
       return "nchwc-per-op";
     case LayoutMode::kNCHWcFixed:
       return "nchwc-fixed";
-    case LayoutMode::kNCHWcLocal:
-      return "nchwc-local";
     case LayoutMode::kNCHWcGlobal:
       return "nchwc-global";
   }
@@ -56,28 +53,6 @@ std::int64_t PickFixedBlock(const LocalSearchResult& result, bool input_side,
     }
   }
   return best_leq > 0 ? best_leq : smallest;
-}
-
-// True when `algo` can execute `node`'s convolution including its fused epilogue.
-bool AlgoLegalFor(ConvAlgo algo, const Node& node) {
-  if (algo == ConvAlgo::kWinograd) {
-    return WinogradLegal(node.attrs.conv, node.attrs.epilogue);
-  }
-  return true;
-}
-
-// Cheapest ranked schedule that is legal for `node` (the greedy per-conv optimum of
-// LayoutMode::kNCHWcLocal); on merged fp32+u8 lists this IS the greedy fp32-vs-int8
-// choice, boundary costs ignored — the pitfall §3.3.1 warns about, kept as the
-// ablation.
-const ConvSchedule& BestLegalSchedule(const LocalSearchResult& result, const Node& node) {
-  for (const ScheduleCost& sc : result.ranked) {
-    if (AlgoLegalFor(sc.schedule.algo, node)) {
-      return sc.schedule;
-    }
-  }
-  LOG(FATAL) << "no legal schedule for " << node.attrs.conv.ToString();
-  return result.best().schedule;
 }
 
 // Leading dim of the graph's (first) input: the batch size its conv workloads carry.
@@ -121,13 +96,14 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
                       const std::unordered_set<int>* owned, CompileStats* stats) {
   TuningCache* cache = opts.tuning_cache.get();
   NEOCPU_CHECK(cache != nullptr);
+  NEOCPU_CHECK(!opts.force_algo || opts.forced_algo != ConvAlgo::kWinograd)
+      << "the Winograd algorithm is retired";
 
   // int8 only plays where it can beat f32 — on a VNNI target — unless forced, and only
-  // under the searched modes: the fixed-block modes are fp32 paper ablations.
+  // under the searched mode: the fixed-block modes are fp32 paper ablations.
+  const bool searched = opts.layout_mode == LayoutMode::kNCHWcGlobal;
   const bool quantizing = opts.quantize && calibration != nullptr &&
-                          (opts.target.vnni_dot || opts.force_quantize) &&
-                          (opts.layout_mode == LayoutMode::kNCHWcGlobal ||
-                           opts.layout_mode == LayoutMode::kNCHWcLocal);
+                          (opts.target.vnni_dot || opts.force_quantize) && searched;
 
   // Local search per convolution workload, memoized through the shared cache. Hit/miss
   // attribution is counted per call (not via cache-counter deltas): concurrent compiles
@@ -167,15 +143,13 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
     locals[id] = std::move(result);
   }
 
-  // Every dense with a constant 2-D f32 weight runs the packed GEMM. The searched modes
-  // rank its blocking through the same local-search + cache machinery as the convs;
+  // Every dense with a constant 2-D f32 weight runs the packed GEMM. The searched mode
+  // ranks its blocking through the same local-search + cache machinery as the convs;
   // the fixed-layout baselines take GemmSchedule{}, the fixed "library" blocking their
   // im2col convs run. Dense nodes carry no layout edges (their inputs/outputs are
   // flat), so in the global formulation each is an isolated variable: its per-layer
   // f32-vs-u8 choice decomposes out of the DP objective exactly, and comparing best-f32
   // against best-u8 plus the Q/DQ boundary cost IS the global optimum for that variable.
-  const bool searched = opts.layout_mode == LayoutMode::kNCHWcLocal ||
-                        opts.layout_mode == LayoutMode::kNCHWcGlobal;
   std::map<int, GemmSchedule> dense_schedules;
   for (int id = 0; id < source.num_nodes(); ++id) {
     const Node& node = source.node(id);
@@ -250,9 +224,9 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
       const std::int64_t x = opts.target.PreferredBlock();
       for (auto& [id, result] : locals) {
         if (result->BestForAlgo(ConvAlgo::kDirectNCHWc) == nullptr) {
-          // No templated block divides this conv's channels: it runs its best NCHW
-          // algorithm, behind transforms like any NCHW conv.
-          schedules[id] = BestLegalSchedule(*result, source.node(id));
+          // No templated block divides this conv's channels: it runs im2col, behind
+          // transforms like any NCHW conv.
+          schedules[id] = result->best().schedule;
           continue;
         }
         const std::int64_t ic_bn = PickFixedBlock(*result, /*input_side=*/true, x);
@@ -262,12 +236,6 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
             << "pair (" << ic_bn << "," << oc_bn << ") missing for "
             << source.node(id).attrs.conv.ToString();
         schedules[id] = best->schedule;
-      }
-      break;
-    }
-    case LayoutMode::kNCHWcLocal: {
-      for (auto& [id, result] : locals) {
-        schedules[id] = BestLegalSchedule(*result, source.node(id));
       }
       break;
     }
@@ -285,13 +253,8 @@ Graph LowerFusedGraph(Graph& source, const CompileOptions& opts,
   }
 
   if (opts.force_algo) {
-    // Override the searched choice wherever the forced algorithm is legal; illegal
-    // convs keep what the search picked so the graph always compiles.
+    // Override the selected schedule (CompileConfig::force_algo).
     for (auto& [id, sched] : schedules) {
-      const Node& node = source.node(id);
-      if (!AlgoLegalFor(opts.forced_algo, node)) {
-        continue;
-      }
       if (opts.forced_algo == ConvAlgo::kDirectNCHWc) {
         // A conv with no templated block keeps its searched algorithm, and kNCHW,
         // which searches no blocking, keeps its NCHW one.
@@ -436,22 +399,8 @@ CompiledModel Compile(const Graph& model, const CompileOptions& options) {
       owned.insert(id);
     }
   }
-  CompiledModel compiled =
-      LowerAtBatch(std::move(source), opts, opts.tuning_cache, std::move(calibration),
-                   opts.engine, /*retuned=*/false, total_timer, &owned);
-  if (opts.verbose) {
-    const CompileStats& stats = compiled.stats();
-    LOG(INFO) << "compiled " << compiled.graph().name << " ["
-              << LayoutModeName(opts.layout_mode) << "/" << opts.target.name << "] batch "
-              << stats.tuned_batch << ": " << stats.num_convs << " convs ("
-              << stats.num_quantized_convs << " int8), "
-              << stats.num_layout_transforms << " runtime layout transforms, tuning "
-              << stats.tuning_seconds << "s (cache " << stats.tuning_cache_hits
-              << " hits / " << stats.tuning_cache_misses << " misses), search "
-              << stats.search_seconds << "s, arena " << stats.arena_bytes << "B (naive "
-              << stats.naive_arena_bytes << "B)";
-  }
-  return compiled;
+  return LowerAtBatch(std::move(source), opts, opts.tuning_cache, std::move(calibration),
+                      opts.engine, /*retuned=*/false, total_timer, &owned);
 }
 
 bool RebindBatch(const CompiledModel& model, std::int64_t batch, CompiledModel* out) {

@@ -5,7 +5,7 @@
 //
 // LayoutMode is the ablation axis of the paper's Table 3:
 //   kNCHW          — row 1 "Baseline": default layout, the reference direct loop (or
-//                    `forced_algo`: im2col, Winograd), no search; fusion and inference
+//                    `forced_algo`: im2col), no search; fusion and inference
 //                    simplification still applied.
 //   kNCHWcPerOp    — row 2 "Layout Opt.": every conv uses the NCHW[x]c template but
 //                    transforms its input/output from/to NCHW (what a framework
@@ -14,11 +14,9 @@
 //                    layout flows through the graph; transforms only at the boundaries.
 //   kNCHWcGlobal   — row 4 "Global Search": per-conv schemes chosen by the DP/PBQP
 //                    global search over local-search candidates (§3.3).
-//   kNCHWcLocal    — extra ablation: greedy per-conv local optimum, ignoring transform
-//                    costs (the pitfall §3.3.1 warns about).
-// In every mode each dense with a constant 2-D weight runs the packed GEMM: the two
-// searched modes (kNCHWcGlobal, kNCHWcLocal) rank its blocking per layer, and the
-// other three run it at the fixed "library" blocking GemmSchedule{}.
+// In every mode each dense with a constant 2-D weight runs the packed GEMM: the
+// searched mode (kNCHWcGlobal) ranks its blocking per layer, and the other three run
+// it at the fixed "library" blocking GemmSchedule{}.
 //
 // Every per-conv decision is keyed by WorkloadKey — the conv shape *including the batch
 // size* plus target/cost/space mode — and memoized in a shared TuningCache, so schedules
@@ -42,7 +40,7 @@
 
 namespace neocpu {
 
-enum class LayoutMode { kNCHW, kNCHWcPerOp, kNCHWcFixed, kNCHWcLocal, kNCHWcGlobal };
+enum class LayoutMode { kNCHW, kNCHWcPerOp, kNCHWcFixed, kNCHWcGlobal };
 
 const char* LayoutModeName(LayoutMode mode);
 
@@ -55,30 +53,29 @@ struct CompileConfig {
   CostMode cost_mode = CostMode::kAnalytic;
   bool quick_space = true;  // prune channel-factor candidates (see schedule_space.h)
   std::size_t max_dp_table_entries = 1 << 22;
-  // Forced convolution algorithm (baselines / ablation / testing): every conv that can
-  // legally execute `forced_algo` gets it as its schedule instead of the selected one;
-  // convs where it is illegal (Winograd on non-3x3-s1 shapes or fused residual adds)
-  // keep the selected schedule. Under the NCHWc layout modes that is the searched
-  // choice; kNCHW mode runs no search, gives every conv the reference loop, and only
-  // the NCHW-layout algorithms (im2col, Winograd, reference) override it. Lowering
-  // records the resulting ConvSchedule on each conv, and dispatch reads it.
+  // Forced convolution algorithm (baselines / ablation / testing): every conv gets
+  // `forced_algo` as its schedule instead of the selected one. kDirectNCHWc takes the
+  // conv's best direct schedule; a conv with none (no templated block divides its
+  // channels) keeps the selected one, and so does every conv under kNCHW, which runs
+  // no search and gives each conv the reference loop unless an NCHW-layout algorithm
+  // (im2col, reference) is forced. Lowering records the resulting ConvSchedule on each
+  // conv, and dispatch reads it. The retired kWinograd is refused.
   bool force_algo = false;
   ConvAlgo forced_algo = ConvAlgo::kDirectNCHWc;
   // Post-training int8 quantization. With `quantize`, compilation calibrates the fused
   // source graph on sample inputs (CompileOptions::calibration_inputs, or a
   // deterministic synthetic batch), ranks the int8 schedule space (u8 activations x
-  // s8 weights) next to fp32 in every local search, and lets the global/local
-  // selection choose fp32-vs-int8 per conv under quantize/dequantize boundary costs.
-  // int8 is offered only on a target with a VNNI dot product (Target::vnni_dot), where
-  // it can beat f32, and only under the kNCHWcGlobal and kNCHWcLocal modes (the
-  // fixed-block modes are fp32 paper ablations). `force_quantize` also admits int8 on
-  // targets without VNNI (the portable tier) and overrides the cost comparison: every
-  // int8-legal conv takes its best int8 schedule (accuracy testing, int8 CI zoo); a
-  // conv with no legal int8 blocking (e.g. a 126-channel SSD class head) keeps its f32
-  // schedule. The 3-channel image stem quantizes too, over input channels padded to a
-  // quad by the image's one quantize pass (QuantizeGraph). Serving re-tunes inherit
-  // both flags through the persisted config, so per-batch re-tunes re-select quantized
-  // schedules.
+  // s8 weights) next to fp32 in every local search, and lets the global selection
+  // choose fp32-vs-int8 per conv under quantize/dequantize boundary costs. int8 is
+  // offered only on a target with a VNNI dot product (Target::vnni_dot), where it can
+  // beat f32, and only under the kNCHWcGlobal mode (the fixed-block modes are fp32
+  // paper ablations). `force_quantize` also admits int8 on targets without VNNI (the
+  // portable tier) and overrides the cost comparison: every int8-legal conv takes its
+  // best int8 schedule (accuracy testing, int8 CI zoo); a conv with no legal int8
+  // blocking (e.g. a 126-channel SSD class head) keeps its f32 schedule. The
+  // 3-channel image stem quantizes too, over input channels padded to a quad by the
+  // image's one quantize pass (QuantizeGraph). Serving re-tunes inherit both flags
+  // through the persisted config, so per-batch re-tunes re-select quantized schedules.
   bool quantize = false;
   bool force_quantize = false;
   // How activation ranges observed during calibration become quantization ranges:
@@ -101,7 +98,6 @@ struct CompileOptions : CompileConfig {
   // tier's background re-tunes. Compile creates a private cache when none is given.
   std::shared_ptr<TuningCache> tuning_cache;
   ThreadEngine* engine = nullptr;  // used for measured tuning during compilation
-  bool verbose = false;
   // Sample inputs for quantization calibration (ignored unless `quantize`): each is run
   // through the fp32 source graph with a range observer. Empty = one deterministic
   // synthetic batch per graph input.

@@ -1,14 +1,11 @@
 #include "src/core/op_dispatch.h"
 
-#include <thread>
-
 #include "src/base/logging.h"
 #include "src/kernels/batchnorm.h"
 #include "src/kernels/conv_im2col.h"
 #include "src/kernels/conv_nchwc.h"
 #include "src/kernels/conv_nchwc_int8.h"
 #include "src/kernels/conv_ref.h"
-#include "src/kernels/conv_winograd.h"
 #include "src/kernels/dense.h"
 #include "src/kernels/elementwise.h"
 #include "src/kernels/gemm_packed.h"
@@ -23,10 +20,9 @@ namespace neocpu {
 namespace {
 
 // Runs the convolution kernel `node`'s schedule names, writing into the preallocated
-// `*out`; `workspace` backs kernel scratch — the im2col column buffer or Winograd's
-// per-worker tile buffers.
+// `*out`; `workspace` backs the im2col column buffer.
 void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* out,
-                     float* workspace, std::size_t workspace_bytes, ThreadEngine* engine) {
+                     float* workspace, ThreadEngine* engine) {
   const Conv2dParams& p = node.attrs.conv;
   const ConvEpilogue& epi = node.attrs.epilogue;
   const Tensor* bias = epi.bias ? &in[2] : nullptr;
@@ -58,12 +54,11 @@ void ExecuteConvInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
     case ConvAlgo::kDirectNCHWc:
       ConvNCHWc(p, node.attrs.schedule, in[0], in[1], bias, residual, epi, out, engine);
       return;
-    case ConvAlgo::kWinograd:
-      ConvWinograd(p, in[0], in[1], bias, epi, out, engine, workspace,
-                   workspace_bytes / sizeof(float));
-      return;
+    default:
+      break;
   }
-  LOG(FATAL) << "unreachable";
+  LOG(FATAL) << node.name << ": no kernel for algorithm "
+             << static_cast<int>(node.attrs.schedule.algo);
 }
 
 // Packed-GEMM dense (attrs.has_gemm): the weight input is the pre-packed panel
@@ -107,7 +102,7 @@ void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& in, Tensor* ou
   NEOCPU_CHECK(out != nullptr && out->defined());
   switch (node.type) {
     case OpType::kConv2d:
-      ExecuteConvInto(node, in, out, workspace, workspace_bytes, engine);
+      ExecuteConvInto(node, in, out, workspace, engine);
       return;
     case OpType::kBatchNorm: {
       // Unsimplified (reference) graphs: fold the statistics on the fly.
@@ -235,14 +230,6 @@ Tensor AliasView(const Node& node, const std::vector<Tensor>& in) {
   return {};
 }
 
-int MaxPlannedWorkers() {
-  static const int workers = [] {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
-  }();
-  return workers;
-}
-
 std::size_t NodeWorkspaceBytes(const Node& node) {
   if (node.type == OpType::kDense && node.attrs.has_gemm) {
     // Packed-A panel buffer for the tuned GEMM.
@@ -258,17 +245,10 @@ std::size_t NodeWorkspaceBytes(const Node& node) {
                MhaWorkspaceFloats(rows, node.attrs.seq, node.attrs.heads)) *
            sizeof(float);
   }
-  if (node.type != OpType::kConv2d) {
-    return 0;
+  if (node.type == OpType::kConv2d && node.attrs.schedule.algo == ConvAlgo::kIm2col) {
+    return ConvIm2colWorkspaceBytes(node.attrs.conv);
   }
-  switch (node.attrs.schedule.algo) {
-    case ConvAlgo::kIm2col:
-      return ConvIm2colWorkspaceBytes(node.attrs.conv);
-    case ConvAlgo::kWinograd:
-      return WinogradWorkspaceBytes(node.attrs.conv, MaxPlannedWorkers());
-    default:
-      return 0;
-  }
+  return 0;
 }
 
 std::vector<std::int64_t> PlannedOutputDims(const Node& node) {

@@ -24,9 +24,9 @@ namespace neocpu {
 // Executes `node` writing its result into `*out` (a preallocated tensor whose physical
 // dims/layout match PlannedOutputDims/node.out_layout) using `workspace` for kernel
 // scratch (null iff NodeWorkspaceBytes(node) == 0). `workspace_bytes` is the workspace's
-// capacity — kernels whose scratch scales with parallelism (Winograd's per-worker tile
-// buffers) clamp their fan-out to what the workspace backs. Dies for inputs, constants
-// and aliasing nodes, which have no kernel.
+// capacity: the packed GEMM uses it only when it holds the packed-A panels of the
+// executing row count. Dies for inputs, constants and aliasing nodes, which have no
+// kernel.
 void ExecuteNodeInto(const Node& node, const std::vector<Tensor>& inputs, Tensor* out,
                      float* workspace, std::size_t workspace_bytes, ThreadEngine* engine);
 
@@ -38,14 +38,10 @@ int AliasedInput(const Node& node, const Graph& graph);
 // bytes under the node's output dims and layout. Runs no kernel and allocates no buffer.
 Tensor AliasView(const Node& node, const std::vector<Tensor>& inputs);
 
-// Bytes of kernel scratch one execution of `node` needs: im2col column buffer, Winograd
-// per-worker V/M tile scratch (sized for MaxPlannedWorkers so the plan stays valid under
-// any engine); 0 for everything else on the dispatch path.
+// Bytes of kernel scratch one execution of `node` needs: the im2col column buffer, the
+// packed GEMM's packed-A panels, attention score tiles; 0 for everything else on the
+// dispatch path.
 std::size_t NodeWorkspaceBytes(const Node& node);
-
-// Worker count the planner sizes parallelism-scaled workspaces for: the host's hardware
-// concurrency. Engines wider than this are clamped by the kernels at execute time.
-int MaxPlannedWorkers();
 
 // Physical dims of the node's output tensor: node.out_dims reinterpreted under
 // node.out_layout (NCHW[x]c feature maps materialize as 5-D {N, C/x, H, W, x}).

@@ -15,7 +15,7 @@ namespace {
 constexpr char kMagic[4] = {'N', 'E', 'O', 'C'};
 // One version: a module is the fused source graph plus its tuning state, and the
 // executable graph is re-derived at load. docs/module_format.md is the spec.
-constexpr std::uint32_t kVersion = 11;
+constexpr std::uint32_t kVersion = 12;
 
 // The source-graph attributes of a node, mirrored as an explicit POD so the on-disk
 // format stays stable regardless of NodeAttrs layout changes. Everything else in
@@ -297,6 +297,10 @@ CompileConfig ReadConfig(Reader& in) {
   config.max_dp_table_entries = static_cast<std::size_t>(in.Pod<std::uint64_t>());
   config.force_algo = in.Pod<std::uint32_t>() != 0;
   config.forced_algo = in.Enum(ConvAlgo::kReference);
+  if (config.forced_algo == ConvAlgo::kWinograd) {
+    LOG(ERROR) << "module config forces the retired Winograd algorithm";
+    in.Fail();
+  }
   config.quantize = in.Pod<std::uint32_t>() != 0;
   config.force_quantize = in.Pod<std::uint32_t>() != 0;
   config.calibration_policy = in.Enum(CalibrationPolicy::kEntropy);
@@ -378,7 +382,7 @@ bool LoadModule(const std::string& path, CompiledModel* model) {
     calibration.emplace(id, range);
   }
   if (!in.ok()) {
-    LOG(ERROR) << path << ": truncated module file";
+    LOG(ERROR) << path << ": truncated or malformed module file";
     return false;
   }
 

@@ -16,7 +16,7 @@
 // changes to the lowering and the kernels, and a warm-started server can re-tune new
 // batch sizes from it.
 //
-// Format v11 (little-endian; docs/module_format.md is the spec):
+// Format v12 (little-endian; docs/module_format.md is the spec):
 //   magic "NEOC", u32 version, source graph (name, outputs, node records: type, name,
 //   inputs, then input dims | constant payload | POD attribute block), config block,
 //   i64 tuned_batch, length-prefixed TuningCache text, calibration table.
@@ -35,9 +35,10 @@ namespace neocpu {
 bool SaveModule(const CompiledModel& model, const std::string& path);
 
 // Reads a module written by SaveModule and re-lowers it into `*model`. Returns false,
-// logging why, when the file cannot be read or is not a well-formed v11 module: bad
+// logging why, when the file cannot be read or is not a well-formed v12 module: bad
 // magic, another version, truncation, a length or payload larger than the file, a node
-// id or enumerator out of range, or a corrupt embedded cache. Semantic checks on
+// id or enumerator out of range, a config forcing the retired Winograd algorithm, or a
+// corrupt embedded cache. Semantic checks on
 // well-formed bytes (shape inference, lowering) still abort the process.
 bool LoadModule(const std::string& path, CompiledModel* model);
 

@@ -3,7 +3,7 @@
 // Every convolution is lowered to the kernel its schedule names and carries that
 // schedule: a direct schedule rewrites it to the NCHW[x]c template with its weight
 // constant pre-transformed to OIHW[x]i[y]o at compile time, and an NCHW-layout
-// algorithm (im2col, Winograd, the reference loop) keeps NCHW. The blocked
+// algorithm (im2col, the reference loop) keeps NCHW. The blocked
 // layout then propagates through layout-oblivious and layout-tolerant operations;
 // LayoutTransform nodes are inserted only where the incoming layout differs from what a
 // node requires:
@@ -25,7 +25,6 @@
 #include "src/graph/passes/passes.h"
 #include "src/graph/passes/rewriter.h"
 #include "src/graph/shape_infer.h"
-#include "src/kernels/conv_winograd.h"
 #include "src/kernels/gemm_packed.h"
 #include "src/kernels/gemm_packed_int8.h"
 #include "src/kernels/quantize.h"
@@ -192,24 +191,14 @@ Graph AlterConvLayout(const Graph& graph, const std::map<int, ConvSchedule>& sch
         // f32: the data (and any residual) arrive in the schedule's blocks, NCHW for
         // the NCHW-layout algorithms, and the weight constant is pre-transformed at
         // compile time (Figure 2's "Pre-transformed Kernel"): OIHW[x]i[y]o for the
-        // NCHW[x]c template, the {4, 4, OC, IC} Winograd domain, or plain OIHW.
+        // NCHW[x]c template, plain OIHW otherwise.
         const Layout in_layout =
             sched.IsDirect() ? Layout::NCHWc(sched.ic_bn) : Layout::NCHW();
         const Layout out_layout =
             sched.IsDirect() ? Layout::NCHWc(sched.oc_bn) : Layout::NCHW();
         std::vector<int> inputs = {ensure_layout(rw.Lookup(node.inputs[0]), in_layout)};
-        if (sched.algo == ConvAlgo::kWinograd) {
-          NEOCPU_CHECK(WinogradLegal(node.attrs.conv, node.attrs.epilogue))
-              << node.name << ": winograd assigned to an illegal conv";
-          const Tensor& w = graph.node(node.inputs[1]).payload;
-          NEOCPU_CHECK(w.defined()) << node.name << ": conv weight must be constant";
-          inputs.push_back(rw.dst().AddConstant(
-              WinogradTransformWeights(ReblockWeight(w, 1, 1)), node.name + ".wino"));
-        } else if (sched.IsDirect()) {
-          inputs.push_back(weight_as(node, sched.ic_bn, sched.oc_bn));
-        } else {
-          inputs.push_back(weight_as(node, 1, 1));
-        }
+        inputs.push_back(sched.IsDirect() ? weight_as(node, sched.ic_bn, sched.oc_bn)
+                                          : weight_as(node, 1, 1));
         if (node.attrs.epilogue.bias) {
           inputs.push_back(rw.Lookup(node.inputs[2]));
         }

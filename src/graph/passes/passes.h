@@ -8,7 +8,7 @@
 //      into remaining ScaleShift nodes, raising arithmetic intensity (§2.2).
 //   3. AlterConvLayout — lower each convolution to the kernel its schedule names
 //      (the NCHW[x]c template, or an NCHW-layout algorithm), pre-transform weight
-//      constants (OIHW[x]i[y]o, Winograd domain) at compile time, propagate layouts
+//      constants (OIHW[x]i[y]o) at compile time, propagate layouts
 //      through layout-oblivious / layout-tolerant operations, and insert
 //      LayoutTransform nodes only where layouts genuinely change (§3.2).
 //

@@ -10,10 +10,10 @@ const char* ConvAlgoName(ConvAlgo algo) {
       return "direct";
     case ConvAlgo::kIm2col:
       return "im2col";
-    case ConvAlgo::kWinograd:
-      return "winograd";
     case ConvAlgo::kReference:
       return "reference";
+    default:
+      break;
   }
   return "?";
 }

@@ -7,11 +7,10 @@
 // registers simultaneously (register blocking, Figure 1), and unroll_ker chooses whether
 // the kernel-entry loop is unrolled.
 //
-// `algo` makes the convolution *algorithm* part of the searched schedule: the paper's
-// named future work ("extending to other convolution computation algorithms such as
-// Winograd and FFT") plus follow-up benchmarking (Galvez et al.) show the winner among
-// direct / im2col / Winograd flips with the layer shape, so the choice is scored by the
-// cost model and settled by the global search like any other schedule knob. The blocking
+// `algo` makes the convolution *algorithm* part of the searched schedule, scored by the
+// cost model and settled by the global search like any other schedule knob: a conv
+// ranks its direct blockings next to im2col, and one whose output channels have no
+// templated block (an 84- or 126-channel SSD class head) has only im2col. The blocking
 // fields are only meaningful for kDirectNCHWc; the NCHW-layout algorithms store zeros
 // there so pair-keyed selection never confuses them with blocked schedules.
 //
@@ -34,7 +33,9 @@ namespace neocpu {
 enum class ConvAlgo : std::uint8_t {
   kDirectNCHWc = 0,  // Algorithm 1 template in NCHW[x]c (the paper's §3.1 kernel)
   kIm2col = 1,       // im2col + GEMM in NCHW (framework-default baseline)
-  kWinograd = 2,     // F(2x2, 3x3) minimal filtering in NCHW; 3x3 s1 only
+  // Retired: nothing produces it and the loaders reject it. It stays declared only
+  // because perfbench/common.cc names it; a later benchmark change deletes it.
+  kWinograd = 2,
   kReference = 3,    // naive direct NCHW loop nest (correctness baseline)
 };
 

@@ -5,7 +5,7 @@
 // execution dtype, logical dims + physical layout, the memory plan's arena placement
 // (offset/bytes, alias, in-place), and — when a NodeProfileSnapshot is supplied — the
 // node's measured time share rendered as heat-map coloring. `dot -Tsvg model.dot` then
-// shows at a glance which layers run Winograd vs direct, where the int8 region starts
+// shows at a glance which layers run im2col vs direct, where the int8 region starts
 // and ends, how the arena is carved up, and where the milliseconds actually go.
 //
 // The first line of the output is a machine-readable summary comment

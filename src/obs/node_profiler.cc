@@ -14,7 +14,7 @@ namespace {
 
 // Aggregation key: op kind, with convolutions split by algorithm + dtype and dense
 // layers split by kernel family + dtype — the axes the search actually decides per
-// layer ("Conv2d/direct-nchwc-u8" vs "Conv2d/winograd", "dense/gemm-u8" vs
+// layer ("Conv2d/direct-nchwc-u8" vs "Conv2d/im2col", "dense/gemm-u8" vs
 // "dense/gemm-f32"; an unlowered graph's dense reads "dense/ref").
 std::string KindKey(const Node& node) {
   if (node.type == OpType::kDense) {

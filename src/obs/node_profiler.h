@@ -45,7 +45,7 @@ struct NodeProfile {
 };
 
 struct OpKindProfile {
-  std::string kind;  // OpTypeName, with convs split by algorithm ("Conv2d/winograd")
+  std::string kind;  // OpTypeName, with convs split by algorithm ("Conv2d/im2col")
   std::uint64_t calls = 0;
   double total_ms = 0.0;
 };

@@ -14,7 +14,6 @@
 #include "src/kernels/conv_nchwc.h"
 #include "src/kernels/conv_nchwc_int8.h"
 #include "src/kernels/conv_ref.h"
-#include "src/kernels/conv_winograd.h"
 #include "src/kernels/gemm_packed.h"
 #include "src/kernels/gemm_packed_int8.h"
 #include "src/tensor/tensor.h"
@@ -102,42 +101,6 @@ double AnalyticIm2colMs(const Conv2dParams& p, const Target& t) {
   return ms;
 }
 
-// Winograd F(2x2, 3x3), matching the shape of src/kernels/conv_winograd.cc:
-//   * the M-stage (16 OCxIC GEMVs per tile) carries 4/9 of the direct MAC count but
-//     runs 8-wide and load-bound rather than register-blocked — model it at a GEMV
-//     efficiency on min(8, lanes) lanes, with a short-row startup penalty;
-//   * the transformed weights U (16*OC*IC floats) are re-streamed every tile: falling
-//     out of L2 costs a little, falling out of L3 costs DRAM bandwidth per tile;
-//   * input/output tile transforms are scalar (~64 flops per tile-channel).
-// The terms reproduce the flip the paper's follow-ups measure: Winograd wins on
-// large-channel mid-spatial 3x3 layers, loses to the blocked template on small channels
-// (transform-dominated) and on huge channel counts (U falls out of cache).
-double AnalyticWinogradMs(const Conv2dParams& p, const Target& t) {
-  const double tiles = static_cast<double>(p.batch) *
-                       static_cast<double>((p.OutH() + 1) / 2) *
-                       static_cast<double>((p.OutW() + 1) / 2);
-  const double ic = static_cast<double>(p.in_c);
-  const double oc = static_cast<double>(p.out_c);
-
-  const double gemv_lanes = std::min(8.0, static_cast<double>(t.vector_lanes));
-  const double gemv_peak_per_ms =
-      t.freq_ghz * gemv_lanes * static_cast<double>(t.fma_per_cycle) * 1e6;
-  double ms = tiles * 16.0 * oc * ic / (gemv_peak_per_ms * 0.65);
-  ms *= (ic + 8.0) / ic;  // per-row startup: rows are IC long
-
-  const double u_bytes = 16.0 * oc * ic * 4.0;
-  if (u_bytes > static_cast<double>(t.l3_bytes)) {
-    ms *= 4.0;  // U re-streams from DRAM for every tile
-  } else if (u_bytes > static_cast<double>(t.l2_bytes)) {
-    ms *= 1.3;
-  }
-
-  const double scalar_macs_per_ms =
-      t.freq_ghz * static_cast<double>(t.fma_per_cycle) * 1e6;
-  ms += tiles * 64.0 * (ic + oc) / scalar_macs_per_ms;
-  return ms;
-}
-
 // Naive scalar loop nest: no register blocking, no reliable vectorization. Present so a
 // forced-reference compile can still be costed; never competitive.
 double AnalyticReferenceMs(const Conv2dParams& p, const Target& t) {
@@ -213,12 +176,12 @@ double AnalyticConvMs(const Conv2dParams& p, const ConvSchedule& s, const Target
       return AnalyticDirectNchwcMs(p, s, t);
     case ConvAlgo::kIm2col:
       return AnalyticIm2colMs(p, t);
-    case ConvAlgo::kWinograd:
-      return AnalyticWinogradMs(p, t);
     case ConvAlgo::kReference:
       return AnalyticReferenceMs(p, t);
+    default:
+      break;
   }
-  LOG(FATAL) << "unreachable";
+  LOG(FATAL) << "no cost model for algorithm " << static_cast<int>(s.algo);
   return 0.0;
 }
 
@@ -256,10 +219,6 @@ double MeasureNchwAlgoMs(const Conv2dParams& p, ConvAlgo algo, ThreadEngine* eng
   Tensor weight = Tensor::Random({p.out_c, p.in_c, p.kernel_h, p.kernel_w}, rng, -0.5f,
                                  0.5f, Layout::OIHW());
   Tensor out = Tensor::Empty({p.batch, p.out_c, p.OutH(), p.OutW()}, Layout::NCHW());
-  Tensor u;  // winograd-transformed weights, computed outside the timed region
-  if (algo == ConvAlgo::kWinograd) {
-    u = WinogradTransformWeights(weight);
-  }
   ConvEpilogue epilogue;  // bare conv: the schedule choice is epilogue-independent
   double best = 1e30;
   for (int i = 0; i < runs + 1; ++i) {
@@ -268,14 +227,11 @@ double MeasureNchwAlgoMs(const Conv2dParams& p, ConvAlgo algo, ThreadEngine* eng
       case ConvAlgo::kIm2col:
         ConvIm2col(p, input, weight, nullptr, nullptr, epilogue, &out, engine);
         break;
-      case ConvAlgo::kWinograd:
-        ConvWinograd(p, input, u, nullptr, epilogue, &out, engine);
-        break;
       case ConvAlgo::kReference:
         ConvRefNCHW(p, input, weight, nullptr, nullptr, epilogue, &out, engine);
         break;
-      case ConvAlgo::kDirectNCHWc:
-        LOG(FATAL) << "blocked template is measured by MeasureDirectNchwcMs";
+      default:
+        LOG(FATAL) << ConvAlgoName(algo) << " is not an NCHW algorithm";
     }
     const double ms = timer.Millis();
     if (i > 0 || runs == 1) {

@@ -5,7 +5,6 @@
 
 #include "src/base/logging.h"
 #include "src/base/timer.h"
-#include "src/kernels/conv_winograd.h"
 #include "src/tuning/cost_model.h"
 
 namespace neocpu {
@@ -66,9 +65,9 @@ PbqpProblem GlobalProblem::ToPbqp() const {
     for (std::size_t i = 0; i < oa.size(); ++i) {
       for (std::size_t j = 0; j < ob.size(); ++j) {
         // Interface signatures combine the channel block with the execution dtype
-        // (ConvSchedule::In/OutSig): NCHW-layout algorithms (Winograd, im2col: block 0)
-        // pay a transform against blocked neighbours but compose for free with each
-        // other and with graph inputs/outputs, and an fp32/u8 boundary costs a
+        // (ConvSchedule::In/OutSig): im2col (block 0) pays a transform against blocked
+        // neighbours but composes for free with other im2col convs and with graph
+        // inputs/outputs, and an fp32/u8 boundary costs a
         // quantize/dequantize pass charged at the same per-edge rate as a relayout
         // (both are one gather pass over the feature map).
         const std::int64_t out_sig = oa[i].schedule.OutSig();
@@ -156,14 +155,9 @@ GlobalProblem ExtractGlobalProblem(const Graph& graph, const LocalSearchMap& loc
 
     // One option per (dtype, algo, ic_bn, oc_bn) combination: the combination's
     // cheapest schedule. Transform costs only see the combination, so cheaper
-    // same-combination schedules dominate. Winograd options are dropped for convs
-    // whose fused epilogue the kernel cannot execute (residual adds).
+    // same-combination schedules dominate.
     std::vector<ScheduleCost> options;
     for (const ScheduleCost& sc : it->second->ranked) {
-      if (sc.schedule.algo == ConvAlgo::kWinograd &&
-          !WinogradLegal(node.attrs.conv, node.attrs.epilogue)) {
-        continue;
-      }
       bool seen = false;
       for (const ScheduleCost& kept : options) {
         if (kept.schedule.algo == sc.schedule.algo &&

@@ -2,12 +2,11 @@
 //
 // Builds the layout-and-algorithm-choice problem from a (simplified + fused) graph: one
 // variable per convolution whose options are the per-(algo, ic_bn, oc_bn) best schedules
-// from local search (direct-NCHWc blocking tuples plus the im2col and — where legal —
-// Winograd algorithm candidates), producer→consumer edges charging a layout transform
-// when the producer's output block differs from the consumer's input block (NCHW-layout
-// algorithms count as block 0), and sibling edges (from fused residual adds, standalone
-// elementwise adds and concats) charging a transform when two producers that must agree
-// pick different output blocks.
+// from local search (direct-NCHWc blocking tuples plus im2col), producer→consumer
+// edges charging a layout transform when the producer's output block differs from the
+// consumer's input block (im2col counts as block 0), and sibling edges (from fused
+// residual adds, standalone elementwise adds and concats) charging a transform when two
+// producers that must agree pick different output blocks.
 //
 // SolveGlobal first attempts the exact DP (variable elimination); when the state space
 // explodes (SSD's concatenation blocks) it falls back to the PBQP heuristic — exactly

@@ -105,11 +105,10 @@ std::shared_ptr<const LocalSearchResult> LocalSearchConvShared(
         << params.ToString();
   } else {
     candidates = EnumerateSchedules(params, target, quick_space);
-    // Algorithm alternatives (im2col; Winograd where applicable) are ranked in the same
-    // list: the local search scores *how to compute* the conv, not just how to block it.
-    for (const ConvSchedule& extra : EnumerateAlgoCandidates(params)) {
-      candidates.push_back(extra);
-    }
+    // im2col is ranked in the same list: the local search scores *how to compute* the
+    // conv, not just how to block it, and it is the only candidate of a conv whose
+    // output channels have no templated block.
+    candidates.push_back(AlgoSchedule(ConvAlgo::kIm2col));
   }
   for (const ConvSchedule& schedule : candidates) {
     const double ms = mode == CostMode::kAnalytic

@@ -39,8 +39,8 @@ struct LocalSearchResult {
   // pair is absent. Non-direct algorithm entries (zeroed blocks) and quantized entries
   // (merged candidate lists) never match.
   const ScheduleCost* BestForPair(std::int64_t ic_bn, std::int64_t oc_bn) const;
-  // Cheapest fp32 entry computed with `algo`; nullptr if none was ranked (e.g. Winograd
-  // for a non-3x3 workload).
+  // Cheapest fp32 entry computed with `algo`; nullptr if none was ranked (e.g. direct
+  // for a conv whose output channels have no templated block).
   const ScheduleCost* BestForAlgo(ConvAlgo algo) const;
   // Cheapest quantized (u8) entry; nullptr when the list carries none (pure fp32
   // searches).
@@ -54,9 +54,8 @@ struct LocalSearchResult {
 using LocalSearchMap = std::map<int, std::shared_ptr<const LocalSearchResult>>;
 
 // Walks the §3.3.1 candidate space for one workload. `dtype` selects the space: kF32
-// ranks the fp32 blockings plus the NCHW algorithm alternatives; kU8 ranks the
-// quantized direct-NCHWc space (EnumerateS8Schedules) and caches under the u8-tagged
-// WorkloadKey. `cache` (optional) is consulted first and populated with the result on a
+// ranks the fp32 blockings plus im2col; kU8 ranks the quantized direct-NCHWc space
+// (EnumerateS8Schedules) and caches under the u8-tagged WorkloadKey. `cache` (optional) is consulted first and populated with the result on a
 // miss. `cache_hit` (optional) reports whether this call was served from the cache —
 // callers attribute cache traffic to themselves through it, since the cache's own
 // counters are shared across concurrent searches. A hit hands back the cache's own

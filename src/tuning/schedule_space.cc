@@ -4,7 +4,6 @@
 #include <initializer_list>
 
 #include "src/base/logging.h"
-#include "src/kernels/conv_winograd.h"
 
 namespace neocpu {
 
@@ -72,15 +71,6 @@ std::vector<ConvSchedule> EnumerateSchedules(const Conv2dParams& p, const Target
   return TemplatedSchedules(BlockCandidates(p.in_c, t.MaxBlock(), quick_space, keep),
                             BlockCandidates(p.out_c, t.MaxBlock(), quick_space, keep),
                             DType::kF32);
-}
-
-std::vector<ConvSchedule> EnumerateAlgoCandidates(const Conv2dParams& p) {
-  std::vector<ConvSchedule> out;
-  out.push_back(AlgoSchedule(ConvAlgo::kIm2col));
-  if (WinogradApplicable(p)) {
-    out.push_back(AlgoSchedule(ConvAlgo::kWinograd));
-  }
-  return out;
 }
 
 std::vector<ConvSchedule> EnumerateS8Schedules(const Conv2dParams& p, const Target& t,

@@ -28,17 +28,10 @@ std::vector<std::int64_t> Factors(std::int64_t n, std::int64_t cap);
 // two vectors), which keeps measured search affordable; the full space is what the
 // paper's offline multi-hour search walks. Direct-NCHWc schedules only, and only the
 // block shapes the template is instantiated for (IsTemplated), so the space is empty
-// for a conv with no templated oc block (a 126-channel SSD class head); the algorithm
-// alternatives below ride along in the local search's candidate list.
+// for a conv with no templated oc block (a 126-channel SSD class head); the local
+// search ranks im2col next to these, so every conv has a candidate.
 std::vector<ConvSchedule> EnumerateSchedules(const Conv2dParams& params, const Target& target,
                                              bool quick_space = false);
-
-// Algorithm alternatives for one workload: one im2col candidate always, one Winograd
-// candidate when the workload is in Winograd's domain (3x3 stride-1). These join the
-// direct schedules in the local search so the cost model ranks *algorithms* alongside
-// blocking tuples; fused-epilogue legality (Winograd cannot absorb a residual add) is
-// the selection layer's job — the cached ranked list is keyed by shape alone.
-std::vector<ConvSchedule> EnumerateAlgoCandidates(const Conv2dParams& params);
 
 // The quantized (u8 activations x s8 weights) direct-NCHWc space for one workload:
 // same tuple structure, but channel blocks run up to the target's full 8-bit vector

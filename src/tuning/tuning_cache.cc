@@ -208,13 +208,17 @@ bool TuningCache::ParseStream(std::istream& in, EntryMap* entries) {
           dtype != static_cast<unsigned>(key.dtype)) {
         return false;
       }
+      if (algo == static_cast<unsigned>(ConvAlgo::kWinograd)) {
+        LOG(ERROR) << "tuning cache ranks the retired Winograd algorithm for " << key_text;
+        return false;
+      }
       sc.schedule.unroll_ker = unroll != 0;
       sc.schedule.algo = static_cast<ConvAlgo>(algo);
       sc.schedule.dtype = key.dtype;
       result.ranked.push_back(sc);
     }
-    // Earlier builds also ranked blocks the templates are not instantiated for; drop
-    // them so a warm start can never select one.
+    // Drop blocks the templates are not instantiated for (earlier builds ranked some)
+    // so a warm start can never select one.
     std::erase_if(result.ranked, [](const ScheduleCost& sc) {
       return sc.schedule.IsDirect() && !IsTemplated(sc.schedule);
     });

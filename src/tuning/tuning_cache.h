@@ -47,8 +47,9 @@ class TuningCache {
   // Bumped whenever the on-disk layout changes; only this version loads (any other is
   // rejected instead of misread). v5: conv `workload` lines carry the algorithm and
   // execution dtype, and `dense` records hold tuned-GEMM workloads (keys spelled with
-  // a "dense:" shape token, lines carrying mc/nc/kc/mr/nr blocking tuples).
-  static constexpr std::uint32_t kFormatVersion = 5;
+  // a "dense:" shape token, lines carrying mc/nc/kc/mr/nr blocking tuples). v6: the
+  // retired Winograd algorithm (2) no longer ranks, and a line naming it fails the load.
+  static constexpr std::uint32_t kFormatVersion = 6;
 
   TuningCache() = default;
   TuningCache(const TuningCache&) = delete;

@@ -14,11 +14,10 @@
 // Keys have a stable, human-readable text form (ToString/Parse round-trip) that is the
 // on-disk representation inside a persisted TuningCache.
 //
-// The convolution *algorithm* (direct NCHWc / im2col / Winograd / reference) is NOT part
-// of the key: one workload's search ranks all algorithms together, so the cached result
-// is algorithm-tagged per schedule entry (ConvSchedule::algo) while the key stays pure
-// shape identity. Epilogue-dependent legality (Winograd can't absorb a residual add) is
-// filtered at selection time, which keeps cache entries shareable across fusion shapes.
+// The convolution *algorithm* (direct NCHWc / im2col) is NOT part of the key: one
+// workload's search ranks both together, so the cached result is algorithm-tagged per
+// schedule entry (ConvSchedule::algo) while the key stays pure shape identity. Every
+// ranked algorithm runs every fused epilogue, so one entry serves every fusion shape.
 #ifndef NEOCPU_SRC_TUNING_WORKLOAD_KEY_H_
 #define NEOCPU_SRC_TUNING_WORKLOAD_KEY_H_
 

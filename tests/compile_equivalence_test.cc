@@ -91,8 +91,7 @@ TEST_P(LayoutModeEquivalence, MiniNetMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, LayoutModeEquivalence,
                          ::testing::Values(LayoutMode::kNCHW, LayoutMode::kNCHWcPerOp,
-                                           LayoutMode::kNCHWcFixed, LayoutMode::kNCHWcLocal,
-                                           LayoutMode::kNCHWcGlobal),
+                                           LayoutMode::kNCHWcFixed, LayoutMode::kNCHWcGlobal),
                          ModeTestName);
 
 // The unsearched layout modes (the framework presets and Table 3's first three rows)
@@ -173,7 +172,7 @@ TEST(CompileEquivalence, StatsAreCoherent) {
   EXPECT_TRUE(stats.used_exact_dp);  // MiniNet is small: DP must not bail to PBQP
   EXPECT_GT(stats.compile_seconds, 0.0);
   // Since the search also picks the conv *algorithm*, a graph whose convs all go to an
-  // NCHW-layout algorithm (im2col/Winograd) legitimately needs zero runtime layout
+  // NCHW-layout algorithm (im2col) legitimately needs zero runtime layout
   // transforms; blocked-template convs still imply at least one boundary transform.
   int blocked_convs = 0;
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {

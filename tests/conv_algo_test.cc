@@ -1,11 +1,11 @@
-// Per-layer convolution algorithm selection (graph-dispatched Winograd).
+// Per-layer convolution algorithm selection: direct NCHW[x]c blockings and im2col.
 //
 // Covers the selection loop end to end: the analytic cost model ranks algorithms per
-// shape (the Winograd-vs-direct winner flips with layer geometry), the global search
-// assigns Winograd to real zoo layers, the choice round-trips through TuningCache and
-// module serialization, forced-algo overrides work, and graph-dispatched Winograd is
-// numerically faithful and bitwise identical between the planned (zero-allocation) and
-// allocating execution paths.
+// shape, the global search assigns im2col to a conv no templated block divides (SSD's
+// 126-channel class head), the choice round-trips through TuningCache and module
+// serialization, forced-algo overrides work, and graph-dispatched im2col is numerically
+// faithful and bitwise identical between the planned (zero-allocation) and allocating
+// execution paths.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,7 +17,6 @@
 #include "src/core/presets.h"
 #include "src/core/serialization.h"
 #include "src/graph/builder.h"
-#include "src/kernels/conv_winograd.h"
 #include "src/models/model_zoo.h"
 #include "src/tuning/local_search.h"
 #include "src/tuning/tuning_cache.h"
@@ -50,79 +49,79 @@ int CountConvAlgo(const Graph& g, ConvAlgo algo) {
   return n;
 }
 
-// The workhorse for "Winograd actually got picked by global search": VGG-11 at image 64
-// on the EPYC AVX2 profile — its large-channel mid-spatial 3x3 layers are squarely in
-// Winograd's modelled sweet spot, while the stem and the L3-overflowing 512-channel
-// layers are not.
-CompiledModel CompileVggAvx2() {
-  Graph model = BuildVgg(11, 1, 64);
-  return Compile(model, NeoCpuOptions(Target::EpycAvx2()));
+// A graph whose search must pick im2col: its last conv has SSD's 126 class channels
+// (6 anchors x 21 classes), which no templated oc block divides, so im2col is its only
+// candidate on every target; the body conv before it runs direct.
+Graph SsdHeadNet(std::int64_t batch = 1) {
+  GraphBuilder b("ssd_head");
+  int x = b.Input({batch, 32, 16, 16});
+  int y = b.Conv(x, 64, 3, 1, 1, false, "body");
+  y = b.Relu(y);
+  const int cls = b.Conv(y, 126, 3, 1, 1, true, "head.cls");
+  return b.Finish({cls});
 }
 
-TEST(ConvAlgoCost, WinnerFlipsWithLayerShape) {
-  const Target t = Target::EpycAvx2();
-  // Large channels, mid spatial extent: Winograd's 2.25x MAC saving dominates.
-  Conv2dParams big{1, 256, 16, 16, 256, 3, 3, 1, 1, 1, 1};
-  EXPECT_LT(AnalyticConvMs(big, AlgoSchedule(ConvAlgo::kWinograd), t),
-            AnalyticConvMs(big, ConvSchedule{8, 8, 8, true}, t));
-  // Tiny channel count: tile transforms dominate, the blocked template wins.
-  Conv2dParams small{1, 3, 64, 64, 8, 3, 3, 1, 1, 1, 1};
-  EXPECT_GT(AnalyticConvMs(small, AlgoSchedule(ConvAlgo::kWinograd), t),
-            AnalyticConvMs(small, ConvSchedule{3, 8, 8, true}, t));
-  // Huge channel count: U falls out of the L3, Winograd pays DRAM per tile. (A tile of
-  // 8 accumulators: two AVX2 vectors of output channels by reg_n 4.)
-  Conv2dParams huge{1, 512, 8, 8, 512, 3, 3, 1, 1, 1, 1};
-  EXPECT_GT(AnalyticConvMs(huge, AlgoSchedule(ConvAlgo::kWinograd), t),
-            AnalyticConvMs(huge, ConvSchedule{8, 16, 4, true}, t));
-  // The reference loop nest never wins.
-  EXPECT_GT(AnalyticConvMs(big, AlgoSchedule(ConvAlgo::kReference), t),
-            AnalyticConvMs(big, ConvSchedule{8, 8, 8, true}, t));
+CompiledModel CompileSsdHead() {
+  return Compile(SsdHeadNet(), NeoCpuOptions(Target::Host()));
+}
+
+TEST(ConvAlgoCost, DirectBeatsNchwAlgorithmsOnTemplatedShapes) {
+  for (const Target& t : {Target::EpycAvx2(), Target::SkylakeAvx512()}) {
+    for (const Conv2dParams& p : {Conv2dParams{1, 256, 16, 16, 256, 3, 3, 1, 1, 1, 1},
+                                  Conv2dParams{1, 64, 56, 56, 64, 1, 1, 1, 1, 0, 0}}) {
+      const ConvSchedule direct{16, 16, 8, true};
+      EXPECT_LT(AnalyticConvMs(p, direct, t),
+                AnalyticConvMs(p, AlgoSchedule(ConvAlgo::kIm2col), t))
+          << t.name << " " << p.ToString();
+      // The reference loop nest never wins.
+      EXPECT_LT(AnalyticConvMs(p, AlgoSchedule(ConvAlgo::kIm2col), t),
+                AnalyticConvMs(p, AlgoSchedule(ConvAlgo::kReference), t))
+          << t.name << " " << p.ToString();
+    }
+  }
 }
 
 TEST(ConvAlgoSearch, LocalSearchRanksAlgorithmsAlongsideBlockings) {
   Conv2dParams p{1, 64, 28, 28, 64, 3, 3, 1, 1, 1, 1};
   LocalSearchResult r =
       LocalSearchConv(p, Target::SkylakeAvx512(), CostMode::kAnalytic, true);
-  EXPECT_NE(r.BestForAlgo(ConvAlgo::kWinograd), nullptr);
   EXPECT_NE(r.BestForAlgo(ConvAlgo::kIm2col), nullptr);
   EXPECT_NE(r.BestForAlgo(ConvAlgo::kDirectNCHWc), nullptr);
-  // 1x1 convolutions are outside Winograd's domain and must not rank it.
-  Conv2dParams pointwise{1, 64, 28, 28, 64, 1, 1, 1, 1, 0, 0};
+  EXPECT_EQ(r.BestForAlgo(ConvAlgo::kWinograd), nullptr) << "Winograd is retired";
+  EXPECT_EQ(r.BestForAlgo(ConvAlgo::kReference), nullptr);
+  // A conv no templated oc block divides ranks im2col alone.
+  Conv2dParams head{1, 64, 16, 16, 126, 3, 3, 1, 1, 1, 1};
   LocalSearchResult r1 =
-      LocalSearchConv(pointwise, Target::SkylakeAvx512(), CostMode::kAnalytic, true);
-  EXPECT_EQ(r1.BestForAlgo(ConvAlgo::kWinograd), nullptr);
-  EXPECT_NE(r1.BestForAlgo(ConvAlgo::kIm2col), nullptr);
+      LocalSearchConv(head, Target::SkylakeAvx512(), CostMode::kAnalytic, false);
+  ASSERT_EQ(r1.ranked.size(), 1u);
+  EXPECT_EQ(r1.best().schedule, AlgoSchedule(ConvAlgo::kIm2col));
 }
 
-TEST(ConvAlgoSearch, GlobalSearchSelectsWinogradOnVgg) {
-  CompiledModel compiled = CompileVggAvx2();
-  EXPECT_GE(CountConvAlgo(compiled.graph(), ConvAlgo::kWinograd), 1)
-      << "no conv layer selected Winograd on the AVX2 profile";
-  // Winograd convs read pre-transformed weights {4, 4, OC, IC} and stay NCHW.
+TEST(ConvAlgoSearch, GlobalSearchSelectsIm2colOnSsdHead) {
+  CompiledModel compiled = CompileSsdHead();
+  EXPECT_EQ(CountConvAlgo(compiled.graph(), ConvAlgo::kIm2col), 1);
+  EXPECT_EQ(CountConvAlgo(compiled.graph(), ConvAlgo::kDirectNCHWc), 1);
+  // The im2col conv reads its plain OIHW weight and stays NCHW.
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& node = compiled.graph().node(id);
-    if (!node.IsConv() || node.attrs.schedule.algo != ConvAlgo::kWinograd) {
+    if (!node.IsConv() || node.attrs.schedule.algo != ConvAlgo::kIm2col) {
       continue;
     }
-    const Tensor& w = compiled.graph().node(node.inputs[1]).payload;
-    ASSERT_EQ(w.ndim(), 4);
-    EXPECT_EQ(w.dim(0), 4);
-    EXPECT_EQ(w.dim(1), 4);
-    EXPECT_EQ(w.dim(2), node.attrs.conv.out_c);
-    EXPECT_EQ(w.dim(3), node.attrs.conv.in_c);
+    EXPECT_EQ(compiled.graph().node(node.inputs[1]).payload.dims(),
+              (std::vector<std::int64_t>{126, 64, 3, 3}));
     EXPECT_EQ(node.out_layout, Layout::NCHW());
   }
   // And the compiled model still matches the unoptimized reference numerically.
-  Graph model = BuildVgg(11, 1, 64);
+  Graph model = SsdHeadNet();
   Tensor input = InputFor(model);
   Tensor expected = Executor(&model).Run(input);
   EXPECT_LE(Tensor::AllCloseViolation(compiled.Run(input), expected, kRtol, kAtol), 0.0);
 }
 
 TEST(ConvAlgoSearch, ChoiceRoundTripsThroughModuleSerialization) {
-  CompiledModel compiled = CompileVggAvx2();
-  const int wino = CountConvAlgo(compiled.graph(), ConvAlgo::kWinograd);
-  ASSERT_GE(wino, 1);
+  CompiledModel compiled = CompileSsdHead();
+  const int im2col = CountConvAlgo(compiled.graph(), ConvAlgo::kIm2col);
+  ASSERT_GE(im2col, 1);
 
   const std::string path = TempPath("algo_roundtrip.neoc");
   ASSERT_TRUE(SaveModule(compiled, path));
@@ -130,7 +129,7 @@ TEST(ConvAlgoSearch, ChoiceRoundTripsThroughModuleSerialization) {
   ASSERT_TRUE(LoadModule(path, &loaded));
   std::remove(path.c_str());
 
-  EXPECT_EQ(CountConvAlgo(loaded.graph(), ConvAlgo::kWinograd), wino);
+  EXPECT_EQ(CountConvAlgo(loaded.graph(), ConvAlgo::kIm2col), im2col);
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& a = compiled.graph().node(id);
     const Node& b = loaded.graph().node(id);
@@ -146,12 +145,12 @@ TEST(ConvAlgoSearch, ChoiceRoundTripsThroughModuleSerialization) {
 
 TEST(ConvAlgoSearch, ChoiceRoundTripsThroughTuningCache) {
   auto cache = std::make_shared<TuningCache>();
-  Graph model = BuildVgg(11, 1, 64);
-  CompileOptions opts = NeoCpuOptions(Target::EpycAvx2());
+  Graph model = SsdHeadNet();
+  CompileOptions opts = NeoCpuOptions(Target::Host());
   opts.tuning_cache = cache;
   CompiledModel first = Compile(model, opts);
-  const int wino = CountConvAlgo(first.graph(), ConvAlgo::kWinograd);
-  ASSERT_GE(wino, 1);
+  const int im2col = CountConvAlgo(first.graph(), ConvAlgo::kIm2col);
+  ASSERT_GE(im2col, 1);
   ASSERT_GT(first.stats().tuning_cache_misses, 0u);
 
   // Persist the algorithm-tagged entries and warm a fresh cache from disk.
@@ -163,30 +162,30 @@ TEST(ConvAlgoSearch, ChoiceRoundTripsThroughTuningCache) {
   EXPECT_EQ(warmed->size(), cache->size());
 
   // A recompile against the warmed cache is pure hits and lands on the same kernels.
-  CompileOptions opts2 = NeoCpuOptions(Target::EpycAvx2());
+  CompileOptions opts2 = NeoCpuOptions(Target::Host());
   opts2.tuning_cache = warmed;
   CompiledModel second = Compile(model, opts2);
   EXPECT_EQ(second.stats().tuning_cache_misses, 0u);
   EXPECT_EQ(second.stats().tuning_cache_hits, first.stats().tuning_cache_hits +
                                                   first.stats().tuning_cache_misses);
-  EXPECT_EQ(CountConvAlgo(second.graph(), ConvAlgo::kWinograd), wino);
+  EXPECT_EQ(CountConvAlgo(second.graph(), ConvAlgo::kIm2col), im2col);
 }
 
-TEST(ConvAlgoSearch, PlannedWinogradExecutionStaysZeroAlloc) {
-  CompiledModel compiled = CompileVggAvx2();
-  ASSERT_GE(CountConvAlgo(compiled.graph(), ConvAlgo::kWinograd), 1);
+TEST(ConvAlgoSearch, PlannedIm2colExecutionStaysZeroAlloc) {
+  CompiledModel compiled = CompileSsdHead();
+  ASSERT_GE(CountConvAlgo(compiled.graph(), ConvAlgo::kIm2col), 1);
   ASSERT_NE(compiled.plan(), nullptr);
 
-  // Winograd convs must plan per-worker tile scratch in the arena.
-  bool wino_workspace = false;
+  // im2col convs must plan their column buffer in the arena.
+  bool im2col_workspace = false;
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& node = compiled.graph().node(id);
-    if (node.IsConv() && node.attrs.schedule.algo == ConvAlgo::kWinograd) {
-      wino_workspace |=
+    if (node.IsConv() && node.attrs.schedule.algo == ConvAlgo::kIm2col) {
+      im2col_workspace |=
           compiled.plan()->nodes[static_cast<std::size_t>(id)].workspace_bytes > 0;
     }
   }
-  EXPECT_TRUE(wino_workspace);
+  EXPECT_TRUE(im2col_workspace);
 
   Tensor input = InputFor(compiled.graph());
   const Executor planned(&compiled.graph(), nullptr, compiled.plan());
@@ -197,35 +196,39 @@ TEST(ConvAlgoSearch, PlannedWinogradExecutionStaysZeroAlloc) {
   const Tensor got = planned.Run(input);
   EXPECT_EQ(TensorHeapAllocCount() - before,
             static_cast<std::uint64_t>(compiled.plan()->heap_nodes))
-      << "winograd intermediates/workspaces must come from the arena\n"
+      << "im2col intermediates/workspaces must come from the arena\n"
       << compiled.plan()->ToString();
   EXPECT_EQ(Tensor::MaxAbsDiff(expected, got), 0.0);
 }
 
 TEST(ConvAlgoSearch, RetuneForBatchReselectsAlgorithms) {
-  CompiledModel compiled = CompileVggAvx2();
+  CompiledModel compiled = CompileSsdHead();
   CompiledModel retuned;
   ASSERT_TRUE(RetuneForBatch(compiled, 2, nullptr, &retuned));
   EXPECT_EQ(retuned.stats().tuned_batch, 2);
-  // The batch-2 variant made its own algorithm decisions; whatever it picked, every
-  // conv runs at batch 2 and every Winograd conv reads Winograd-domain weights...
+  // The batch-2 variant made its own algorithm decisions: every conv runs at batch 2,
+  // and the class head, which has no direct schedule, runs im2col on its OIHW weight...
+  int im2col = 0;
   for (int id = 0; id < retuned.graph().num_nodes(); ++id) {
     const Node& node = retuned.graph().node(id);
     if (!node.IsConv()) {
       continue;
     }
     EXPECT_EQ(node.attrs.conv.batch, 2) << node.name;
-    if (node.attrs.schedule.algo == ConvAlgo::kWinograd) {
+    if (node.attrs.schedule.algo == ConvAlgo::kIm2col) {
+      ++im2col;
       EXPECT_EQ(retuned.graph().node(node.inputs[1]).payload.dims(),
-                (std::vector<std::int64_t>{4, 4, node.attrs.conv.out_c,
-                                           node.attrs.conv.in_c}))
+                (std::vector<std::int64_t>{node.attrs.conv.out_c, node.attrs.conv.in_c,
+                                           3, 3}))
           << node.name;
     }
   }
+  EXPECT_EQ(im2col, 1);
   // ...and the variant must execute correctly at its batch size.
-  Rng rng(31);
-  Tensor input = Tensor::Random({2, 3, 64, 64}, rng, -1.0f, 1.0f, Layout::NCHW());
-  EXPECT_EQ(retuned.Run(input).dim(0), 2);
+  const Graph model = SsdHeadNet(2);
+  Tensor input = InputFor(model);
+  Tensor expected = Executor(&model).Run(input);
+  EXPECT_LE(Tensor::AllCloseViolation(retuned.Run(input), expected, kRtol, kAtol), 0.0);
 }
 
 // ---------------------------------------------------------------- forced overrides
@@ -243,26 +246,25 @@ Graph ResidualNet() {
   return b.Finish({post});
 }
 
-TEST(ForcedAlgo, ForcesLegalConvsAndSkipsIllegalOnes) {
+// im2col runs every fused epilogue, so forcing it binds the conv that absorbed the
+// residual add too.
+TEST(ForcedAlgo, ForcedIm2colRunsFusedResidualConvs) {
   Graph model = ResidualNet();
   CompileOptions opts = NeoCpuOptions(Target::SkylakeAvx512());
   opts.force_algo = true;
-  opts.forced_algo = ConvAlgo::kWinograd;
+  opts.forced_algo = ConvAlgo::kIm2col;
   CompiledModel compiled = Compile(model, opts);
 
-  int wino = 0, residual_wino = 0;
+  int im2col = 0, residual_im2col = 0;
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& node = compiled.graph().node(id);
-    if (!node.IsConv()) {
-      continue;
-    }
-    if (node.attrs.schedule.algo == ConvAlgo::kWinograd) {
-      ++wino;
-      residual_wino += node.attrs.epilogue.residual_add;
+    if (node.IsConv() && node.attrs.schedule.algo == ConvAlgo::kIm2col) {
+      ++im2col;
+      residual_im2col += node.attrs.epilogue.residual_add;
     }
   }
-  EXPECT_EQ(wino, 2) << "both non-residual 3x3 convs must be forced to winograd";
-  EXPECT_EQ(residual_wino, 0) << "the fused-residual conv cannot run winograd";
+  EXPECT_EQ(im2col, 3);
+  EXPECT_EQ(residual_im2col, 1);
 
   // The forced compile still matches the reference numerically.
   Tensor input = InputFor(model);
@@ -301,10 +303,10 @@ TEST(ForcedAlgo, RoundTripsThroughModuleConfig) {
 }
 
 // kNCHW runs no search: every conv gets the reference loop, and a forced NCHW
-// algorithm replaces it wherever that algorithm is legal, its weights pre-transformed
-// by the same lowering as under the NCHWc modes.
-TEST(ForcedAlgo, NchwModeForcesWinogradOnlyWhereLegal) {
-  GraphBuilder b("nchw_winograd");
+// algorithm replaces it on every conv, the fused-residual one included, its weights
+// lowered by the same pass as under the NCHWc modes.
+TEST(ForcedAlgo, NchwModeForcesIm2colOnEveryConv) {
+  GraphBuilder b("nchw_im2col");
   int x = b.Input({1, 16, 16, 16});
   int y = b.Conv(x, 16, 3, 1, 1, false, "plain");
   y = b.Relu(y);
@@ -313,22 +315,15 @@ TEST(ForcedAlgo, NchwModeForcesWinogradOnlyWhereLegal) {
   Graph model = b.Finish({y});
   CompileOptions opts = AblationBaselineNchw(Target::Host());
   opts.force_algo = true;
-  opts.forced_algo = ConvAlgo::kWinograd;
+  opts.forced_algo = ConvAlgo::kIm2col;
   CompiledModel compiled = Compile(model, opts);
 
-  int legal = 0;
   for (int id = 0; id < compiled.graph().num_nodes(); ++id) {
     const Node& node = compiled.graph().node(id);
-    if (!node.IsConv()) {
-      continue;
+    if (node.IsConv()) {
+      EXPECT_EQ(node.attrs.schedule, AlgoSchedule(ConvAlgo::kIm2col)) << node.name;
     }
-    const bool wino = WinogradLegal(node.attrs.conv, node.attrs.epilogue);
-    legal += wino;
-    EXPECT_EQ(node.attrs.schedule,
-              AlgoSchedule(wino ? ConvAlgo::kWinograd : ConvAlgo::kReference))
-        << node.name;
   }
-  EXPECT_EQ(legal, 1);
   EXPECT_EQ(compiled.graph().CountNodes(OpType::kConv2d), 2);
   EXPECT_EQ(compiled.stats().num_layout_transforms, 0);
 
@@ -349,20 +344,22 @@ Graph TinyVgg11() { return BuildVgg(11, 1, 64); }
 Graph TinyInception() { return BuildInceptionV3(1, 139); }
 Graph TinyCnn() { return BuildTinyCnn(1, 32); }
 
-class WinogradZooDispatch : public ::testing::TestWithParam<AlgoZooCase> {};
+class Im2colZooDispatch : public ::testing::TestWithParam<AlgoZooCase> {};
 
-// Force Winograd onto every legal conv of real zoo graphs: the dispatched kernels must
-// match the reference executor numerically, and the planned (zero-allocation) path must
-// be bitwise identical to the allocating path — both executions run the same kernels in
-// the same order, so any deviation is an arena placement or workspace bug.
-TEST_P(WinogradZooDispatch, ForcedWinogradMatchesPlannedAndReference) {
+// Force im2col onto every conv of real zoo graphs: the dispatched kernels must match
+// the reference executor numerically, and the planned (zero-allocation) path, whose
+// column buffers live in the arena, must be bitwise identical to the allocating path —
+// both executions run the same kernels in the same order, so any deviation is an arena
+// placement or workspace bug.
+TEST_P(Im2colZooDispatch, ForcedIm2colMatchesPlannedAndReference) {
   Graph model = GetParam().build();
   Tensor input = InputFor(model);
   CompileOptions opts = NeoCpuOptions(Target::Host());
   opts.force_algo = true;
-  opts.forced_algo = ConvAlgo::kWinograd;
+  opts.forced_algo = ConvAlgo::kIm2col;
   CompiledModel compiled = Compile(model, opts);
-  EXPECT_GE(CountConvAlgo(compiled.graph(), ConvAlgo::kWinograd), 1)
+  EXPECT_EQ(CountConvAlgo(compiled.graph(), ConvAlgo::kIm2col),
+            compiled.graph().CountNodes(OpType::kConv2d))
       << GetParam().label;
 
   const Executor allocating(&compiled.graph());
@@ -382,7 +379,7 @@ TEST_P(WinogradZooDispatch, ForcedWinogradMatchesPlannedAndReference) {
       << GetParam().label << " (vs reference)";
 }
 
-INSTANTIATE_TEST_SUITE_P(Zoo, WinogradZooDispatch,
+INSTANTIATE_TEST_SUITE_P(Zoo, Im2colZooDispatch,
                          ::testing::Values(AlgoZooCase{"tiny_cnn", &TinyCnn},
                                            AlgoZooCase{"resnet18", &TinyResNet18},
                                            AlgoZooCase{"vgg11", &TinyVgg11},

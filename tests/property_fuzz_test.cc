@@ -121,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, FuzzEquivalence,
     ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 5, 8, 13, 21, 34, 55, 89),
                        ::testing::Values(LayoutMode::kNCHW, LayoutMode::kNCHWcPerOp,
-                                         LayoutMode::kNCHWcFixed, LayoutMode::kNCHWcLocal,
+                                         LayoutMode::kNCHWcFixed,
                                          LayoutMode::kNCHWcGlobal)));
 
 class FuzzProfileEquivalence : public ::testing::TestWithParam<std::uint64_t> {};

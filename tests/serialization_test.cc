@@ -103,10 +103,10 @@ CompileOptions NchwcFixed() {
   opts.layout_mode = LayoutMode::kNCHWcFixed;
   return opts;
 }
-CompileOptions ForcedWinograd() {
+CompileOptions ForcedIm2col() {
   CompileOptions opts = NeoCpuOptions(Target::Host());
   opts.force_algo = true;
-  opts.forced_algo = ConvAlgo::kWinograd;
+  opts.forced_algo = ConvAlgo::kIm2col;
   return opts;
 }
 CompileOptions EntropyQuantize() {
@@ -163,7 +163,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RoundTripCase{"resnet18_f32", &ResNet18, &F32Global, 0},
                       RoundTripCase{"nchw_im2col", &SmallNet, &NchwIm2col, 0},
                       RoundTripCase{"nchwc_fixed", &TinyCnn, &NchwcFixed, 0},
-                      RoundTripCase{"forced_winograd", &SmallNet, &ForcedWinograd, 0},
+                      RoundTripCase{"forced_im2col", &SmallNet, &ForcedIm2col, 0},
                       RoundTripCase{"entropy_quantize", &TinyCnn, &EntropyQuantize, 0},
                       RoundTripCase{"transformer_quantize_dense", &Encoder,
                                     &QuantizeDense, 0},
@@ -215,12 +215,11 @@ TEST(Serialization, EveryLayoutModeAndForcedAlgoReLowersABlockedSource) {
   const Forced forced[] = {{"searched", false, ConvAlgo::kDirectNCHWc},
                            {"direct", true, ConvAlgo::kDirectNCHWc},
                            {"im2col", true, ConvAlgo::kIm2col},
-                           {"winograd", true, ConvAlgo::kWinograd},
                            {"reference", true, ConvAlgo::kReference}};
   const std::string path = TempPath("rewrapped.neoc");
   for (const LayoutMode mode :
        {LayoutMode::kNCHW, LayoutMode::kNCHWcPerOp, LayoutMode::kNCHWcFixed,
-        LayoutMode::kNCHWcLocal, LayoutMode::kNCHWcGlobal}) {
+        LayoutMode::kNCHWcGlobal}) {
     for (const Forced& f : forced) {
       const std::string label = std::string(LayoutModeName(mode)) + "/" + f.label;
       CompileConfig config = compiled.config();
@@ -236,6 +235,27 @@ TEST(Serialization, EveryLayoutModeAndForcedAlgoReLowersABlockedSource) {
           << label;
     }
   }
+  std::remove(path.c_str());
+}
+
+// A config that forces the retired Winograd algorithm fails the load with a message;
+// the process survives.
+TEST(Serialization, RejectsRetiredWinogradConfig) {
+  const CompiledModel compiled =
+      Compile(BuildTinyCnn(1, 32), NeoCpuOptions(Target::Host()));
+  CompileConfig config = compiled.config();
+  config.force_algo = true;
+  config.forced_algo = ConvAlgo::kWinograd;
+  const CompiledModel rewrapped(compiled.graph(), compiled.stats(), compiled.source_graph(),
+                                config, compiled.tuning());
+  const std::string path = TempPath("winograd_config.neoc");
+  ASSERT_TRUE(SaveModule(rewrapped, path));
+  ::testing::internal::CaptureStderr();
+  CompiledModel loaded;
+  const bool ok = LoadModule(path, &loaded);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(ok);
+  EXPECT_NE(log.find("retired Winograd"), std::string::npos) << log;
   std::remove(path.c_str());
 }
 

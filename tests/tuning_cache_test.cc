@@ -187,23 +187,23 @@ TEST(TuningCache, RejectsWrongVersionAndGarbage) {
   EXPECT_FALSE(cache.Deserialize(wrong_version));
   std::istringstream garbage("not-a-cache at all\n");
   EXPECT_FALSE(cache.Deserialize(garbage));
-  std::istringstream older_version("neocpu-tuning-cache 4 0\n");
+  std::istringstream older_version("neocpu-tuning-cache 5 0\n");
   EXPECT_FALSE(cache.Deserialize(older_version));
   std::istringstream truncated(
-      "neocpu-tuning-cache 5 1\nworkload avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|quick "
+      "neocpu-tuning-cache 6 1\nworkload avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|quick "
       "3\n16 16 8 1 0 0 0.5\n");
   EXPECT_FALSE(cache.Deserialize(truncated));
   EXPECT_EQ(cache.size(), 0u);  // failures leave the cache untouched
 }
 
-// A cache saved by a build that still had s8 activations has the same v5 layout but
-// `|s8` key tokens and dtype-1 schedule lines. Loading it fails cleanly — no abort, no
-// entry — and so does a u8 entry carrying an s8 schedule line.
+// A build that still had s8 activations wrote `|s8` key tokens and dtype-1 schedule
+// lines. Loading such an entry fails cleanly — no abort, no entry — and so does a u8
+// entry carrying an s8 schedule line.
 TEST(TuningCache, RejectsS8Entries) {
-  const std::string path = ::testing::TempDir() + "/s8_cache.v5";
+  const std::string path = ::testing::TempDir() + "/s8_cache.txt";
   {
     std::ofstream out(path);
-    out << "neocpu-tuning-cache 5 1\n"
+    out << "neocpu-tuning-cache 6 1\n"
            "workload avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|quick|s8 1\n"
            "16 64 8 1 0 1 0.5\n";
   }
@@ -213,11 +213,38 @@ TEST(TuningCache, RejectsS8Entries) {
   std::remove(path.c_str());
 
   std::istringstream mixed(
-      "neocpu-tuning-cache 5 1\n"
+      "neocpu-tuning-cache 6 1\n"
       "workload avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|quick|u8 1\n"
       "16 64 8 1 0 1 0.5\n");
   EXPECT_FALSE(cache.Deserialize(mixed));
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// A ranked line naming the retired Winograd algorithm (2) fails the load with an error:
+// no abort, no entry, even next to a valid line that loads on its own.
+TEST(TuningCache, RejectsRetiredWinogradLine) {
+  const std::string entry =
+      "workload avx512|1_32_14x14_64_3x3_1x1_1x1|analytic|quick ";
+  std::istringstream valid("neocpu-tuning-cache 6 1\n" + entry +
+                           "1\n16 16 8 1 0 0 0.5\n");
+  TuningCache control;
+  ASSERT_TRUE(control.Deserialize(valid));
+  EXPECT_EQ(control.size(), 1u);
+
+  const std::string path = ::testing::TempDir() + "/winograd_cache.txt";
+  {
+    std::ofstream out(path);
+    out << "neocpu-tuning-cache 6 1\n"
+        << entry << "2\n16 16 8 1 0 0 0.5\n0 0 0 0 2 0 0.3\n";
+  }
+  TuningCache cache;
+  ::testing::internal::CaptureStderr();
+  const bool loaded = cache.LoadFromFile(path);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(loaded);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_NE(log.find("retired Winograd"), std::string::npos) << log;
+  std::remove(path.c_str());
 }
 
 // Earlier builds also ranked int8 blocks the kernel is not instantiated for (here
@@ -229,7 +256,7 @@ TEST(TuningCache, DropsUntemplatedInt8Schedules) {
                                            DType::kU8);
   const WorkloadKey gone = WorkloadKey::Of(TestConv(2), t, CostMode::kAnalytic, true,
                                            DType::kU8);
-  std::istringstream text("neocpu-tuning-cache 5 2\nworkload " + kept.ToString() +
+  std::istringstream text("neocpu-tuning-cache 6 2\nworkload " + kept.ToString() +
                           " 2\n16 12 8 1 0 2 0.4\n16 16 8 1 0 2 0.5\nworkload " +
                           gone.ToString() + " 1\n16 12 8 1 0 2 0.4\n");
   TuningCache cache;
